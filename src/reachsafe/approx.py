@@ -4,11 +4,16 @@ Everything is plain float64 numpy. A network is a list of dense layers
 with tanh hidden activations and a linear head; ``forward`` caches the
 activations the matching ``backward`` consumes. No graph, no broadcasting
 cleverness: the shapes are (batch, features) throughout.
+
+Checkpoints keep float64 as well: ``save_mlp`` writes every network of one
+model (a critic's four nets, a policy, a dynamics ensemble) and a JSON
+metadata string into a single ``.npz``, and ``load_mlp`` reads it back
+without pickle, so a reloaded model computes exactly what the saved one did.
 """
 
 from __future__ import annotations
 
-import struct
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,9 +53,6 @@ class Mlp:
             out.extend((w, b))
         return out
 
-    def n_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     def set_parameters(self, params: list[np.ndarray]) -> None:
         flat = list(params)
         for i in range(len(self.weights)):
@@ -81,9 +83,6 @@ class Mlp:
         self._squeezed = squeeze
         return h[0] if squeeze else h
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)
-
     def backward(self, upstream: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
         """Gradients of sum(upstream * output) w.r.t. parameters and input.
 
@@ -108,19 +107,6 @@ class Mlp:
             g = g @ self.weights[i].T
         input_grad = g[0] if getattr(self, "_squeezed", False) else g
         return grads, input_grad
-
-    def value_and_input_grad(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = self.forward(x)
-        _, gx = self.backward(np.ones_like(np.atleast_2d(y)))
-        return y, gx
-
-
-def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
-    return net.forward(x)
-
-
-def backward(net: Mlp, upstream: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    return net.backward(upstream)
 
 
 # ---------------------------------------------------------------------------
@@ -199,35 +185,31 @@ def soft_update(target: Mlp, source: Mlp, rate: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: layer-size header + flat little-endian float32 payload.
+# Checkpoints: one float64 .npz per model. Network ``name`` stores its
+# parameters as ``name.0``, ``name.1``, ... in parameters() order; ``meta``
+# is a JSON string with the caller's metadata and every network's sizes.
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"MLP1"
 
-
-def save_mlp(net: Mlp, path) -> None:
-    flat = np.concatenate([p.ravel() for p in net.parameters()]).astype("<f4")
+def save_mlp(nets: dict[str, Mlp], path, meta: dict) -> None:
+    """Write the named networks of one model, plus its metadata, to ``path``."""
+    arrays = {f"{name}.{i}": p for name, net in nets.items()
+              for i, p in enumerate(net.parameters())}
+    meta = {**meta, "nets": {name: net.sizes for name, net in nets.items()}}
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(net.sizes)))
-        fh.write(struct.pack(f"<{len(net.sizes)}I", *net.sizes))
-        fh.write(flat.tobytes())
+        np.savez(fh, meta=np.array(json.dumps(meta, sort_keys=True)), **arrays)
 
 
-def load_mlp(path) -> Mlp:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError(f"{path} is not a network checkpoint")
-        (n_sizes,) = struct.unpack("<I", fh.read(4))
-        sizes = list(struct.unpack(f"<{n_sizes}I", fh.read(4 * n_sizes)))
-        flat = np.frombuffer(fh.read(), dtype="<f4").astype(float)
-    net = Mlp(sizes)
-    if flat.size != net.n_parameters():
-        raise ValueError(f"{path}: payload holds {flat.size} values, "
-                         f"expected {net.n_parameters()}")
-    params, offset = [], 0
-    for p in net.parameters():
-        params.append(flat[offset:offset + p.size].reshape(p.shape))
-        offset += p.size
-    net.set_parameters(params)
-    return net
+def load_mlp(path) -> tuple[dict[str, Mlp], dict]:
+    """Read a ``save_mlp`` file back: (networks by name, metadata)."""
+    with np.load(path, allow_pickle=False) as archive:
+        meta = json.loads(str(archive["meta"]))
+        nets = {}
+        for name, sizes in meta.pop("nets").items():
+            net = Mlp(sizes)
+            params = [archive[f"{name}.{i}"] for i in range(len(net.parameters()))]
+            if [p.shape for p in params] != [p.shape for p in net.parameters()]:
+                raise ValueError(f"{path}: {name} parameters do not match sizes {sizes}")
+            net.set_parameters(params)
+            nets[name] = net
+    return nets, meta

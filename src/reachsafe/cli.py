@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from .cmdp import ConfigurationError
-from .config import ABLATIONS, ExperimentConfig, default_config, load_config
+from .config import ExperimentConfig, build_env, default_config, load_config
+from .costgen import load_final_candidate
 from .critics import export_heatmap, load_critic
 from .pipeline import (
     MissingArtifact,
@@ -145,21 +146,17 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_heatmap(args: argparse.Namespace) -> int:
-    from .config import build_env
-
     cfg = _load_cfg(args)
     env = build_env(cfg)
     paths = RunPaths(root=Path(args.out))
     critic_dir = paths.critic_dir(cfg)
-    if not (critic_dir / "critic.json").exists():
+    if not (critic_dir / "critic.npz").exists():
         raise MissingArtifact(f"no critic checkpoint under {critic_dir}")
-    critic = load_critic(critic_dir, env)
-    if env.margin_predicate is not None:
-        from .costgen import load_final_candidate
-
-        history = paths.cost_history(cfg)
-        if history.exists():
-            critic.cost_fn = load_final_candidate(history, env).predicate
+    history = paths.cost_history(cfg)
+    floor = None
+    if env.margin_predicate is not None and history.exists():
+        floor = load_final_candidate(history, env).predicate
+    critic = load_critic(critic_dir, env, cost_fn=floor)
     n = args.resolution
     if env.name == "double_integrator":
         (x_lo, x_hi, _), (v_lo, v_hi, _) = env.state_grid

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -97,23 +97,6 @@ class HardCMDP:
         return self.states is not None
 
 
-def h_of(env: HardCMDP, s: np.ndarray) -> float:
-    """Constraint-violation value of ``s`` under ``env`` (h_min or h_max)."""
-    return env.h(s)
-
-
-@dataclass(frozen=True)
-class Transition:
-    """One (s, a, r, s', done, cost) record; cost is c at the next state."""
-
-    s: np.ndarray
-    a: np.ndarray
-    r: float
-    s_next: np.ndarray
-    done: bool
-    cost: int
-
-
 @dataclass
 class OfflineDataset:
     """Column-oriented transition store.
@@ -152,13 +135,6 @@ class OfflineDataset:
             raise ConfigurationError(
                 f"unsafe_small dataset exceeds {UNSAFE_SMALL_LIMIT} transitions"
             )
-
-    def transitions(self) -> list[Transition]:
-        return [
-            Transition(self.s[i], self.a[i], float(self.r[i]), self.s2[i],
-                       bool(self.done[i]), int(self.cost[i]))
-            for i in range(len(self))
-        ]
 
     def episode_end_indices(self, reason: str | None = None) -> list[int]:
         ends = self.meta.get("episode_ends", [])
@@ -259,23 +235,3 @@ def load_dataset(path: str | Path) -> OfflineDataset:
         ds.h_s = np.array([r["h_s"] for r in rows], dtype=float)
     return ds
 
-
-def concat_datasets(parts: Sequence[OfflineDataset], tag: str) -> OfflineDataset:
-    if not parts:
-        raise ConfigurationError("cannot concatenate zero datasets")
-    meta = dict(parts[0].meta)
-    meta["episode_ends"] = []
-    offset = 0
-    for p in parts:
-        for e in p.meta.get("episode_ends", []):
-            meta["episode_ends"].append({"index": e["index"] + offset, "reason": e["reason"]})
-        offset += len(p)
-    return OfflineDataset(
-        s=np.concatenate([p.s for p in parts]),
-        a=np.concatenate([p.a for p in parts]),
-        r=np.concatenate([p.r for p in parts]),
-        s2=np.concatenate([p.s2 for p in parts]),
-        done=np.concatenate([p.done for p in parts]),
-        cost=np.concatenate([p.cost for p in parts]),
-        tag=tag, meta=meta,
-    )

@@ -11,16 +11,16 @@ band distance, then by age, is adopted.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
-from dataclasses import dataclass, field
+import urllib.request
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-
-import requests
 
 from .cmdp import HardCMDP, OfflineDataset
 from .safexpr import ExpressionRejected, compile_predicate
@@ -242,15 +242,6 @@ class ScriptedMarginProposer:
         )
 
 
-def scripted_margin_proposer(env: HardCMDP, round_index: int,
-                             feedback: str | None,
-                             state: ScriptedMarginProposer | None = None
-                             ) -> CostCandidate:
-    """One-shot functional form of the scripted proposer."""
-    proposer = state if state is not None else ScriptedMarginProposer(env)
-    return proposer(round_index, feedback)
-
-
 _CODE_BLOCK = re.compile(r"```(?:[a-zA-Z0-9_+-]*)\n(.*?)```", re.DOTALL)
 
 
@@ -275,15 +266,17 @@ def _default_transport(endpoint: RemoteEndpoint, payload: dict) -> dict:
         raise ProposerError(
             f"no credential: set {endpoint.token_env} to call {endpoint.base_url}")
     url = endpoint.base_url.rstrip("/") + "/chat/completions"
+    request = urllib.request.Request(
+        url, data=json.dumps(payload).encode("utf-8"), method="POST",
+        headers={"Authorization": f"Bearer {token}",
+                 "Content-Type": "application/json"},
+    )
     try:
-        resp = requests.post(
-            url, json=payload, timeout=endpoint.timeout,
-            headers={"Authorization": f"Bearer {token}",
-                     "Content-Type": "application/json"},
-        )
-        resp.raise_for_status()
-        return resp.json()
-    except requests.RequestException as err:
+        with urllib.request.urlopen(request, timeout=endpoint.timeout) as resp:
+            return json.loads(resp.read())
+    # URLError, its HTTPError (any non-2xx reply) and TimeoutError are all
+    # OSErrors; a body that is not JSON raises a ValueError.
+    except (OSError, http.client.HTTPException, ValueError) as err:
         raise ProposerError(f"endpoint error: {err}") from err
 
 

@@ -1,17 +1,19 @@
-"""Parametric reachability critics trained by reverse expectile regression.
+"""Parametric Q/V critics: the reachability pair and the reward pair.
 
-Q fits squared error against the feasible backup: on offline transitions
-the successor value comes from the dataset next state, on retained
-rollout steps from the worst (largest) target value across the elite
-mean predictions. V regresses toward Q with the reverse expectile loss,
-whose tau near 1 approximates the min over actions without ever querying
-out-of-distribution actions.
+Both pairs share one core (``QVCritic``): four networks, two optimizers
+and one gradient step. For the reachability pair, Q fits squared error
+against the feasible backup: on offline transitions the successor value
+comes from the dataset next state, on retained rollout steps from the
+worst (largest) target value across the elite mean predictions. V
+regresses toward Q with the reverse expectile loss, whose tau near 1
+approximates the min over actions without ever querying
+out-of-distribution actions. The reward pair's TD target lives with the
+policy code that consumes it.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -58,6 +60,14 @@ class Featurizer:
                     "std": self.std.tolist()}
         return {"kind": self.kind}
 
+    @classmethod
+    def from_meta(cls, spec: dict, env: HardCMDP, action: bool = False) -> Featurizer:
+        """Inverse of ``to_meta``; onehot tables are rebuilt from ``env``."""
+        if spec["kind"] == "normalized":
+            return cls(kind="normalized", mean=np.asarray(spec["mean"]),
+                       std=np.asarray(spec["std"]))
+        return onehot_action_featurizer(env) if action else onehot_state_featurizer(env)
+
 
 def normalized_featurizer(samples: np.ndarray) -> Featurizer:
     return Featurizer(kind="normalized", mean=samples.mean(axis=0),
@@ -99,14 +109,23 @@ class CriticConfig:
 
 
 @dataclass
-class FeasibilityCritic:
-    """Q_h(s,a) and V_h(s) networks plus their slow targets.
+class RewardCriticConfig:
+    gamma: float = 0.99
+    expectile: float = 0.7
+    lr: float = 3e-4
+    batch_size: int = 256
+    target_rate: float = 0.005
+    hidden: tuple[int, ...] = (64, 64)
 
-    When the conservative cost predicate is attached, values are
-    parameterized as max(h(s), net(...)): every valid reachability value
-    dominates the state's own violation value, so the known binary labels
-    act as an architectural floor rather than a learned fact. The floor
-    also enters the bootstrap targets.
+
+@dataclass
+class QVCritic:
+    """Q(s,a) and V(s) networks, their slow targets and their optimizers.
+
+    Both critic pairs of the learner share this core and its gradient
+    step: Q regresses onto a caller-built target by squared error, V onto
+    the slow Q target by an asymmetric expectile loss, and both targets
+    then track their networks by Polyak averaging.
     """
 
     q_net: Mlp
@@ -115,12 +134,78 @@ class FeasibilityCritic:
     v_target: Mlp
     state_feat: Featurizer
     action_feat: Featurizer
-    cfg: CriticConfig
+    cfg: CriticConfig | RewardCriticConfig
+    steps_trained: int = 0
+    q_trainer: Trainer = field(init=False, repr=False)
+    v_trainer: Trainer = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.q_trainer = Trainer(self.q_net, lr=self.cfg.lr)
+        self.v_trainer = Trainer(self.v_net, lr=self.cfg.lr)
+
+    @classmethod
+    def fresh(cls, state_feat: Featurizer, action_feat: Featurizer,
+              cfg: CriticConfig | RewardCriticConfig,
+              seed: int, stream: str, labels: tuple[str, str],
+              out_bias: float = 0.0, **fields) -> QVCritic:
+        """New Q and V nets seeded from ``stream``; the targets start as copies."""
+        q_net = Mlp([state_feat.dim + action_feat.dim, *cfg.hidden, 1],
+                    seed=_net_seed(seed, stream, labels[0]))
+        v_net = Mlp([state_feat.dim, *cfg.hidden, 1],
+                    seed=_net_seed(seed, stream, labels[1]))
+        q_net.biases[-1][:] = out_bias
+        v_net.biases[-1][:] = out_bias
+        return cls(q_net=q_net, v_net=v_net, q_target=q_net.copy(),
+                   v_target=v_net.copy(), state_feat=state_feat,
+                   action_feat=action_feat, cfg=cfg, **fields)
+
+    def q_values(self, s: np.ndarray, a: np.ndarray,
+                 target: bool = False) -> np.ndarray:
+        x = np.concatenate([self.state_feat(s), self.action_feat(a)], axis=1)
+        return (self.q_target if target else self.q_net).forward(x)[:, 0]
+
+    def v_values(self, s: np.ndarray, target: bool = False) -> np.ndarray:
+        return (self.v_target if target else self.v_net).forward(
+            self.state_feat(s))[:, 0]
+
+    def gradient_step(self, q_in: np.ndarray, q_tgt: np.ndarray,
+                      v_in: np.ndarray, q_ref_in: np.ndarray, tau: float) -> None:
+        """One update from featurized inputs.
+
+        Q fits ``q_tgt`` on ``q_in``; V fits the slow Q on ``q_ref_in`` by
+        the reverse expectile loss at ``tau``, so ``tau`` near 1 drives V
+        toward the minimum of Q and ``1 - e`` gives the plain expectile e.
+        """
+        q_pred = self.q_net.forward(q_in)[:, 0]
+        upstream = (2.0 * (q_pred - q_tgt) / len(q_tgt))[:, None]
+        grads, _ = self.q_net.backward(upstream)
+        self.q_trainer.apply(grads)
+
+        q_ref = self.q_target.forward(q_ref_in)[:, 0]
+        u = q_ref - self.v_net.forward(v_in)[:, 0]
+        upstream_v = (-reverse_expectile_grad(u, tau) / len(u))[:, None]
+        grads_v, _ = self.v_net.backward(upstream_v)
+        self.v_trainer.apply(grads_v)
+
+        soft_update(self.q_target, self.q_net, self.cfg.target_rate)
+        soft_update(self.v_target, self.v_net, self.cfg.target_rate)
+        self.steps_trained += 1
+
+
+@dataclass
+class FeasibilityCritic(QVCritic):
+    """Q_h(s,a) and V_h(s) on the Q/V core.
+
+    When the conservative cost predicate is attached, values are
+    parameterized as max(h(s), net(...)): every valid reachability value
+    dominates the state's own violation value, so the known binary labels
+    act as an architectural floor rather than a learned fact. The floor
+    also enters the bootstrap targets.
+    """
+
     h_min: float = -1.0
     h_max: float = 1.0
     cost_fn: Callable[[np.ndarray], int] | None = None
-    steps_trained: int = 0
-    trainers: dict = field(default_factory=dict)
 
     def floor_values(self, s: np.ndarray) -> np.ndarray:
         s = np.atleast_2d(np.asarray(s, dtype=float))
@@ -131,22 +216,17 @@ class FeasibilityCritic:
 
     def q_values(self, s: np.ndarray, a: np.ndarray,
                  target: bool = False) -> np.ndarray:
-        x = np.concatenate([self.state_feat(s), self.action_feat(a)], axis=1)
-        net = self.q_target if target else self.q_net
-        return np.maximum(self.floor_values(s), net.forward(x)[:, 0])
+        return np.maximum(self.floor_values(s), super().q_values(s, a, target))
 
     def v_values(self, s: np.ndarray, target: bool = False) -> np.ndarray:
-        net = self.v_target if target else self.v_net
-        return np.maximum(self.floor_values(s),
-                          net.forward(self.state_feat(s))[:, 0])
-
-    def classify(self, s: np.ndarray) -> str:
-        return "feasible" if float(self.v_values(s)[0]) <= 0.0 else "infeasible"
+        return np.maximum(self.floor_values(s), super().v_values(s, target))
 
 
-def classify_feasibility(critic: FeasibilityCritic, s: np.ndarray) -> str:
-    """Feasible exactly when V_h(s) <= 0 (ties count as feasible)."""
-    return critic.classify(s)
+@dataclass
+class RewardCritic(QVCritic):
+    """Reward Q/V pair; ``sources_seen`` records the tag of every batch source."""
+
+    sources_seen: list = field(default_factory=list)
 
 
 def make_feasibility_critic(env: HardCMDP, dataset: OfflineDataset,
@@ -161,69 +241,17 @@ def make_feasibility_critic(env: HardCMDP, dataset: OfflineDataset,
     else:
         state_feat = normalized_featurizer(dataset.s)
         action_feat = normalized_featurizer(dataset.a)
-    q_net = Mlp([state_feat.dim + action_feat.dim, *cfg.hidden, 1],
-                seed=_net_seed(seed, "qh"))
-    v_net = Mlp([state_feat.dim, *cfg.hidden, 1], seed=_net_seed(seed, "vh"))
     # Start the value surface at h_min, mirroring the tabular iteration:
     # safe regions are then already at their fixed point and only the
     # doomed region has to propagate upward.
-    q_net.biases[-1][:] = env.h_min
-    v_net.biases[-1][:] = env.h_min
-    return FeasibilityCritic(
-        q_net=q_net, v_net=v_net,
-        q_target=q_net.copy(), v_target=v_net.copy(),
-        state_feat=state_feat, action_feat=action_feat,
-        cfg=cfg, h_min=env.h_min, h_max=env.h_max, cost_fn=cost_fn,
+    return FeasibilityCritic.fresh(
+        state_feat, action_feat, cfg, seed, "critic-init", ("qh", "vh"),
+        out_bias=env.h_min, h_min=env.h_min, h_max=env.h_max, cost_fn=cost_fn,
     )
 
 
-def _net_seed(seed: int, label: str) -> int:
-    return int(substream(seed, "critic-init", label).integers(1 << 31))
-
-
-@dataclass
-class _Prepared:
-    """Featurized views reused across update steps."""
-
-    feat_s: np.ndarray
-    feat_a: np.ndarray
-    feat_s2: np.ndarray | None
-    h_s: np.ndarray
-    h_s2: np.ndarray | None
-    elite_next: np.ndarray | None       # (n_elites, n, d_s) raw states
-    elite_floor: np.ndarray | None = None  # (n_elites, n) h at those states
-
-
-def _prepare_offline(critic: FeasibilityCritic, data: OfflineDataset) -> _Prepared:
-    h_s = data.h_s if data.h_s is not None else np.full(len(data), critic.h_min)
-    # The relabeled cost column is the predicate at the next state.
-    h_s2 = np.where(data.cost > 0, critic.h_max, critic.h_min).astype(float)
-    return _Prepared(
-        feat_s=critic.state_feat(data.s),
-        feat_a=critic.action_feat(data.a),
-        feat_s2=critic.state_feat(data.s2),
-        h_s=np.asarray(h_s, dtype=float),
-        h_s2=h_s2,
-        elite_next=None,
-    )
-
-
-def _prepare_rollout(critic: FeasibilityCritic, buffer: RolloutBuffer,
-                     model: EnsembleDynamics) -> _Prepared | None:
-    if buffer is None or len(buffer) == 0:
-        return None
-    means, _ = model.elite_predictions(buffer.s, buffer.a)
-    floors = np.stack([critic.floor_values(means[e])
-                       for e in range(means.shape[0])])
-    return _Prepared(
-        feat_s=critic.state_feat(buffer.s),
-        feat_a=critic.action_feat(buffer.a),
-        feat_s2=None,
-        h_s=buffer.h_s.astype(float),
-        h_s2=None,
-        elite_next=means,
-        elite_floor=floors,
-    )
+def _net_seed(seed: int, *labels: str) -> int:
+    return int(substream(seed, *labels).integers(1 << 31))
 
 
 def update_feasibility_critics(
@@ -249,68 +277,59 @@ def update_feasibility_critics(
     cfg = critic.cfg
     gamma, tau = cfg.gamma, cfg.tau
 
-    if "q" not in critic.trainers:
-        critic.trainers["q"] = Trainer(critic.q_net, lr=cfg.lr)
-        critic.trainers["v"] = Trainer(critic.v_net, lr=cfg.lr)
-    tr_q: Trainer = critic.trainers["q"]
-    tr_v: Trainer = critic.trainers["v"]
-
-    off = _prepare_offline(critic, offline)
-    roll = _prepare_rollout(critic, rollout_buffer, model)
+    # Featurized views and labels, reused across steps. The relabeled cost
+    # column is the predicate at the next state.
+    feat_s = critic.state_feat(offline.s)
+    feat_a = critic.action_feat(offline.a)
+    feat_s2 = critic.state_feat(offline.s2)
+    h_s = (np.full(len(offline), critic.h_min) if offline.h_s is None
+           else np.asarray(offline.h_s, dtype=float))
+    h_s2 = np.where(offline.cost > 0, critic.h_max, critic.h_min).astype(float)
+    roll = rollout_buffer if rollout_buffer is not None and len(rollout_buffer) else None
+    if roll is not None:
+        # Elite mean successors, (n_elites, n, d_s), and the floor there.
+        elite_next, _ = model.elite_predictions(roll.s, roll.a)
+        elite_floor = np.stack([critic.floor_values(m) for m in elite_next])
+        roll_s = critic.state_feat(roll.s)
+        roll_a = critic.action_feat(roll.a)
+        roll_h = roll.h_s.astype(float)
     rng = substream(seed, "critic-update", *stream)
 
     for _ in range(steps):
         idx = rng.integers(len(offline), size=min(cfg.batch_size, len(offline)))
-        fs, fa, fs2 = off.feat_s[idx], off.feat_a[idx], off.feat_s2[idx]
-        h = off.h_s[idx]
+        fs, fa, fs2 = feat_s[idx], feat_a[idx], feat_s2[idx]
+        h = h_s[idx]
 
-        v2 = np.maximum(off.h_s2[idx], critic.v_target.forward(fs2)[:, 0])
+        v2 = np.maximum(h_s2[idx], critic.v_target.forward(fs2)[:, 0])
         target_off = (1 - gamma) * h + gamma * np.maximum(h, v2)
 
         if roll is not None:
-            n_roll = len(roll.h_s)
             want = max(1, int(cfg.batch_size * cfg.rollout_batch_fraction))
-            ridx = rng.integers(n_roll, size=min(want, n_roll))
-            rh = roll.h_s[ridx]
+            ridx = rng.integers(len(roll), size=min(want, len(roll)))
+            rh = roll_h[ridx]
             v_next = np.stack([
                 np.maximum(
-                    roll.elite_floor[e][ridx],
+                    elite_floor[e][ridx],
                     critic.v_target.forward(
-                        critic.state_feat(roll.elite_next[e][ridx]))[:, 0],
+                        critic.state_feat(elite_next[e][ridx]))[:, 0],
                 )
-                for e in range(roll.elite_next.shape[0])
+                for e in range(len(elite_next))
             ]).max(axis=0)
             target_roll = (1 - gamma) * rh + gamma * np.maximum(rh, v_next)
             q_in = np.concatenate([
                 np.concatenate([fs, fa], axis=1),
-                np.concatenate([roll.feat_s[ridx], roll.feat_a[ridx]], axis=1),
+                np.concatenate([roll_s[ridx], roll_a[ridx]], axis=1),
             ])
             q_tgt = np.concatenate([target_off, target_roll])
         else:
             q_in = np.concatenate([fs, fa], axis=1)
             q_tgt = target_off
 
-        q_pred = critic.q_net.forward(q_in)[:, 0]
-        upstream = (2.0 * (q_pred - q_tgt) / len(q_tgt))[:, None]
-        grads, _ = critic.q_net.backward(upstream)
-        tr_q.apply(grads)
-
         if roll is not None and cfg.include_rollout_in_v:
-            v_in = np.concatenate([fs, roll.feat_s[ridx]])
-            q_ref_in = q_in
+            v_in, q_ref_in = np.concatenate([fs, roll_s[ridx]]), q_in
         else:
-            v_in = fs
-            q_ref_in = np.concatenate([fs, fa], axis=1)
-        q_ref = critic.q_target.forward(q_ref_in)[:, 0]
-        v_pred = critic.v_net.forward(v_in)[:, 0]
-        u = q_ref - v_pred
-        upstream_v = (-reverse_expectile_grad(u, tau) / len(u))[:, None]
-        grads_v, _ = critic.v_net.backward(upstream_v)
-        tr_v.apply(grads_v)
-
-        soft_update(critic.q_target, critic.q_net, cfg.target_rate)
-        soft_update(critic.v_target, critic.v_net, cfg.target_rate)
-        critic.steps_trained += 1
+            v_in, q_ref_in = fs, q_in[:len(fs)]
+        critic.gradient_step(q_in, q_tgt, v_in, q_ref_in, tau)
 
     return critic
 
@@ -366,45 +385,38 @@ def export_heatmap(path: str | Path, value_fn: Callable[[np.ndarray], np.ndarray
             fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
 
 
-def save_critic(critic: FeasibilityCritic, directory: str | Path) -> None:
+def save_critic(critic: QVCritic, directory: str | Path) -> None:
+    """Write either critic as ``critic.npz``: nets, whole config, featurizers."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta = {
-        "cfg": {"gamma": critic.cfg.gamma, "tau": critic.cfg.tau,
-                "lr": critic.cfg.lr, "batch_size": critic.cfg.batch_size,
-                "target_rate": critic.cfg.target_rate,
-                "hidden": list(critic.cfg.hidden),
-                "include_rollout_in_v": critic.cfg.include_rollout_in_v},
-        "h_min": critic.h_min, "h_max": critic.h_max,
+        "kind": type(critic).__name__,
+        "cfg": asdict(critic.cfg),
         "steps_trained": critic.steps_trained,
         "state_feat": critic.state_feat.to_meta(),
         "action_feat": critic.action_feat.to_meta(),
     }
-    (directory / "critic.json").write_text(json.dumps(meta, sort_keys=True))
-    for name, net in (("qh", critic.q_net), ("vh", critic.v_net),
-                      ("qh_target", critic.q_target), ("vh_target", critic.v_target)):
-        save_mlp(net, directory / f"{name}.mlp")
+    if isinstance(critic, FeasibilityCritic):
+        meta.update(h_min=critic.h_min, h_max=critic.h_max)
+    nets = {"q_net": critic.q_net, "v_net": critic.v_net,
+            "q_target": critic.q_target, "v_target": critic.v_target}
+    save_mlp(nets, directory / "critic.npz", meta)
 
 
-def load_critic(directory: str | Path, env: HardCMDP) -> FeasibilityCritic:
-    directory = Path(directory)
-    meta = json.loads((directory / "critic.json").read_text())
-    cfg = CriticConfig(**{**meta["cfg"], "hidden": tuple(meta["cfg"]["hidden"])})
-
-    def rebuild(spec: dict, action: bool) -> Featurizer:
-        if spec["kind"] == "normalized":
-            return Featurizer(kind="normalized", mean=np.asarray(spec["mean"]),
-                              std=np.asarray(spec["std"]))
-        return onehot_action_featurizer(env) if action else onehot_state_featurizer(env)
-
-    critic = FeasibilityCritic(
-        q_net=load_mlp(directory / "qh.mlp"),
-        v_net=load_mlp(directory / "vh.mlp"),
-        q_target=load_mlp(directory / "qh_target.mlp"),
-        v_target=load_mlp(directory / "vh_target.mlp"),
-        state_feat=rebuild(meta["state_feat"], action=False),
-        action_feat=rebuild(meta["action_feat"], action=True),
-        cfg=cfg, h_min=meta["h_min"], h_max=meta["h_max"],
+def load_critic(directory: str | Path, env: HardCMDP,
+                cost_fn: Callable[[np.ndarray], int] | None = None) -> QVCritic:
+    """Rebuild a saved critic; ``cost_fn`` attaches a feasibility critic's floor."""
+    nets, meta = load_mlp(Path(directory) / "critic.npz")
+    feasibility = meta["kind"] == "FeasibilityCritic"
+    cfg_type = CriticConfig if feasibility else RewardCriticConfig
+    parts = dict(
+        nets,
+        state_feat=Featurizer.from_meta(meta["state_feat"], env),
+        action_feat=Featurizer.from_meta(meta["action_feat"], env, action=True),
+        cfg=cfg_type(**{**meta["cfg"], "hidden": tuple(meta["cfg"]["hidden"])}),
         steps_trained=meta["steps_trained"],
     )
-    return critic
+    if feasibility:
+        return FeasibilityCritic(**parts, h_min=meta["h_min"], h_max=meta["h_max"],
+                                 cost_fn=cost_fn)
+    return RewardCritic(**parts)

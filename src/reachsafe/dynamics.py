@@ -10,10 +10,9 @@ set-valued prediction and conservative labeling go through elites only.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -129,28 +128,10 @@ class EnsembleDynamics:
         return np.stack(means), np.stack(variances)
 
 
-def predict_set(model: EnsembleDynamics, s: np.ndarray, a: np.ndarray
-                ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One (mean, variance) pair per elite for a single (s, a)."""
-    means, variances = model.elite_predictions(s, a)
-    return [(means[k, 0], variances[k, 0]) for k in range(model.n_elites)]
-
-
-def sample_next(model: EnsembleDynamics, s: np.ndarray, a: np.ndarray,
-                rng: np.random.Generator, deterministic: bool = False) -> np.ndarray:
-    """Draw a successor from a uniformly chosen elite."""
-    means, variances = model.elite_predictions(s, a)
-    pick = int(rng.integers(model.n_elites))
-    mean = means[pick, 0]
-    if deterministic:
-        return mean
-    return mean + rng.normal(size=mean.shape) * np.sqrt(variances[pick, 0])
-
-
 def sample_next_batch(model: EnsembleDynamics, s: np.ndarray, a: np.ndarray,
                       rng: np.random.Generator, deterministic: bool = False
                       ) -> np.ndarray:
-    """Vectorized sample_next: one uniformly chosen elite per row."""
+    """Draw one successor per row from a uniformly chosen elite."""
     means, variances = model.elite_predictions(s, a)
     n = means.shape[1]
     picks = rng.integers(model.n_elites, size=n)
@@ -161,16 +142,10 @@ def sample_next_batch(model: EnsembleDynamics, s: np.ndarray, a: np.ndarray,
     return mean + rng.normal(size=mean.shape) * np.sqrt(variances[picks, rows])
 
 
-def conservative_cost_label(model: EnsembleDynamics, s: np.ndarray, a: np.ndarray,
-                            cost_fn: Callable[[np.ndarray], int]) -> int:
-    """1 when any elite's mean successor is flagged by ``cost_fn``."""
-    means, _ = model.elite_predictions(s, a)
-    return int(any(cost_fn(means[k, 0]) for k in range(model.n_elites)))
-
-
 def conservative_cost_label_batch(model: EnsembleDynamics, s: np.ndarray,
                                   a: np.ndarray,
                                   cost_fn: Callable[[np.ndarray], int]) -> np.ndarray:
+    """Per row, 1 when any elite's mean successor is flagged by ``cost_fn``."""
     means, _ = model.elite_predictions(s, a)
     n_elites, n, _ = means.shape
     labels = np.zeros(n, dtype=int)
@@ -297,7 +272,7 @@ def train_ensemble(
 
 
 # ---------------------------------------------------------------------------
-# Checkpointing: per-member approx blocks plus a JSON sidecar.
+# Checkpointing: every member network and the statistics in one .npz.
 # ---------------------------------------------------------------------------
 
 
@@ -305,7 +280,6 @@ def save_ensemble(model: EnsembleDynamics, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta = {
-        "n_members": len(model.members),
         "elites": model.elites,
         "d_s": model.d_s,
         "d_a": model.d_a,
@@ -317,23 +291,20 @@ def save_ensemble(model: EnsembleDynamics, directory: str | Path) -> None:
         "fixed_var": [m.fixed_var.tolist() if m.fixed_var is not None else None
                       for m in model.members],
     }
-    (directory / "ensemble.json").write_text(json.dumps(meta, sort_keys=True))
-    for k, member in enumerate(model.members):
-        save_mlp(member.net, directory / f"member_{k}.mlp")
+    nets = {f"member_{k}": member.net for k, member in enumerate(model.members)}
+    save_mlp(nets, directory / "ensemble.npz", meta)
 
 
 def load_ensemble(directory: str | Path) -> EnsembleDynamics:
-    directory = Path(directory)
-    meta = json.loads((directory / "ensemble.json").read_text())
-    members = []
-    for k in range(meta["n_members"]):
-        net = load_mlp(directory / f"member_{k}.mlp")
-        fixed = meta["fixed_var"][k]
-        members.append(GaussianDynamicsMember(
-            net=net, d_s=meta["d_s"],
+    nets, meta = load_mlp(Path(directory) / "ensemble.npz")
+    members = [
+        GaussianDynamicsMember(
+            net=nets[f"member_{k}"], d_s=meta["d_s"],
             val_error=meta["val_errors"][k],
             fixed_var=None if fixed is None else np.asarray(fixed),
-        ))
+        )
+        for k, fixed in enumerate(meta["fixed_var"])
+    ]
     return EnsembleDynamics(
         members=members, elites=list(meta["elites"]),
         in_mean=np.asarray(meta["in_mean"]), in_std=np.asarray(meta["in_std"]),

@@ -10,6 +10,7 @@ randomness flows from the root seed through named substreams.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -31,8 +32,7 @@ from .costgen import (
 )
 from .critics import (
     CriticConfig,
-    FeasibilityCritic,
-    load_critic,
+    RewardCriticConfig,
     make_feasibility_critic,
     save_critic,
     update_feasibility_critics,
@@ -42,16 +42,13 @@ from .oracle import compute_feasible_set_oracle
 from .policy import (
     CSV_HEADER,
     PolicyConfig,
-    RewardCriticConfig,
     evaluate_policy,
     feasibility_guided_policy_update,
     load_policy,
-    load_reward_critic,
     make_policy,
     make_reward_critic,
     reward_norm_from_dataset,
     save_policy,
-    save_reward_critic,
     update_reward_critic,
 )
 from .reachability import gamma_threshold, tabular_value_iteration
@@ -160,14 +157,21 @@ def _save_manifest(paths: RunPaths, manifest: dict) -> None:
     paths.manifest.write_text(json.dumps(manifest, sort_keys=True, indent=2))
 
 
+def _stage_key(cfg: ExperimentConfig, stage: str) -> str:
+    """Manifest key: per variant downstream, per cost toggle for costgen."""
+    if stage in ("learn", "evaluate"):
+        return f"{stage}:{cfg.variant()}"
+    if stage == "costgen" and "no-conservative" in cfg.ablations:
+        return "costgen:no-conservative"
+    return stage
+
+
 def _stage_state(cfg: ExperimentConfig, paths: RunPaths, stage: str,
                  artifacts: list[Path]) -> str:
     """done | absent; raises on a hash mismatch (refused resume)."""
     manifest = _load_manifest(paths)
     want = stage_hash(cfg, stage)
-    key = f"{stage}:{cfg.variant()}" if stage in ("learn", "evaluate") else stage
-    if stage == "costgen" and "no-conservative" in cfg.ablations:
-        key = "costgen:no-conservative"
+    key = _stage_key(cfg, stage)
     entry = manifest["stages"].get(key)
     if entry is None:
         return "absent"
@@ -186,10 +190,7 @@ def _mark_done(cfg: ExperimentConfig, paths: RunPaths, stage: str,
     manifest = _load_manifest(paths)
     manifest["config_hash"] = config_hash(cfg)
     manifest["seed"] = cfg.seed
-    key = f"{stage}:{cfg.variant()}" if stage in ("learn", "evaluate") else stage
-    if stage == "costgen" and "no-conservative" in cfg.ablations:
-        key = "costgen:no-conservative"
-    manifest["stages"][key] = {
+    manifest["stages"][_stage_key(cfg, stage)] = {
         "hash": stage_hash(cfg, stage),
         "artifacts": [str(p.relative_to(paths.root)) for p in artifacts],
     }
@@ -250,12 +251,12 @@ def stage_oracle(cfg: ExperimentConfig, paths: RunPaths) -> dict:
     paths.oracle_report.write_text(json.dumps(report, sort_keys=True))
     _mark_done(cfg, paths, "oracle", artifacts)
     for w in warnings:
-        print(f"warning: {w}")
+        print(f"warning: {w}", file=sys.stderr)
     return report
 
 
 def stage_dynamics(cfg: ExperimentConfig, paths: RunPaths) -> EnsembleDynamics:
-    artifacts = [paths.ensemble_dir / "ensemble.json"]
+    artifacts = [paths.ensemble_dir / "ensemble.npz"]
     if _stage_state(cfg, paths, "dynamics", artifacts) == "done":
         return load_ensemble(paths.ensemble_dir)
     if not paths.dataset.exists():
@@ -318,10 +319,10 @@ def stage_costgen(cfg: ExperimentConfig, paths: RunPaths) -> CostCandidate:
 
 def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
     variant = cfg.variant()
-    artifacts = [paths.policy_dir(cfg) / "policy.json"]
+    artifacts = [paths.policy_dir(cfg) / "policy.npz"]
     ungated = "ungated" in cfg.ablations
     if not ungated:
-        artifacts.append(paths.critic_dir(cfg) / "critic.json")
+        artifacts.append(paths.critic_dir(cfg) / "critic.npz")
     if _stage_state(cfg, paths, "learn", artifacts) == "done":
         return
     env = build_env(cfg)
@@ -333,7 +334,7 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
     no_model = "no-model" in cfg.ablations or ungated
     ensemble = None
     if not no_model:
-        if not (paths.ensemble_dir / "ensemble.json").exists():
+        if not (paths.ensemble_dir / "ensemble.npz").exists():
             raise MissingArtifact("learning needs the ensemble; run train-dynamics")
         ensemble = load_ensemble(paths.ensemble_dir)
 
@@ -415,7 +416,7 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
     paths.variant_dir(cfg).mkdir(parents=True, exist_ok=True)
     if critic is not None:
         save_critic(critic, paths.critic_dir(cfg))
-    save_reward_critic(reward, paths.reward_dir(cfg))
+    save_critic(reward, paths.reward_dir(cfg))
     save_policy(policy, paths.policy_dir(cfg))
     save_rollout_buffer(flatten_branches(all_branches, env.h_min, env.h_max),
                         paths.rollout_buffer(cfg), meta={"variant": variant})
@@ -427,7 +428,7 @@ def stage_evaluate(cfg: ExperimentConfig, paths: RunPaths) -> dict:
     if _stage_state(cfg, paths, "evaluate", artifacts) == "done":
         return _read_eval(paths.eval_csv(cfg))
     env = build_env(cfg)
-    if not (paths.policy_dir(cfg) / "policy.json").exists():
+    if not (paths.policy_dir(cfg) / "policy.npz").exists():
         raise MissingArtifact("evaluation needs a trained policy; run learn")
     policy = load_policy(paths.policy_dir(cfg), env)
     dataset = load_dataset(paths.dataset)

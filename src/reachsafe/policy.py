@@ -10,16 +10,21 @@ actions, ignoring reward.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .approx import Mlp, Trainer, load_mlp, save_mlp, soft_update
+from .approx import Mlp, Trainer, load_mlp, save_mlp
 from .cmdp import HardCMDP, OfflineDataset
-from .critics import Featurizer, FeasibilityCritic, normalized_featurizer
+from .critics import (
+    Featurizer,
+    FeasibilityCritic,
+    RewardCritic,
+    RewardCriticConfig,
+    normalized_featurizer,
+)
 from .reachability import fit_tabular_critic
 from .rollout import RolloutBuffer, RolloutConfig
 from .seeding import substream
@@ -28,39 +33,6 @@ from .tabular import build_model, perturbed_models
 
 class RolloutDataRejected(TypeError):
     """Reward critics only ever see the original offline dataset."""
-
-
-@dataclass
-class RewardCriticConfig:
-    gamma: float = 0.99
-    expectile: float = 0.7
-    lr: float = 3e-4
-    batch_size: int = 256
-    target_rate: float = 0.005
-    hidden: tuple[int, ...] = (64, 64)
-
-
-@dataclass
-class RewardCritic:
-    q_net: Mlp
-    v_net: Mlp
-    q_target: Mlp
-    v_target: Mlp
-    state_feat: Featurizer
-    action_feat: Featurizer
-    cfg: RewardCriticConfig
-    steps_trained: int = 0
-    sources_seen: list = field(default_factory=list)
-    trainers: dict = field(default_factory=dict)
-
-    def q_values(self, s: np.ndarray, a: np.ndarray,
-                 target: bool = False) -> np.ndarray:
-        x = np.concatenate([self.state_feat(s), self.action_feat(a)], axis=1)
-        return (self.q_target if target else self.q_net).forward(x)[:, 0]
-
-    def v_values(self, s: np.ndarray, target: bool = False) -> np.ndarray:
-        return (self.v_target if target else self.v_net).forward(
-            self.state_feat(s))[:, 0]
 
 
 def make_reward_critic(env: HardCMDP, dataset: OfflineDataset,
@@ -73,13 +45,8 @@ def make_reward_critic(env: HardCMDP, dataset: OfflineDataset,
         state_feat = normalized_featurizer(dataset.s)
     if action_feat is None:
         action_feat = normalized_featurizer(dataset.a)
-    q_net = Mlp([state_feat.dim + action_feat.dim, *cfg.hidden, 1],
-                seed=int(substream(seed, "reward-critic", "q").integers(1 << 31)))
-    v_net = Mlp([state_feat.dim, *cfg.hidden, 1],
-                seed=int(substream(seed, "reward-critic", "v").integers(1 << 31)))
-    return RewardCritic(q_net=q_net, v_net=v_net, q_target=q_net.copy(),
-                        v_target=v_net.copy(), state_feat=state_feat,
-                        action_feat=action_feat, cfg=cfg)
+    return RewardCritic.fresh(state_feat, action_feat, cfg, seed,
+                              "reward-critic", ("q", "v"))
 
 
 def _reject_rollout_data(data) -> None:
@@ -99,11 +66,6 @@ def update_reward_critic(critic: RewardCritic, offline: OfflineDataset,
         raise ValueError("offline batch must not be empty")
     critic.sources_seen.append(offline.tag)
     cfg = critic.cfg
-    if "q" not in critic.trainers:
-        critic.trainers["q"] = Trainer(critic.q_net, lr=cfg.lr)
-        critic.trainers["v"] = Trainer(critic.v_net, lr=cfg.lr)
-    tr_q, tr_v = critic.trainers["q"], critic.trainers["v"]
-
     feat_s = critic.state_feat(offline.s)
     feat_a = critic.action_feat(offline.a)
     feat_s2 = critic.state_feat(offline.s2)
@@ -114,26 +76,11 @@ def update_reward_critic(critic: RewardCritic, offline: OfflineDataset,
     for _ in range(steps):
         idx = rng.integers(len(offline), size=min(cfg.batch_size, len(offline)))
         fs, fa, fs2 = feat_s[idx], feat_a[idx], feat_s2[idx]
-
         v2 = critic.v_target.forward(fs2)[:, 0]
         target_q = rewards[idx] + cfg.gamma * not_done[idx] * v2
         q_in = np.concatenate([fs, fa], axis=1)
-        q_pred = critic.q_net.forward(q_in)[:, 0]
-        grads, _ = critic.q_net.backward(
-            (2.0 * (q_pred - target_q) / len(idx))[:, None])
-        tr_q.apply(grads)
-
-        q_ref = critic.q_target.forward(q_in)[:, 0]
-        v_pred = critic.v_net.forward(fs)[:, 0]
-        u = q_ref - v_pred
-        weight = np.abs(cfg.expectile - (u < 0).astype(float))
-        grads_v, _ = critic.v_net.backward(
-            (-2.0 * weight * u / len(idx))[:, None])
-        tr_v.apply(grads_v)
-
-        soft_update(critic.q_target, critic.q_net, cfg.target_rate)
-        soft_update(critic.v_target, critic.v_net, cfg.target_rate)
-        critic.steps_trained += 1
+        # The expectile weight |e - 1(u < 0)| is the reverse one at 1 - e.
+        critic.gradient_step(q_in, target_q, fs, q_in, 1.0 - cfg.expectile)
     return critic
 
 
@@ -401,78 +348,23 @@ def rollout_value_monotonicity_check(
 # ---------------------------------------------------------------------------
 
 
-def save_reward_critic(critic: RewardCritic, directory: str | Path) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "cfg": {"gamma": critic.cfg.gamma, "expectile": critic.cfg.expectile,
-                "lr": critic.cfg.lr, "batch_size": critic.cfg.batch_size,
-                "target_rate": critic.cfg.target_rate,
-                "hidden": list(critic.cfg.hidden)},
-        "steps_trained": critic.steps_trained,
-        "state_feat": critic.state_feat.to_meta(),
-        "action_feat": critic.action_feat.to_meta(),
-    }
-    (directory / "reward_critic.json").write_text(json.dumps(meta, sort_keys=True))
-    for name, net in (("qr", critic.q_net), ("vr", critic.v_net),
-                      ("qr_target", critic.q_target), ("vr_target", critic.v_target)):
-        save_mlp(net, directory / f"{name}.mlp")
-
-
-def load_reward_critic(directory: str | Path, env: HardCMDP) -> RewardCritic:
-    from .critics import onehot_action_featurizer, onehot_state_featurizer
-
-    directory = Path(directory)
-    meta = json.loads((directory / "reward_critic.json").read_text())
-
-    def rebuild(spec: dict, action: bool) -> Featurizer:
-        if spec["kind"] == "normalized":
-            return Featurizer(kind="normalized", mean=np.asarray(spec["mean"]),
-                              std=np.asarray(spec["std"]))
-        return onehot_action_featurizer(env) if action else onehot_state_featurizer(env)
-
-    cfg = RewardCriticConfig(**{**meta["cfg"], "hidden": tuple(meta["cfg"]["hidden"])})
-    return RewardCritic(
-        q_net=load_mlp(directory / "qr.mlp"),
-        v_net=load_mlp(directory / "vr.mlp"),
-        q_target=load_mlp(directory / "qr_target.mlp"),
-        v_target=load_mlp(directory / "vr_target.mlp"),
-        state_feat=rebuild(meta["state_feat"], action=False),
-        action_feat=rebuild(meta["action_feat"], action=True),
-        cfg=cfg, steps_trained=meta["steps_trained"],
-    )
-
-
 def save_policy(policy: SafePolicy, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta = {
         "low": policy.low.tolist(), "high": policy.high.tolist(),
-        "cfg": {"lr": policy.cfg.lr, "batch_size": policy.cfg.batch_size,
-                "hidden": list(policy.cfg.hidden),
-                "temperature": policy.cfg.temperature,
-                "weight_clip": policy.cfg.weight_clip,
-                "noise_std": policy.cfg.noise_std},
+        "cfg": asdict(policy.cfg),
         "steps_trained": policy.steps_trained,
         "state_feat": policy.state_feat.to_meta(),
     }
-    (directory / "policy.json").write_text(json.dumps(meta, sort_keys=True))
-    save_mlp(policy.net, directory / "pi.mlp")
+    save_mlp({"net": policy.net}, directory / "policy.npz", meta)
 
 
 def load_policy(directory: str | Path, env: HardCMDP) -> SafePolicy:
-    from .critics import onehot_state_featurizer
-
-    directory = Path(directory)
-    meta = json.loads((directory / "policy.json").read_text())
-    spec = meta["state_feat"]
-    if spec["kind"] == "normalized":
-        feat = Featurizer(kind="normalized", mean=np.asarray(spec["mean"]),
-                          std=np.asarray(spec["std"]))
-    else:
-        feat = onehot_state_featurizer(env)
+    nets, meta = load_mlp(Path(directory) / "policy.npz")
     cfg = PolicyConfig(**{**meta["cfg"], "hidden": tuple(meta["cfg"]["hidden"])})
-    return SafePolicy(net=load_mlp(directory / "pi.mlp"), state_feat=feat,
+    return SafePolicy(net=nets["net"],
+                      state_feat=Featurizer.from_meta(meta["state_feat"], env),
                       low=np.asarray(meta["low"]), high=np.asarray(meta["high"]),
                       cfg=cfg, steps_trained=meta["steps_trained"])
 

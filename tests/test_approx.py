@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -193,10 +195,25 @@ def test_soft_update_mixes_parameters():
 
 def test_checkpoint_roundtrip(tmp_path):
     net = Mlp([3, 8, 2], seed=11)
-    path = tmp_path / "net.mlp"
-    save_mlp(net, path)
-    back = load_mlp(path)
-    assert back.sizes == net.sizes
+    head = Mlp([2, 1], seed=12)
+    path = tmp_path / "model.npz"
+    save_mlp({"net": net, "head": head}, path, {"note": "x", "scale": 0.1})
+    nets, meta = load_mlp(path)
+    assert meta == {"note": "x", "scale": 0.1}
+    assert nets["net"].sizes == net.sizes and nets["head"].sizes == head.sizes
+    for p, q in zip(nets["net"].parameters(), net.parameters()):
+        assert q.dtype == np.float64 and np.array_equal(p, q)
     x = substream(12, "ckpt").normal(size=(4, 3))
-    # Payload is float32, so agreement is to single precision.
-    assert np.allclose(back.forward(x), net.forward(x), atol=1e-5)
+    # The payload is float64, so the reload computes exactly the same values.
+    assert np.array_equal(nets["net"].forward(x), net.forward(x))
+
+
+def test_checkpoint_rejects_mismatched_parameters(tmp_path):
+    net = Mlp([3, 4, 2], seed=1)
+    path = tmp_path / "bad.npz"
+    params = {f"net.{i}": p for i, p in enumerate(net.parameters())}
+    params["net.0"] = params["net.0"].T.copy()   # same size, wrong shape
+    meta = json.dumps({"nets": {"net": net.sizes}})
+    np.savez(path, meta=np.array(meta), **params)
+    with pytest.raises(ValueError, match="do not match"):
+        load_mlp(path)

@@ -6,7 +6,6 @@ from reachsafe.cmdp import (
     OfflineDataset,
     SAFE_ONLY,
     UNSAFE_SMALL,
-    h_of,
     load_dataset,
     save_dataset,
 )
@@ -16,15 +15,15 @@ from reachsafe.envs import make_double_integrator, make_hazard_gridworld
 def test_h_is_binary_and_matches_cost_indicator():
     env = make_hazard_gridworld(5, 5, [(2, 2)], momentum=0)
     for s in env.states:
-        h = h_of(env, s)
+        h = env.h(s)
         assert h in (env.h_min, env.h_max)
         assert int(h > 0) == env.cost(s)
 
 
 def test_h_defaults_on_hazard_cell():
     env = make_hazard_gridworld(5, 5, [(2, 2)], momentum=0)
-    assert h_of(env, np.array([2.0, 2.0])) == 1.0
-    assert h_of(env, np.array([0.0, 0.0])) == -1.0
+    assert env.h(np.array([2.0, 2.0])) == 1.0
+    assert env.h(np.array([0.0, 0.0])) == -1.0
 
 
 def test_hazard_out_of_bounds_rejected():

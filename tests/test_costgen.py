@@ -1,3 +1,8 @@
+import http.server
+import json
+import threading
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -12,6 +17,7 @@ from reachsafe.costgen import (
     Round,
     ScriptedMarginProposer,
     ValidationReport,
+    _default_transport,
     candidate_from_record,
     candidate_to_record,
     feedback_message,
@@ -296,3 +302,74 @@ def test_candidate_record_roundtrip(grid_setup, tmp_path):
     rec = candidate_to_record(final)
     again = candidate_from_record(rec, env)
     assert again.report.passed == final.report.passed
+
+
+# ---------------------------------------------------------------------------
+# Default transport against a loopback HTTP server
+# ---------------------------------------------------------------------------
+
+
+class _ReplayHandler(http.server.BaseHTTPRequestHandler):
+    """Answers each POST with the next (status, body) of ``server.replies``."""
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.seen.append({"path": self.path,
+                                 "auth": self.headers["Authorization"],
+                                 "payload": json.loads(body)})
+        status, reply = self.server.replies.pop(0)
+        data = reply.encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@contextmanager
+def _loopback(monkeypatch, replies):
+    monkeypatch.setenv("REACHSAFE_API_TOKEN", "tok-123")
+    monkeypatch.setenv("no_proxy", "*")
+    server = http.server.HTTPServer(("127.0.0.1", 0), _ReplayHandler)
+    server.replies, server.seen = list(replies), []
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    try:
+        yield server, RemoteEndpoint(
+            base_url=f"http://127.0.0.1:{server.server_port}/v1",
+            model="loopback", timeout=5.0)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+
+
+def test_default_transport_posts_json_with_bearer_token(grid_setup, monkeypatch):
+    env, _, _ = grid_setup
+    content = "```python\n1 if abs(x - 2) + abs(y - 2) <= 1 else 0\n```"
+    reply = {"choices": [{"message": {"content": content, "role": "assistant"}}]}
+    with _loopback(monkeypatch, [(200, json.dumps(reply))]) as (server, endpoint):
+        proposer = RemoteChatProposer(endpoint, env, GenerationConfig())
+        cand = proposer(0, None)
+    assert cand.source == "1 if abs(x - 2) + abs(y - 2) <= 1 else 0"
+    (request,) = server.seen
+    assert request["path"] == "/v1/chat/completions"
+    assert request["auth"] == "Bearer tok-123"
+    assert request["payload"]["model"] == "loopback"
+
+
+def test_default_transport_maps_failures_to_proposer_error(monkeypatch):
+    payload = {"model": "loopback", "messages": []}
+    with _loopback(monkeypatch, [(500, "{}"), (200, "not json")]) as (_, endpoint):
+        with pytest.raises(ProposerError, match="500"):
+            _default_transport(endpoint, payload)
+        with pytest.raises(ProposerError):
+            _default_transport(endpoint, payload)
+    # The server is gone now: the refused connection is a URLError.
+    with pytest.raises(ProposerError):
+        _default_transport(endpoint, payload)

@@ -6,10 +6,8 @@ from reachsafe.collect import collect_safe_dataset
 from reachsafe.dynamics import (
     EnsembleDynamics,
     TrainConfig,
-    conservative_cost_label,
+    conservative_cost_label_batch,
     load_ensemble,
-    predict_set,
-    sample_next,
     sample_next_batch,
     save_ensemble,
     train_ensemble,
@@ -87,11 +85,11 @@ def test_predict_set_length_and_identical_members():
         delta_mean=model.delta_mean, delta_std=model.delta_std,
         d_s=model.d_s, d_a=model.d_a,
     )
-    preds = predict_set(clones, data.s[0], data.a[0])
-    assert len(preds) == 3
-    for mean, var in preds[1:]:
-        assert np.allclose(mean, preds[0][0])
-        assert np.allclose(var, preds[0][1])
+    means, variances = clones.elite_predictions(data.s[:1], data.a[:1])
+    assert means.shape == variances.shape == (3, 1, 2)
+    for k in (1, 2):
+        assert np.allclose(means[k], means[0])
+        assert np.allclose(variances[k], variances[0])
 
 
 def test_elites_equal_members_when_requested(integrator_setup):
@@ -109,12 +107,12 @@ def test_sample_next_modes(trained):
         delta_mean=model.delta_mean, delta_std=model.delta_std,
         d_s=model.d_s, d_a=model.d_a,
     )
-    s, a = data.s[0], data.a[0]
-    mean = predict_set(single, s, a)[0][0]
-    out = sample_next(single, s, a, substream(0, "det"), deterministic=True)
+    s, a = data.s[:1], data.a[:1]
+    mean = single.elite_predictions(s, a)[0][0]
+    out = sample_next_batch(single, s, a, substream(0, "det"), deterministic=True)
     assert np.allclose(out, mean)
-    one = sample_next(model, s, a, substream(4, "fixed"))
-    two = sample_next(model, s, a, substream(4, "fixed"))
+    one = sample_next_batch(model, s, a, substream(4, "fixed"))
+    two = sample_next_batch(model, s, a, substream(4, "fixed"))
     assert np.array_equal(one, two)
 
 
@@ -138,15 +136,13 @@ def test_elite_choice_is_uniform(trained):
 
 def test_conservative_label_any_elite(trained):
     env, data, model = trained
-    s = np.array([0.93, 0.6])   # drifting over the boundary next step
-    a = np.array([1.0])
-    flagged = conservative_cost_label(model, s, a, env.margin_predicate(0.05))
-    assert flagged == 1
-    calm = conservative_cost_label(model, np.array([0.0, 0.0]), np.array([0.0]),
-                                   env.margin_predicate(0.05))
-    assert calm == 0
+    # Drifting over the boundary next step, then resting at the origin.
+    s = np.array([[0.93, 0.6], [0.0, 0.0]])
+    a = np.array([[1.0], [0.0]])
+    labels = conservative_cost_label_batch(model, s, a, env.margin_predicate(0.05))
+    assert labels.tolist() == [1, 0]
     # A predicate that never fires yields 0 everywhere (hazard-free analog).
-    assert conservative_cost_label(model, s, a, lambda _s: 0) == 0
+    assert conservative_cost_label_batch(model, s, a, lambda _s: 0).tolist() == [0, 0]
 
 
 def test_conservative_label_dominates_single_elites(trained):
@@ -154,17 +150,16 @@ def test_conservative_label_dominates_single_elites(trained):
     pred = env.margin_predicate(0.1)
     rng = substream(7, "label-dominance")
     idx = rng.choice(len(data), size=100, replace=False)
-    for i in idx:
-        combined = conservative_cost_label(model, data.s[i], data.a[i], pred)
-        for e in model.elites:
-            single = EnsembleDynamics(
-                members=[model.members[e]], elites=[0],
-                in_mean=model.in_mean, in_std=model.in_std,
-                delta_mean=model.delta_mean, delta_std=model.delta_std,
-                d_s=model.d_s, d_a=model.d_a,
-            )
-            assert combined >= conservative_cost_label(single, data.s[i],
-                                                       data.a[i], pred)
+    combined = conservative_cost_label_batch(model, data.s[idx], data.a[idx], pred)
+    for e in model.elites:
+        single = EnsembleDynamics(
+            members=[model.members[e]], elites=[0],
+            in_mean=model.in_mean, in_std=model.in_std,
+            delta_mean=model.delta_mean, delta_std=model.delta_std,
+            d_s=model.d_s, d_a=model.d_a,
+        )
+        alone = conservative_cost_label_batch(single, data.s[idx], data.a[idx], pred)
+        assert np.all(combined >= alone)
 
 
 def test_training_rejects_bad_configs(integrator_setup):
@@ -180,7 +175,8 @@ def test_mse_variant_trains_and_predicts(integrator_setup):
     _, data = integrator_setup
     model = train_ensemble(data, n_total=2, n_elite=1, val_fraction=0.2,
                            epochs=5, seed=4, cfg=TrainConfig(loss="mse"))
-    mean, var = predict_set(model, data.s[0], data.a[0])[0]
+    means, variances = model.elite_predictions(data.s[:1], data.a[:1])
+    mean, var = means[0, 0], variances[0, 0]
     assert mean.shape == (2,)
     assert np.all(var > 0)
 
@@ -201,5 +197,5 @@ def test_ensemble_checkpoint_roundtrip(trained, tmp_path):
     assert back.elites == model.elites
     m1, v1 = back.elite_predictions(data.s[:5], data.a[:5])
     m2, v2 = model.elite_predictions(data.s[:5], data.a[:5])
-    assert np.allclose(m1, m2, atol=1e-4)
-    assert np.allclose(v1, v2, rtol=1e-3, atol=1e-8)
+    assert np.array_equal(m1, m2)
+    assert np.array_equal(v1, v2)

@@ -1,0 +1,165 @@
+import json
+import shutil
+
+import numpy as np
+import pytest
+
+from reachsafe import cli, pipeline
+from reachsafe.collect import collect_safe_dataset
+from reachsafe.config import default_config, save_config
+from reachsafe.critics import (
+    CriticConfig,
+    FeasibilityCritic,
+    RewardCritic,
+    load_critic,
+    make_feasibility_critic,
+    save_critic,
+    update_feasibility_critics,
+)
+from reachsafe.envs import behavior_mixture, make_double_integrator
+from reachsafe.pipeline import StageMismatch, run_pipeline
+from reachsafe.policy import make_reward_critic, update_reward_critic
+
+
+def tiny_config(ablations=()):
+    """A 5x5 gridworld run that goes through every stage in about a second."""
+    cfg = default_config("gridworld")
+    cfg.ablations = list(ablations)
+    cfg.env.width, cfg.env.height, cfg.env.hazards = 5, 5, [[2, 2]]
+    cfg.env.horizon = 20
+    cfg.data.n_transitions, cfg.data.n_unsafe = 600, 20
+    cfg.dynamics.n_total, cfg.dynamics.n_elite, cfg.dynamics.epochs = 2, 1, 1
+    cfg.dynamics.batch_size, cfg.dynamics.hidden = 64, [16, 16]
+    cfg.learn.total_steps, cfg.learn.rollout_frequency = 4, 2
+    cfg.learn.rollout_batch, cfg.learn.rollout_epochs = 64, 1
+    cfg.learn.batch_size, cfg.learn.hidden = 32, [16, 16]
+    cfg.eval.episodes = 2
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def full_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("full")
+    run_pipeline(tiny_config(), root)
+    return root
+
+
+@pytest.fixture
+def run_dir(full_run, tmp_path):
+    """A private copy of the finished ``full`` run."""
+    return shutil.copytree(full_run, tmp_path / "run")
+
+
+def test_resume_leaves_manifest_untouched(run_dir):
+    manifest = run_dir / "manifest.json"
+    before = (manifest.read_bytes(), manifest.stat().st_mtime_ns)
+    run_pipeline(tiny_config(), run_dir)
+    assert (manifest.read_bytes(), manifest.stat().st_mtime_ns) == before
+
+
+def test_changed_learn_value_is_refused(run_dir):
+    cfg = tiny_config()
+    cfg.learn.policy_lr *= 2
+    with pytest.raises(StageMismatch, match="learn:full"):
+        run_pipeline(cfg, run_dir)
+
+
+def test_ablation_reuses_upstream_artifacts(run_dir, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an upstream stage ran again")
+
+    for name in ("collect_safe_dataset", "compute_feasible_set_oracle",
+                 "generation_loop"):
+        monkeypatch.setattr(pipeline, name, refuse)
+    stages = json.loads((run_dir / "manifest.json").read_text())["stages"]
+    run_pipeline(tiny_config(["no-model"]), run_dir)
+    after = json.loads((run_dir / "manifest.json").read_text())["stages"]
+    for key in ("data", "oracle", "costgen"):
+        assert after[key] == stages[key]
+    assert "learn:no-model" in after and "evaluate:no-model" in after
+    assert (run_dir / "no-model" / "eval.csv").exists()
+
+
+def test_cli_error_is_one_json_line_with_exit_code_2(tmp_path, capsys):
+    assert cli.main(["learn", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["kind"] == "MissingArtifact"
+
+
+def test_export_heatmap_reads_the_critic_checkpoint(run_dir, capsys):
+    save_config(tiny_config(), run_dir / "cfg.txt")
+    assert cli.main(["export-heatmap", "--config", str(run_dir / "cfg.txt"),
+                     "--out", str(run_dir)]) == 0
+    rows = (run_dir / "full" / "heatmap.csv").read_text().splitlines()
+    assert len(rows) == 2 + 5   # two header lines, then one row per x cell
+
+
+def test_oracle_warnings_stay_out_of_stdout_json(tmp_path, capsys):
+    cfg = tiny_config()
+    cfg.learn.critic_gamma = 0.5   # at or below the threshold for any horizon
+    save_config(cfg, tmp_path / "cfg.txt")
+    assert cli.main(["oracle", "--config", str(tmp_path / "cfg.txt"),
+                     "--out", str(tmp_path / "run")]) == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert any("learn.critic_gamma" in w for w in report["warnings"])
+    assert "warning: learn.critic_gamma" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# Critic checkpoints: float64 payloads reload exactly. The policy and
+# ensemble round trips are in test_policy.py and test_dynamics.py.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def integrator():
+    env = make_double_integrator(x_lim=1.0, a_max=1.0, dt=0.1, horizon=60)
+    mix = behavior_mixture(env, [("probe", 0.4), ("random", 0.4), ("brake", 0.2)])
+    data = collect_safe_dataset(env, mix, n_transitions=600, seed=4)
+    return env, data
+
+
+def assert_same_nets(a, b):
+    for name in ("q_net", "v_net", "q_target", "v_target"):
+        for p, q in zip(getattr(a, name).parameters(), getattr(b, name).parameters()):
+            assert np.array_equal(p, q)
+
+
+def test_feasibility_critic_roundtrip_keeps_config_and_floor(integrator, tmp_path):
+    env, data = integrator
+    learn = default_config("double_integrator").learn
+    assert learn.rollout_batch_fraction == 0.25
+    cfg = CriticConfig(gamma=learn.critic_gamma, tau=learn.critic_tau,
+                       hidden=(16, 16), batch_size=64,
+                       include_rollout_in_v=learn.include_rollout_in_v,
+                       rollout_batch_fraction=learn.rollout_batch_fraction)
+    floor = env.margin_predicate(0.05)
+    critic = make_feasibility_critic(env, data, cfg, seed=1, cost_fn=floor)
+    update_feasibility_critics(critic, data, None, None, steps=3)
+    save_critic(critic, tmp_path / "critic")
+    back = load_critic(tmp_path / "critic", env, cost_fn=floor)
+    assert isinstance(back, FeasibilityCritic)
+    assert back.cfg == critic.cfg
+    assert back.cost_fn is floor and back.steps_trained == 3
+    assert_same_nets(back, critic)
+    probe = np.array([[0.97, 0.5], [0.0, 0.0], [-0.5, -0.9]])
+    assert np.array_equal(back.v_values(probe), critic.v_values(probe))
+    assert np.array_equal(back.q_values(data.s[:8], data.a[:8]),
+                          critic.q_values(data.s[:8], data.a[:8]))
+
+
+def test_reward_critic_roundtrip(integrator, tmp_path):
+    env, data = integrator
+    reward = make_reward_critic(env, data, seed=2)
+    update_reward_critic(reward, data, steps=3)
+    save_critic(reward, tmp_path / "reward")
+    back = load_critic(tmp_path / "reward", env)
+    assert isinstance(back, RewardCritic)
+    assert back.cfg == reward.cfg and back.steps_trained == 3
+    assert_same_nets(back, reward)
+    assert np.array_equal(back.q_values(data.s[:8], data.a[:8]),
+                          reward.q_values(data.s[:8], data.a[:8]))
+

@@ -292,6 +292,7 @@ def test_policy_checkpoint_roundtrip(integrator, tmp_path):
     policy = make_policy(env, data, seed=3)
     save_policy(policy, tmp_path / "pol")
     back = load_policy(tmp_path / "pol", env)
+    assert back.cfg == policy.cfg
     acts_a = policy.act_batch(data.s[:16])
     acts_b = back.act_batch(data.s[:16])
-    assert np.allclose(acts_a, acts_b, atol=1e-5)
+    assert np.array_equal(acts_a, acts_b)
