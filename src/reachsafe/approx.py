@@ -66,20 +66,26 @@ class Mlp:
 
     # -- forward / backward -------------------------------------------------
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Run the network, caching activations for ``backward``."""
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        """Run the network, caching activations for ``backward``.
+
+        ``cache=False`` is an inference-only pass: it keeps no activations
+        and drops any an earlier pass left, so a large batch is not pinned
+        in memory after the call.
+        """
         x = np.asarray(x, dtype=float)
         squeeze = x.ndim == 1
         h = x.reshape(1, -1) if squeeze else x
         if h.shape[1] != self.sizes[0]:
             raise ValueError(f"expected input width {self.sizes[0]}, got {h.shape[1]}")
-        cache = [h]
+        acts = [h]
         n_layers = len(self.weights)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = h @ w + b
             h = np.tanh(z) if i < n_layers - 1 else z
-            cache.append(h)
-        self._cache = cache
+            if cache:
+                acts.append(h)
+        self._cache = acts if cache else None
         self._squeezed = squeeze
         return h[0] if squeeze else h
 

@@ -26,8 +26,37 @@ END_INTERVENTION = "intervention"
 END_HORIZON = "horizon"
 
 
+# A cost predicate: states (n, d_s) -> int array (n,), 1 where flagged.
+Predicate = Callable[[np.ndarray], np.ndarray]
+
+
 class ConfigurationError(ValueError):
     """Raised when an environment or dataset is constructed inconsistently."""
+
+
+def require_finite(x: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` when ``x`` holds a NaN or an infinity."""
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} must be finite")
+
+
+def cost_labels(predicate: Predicate, states: np.ndarray) -> np.ndarray:
+    """Evaluate a batch-first predicate on ``states``: an int 0/1 array (n,).
+
+    Every predicate call goes through here, so a predicate that breaks
+    the contract (such as a per-row ``lambda s: 0`` that would broadcast
+    one scalar over the batch) or a non-finite state fails loudly.
+    """
+    states = np.asarray(states, dtype=float)
+    if states.ndim != 2:
+        raise ValueError(f"predicate states must have shape (n, d_s), got {states.shape}")
+    require_finite(states, "predicate states")
+    out = np.asarray(predicate(states))
+    if out.shape != (len(states),):
+        raise ValueError(
+            f"predicate returned shape {out.shape} for {len(states)} states; "
+            f"expected ({len(states)},)")
+    return (out != 0).astype(int)
 
 
 @dataclass(frozen=True)
@@ -41,11 +70,20 @@ class HardCMDP:
       reachability and exact tabular backups (continuous envs discretize,
       discrete envs enumerate natively).
     - ``states``/``state_index``: exact state enumeration for natively
-      finite environments; ``None`` for continuous ones.
+      finite environments; ``None`` for continuous ones. ``state_index``
+      is batch-first: states of shape (n, d_s) in, an int array of shape
+      (n,) out, holding each rounded row's position in ``states`` or -1
+      for a row that is no enumerated state.
     - ``margin_predicate``: builds a state predicate flagging everything
       within ``margin`` of the violating region. ``margin == 0``
       reproduces the true cost indicator; conservativeness grows
       monotonically with the margin.
+
+    Cost predicates (``Predicate``), whether built by ``margin_predicate``
+    or compiled from generated source, are batch-first too: they take
+    states of shape (n, d_s) and return an int array of shape (n,) with
+    1 where a state is flagged. Callers evaluate them through
+    ``cost_labels``, which enforces that contract.
     """
 
     name: str
@@ -62,10 +100,8 @@ class HardCMDP:
     h_min: float = -1.0
     h_max: float = 1.0
     states: np.ndarray | None = None
-    state_index: Callable[[np.ndarray], int] | None = None
-    margin_predicate: Callable[[float], Callable[[np.ndarray], int]] | None = None
-    state_features: Callable[[np.ndarray], np.ndarray] | None = None
-    action_features: Callable[[np.ndarray], np.ndarray] | None = None
+    state_index: Callable[[np.ndarray], np.ndarray] | None = None
+    margin_predicate: Callable[[float], Predicate] | None = None
     state_grid: tuple | None = None  # ((lo, hi, n) per dim) for continuous envs
     obs_fields: tuple[str, ...] = ()
     task_text: str = ""

@@ -22,6 +22,7 @@ from .cmdp import (
     SAFE_ONLY,
     UNSAFE_SMALL,
     UNSAFE_SMALL_LIMIT,
+    cost_labels,
     empty_dataset,
 )
 from .envs import BehaviorFn
@@ -35,11 +36,12 @@ def _violation_gap(env: HardCMDP, s: np.ndarray) -> float:
     if env.margin_predicate is None:
         return np.inf
     lo, hi = 0.0, 64.0
-    if env.margin_predicate(0.0)(s):
+    batch = s[None]
+    if cost_labels(env.margin_predicate(0.0), batch)[0]:
         return 0.0
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        if env.margin_predicate(mid)(s):
+        if cost_labels(env.margin_predicate(mid), batch)[0]:
             hi = mid
         else:
             lo = mid

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cmdp import HardCMDP, OfflineDataset
+from .cmdp import HardCMDP, OfflineDataset, Predicate, cost_labels
 from .safexpr import ExpressionRejected, compile_predicate
 from .seeding import substream
 
@@ -66,7 +66,7 @@ class ValidationReport:
 
 @dataclass
 class CostCandidate:
-    predicate: Callable[[np.ndarray], int]
+    predicate: Predicate
     provenance: str                      # scripted | remote | manual
     source: str = ""                     # expression text for remote candidates
     margin: float | None = None          # margin for scripted candidates
@@ -94,11 +94,10 @@ class GenerationError(RuntimeError):
         self.history = history
 
 
-def _predicate_fraction(predicate, states: np.ndarray) -> float:
+def _predicate_fraction(predicate: Predicate, states: np.ndarray) -> float:
     if len(states) == 0:
         return 0.0
-    hits = sum(int(bool(predicate(s))) for s in states)
-    return hits / len(states)
+    return int(cost_labels(predicate, states).sum()) / len(states)
 
 
 def validate(candidate: CostCandidate, d_unsafe: OfflineDataset,
@@ -344,7 +343,7 @@ class RemoteChatProposer:
         except ExpressionRejected as err:
             raise ProposerError(f"rejected source: {err}") from err
         try:
-            predicate(self.env.initial_state(substream(0, "preflight")))
+            cost_labels(predicate, self.env.initial_state(substream(0, "preflight"))[None])
         except Exception as err:  # noqa: BLE001 - any runtime fault fails the round
             raise ProposerError(f"predicate crashed on a probe state: {err}") from err
 

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .approx import Mlp, Trainer, load_mlp, save_mlp, soft_update
-from .cmdp import HardCMDP, OfflineDataset
+from .cmdp import HardCMDP, OfflineDataset, Predicate, cost_labels, require_finite
 from .dynamics import EnsembleDynamics
 from .reachability import reverse_expectile_grad
 from .rollout import RolloutBuffer
@@ -39,7 +39,7 @@ class Featurizer:
     mean: np.ndarray | None = None
     std: np.ndarray | None = None
     table: np.ndarray | None = None            # enumerated rows for onehot
-    index: Callable[[np.ndarray], int] | None = None
+    index: Callable[[np.ndarray], np.ndarray] | None = None  # (n, d) -> (n,) rows
 
     @property
     def dim(self) -> int:
@@ -49,9 +49,9 @@ class Featurizer:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if self.kind == "normalized":
             return (x - self.mean) / self.std
-        rows = np.fromiter((self.index(row) for row in x), dtype=int, count=len(x))
+        require_finite(x, "one-hot featurizer input")
         out = np.zeros((len(x), len(self.table)))
-        out[np.arange(len(x)), rows] = 1.0
+        out[np.arange(len(x)), self.index(x)] = 1.0
         return out
 
     def to_meta(self) -> dict:
@@ -74,26 +74,38 @@ def normalized_featurizer(samples: np.ndarray) -> Featurizer:
                       std=np.maximum(samples.std(axis=0), 1e-6))
 
 
+# Rows per block in ``nearest_rows``: keeps the (rows, table, d) difference
+# tensor at a few megabytes for the largest (245-row) state table.
+_NEAREST_BLOCK = 1024
+
+
+def nearest_rows(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Index of the ``table`` row nearest to each row of ``x`` (first on ties)."""
+    out = np.empty(len(x), dtype=int)
+    for lo in range(0, len(x), _NEAREST_BLOCK):
+        diff = x[lo:lo + _NEAREST_BLOCK, None, :] - table[None]
+        out[lo:lo + _NEAREST_BLOCK] = np.argmin(np.sum(diff * diff, axis=2), axis=1)
+    return out
+
+
 def onehot_state_featurizer(env: HardCMDP) -> Featurizer:
     table = env.states
 
-    def index(s: np.ndarray) -> int:
-        try:
-            return env.state_index(s)
-        except KeyError:
-            # Model-predicted states need not be valid grid states; snap.
-            return int(np.argmin(np.sum((table - s) ** 2, axis=1)))
+    def index(s: np.ndarray) -> np.ndarray:
+        rows = env.state_index(s)
+        # Model-predicted states need not be valid grid states; snap.
+        miss = rows < 0
+        if miss.any():
+            rows[miss] = nearest_rows(table, s[miss])
+        return rows
 
     return Featurizer(kind="onehot", table=table, index=index)
 
 
 def onehot_action_featurizer(env: HardCMDP) -> Featurizer:
     table = env.action_set
-
-    def index(a: np.ndarray) -> int:
-        return int(np.argmin(np.sum((table - a) ** 2, axis=1)))
-
-    return Featurizer(kind="onehot", table=table, index=index)
+    return Featurizer(kind="onehot", table=table,
+                      index=lambda a: nearest_rows(table, a))
 
 
 @dataclass
@@ -205,14 +217,13 @@ class FeasibilityCritic(QVCritic):
 
     h_min: float = -1.0
     h_max: float = 1.0
-    cost_fn: Callable[[np.ndarray], int] | None = None
+    cost_fn: Predicate | None = None
 
     def floor_values(self, s: np.ndarray) -> np.ndarray:
         s = np.atleast_2d(np.asarray(s, dtype=float))
         if self.cost_fn is None:
             return np.full(len(s), self.h_min)
-        return np.array([self.h_max if self.cost_fn(row) else self.h_min
-                         for row in s])
+        return np.where(cost_labels(self.cost_fn, s) > 0, self.h_max, self.h_min)
 
     def q_values(self, s: np.ndarray, a: np.ndarray,
                  target: bool = False) -> np.ndarray:
@@ -232,7 +243,7 @@ class RewardCritic(QVCritic):
 def make_feasibility_critic(env: HardCMDP, dataset: OfflineDataset,
                             cfg: CriticConfig | None = None,
                             seed: int = 0,
-                            cost_fn: Callable[[np.ndarray], int] | None = None
+                            cost_fn: Predicate | None = None
                             ) -> FeasibilityCritic:
     cfg = cfg or CriticConfig()
     if env.is_tabular:
@@ -404,7 +415,7 @@ def save_critic(critic: QVCritic, directory: str | Path) -> None:
 
 
 def load_critic(directory: str | Path, env: HardCMDP,
-                cost_fn: Callable[[np.ndarray], int] | None = None) -> QVCritic:
+                cost_fn: Predicate | None = None) -> QVCritic:
     """Rebuild a saved critic; ``cost_fn`` attaches a feasibility critic's floor."""
     nets, meta = load_mlp(Path(directory) / "critic.npz")
     feasibility = meta["kind"] == "FeasibilityCritic"

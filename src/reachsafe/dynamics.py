@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from .approx import Mlp, Trainer, load_mlp, save_mlp
-from .cmdp import ConfigurationError, OfflineDataset
+from .cmdp import ConfigurationError, OfflineDataset, Predicate, cost_labels
 from .seeding import substream
 
 LOGVAR_MAX = 0.5
@@ -63,7 +62,7 @@ class GaussianDynamicsMember:
     fixed_var: np.ndarray | None = None  # per-dim variance for the mse variant
 
     def predict_norm(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        out = np.atleast_2d(self.net.forward(x))
+        out = np.atleast_2d(self.net.forward(x, cache=False))
         mean = out[:, : self.d_s]
         if self.fixed_var is not None:
             var = np.broadcast_to(self.fixed_var, mean.shape).copy()
@@ -128,13 +127,16 @@ class EnsembleDynamics:
         return np.stack(means), np.stack(variances)
 
 
-def sample_next_batch(model: EnsembleDynamics, s: np.ndarray, a: np.ndarray,
+def sample_next_batch(means: np.ndarray, variances: np.ndarray,
                       rng: np.random.Generator, deterministic: bool = False
                       ) -> np.ndarray:
-    """Draw one successor per row from a uniformly chosen elite."""
-    means, variances = model.elite_predictions(s, a)
-    n = means.shape[1]
-    picks = rng.integers(model.n_elites, size=n)
+    """Draw one successor per row from a uniformly chosen elite.
+
+    ``means`` and ``variances`` are ``elite_predictions`` output, shape
+    (n_elites, n, d_s).
+    """
+    n_elites, n, _ = means.shape
+    picks = rng.integers(n_elites, size=n)
     rows = np.arange(n)
     mean = means[picks, rows]
     if deterministic:
@@ -142,18 +144,15 @@ def sample_next_batch(model: EnsembleDynamics, s: np.ndarray, a: np.ndarray,
     return mean + rng.normal(size=mean.shape) * np.sqrt(variances[picks, rows])
 
 
-def conservative_cost_label_batch(model: EnsembleDynamics, s: np.ndarray,
-                                  a: np.ndarray,
-                                  cost_fn: Callable[[np.ndarray], int]) -> np.ndarray:
-    """Per row, 1 when any elite's mean successor is flagged by ``cost_fn``."""
-    means, _ = model.elite_predictions(s, a)
-    n_elites, n, _ = means.shape
-    labels = np.zeros(n, dtype=int)
-    for k in range(n_elites):
-        for i in range(n):
-            if labels[i] == 0 and cost_fn(means[k, i]):
-                labels[i] = 1
-    return labels
+def conservative_cost_label_batch(means: np.ndarray, cost_fn: Predicate) -> np.ndarray:
+    """Per row, 1 when any elite's mean successor is flagged by ``cost_fn``.
+
+    ``means`` is the (n_elites, n, d_s) output of ``elite_predictions``;
+    all elites are labelled in one predicate call.
+    """
+    n_elites, n, d_s = means.shape
+    flagged = cost_labels(cost_fn, means.reshape(n_elites * n, d_s))
+    return flagged.reshape(n_elites, n).any(axis=0).astype(int)
 
 
 def train_ensemble(

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cmdp import ConfigurationError, HardCMDP
+from .cmdp import ConfigurationError, HardCMDP, Predicate, require_finite
 
 GRID_MOVES = np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]], dtype=float)
 
@@ -64,12 +64,15 @@ def make_hazard_gridworld(
         x, y = int(round(s[0])), int(round(s[1]))
         return int((x, y) in hazards)
 
-    def hazard_distance(s: np.ndarray) -> float:
-        # Manhattan distance of the cell to the nearest hazard; 0 inside one.
+    hazard_xy = np.array(sorted(hazards), dtype=float).reshape(-1, 2)
+
+    def hazard_distance(s: np.ndarray) -> np.ndarray:
+        # Manhattan distance of each row's cell to the nearest hazard; 0
+        # inside one. ``rint`` rounds half to even, like ``round``.
         if not hazards:
-            return float(width + height)
-        x, y = int(round(s[0])), int(round(s[1]))
-        return float(min(abs(x - hx) + abs(y - hy) for hx, hy in hazards))
+            return np.full(len(s), float(width + height))
+        cells = np.rint(s[:, :2])
+        return np.abs(cells[:, None, :] - hazard_xy[None]).sum(axis=2).min(axis=1)
 
     def transition(s: np.ndarray, a: np.ndarray) -> np.ndarray:
         move = GRID_MOVES[_snap_move(a)]
@@ -116,27 +119,27 @@ def make_hazard_gridworld(
     else:
         states = np.array([[x, y] for x in range(width) for y in range(height)],
                           dtype=float)
-    index = {tuple(row): i for i, row in enumerate(states.tolist())}
+    # Dense lookup over the box the states span: position in ``states``
+    # for every enumerated integer point, -1 for the rest of the box.
+    box_lo = states.min(axis=0)
+    box_shape = (states.max(axis=0) - box_lo).astype(int) + 1
+    dense = np.full(box_shape, -1, dtype=int)
+    dense[tuple((states - box_lo).astype(int).T)] = np.arange(len(states))
 
-    def state_index(s: np.ndarray) -> int:
-        key = tuple(float(round(v)) for v in np.asarray(s, dtype=float))
-        return index[key]
+    def state_index(s: np.ndarray) -> np.ndarray:
+        s = np.asarray(s, dtype=float)
+        if s.ndim != 2 or s.shape[1] != d_s:
+            raise ValueError(f"state_index needs states of shape (n, {d_s}), got {s.shape}")
+        require_finite(s, "states")
+        k = np.rint(s) - box_lo
+        inside = np.all((k >= 0) & (k < box_shape), axis=1)
+        out = np.full(len(s), -1, dtype=int)
+        out[inside] = dense[tuple(k[inside].astype(int).T)]
+        return out
 
-    n_states = len(states)
-
-    def state_features(s: np.ndarray) -> np.ndarray:
-        f = np.zeros(n_states)
-        f[state_index(s)] = 1.0
-        return f
-
-    def action_features(a: np.ndarray) -> np.ndarray:
-        f = np.zeros(len(GRID_MOVES))
-        f[_snap_move(a)] = 1.0
-        return f
-
-    def margin_predicate(margin: float) -> Callable[[np.ndarray], int]:
-        def predicate(s: np.ndarray) -> int:
-            return int(hazard_distance(s) <= margin)
+    def margin_predicate(margin: float) -> Predicate:
+        def predicate(s: np.ndarray) -> np.ndarray:
+            return (hazard_distance(s) <= margin).astype(int)
         return predicate
 
     return HardCMDP(
@@ -149,7 +152,6 @@ def make_hazard_gridworld(
         h_min=h_min, h_max=h_max,
         states=states, state_index=state_index,
         margin_predicate=margin_predicate,
-        state_features=state_features, action_features=action_features,
         obs_fields=("x", "y", "vx", "vy") if momentum else ("x", "y"),
         task_text=(
             f"A robot moves on a {width}x{height} grid. "
@@ -206,9 +208,9 @@ def make_double_integrator(
         v = rng.uniform(-0.3 * v_max, 0.3 * v_max)
         return np.array([x, v])
 
-    def margin_predicate(margin: float) -> Callable[[np.ndarray], int]:
-        def predicate(s: np.ndarray) -> int:
-            return int(abs(float(s[0])) > x_lim - margin)
+    def margin_predicate(margin: float) -> Predicate:
+        def predicate(s: np.ndarray) -> np.ndarray:
+            return (np.abs(s[:, 0]) > x_lim - margin).astype(int)
         return predicate
 
     x_hi = x_lim + grid_margin

@@ -138,7 +138,7 @@ class RunPaths:
         return self.variant_dir(cfg) / "policy"
 
     def rollout_buffer(self, cfg: ExperimentConfig) -> Path:
-        return self.variant_dir(cfg) / "rollout_buffer.jsonl"
+        return self.variant_dir(cfg) / "rollout_buffer.npz"
 
     def eval_csv(self, cfg: ExperimentConfig) -> Path:
         return self.variant_dir(cfg) / "eval.csv"

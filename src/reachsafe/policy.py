@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .approx import Mlp, Trainer, load_mlp, save_mlp
-from .cmdp import HardCMDP, OfflineDataset
+from .cmdp import HardCMDP, OfflineDataset, Predicate, cost_labels
 from .critics import (
     Featurizer,
     FeasibilityCritic,
@@ -273,7 +273,7 @@ def rollout_value_monotonicity_check(
     dataset: OfflineDataset,
     env: HardCMDP,
     rollout_cfg: RolloutConfig,
-    cost_fn: Callable[[np.ndarray], int],
+    cost_fn: Predicate,
     seeds: Sequence[int],
     gamma: float = 0.95,
     n_extra_members: int = 2,
@@ -306,7 +306,7 @@ def rollout_value_monotonicity_check(
     h_origin = np.full(n, model.h_min)
     h_origin[s2_idx[dataset.cost > 0]] = model.h_max
 
-    cbar = np.array([1 if cost_fn(s) else 0 for s in model.states])
+    cbar = cost_labels(cost_fn, model.states)
     h_relabel = np.where(cbar > 0, model.h_max, model.h_min)
 
     counterexamples: list[dict] = []

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cmdp import ConfigurationError, OfflineDataset
+from .cmdp import ConfigurationError, OfflineDataset, Predicate, cost_labels
 from .dynamics import (
     EnsembleDynamics,
     conservative_cost_label_batch,
@@ -74,7 +74,7 @@ def branched_rollout(
     policy: Callable[[np.ndarray], np.ndarray],
     dataset: OfflineDataset,
     model: EnsembleDynamics,
-    cost_fn: Callable[[np.ndarray], int],
+    cost_fn: Predicate,
     cfg: RolloutConfig,
     seed: int,
     event: int = 0,
@@ -113,8 +113,9 @@ def branched_rollout(
             a = np.clip(a, lo, hi)
             steps_s[t] = s
             steps_a[t] = a
-            steps_c[t] = conservative_cost_label_batch(model, s, a, cost_fn)
-            s = sample_next_batch(model, s, a, rng)
+            means, variances = model.elite_predictions(s, a)
+            steps_c[t] = conservative_cost_label_batch(means, cost_fn)
+            s = sample_next_batch(means, variances, rng)
         violated = steps_c.sum(axis=0) > 0
         for i in np.nonzero(violated)[0]:
             kept.append(BranchTrajectory(
@@ -144,7 +145,6 @@ def flatten_branches(branches: Sequence[BranchTrajectory], h_min: float,
                      h_max: float) -> RolloutBuffer:
     """Stack retained branches; h labels derive from the step labels."""
     if not branches:
-        d = 0
         return RolloutBuffer(s=np.zeros((0, 1)), a=np.zeros((0, 1)),
                              label=np.zeros(0, dtype=int), h_s=np.zeros(0),
                              origin=np.zeros(0, dtype=int))
@@ -156,7 +156,7 @@ def flatten_branches(branches: Sequence[BranchTrajectory], h_min: float,
     return RolloutBuffer(s=s, a=a, label=label, h_s=h_s, origin=origin)
 
 
-def relabel_offline(dataset: OfflineDataset, cost_fn: Callable[[np.ndarray], int],
+def relabel_offline(dataset: OfflineDataset, cost_fn: Predicate,
                     h_min: float, h_max: float) -> OfflineDataset:
     """Fresh copy of the dataset with costs and h labels from ``cost_fn``.
 
@@ -164,8 +164,8 @@ def relabel_offline(dataset: OfflineDataset, cost_fn: Callable[[np.ndarray], int
     carries the label of the current state for backup targets. The input
     dataset is never touched, and the operation is idempotent.
     """
-    cost = np.array([int(bool(cost_fn(s2))) for s2 in dataset.s2], dtype=int)
-    cbar_s = np.array([int(bool(cost_fn(s))) for s in dataset.s], dtype=int)
+    cost = cost_labels(cost_fn, dataset.s2)
+    cbar_s = cost_labels(cost_fn, dataset.s)
     out = OfflineDataset(
         s=dataset.s.copy(), a=dataset.a.copy(), r=dataset.r.copy(),
         s2=dataset.s2.copy(), done=dataset.done.copy(), cost=cost,
@@ -176,39 +176,21 @@ def relabel_offline(dataset: OfflineDataset, cost_fn: Callable[[np.ndarray], int
     return out
 
 
+_BUFFER_COLUMNS = ("s", "a", "label", "h_s", "origin")
+
+
 def save_rollout_buffer(buffer: RolloutBuffer, path: str | Path,
                         meta: dict | None = None) -> None:
-    """Same line-delimited shape as datasets, plus the origin index."""
-    path = Path(path)
+    """One ``.npz`` of the buffer columns plus a JSON meta string."""
     header = {"kind": "rollout-buffer", "meta": meta or {}, "n": len(buffer)}
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for i in range(len(buffer)):
-            fh.write(json.dumps({
-                "s": [float(x) for x in buffer.s[i]],
-                "a": [float(x) for x in buffer.a[i]],
-                "r": 0.0,
-                "s2": [float(x) for x in buffer.s[i]],
-                "done": 0,
-                "c": int(buffer.label[i]),
-                "h_s": float(buffer.h_s[i]),
-                "origin": int(buffer.origin[i]),
-            }) + "\n")
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.array(json.dumps(header, sort_keys=True)),
+                 **{name: getattr(buffer, name) for name in _BUFFER_COLUMNS})
 
 
 def load_rollout_buffer(path: str | Path) -> RolloutBuffer:
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
+    with np.load(path, allow_pickle=False) as archive:
+        header = json.loads(str(archive["meta"]))
         if header.get("kind") != "rollout-buffer":
             raise ConfigurationError(f"{path} is not a rollout buffer")
-        rows = [json.loads(line) for line in fh if line.strip()]
-    if not rows:
-        return flatten_branches([], -1.0, 1.0)
-    return RolloutBuffer(
-        s=np.array([r["s"] for r in rows], dtype=float),
-        a=np.array([r["a"] for r in rows], dtype=float),
-        label=np.array([r["c"] for r in rows], dtype=int),
-        h_s=np.array([r["h_s"] for r in rows], dtype=float),
-        origin=np.array([r["origin"] for r in rows], dtype=int),
-    )
+        return RolloutBuffer(**{name: archive[name] for name in _BUFFER_COLUMNS})

@@ -11,9 +11,11 @@ attribute access, loops, string operations, is rejected up front.
 from __future__ import annotations
 
 import ast
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
+
+from .cmdp import Predicate
 
 
 class ExpressionRejected(ValueError):
@@ -194,12 +196,14 @@ def _eval(node: ast.expr, env: dict) -> object:
 
 
 def compile_predicate(source: str, field_names: Sequence[str],
-                      obs_name: str = "observation") -> Callable[[np.ndarray], int]:
-    """Turn whitelisted source into a state predicate returning 0 or 1.
+                      obs_name: str = "observation") -> Predicate:
+    """Turn whitelisted source into a batch-first cost predicate.
 
-    The observation vector is bound to ``obs_name``, to the function's own
-    argument name when the source is a function, and to each field name
-    individually.
+    The predicate maps states of shape (n, d_s) to an int array of 0/1
+    labels of shape (n,), evaluating the expression on each row with the
+    scalar interpreter. Per row, the observation vector is bound to
+    ``obs_name``, to the function's own argument name when the source is
+    a function, and to each field name individually.
     """
     expr, aliases, constants = extract_expression(source)
     vector_names = {obs_name, "obs", "s", *aliases}
@@ -208,8 +212,7 @@ def compile_predicate(source: str, field_names: Sequence[str],
 
     fields = list(field_names)
 
-    def predicate(state: np.ndarray) -> int:
-        vec = np.asarray(state, dtype=float).reshape(-1)
+    def label(vec: np.ndarray) -> int:
         env: dict = dict(constants)
         for name in vector_names:
             env[name] = vec
@@ -217,5 +220,9 @@ def compile_predicate(source: str, field_names: Sequence[str],
             if i < len(vec):
                 env[name] = float(vec[i])
         return int(bool(_eval(expr, env)))
+
+    def predicate(states: np.ndarray) -> np.ndarray:
+        rows = np.asarray(states, dtype=float)
+        return np.fromiter((label(vec) for vec in rows), dtype=int, count=len(rows))
 
     return predicate

@@ -73,10 +73,10 @@ def tabulate(env: HardCMDP) -> TabularModel:
     states = env.states
     actions = env.action_set
     n, m = len(states), len(actions)
-    next_idx = np.zeros((n, m), dtype=int)
-    for i in range(n):
-        for j in range(m):
-            next_idx[i, j] = env.state_index(env.transition(states[i], actions[j]))
+    successors = np.array([env.transition(s, a) for s in states for a in actions])
+    next_idx = env.state_index(successors).reshape(n, m)
+    if (next_idx < 0).any():
+        raise ConfigurationError(f"{env.name} steps outside its enumerated states")
     h = np.array([env.h(s) for s in states])
     return TabularModel(states=states.copy(), actions=actions.copy(),
                         next_idx=next_idx, h=h, h_min=env.h_min, h_max=env.h_max)

@@ -68,8 +68,7 @@ def test_momentum_gridworld_coasts_then_steers():
 
 def test_state_enumeration_roundtrip():
     env = make_hazard_gridworld(4, 3, [(1, 1)], momentum=1)
-    for i, s in enumerate(env.states):
-        assert env.state_index(s) == i
+    assert np.array_equal(env.state_index(env.states), np.arange(len(env.states)))
 
 
 def test_margin_predicate_matches_ground_truth_at_zero():
@@ -83,16 +82,15 @@ def test_margin_predicate_matches_ground_truth_at_zero():
         else:
             rng = np.random.default_rng(0)
             probe = np.stack([rng.uniform(-1.3, 1.3, 200), rng.uniform(-1, 1, 200)], axis=1)
-        for s in probe:
-            assert pred(s) == env.cost(s)
+        assert np.array_equal(pred(probe), [env.cost(s) for s in probe])
 
 
 def test_margin_predicate_monotone_in_margin():
     env = make_double_integrator(x_lim=1.0, a_max=1.0, dt=0.1, horizon=50)
     rng = np.random.default_rng(1)
     probe = np.stack([rng.uniform(-1.3, 1.3, 200), rng.uniform(-1, 1, 200)], axis=1)
-    small = np.array([env.margin_predicate(0.1)(s) for s in probe])
-    large = np.array([env.margin_predicate(0.3)(s) for s in probe])
+    small = env.margin_predicate(0.1)(probe)
+    large = env.margin_predicate(0.3)(probe)
     assert np.all(large >= small)
 
 

@@ -42,7 +42,7 @@ def grid_setup():
 
 
 def _const_candidate(value):
-    return CostCandidate(predicate=lambda s: value, provenance="manual")
+    return CostCandidate(predicate=lambda s: np.full(len(s), value), provenance="manual")
 
 
 def test_validate_constant_predicates(grid_setup):
@@ -60,7 +60,8 @@ def test_validate_constant_predicates(grid_setup):
 def test_validate_ground_truth_with_zero_floor(grid_setup):
     env, d_safe, d_unsafe = grid_setup
     cfg = GenerationConfig(p_min=0.0, p_max=0.3)
-    truth = CostCandidate(predicate=lambda s: env.cost(s), provenance="manual")
+    truth = CostCandidate(predicate=lambda s: np.array([env.cost(row) for row in s]),
+                          provenance="manual")
     report = validate(truth, d_unsafe, d_safe, cfg)
     assert report.recall_unsafe == 1.0
     assert report.conservativeness == 0.0
@@ -80,7 +81,8 @@ def test_validate_reports_conservativeness_even_with_bad_recall(grid_setup):
     env, d_safe, d_unsafe = grid_setup
     cfg = GenerationConfig()
     # Flags the upper rows only: catches one hazard, misses the other.
-    cand = CostCandidate(predicate=lambda s: int(s[1] >= 4), provenance="manual")
+    cand = CostCandidate(predicate=lambda s: (s[:, 1] >= 4).astype(int),
+                         provenance="manual")
     report = validate(cand, d_unsafe, d_safe, cfg)
     assert 0.0 < report.recall_unsafe < 1.0
     assert report.conservativeness > 0.0
@@ -103,8 +105,8 @@ def test_scripted_margin_zero_equals_ground_truth(grid_setup):
     env, _, _ = grid_setup
     cand = ScriptedMarginProposer(env)(0, None)
     assert cand.margin == 0.0
-    for s in env.states[::7]:
-        assert cand.predicate(s) == env.cost(s)
+    probe = env.states[::7]
+    assert np.array_equal(cand.predicate(probe), [env.cost(s) for s in probe])
 
 
 def test_scripted_margin_shrinks_on_too_conservative(grid_setup):
@@ -297,8 +299,8 @@ def test_candidate_record_roundtrip(grid_setup, tmp_path):
     save_history(history, final, path)
     back = load_final_candidate(path, env)
     assert back.margin == final.margin
-    for s in env.states[::11]:
-        assert back.predicate(s) == final.predicate(s)
+    probe = env.states[::11]
+    assert np.array_equal(back.predicate(probe), final.predicate(probe))
     rec = candidate_to_record(final)
     again = candidate_from_record(rec, env)
     assert again.report.passed == final.report.passed

@@ -92,6 +92,15 @@ def test_predict_set_length_and_identical_members():
         assert np.allclose(variances[k], variances[0])
 
 
+def test_elite_predictions_keep_no_activations(trained):
+    _, data, model = trained
+    # A training pass caches activations; an inference pass drops them.
+    for member in model.members:
+        member.net.forward(np.zeros((8, member.net.sizes[0])))
+    model.elite_predictions(data.s[:50], data.a[:50])
+    assert all(model.members[e].net._cache is None for e in model.elites)
+
+
 def test_elites_equal_members_when_requested(integrator_setup):
     _, data = integrator_setup
     model = train_ensemble(data, n_total=3, n_elite=3, val_fraction=0.2,
@@ -109,10 +118,11 @@ def test_sample_next_modes(trained):
     )
     s, a = data.s[:1], data.a[:1]
     mean = single.elite_predictions(s, a)[0][0]
-    out = sample_next_batch(single, s, a, substream(0, "det"), deterministic=True)
+    out = sample_next_batch(*single.elite_predictions(s, a), substream(0, "det"),
+                            deterministic=True)
     assert np.allclose(out, mean)
-    one = sample_next_batch(model, s, a, substream(4, "fixed"))
-    two = sample_next_batch(model, s, a, substream(4, "fixed"))
+    one = sample_next_batch(*model.elite_predictions(s, a), substream(4, "fixed"))
+    two = sample_next_batch(*model.elite_predictions(s, a), substream(4, "fixed"))
     assert np.array_equal(one, two)
 
 
@@ -123,7 +133,7 @@ def test_elite_choice_is_uniform(trained):
     s = np.repeat(data.s[:1], n, axis=0)
     a = np.repeat(data.a[:1], n, axis=0)
     means, _ = model.elite_predictions(data.s[0], data.a[0])
-    samples = sample_next_batch(model, s, a, rng, deterministic=True)
+    samples = sample_next_batch(*model.elite_predictions(s, a), rng, deterministic=True)
     counts = np.array([
         int(np.sum(np.all(np.isclose(samples, means[k, 0]), axis=1)))
         for k in range(model.n_elites)
@@ -139,10 +149,22 @@ def test_conservative_label_any_elite(trained):
     # Drifting over the boundary next step, then resting at the origin.
     s = np.array([[0.93, 0.6], [0.0, 0.0]])
     a = np.array([[1.0], [0.0]])
-    labels = conservative_cost_label_batch(model, s, a, env.margin_predicate(0.05))
+    means, _ = model.elite_predictions(s, a)
+    labels = conservative_cost_label_batch(means, env.margin_predicate(0.05))
     assert labels.tolist() == [1, 0]
     # A predicate that never fires yields 0 everywhere (hazard-free analog).
-    assert conservative_cost_label_batch(model, s, a, lambda _s: 0).tolist() == [0, 0]
+    never = conservative_cost_label_batch(means, lambda x: np.zeros(len(x), dtype=int))
+    assert never.tolist() == [0, 0]
+
+
+def test_conservative_label_fires_when_one_elite_flags():
+    # Three elites, three rows: row 0 flagged by one elite only, row 1 by
+    # all of them, row 2 by none.
+    means = np.zeros((3, 3, 2))
+    means[1, 0, 0] = 2.0
+    means[:, 1, 0] = -2.0
+    flag = lambda s: (np.abs(s[:, 0]) > 1.0).astype(int)  # noqa: E731
+    assert conservative_cost_label_batch(means, flag).tolist() == [1, 1, 0]
 
 
 def test_conservative_label_dominates_single_elites(trained):
@@ -150,7 +172,8 @@ def test_conservative_label_dominates_single_elites(trained):
     pred = env.margin_predicate(0.1)
     rng = substream(7, "label-dominance")
     idx = rng.choice(len(data), size=100, replace=False)
-    combined = conservative_cost_label_batch(model, data.s[idx], data.a[idx], pred)
+    combined = conservative_cost_label_batch(
+        model.elite_predictions(data.s[idx], data.a[idx])[0], pred)
     for e in model.elites:
         single = EnsembleDynamics(
             members=[model.members[e]], elites=[0],
@@ -158,7 +181,8 @@ def test_conservative_label_dominates_single_elites(trained):
             delta_mean=model.delta_mean, delta_std=model.delta_std,
             d_s=model.d_s, d_a=model.d_a,
         )
-        alone = conservative_cost_label_batch(single, data.s[idx], data.a[idx], pred)
+        alone = conservative_cost_label_batch(
+            single.elite_predictions(data.s[idx], data.a[idx])[0], pred)
         assert np.all(combined >= alone)
 
 

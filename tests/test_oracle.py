@@ -32,7 +32,7 @@ def test_momentum_creates_safe_but_doomed_states():
     # Same cell at rest is fine.
     assert oracle.label(np.array([1.0, 2.0, 0.0, 0.0]))
     # Hazard cells themselves are infeasible with distance zero.
-    idx = env.state_index(np.array([2.0, 2.0, 0.0, 0.0]))
+    idx = env.state_index(np.array([[2.0, 2.0, 0.0, 0.0]]))[0]
     assert oracle.distance[idx] == 0
     assert oracle.h_star >= 1
 

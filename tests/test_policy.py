@@ -190,29 +190,25 @@ def test_greedy_actions_stay_feasible_with_oracle_critic():
         h_min, h_max = env.h_min, env.h_max
 
         def v_values(self, s, target=False):
-            s = np.atleast_2d(s)
-            return np.array([v_exact[env.state_index(row)] for row in s])
+            return v_exact[env.state_index(np.atleast_2d(s))]
 
         def q_values(self, s, a, target=False):
             s, a = np.atleast_2d(s), np.atleast_2d(a)
-            out = []
-            for srow, arow in zip(s, a):
-                ai = int(np.argmin(np.sum((env.action_set - arow) ** 2, axis=1)))
-                out.append(exact.q[env.state_index(srow), ai])
-            return np.array(out)
+            ai = [int(np.argmin(np.sum((env.action_set - arow) ** 2, axis=1)))
+                  for arow in a]
+            return exact.q[env.state_index(s), ai]
 
     policy = make_policy(env, data, PolicyConfig(lr=1e-3), seed=0,
                          state_feat=onehot_state_featurizer(env))
     feasibility_guided_policy_update(policy, reward, OracleCritic(), data,
                                      steps=800, seed=0)
-    feasible_states = [s for s in env.states
-                       if v_exact[env.state_index(s)] <= 0]
+    feasible_states = env.states[v_exact[env.state_index(env.states)] <= 0]
     for s in feasible_states[::3]:
         state = s.copy()
         for _ in range(10):
             a = env.clip_action(policy.act(state))
             state = env.transition(state, a)
-            assert v_exact[env.state_index(state)] <= 0.0, (s, state)
+            assert v_exact[env.state_index(state[None])[0]] <= 0.0, (s, state)
 
 
 def test_evaluate_policy_normalization(integrator):
@@ -283,7 +279,8 @@ def test_monotonicity_with_ground_truth_and_unsafe_data():
     )
     report = rollout_value_monotonicity_check(
         data, env, RolloutConfig(batch=256, epochs=4),
-        cost_fn=lambda s: env.cost(s), seeds=[0], gamma=0.95)
+        cost_fn=lambda s: np.array([env.cost(row) for row in s]), seeds=[0],
+        gamma=0.95)
     assert report.holds
 
 

@@ -137,7 +137,7 @@ def test_hazard_states_saturate_at_h_max():
     env = make_hazard_gridworld(5, 5, [(2, 2)], momentum=0, gamma=0.9)
     model = tabulate(env)
     critic = tabular_value_iteration(model, "standard", gamma=0.9)
-    hazard_idx = env.state_index(np.array([2.0, 2.0]))
+    hazard_idx = env.state_index(np.array([[2.0, 2.0]]))[0]
     assert np.allclose(critic.q[hazard_idx], 1.0)
 
 
@@ -182,12 +182,12 @@ def test_fitted_critic_defaults_to_labels_and_uses_observed_min():
     env = make_hazard_gridworld(5, 5, [(2, 2)], momentum=0, gamma=0.9)
     model = tabulate(env)
     h = model.h.copy()
-    s0 = env.state_index(np.array([0.0, 0.0]))
-    s1 = env.state_index(np.array([1.0, 0.0]))
+    s0 = env.state_index(np.array([[0.0, 0.0]]))[0]
+    s1 = env.state_index(np.array([[1.0, 0.0]]))[0]
     critic = fit_tabular_critic(model, h, offline_pairs=[(s0, 1, s1)], gamma=0.9)
     # Unobserved states sit at their own labels.
-    assert critic.v(env.state_index(np.array([4.0, 4.0]))) == pytest.approx(-1.0)
-    assert critic.v(env.state_index(np.array([2.0, 2.0]))) == pytest.approx(1.0)
+    assert critic.v(env.state_index(np.array([[4.0, 4.0]]))[0]) == pytest.approx(-1.0)
+    assert critic.v(env.state_index(np.array([[2.0, 2.0]]))[0]) == pytest.approx(1.0)
     # The observed pair backs up through the next state's default.
     assert critic.q[(s0, 1)] == pytest.approx(-1.0)
 
@@ -196,9 +196,9 @@ def test_fitted_critic_conservative_rollout_pairs_raise_values():
     env = make_hazard_gridworld(5, 5, [(2, 2)], momentum=0, gamma=0.9)
     model = tabulate(env)
     h = model.h.copy()
-    s0 = env.state_index(np.array([2.0, 1.0]))
-    hazard = env.state_index(np.array([2.0, 2.0]))
-    safe = env.state_index(np.array([2.0, 0.0]))
+    s0 = env.state_index(np.array([[2.0, 1.0]]))[0]
+    hazard = env.state_index(np.array([[2.0, 2.0]]))[0]
+    safe = env.state_index(np.array([[2.0, 0.0]]))[0]
     critic = fit_tabular_critic(
         model, h, offline_pairs=[],
         rollout_pairs=[(s0, 3, [safe, hazard])], gamma=0.9,

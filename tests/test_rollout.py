@@ -34,6 +34,10 @@ def _outward_policy(states):
     return np.sign(states[:, :1] + 1e-12)
 
 
+def _constant(value):
+    return lambda s: np.full(len(s), value)
+
+
 def test_defaults_match_expected_schedule():
     cfg = RolloutConfig()
     assert cfg.horizon == 1
@@ -62,7 +66,7 @@ def test_retained_branches_all_violate(setup):
 def test_no_label_no_branches(setup):
     env, data, model = setup
     cfg = RolloutConfig(batch=128, epochs=2)
-    kept = branched_rollout(_outward_policy, data, model, lambda s: 0, cfg, seed=3,
+    kept = branched_rollout(_outward_policy, data, model, _constant(0), cfg, seed=3,
                             action_bounds=env.action_bounds)
     assert kept == []
 
@@ -70,7 +74,7 @@ def test_no_label_no_branches(setup):
 def test_constant_label_keeps_every_branch(setup):
     env, data, model = setup
     cfg = RolloutConfig(batch=64, epochs=2)
-    kept = branched_rollout(_outward_policy, data, model, lambda s: 1, cfg, seed=3,
+    kept = branched_rollout(_outward_policy, data, model, _constant(1), cfg, seed=3,
                             action_bounds=env.action_bounds)
     assert len(kept) == cfg.batch * cfg.epochs
 
@@ -96,7 +100,7 @@ def test_rollout_determinism(setup):
 def test_noise_is_injected_and_clipped(setup):
     env, data, model = setup
     cfg = RolloutConfig(batch=256, epochs=1, noise_std=0.5)
-    kept = branched_rollout(_outward_policy, data, model, lambda s: 1, cfg, seed=5,
+    kept = branched_rollout(_outward_policy, data, model, _constant(1), cfg, seed=5,
                             action_bounds=env.action_bounds)
     actions = np.concatenate([b.a for b in kept]).ravel()
     assert actions.max() <= 1.0 + 1e-12
@@ -140,14 +144,15 @@ def test_relabel_is_idempotent_and_nonmutating(setup):
 
 def test_relabel_ground_truth_on_safe_data_changes_nothing(setup):
     env, data, _ = setup
-    relabeled = relabel_offline(data, lambda s: env.cost(s), -1.0, 1.0)
+    relabeled = relabel_offline(data, lambda s: np.array([env.cost(row) for row in s]),
+                                -1.0, 1.0)
     assert int(relabeled.cost.sum()) == 0
     assert np.all(relabeled.h_s == -1.0)
 
 
 def test_relabel_constant_one_sets_h_max(setup):
     env, data, _ = setup
-    relabeled = relabel_offline(data, lambda s: 1, -1.0, 1.0)
+    relabeled = relabel_offline(data, _constant(1), -1.0, 1.0)
     assert np.all(relabeled.cost == 1)
     assert np.all(relabeled.h_s == 1.0)
 
@@ -159,10 +164,11 @@ def test_rollout_buffer_roundtrip(setup, tmp_path):
                             env.margin_predicate(0.08), cfg, seed=13,
                             action_bounds=env.action_bounds)
     buf = flatten_branches(kept, -1.0, 1.0)
-    path = tmp_path / "rollouts.jsonl"
+    path = tmp_path / "rollouts.npz"
     save_rollout_buffer(buf, path)
     back = load_rollout_buffer(path)
-    assert np.allclose(back.s, buf.s)
-    assert np.allclose(back.a, buf.a)
+    assert np.array_equal(back.s, buf.s)
+    assert np.array_equal(back.a, buf.a)
+    assert np.array_equal(back.h_s, buf.h_s)
     assert np.array_equal(back.label, buf.label)
     assert np.array_equal(back.origin, buf.origin)

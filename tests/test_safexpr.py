@@ -9,20 +9,20 @@ FIELDS = ("x", "v")
 
 def test_threshold_expression():
     pred = compile_predicate("abs(x) > 0.8", FIELDS)
-    assert pred(np.array([0.9, 0.0])) == 1
-    assert pred(np.array([0.5, 0.0])) == 0
+    assert pred(np.array([[0.9, 0.0]]))[0] == 1
+    assert pred(np.array([[0.5, 0.0]]))[0] == 0
 
 
 def test_boolean_composition_and_ifexp():
     pred = compile_predicate("1 if (abs(x) > 0.9 or abs(v) > 0.5) else 0", FIELDS)
-    assert pred(np.array([0.0, 0.6])) == 1
-    assert pred(np.array([0.0, 0.4])) == 0
+    assert pred(np.array([[0.0, 0.6]]))[0] == 1
+    assert pred(np.array([[0.0, 0.4]]))[0] == 0
 
 
 def test_indexed_access_including_negative():
     pred = compile_predicate("observation[0] > 0.5 and observation[-1] < 0", FIELDS)
-    assert pred(np.array([0.7, -0.1])) == 1
-    assert pred(np.array([0.7, 0.1])) == 0
+    assert pred(np.array([[0.7, -0.1]]))[0] == 1
+    assert pred(np.array([[0.7, 0.1]]))[0] == 0
 
 
 def test_function_form_with_docstring():
@@ -32,8 +32,8 @@ def get_cost(observation):
     return 1 if abs(observation[0]) > 0.85 else 0
 '''
     pred = compile_predicate(src, FIELDS)
-    assert pred(np.array([0.9, 0.0])) == 1
-    assert pred(np.array([0.0, 0.0])) == 0
+    assert pred(np.array([[0.9, 0.0]]))[0] == 1
+    assert pred(np.array([[0.0, 0.0]]))[0] == 0
 
 
 def test_function_form_binds_constant_defaults():
@@ -42,14 +42,14 @@ def test_function_form_binds_constant_defaults():
         "    return 1 if abs(obs_vec[0]) >= limit - margin else 0\n"
     )
     pred = compile_predicate(src, FIELDS)
-    assert pred(np.array([0.75, 0.0])) == 1
-    assert pred(np.array([0.5, 0.0])) == 0
+    assert pred(np.array([[0.75, 0.0]]))[0] == 1
+    assert pred(np.array([[0.5, 0.0]]))[0] == 0
 
 
 def test_chained_comparison():
     pred = compile_predicate("-0.5 < x < 0.5", FIELDS)
-    assert pred(np.array([0.0, 0.0])) == 1
-    assert pred(np.array([0.7, 0.0])) == 0
+    assert pred(np.array([[0.0, 0.0]]))[0] == 1
+    assert pred(np.array([[0.7, 0.0]]))[0] == 0
 
 
 def test_rejects_imports_and_attributes():
