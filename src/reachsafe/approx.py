@@ -13,11 +13,11 @@ without pickle, so a reloaded model computes exactly what the saved one did.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cmdp import load_npz, save_npz
 from .seeding import substream
 
 
@@ -201,21 +201,19 @@ def save_mlp(nets: dict[str, Mlp], path, meta: dict) -> None:
     """Write the named networks of one model, plus its metadata, to ``path``."""
     arrays = {f"{name}.{i}": p for name, net in nets.items()
               for i, p in enumerate(net.parameters())}
-    meta = {**meta, "nets": {name: net.sizes for name, net in nets.items()}}
-    with open(path, "wb") as fh:
-        np.savez(fh, meta=np.array(json.dumps(meta, sort_keys=True)), **arrays)
+    sizes = {name: net.sizes for name, net in nets.items()}
+    save_npz(path, arrays, {**meta, "nets": sizes})
 
 
 def load_mlp(path) -> tuple[dict[str, Mlp], dict]:
     """Read a ``save_mlp`` file back: (networks by name, metadata)."""
-    with np.load(path, allow_pickle=False) as archive:
-        meta = json.loads(str(archive["meta"]))
-        nets = {}
-        for name, sizes in meta.pop("nets").items():
-            net = Mlp(sizes)
-            params = [archive[f"{name}.{i}"] for i in range(len(net.parameters()))]
-            if [p.shape for p in params] != [p.shape for p in net.parameters()]:
-                raise ValueError(f"{path}: {name} parameters do not match sizes {sizes}")
-            net.set_parameters(params)
-            nets[name] = net
+    arrays, meta = load_npz(path)
+    nets = {}
+    for name, sizes in meta.pop("nets").items():
+        net = Mlp(sizes)
+        params = [arrays[f"{name}.{i}"] for i in range(len(net.parameters()))]
+        if [p.shape for p in params] != [p.shape for p in net.parameters()]:
+            raise ValueError(f"{path}: {name} parameters do not match sizes {sizes}")
+        net.set_parameters(params)
+        nets[name] = net
     return nets, meta

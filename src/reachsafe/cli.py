@@ -19,7 +19,17 @@ from .pipeline import (
     STAGES,
     StageMismatch,
     run_pipeline,
-    stage_oracle,
+)
+
+
+# Ablation flags: command-line flag, ablation name, help text.
+_TOGGLES = (
+    ("--no-model", "no-model", "skip model rollouts; relabeled data only"),
+    ("--no-relabel", "no-relabel", "label rollouts only; keep original offline costs"),
+    ("--deterministic-rollout", "det-rollout", "no exploration noise during rollouts"),
+    ("--no-conservative", "no-conservative",
+     "use the plain constraint, no conservative band"),
+    ("--ungated", "ungated", "reward-only weighted behavior cloning baseline"),
 )
 
 
@@ -32,19 +42,7 @@ def _load_cfg(args: argparse.Namespace) -> ExperimentConfig:
         cfg.seed = args.seed
     if getattr(args, "proposer", None):
         cfg.costgen.proposer = args.proposer
-    toggles = []
-    if getattr(args, "no_model", False):
-        toggles.append("no-model")
-    if getattr(args, "no_relabel", False):
-        toggles.append("no-relabel")
-    if getattr(args, "deterministic_rollout", False):
-        toggles.append("det-rollout")
-    if getattr(args, "no_conservative", False):
-        toggles.append("no-conservative")
-    if getattr(args, "ungated", False):
-        toggles.append("ungated")
-    if toggles and "ungated" in toggles and len(toggles) > 1:
-        raise ConfigurationError("ungated cannot be combined with other toggles")
+    toggles = [ablation for _, ablation, _ in _TOGGLES if getattr(args, ablation, False)]
     if toggles:
         cfg.ablations = toggles
     cfg.validate()
@@ -59,16 +57,8 @@ def _add_common(p: argparse.ArgumentParser, ablations: bool = False) -> None:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", type=str, required=True, help="run directory")
     if ablations:
-        p.add_argument("--no-model", action="store_true",
-                       help="skip model rollouts; relabeled data only")
-        p.add_argument("--no-relabel", action="store_true",
-                       help="label rollouts only; keep original offline costs")
-        p.add_argument("--deterministic-rollout", action="store_true",
-                       help="no exploration noise during rollouts")
-        p.add_argument("--no-conservative", action="store_true",
-                       help="use the plain constraint, no conservative band")
-        p.add_argument("--ungated", action="store_true",
-                       help="reward-only weighted behavior cloning baseline")
+        for flag, ablation, text in _TOGGLES:
+            p.add_argument(flag, dest=ablation, action="store_true", help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,16 +122,11 @@ def _cmd_stage(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
-    paths = RunPaths(root=Path(args.out))
-    paths.root.mkdir(parents=True, exist_ok=True)
-    report = stage_oracle(cfg, paths)
-    print(json.dumps({
-        "h_star": report["h_star"],
-        "feasible_fraction": report["feasible_fraction"],
-        "value_iteration_sign_agreement": report["value_iteration_sign_agreement"],
-        "gamma_threshold": report["gamma_threshold"],
-        "warnings": report["warnings"],
-    }, indent=2, sort_keys=True))
+    paths = run_pipeline(cfg, args.out, stages=("oracle",))
+    report = json.loads(paths.oracle_report.read_text())
+    keys = ("h_star", "feasible_fraction", "value_iteration_sign_agreement",
+            "gamma_threshold", "warnings")
+    print(json.dumps({k: report[k] for k in keys}, indent=2, sort_keys=True))
     return 0
 
 

@@ -212,62 +212,47 @@ def empty_dataset(env: HardCMDP, tag: str, seed: int, meta: dict | None = None) 
     )
 
 
-def save_dataset(dataset: OfflineDataset, path: str | Path) -> None:
-    """Write the line-delimited transition format.
+# ---------------------------------------------------------------------------
+# Array artifacts: one .npz of named arrays plus a JSON ``meta`` string, read
+# without pickle. Datasets, rollout buffers and model checkpoints use it.
+# ---------------------------------------------------------------------------
 
-    First line is a JSON header with d_s, d_a, env name, tag, seed and
-    collection metadata; each further line is one transition with fields
-    s, a, r, s2, done, c (plus origin for rollout buffers).
+
+def save_npz(path: str | Path, arrays: dict[str, np.ndarray], meta: dict) -> None:
+    """Write ``arrays`` and the JSON-encoded ``meta`` to one ``.npz`` at ``path``."""
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.array(json.dumps(meta, sort_keys=True)), **arrays)
+
+
+def load_npz(path: str | Path, kind: str | None = None
+             ) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a ``save_npz`` file: (arrays by name, meta).
+
+    With ``kind``, a file whose meta names another kind is refused.
     """
-    path = Path(path)
-    header = {
-        "kind": "transitions",
-        "d_s": int(dataset.meta.get("d_s", dataset.s.shape[1] if dataset.s.size else 0)),
-        "d_a": int(dataset.meta.get("d_a", dataset.a.shape[1] if dataset.a.size else 0)),
-        "env": dataset.meta.get("env", ""),
-        "tag": dataset.tag,
-        "seed": dataset.meta.get("seed", None),
-        "meta": {k: v for k, v in dataset.meta.items()
-                 if k not in ("env", "d_s", "d_a", "tag", "seed")},
-    }
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for i in range(len(dataset)):
-            row = {
-                "s": [float(x) for x in dataset.s[i]],
-                "a": [float(x) for x in dataset.a[i]],
-                "r": float(dataset.r[i]),
-                "s2": [float(x) for x in dataset.s2[i]],
-                "done": int(dataset.done[i]),
-                "c": int(dataset.cost[i]),
-            }
-            if dataset.h_s is not None:
-                row["h_s"] = float(dataset.h_s[i])
-            fh.write(json.dumps(row) + "\n")
+    with np.load(path, allow_pickle=False) as archive:
+        meta = json.loads(str(archive["meta"])) if "meta" in archive.files else {}
+        if kind is not None and meta.get("kind") != kind:
+            raise ConfigurationError(f"{path} is not a {kind} file")
+        arrays = {name: archive[name] for name in archive.files if name != "meta"}
+    return arrays, meta
+
+
+# Dataset columns and the dtypes a load restores; ``h_s`` only when relabeled.
+_DATASET_DTYPES = {"s": float, "a": float, "r": float, "s2": float,
+                   "done": bool, "cost": int, "h_s": float}
+
+
+def save_dataset(dataset: OfflineDataset, path: str | Path) -> None:
+    """Write the columns, the tag and the collection metadata to one ``.npz``."""
+    columns = {name: getattr(dataset, name) for name in _DATASET_DTYPES
+               if getattr(dataset, name) is not None}
+    save_npz(path, columns, {"kind": "transitions", "tag": dataset.tag,
+                             "meta": dataset.meta})
 
 
 def load_dataset(path: str | Path) -> OfflineDataset:
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("kind") != "transitions":
-            raise ConfigurationError(f"{path} is not a transition file")
-        rows = [json.loads(line) for line in fh if line.strip()]
-    d_s, d_a = int(header["d_s"]), int(header["d_a"])
-    n = len(rows)
-    ds = OfflineDataset(
-        s=np.array([r["s"] for r in rows], dtype=float).reshape(n, d_s),
-        a=np.array([r["a"] for r in rows], dtype=float).reshape(n, d_a),
-        r=np.array([r["r"] for r in rows], dtype=float),
-        s2=np.array([r["s2"] for r in rows], dtype=float).reshape(n, d_s),
-        done=np.array([r["done"] for r in rows], dtype=bool),
-        cost=np.array([r["c"] for r in rows], dtype=int),
-        tag=header["tag"],
-        meta={"env": header.get("env", ""), "d_s": d_s, "d_a": d_a,
-              "tag": header["tag"], "seed": header.get("seed"),
-              **header.get("meta", {})},
-    )
-    if rows and "h_s" in rows[0]:
-        ds.h_s = np.array([r["h_s"] for r in rows], dtype=float)
-    return ds
-
+    arrays, header = load_npz(path, "transitions")
+    columns = {name: np.asarray(arrays[name], dtype=dtype)
+               for name, dtype in _DATASET_DTYPES.items() if name in arrays}
+    return OfflineDataset(**columns, tag=header["tag"], meta=header["meta"])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -116,6 +117,10 @@ class ExperimentConfig:
             if a not in ABLATIONS:
                 raise ConfigurationError(
                     f"unknown ablation {a!r}; choose from {ABLATIONS}")
+        if len(set(self.ablations)) != len(self.ablations):
+            raise ConfigurationError(f"duplicate ablation in {self.ablations}")
+        if "ungated" in self.ablations and len(self.ablations) > 1:
+            raise ConfigurationError("ungated cannot be combined with other ablations")
         if not 0 < self.learn.critic_gamma < 1:
             raise ConfigurationError("critic gamma must lie in (0,1)")
         if not 0 < self.learn.critic_tau < 1:
@@ -211,14 +216,19 @@ def _assign(target, dotted: str, value) -> None:
     if not hasattr(obj, leaf):
         raise ConfigurationError(f"unknown configuration key {dotted!r}")
     current = getattr(obj, leaf)
-    if isinstance(current, bool) and not isinstance(value, bool):
-        raise ConfigurationError(f"{dotted} expects a boolean")
-    if isinstance(current, int) and not isinstance(current, bool) \
-            and isinstance(value, float) and not value.is_integer():
-        raise ConfigurationError(f"{dotted} expects an integer")
-    if isinstance(current, int) and not isinstance(current, bool) \
-            and isinstance(value, (int, float)):
-        value = int(value)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(current, bool):
+        ok = isinstance(value, bool)
+    elif isinstance(current, int):
+        ok = number and (isinstance(value, int) or value.is_integer())
+        value = int(value) if ok else value
+    elif isinstance(current, float):
+        ok = number and math.isfinite(value)
+    else:
+        ok = isinstance(value, type(current))
+    if not ok:
+        raise ConfigurationError(
+            f"{dotted} expects a {type(current).__name__} value, got {value!r}")
     setattr(obj, leaf, value)
 
 

@@ -1,22 +1,31 @@
-"""Staged experiment runner with per-stage hashing and resumability.
+"""Staged experiment runner driven by one stage table.
 
 Stage order: data -> oracle -> dynamics -> costgen -> learn -> evaluate.
-Every stage records the hash of exactly the configuration slice it
-depends on, so ablation variants reuse upstream artifacts, and resuming
-with a changed configuration is refused rather than silently mixed. All
-randomness flows from the root seed through named substreams.
+Each ``STAGE_TABLE`` row names the configuration sections a stage hashes
+(so ablation variants reuse upstream artifacts), its artifacts, the
+upstream stages it needs and the ablations that skip it. ``_stage``
+applies the row around each ``stage_<name>`` body, which only computes
+and writes: a stage recorded in the manifest under the current hash,
+with its artifacts present, is resumed without loading anything; another
+hash raises ``StageMismatch`` rather than mixing configurations; a
+missing upstream artifact raises ``MissingArtifact``; after the body
+runs, the manifest records the stage. All randomness flows from the root
+seed through named substreams.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .cmdp import ConfigurationError, OfflineDataset, load_dataset, save_dataset
+from .cmdp import ConfigurationError, load_dataset, save_dataset
 from .collect import collect_safe_dataset, collect_unsafe_samples
 from .config import ExperimentConfig, build_behavior, build_env, config_hash
 from .costgen import (
@@ -37,7 +46,7 @@ from .critics import (
     save_critic,
     update_feasibility_critics,
 )
-from .dynamics import EnsembleDynamics, TrainConfig, load_ensemble, save_ensemble, train_ensemble
+from .dynamics import TrainConfig, load_ensemble, save_ensemble, train_ensemble
 from .oracle import compute_feasible_set_oracle
 from .policy import (
     CSV_HEADER,
@@ -61,18 +70,6 @@ from .rollout import (
 )
 from .seeding import child_seed
 
-STAGES = ("data", "oracle", "dynamics", "costgen", "learn", "evaluate")
-
-_STAGE_SECTIONS = {
-    "data": ("seed", "env", "data"),
-    "oracle": ("env",),
-    "dynamics": ("seed", "env", "data", "dynamics"),
-    "costgen": ("seed", "env", "data", "costgen"),
-    "learn": ("seed", "ablations", "env", "data", "dynamics", "costgen", "learn"),
-    "evaluate": ("seed", "ablations", "env", "data", "dynamics", "costgen",
-                 "learn", "eval"),
-}
-
 
 class StageMismatch(RuntimeError):
     """An artifact on disk was produced under a different configuration."""
@@ -82,16 +79,61 @@ class MissingArtifact(RuntimeError):
     """A stage needs an upstream artifact that has not been produced."""
 
 
-def stage_hash(cfg: ExperimentConfig, stage: str) -> str:
-    import hashlib
+@dataclass(frozen=True)
+class Stage:
+    sections: tuple[str, ...]   # hashed configuration sections
+    artifacts: Callable[[RunPaths, ExperimentConfig], list[Path]]
+    needs: tuple[str, ...] = ()   # upstream stages whose artifacts must exist
+    skip: frozenset[str] = frozenset()   # ablations under which the stage does not run
 
+
+STAGE_TABLE = {
+    "data": Stage(("seed", "env", "data"),
+                  lambda p, cfg: [p.dataset, p.dataset_unsafe]),
+    "oracle": Stage(("env",), lambda p, cfg: [p.oracle_report]),
+    "dynamics": Stage(("seed", "env", "data", "dynamics"),
+                      lambda p, cfg: [p.ensemble_dir / "ensemble.npz"],
+                      needs=("data",), skip=frozenset({"no-model", "ungated"})),
+    "costgen": Stage(("seed", "env", "data", "costgen"),
+                     lambda p, cfg: [p.cost_history(cfg)],
+                     needs=("data",), skip=frozenset({"ungated"})),
+    # The feasibility critic needs the cost candidate, so a variant that
+    # skips cost generation (ungated) saves no critic.
+    "learn": Stage(("seed", "ablations", "env", "data", "dynamics", "costgen", "learn"),
+                   lambda p, cfg: [p.policy_dir(cfg) / "policy.npz"]
+                   + ([p.critic_dir(cfg) / "critic.npz"] if runs("costgen", cfg) else []),
+                   needs=("data", "dynamics", "costgen")),
+    "evaluate": Stage(("seed", "ablations", "env", "data", "dynamics", "costgen",
+                       "learn", "eval"),
+                      lambda p, cfg: [p.eval_csv(cfg)], needs=("data", "learn")),
+}
+STAGES = tuple(STAGE_TABLE)
+
+
+def runs(stage: str, cfg: ExperimentConfig) -> bool:
+    """Whether ``stage`` belongs to ``cfg``'s variant: no ablation skips it."""
+    return not STAGE_TABLE[stage].skip & set(cfg.ablations)
+
+
+def _cost_ablations(cfg: ExperimentConfig) -> list[str]:
+    """The ablations that reach cost generation: at most ``no-conservative``."""
+    return ["no-conservative"] if "no-conservative" in cfg.ablations else []
+
+
+def stage_hash(cfg: ExperimentConfig, stage: str) -> str:
     d = asdict(cfg)
-    subset = {key: d[key] for key in _STAGE_SECTIONS[stage]}
+    subset = {key: d[key] for key in STAGE_TABLE[stage].sections}
     if stage == "costgen":
-        # Only this toggle reaches cost generation.
-        subset["ablations"] = ["no-conservative"] if "no-conservative" in cfg.ablations else []
+        subset["ablations"] = _cost_ablations(cfg)
     blob = json.dumps(subset, sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+def _stage_key(cfg: ExperimentConfig, stage: str) -> str:
+    """Manifest key: one entry per variant for the stages that hash the ablations."""
+    if "ablations" in STAGE_TABLE[stage].sections:
+        return f"{stage}:{cfg.variant()}"
+    return ":".join([stage, *_cost_ablations(cfg)]) if stage == "costgen" else stage
 
 
 @dataclass
@@ -104,11 +146,11 @@ class RunPaths:
 
     @property
     def dataset(self) -> Path:
-        return self.root / "dataset.jsonl"
+        return self.root / "dataset.npz"
 
     @property
     def dataset_unsafe(self) -> Path:
-        return self.root / "dataset_unsafe.jsonl"
+        return self.root / "dataset_unsafe.npz"
 
     @property
     def oracle_report(self) -> Path:
@@ -119,7 +161,7 @@ class RunPaths:
         return self.root / "ensemble"
 
     def cost_history(self, cfg: ExperimentConfig) -> Path:
-        suffix = "_noconsv" if "no-conservative" in cfg.ablations else ""
+        suffix = "_noconsv" if _cost_ablations(cfg) else ""
         return self.root / f"cost_history{suffix}.jsonl"
 
     def transcripts(self, cfg: ExperimentConfig) -> Path:
@@ -147,65 +189,48 @@ class RunPaths:
         return self.variant_dir(cfg) / "heatmap.csv"
 
 
-def _load_manifest(paths: RunPaths) -> dict:
-    if paths.manifest.exists():
-        return json.loads(paths.manifest.read_text())
-    return {"stages": {}}
+def _stage(body: Callable[[ExperimentConfig, RunPaths], None]):
+    """Apply the stage's table row around ``body`` (see the module docstring)."""
+    name = body.__name__.removeprefix("stage_")
+    row = STAGE_TABLE[name]
 
-
-def _save_manifest(paths: RunPaths, manifest: dict) -> None:
-    paths.manifest.write_text(json.dumps(manifest, sort_keys=True, indent=2))
-
-
-def _stage_key(cfg: ExperimentConfig, stage: str) -> str:
-    """Manifest key: per variant downstream, per cost toggle for costgen."""
-    if stage in ("learn", "evaluate"):
-        return f"{stage}:{cfg.variant()}"
-    if stage == "costgen" and "no-conservative" in cfg.ablations:
-        return "costgen:no-conservative"
-    return stage
-
-
-def _stage_state(cfg: ExperimentConfig, paths: RunPaths, stage: str,
-                 artifacts: list[Path]) -> str:
-    """done | absent; raises on a hash mismatch (refused resume)."""
-    manifest = _load_manifest(paths)
-    want = stage_hash(cfg, stage)
-    key = _stage_key(cfg, stage)
-    entry = manifest["stages"].get(key)
-    if entry is None:
-        return "absent"
-    if entry["hash"] != want:
-        raise StageMismatch(
-            f"stage {key!r} in {paths.root} was produced under config hash "
-            f"{entry['hash']}, current is {want}; use a fresh output directory"
-        )
-    if not all(p.exists() for p in artifacts):
-        return "absent"
-    return "done"
-
-
-def _mark_done(cfg: ExperimentConfig, paths: RunPaths, stage: str,
-               artifacts: list[Path]) -> None:
-    manifest = _load_manifest(paths)
-    manifest["config_hash"] = config_hash(cfg)
-    manifest["seed"] = cfg.seed
-    manifest["stages"][_stage_key(cfg, stage)] = {
-        "hash": stage_hash(cfg, stage),
-        "artifacts": [str(p.relative_to(paths.root)) for p in artifacts],
-    }
-    _save_manifest(paths, manifest)
+    @functools.wraps(body)
+    def run(cfg: ExperimentConfig, paths: RunPaths) -> None:
+        manifest = (json.loads(paths.manifest.read_text()) if paths.manifest.exists()
+                    else {"stages": {}})
+        key, want = _stage_key(cfg, name), stage_hash(cfg, name)
+        artifacts = row.artifacts(paths, cfg)
+        entry = manifest["stages"].get(key)
+        if entry is not None and entry["hash"] != want:
+            raise StageMismatch(
+                f"stage {key!r} in {paths.root} was produced under config hash "
+                f"{entry['hash']}, current is {want}; use a fresh output directory")
+        if entry is not None and all(p.exists() for p in artifacts):
+            return
+        for upstream in (up for up in row.needs if runs(up, cfg)):
+            for path in STAGE_TABLE[upstream].artifacts(paths, cfg):
+                if not path.exists():
+                    raise MissingArtifact(
+                        f"stage {name!r} needs {path.relative_to(paths.root)} from "
+                        f"stage {upstream!r}; run that stage first")
+        body(cfg, paths)
+        manifest["config_hash"] = config_hash(cfg)
+        manifest["seed"] = cfg.seed
+        manifest["stages"][key] = {
+            "hash": want,
+            "artifacts": [str(p.relative_to(paths.root)) for p in artifacts],
+        }
+        paths.manifest.write_text(json.dumps(manifest, sort_keys=True, indent=2))
+    return run
 
 
 # ---------------------------------------------------------------------------
-# Stages
+# Stages: each body computes and writes its artifacts, and returns nothing.
 # ---------------------------------------------------------------------------
 
 
-def stage_data(cfg: ExperimentConfig, paths: RunPaths) -> tuple[OfflineDataset, OfflineDataset]:
-    artifacts = [paths.dataset, paths.dataset_unsafe]
-    if _stage_state(cfg, paths, "data", artifacts) == "done":
-        return load_dataset(paths.dataset), load_dataset(paths.dataset_unsafe)
+@_stage
+def stage_data(cfg: ExperimentConfig, paths: RunPaths) -> None:
     env = build_env(cfg)
     behavior = build_behavior(cfg, env)
     dataset = collect_safe_dataset(env, behavior, cfg.data.n_transitions,
@@ -215,14 +240,10 @@ def stage_data(cfg: ExperimentConfig, paths: RunPaths) -> tuple[OfflineDataset, 
                                       seed=child_seed(cfg.seed, "data", "unsafe"))
     save_dataset(dataset, paths.dataset)
     save_dataset(d_unsafe, paths.dataset_unsafe)
-    _mark_done(cfg, paths, "data", artifacts)
-    return load_dataset(paths.dataset), load_dataset(paths.dataset_unsafe)
 
 
-def stage_oracle(cfg: ExperimentConfig, paths: RunPaths) -> dict:
-    artifacts = [paths.oracle_report]
-    if _stage_state(cfg, paths, "oracle", artifacts) == "done":
-        return json.loads(paths.oracle_report.read_text())
+@_stage
+def stage_oracle(cfg: ExperimentConfig, paths: RunPaths) -> None:
     env = build_env(cfg)
     oracle = compute_feasible_set_oracle(env)
     critic = tabular_value_iteration(oracle.model, "standard", gamma=env.gamma,
@@ -249,55 +270,41 @@ def stage_oracle(cfg: ExperimentConfig, paths: RunPaths) -> dict:
         "distance": [int(x) for x in oracle.distance],
     }
     paths.oracle_report.write_text(json.dumps(report, sort_keys=True))
-    _mark_done(cfg, paths, "oracle", artifacts)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    return report
 
 
-def stage_dynamics(cfg: ExperimentConfig, paths: RunPaths) -> EnsembleDynamics:
-    artifacts = [paths.ensemble_dir / "ensemble.npz"]
-    if _stage_state(cfg, paths, "dynamics", artifacts) == "done":
-        return load_ensemble(paths.ensemble_dir)
-    if not paths.dataset.exists():
-        raise MissingArtifact("dynamics stage needs the dataset; run gen-data first")
-    dataset = load_dataset(paths.dataset)
+@_stage
+def stage_dynamics(cfg: ExperimentConfig, paths: RunPaths) -> None:
     d = cfg.dynamics
     model = train_ensemble(
-        dataset, n_total=d.n_total, n_elite=d.n_elite,
+        load_dataset(paths.dataset), n_total=d.n_total, n_elite=d.n_elite,
         val_fraction=d.val_fraction, epochs=d.epochs,
         seed=child_seed(cfg.seed, "dynamics"),
         cfg=TrainConfig(hidden=tuple(d.hidden), lr=d.lr,
                         batch_size=d.batch_size, loss=d.loss),
     )
     save_ensemble(model, paths.ensemble_dir)
-    _mark_done(cfg, paths, "dynamics", artifacts)
-    return load_ensemble(paths.ensemble_dir)
 
 
-def stage_costgen(cfg: ExperimentConfig, paths: RunPaths) -> CostCandidate:
+@_stage
+def stage_costgen(cfg: ExperimentConfig, paths: RunPaths) -> None:
     env = build_env(cfg)
     history_path = paths.cost_history(cfg)
-    artifacts = [history_path]
-    if _stage_state(cfg, paths, "costgen", artifacts) == "done":
-        return load_final_candidate(history_path, env)
-    if not paths.dataset.exists() or not paths.dataset_unsafe.exists():
-        raise MissingArtifact("cost generation needs the datasets; run gen-data first")
     dataset = load_dataset(paths.dataset)
     d_unsafe = load_dataset(paths.dataset_unsafe)
     gen_cfg = GenerationConfig(p_min=cfg.costgen.p_min, p_max=cfg.costgen.p_max,
                                max_queries=cfg.costgen.max_queries,
                                task_text=env.task_text, cost_text=env.cost_text)
 
-    if "no-conservative" in cfg.ablations:
+    if _cost_ablations(cfg):
         # Adopt the plain constraint: margin zero, no band requirement.
         candidate = CostCandidate(predicate=env.margin_predicate(0.0),
                                   provenance="scripted", source="margin=0",
                                   margin=0.0)
         candidate.report = validate(candidate, d_unsafe, dataset, gen_cfg)
         save_history([], candidate, history_path)
-        _mark_done(cfg, paths, "costgen", artifacts)
-        return load_final_candidate(history_path, env)
+        return
 
     if cfg.costgen.proposer == "scripted":
         proposer = ScriptedMarginProposer(env, step=cfg.costgen.margin_step)
@@ -313,39 +320,21 @@ def stage_costgen(cfg: ExperimentConfig, paths: RunPaths) -> CostCandidate:
                                       transcript_path=paths.transcripts(cfg))
     final, history = generation_loop(proposer, d_unsafe, dataset, gen_cfg)
     save_history(history, final, history_path)
-    _mark_done(cfg, paths, "costgen", artifacts)
-    return load_final_candidate(history_path, env)
 
 
+@_stage
 def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
-    variant = cfg.variant()
-    artifacts = [paths.policy_dir(cfg) / "policy.npz"]
-    ungated = "ungated" in cfg.ablations
-    if not ungated:
-        artifacts.append(paths.critic_dir(cfg) / "critic.npz")
-    if _stage_state(cfg, paths, "learn", artifacts) == "done":
-        return
     env = build_env(cfg)
-    if not paths.dataset.exists():
-        raise MissingArtifact("learning needs the dataset; run gen-data first")
     dataset = load_dataset(paths.dataset)
     lc = cfg.learn
+    # The table decides which upstream artifacts this variant uses. Without
+    # a cost candidate (ungated) there is no feasibility critic and no gate;
+    # without an ensemble (no-model, ungated) there are no rollouts.
+    ensemble = load_ensemble(paths.ensemble_dir) if runs("dynamics", cfg) else None
+    candidate = (load_final_candidate(paths.cost_history(cfg), env)
+                 if runs("costgen", cfg) else None)
 
-    no_model = "no-model" in cfg.ablations or ungated
-    ensemble = None
-    if not no_model:
-        if not (paths.ensemble_dir / "ensemble.npz").exists():
-            raise MissingArtifact("learning needs the ensemble; run train-dynamics")
-        ensemble = load_ensemble(paths.ensemble_dir)
-
-    candidate = None
-    if not ungated:
-        history_path = paths.cost_history(cfg)
-        if not history_path.exists():
-            raise MissingArtifact("learning needs the cost candidate; run gen-cost")
-        candidate = load_final_candidate(history_path, env)
-
-    if ungated or "no-relabel" in cfg.ablations or candidate is None:
+    if candidate is None or "no-relabel" in cfg.ablations:
         offline = dataset
         floor_fn = None
     else:
@@ -354,7 +343,7 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
 
     seed = cfg.seed
     critic = None
-    if not ungated:
+    if candidate is not None:
         critic = make_feasibility_critic(
             env, offline,
             CriticConfig(gamma=lc.critic_gamma, tau=lc.critic_tau,
@@ -390,7 +379,7 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
     for event in range(n_events):
         steps = min(rcfg.frequency, total - event * rcfg.frequency)
         buffer = None
-        if ensemble is not None and critic is not None and candidate is not None:
+        if ensemble is not None:
             kept = branched_rollout(
                 policy.act_batch, offline, ensemble, candidate.predicate,
                 rcfg, seed=child_seed(seed, "learn", "rollout"), event=event,
@@ -410,7 +399,7 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
         feasibility_guided_policy_update(
             policy, reward, critic, dataset,
             max(1, int(steps * lc.reward_steps_fraction)),
-            seed=child_seed(seed, "learn", "policy"), gate=not ungated,
+            seed=child_seed(seed, "learn", "policy"), gate=critic is not None,
             stream=("event", event))
 
     paths.variant_dir(cfg).mkdir(parents=True, exist_ok=True)
@@ -418,39 +407,20 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
         save_critic(critic, paths.critic_dir(cfg))
     save_critic(reward, paths.reward_dir(cfg))
     save_policy(policy, paths.policy_dir(cfg))
-    save_rollout_buffer(flatten_branches(all_branches, env.h_min, env.h_max),
-                        paths.rollout_buffer(cfg), meta={"variant": variant})
-    _mark_done(cfg, paths, "learn", artifacts)
+    if ensemble is not None:
+        save_rollout_buffer(flatten_branches(all_branches, env.h_min, env.h_max),
+                            paths.rollout_buffer(cfg), meta={"variant": cfg.variant()})
 
 
-def stage_evaluate(cfg: ExperimentConfig, paths: RunPaths) -> dict:
-    artifacts = [paths.eval_csv(cfg)]
-    if _stage_state(cfg, paths, "evaluate", artifacts) == "done":
-        return _read_eval(paths.eval_csv(cfg))
+@_stage
+def stage_evaluate(cfg: ExperimentConfig, paths: RunPaths) -> None:
     env = build_env(cfg)
-    if not (paths.policy_dir(cfg) / "policy.npz").exists():
-        raise MissingArtifact("evaluation needs a trained policy; run learn")
-    policy = load_policy(paths.policy_dir(cfg), env)
-    dataset = load_dataset(paths.dataset)
-    report = evaluate_policy(policy, env, cfg.eval.episodes,
-                             reward_norm_from_dataset(dataset),
+    report = evaluate_policy(load_policy(paths.policy_dir(cfg), env), env,
+                             cfg.eval.episodes,
+                             reward_norm_from_dataset(load_dataset(paths.dataset)),
                              seed=child_seed(cfg.seed, "evaluate"))
     lines = [CSV_HEADER, report.csv_row(env.name, cfg.seed)]
     paths.eval_csv(cfg).write_text("\n".join(lines) + "\n")
-    _mark_done(cfg, paths, "evaluate", artifacts)
-    return _read_eval(paths.eval_csv(cfg))
-
-
-def _read_eval(path: Path) -> dict:
-    header, row = path.read_text().strip().splitlines()
-    values = dict(zip(header.split(","), row.split(",")))
-    return {
-        "env": values["env"], "seed": int(values["seed"]),
-        "episodes": int(values["episodes"]),
-        "normalized_reward": float(values["normalized_reward"]),
-        "normalized_cost": float(values["normalized_cost"]),
-        "safe": values["safe"] == "1",
-    }
 
 
 def run_pipeline(cfg: ExperimentConfig, out_dir: str | Path,
@@ -463,16 +433,9 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: str | Path,
     for stage in todo:
         if stage not in STAGES:
             raise ConfigurationError(f"unknown stage {stage!r}")
-    if "data" in todo:
-        stage_data(cfg, paths)
-    if "oracle" in todo:
-        stage_oracle(cfg, paths)
-    if "dynamics" in todo and not ({"no-model", "ungated"} & set(cfg.ablations)):
-        stage_dynamics(cfg, paths)
-    if "costgen" in todo and "ungated" not in cfg.ablations:
-        stage_costgen(cfg, paths)
-    if "learn" in todo:
-        stage_learn(cfg, paths)
-    if "evaluate" in todo:
-        stage_evaluate(cfg, paths)
+    for stage in STAGES:
+        if stage in todo and runs(stage, cfg):
+            # Looked up by name at each call, so a wrapper installed on the
+            # module attribute (a tracer, a test recorder) sees every call.
+            globals()[f"stage_{stage}"](cfg, paths)
     return paths

@@ -9,14 +9,20 @@ also the label the retained data carries into critic training.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .cmdp import ConfigurationError, OfflineDataset, Predicate, cost_labels
+from .cmdp import (
+    ConfigurationError,
+    OfflineDataset,
+    Predicate,
+    cost_labels,
+    load_npz,
+    save_npz,
+)
 from .dynamics import (
     EnsembleDynamics,
     conservative_cost_label_batch,
@@ -182,15 +188,10 @@ _BUFFER_COLUMNS = ("s", "a", "label", "h_s", "origin")
 def save_rollout_buffer(buffer: RolloutBuffer, path: str | Path,
                         meta: dict | None = None) -> None:
     """One ``.npz`` of the buffer columns plus a JSON meta string."""
-    header = {"kind": "rollout-buffer", "meta": meta or {}, "n": len(buffer)}
-    with open(path, "wb") as fh:
-        np.savez(fh, meta=np.array(json.dumps(header, sort_keys=True)),
-                 **{name: getattr(buffer, name) for name in _BUFFER_COLUMNS})
+    save_npz(path, {name: getattr(buffer, name) for name in _BUFFER_COLUMNS},
+             {"kind": "rollout-buffer", "meta": meta or {}, "n": len(buffer)})
 
 
 def load_rollout_buffer(path: str | Path) -> RolloutBuffer:
-    with np.load(path, allow_pickle=False) as archive:
-        header = json.loads(str(archive["meta"]))
-        if header.get("kind") != "rollout-buffer":
-            raise ConfigurationError(f"{path} is not a rollout buffer")
-        return RolloutBuffer(**{name: archive[name] for name in _BUFFER_COLUMNS})
+    arrays, _ = load_npz(path, "rollout-buffer")
+    return RolloutBuffer(**{name: arrays[name] for name in _BUFFER_COLUMNS})

@@ -6,8 +6,10 @@ from reachsafe.cmdp import (
     OfflineDataset,
     SAFE_ONLY,
     UNSAFE_SMALL,
+    empty_dataset,
     load_dataset,
     save_dataset,
+    save_npz,
 )
 from reachsafe.envs import make_double_integrator, make_hazard_gridworld
 
@@ -110,9 +112,20 @@ def test_dataset_tag_invariants():
         OfflineDataset(tag=UNSAFE_SMALL, **too_many)
 
 
+def _assert_same_dataset(back, ds):
+    for name in ("s", "a", "r", "s2", "done", "cost", "h_s"):
+        x, y = getattr(back, name), getattr(ds, name)
+        if y is None:
+            assert x is None
+            continue
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert np.array_equal(x, y), name
+    assert back.tag == ds.tag and back.meta == ds.meta
+
+
 def test_dataset_file_roundtrip(tmp_path):
     ds = OfflineDataset(
-        s=np.array([[0.0, 1.0], [1.0, 1.0]]),
+        s=np.array([[0.0, 1.0], [1.0, 1.0 / 3.0]]),
         a=np.array([[0.5], [-0.5]]),
         r=np.array([0.1, -0.2]),
         s2=np.array([[1.0, 1.0], [2.0, 1.0]]),
@@ -122,15 +135,31 @@ def test_dataset_file_roundtrip(tmp_path):
         meta={"env": "toy", "d_s": 2, "d_a": 1, "seed": 7,
               "episode_ends": [{"index": 1, "reason": "horizon"}]},
     )
-    path = tmp_path / "ds.jsonl"
+    path = tmp_path / "ds.npz"
     save_dataset(ds, path)
     back = load_dataset(path)
-    assert np.allclose(back.s, ds.s)
-    assert np.allclose(back.a, ds.a)
-    assert np.allclose(back.r, ds.r)
-    assert np.allclose(back.s2, ds.s2)
-    assert np.array_equal(back.done, ds.done)
-    assert np.array_equal(back.cost, ds.cost)
-    assert back.tag == SAFE_ONLY
-    assert back.meta["seed"] == 7
+    _assert_same_dataset(back, ds)
+    assert back.r.dtype == np.float64 and back.done.dtype == bool
+    assert back.cost.dtype == np.dtype(int)
     assert back.meta["episode_ends"] == [{"index": 1, "reason": "horizon"}]
+
+    ds.h_s = np.array([-1.0, 1.0])
+    save_dataset(ds, path)
+    _assert_same_dataset(load_dataset(path), ds)
+
+
+def test_empty_dataset_roundtrip(tmp_path):
+    env = make_double_integrator(x_lim=1.0, a_max=1.0, dt=0.1, horizon=60)
+    ds = empty_dataset(env, UNSAFE_SMALL, seed=3)
+    save_dataset(ds, tmp_path / "empty.npz")
+    back = load_dataset(tmp_path / "empty.npz")
+    _assert_same_dataset(back, ds)
+    assert back.s.shape == (0, env.d_s) and back.a.shape == (0, env.d_a)
+
+
+def test_load_dataset_rejects_other_npz_files(tmp_path):
+    save_npz(tmp_path / "buffer.npz", {"s": np.zeros((1, 2))}, {"kind": "rollout-buffer"})
+    np.savez(tmp_path / "bare.npz", s=np.zeros((1, 2)))
+    for name in ("buffer.npz", "bare.npz"):
+        with pytest.raises(ConfigurationError, match="not a transitions file"):
+            load_dataset(tmp_path / name)

@@ -1,0 +1,63 @@
+import pytest
+
+from reachsafe import cli
+from reachsafe.cmdp import ConfigurationError
+from reachsafe.config import default_config, load_config, save_config
+
+
+def write(tmp_path, text):
+    path = tmp_path / "cfg.txt"
+    path.write_text(text)
+    return path
+
+
+def test_saved_config_loads_back_equal(tmp_path):
+    cfg = default_config("double_integrator")
+    cfg.seed, cfg.ablations = 5, ["no-model", "det-rollout"]
+    save_config(cfg, tmp_path / "cfg.txt")
+    assert load_config(tmp_path / "cfg.txt") == cfg
+
+
+def test_integral_float_is_accepted_for_an_integer_key(tmp_path):
+    cfg = load_config(write(tmp_path, "learn.total_steps = 100.0\n"))
+    assert cfg.learn.total_steps == 100 and isinstance(cfg.learn.total_steps, int)
+
+
+@pytest.mark.parametrize("line", [
+    "learn.total_steps = abc",
+    "learn.total_steps = 2.5",
+    "learn.total_steps = true",
+    "learn.total_steps = [1]",
+    "learn.critic_lr = fast",
+    "learn.critic_lr = NaN",
+    "learn.critic_lr = Infinity",
+    "learn.include_rollout_in_v = 1",
+    "learn.hidden = 64",
+    "costgen.proposer = 3",
+    "ablations = no-model",
+    "env = 3",
+])
+def test_value_of_the_wrong_type_is_refused_naming_the_key(tmp_path, line):
+    key = line.split(" = ")[0]
+    with pytest.raises(ConfigurationError, match=f"^{key} expects"):
+        load_config(write(tmp_path, line + "\n"))
+
+
+def test_unknown_key_is_refused(tmp_path):
+    with pytest.raises(ConfigurationError, match="learn.total_stepz"):
+        load_config(write(tmp_path, "learn.total_stepz = 10\n"))
+
+
+@pytest.mark.parametrize("ablations, message", [
+    ('["ungated", "no-model"]', "ungated cannot be combined"),
+    ('["no-model", "no-model"]', "duplicate ablation"),
+    ('["no-gate"]', "unknown ablation"),
+])
+def test_bad_ablation_lists_are_refused(tmp_path, ablations, message):
+    with pytest.raises(ConfigurationError, match=message):
+        load_config(write(tmp_path, f"ablations = {ablations}\n"))
+
+
+def test_cli_refuses_ungated_with_another_toggle(tmp_path, capsys):
+    assert cli.main(["learn", "--ungated", "--no-model", "--out", str(tmp_path)]) == 2
+    assert "ungated cannot be combined" in capsys.readouterr().err

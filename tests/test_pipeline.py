@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import shutil
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +81,92 @@ def test_ablation_reuses_upstream_artifacts(run_dir, monkeypatch):
         assert after[key] == stages[key]
     assert "learn:no-model" in after and "evaluate:no-model" in after
     assert (run_dir / "no-model" / "eval.csv").exists()
+
+
+def test_resume_loads_no_artifact(run_dir, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a resumed stage loaded an artifact")
+
+    for name in ("load_dataset", "load_ensemble", "load_final_candidate", "load_policy"):
+        monkeypatch.setattr(pipeline, name, refuse)
+    run_pipeline(tiny_config(), run_dir)
+
+
+@pytest.mark.parametrize("stage, upstream", [
+    ("dynamics", "data"), ("costgen", "data"), ("learn", "data"),
+    ("learn", "dynamics"), ("learn", "costgen"), ("evaluate", "data"),
+    ("evaluate", "learn"),
+])
+def test_missing_upstream_artifact_is_reported(run_dir, stage, upstream):
+    cfg = tiny_config()
+    paths = pipeline.RunPaths(run_dir)
+    table = pipeline.STAGE_TABLE
+    for path in table[stage].artifacts(paths, cfg) + table[upstream].artifacts(paths, cfg):
+        path.unlink()
+    gone = table[upstream].artifacts(paths, cfg)[0].relative_to(run_dir)
+    with pytest.raises(pipeline.MissingArtifact, match=f"{gone}.*stage '{upstream}'"):
+        run_pipeline(cfg, run_dir, stages=(stage,))
+
+
+def _stamp(path):
+    return path.read_bytes(), path.stat().st_mtime_ns
+
+
+def test_stage_wrappers_on_the_module_see_every_call(tmp_path, monkeypatch):
+    """Wrappers installed on ``pipeline.stage_<name>`` (as the benchmark's
+    stage probe does) see every call, and only a running stage writes the
+    manifest inside its call."""
+    calls = []
+
+    def recorder(name, stage_fn):
+        def wrapper(cfg, paths):
+            before = _stamp(paths.manifest) if paths.manifest.exists() else None
+            stage_fn(cfg, paths)
+            calls.append((name, _stamp(paths.manifest) != before))
+        return wrapper
+
+    for name in pipeline.STAGES:
+        monkeypatch.setattr(pipeline, f"stage_{name}",
+                            recorder(name, getattr(pipeline, f"stage_{name}")))
+    run_pipeline(tiny_config(), tmp_path)
+    assert calls == [(name, True) for name in pipeline.STAGES]
+    calls.clear()
+    run_pipeline(tiny_config(), tmp_path)
+    assert calls == [(name, False) for name in pipeline.STAGES]
+
+
+@pytest.fixture
+def needed_stages(monkeypatch):
+    """The benchmark's list of the manifest keys each variant must record.
+
+    Importing its module pins the BLAS thread variables; the fixture
+    restores them and ``sys.modules`` afterwards.
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workload.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workload", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module.needed_stages
+
+
+@pytest.mark.parametrize("ablations, rolls_out", [
+    ((), True), (("no-model",), False), (("ungated",), False),
+    (("no-conservative",), True),
+])
+def test_variant_records_the_benchmark_manifest_keys(tmp_path, needed_stages,
+                                                     ablations, rolls_out):
+    cfg = tiny_config(ablations)
+    run_pipeline(cfg, tmp_path)
+    stages = json.loads((tmp_path / "manifest.json").read_text())["stages"]
+    needed = needed_stages(cfg)
+    assert sorted(stages) == sorted(key for _, key in needed)
+    for stage, key in needed:
+        assert stages[key]["hash"] == pipeline.stage_hash(cfg, stage)
+    buffer = pipeline.RunPaths(tmp_path).rollout_buffer(cfg)
+    assert buffer.exists() == rolls_out
 
 
 def test_cli_error_is_one_json_line_with_exit_code_2(tmp_path, capsys):
