@@ -74,49 +74,28 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run a single stage instead of all "
                             f"({', '.join(STAGES)})")
     p_run.add_argument("--proposer", choices=("scripted", "remote"), default="")
-
-    for name, stage in (("gen-data", "data"), ("train-dynamics", "dynamics"),
-                        ("learn", "learn"), ("evaluate", "evaluate")):
-        p = sub.add_parser(name, help=f"run the {stage} stage")
-        _add_common(p, ablations=name in ("learn", "evaluate"))
-        p.set_defaults(stage_name=stage)
-
-    p_cost = sub.add_parser("gen-cost", help="run cost-function generation")
-    _add_common(p_cost)
-    p_cost.add_argument("--proposer", choices=("scripted", "remote"), default="")
-    p_cost.set_defaults(stage_name="costgen")
+    p_run.set_defaults(func=_cmd_run)
 
     p_oracle = sub.add_parser(
         "oracle", help="brute-force feasibility labels and value-iteration check")
     _add_common(p_oracle)
+    p_oracle.set_defaults(func=_cmd_oracle)
 
     p_heat = sub.add_parser("export-heatmap",
                             help="export the critic's value surface as CSV")
     _add_common(p_heat, ablations=True)
     p_heat.add_argument("--resolution", type=int, default=41)
-
-    p_abl = sub.add_parser("ablate", help="run the pipeline with toggles")
-    _add_common(p_abl, ablations=True)
-    p_abl.add_argument("--proposer", choices=("scripted", "remote"), default="")
-
+    p_heat.set_defaults(func=_cmd_heatmap)
     return parser
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
-    stages = (args.stage,) if getattr(args, "stage", "") else None
-    paths = run_pipeline(cfg, args.out, stages=stages)
+    paths = run_pipeline(cfg, args.out, stages=(args.stage,) if args.stage else None)
     print(f"run complete: {paths.root}")
     eval_path = paths.eval_csv(cfg)
     if eval_path.exists():
         print(eval_path.read_text().strip())
-    return 0
-
-
-def _cmd_stage(args: argparse.Namespace) -> int:
-    cfg = _load_cfg(args)
-    run_pipeline(cfg, args.out, stages=(args.stage_name,))
-    print(f"stage {args.stage_name} complete in {args.out}")
     return 0
 
 
@@ -142,16 +121,16 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     if env.margin_predicate is not None and history.exists():
         floor = load_final_candidate(history, env).predicate
     critic = load_critic(critic_dir, env, cost_fn=floor)
-    n = args.resolution
-    if env.name == "double_integrator":
-        (x_lo, x_hi, _), (v_lo, v_hi, _) = env.state_grid
-        x_range, y_range = (x_lo, x_hi, n), (v_lo, v_hi, n)
-        tail = None
-    else:
-        parts = env.name.split("_")[-1].split("x")
-        w, h = int(parts[0]), int(parts[1])
-        x_range, y_range = (0.0, float(w - 1), w), (0.0, float(h - 1), h)
+    if env.is_tabular:
+        # One value per cell: the grid spans 0..max along x and y.
+        x_hi, y_hi = env.states[:, :2].max(axis=0)
+        x_range, y_range = (0.0, x_hi, int(x_hi) + 1), (0.0, y_hi, int(y_hi) + 1)
         tail = np.zeros(env.d_s - 2)
+    else:
+        (x_lo, x_hi, _), (v_lo, v_hi, _) = env.state_grid
+        x_range = (x_lo, x_hi, args.resolution)
+        y_range = (v_lo, v_hi, args.resolution)
+        tail = None
     export_heatmap(paths.heatmap(cfg), critic.v_values, x_range, y_range,
                    fixed_tail=tail)
     print(f"heatmap written to {paths.heatmap(cfg)}")
@@ -162,13 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "run" or args.command == "ablate":
-            return _cmd_run(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "export-heatmap":
-            return _cmd_heatmap(args)
-        return _cmd_stage(args)
+        return args.func(args)
     except (ConfigurationError, StageMismatch, MissingArtifact) as err:
         print(json.dumps({"error": str(err), "kind": type(err).__name__}),
               file=sys.stderr)

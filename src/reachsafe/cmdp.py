@@ -59,6 +59,20 @@ def cost_labels(predicate: Predicate, states: np.ndarray) -> np.ndarray:
     return (out != 0).astype(int)
 
 
+# Rows per block in ``nearest_rows``: keeps the (rows, table, d) difference
+# tensor at a few megabytes for the largest (245-row) state table.
+_NEAREST_BLOCK = 1024
+
+
+def nearest_rows(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Index of the ``table`` row nearest to each row of ``x`` (first on ties)."""
+    out = np.empty(len(x), dtype=int)
+    for lo in range(0, len(x), _NEAREST_BLOCK):
+        diff = x[lo:lo + _NEAREST_BLOCK, None, :] - table[None]
+        out[lo:lo + _NEAREST_BLOCK] = np.argmin(np.sum(diff * diff, axis=2), axis=1)
+    return out
+
+
 @dataclass(frozen=True)
 class HardCMDP:
     """Deterministic hard-constraint CMDP.

@@ -133,9 +133,32 @@ class ExperimentConfig:
             raise ConfigurationError("the unsafe corpus is capped at 100")
         if self.eval.episodes < 1:
             raise ConfigurationError("need at least one evaluation episode")
+        for key, widths in (("learn.hidden", self.learn.hidden),
+                            ("dynamics.hidden", self.dynamics.hidden)):
+            if not all(_is_int(w) and w > 0 for w in widths):
+                raise ConfigurationError(f"{key} must list positive int widths, got {widths!r}")
+        b = self.data.behavior
+        if not (all(isinstance(e, (list, tuple)) and len(e) == 2 and isinstance(e[0], str)
+                    and _is_number(e[1]) and e[1] >= 0 for e in b)
+                and sum(w for _, w in b) > 0):
+            raise ConfigurationError(
+                "data.behavior must list [name, weight] pairs with finite weights >= 0 "
+                f"and a positive total, got {b!r}")
+        if not all(isinstance(c, (list, tuple)) and len(c) == 2 and all(map(_is_int, c))
+                   for c in self.env.hazards):
+            raise ConfigurationError(
+                f"env.hazards must list [int, int] cells, got {self.env.hazards!r}")
 
     def variant(self) -> str:
         return "+".join(sorted(self.ablations)) if self.ablations else "full"
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def default_config(env_name: str) -> ExperimentConfig:
@@ -216,14 +239,13 @@ def _assign(target, dotted: str, value) -> None:
     if not hasattr(obj, leaf):
         raise ConfigurationError(f"unknown configuration key {dotted!r}")
     current = getattr(obj, leaf)
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if isinstance(current, bool):
         ok = isinstance(value, bool)
     elif isinstance(current, int):
-        ok = number and (isinstance(value, int) or value.is_integer())
+        ok = _is_int(value) or (_is_number(value) and value.is_integer())
         value = int(value) if ok else value
     elif isinstance(current, float):
-        ok = number and math.isfinite(value)
+        ok = _is_number(value)
     else:
         ok = isinstance(value, type(current))
     if not ok:

@@ -32,15 +32,11 @@ class GenerationConfig:
     p_min: float = 0.10
     p_max: float = 0.30
     max_queries: int = 10
-    task_text: str = ""
-    cost_text: str = ""
     instruction_text: str = (
         "Write a predicate that returns 1 when an observation is unsafe and 0 "
         "otherwise. Be a little more conservative than the stated constraint: "
         "flag observations that are close to violating it as unsafe too."
     )
-    eval_cap: int | None = None  # optional uniform subsample of the safe corpus
-    eval_seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_min <= self.p_max <= 1.0:
@@ -111,13 +107,7 @@ def validate(candidate: CostCandidate, d_unsafe: OfflineDataset,
     """
     degenerate = len(d_unsafe) == 0
     recall = 1.0 if degenerate else _predicate_fraction(candidate.predicate, d_unsafe.s2)
-
-    safe_states = d_safe.s2
-    if cfg.eval_cap is not None and len(safe_states) > cfg.eval_cap:
-        rng = substream(cfg.eval_seed, "validate-subsample")
-        idx = rng.choice(len(safe_states), size=cfg.eval_cap, replace=False)
-        safe_states = safe_states[idx]
-    conservativeness = _predicate_fraction(candidate.predicate, safe_states)
+    conservativeness = _predicate_fraction(candidate.predicate, d_safe.s2)
 
     passed = recall == 1.0 and cfg.p_min <= conservativeness <= cfg.p_max
     return ValidationReport(recall_unsafe=recall, conservativeness=conservativeness,
@@ -170,28 +160,18 @@ def generation_loop(
 ) -> tuple[CostCandidate, list[Round]]:
     """Propose, validate, feed back, repeat; at most ``max_queries`` calls.
 
-    A failed proposer call is retried once immediately (the retry counts
-    against the budget and gets its own history entry); if the retry fails
-    too the loop moves on with the previous feedback.
+    A failed proposer call is recorded in the history and counts against
+    the budget; the next call reuses the same feedback.
     """
     history: list[Round] = []
     feedback: str | None = None
-    calls = 0
-    retry_armed = True
 
-    while calls < cfg.max_queries:
-        calls += 1
-        idx = len(history)
+    for idx in range(cfg.max_queries):
         try:
             candidate = proposer(idx, feedback)
         except ProposerError as err:
             history.append(Round(index=idx, feedback_sent=feedback, error=str(err)))
-            if retry_armed:
-                retry_armed = False  # one immediate retry per failure
-                continue
-            retry_armed = True
             continue
-        retry_armed = True
         report = validate(candidate, d_unsafe, d_safe, cfg)
         candidate.report = report
         history.append(Round(index=idx, candidate=candidate, report=report,
@@ -211,20 +191,19 @@ def generation_loop(
 class ScriptedMarginProposer:
     """Deterministic stand-in for a language-model proposer.
 
-    Proposes the environment's margin predicate and walks the margin per
-    feedback: grow by a fixed step when asked to be more conservative,
-    shrink by half a step when told it went too far. The margin never
-    goes below zero, where the predicate equals the true cost indicator.
+    Proposes the environment's margin predicate, starting at margin zero
+    (where the predicate equals the true cost indicator), and walks the
+    margin per feedback: grow by ``step`` when asked to be more
+    conservative, shrink by half a step when told it went too far, never
+    below zero.
     """
 
-    def __init__(self, env: HardCMDP, start_margin: float = 0.0,
-                 step: float | None = None):
+    def __init__(self, env: HardCMDP, step: float):
         if env.margin_predicate is None:
             raise ValueError(f"{env.name} exposes no margin predicate")
         self.env = env
-        self.margin = float(start_margin)
-        self.step = float(step) if step is not None else (
-            1.0 if env.is_tabular else 0.04)
+        self.margin = 0.0
+        self.step = float(step)
 
     def __call__(self, round_index: int, feedback: str | None) -> CostCandidate:
         if feedback is not None:
@@ -301,8 +280,8 @@ class RemoteChatProposer:
             "role": "user",
             "content": (
                 f"{cfg.instruction_text}\n\n"
-                f"Task: {cfg.task_text or env.task_text}\n"
-                f"Safety constraint: {cfg.cost_text or env.cost_text}\n"
+                f"Task: {env.task_text}\n"
+                f"Safety constraint: {env.cost_text}\n"
                 f"Observation fields, in order: {fields}.\n"
                 "Reply with a single fenced code block containing either one "
                 "arithmetic/boolean expression over those fields or one "

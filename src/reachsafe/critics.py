@@ -20,9 +20,9 @@ from typing import Callable
 import numpy as np
 
 from .approx import Mlp, Trainer, load_mlp, save_mlp, soft_update
-from .cmdp import HardCMDP, OfflineDataset, Predicate, cost_labels, require_finite
+from .cmdp import HardCMDP, OfflineDataset, Predicate, cost_labels, nearest_rows, require_finite
 from .dynamics import EnsembleDynamics
-from .reachability import reverse_expectile_grad
+from .reachability import feasible_backup, reverse_expectile_grad
 from .rollout import RolloutBuffer
 from .seeding import substream
 
@@ -72,20 +72,6 @@ class Featurizer:
 def normalized_featurizer(samples: np.ndarray) -> Featurizer:
     return Featurizer(kind="normalized", mean=samples.mean(axis=0),
                       std=np.maximum(samples.std(axis=0), 1e-6))
-
-
-# Rows per block in ``nearest_rows``: keeps the (rows, table, d) difference
-# tensor at a few megabytes for the largest (245-row) state table.
-_NEAREST_BLOCK = 1024
-
-
-def nearest_rows(table: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Index of the ``table`` row nearest to each row of ``x`` (first on ties)."""
-    out = np.empty(len(x), dtype=int)
-    for lo in range(0, len(x), _NEAREST_BLOCK):
-        diff = x[lo:lo + _NEAREST_BLOCK, None, :] - table[None]
-        out[lo:lo + _NEAREST_BLOCK] = np.argmin(np.sum(diff * diff, axis=2), axis=1)
-    return out
 
 
 def onehot_state_featurizer(env: HardCMDP) -> Featurizer:
@@ -312,7 +298,7 @@ def update_feasibility_critics(
         h = h_s[idx]
 
         v2 = np.maximum(h_s2[idx], critic.v_target.forward(fs2)[:, 0])
-        target_off = (1 - gamma) * h + gamma * np.maximum(h, v2)
+        target_off = feasible_backup(h, v2, gamma)
 
         if roll is not None:
             want = max(1, int(cfg.batch_size * cfg.rollout_batch_fraction))
@@ -326,7 +312,7 @@ def update_feasibility_critics(
                 )
                 for e in range(len(elite_next))
             ]).max(axis=0)
-            target_roll = (1 - gamma) * rh + gamma * np.maximum(rh, v_next)
+            target_roll = feasible_backup(rh, v_next, gamma)
             q_in = np.concatenate([
                 np.concatenate([fs, fa], axis=1),
                 np.concatenate([roll_s[ridx], roll_a[ridx]], axis=1),

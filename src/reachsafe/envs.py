@@ -247,10 +247,8 @@ BehaviorFn = Callable[[np.ndarray, np.random.Generator], np.ndarray]
 
 def gridworld_behavior(env: HardCMDP, kind: str, *, goal: tuple[int, int] | None = None,
                        explore: float = 0.25) -> BehaviorFn:
-    if goal is None:
-        parts = env.name.split("_")[-1].split("x")
-        goal = (int(parts[0]) - 1, int(parts[1]) - 1)
-    gx, gy = goal
+    # The default goal is the far corner of the grid.
+    gx, gy = env.states[:, :2].max(axis=0) if goal is None else goal
 
     def greedy(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if rng.random() < explore:

@@ -36,9 +36,9 @@ class FeasibleSetOracle:
     def feasible_fraction(self) -> float:
         return float(self.feasible.mean()) if len(self.feasible) else 1.0
 
-    def label(self, s: np.ndarray) -> bool:
-        """True when the state nearest to ``s`` is feasible."""
-        return bool(self.feasible[self.model.snap(s)])
+    def label(self, states: np.ndarray) -> np.ndarray:
+        """Feasibility of the model state nearest to each of ``states`` (n, d_s)."""
+        return self.feasible[self.model.index(states)]
 
     def sweep_once(self) -> np.ndarray:
         """One more backward sweep; returns the resulting infeasible mask.

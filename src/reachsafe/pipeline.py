@@ -246,8 +246,7 @@ def stage_data(cfg: ExperimentConfig, paths: RunPaths) -> None:
 def stage_oracle(cfg: ExperimentConfig, paths: RunPaths) -> None:
     env = build_env(cfg)
     oracle = compute_feasible_set_oracle(env)
-    critic = tabular_value_iteration(oracle.model, "standard", gamma=env.gamma,
-                                     tol=1e-10)
+    critic = tabular_value_iteration(oracle.model, gamma=env.gamma, tol=1e-10)
     agreement = float(np.mean(critic.feasible_mask() == oracle.feasible))
     h_star = max(oracle.h_star, 1)
     threshold = gamma_threshold(env.h_min, env.h_max, h_star)
@@ -294,8 +293,7 @@ def stage_costgen(cfg: ExperimentConfig, paths: RunPaths) -> None:
     dataset = load_dataset(paths.dataset)
     d_unsafe = load_dataset(paths.dataset_unsafe)
     gen_cfg = GenerationConfig(p_min=cfg.costgen.p_min, p_max=cfg.costgen.p_max,
-                               max_queries=cfg.costgen.max_queries,
-                               task_text=env.task_text, cost_text=env.cost_text)
+                               max_queries=cfg.costgen.max_queries)
 
     if _cost_ablations(cfg):
         # Adopt the plain constraint: margin zero, no band requirement.
@@ -399,8 +397,7 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
         feasibility_guided_policy_update(
             policy, reward, critic, dataset,
             max(1, int(steps * lc.reward_steps_fraction)),
-            seed=child_seed(seed, "learn", "policy"), gate=critic is not None,
-            stream=("event", event))
+            seed=child_seed(seed, "learn", "policy"), stream=("event", event))
 
     paths.variant_dir(cfg).mkdir(parents=True, exist_ok=True)
     if critic is not None:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .approx import Mlp, Trainer, load_mlp, save_mlp
-from .cmdp import HardCMDP, OfflineDataset, Predicate, cost_labels
+from .cmdp import HardCMDP, OfflineDataset, Predicate, cost_labels, nearest_rows
 from .critics import (
     Featurizer,
     FeasibilityCritic,
@@ -134,15 +134,16 @@ def make_policy(env: HardCMDP, dataset: OfflineDataset,
 
 def bc_weights(reward_critic: RewardCritic, feas_critic: FeasibilityCritic | None,
                s: np.ndarray, a: np.ndarray, temperature: float,
-               weight_clip: float, gate: bool = True) -> np.ndarray:
+               weight_clip: float) -> np.ndarray:
     """Per-sample cloning weights.
 
     Feasible states weight by the exponentiated reward advantage and drop
     any action whose Q_h is positive; infeasible states weight by how much
-    the action reduces the violation value, ignoring reward.
+    the action reduces the violation value, ignoring reward. Without a
+    feasibility critic the weights are the ungated reward advantage.
     """
     adv_r = reward_critic.q_values(s, a) - reward_critic.v_values(s)
-    if not gate or feas_critic is None:
+    if feas_critic is None:
         return np.clip(np.exp(temperature * adv_r), 0.0, weight_clip)
     v_h = feas_critic.v_values(s)
     q_h = feas_critic.q_values(s, a)
@@ -159,7 +160,6 @@ def feasibility_guided_policy_update(
     offline: OfflineDataset,
     steps: int,
     seed: int = 0,
-    gate: bool = True,
     stream: tuple = (),
 ) -> SafePolicy:
     """Weighted behavior cloning on the offline dataset only."""
@@ -172,7 +172,7 @@ def feasibility_guided_policy_update(
 
     feat_s = policy.state_feat(offline.s)
     weights = bc_weights(reward_critic, feas_critic, offline.s, offline.a,
-                         cfg.temperature, cfg.weight_clip, gate=gate)
+                         cfg.temperature, cfg.weight_clip)
     span = (policy.high - policy.low) / 2.0
     rng = substream(seed, "policy-update", *stream)
 
@@ -295,10 +295,9 @@ def rollout_value_monotonicity_check(
     model = build_model(env)
     n = model.n_states
 
-    s_idx = model.snap_many(dataset.s)
-    a_idx = np.array([int(np.argmin(np.sum((model.actions - a) ** 2, axis=1)))
-                      for a in dataset.a])
-    s2_idx = model.snap_many(dataset.s2)
+    s_idx = model.index(dataset.s)
+    a_idx = nearest_rows(model.actions, dataset.a)
+    s2_idx = model.index(dataset.s2)
     offline_pairs = list(zip(s_idx, a_idx, s2_idx))
 
     # Labels the plain run sees: the dataset's own cost column (all safe

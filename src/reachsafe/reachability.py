@@ -1,10 +1,13 @@
-"""Feasible Bellman operators and exact tabular reachability critics.
+"""The feasible Bellman backup and exact tabular reachability critics.
 
-The standard backup is ``(1-g) h(s) + g max(h(s), V(s'))`` with
-``V(s) = min_a Q(s,a)``; its fixed point certifies feasibility by sign.
-The conservative variant replaces the successor value with a max over an
-ensemble of predicted successors, which can only raise values and hence
-never calls a doomed state safe for lack of model confidence.
+The backup ``(1-g) h(s) + g max(h(s), V(s'))`` with ``V(s) = min_a Q(s,a)``
+is written once, in ``feasible_backup``; its fixed point certifies
+feasibility by sign. The conservative operator passes the max of the
+successor values over a set (ensemble members, every successor observed
+for a pair), which can only raise values and hence never calls a doomed
+state safe for lack of model confidence. Exact value iteration over a
+tabular model, the fixed point over observed pairs and the learned
+critics' Q targets all call it.
 """
 
 from __future__ import annotations
@@ -17,22 +20,15 @@ import numpy as np
 from .tabular import TabularModel
 
 
-def feasible_backup(h_s: float, v_next: float, gamma: float) -> float:
-    """One standard reachability backup for a deterministic successor."""
+def feasible_backup(h, v_next, gamma: float):
+    """The feasible backup of violation values ``h``, elementwise.
+
+    ``v_next`` is the successor value, or for the conservative backup the
+    max over a successor set.
+    """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0,1), got {gamma}")
-    return (1.0 - gamma) * h_s + gamma * max(h_s, v_next)
-
-
-def conservative_feasible_backup(h_s: float, v_next_per_elite: Sequence[float],
-                                 gamma: float) -> float:
-    """Backup against the worst successor value across the elite set."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0,1), got {gamma}")
-    values = list(v_next_per_elite)
-    if not values:
-        raise ValueError("need at least one elite successor value")
-    return (1.0 - gamma) * h_s + gamma * max(h_s, max(values))
+    return (1.0 - gamma) * h + gamma * np.maximum(h, v_next)
 
 
 def gamma_threshold(h_min: float, h_max: float, h_star: int) -> float:
@@ -83,14 +79,9 @@ class TabularCritic:
     model: TabularModel
     q: np.ndarray            # (n_states, n_actions)
     gamma: float
-    operator: str
-    iterations: int
 
     def v(self) -> np.ndarray:
         return self.q.min(axis=1)
-
-    def classify(self, s: np.ndarray) -> str:
-        return "feasible" if self.v()[self.model.snap(s)] <= 0.0 else "infeasible"
 
     def feasible_mask(self) -> np.ndarray:
         return self.v() <= 0.0
@@ -98,50 +89,42 @@ class TabularCritic:
 
 def apply_operator(q: np.ndarray, h: np.ndarray, next_sets: np.ndarray,
                    gamma: float) -> np.ndarray:
-    """One sweep of the (conservative) feasible backup over all pairs.
+    """One sweep of the feasible backup over all pairs.
 
-    ``next_sets`` has shape (n_members, n_states, n_actions); a single
-    member reproduces the standard operator, several members take the max
-    of the successor values across the set.
+    ``next_sets`` has shape (n_members, n_states, n_actions); each pair
+    backs up against the max of its successor values across the members.
     """
-    v = q.min(axis=1)
-    v_next = v[next_sets].max(axis=0)
-    return (1.0 - gamma) * h[:, None] + gamma * np.maximum(h[:, None], v_next)
+    v_next = q.min(axis=1)[next_sets].max(axis=0)
+    return feasible_backup(h[:, None], v_next, gamma)
 
 
 def tabular_value_iteration(
     model: TabularModel | Sequence[TabularModel],
-    operator: str = "standard",
     gamma: float = 0.99,
     tol: float = 1e-9,
     max_iters: int = 200_000,
 ) -> TabularCritic:
-    """Iterate the chosen operator to its fixed point with exact minima.
+    """Iterate the feasible operator to its fixed point with exact minima.
 
-    Pass one model for the standard operator or an ensemble (shared state
-    and action sets) with ``operator='conservative'``. Convergence is a
+    One model gives the standard operator; a list of members (shared
+    state and action sets) gives the conservative one, which coincides
+    with the standard operator for a single member. Convergence is a
     sup-norm test; the operator is a gamma-contraction, so failure to
     converge within ``max_iters`` indicates a bug and raises.
     """
-    if operator not in ("standard", "conservative"):
-        raise ValueError(f"unknown operator {operator!r}")
     members = [model] if isinstance(model, TabularModel) else list(model)
-    if operator == "standard" and len(members) != 1:
-        raise ValueError("standard operator takes exactly one model")
     if not members:
         raise ValueError("need at least one model")
     base = members[0]
     next_sets = np.stack([m.next_idx for m in members])
-    h = base.h
 
     q = np.full((base.n_states, base.n_actions), float(base.h_min))
-    for it in range(1, max_iters + 1):
-        q_new = apply_operator(q, h, next_sets, gamma)
+    for _ in range(max_iters):
+        q_new = apply_operator(q, base.h, next_sets, gamma)
         delta = float(np.max(np.abs(q_new - q)))
         q = q_new
         if delta < tol:
-            return TabularCritic(model=base, q=q, gamma=gamma,
-                                 operator=operator, iterations=it)
+            return TabularCritic(model=base, q=q, gamma=gamma)
     raise AssertionError(
         f"value iteration failed to reach tol={tol} within {max_iters} sweeps; "
         "the operator implementation violates the contraction"
@@ -182,60 +165,35 @@ def fit_tabular_critic(
     """Exact fixed point over observed pairs.
 
     ``offline_pairs`` are (state, action, next_state) index triples;
-    ``rollout_pairs`` are (state, action, successor-candidates) triples
-    backed up conservatively against the best candidate value.
-    Unobserved states keep ``V(s) = h(s)``.
+    ``rollout_pairs`` are (state, action, successor-candidates) triples.
+    Each pair backs up against the worst (largest) value of every
+    successor observed for it, from either source. Unobserved states
+    keep ``V(s) = h(s)``.
     """
-    n = model.n_states
-    pair_keys: list[tuple[int, int]] = []
-    kinds: list[int] = []
-    succs: list[np.ndarray] = []
-    seen: dict[tuple[int, int], int] = {}
-
-    for s_idx, a_idx, n_idx in offline_pairs:
-        key = (int(s_idx), int(a_idx))
-        if key in seen:
-            continue
-        seen[key] = len(pair_keys)
-        pair_keys.append(key)
-        kinds.append(0)
-        succs.append(np.array([int(n_idx)]))
-    for s_idx, a_idx, cand in rollout_pairs:
-        key = (int(s_idx), int(a_idx))
-        if key in seen:
-            k = seen[key]
-            succs[k] = np.unique(np.concatenate([succs[k], np.asarray(cand, dtype=int)]))
-            kinds[k] = 1
-            continue
-        seen[key] = len(pair_keys)
-        pair_keys.append(key)
-        kinds.append(1)
-        succs.append(np.asarray(cand, dtype=int))
+    edges = np.array(list(offline_pairs)
+                     + [(s, a, n) for s, a, cand in rollout_pairs for n in cand],
+                     dtype=int).reshape(-1, 3)
+    keys, pair = np.unique(edges[:, :2], axis=0, return_inverse=True)
+    pair, states, succ = pair.reshape(-1), keys[:, 0], edges[:, 2]
 
     h = np.asarray(h_labels, dtype=float)
     v = h.copy()
-    by_state: dict[int, list[int]] = {}
-    for k, (s_idx, _) in enumerate(pair_keys):
-        by_state.setdefault(s_idx, []).append(k)
-
-    q_vals = np.full(len(pair_keys), float(model.h_min))
+    q = np.full(len(keys), float(model.h_min))
     for _ in range(max_iters):
-        new_q = np.empty_like(q_vals)
-        for k, (s_idx, _) in enumerate(pair_keys):
-            v_next = float(v[succs[k]].max())
-            new_q[k] = (1 - gamma) * h[s_idx] + gamma * max(h[s_idx], v_next)
+        v_next = np.full(len(keys), -np.inf)
+        np.maximum.at(v_next, pair, v[succ])
+        new_q = feasible_backup(h[states], v_next, gamma)
         new_v = h.copy()
-        for s_idx, ks in by_state.items():
-            new_v[s_idx] = new_q[ks].min()
-        delta = max(
-            float(np.max(np.abs(new_q - q_vals))) if len(q_vals) else 0.0,
-            float(np.max(np.abs(new_v - v))),
-        )
-        q_vals, v = new_q, new_v
+        new_v[states] = np.inf
+        np.minimum.at(new_v, states, new_q)
+        delta = max(float(np.max(np.abs(new_q - q), initial=0.0)),
+                    float(np.max(np.abs(new_v - v))))
+        q, v = new_q, new_v
         if delta < tol:
             break
     else:
         raise AssertionError("fitted critic failed to converge; contraction bug")
 
-    q = {key: float(q_vals[k]) for k, key in enumerate(pair_keys)}
-    return FittedTabularCritic(model=model, q=q, v_arr=v, gamma=gamma)
+    return FittedTabularCritic(
+        model=model, q={(int(s), int(a)): float(x) for (s, a), x in zip(keys, q)},
+        v_arr=v, gamma=gamma)

@@ -3,16 +3,18 @@
 A ``TabularModel`` is the shared substrate for the brute-force feasible-set
 oracle and exact value iteration: an explicit state list, a finite action
 set, a deterministic next-state index table and the binary violation
-values per state.
+values per state. ``TabularModel.index`` is the one map from arbitrary
+states to model rows: the grid formula for a discretized model, the
+nearest enumerated row otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cmdp import ConfigurationError, HardCMDP
+from .cmdp import ConfigurationError, HardCMDP, nearest_rows
 from .seeding import substream
 
 
@@ -26,8 +28,7 @@ class TabularModel:
     h: np.ndarray           # (n,) in {h_min, h_max}
     h_min: float
     h_max: float
-    grid_shape: tuple | None = None
-    grid_ranges: tuple | None = None
+    grid_ranges: tuple | None = None   # ((lo, hi, n) per dim) for a grid model
 
     @property
     def n_states(self) -> int:
@@ -40,30 +41,22 @@ class TabularModel:
     def violating(self) -> np.ndarray:
         return self.h > 0.0
 
-    def snap(self, s: np.ndarray) -> int:
-        """Index of the model state nearest to ``s``."""
-        if self.grid_shape is not None:
-            return self._snap_grid(s)
-        d = np.sum((self.states - np.asarray(s, dtype=float)) ** 2, axis=1)
-        return int(np.argmin(d))
+    def index(self, states: np.ndarray) -> np.ndarray:
+        """Row of the model state nearest to each of ``states`` (n, d_s)."""
+        states = np.asarray(states, dtype=float)
+        if self.grid_ranges is None:
+            return nearest_rows(self.states, states)
+        return _grid_rows(self.grid_ranges, states)
 
-    def snap_many(self, s: np.ndarray) -> np.ndarray:
-        s = np.atleast_2d(np.asarray(s, dtype=float))
-        if self.grid_shape is not None:
-            return self._snap_grid_many(s)
-        d = np.sum((s[:, None, :] - self.states[None, :, :]) ** 2, axis=2)
-        return np.argmin(d, axis=1)
 
-    def _snap_grid(self, s: np.ndarray) -> int:
-        return int(self._snap_grid_many(np.asarray(s, dtype=float)[None, :])[0])
-
-    def _snap_grid_many(self, s: np.ndarray) -> np.ndarray:
-        idx = 0
-        for dim, (lo, hi, n) in enumerate(self.grid_ranges):
-            step = (hi - lo) / (n - 1)
-            k = np.clip(np.rint((s[:, dim] - lo) / step).astype(int), 0, n - 1)
-            idx = idx * n + k
-        return idx
+def _grid_rows(ranges: tuple, states: np.ndarray) -> np.ndarray:
+    """Row-major index of the nearest grid center, clipped into the grid."""
+    idx = 0
+    for dim, (lo, hi, n) in enumerate(ranges):
+        step = (hi - lo) / (n - 1)
+        k = np.clip(np.rint((states[:, dim] - lo) / step).astype(int), 0, n - 1)
+        idx = idx * n + k
+    return idx
 
 
 def tabulate(env: HardCMDP) -> TabularModel:
@@ -95,21 +88,12 @@ def discretize(env: HardCMDP, grid: tuple | None = None) -> TabularModel:
     axes = [np.linspace(lo, hi, n) for lo, hi, n in ranges]
     mesh = np.meshgrid(*axes, indexing="ij")
     states = np.stack([m.ravel() for m in mesh], axis=1)
-    shape = tuple(n for _, _, n in ranges)
     actions = env.action_set
-    n, m = len(states), len(actions)
-
-    model = TabularModel(states=states, actions=actions,
-                         next_idx=np.zeros((n, m), dtype=int),
-                         h=np.array([env.h(s) for s in states]),
-                         h_min=env.h_min, h_max=env.h_max,
-                         grid_shape=shape, grid_ranges=tuple(ranges))
-    next_idx = np.zeros((n, m), dtype=int)
-    for j in range(m):
-        nxt = np.stack([env.transition(states[i], actions[j]) for i in range(n)])
-        next_idx[:, j] = model._snap_grid_many(nxt)
-    object.__setattr__(model, "next_idx", next_idx)
-    return model
+    successors = np.array([env.transition(s, a) for s in states for a in actions])
+    next_idx = _grid_rows(ranges, successors).reshape(len(states), len(actions))
+    return TabularModel(states=states, actions=actions, next_idx=next_idx,
+                        h=np.array([env.h(s) for s in states]),
+                        h_min=env.h_min, h_max=env.h_max, grid_ranges=tuple(ranges))
 
 
 def build_model(env: HardCMDP, grid: tuple | None = None) -> TabularModel:
@@ -130,9 +114,5 @@ def perturbed_models(model: TabularModel, n_extra: int, seed: int,
         rng = substream(seed, "perturbed-model", k)
         offsets = rng.integers(-shift, shift + 1, size=model.next_idx.shape)
         shifted = np.clip(model.next_idx + offsets, 0, n - 1)
-        members.append(TabularModel(
-            states=model.states, actions=model.actions, next_idx=shifted,
-            h=model.h, h_min=model.h_min, h_max=model.h_max,
-            grid_shape=model.grid_shape, grid_ranges=model.grid_ranges,
-        ))
+        members.append(replace(model, next_idx=shifted))
     return members

@@ -13,16 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from reachsafe.cmdp import ConfigurationError, cost_labels
+from reachsafe.cmdp import ConfigurationError, cost_labels, nearest_rows
 from reachsafe.critics import onehot_action_featurizer, onehot_state_featurizer
 from reachsafe.dynamics import conservative_cost_label_batch
 from reachsafe.envs import make_double_integrator, make_hazard_gridworld
 from reachsafe.safexpr import _eval, compile_predicate, extract_expression
-from reachsafe.tabular import tabulate
+from reachsafe.tabular import build_model, tabulate
 
 GRID = make_hazard_gridworld(7, 7, [(2, 2), (4, 4), (5, 1)], momentum=1)
 FLAT = make_hazard_gridworld(5, 4, [(1, 2)], momentum=0)
 DI = make_double_integrator(x_lim=1.0, a_max=1.0, dt=0.1, horizon=50)
+DI_MODEL = build_model(DI)   # 61 x 41 grid over |x| <= 1.2, |v| <= 1
 
 # Whole numbers, .5 ties (round half to even), negatives, arbitrary reals.
 coordinate = st.one_of(
@@ -71,6 +72,23 @@ def test_action_featurizer_matches_per_row_argmin(actions):
     want = [int(np.argmin(np.sum((table - a) ** 2, axis=1))) for a in actions]
     feats = onehot_action_featurizer(DI)(actions)
     assert np.argmax(feats, axis=1).tolist() == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(hnp.arrays(float, st.tuples(st.integers(1, 12), st.just(2)),
+                  elements=st.one_of(st.floats(-2.0, 2.0, allow_nan=False),
+                                     st.integers(-40, 40).map(lambda k: k / 20.0))))
+def test_grid_model_index_is_the_nearest_row(states):
+    # Inside and outside the grid box. Where one row is strictly nearest
+    # the grid formula finds it; at an exact tie (a cell midpoint such as
+    # x = 0.5) it picks one of the equally near rows.
+    rows = DI_MODEL.index(states)
+    nearest = nearest_rows(DI_MODEL.states, states)
+    dist = np.sum((states[:, None, :] - DI_MODEL.states[None]) ** 2, axis=2)
+    best = np.sort(dist, axis=1)[:, :2]
+    unique = best[:, 1] - best[:, 0] > 1e-9
+    assert np.array_equal(rows[unique], nearest[unique])
+    assert np.allclose(dist[np.arange(len(states)), rows], best[:, 0], rtol=0, atol=1e-9)
 
 
 def grid_margin_reference(s, margin, hazards):

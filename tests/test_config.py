@@ -43,6 +43,19 @@ def test_value_of_the_wrong_type_is_refused_naming_the_key(tmp_path, line):
         load_config(write(tmp_path, line + "\n"))
 
 
+@pytest.mark.parametrize("line", [
+    'learn.hidden = ["a", 3]',
+    "dynamics.hidden = [0]",
+    'data.behavior = [["random", -1.0]]',
+    'data.behavior = [["random", 1.0], ["brake", -0.5]]',
+    "env.hazards = [[9, 9, 9]]",
+])
+def test_bad_list_contents_are_refused_naming_the_key(tmp_path, line):
+    key = line.split(" = ")[0]
+    with pytest.raises(ConfigurationError, match=f"^{key} must list"):
+        load_config(write(tmp_path, line + "\n"))
+
+
 def test_unknown_key_is_refused(tmp_path):
     with pytest.raises(ConfigurationError, match="learn.total_stepz"):
         load_config(write(tmp_path, "learn.total_stepz = 10\n"))
@@ -59,5 +72,6 @@ def test_bad_ablation_lists_are_refused(tmp_path, ablations, message):
 
 
 def test_cli_refuses_ungated_with_another_toggle(tmp_path, capsys):
-    assert cli.main(["learn", "--ungated", "--no-model", "--out", str(tmp_path)]) == 2
+    assert cli.main(["run", "--stage", "learn", "--ungated", "--no-model",
+                     "--out", str(tmp_path)]) == 2
     assert "ungated cannot be combined" in capsys.readouterr().err

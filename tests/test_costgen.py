@@ -103,7 +103,7 @@ def test_feedback_message_forms():
 
 def test_scripted_margin_zero_equals_ground_truth(grid_setup):
     env, _, _ = grid_setup
-    cand = ScriptedMarginProposer(env)(0, None)
+    cand = ScriptedMarginProposer(env, step=1.0)(0, None)
     assert cand.margin == 0.0
     probe = env.states[::7]
     assert np.array_equal(cand.predicate(probe), [env.cost(s) for s in probe])
@@ -111,7 +111,7 @@ def test_scripted_margin_zero_equals_ground_truth(grid_setup):
 
 def test_scripted_margin_shrinks_on_too_conservative(grid_setup):
     env, _, _ = grid_setup
-    proposer = ScriptedMarginProposer(env)
+    proposer = ScriptedMarginProposer(env, step=1.0)
     proposer(0, None)
     c1 = proposer(1, "... It should be a little more conservative.")
     c2 = proposer(2, "... It is too conservative.")
@@ -132,7 +132,7 @@ def test_conservativeness_nondecreasing_in_margin(grid_setup):
 def test_generation_loop_passes_with_scripted_proposer(grid_setup):
     env, d_safe, d_unsafe = grid_setup
     cfg = GenerationConfig()
-    final, history = generation_loop(ScriptedMarginProposer(env), d_unsafe,
+    final, history = generation_loop(ScriptedMarginProposer(env, step=1.0), d_unsafe,
                                      d_safe, cfg)
     assert final.report.passed
     assert len(history) <= cfg.max_queries
@@ -293,7 +293,7 @@ def test_remote_loop_with_canned_replies_is_reproducible(grid_setup):
 def test_candidate_record_roundtrip(grid_setup, tmp_path):
     env, d_safe, d_unsafe = grid_setup
     cfg = GenerationConfig()
-    final, history = generation_loop(ScriptedMarginProposer(env), d_unsafe,
+    final, history = generation_loop(ScriptedMarginProposer(env, step=1.0), d_unsafe,
                                      d_safe, cfg)
     path = tmp_path / "history.jsonl"
     save_history(history, final, path)

@@ -11,7 +11,7 @@ def test_gridworld_without_momentum_infeasible_equals_hazards():
     hazard_mask = np.array([env.cost(s) == 1 for s in env.states])
     assert np.array_equal(oracle.infeasible, hazard_mask)
     # Standing still is legal, so (2,1) right next to the hazard is fine.
-    assert oracle.label(np.array([2.0, 1.0]))
+    assert oracle.label(np.array([[2.0, 1.0]]))[0]
 
 
 def test_hazard_free_grid_everything_feasible():
@@ -27,10 +27,10 @@ def test_momentum_creates_safe_but_doomed_states():
     oracle = compute_feasible_set_oracle(env)
     # Adjacent cell, moving straight into the hazard: the coast step is fatal.
     doomed = np.array([1.0, 2.0, 1.0, 0.0])
-    assert not oracle.label(doomed)
+    assert not oracle.label(doomed[None])[0]
     assert env.cost(doomed) == 0
     # Same cell at rest is fine.
-    assert oracle.label(np.array([1.0, 2.0, 0.0, 0.0]))
+    assert oracle.label(np.array([[1.0, 2.0, 0.0, 0.0]]))[0]
     # Hazard cells themselves are infeasible with distance zero.
     idx = env.state_index(np.array([[2.0, 2.0, 0.0, 0.0]]))[0]
     assert oracle.distance[idx] == 0
@@ -68,11 +68,11 @@ def test_double_integrator_feasible_fraction_and_braking_boundary():
 def test_double_integrator_braking_example_states():
     env = make_double_integrator(x_lim=1.0, a_max=1.0, dt=0.1, horizon=60)
     oracle = compute_feasible_set_oracle(env)
-    assert oracle.label(np.array([0.0, 0.0]))
+    assert oracle.label(np.array([[0.0, 0.0]]))[0]
     # Fast toward the near boundary with overshooting braking distance.
-    assert not oracle.label(np.array([0.95, 0.9]))
+    assert not oracle.label(np.array([[0.95, 0.9]]))[0]
     # On the far boundary but moving away from it.
-    assert oracle.label(np.array([-1.0, 0.1]))
+    assert oracle.label(np.array([[-1.0, 0.1]]))[0]
 
 
 def test_feasible_cells_admit_a_safe_action():
@@ -110,4 +110,4 @@ def test_tabular_snap_roundtrip_on_grid():
     env = make_double_integrator(x_lim=1.0, a_max=1.0, dt=0.1, horizon=60)
     model = build_model(env)
     idx = np.arange(0, model.n_states, 17)
-    assert np.array_equal(model.snap_many(model.states[idx]), idx)
+    assert np.array_equal(model.index(model.states[idx]), idx)

@@ -170,7 +170,7 @@ def test_variant_records_the_benchmark_manifest_keys(tmp_path, needed_stages,
 
 
 def test_cli_error_is_one_json_line_with_exit_code_2(tmp_path, capsys):
-    assert cli.main(["learn", "--out", str(tmp_path)]) == 2
+    assert cli.main(["run", "--stage", "learn", "--out", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1

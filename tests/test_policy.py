@@ -8,6 +8,7 @@ from reachsafe.critics import (
     make_feasibility_critic,
     onehot_action_featurizer,
     onehot_state_featurizer,
+    update_feasibility_critics,
 )
 from reachsafe.envs import behavior_mixture, make_double_integrator, make_hazard_gridworld
 from reachsafe.oracle import compute_feasible_set_oracle
@@ -96,6 +97,37 @@ def test_reward_critic_geometric_series_on_chain():
     assert np.allclose(q, 5.0, atol=0.25), q.mean()
 
 
+class _StubElites:
+    """Elite means: the true successor, and a second one that may violate."""
+
+    def __init__(self, env, violating):
+        self.env, self.violating = env, violating
+
+    def elite_predictions(self, s, a):
+        true = np.stack([self.env.transition(x, u) for x, u in zip(s, a)])
+        other = np.tile([1.5, 0.0], (len(s), 1)) if self.violating else true
+        return np.stack([true, other]), np.zeros((2, *true.shape))
+
+
+def test_rollout_rows_back_up_against_the_worst_elite_successor(integrator):
+    # One elite predicting a violating successor lifts the rollout rows'
+    # Q_h target from about h_min to (1-g) h_min + g h_max.
+    env, data = integrator
+    rows = np.arange(0, 400, 2)
+    buffer = RolloutBuffer(s=data.s[rows], a=data.a[rows],
+                           label=np.zeros(len(rows), dtype=int),
+                           h_s=np.full(len(rows), env.h_min), origin=rows)
+    q = {}
+    for violating in (False, True):
+        critic = make_feasibility_critic(
+            env, data, CriticConfig(lr=1e-2, rollout_batch_fraction=1.0), seed=0,
+            cost_fn=env.margin_predicate(0.0))
+        update_feasibility_critics(critic, data, buffer, _StubElites(env, violating),
+                                   steps=100)
+        q[violating] = float(critic.q_values(buffer.s, buffer.a).mean())
+    assert q[True] > q[False] + 0.5, q
+
+
 def test_reward_critic_tracks_sources(integrator):
     env, data = integrator
     critic = make_reward_critic(env, data)
@@ -124,8 +156,7 @@ def test_bc_weights_reduce_to_awr_when_all_safe(integrator):
     feas.q_net.biases[-1][:] = -5.0
     feas.v_net.biases[-1][:] = -5.0
     gated = bc_weights(reward, feas, data.s[:64], data.a[:64], 3.0, 100.0)
-    plain = bc_weights(reward, None, data.s[:64], data.a[:64], 3.0, 100.0,
-                       gate=False)
+    plain = bc_weights(reward, None, data.s[:64], data.a[:64], 3.0, 100.0)
     assert np.allclose(gated, plain)
 
 
@@ -142,8 +173,7 @@ def test_weight_scaling_preserves_action_ranking(integrator):
     env, data = integrator
     reward = make_reward_critic(env, data, seed=0)
     update_reward_critic(critic=reward, offline=data, steps=50)
-    w = bc_weights(reward, None, data.s[:100], data.a[:100], 3.0, np.inf,
-                   gate=False)
+    w = bc_weights(reward, None, data.s[:100], data.a[:100], 3.0, np.inf)
     order = np.argsort(w)
     order_scaled = np.argsort(2.5 * w)
     assert np.array_equal(order, order_scaled)
@@ -154,8 +184,7 @@ def test_policy_update_trains_and_respects_bounds(integrator):
     reward = make_reward_critic(env, data, seed=0)
     update_reward_critic(critic=reward, offline=data, steps=200)
     policy = make_policy(env, data, PolicyConfig(lr=1e-3), seed=0)
-    feasibility_guided_policy_update(policy, reward, None, data, steps=300,
-                                     seed=0, gate=False)
+    feasibility_guided_policy_update(policy, reward, None, data, steps=300, seed=0)
     acts = policy.act_batch(data.s[:200])
     assert acts.min() >= env.action_bounds[0, 0] - 1e-9
     assert acts.max() <= env.action_bounds[0, 1] + 1e-9
@@ -178,7 +207,7 @@ def test_greedy_actions_stay_feasible_with_oracle_critic():
     mix = behavior_mixture(env, [("goal_greedy", 0.5), ("random", 0.5)])
     data = collect_safe_dataset(env, mix, n_transitions=2500, seed=4)
     model = tabulate(env)
-    exact = tabular_value_iteration(model, "standard", gamma=0.95, tol=1e-12)
+    exact = tabular_value_iteration(model, gamma=0.95, tol=1e-12)
     v_exact = exact.v()
 
     reward = make_reward_critic(env, data, seed=0,

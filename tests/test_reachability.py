@@ -7,7 +7,6 @@ from reachsafe.envs import make_double_integrator, make_hazard_gridworld
 from reachsafe.oracle import compute_feasible_set_oracle
 from reachsafe.reachability import (
     apply_operator,
-    conservative_feasible_backup,
     feasible_backup,
     fit_tabular_critic,
     gamma_threshold,
@@ -28,11 +27,14 @@ def test_feasible_backup_plugins():
 
 
 def test_conservative_backup_plugins():
-    assert conservative_feasible_backup(-1.0, [0.2], 0.9) == pytest.approx(
+    # The conservative backup is the backup of the max successor value.
+    assert feasible_backup(-1.0, max([0.2]), 0.9) == pytest.approx(
         feasible_backup(-1.0, 0.2, 0.9))
-    assert conservative_feasible_backup(-1.0, [-1.0, 0.5], 0.9) == pytest.approx(0.35)
-    with pytest.raises(ValueError):
-        conservative_feasible_backup(-1.0, [], 0.9)
+    assert feasible_backup(-1.0, max([-1.0, 0.5]), 0.9) == pytest.approx(0.35)
+    # Elementwise: one backup per row of successor values.
+    v_sets = np.array([[-1.0, 0.5], [0.3, -1.0], [-1.0, -1.0]])
+    got = feasible_backup(np.array([-1.0, 1.0, -1.0]), v_sets.max(axis=1), 0.9)
+    assert np.allclose(got, [0.35, 1.0, -1.0])
 
 
 def test_conservative_backup_dominates_each_elite():
@@ -41,7 +43,7 @@ def test_conservative_backup_dominates_each_elite():
         h = float(rng.choice([-1.0, 1.0]))
         vals = rng.uniform(-1, 1, size=4)
         gamma = float(rng.uniform(0.1, 0.99))
-        combined = conservative_feasible_backup(h, vals, gamma)
+        combined = feasible_backup(h, vals.max(), gamma)
         for v in vals:
             assert combined >= feasible_backup(h, float(v), gamma) - 1e-12
 
@@ -56,8 +58,8 @@ def test_conservative_backup_dominates_each_elite():
 def test_backup_monotone_in_elite_values(h, base, bump, which, gamma):
     raised = list(base)
     raised[which % len(base)] += bump
-    assert (conservative_feasible_backup(h, raised, gamma)
-            >= conservative_feasible_backup(h, base, gamma) - 1e-12)
+    assert (feasible_backup(h, max(raised), gamma)
+            >= feasible_backup(h, max(base), gamma) - 1e-12)
 
 
 def test_gamma_threshold_plugins():
@@ -118,7 +120,7 @@ def test_value_iteration_exact_values_from_oracle_distances():
     env = make_hazard_gridworld(5, 5, [(2, 2)], momentum=1, gamma=0.99)
     model = tabulate(env)
     oracle = compute_feasible_set_oracle(env)
-    critic = tabular_value_iteration(model, "standard", gamma=0.99, tol=1e-12)
+    critic = tabular_value_iteration(model, gamma=0.99, tol=1e-12)
     v = critic.v()
     expected = np.where(
         oracle.feasible, -1.0, -1.0 + (0.99 ** np.maximum(oracle.distance, 0)) * 2.0
@@ -128,7 +130,7 @@ def test_value_iteration_exact_values_from_oracle_distances():
 
 def test_value_iteration_sign_matches_oracle_on_gridworld():
     env = make_hazard_gridworld(6, 5, [(2, 2), (4, 3)], momentum=1, gamma=0.99)
-    critic = tabular_value_iteration(tabulate(env), "standard", gamma=0.99)
+    critic = tabular_value_iteration(tabulate(env), gamma=0.99)
     oracle = compute_feasible_set_oracle(env)
     assert np.array_equal(critic.feasible_mask(), oracle.feasible)
 
@@ -136,7 +138,7 @@ def test_value_iteration_sign_matches_oracle_on_gridworld():
 def test_hazard_states_saturate_at_h_max():
     env = make_hazard_gridworld(5, 5, [(2, 2)], momentum=0, gamma=0.9)
     model = tabulate(env)
-    critic = tabular_value_iteration(model, "standard", gamma=0.9)
+    critic = tabular_value_iteration(model, gamma=0.9)
     hazard_idx = env.state_index(np.array([[2.0, 2.0]]))[0]
     assert np.allclose(critic.q[hazard_idx], 1.0)
 
@@ -150,7 +152,7 @@ def test_violation_distance_bound_holds_on_gridworld():
     env = make_hazard_gridworld(5, 5, [(2, 2)], momentum=1, gamma=0.95)
     model = tabulate(env)
     oracle = compute_feasible_set_oracle(env)
-    critic = tabular_value_iteration(model, "standard", gamma=0.95, tol=1e-12)
+    critic = tabular_value_iteration(model, gamma=0.95, tol=1e-12)
     bound = -1.0 + (0.95 ** oracle.h_star) * 2.0
     q_infeasible = critic.q[oracle.infeasible]
     assert np.all(q_infeasible >= bound - 1e-9)
@@ -160,10 +162,9 @@ def test_conservative_fixed_point_dominates_every_member():
     env = make_hazard_gridworld(5, 5, [(2, 2)], momentum=1, gamma=0.9)
     model = tabulate(env)
     members = perturbed_models(model, n_extra=2, seed=0)
-    conservative = tabular_value_iteration(members, "conservative", gamma=0.9,
-                                           tol=1e-12)
+    conservative = tabular_value_iteration(members, gamma=0.9, tol=1e-12)
     for member in members:
-        single = tabular_value_iteration(member, "standard", gamma=0.9, tol=1e-12)
+        single = tabular_value_iteration(member, gamma=0.9, tol=1e-12)
         assert np.all(conservative.q >= single.q - 1e-9)
 
 
@@ -174,7 +175,7 @@ def test_conservative_flags_all_infeasible_pairs_above_threshold():
     gamma = 0.95
     assert gamma > gamma_threshold(-1.0, 1.0, max(oracle.h_star, 1))
     members = perturbed_models(model, n_extra=2, seed=1)  # true model included
-    critic = tabular_value_iteration(members, "conservative", gamma=gamma, tol=1e-12)
+    critic = tabular_value_iteration(members, gamma=gamma, tol=1e-12)
     assert np.all(critic.q[oracle.infeasible] > 0.0)
 
 
@@ -206,3 +207,80 @@ def test_fitted_critic_conservative_rollout_pairs_raise_values():
     # Worst-case successor is the hazard, so the pair goes positive.
     assert critic.q[(s0, 3)] == pytest.approx(0.8)
     assert critic.v(s0) == pytest.approx(0.8)
+
+
+def _fitted_q_array(critic, model):
+    q = np.full((model.n_states, model.n_actions), np.nan)
+    for (s, a), value in critic.q.items():
+        q[s, a] = value
+    return q
+
+
+def test_fitted_critic_on_every_true_pair_is_value_iteration():
+    # Every (s, a) observed with its true successor: the fit over observed
+    # pairs and value iteration over the model run the same operator.
+    env = make_hazard_gridworld(5, 5, [(2, 2)], momentum=1, gamma=0.95)
+    model = tabulate(env)
+    pairs = [(s, a, model.next_idx[s, a])
+             for s in range(model.n_states) for a in range(model.n_actions)]
+    fitted = fit_tabular_critic(model, model.h, pairs, gamma=0.95)
+    exact = tabular_value_iteration(model, gamma=0.95, tol=1e-10)
+    assert np.array_equal(_fitted_q_array(fitted, model), exact.q)
+    assert np.array_equal(fitted.v_arr, exact.v())
+
+
+def test_fitted_critic_with_member_successors_is_conservative_iteration():
+    # Perturbed members' successors added as rollout candidates: each pair
+    # backs up against the worst member, as the conservative iteration does.
+    env = make_hazard_gridworld(5, 5, [(2, 2)], momentum=1, gamma=0.95)
+    model = tabulate(env)
+    members = perturbed_models(model, n_extra=2, seed=3)
+    pairs = [(s, a, model.next_idx[s, a])
+             for s in range(model.n_states) for a in range(model.n_actions)]
+    candidates = [(s, a, [m.next_idx[s, a] for m in members[1:]])
+                  for s, a, _ in pairs]
+    fitted = fit_tabular_critic(model, model.h, pairs, candidates, gamma=0.95)
+    exact = tabular_value_iteration(members, gamma=0.95, tol=1e-10)
+    assert np.array_equal(_fitted_q_array(fitted, model), exact.q)
+    assert np.array_equal(fitted.v_arr, exact.v())
+    assert not np.array_equal(exact.q, tabular_value_iteration(model, gamma=0.95).q)
+
+
+def _fit_loop_reference(h, edges, gamma, h_min, tol=1e-10):
+    """Per-pair loop: each pair backs up against its worst observed successor."""
+    succ: dict = {}
+    for s, a, n in edges:
+        succ.setdefault((s, a), set()).add(n)
+    v, q = h.copy(), {key: h_min for key in succ}
+    while True:
+        new_q = {(s, a): (1 - gamma) * h[s] + gamma * max(h[s], max(v[n] for n in ns))
+                 for (s, a), ns in succ.items()}
+        new_v = h.copy()
+        for s in {s for s, _ in succ}:
+            new_v[s] = min(x for (t, _), x in new_q.items() if t == s)
+        delta = max([abs(new_q[k] - q[k]) for k in q] + list(np.abs(new_v - v)))
+        q, v = new_q, new_v
+        if delta < tol:
+            return q, v
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), gamma=st.sampled_from([0.5, 0.9, 0.95]))
+def test_fitted_critic_matches_the_per_pair_loop(seed, gamma):
+    # Partial observation, repeated pairs with different successors, and
+    # rollout candidates that overlap offline pairs.
+    rng = substream(seed, "fit-loop")
+    model = tabulate(make_hazard_gridworld(5, 5, [(2, 2)], momentum=0))
+    n, m = model.n_states, model.n_actions
+    h = rng.choice([-1.0, 1.0], size=n)
+    offline = [tuple(int(x) for x in row) for row in
+               np.stack([rng.integers(0, n, 40), rng.integers(0, 2, 40),
+                         rng.integers(0, n, 40)], axis=1)]
+    rollout = [(int(rng.integers(n)), int(rng.integers(m)),
+                [int(x) for x in rng.integers(0, n, int(rng.integers(1, 4)))])
+               for _ in range(15)]
+    fitted = fit_tabular_critic(model, h, offline, rollout, gamma=gamma)
+    q, v = _fit_loop_reference(
+        h, offline + [(s, a, c) for s, a, cand in rollout for c in cand], gamma, -1.0)
+    assert fitted.q == q
+    assert np.array_equal(fitted.v_arr, v)
