@@ -5,6 +5,10 @@ with tanh hidden activations and a linear head; ``forward`` caches the
 activations the matching ``backward`` consumes. No graph, no broadcasting
 cleverness: the shapes are (batch, features) throughout.
 
+A ``OneHot`` input batch stores each row's hot columns: the first layer
+sums the selected weight rows, exactly the dense product for one or two
+blocks; ``backward`` keeps the dense GEMM and forms no input gradient.
+
 Checkpoints keep float64 as well: ``save_mlp`` writes every network of one
 model (a critic's four nets, a policy, a dynamics ensemble) and a JSON
 metadata string into a single ``.npz``, and ``load_mlp`` reads it back
@@ -23,6 +27,48 @@ from .seeding import substream
 
 class BackwardBeforeForward(RuntimeError):
     """backward() called without a cached forward pass."""
+
+
+@dataclass(frozen=True)
+class OneHot:
+    """A (n, width) batch of concatenated one-hot blocks.
+
+    ``cols`` (n, k) holds each row's hot column per block, offsets included.
+    """
+
+    cols: np.ndarray
+    width: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.cols), self.width)
+
+    def __len__(self) -> int:
+        return len(self.cols)
+
+    def __getitem__(self, rows) -> OneHot:  # a batch, also for a single row
+        return OneHot(self.cols[rows].reshape(-1, self.cols.shape[1]), self.width)
+
+    def __matmul__(self, w: np.ndarray) -> np.ndarray:
+        return sum((w[c] for c in self.cols.T[1:]), w[self.cols[:, 0]])
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        out = np.zeros(self.shape)
+        np.put_along_axis(out, self.cols, 1.0, axis=1)
+        return out
+
+
+def concat(parts, axis: int = 0):
+    """``np.concatenate`` that keeps an all-``OneHot`` input one-hot."""
+    if not all(isinstance(p, OneHot) for p in parts):
+        return np.concatenate([np.asarray(p, dtype=float) for p in parts], axis=axis)
+    if axis == 0:
+        if len({p.width for p in parts}) > 1:
+            raise ValueError("one-hot row blocks must share a width")
+        return OneHot(np.concatenate([p.cols for p in parts]), parts[0].width)
+    offsets = np.cumsum([0] + [p.width for p in parts])
+    return OneHot(np.concatenate([p.cols + o for p, o in zip(parts, offsets)], axis=1),
+                  int(offsets[-1]))
 
 
 class Mlp:
@@ -71,18 +117,21 @@ class Mlp:
 
         ``cache=False`` is an inference-only pass: it keeps no activations
         and drops any an earlier pass left, so a large batch is not pinned
-        in memory after the call.
+        in memory after the call. Bias and tanh act in place on each layer's
+        fresh product, never on the input or the parameters.
         """
-        x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
+        x = x if isinstance(x, OneHot) else np.asarray(x, dtype=float)
+        squeeze = len(x.shape) == 1
         h = x.reshape(1, -1) if squeeze else x
         if h.shape[1] != self.sizes[0]:
             raise ValueError(f"expected input width {self.sizes[0]}, got {h.shape[1]}")
         acts = [h]
         n_layers = len(self.weights)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
-            h = np.tanh(z) if i < n_layers - 1 else z
+            h = h @ w
+            h += b
+            if i < n_layers - 1:
+                np.tanh(h, out=h)
             if cache:
                 acts.append(h)
         self._cache = acts if cache else None
@@ -92,7 +141,8 @@ class Mlp:
     def backward(self, upstream: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
         """Gradients of sum(upstream * output) w.r.t. parameters and input.
 
-        Returns (grads, input_grad) with grads ordered like parameters().
+        Returns (grads, input_grad) with grads ordered like parameters();
+        input_grad is None for a ``OneHot`` input.
         """
         if self._cache is None:
             raise BackwardBeforeForward("run forward() first")
@@ -108,6 +158,10 @@ class Mlp:
             h_in, h_out = cache[i], cache[i + 1]
             if i < n_layers - 1:
                 g = g * (1.0 - h_out * h_out)  # tanh'(z) = 1 - tanh(z)^2
+            if isinstance(h_in, OneHot):
+                # The dense GEMM keeps the dense input's summation order.
+                grads[0], grads[1] = np.asarray(h_in).T @ g, g.sum(axis=0)
+                return grads, None
             grads[2 * i] = h_in.T @ g
             grads[2 * i + 1] = g.sum(axis=0)
             g = g @ self.weights[i].T

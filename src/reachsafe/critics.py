@@ -4,7 +4,8 @@ Both pairs share one core (``QVCritic``): four networks, two optimizers
 and one gradient step. For the reachability pair, Q fits squared error
 against the feasible backup: on offline transitions the successor value
 comes from the dataset next state, on retained rollout steps from the
-worst (largest) target value across the elite mean predictions. V
+worst (largest) target value across the elite mean successors the rollout
+recorded in its buffer, all elites in one featurize and one forward. V
 regresses toward Q with the reverse expectile loss, whose tau near 1
 approximates the min over actions without ever querying
 out-of-distribution actions. The reward pair's TD target lives with the
@@ -19,9 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .approx import Mlp, Trainer, load_mlp, save_mlp, soft_update
+from .approx import Mlp, OneHot, Trainer, concat, load_mlp, save_mlp, soft_update
 from .cmdp import HardCMDP, OfflineDataset, Predicate, cost_labels, nearest_rows, require_finite
-from .dynamics import EnsembleDynamics
 from .reachability import feasible_backup, reverse_expectile_grad
 from .rollout import RolloutBuffer
 from .seeding import substream
@@ -32,7 +32,7 @@ class Featurizer:
     """State/action encoding for the critic networks.
 
     ``normalized`` shifts and scales raw vectors; ``onehot`` maps tabular
-    states and the declared action set to indicator vectors.
+    states and the declared action set to a ``OneHot`` batch.
     """
 
     kind: str
@@ -45,14 +45,12 @@ class Featurizer:
     def dim(self) -> int:
         return len(self.table) if self.kind == "onehot" else len(self.mean)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray) -> np.ndarray | OneHot:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if self.kind == "normalized":
             return (x - self.mean) / self.std
         require_finite(x, "one-hot featurizer input")
-        out = np.zeros((len(x), len(self.table)))
-        out[np.arange(len(x)), self.index(x)] = 1.0
-        return out
+        return OneHot(self.index(x)[:, None], len(self.table))
 
     def to_meta(self) -> dict:
         if self.kind == "normalized":
@@ -159,7 +157,7 @@ class QVCritic:
 
     def q_values(self, s: np.ndarray, a: np.ndarray,
                  target: bool = False) -> np.ndarray:
-        x = np.concatenate([self.state_feat(s), self.action_feat(a)], axis=1)
+        x = concat([self.state_feat(s), self.action_feat(a)], axis=1)
         return (self.q_target if target else self.q_net).forward(x)[:, 0]
 
     def v_values(self, s: np.ndarray, target: bool = False) -> np.ndarray:
@@ -255,7 +253,6 @@ def update_feasibility_critics(
     critic: FeasibilityCritic,
     offline: OfflineDataset,
     rollout_buffer: RolloutBuffer | None,
-    model: EnsembleDynamics | None,
     steps: int,
     seed: int = 0,
     stream: tuple = (),
@@ -263,67 +260,58 @@ def update_feasibility_critics(
     """Run gradient steps on Q_h and V_h from offline plus rollout batches.
 
     The offline dataset must carry h labels (``h_s``); a missing column
-    means everything sits at h_min. Rollout samples require the ensemble
-    for the conservative successor values. The critic object is updated
-    in place and returned.
+    means everything sits at h_min. Rollout rows back up against the elite
+    mean successors the rollout recorded (``RolloutBuffer.elite_next``). The
+    critic object is updated in place and returned.
     """
     if len(offline) == 0:
         raise ValueError("offline batch must not be empty")
-    if rollout_buffer is not None and len(rollout_buffer) and model is None:
-        raise ValueError("rollout samples need the dynamics ensemble")
+    roll = rollout_buffer if rollout_buffer is not None and len(rollout_buffer) else None
+    if roll is not None and roll.elite_next is None:
+        raise ValueError("rollout buffer has no elite_next (a saved buffer drops it)")
     cfg = critic.cfg
     gamma, tau = cfg.gamma, cfg.tau
 
     # Featurized views and labels, reused across steps. The relabeled cost
     # column is the predicate at the next state.
     feat_s = critic.state_feat(offline.s)
-    feat_a = critic.action_feat(offline.a)
+    feat_sa = concat([feat_s, critic.action_feat(offline.a)], axis=1)
     feat_s2 = critic.state_feat(offline.s2)
     h_s = (np.full(len(offline), critic.h_min) if offline.h_s is None
            else np.asarray(offline.h_s, dtype=float))
     h_s2 = np.where(offline.cost > 0, critic.h_max, critic.h_min).astype(float)
-    roll = rollout_buffer if rollout_buffer is not None and len(rollout_buffer) else None
     if roll is not None:
         # Elite mean successors, (n_elites, n, d_s), and the floor there.
-        elite_next, _ = model.elite_predictions(roll.s, roll.a)
-        elite_floor = np.stack([critic.floor_values(m) for m in elite_next])
+        n_elites, n_roll, d_s = roll.elite_next.shape
+        elite_floor = critic.floor_values(
+            roll.elite_next.reshape(-1, d_s)).reshape(n_elites, n_roll)
         roll_s = critic.state_feat(roll.s)
-        roll_a = critic.action_feat(roll.a)
+        roll_sa = concat([roll_s, critic.action_feat(roll.a)], axis=1)
         roll_h = roll.h_s.astype(float)
     rng = substream(seed, "critic-update", *stream)
 
     for _ in range(steps):
         idx = rng.integers(len(offline), size=min(cfg.batch_size, len(offline)))
-        fs, fa, fs2 = feat_s[idx], feat_a[idx], feat_s2[idx]
-        h = h_s[idx]
-
-        v2 = np.maximum(h_s2[idx], critic.v_target.forward(fs2)[:, 0])
-        target_off = feasible_backup(h, v2, gamma)
+        fs = feat_s[idx]
+        v2 = np.maximum(h_s2[idx], critic.v_target.forward(feat_s2[idx])[:, 0])
+        target_off = feasible_backup(h_s[idx], v2, gamma)
 
         if roll is not None:
             want = max(1, int(cfg.batch_size * cfg.rollout_batch_fraction))
             ridx = rng.integers(len(roll), size=min(want, len(roll)))
             rh = roll_h[ridx]
-            v_next = np.stack([
-                np.maximum(
-                    elite_floor[e][ridx],
-                    critic.v_target.forward(
-                        critic.state_feat(elite_next[e][ridx]))[:, 0],
-                )
-                for e in range(len(elite_next))
-            ]).max(axis=0)
+            succ = roll.elite_next[:, ridx].reshape(-1, d_s)
+            v_succ = critic.v_target.forward(critic.state_feat(succ))[:, 0]
+            v_next = np.maximum(elite_floor[:, ridx],
+                                v_succ.reshape(n_elites, -1)).max(axis=0)
             target_roll = feasible_backup(rh, v_next, gamma)
-            q_in = np.concatenate([
-                np.concatenate([fs, fa], axis=1),
-                np.concatenate([roll_s[ridx], roll_a[ridx]], axis=1),
-            ])
+            q_in = concat([feat_sa[idx], roll_sa[ridx]])
             q_tgt = np.concatenate([target_off, target_roll])
         else:
-            q_in = np.concatenate([fs, fa], axis=1)
-            q_tgt = target_off
+            q_in, q_tgt = feat_sa[idx], target_off
 
         if roll is not None and cfg.include_rollout_in_v:
-            v_in, q_ref_in = np.concatenate([fs, roll_s[ridx]]), q_in
+            v_in, q_ref_in = concat([fs, roll_s[ridx]]), q_in
         else:
             v_in, q_ref_in = fs, q_in[:len(fs)]
         critic.gradient_step(q_in, q_tgt, v_in, q_ref_in, tau)

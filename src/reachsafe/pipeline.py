@@ -387,8 +387,8 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
             recent = [b for ev in window[-lc.rollout_window:] for b in ev]
             buffer = flatten_branches(recent, env.h_min, env.h_max)
         if critic is not None:
-            update_feasibility_critics(critic, offline, buffer, ensemble,
-                                       steps, seed=child_seed(seed, "learn", "feas"),
+            update_feasibility_critics(critic, offline, buffer, steps=steps,
+                                       seed=child_seed(seed, "learn", "feas"),
                                        stream=("event", event))
         update_reward_critic(reward, dataset,
                              max(1, int(steps * lc.reward_steps_fraction)),

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .approx import Mlp, Trainer, load_mlp, save_mlp
+from .approx import Mlp, Trainer, concat, load_mlp, save_mlp
 from .cmdp import HardCMDP, OfflineDataset, Predicate, cost_labels, nearest_rows
 from .critics import (
     Featurizer,
@@ -67,7 +67,7 @@ def update_reward_critic(critic: RewardCritic, offline: OfflineDataset,
     critic.sources_seen.append(offline.tag)
     cfg = critic.cfg
     feat_s = critic.state_feat(offline.s)
-    feat_a = critic.action_feat(offline.a)
+    feat_sa = concat([feat_s, critic.action_feat(offline.a)], axis=1)
     feat_s2 = critic.state_feat(offline.s2)
     rewards = offline.r
     not_done = 1.0 - offline.done.astype(float)
@@ -75,12 +75,11 @@ def update_reward_critic(critic: RewardCritic, offline: OfflineDataset,
 
     for _ in range(steps):
         idx = rng.integers(len(offline), size=min(cfg.batch_size, len(offline)))
-        fs, fa, fs2 = feat_s[idx], feat_a[idx], feat_s2[idx]
-        v2 = critic.v_target.forward(fs2)[:, 0]
+        v2 = critic.v_target.forward(feat_s2[idx])[:, 0]
         target_q = rewards[idx] + cfg.gamma * not_done[idx] * v2
-        q_in = np.concatenate([fs, fa], axis=1)
+        q_in = feat_sa[idx]
         # The expectile weight |e - 1(u < 0)| is the reverse one at 1 - e.
-        critic.gradient_step(q_in, target_q, fs, q_in, 1.0 - cfg.expectile)
+        critic.gradient_step(q_in, target_q, feat_s[idx], q_in, 1.0 - cfg.expectile)
     return critic
 
 

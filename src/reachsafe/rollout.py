@@ -61,12 +61,13 @@ class RolloutConfig:
 
 @dataclass
 class BranchTrajectory:
-    """One retained branch: (state, action, label) steps plus provenance."""
+    """One retained branch: (state, action, label) steps, provenance, elite means."""
 
     origin: int
-    s: np.ndarray        # (h, d_s)
-    a: np.ndarray        # (h, d_a)
-    label: np.ndarray    # (h,) conservative any-elite labels
+    s: np.ndarray           # (h, d_s)
+    a: np.ndarray           # (h, d_a)
+    label: np.ndarray       # (h,) conservative any-elite labels
+    elite_next: np.ndarray  # (n_elites, h, d_s) elite mean successors
     violated: bool = field(init=False)
 
     def __post_init__(self) -> None:
@@ -112,6 +113,7 @@ def branched_rollout(
         steps_s = np.zeros((cfg.horizon, n, s.shape[1]))
         steps_a = np.zeros((cfg.horizon, n, model.d_a))
         steps_c = np.zeros((cfg.horizon, n), dtype=int)
+        steps_m = np.zeros((model.n_elites, cfg.horizon, n, s.shape[1]))
         for t in range(cfg.horizon):
             a = np.atleast_2d(policy(s))
             if cfg.noise_std > 0:
@@ -120,6 +122,7 @@ def branched_rollout(
             steps_s[t] = s
             steps_a[t] = a
             means, variances = model.elite_predictions(s, a)
+            steps_m[:, t] = means
             steps_c[t] = conservative_cost_label_batch(means, cost_fn)
             s = sample_next_batch(means, variances, rng)
         violated = steps_c.sum(axis=0) > 0
@@ -129,19 +132,22 @@ def branched_rollout(
                 s=steps_s[:, i].copy(),
                 a=steps_a[:, i].copy(),
                 label=steps_c[:, i].copy(),
+                elite_next=steps_m[:, :, i].copy(),
             ))
     return kept
 
 
 @dataclass
 class RolloutBuffer:
-    """Flat view over retained branch steps for critic training."""
+    """Flat view over retained branch steps for critic training; the rows'
+    elite mean successors ``elite_next`` are not saved, and read back as None."""
 
     s: np.ndarray
     a: np.ndarray
     label: np.ndarray
     h_s: np.ndarray
     origin: np.ndarray
+    elite_next: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.label)
@@ -159,7 +165,9 @@ def flatten_branches(branches: Sequence[BranchTrajectory], h_min: float,
     label = np.concatenate([b.label for b in branches])
     origin = np.concatenate([np.full(len(b), b.origin) for b in branches])
     h_s = np.where(label > 0, h_max, h_min)
-    return RolloutBuffer(s=s, a=a, label=label, h_s=h_s, origin=origin)
+    elite_next = np.concatenate([b.elite_next for b in branches], axis=1)
+    return RolloutBuffer(s=s, a=a, label=label, h_s=h_s, origin=origin,
+                         elite_next=elite_next)
 
 
 def relabel_offline(dataset: OfflineDataset, cost_fn: Predicate,

@@ -2,11 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachsafe.approx import (
     BackwardBeforeForward,
     Mlp,
+    OneHot,
     Trainer,
+    concat,
     init_optimizer,
     load_mlp,
     optimizer_step,
@@ -217,3 +221,85 @@ def test_checkpoint_rejects_mismatched_parameters(tmp_path):
     np.savez(path, meta=np.array(meta), **params)
     with pytest.raises(ValueError, match="do not match"):
         load_mlp(path)
+
+
+# ---------------------------------------------------------------------------
+# One-hot input batches: the gather path computes the dense path exactly.
+# ---------------------------------------------------------------------------
+
+
+def random_onehot(rng, n, widths):
+    blocks = [OneHot(rng.integers(w, size=(n, 1)), w) for w in widths]
+    return concat(blocks, axis=1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(1, 250), min_size=1, max_size=2),
+       st.sampled_from([1, 384, 1000]), st.integers(0, 2**31 - 1))
+def test_onehot_forward_and_gradients_equal_the_dense_input(widths, n, seed):
+    rng = np.random.default_rng(seed)
+    x = random_onehot(rng, n, widths)
+    dense = np.asarray(x)
+    assert x.shape == dense.shape == (n, sum(widths))
+    assert np.array_equal(dense.sum(axis=1), np.full(n, len(widths)))
+    net = Mlp([sum(widths), 64, 64, 1], seed=seed)
+    for p in net.biases:
+        p[:] = rng.normal(size=p.shape)
+    upstream = rng.normal(size=(n, 1))
+    out = net.forward(x)
+    grads, gx = net.backward(upstream)
+    assert gx is None
+    want = net.forward(dense)
+    want_grads, _ = net.backward(upstream)
+    assert np.array_equal(out, want)
+    assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+    assert np.array_equal(net.forward(x, cache=False), want)
+
+
+def test_onehot_rows_and_stacking_follow_the_dense_matrix():
+    rng = np.random.default_rng(3)
+    a, b = random_onehot(rng, 6, [5, 3]), random_onehot(rng, 4, [5, 3])
+    da, db = np.asarray(a), np.asarray(b)
+    assert len(a) == 6 and a.shape == da.shape == (6, 8)
+    rows = np.array([4, 0, 4])
+    assert np.array_equal(np.asarray(a[rows]), da[rows])
+    assert np.array_equal(np.asarray(a[1:3]), da[1:3])
+    assert np.array_equal(np.asarray(a[2]), da[2:3])
+    assert np.array_equal(np.asarray(concat([a, b])), np.concatenate([da, db]))
+    assert np.array_equal(np.asarray(concat([a, a[:6]], axis=1)),
+                          np.concatenate([da, da], axis=1))
+    mixed = concat([a, np.ones((6, 2))], axis=1)
+    assert isinstance(mixed, np.ndarray)
+    assert np.array_equal(mixed, np.concatenate([da, np.ones((6, 2))], axis=1))
+    with pytest.raises(ValueError, match="width"):
+        concat([a, OneHot(np.zeros((1, 1), dtype=int), 4)])
+
+
+@pytest.mark.parametrize("cache", [True, False])
+@pytest.mark.parametrize("kind", ["dense", "onehot"])
+def test_forward_writes_into_no_input_parameter_or_earlier_output(kind, cache):
+    rng = np.random.default_rng(7)
+    net = Mlp([6, 8, 8, 3], seed=2)
+    for p in net.biases:
+        p[:] = rng.normal(size=p.shape)
+    if kind == "dense":
+        x1, x2 = rng.normal(size=(5, 6)), rng.normal(size=(5, 6))
+        snapshot = lambda x: x.copy()  # noqa: E731
+    else:
+        x1, x2 = random_onehot(rng, 5, [4, 2]), random_onehot(rng, 5, [4, 2])
+        snapshot = lambda x: x.cols.copy()  # noqa: E731
+    before = [snapshot(x1), snapshot(x2)]
+    params = [p.copy() for p in net.parameters()]
+    out1 = net.forward(x1, cache=cache)
+    kept = out1.copy()
+    out2 = net.forward(x2, cache=cache)
+    if cache:
+        net.backward(np.ones_like(out2))
+    out3 = net.forward(x1, cache=cache)
+    assert np.array_equal(out1, kept) and np.array_equal(out3, kept)
+    for x, snap in zip((x1, x2), before):
+        assert np.array_equal(snapshot(x), snap)
+    assert all(np.array_equal(p, q) for p, q in zip(net.parameters(), params))
+    for out in (out1, out2):
+        others = [*net.parameters(), out3, x1 if kind == "dense" else x1.cols]
+        assert not any(np.shares_memory(out, o) for o in others)

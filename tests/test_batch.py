@@ -53,8 +53,8 @@ def test_state_index_and_snap_match_per_row_reference(states):
     rows = [reference_index(GRID, s) for s in states]
     assert GRID.state_index(states).tolist() == [hit for hit, _ in rows]
     feats = onehot_state_featurizer(GRID)(states)
-    assert np.array_equal(feats.sum(axis=1), np.ones(len(states)))
-    assert np.argmax(feats, axis=1).tolist() == [snap for _, snap in rows]
+    assert feats.shape == (len(states), len(GRID.states))
+    assert feats.cols.tolist() == [[snap] for _, snap in rows]
 
 
 @settings(max_examples=60, deadline=None)
@@ -71,7 +71,8 @@ def test_action_featurizer_matches_per_row_argmin(actions):
     table = DI.action_set
     want = [int(np.argmin(np.sum((table - a) ** 2, axis=1))) for a in actions]
     feats = onehot_action_featurizer(DI)(actions)
-    assert np.argmax(feats, axis=1).tolist() == want
+    assert feats.shape == (len(actions), len(table))
+    assert feats.cols.tolist() == [[col] for col in want]
 
 
 @settings(max_examples=150, deadline=None)

@@ -227,7 +227,7 @@ def test_feasibility_critic_roundtrip_keeps_config_and_floor(integrator, tmp_pat
                        rollout_batch_fraction=learn.rollout_batch_fraction)
     floor = env.margin_predicate(0.05)
     critic = make_feasibility_critic(env, data, cfg, seed=1, cost_fn=floor)
-    update_feasibility_critics(critic, data, None, None, steps=3)
+    update_feasibility_critics(critic, data, None, steps=3)
     save_critic(critic, tmp_path / "critic")
     back = load_critic(tmp_path / "critic", env, cost_fn=floor)
     assert isinstance(back, FeasibilityCritic)

@@ -97,16 +97,11 @@ def test_reward_critic_geometric_series_on_chain():
     assert np.allclose(q, 5.0, atol=0.25), q.mean()
 
 
-class _StubElites:
+def _stub_elite_next(env, s, a, violating):
     """Elite means: the true successor, and a second one that may violate."""
-
-    def __init__(self, env, violating):
-        self.env, self.violating = env, violating
-
-    def elite_predictions(self, s, a):
-        true = np.stack([self.env.transition(x, u) for x, u in zip(s, a)])
-        other = np.tile([1.5, 0.0], (len(s), 1)) if self.violating else true
-        return np.stack([true, other]), np.zeros((2, *true.shape))
+    true = np.stack([env.transition(x, u) for x, u in zip(s, a)])
+    other = np.tile([1.5, 0.0], (len(s), 1)) if violating else true
+    return np.stack([true, other])
 
 
 def test_rollout_rows_back_up_against_the_worst_elite_successor(integrator):
@@ -114,16 +109,16 @@ def test_rollout_rows_back_up_against_the_worst_elite_successor(integrator):
     # Q_h target from about h_min to (1-g) h_min + g h_max.
     env, data = integrator
     rows = np.arange(0, 400, 2)
-    buffer = RolloutBuffer(s=data.s[rows], a=data.a[rows],
-                           label=np.zeros(len(rows), dtype=int),
-                           h_s=np.full(len(rows), env.h_min), origin=rows)
     q = {}
     for violating in (False, True):
+        buffer = RolloutBuffer(
+            s=data.s[rows], a=data.a[rows], label=np.zeros(len(rows), dtype=int),
+            h_s=np.full(len(rows), env.h_min), origin=rows,
+            elite_next=_stub_elite_next(env, data.s[rows], data.a[rows], violating))
         critic = make_feasibility_critic(
             env, data, CriticConfig(lr=1e-2, rollout_batch_fraction=1.0), seed=0,
             cost_fn=env.margin_predicate(0.0))
-        update_feasibility_critics(critic, data, buffer, _StubElites(env, violating),
-                                   steps=100)
+        update_feasibility_critics(critic, data, buffer, steps=100)
         q[violating] = float(critic.q_values(buffer.s, buffer.a).mean())
     assert q[True] > q[False] + 0.5, q
 

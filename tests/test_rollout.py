@@ -4,6 +4,7 @@ import pytest
 from reachsafe.collect import collect_safe_dataset
 from reachsafe.cmdp import ConfigurationError
 from reachsafe.costgen import GenerationConfig, validate, CostCandidate
+from reachsafe.critics import make_feasibility_critic, update_feasibility_critics
 from reachsafe.dynamics import train_ensemble
 from reachsafe.envs import behavior_mixture, integrator_behavior, make_double_integrator
 from reachsafe.rollout import (
@@ -172,3 +173,32 @@ def test_rollout_buffer_roundtrip(setup, tmp_path):
     assert np.array_equal(back.h_s, buf.h_s)
     assert np.array_equal(back.label, buf.label)
     assert np.array_equal(back.origin, buf.origin)
+
+
+def test_buffer_carries_the_elite_means_of_every_row(setup):
+    env, data, model = setup
+    cfg = RolloutConfig(batch=128, epochs=2, horizon=3)
+    kept = branched_rollout(_outward_policy, data, model,
+                            env.margin_predicate(0.08), cfg, seed=17,
+                            action_bounds=env.action_bounds)
+    buf = flatten_branches(kept, -1.0, 1.0)
+    assert len(buf) > cfg.batch
+    assert buf.elite_next.shape == (model.n_elites, len(buf), env.d_s)
+    means, _ = model.elite_predictions(buf.s, buf.a)
+    for carried, recomputed in zip(buf.elite_next, means):
+        assert np.allclose(carried, recomputed, rtol=0, atol=1e-12)
+
+
+def test_critic_update_refuses_a_buffer_without_elite_means(setup, tmp_path):
+    env, data, model = setup
+    kept = branched_rollout(_outward_policy, data, model,
+                            env.margin_predicate(0.08), RolloutConfig(batch=64, epochs=1),
+                            seed=13, action_bounds=env.action_bounds)
+    path = tmp_path / "rollouts.npz"
+    save_rollout_buffer(flatten_branches(kept, -1.0, 1.0), path)
+    back = load_rollout_buffer(path)
+    assert len(back) and back.elite_next is None
+    critic = make_feasibility_critic(env, data, seed=0,
+                                     cost_fn=env.margin_predicate(0.08))
+    with pytest.raises(ValueError, match="elite_next"):
+        update_feasibility_critics(critic, data, back, steps=1)
