@@ -9,6 +9,12 @@ A ``OneHot`` input batch stores each row's hot columns: the first layer
 sums the selected weight rows, exactly the dense product for one or two
 blocks; ``backward`` keeps the dense GEMM and forms no input gradient.
 
+An inference pass (``forward(..., cache=False)``) keeps nothing: hidden
+layer i is written into one of two module-level scratch blocks, chosen by
+i % 2, which grow on demand and are reused by every later cache-free pass
+of any network. Only the output layer is a fresh array. The scratch makes
+``forward`` single-threaded and not reentrant.
+
 Checkpoints keep float64 as well: ``save_mlp`` writes every network of one
 model (a critic's four nets, a policy, a dynamics ensemble) and a JSON
 metadata string into a single ``.npz``, and ``load_mlp`` reads it back
@@ -49,9 +55,6 @@ class OneHot:
     def __getitem__(self, rows) -> OneHot:  # a batch, also for a single row
         return OneHot(self.cols[rows].reshape(-1, self.cols.shape[1]), self.width)
 
-    def __matmul__(self, w: np.ndarray) -> np.ndarray:
-        return sum((w[c] for c in self.cols.T[1:]), w[self.cols[:, 0]])
-
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         out = np.zeros(self.shape)
         np.put_along_axis(out, self.cols, 1.0, axis=1)
@@ -69,6 +72,33 @@ def concat(parts, axis: int = 0):
     offsets = np.cumsum([0] + [p.width for p in parts])
     return OneHot(np.concatenate([p.cols + o for p, o in zip(parts, offsets)], axis=1),
                   int(offsets[-1]))
+
+
+# Hidden layers of cache-free passes; layer i uses block i % 2, so a layer
+# never overwrites its own input.
+_SCRATCH = [np.empty(0), np.empty(0)]
+
+
+def _scratch(i: int, shape: tuple[int, int]) -> np.ndarray:
+    """A (rows, width) view of scratch block i % 2, grown if too small."""
+    size = shape[0] * shape[1]
+    if _SCRATCH[i % 2].size < size:
+        _SCRATCH[i % 2] = np.empty(size)
+    return _SCRATCH[i % 2][:size].reshape(shape)
+
+
+def _product(h: np.ndarray | OneHot, w: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """``h @ w`` written into ``out`` (a fresh array when None).
+
+    A ``OneHot`` batch sums the selected weight rows in block order, which
+    is exactly the dense product for one or two blocks.
+    """
+    if not isinstance(h, OneHot):
+        return np.matmul(h, w, out=out)
+    out = np.take(w, h.cols[:, 0], axis=0, out=out)
+    for c in h.cols.T[1:]:
+        out += w[c]
+    return out
 
 
 class Mlp:
@@ -117,8 +147,13 @@ class Mlp:
 
         ``cache=False`` is an inference-only pass: it keeps no activations
         and drops any an earlier pass left, so a large batch is not pinned
-        in memory after the call. Bias and tanh act in place on each layer's
-        fresh product, never on the input or the parameters.
+        in memory after the call. Its hidden layers live in the two shared
+        scratch blocks (layer i in block i % 2), so no hidden layer is
+        allocated per call; only the returned output layer is fresh. The
+        scratch is shared by every network: ``forward`` is single-threaded
+        and not reentrant. ``cache=True`` never touches the scratch. Bias
+        and tanh act in place on each layer's own product, never on the
+        input or the parameters.
         """
         x = x if isinstance(x, OneHot) else np.asarray(x, dtype=float)
         squeeze = len(x.shape) == 1
@@ -128,9 +163,11 @@ class Mlp:
         acts = [h]
         n_layers = len(self.weights)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w
+            hidden = i < n_layers - 1
+            out = _scratch(i, (len(h), w.shape[1])) if hidden and not cache else None
+            h = _product(h, w, out)
             h += b
-            if i < n_layers - 1:
+            if hidden:
                 np.tanh(h, out=h)
             if cache:
                 acts.append(h)

@@ -158,11 +158,11 @@ class QVCritic:
     def q_values(self, s: np.ndarray, a: np.ndarray,
                  target: bool = False) -> np.ndarray:
         x = concat([self.state_feat(s), self.action_feat(a)], axis=1)
-        return (self.q_target if target else self.q_net).forward(x)[:, 0]
+        return (self.q_target if target else self.q_net).forward(x, cache=False)[:, 0]
 
     def v_values(self, s: np.ndarray, target: bool = False) -> np.ndarray:
         return (self.v_target if target else self.v_net).forward(
-            self.state_feat(s))[:, 0]
+            self.state_feat(s), cache=False)[:, 0]
 
     def gradient_step(self, q_in: np.ndarray, q_tgt: np.ndarray,
                       v_in: np.ndarray, q_ref_in: np.ndarray, tau: float) -> None:
@@ -177,7 +177,7 @@ class QVCritic:
         grads, _ = self.q_net.backward(upstream)
         self.q_trainer.apply(grads)
 
-        q_ref = self.q_target.forward(q_ref_in)[:, 0]
+        q_ref = self.q_target.forward(q_ref_in, cache=False)[:, 0]
         u = q_ref - self.v_net.forward(v_in)[:, 0]
         upstream_v = (-reverse_expectile_grad(u, tau) / len(u))[:, None]
         grads_v, _ = self.v_net.backward(upstream_v)
@@ -293,7 +293,7 @@ def update_feasibility_critics(
     for _ in range(steps):
         idx = rng.integers(len(offline), size=min(cfg.batch_size, len(offline)))
         fs = feat_s[idx]
-        v2 = np.maximum(h_s2[idx], critic.v_target.forward(feat_s2[idx])[:, 0])
+        v2 = np.maximum(h_s2[idx], critic.v_target.forward(feat_s2[idx], cache=False)[:, 0])
         target_off = feasible_backup(h_s[idx], v2, gamma)
 
         if roll is not None:
@@ -301,7 +301,7 @@ def update_feasibility_critics(
             ridx = rng.integers(len(roll), size=min(want, len(roll)))
             rh = roll_h[ridx]
             succ = roll.elite_next[:, ridx].reshape(-1, d_s)
-            v_succ = critic.v_target.forward(critic.state_feat(succ))[:, 0]
+            v_succ = critic.v_target.forward(critic.state_feat(succ), cache=False)[:, 0]
             v_next = np.maximum(elite_floor[:, ridx],
                                 v_succ.reshape(n_elites, -1)).max(axis=0)
             target_roll = feasible_backup(rh, v_next, gamma)

@@ -247,7 +247,7 @@ def train_ensemble(
                 trainer.apply(grads)
 
             # Snapshot the epoch with the best held-out mean prediction.
-            mu_ref = net.forward(x_all[ref_idx])[:, :d_s]
+            mu_ref = net.forward(x_all[ref_idx], cache=False)[:, :d_s]
             err = float(np.mean((mu_ref - y_all[ref_idx]) ** 2))
             if err < best_err:
                 best_err = err
@@ -256,7 +256,7 @@ def train_ensemble(
         net.set_parameters(best_params)
         member.val_error = best_err
         if cfg.loss == "mse":
-            resid = net.forward(x_all[ref_idx])[:, :d_s] - y_all[ref_idx]
+            resid = net.forward(x_all[ref_idx], cache=False)[:, :d_s] - y_all[ref_idx]
             member.fixed_var = np.maximum(resid.var(axis=0), np.exp(LOGVAR_MIN))
         val_errors[k] = member.val_error
         members.append(member)

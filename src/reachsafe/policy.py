@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .approx import Mlp, Trainer, concat, load_mlp, save_mlp
-from .cmdp import HardCMDP, OfflineDataset, Predicate, cost_labels, nearest_rows
+from .cmdp import HardCMDP, OfflineDataset
 from .critics import (
     Featurizer,
     FeasibilityCritic,
@@ -25,10 +24,8 @@ from .critics import (
     RewardCriticConfig,
     normalized_featurizer,
 )
-from .reachability import fit_tabular_critic
-from .rollout import RolloutBuffer, RolloutConfig
+from .rollout import RolloutBuffer
 from .seeding import substream
-from .tabular import build_model, perturbed_models
 
 
 class RolloutDataRejected(TypeError):
@@ -75,7 +72,7 @@ def update_reward_critic(critic: RewardCritic, offline: OfflineDataset,
 
     for _ in range(steps):
         idx = rng.integers(len(offline), size=min(cfg.batch_size, len(offline)))
-        v2 = critic.v_target.forward(feat_s2[idx])[:, 0]
+        v2 = critic.v_target.forward(feat_s2[idx], cache=False)[:, 0]
         target_q = rewards[idx] + cfg.gamma * not_done[idx] * v2
         q_in = feat_sa[idx]
         # The expectile weight |e - 1(u < 0)| is the reverse one at 1 - e.
@@ -114,7 +111,7 @@ class SafePolicy:
         return self.act_batch(np.asarray(s, dtype=float).reshape(1, -1))[0]
 
     def act_batch(self, s: np.ndarray) -> np.ndarray:
-        raw = self.net.forward(self.state_feat(s))
+        raw = self.net.forward(self.state_feat(s), cache=False)
         return self.low + (self.high - self.low) * (np.tanh(raw) + 1.0) / 2.0
 
 
@@ -250,95 +247,6 @@ def evaluate_policy(policy: SafePolicy, env: HardCMDP, episodes: int,
         mean_violations=float(np.mean(violations)),
         mean_return=float(np.mean(returns)),
     )
-
-
-# ---------------------------------------------------------------------------
-# Rollout-data monotonicity audit (tabular)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MonotonicityReport:
-    seeds: list[int]
-    n_checked: int
-    counterexamples: list[dict]
-
-    @property
-    def holds(self) -> bool:
-        return not self.counterexamples
-
-
-def rollout_value_monotonicity_check(
-    dataset: OfflineDataset,
-    env: HardCMDP,
-    rollout_cfg: RolloutConfig,
-    cost_fn: Predicate,
-    seeds: Sequence[int],
-    gamma: float = 0.95,
-    n_extra_members: int = 2,
-    tol: float = 1e-9,
-) -> MonotonicityReport:
-    """Verify that rollout data never lowers a state's safety value.
-
-    Two exact tabular critics train on the same dataset: one from the
-    offline pairs with the dataset's own labels, one additionally fed
-    retained single-step rollout branches and relabeled costs. For every
-    dataset state the audited property is: the augmented value is no
-    smaller than the plain one, or it is already positive.
-
-    Single-step branches are required: only then does every retained pair
-    carry a successor the conservative backup can pin above zero.
-    """
-    if rollout_cfg.horizon != 1:
-        raise ValueError("the monotonicity audit is defined for horizon-1 branches")
-    model = build_model(env)
-    n = model.n_states
-
-    s_idx = model.index(dataset.s)
-    a_idx = nearest_rows(model.actions, dataset.a)
-    s2_idx = model.index(dataset.s2)
-    offline_pairs = list(zip(s_idx, a_idx, s2_idx))
-
-    # Labels the plain run sees: the dataset's own cost column (all safe
-    # for an intervention-collected corpus).
-    h_origin = np.full(n, model.h_min)
-    h_origin[s2_idx[dataset.cost > 0]] = model.h_max
-
-    cbar = cost_labels(cost_fn, model.states)
-    h_relabel = np.where(cbar > 0, model.h_max, model.h_min)
-
-    counterexamples: list[dict] = []
-    n_checked = 0
-    for seed in seeds:
-        members = perturbed_models(model, n_extra_members, seed)
-        rng = substream(seed, "monotonicity-rollout")
-        starts = np.unique(np.concatenate([s_idx, s2_idx]))
-        rollout_pairs = []
-        for epoch in range(rollout_cfg.epochs):
-            batch = rng.choice(starts, size=min(rollout_cfg.batch, len(starts)),
-                               replace=False)
-            actions = rng.integers(model.n_actions, size=len(batch))
-            for st, ac in zip(batch, actions):
-                succ = [m.next_idx[st, ac] for m in members]
-                if any(cbar[ix] for ix in succ):
-                    rollout_pairs.append((int(st), int(ac), succ))
-
-        origin = fit_tabular_critic(model, h_origin, offline_pairs, (),
-                                    gamma=gamma)
-        augmented = fit_tabular_critic(model, h_relabel, offline_pairs,
-                                       rollout_pairs, gamma=gamma)
-        for st in np.unique(s_idx):
-            n_checked += 1
-            v_o = origin.v(int(st))
-            v_p = augmented.v(int(st))
-            if v_p < v_o - tol and v_p <= 0.0:
-                counterexamples.append({
-                    "seed": seed, "state_idx": int(st),
-                    "state": model.states[int(st)].tolist(),
-                    "v_origin": v_o, "v_augmented": v_p,
-                })
-    return MonotonicityReport(seeds=list(seeds), n_checked=n_checked,
-                              counterexamples=counterexamples)
 
 
 # ---------------------------------------------------------------------------

@@ -303,3 +303,39 @@ def test_forward_writes_into_no_input_parameter_or_earlier_output(kind, cache):
     for out in (out1, out2):
         others = [*net.parameters(), out3, x1 if kind == "dense" else x1.cols]
         assert not any(np.shares_memory(out, o) for o in others)
+
+
+# ---------------------------------------------------------------------------
+# Cache-free passes share two scratch blocks across calls and networks.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["dense", "onehot"])
+def test_cache_free_passes_across_nets_keep_results_and_cached_activations(kind):
+    rng = np.random.default_rng(11)
+    # Net a of each pair caches, net b of the same sizes runs cache-free.
+    pairs = [tuple(Mlp([9, *[16] * depth, 3], seed=seed) for seed in (1, 2))
+             for depth in (1, 2, 3)]
+    for net in (net for pair in pairs for net in pair):
+        for p in net.biases:
+            p[:] = rng.normal(size=p.shape)
+    kept = []  # (result, its value when returned)
+    for n in (4, 64, 300, 20, 1):  # the scratch grows, then serves smaller batches
+        x = rng.normal(size=(n, 9)) if kind == "dense" else random_onehot(rng, n, [6, 3])
+        upstream = rng.normal(size=(n, 3))
+        for a, b in pairs:
+            ref = a.copy()
+            want = ref.forward(x)
+            want_grads, _ = ref.backward(upstream)
+            out_a = a.forward(x)
+            out_b = b.forward(x, cache=False)
+            grads, _ = a.backward(upstream)
+            assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+            assert np.array_equal(out_a, want)
+            assert np.array_equal(out_b, b.forward(x))
+            free_a = a.forward(x, cache=False)
+            assert np.array_equal(free_a, want)
+            kept += [(out, out.copy()) for out in (out_a, out_b, free_a)]
+    for i, (out, value) in enumerate(kept):
+        assert np.array_equal(out, value)
+        assert not any(np.shares_memory(out, other) for other, _ in kept[i + 1:])

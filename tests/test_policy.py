@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reachsafe.approx import BackwardBeforeForward
 from reachsafe.collect import collect_safe_dataset
 from reachsafe.cmdp import OfflineDataset, SAFE_ONLY
 from reachsafe.critics import (
@@ -10,6 +11,7 @@ from reachsafe.critics import (
     onehot_state_featurizer,
     update_feasibility_critics,
 )
+from reachsafe.dynamics import TrainConfig, train_ensemble
 from reachsafe.envs import behavior_mixture, make_double_integrator, make_hazard_gridworld
 from reachsafe.oracle import compute_feasible_set_oracle
 from reachsafe.policy import (
@@ -24,12 +26,11 @@ from reachsafe.policy import (
     make_policy,
     make_reward_critic,
     reward_norm_from_dataset,
-    rollout_value_monotonicity_check,
     save_policy,
     update_reward_critic,
 )
 from reachsafe.reachability import tabular_value_iteration
-from reachsafe.rollout import RolloutBuffer, RolloutConfig
+from reachsafe.rollout import RolloutBuffer
 from reachsafe.tabular import tabulate
 
 
@@ -263,51 +264,6 @@ def test_reward_norm_from_dataset(integrator):
     assert hi > lo
 
 
-def test_monotonicity_check_safe_only_gridworld():
-    env = make_hazard_gridworld(5, 5, [(2, 2)], momentum=1, gamma=0.95)
-    mix = behavior_mixture(env, [("goal_greedy", 0.5), ("random", 0.5)])
-    data = collect_safe_dataset(env, mix, n_transitions=1200, seed=5)
-    report = rollout_value_monotonicity_check(
-        data, env, RolloutConfig(batch=256, epochs=4),
-        cost_fn=env.margin_predicate(1.0), seeds=[0, 1], gamma=0.95)
-    assert report.holds
-    assert report.n_checked > 0
-
-
-def test_monotonicity_check_requires_single_step():
-    env = make_hazard_gridworld(5, 5, [(2, 2)], momentum=1)
-    data = collect_safe_dataset(
-        env, behavior_mixture(env, [("random", 1.0)]), n_transitions=100, seed=0)
-    with pytest.raises(ValueError):
-        rollout_value_monotonicity_check(
-            data, env, RolloutConfig(horizon=2), env.margin_predicate(1.0), [0])
-
-
-def test_monotonicity_with_ground_truth_and_unsafe_data():
-    # Mixed corpus: true labels, predicate equals the truth. The augmented
-    # values must dominate near violations and never dip below plain ones.
-    env = make_hazard_gridworld(5, 5, [(2, 2)], momentum=1, gamma=0.95)
-    rng = np.random.default_rng(0)
-    rows_s, rows_a, rows_s2, rows_c = [], [], [], []
-    for _ in range(800):
-        s = env.states[int(rng.integers(len(env.states)))]
-        a = env.action_set[int(rng.integers(len(env.action_set)))]
-        s2 = env.transition(s, a)
-        rows_s.append(s); rows_a.append(a); rows_s2.append(s2)
-        rows_c.append(env.cost(s2))
-    data = OfflineDataset(
-        s=np.array(rows_s), a=np.array(rows_a), r=np.zeros(800),
-        s2=np.array(rows_s2), done=np.zeros(800, dtype=bool),
-        cost=np.array(rows_c), tag="mixed",
-        meta={"env": env.name, "episode_ends": []},
-    )
-    report = rollout_value_monotonicity_check(
-        data, env, RolloutConfig(batch=256, epochs=4),
-        cost_fn=lambda s: np.array([env.cost(row) for row in s]), seeds=[0],
-        gamma=0.95)
-    assert report.holds
-
-
 def test_policy_checkpoint_roundtrip(integrator, tmp_path):
     env, data = integrator
     policy = make_policy(env, data, seed=3)
@@ -317,3 +273,38 @@ def test_policy_checkpoint_roundtrip(integrator, tmp_path):
     acts_a = policy.act_batch(data.s[:16])
     acts_b = back.act_batch(data.s[:16])
     assert np.array_equal(acts_a, acts_b)
+
+
+def test_inference_passes_leave_no_activations_for_backward(integrator):
+    # Value, policy, target and validation passes never feed backward, so
+    # they keep no activations: none stays pinned in memory after the call.
+    env, data = integrator
+    s, a = data.s[:32], data.a[:32]
+    reward = make_reward_critic(env, data, seed=1)
+    feas = make_feasibility_critic(env, data, seed=1)
+    policy = make_policy(env, data, seed=1)
+    nets = [net for c in (reward, feas)
+            for net in (c.q_net, c.v_net, c.q_target, c.v_target)] + [policy.net]
+
+    def assert_no_cache(nets):
+        for net in nets:
+            with pytest.raises(BackwardBeforeForward):
+                net.backward(np.zeros((4, net.sizes[-1])))
+
+    for net in nets:
+        net.forward(np.zeros((4, net.sizes[0])))  # a training pass caches
+    for critic in (reward, feas):
+        for target in (False, True):
+            critic.q_values(s, a, target=target)
+            critic.v_values(s, target=target)
+    policy.act_batch(s)
+    assert_no_cache(nets)
+
+    update_reward_critic(reward, data, steps=1)
+    update_feasibility_critics(feas, data, None, steps=1)
+    assert_no_cache([net for c in (reward, feas) for net in (c.q_target, c.v_target)])
+
+    for loss in ("nll", "mse"):
+        model = train_ensemble(data, n_total=2, n_elite=1, epochs=1, seed=3,
+                               cfg=TrainConfig(loss=loss))
+        assert_no_cache([member.net for member in model.members])
