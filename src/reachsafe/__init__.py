@@ -17,3 +17,8 @@ Library layout:
 """
 
 __version__ = "0.1.0"
+
+# Environment variables that set the BLAS thread count. The CLI pins each
+# to one thread, and ``seeding.ordered_map`` runs threads only when all
+# three read "1". Kept here, where reading it imports no numpy.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

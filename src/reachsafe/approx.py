@@ -10,10 +10,12 @@ sums the selected weight rows, exactly the dense product for one or two
 blocks; ``backward`` keeps the dense GEMM and forms no input gradient.
 
 An inference pass (``forward(..., cache=False)``) keeps nothing: hidden
-layer i is written into one of two module-level scratch blocks, chosen by
-i % 2, which grow on demand and are reused by every later cache-free pass
-of any network. Only the output layer is a fresh array. The scratch makes
-``forward`` single-threaded and not reentrant.
+layer i is written into one of the calling thread's two scratch blocks,
+chosen by i % 2, which grow on demand and are reused by its later
+cache-free passes of any network. Only the output layer is a fresh array.
+Thread contract: cache-free passes may run on several threads at once,
+even on one network; a caching pass and the ``backward`` that consumes it
+run on one thread per network, with no other pass of it in between.
 
 Checkpoints keep float64 as well: ``save_mlp`` writes every network of one
 model (a critic's four nets, a policy, a dynamics ensemble) and a JSON
@@ -23,6 +25,7 @@ without pickle, so a reloaded model computes exactly what the saved one did.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,17 +77,24 @@ def concat(parts, axis: int = 0):
                   int(offsets[-1]))
 
 
-# Hidden layers of cache-free passes; layer i uses block i % 2, so a layer
-# never overwrites its own input.
-_SCRATCH = [np.empty(0), np.empty(0)]
+class _Scratch(threading.local):
+    """Hidden layers of this thread's cache-free passes; layer i uses block
+    i % 2, so a layer never overwrites its own input."""
+
+    def __init__(self) -> None:
+        self.blocks = [np.empty(0), np.empty(0)]
+
+
+_SCRATCH = _Scratch()
 
 
 def _scratch(i: int, shape: tuple[int, int]) -> np.ndarray:
-    """A (rows, width) view of scratch block i % 2, grown if too small."""
+    """A (rows, width) view of this thread's block i % 2, grown if too small."""
+    blocks = _SCRATCH.blocks
     size = shape[0] * shape[1]
-    if _SCRATCH[i % 2].size < size:
-        _SCRATCH[i % 2] = np.empty(size)
-    return _SCRATCH[i % 2][:size].reshape(shape)
+    if blocks[i % 2].size < size:
+        blocks[i % 2] = np.empty(size)
+    return blocks[i % 2][:size].reshape(shape)
 
 
 def _product(h: np.ndarray | OneHot, w: np.ndarray, out: np.ndarray | None) -> np.ndarray:
@@ -147,13 +157,14 @@ class Mlp:
 
         ``cache=False`` is an inference-only pass: it keeps no activations
         and drops any an earlier pass left, so a large batch is not pinned
-        in memory after the call. Its hidden layers live in the two shared
-        scratch blocks (layer i in block i % 2), so no hidden layer is
-        allocated per call; only the returned output layer is fresh. The
-        scratch is shared by every network: ``forward`` is single-threaded
-        and not reentrant. ``cache=True`` never touches the scratch. Bias
-        and tanh act in place on each layer's own product, never on the
-        input or the parameters.
+        in memory after the call. Its hidden layers live in the calling
+        thread's two scratch blocks (layer i in block i % 2), so no hidden
+        layer is allocated per call; only the returned output layer is
+        fresh. Cache-free passes may run on several threads at once, even
+        on one network. ``cache=True`` never touches the scratch; it and
+        the matching ``backward`` run on one thread per network, with no
+        other pass of that network in between. Bias and tanh act in place
+        on each layer's own product, never on the input or the parameters.
         """
         x = x if isinstance(x, OneHot) else np.asarray(x, dtype=float)
         squeeze = len(x.shape) == 1

@@ -4,16 +4,26 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+from . import BLAS_THREAD_VARS
 
-from .cmdp import ConfigurationError
-from .config import ExperimentConfig, build_env, default_config, load_config
-from .costgen import load_final_candidate
-from .critics import export_heatmap, load_critic
-from .pipeline import (
+# One BLAS thread per product, unless the user set otherwise: parallel work
+# runs as whole independent units (``seeding.ordered_map``), which needs a
+# pinned BLAS. The variables only take effect before numpy loads BLAS.
+if "numpy" not in sys.modules:
+    for _var in BLAS_THREAD_VARS:
+        os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+from .cmdp import ConfigurationError  # noqa: E402
+from .config import ExperimentConfig, build_env, default_config, load_config  # noqa: E402
+from .costgen import load_final_candidate  # noqa: E402
+from .critics import export_heatmap, load_critic  # noqa: E402
+from .pipeline import (  # noqa: E402
     MissingArtifact,
     RunPaths,
     STAGES,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .approx import Mlp, Trainer, load_mlp, save_mlp
 from .cmdp import ConfigurationError, OfflineDataset, Predicate, cost_labels
-from .seeding import substream
+from .seeding import ordered_map, substream
 
 LOGVAR_MAX = 0.5
 # The floor keeps exp(-logvar) bounded: near-deterministic dimensions
@@ -167,7 +167,8 @@ def train_ensemble(
     """Train all members on their own shuffled splits; pick elites.
 
     Determinism: every member derives its init, split and minibatch order
-    from a named substream of ``seed``.
+    from a named substream of ``seed``, so the members train as independent
+    units through ``ordered_map`` and give the serial loop's result.
     """
     cfg = cfg or TrainConfig()
     if len(data) == 0:
@@ -203,9 +204,7 @@ def train_ensemble(
         wd = cfg.weight_decays[min(i, len(cfg.weight_decays) - 1)]
         decays.extend((wd, 0.0))  # decay weights, not biases
 
-    members: list[GaussianDynamicsMember] = []
-    val_errors = np.zeros(n_total)
-    for k in range(n_total):
+    def train_member(k: int) -> GaussianDynamicsMember:
         rng = substream(seed, "dynamics-member", k)
         perm = rng.permutation(len(data))
         val_idx = perm[:n_val]
@@ -258,8 +257,10 @@ def train_ensemble(
         if cfg.loss == "mse":
             resid = net.forward(x_all[ref_idx], cache=False)[:, :d_s] - y_all[ref_idx]
             member.fixed_var = np.maximum(resid.var(axis=0), np.exp(LOGVAR_MIN))
-        val_errors[k] = member.val_error
-        members.append(member)
+        return member
+
+    members = ordered_map(train_member, range(n_total))
+    val_errors = np.array([member.val_error for member in members])
 
     elites = list(np.argsort(val_errors, kind="stable")[:n_elite])
     return EnsembleDynamics(

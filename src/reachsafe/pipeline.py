@@ -67,6 +67,7 @@ from .rollout import (
     flatten_branches,
     relabel_offline,
     save_rollout_buffer,
+    stack_buffers,
 )
 from .seeding import child_seed
 
@@ -370,8 +371,7 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
         horizon=lc.rollout_horizon, epochs=lc.rollout_epochs,
         noise_std=0.0 if "det-rollout" in cfg.ablations else lc.rollout_noise_std,
     )
-    window: list[list] = []
-    all_branches: list = []
+    events: list = []  # one flattened buffer per rollout event
     total = lc.total_steps
     n_events = (total + rcfg.frequency - 1) // rcfg.frequency
     for event in range(n_events):
@@ -382,10 +382,9 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
                 policy.act_batch, offline, ensemble, candidate.predicate,
                 rcfg, seed=child_seed(seed, "learn", "rollout"), event=event,
                 action_bounds=env.action_bounds)
-            window.append(kept)
-            all_branches.extend(kept)
-            recent = [b for ev in window[-lc.rollout_window:] for b in ev]
-            buffer = flatten_branches(recent, env.h_min, env.h_max)
+            events.append(flatten_branches(kept, env.h_min, env.h_max))
+            del kept  # no branch outlives its event's buffer
+            buffer = stack_buffers(events[-lc.rollout_window:])
         if critic is not None:
             update_feasibility_critics(critic, offline, buffer, steps=steps,
                                        seed=child_seed(seed, "learn", "feas"),
@@ -405,8 +404,8 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
     save_critic(reward, paths.reward_dir(cfg))
     save_policy(policy, paths.policy_dir(cfg))
     if ensemble is not None:
-        save_rollout_buffer(flatten_branches(all_branches, env.h_min, env.h_max),
-                            paths.rollout_buffer(cfg), meta={"variant": cfg.variant()})
+        save_rollout_buffer(stack_buffers(events), paths.rollout_buffer(cfg),
+                            meta={"variant": cfg.variant()})
 
 
 @_stage

@@ -9,7 +9,7 @@ also the label the retained data carries into critic training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -28,7 +28,7 @@ from .dynamics import (
     conservative_cost_label_batch,
     sample_next_batch,
 )
-from .seeding import substream
+from .seeding import ordered_map, substream
 
 
 @dataclass
@@ -68,10 +68,6 @@ class BranchTrajectory:
     a: np.ndarray           # (h, d_a)
     label: np.ndarray       # (h,) conservative any-elite labels
     elite_next: np.ndarray  # (n_elites, h, d_s) elite mean successors
-    violated: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.violated = bool(self.label.sum() > 0)
 
     def __len__(self) -> int:
         return len(self.label)
@@ -93,8 +89,11 @@ def branched_rollout(
     are drawn uniformly without replacement (per epoch) from the dataset's
     states plus its episode terminals. Noise, elite choice and Gaussian
     sampling all derive from (seed, event, epoch), so results do not
-    depend on scheduling. Noisy actions are clipped to ``action_bounds``
-    when given ((d_a, 2) lo/hi columns).
+    depend on scheduling: the epochs run as independent units through
+    ``ordered_map``, and their branches are returned in epoch order.
+    ``policy`` and ``cost_fn`` may therefore be called from several
+    threads at once. Noisy actions are clipped to ``action_bounds`` when
+    given ((d_a, 2) lo/hi columns).
     """
     if len(dataset) == 0:
         raise ConfigurationError("cannot roll out from an empty dataset")
@@ -104,8 +103,7 @@ def branched_rollout(
     else:
         lo, hi = -np.inf, np.inf
 
-    kept: list[BranchTrajectory] = []
-    for epoch in range(cfg.epochs):
+    def run_epoch(epoch: int) -> list[BranchTrajectory]:
         rng = substream(seed, "rollout", event, epoch)
         n = min(cfg.batch, len(pool))
         starts = rng.choice(len(pool), size=n, replace=False)
@@ -126,15 +124,16 @@ def branched_rollout(
             steps_c[t] = conservative_cost_label_batch(means, cost_fn)
             s = sample_next_batch(means, variances, rng)
         violated = steps_c.sum(axis=0) > 0
-        for i in np.nonzero(violated)[0]:
-            kept.append(BranchTrajectory(
-                origin=int(starts[i]),
-                s=steps_s[:, i].copy(),
-                a=steps_a[:, i].copy(),
-                label=steps_c[:, i].copy(),
-                elite_next=steps_m[:, :, i].copy(),
-            ))
-    return kept
+        return [BranchTrajectory(
+                    origin=int(starts[i]),
+                    s=steps_s[:, i].copy(),
+                    a=steps_a[:, i].copy(),
+                    label=steps_c[:, i].copy(),
+                    elite_next=steps_m[:, :, i].copy(),
+                ) for i in np.nonzero(violated)[0]]
+
+    return [branch for kept in ordered_map(run_epoch, range(cfg.epochs))
+            for branch in kept]
 
 
 @dataclass
@@ -157,9 +156,7 @@ def flatten_branches(branches: Sequence[BranchTrajectory], h_min: float,
                      h_max: float) -> RolloutBuffer:
     """Stack retained branches; h labels derive from the step labels."""
     if not branches:
-        return RolloutBuffer(s=np.zeros((0, 1)), a=np.zeros((0, 1)),
-                             label=np.zeros(0, dtype=int), h_s=np.zeros(0),
-                             origin=np.zeros(0, dtype=int))
+        return stack_buffers([])
     s = np.concatenate([b.s for b in branches])
     a = np.concatenate([b.a for b in branches])
     label = np.concatenate([b.label for b in branches])
@@ -168,6 +165,20 @@ def flatten_branches(branches: Sequence[BranchTrajectory], h_min: float,
     elite_next = np.concatenate([b.elite_next for b in branches], axis=1)
     return RolloutBuffer(s=s, a=a, label=label, h_s=h_s, origin=origin,
                          elite_next=elite_next)
+
+
+def stack_buffers(buffers: Sequence[RolloutBuffer]) -> RolloutBuffer:
+    """Row-concatenation of fresh buffers (elite means included), in order,
+    skipping empty ones."""
+    full = [b for b in buffers if len(b)]
+    if not full:
+        return RolloutBuffer(s=np.zeros((0, 1)), a=np.zeros((0, 1)),
+                             label=np.zeros(0, dtype=int), h_s=np.zeros(0),
+                             origin=np.zeros(0, dtype=int))
+    columns = {name: np.concatenate([getattr(b, name) for b in full])
+               for name in _BUFFER_COLUMNS}
+    elite_next = np.concatenate([b.elite_next for b in full], axis=1)
+    return RolloutBuffer(**columns, elite_next=elite_next)
 
 
 def relabel_offline(dataset: OfflineDataset, cost_fn: Predicate,

@@ -1,4 +1,7 @@
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -339,3 +342,48 @@ def test_cache_free_passes_across_nets_keep_results_and_cached_activations(kind)
     for i, (out, value) in enumerate(kept):
         assert np.array_equal(out, value)
         assert not any(np.shares_memory(out, other) for other, _ in kept[i + 1:])
+
+
+# ---------------------------------------------------------------------------
+# Each thread has its own scratch: concurrent cache-free passes stay exact.
+# ---------------------------------------------------------------------------
+
+
+def test_concurrent_cache_free_passes_equal_the_serial_ones():
+    rng = np.random.default_rng(5)
+    nets = [Mlp([9, *[32] * depth, 3], seed=depth) for depth in (1, 2, 3)]
+    for net in nets:
+        for p in net.biases:
+            p[:] = rng.normal(size=p.shape)
+    inputs = [rng.normal(size=(n, 9)) for n in (1, 7, 64, 300, 1000)]
+    inputs += [random_onehot(rng, n, [6, 3]) for n in (5, 500)]
+    cases = [(net, x) for net in nets for x in inputs]
+    want = [net.forward(x, cache=False) for net, x in cases]
+    deadline = time.monotonic() + 1.5
+    passes, mismatches, errors = [0] * 4, [], []
+
+    def hammer(worker):
+        k = worker * 5  # each thread starts on a different case
+        try:
+            while time.monotonic() < deadline:
+                net, x = cases[k % len(cases)]
+                if not np.array_equal(net.forward(x, cache=False), want[k % len(cases)]):
+                    mismatches.append(k % len(cases))
+                passes[worker] += 1
+                k += 1
+        except Exception as err:  # noqa: BLE001 - reported by the assertion below
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(w,)) for w in range(len(passes))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not mismatches
+    assert min(passes) > 0

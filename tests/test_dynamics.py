@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reachsafe import BLAS_THREAD_VARS
 from reachsafe.cmdp import ConfigurationError
 from reachsafe.collect import collect_safe_dataset
 from reachsafe.dynamics import (
@@ -223,3 +224,25 @@ def test_ensemble_checkpoint_roundtrip(trained, tmp_path):
     m2, v2 = model.elite_predictions(data.s[:5], data.a[:5])
     assert np.array_equal(m1, m2)
     assert np.array_equal(v1, v2)
+
+
+@pytest.mark.parametrize("loss", ["nll", "mse"])
+def test_members_in_threads_equal_the_serial_loop(integrator_setup, monkeypatch, loss):
+    _, data = integrator_setup
+
+    def train(blas):
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.setenv(var, blas)
+        return train_ensemble(data, n_total=3, n_elite=2, epochs=2, seed=8,
+                              cfg=TrainConfig(loss=loss))
+
+    threaded, serial = train("1"), train("2")
+    assert threaded.elites == serial.elites
+    assert np.array_equal(threaded.val_errors, serial.val_errors)
+    for ma, mb in zip(threaded.members, serial.members):
+        assert ma.val_error == mb.val_error
+        assert (ma.fixed_var is None) == (mb.fixed_var is None) == (loss == "nll")
+        if ma.fixed_var is not None:
+            assert np.array_equal(ma.fixed_var, mb.fixed_var)
+        for p, q in zip(ma.net.parameters(), mb.net.parameters()):
+            assert np.array_equal(p, q)

@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from reachsafe import BLAS_THREAD_VARS
+from reachsafe.approx import Mlp
 from reachsafe.collect import collect_safe_dataset
 from reachsafe.cmdp import ConfigurationError
 from reachsafe.costgen import GenerationConfig, validate, CostCandidate
@@ -14,6 +18,7 @@ from reachsafe.rollout import (
     load_rollout_buffer,
     relabel_offline,
     save_rollout_buffer,
+    stack_buffers,
 )
 
 
@@ -59,7 +64,6 @@ def test_retained_branches_all_violate(setup):
                             action_bounds=env.action_bounds)
     assert kept, "outward pushes from boundary data must violate"
     for branch in kept:
-        assert branch.violated
         assert branch.label.sum() > 0
         assert len(branch) <= cfg.horizon
 
@@ -202,3 +206,44 @@ def test_critic_update_refuses_a_buffer_without_elite_means(setup, tmp_path):
                                      cost_fn=env.margin_predicate(0.08))
     with pytest.raises(ValueError, match="elite_next"):
         update_feasibility_critics(critic, data, back, steps=1)
+
+
+def test_rollout_epochs_in_threads_equal_the_serial_loop(setup, monkeypatch):
+    env, data, model = setup
+    cfg = RolloutConfig(batch=256, horizon=3, epochs=5)
+    net = Mlp([2, 16, 1], seed=4)  # one policy net, shared by every epoch
+
+    def policy(states):
+        return np.tanh(net.forward(states, cache=False))
+
+    def run(blas, epochs=cfg.epochs):
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.setenv(var, blas)
+        return branched_rollout(policy, data, model, env.margin_predicate(0.04),
+                                replace(cfg, epochs=epochs), seed=3, event=1,
+                                action_bounds=env.action_bounds)
+
+    threaded, serial = run("1"), run("2")
+    first_two = run("1", epochs=2)  # branches come in epoch order
+    assert len(threaded) == len(serial) > len(first_two) > 0
+    for a, b in [*zip(threaded, serial), *zip(threaded, first_two)]:
+        assert a.origin == b.origin
+        for name in ("s", "a", "label", "elite_next"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_window_and_saved_buffers_stack_the_event_buffers(setup):
+    env, data, model = setup
+    cfg = RolloutConfig(batch=128, epochs=2, horizon=2)
+    events = [branched_rollout(_outward_policy, data, model, env.margin_predicate(0.04),
+                               cfg, seed=3, event=e, action_bounds=env.action_bounds)
+              for e in range(3)]
+    per_event = [flatten_branches(kept, -1.0, 1.0) for kept in events]
+    nothing = flatten_branches([], -1.0, 1.0)
+    whole = flatten_branches([b for kept in events for b in kept], -1.0, 1.0)
+    stacked = stack_buffers([nothing, *per_event[:1], nothing, *per_event[1:]])
+    for name in ("s", "a", "label", "h_s", "origin", "elite_next"):
+        assert np.array_equal(getattr(stacked, name), getattr(whole, name))
+        assert getattr(stacked, name).dtype == getattr(whole, name).dtype
+    empty = stack_buffers([nothing, nothing])
+    assert len(empty) == 0 and empty.s.shape == nothing.s.shape
