@@ -133,6 +133,9 @@ class ExperimentConfig:
             raise ConfigurationError("the unsafe corpus is capped at 100")
         if self.eval.episodes < 1:
             raise ConfigurationError("need at least one evaluation episode")
+        for key in ("total_steps", "rollout_window"):
+            if (value := getattr(self.learn, key)) < 1:
+                raise ConfigurationError(f"learn.{key} must be at least 1, got {value}")
         for key, widths in (("learn.hidden", self.learn.hidden),
                             ("dynamics.hidden", self.dynamics.hidden)):
             if not all(_is_int(w) and w > 0 for w in widths):

@@ -19,7 +19,7 @@ import functools
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -64,7 +64,6 @@ from .reachability import gamma_threshold, tabular_value_iteration
 from .rollout import (
     RolloutConfig,
     branched_rollout,
-    flatten_branches,
     relabel_offline,
     save_rollout_buffer,
     stack_buffers,
@@ -371,19 +370,17 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
         horizon=lc.rollout_horizon, epochs=lc.rollout_epochs,
         noise_std=0.0 if "det-rollout" in cfg.ablations else lc.rollout_noise_std,
     )
-    events: list = []  # one flattened buffer per rollout event
+    events: list = []  # one buffer per rollout event
     total = lc.total_steps
     n_events = (total + rcfg.frequency - 1) // rcfg.frequency
     for event in range(n_events):
         steps = min(rcfg.frequency, total - event * rcfg.frequency)
         buffer = None
         if ensemble is not None:
-            kept = branched_rollout(
-                policy.act_batch, offline, ensemble, candidate.predicate,
-                rcfg, seed=child_seed(seed, "learn", "rollout"), event=event,
-                action_bounds=env.action_bounds)
-            events.append(flatten_branches(kept, env.h_min, env.h_max))
-            del kept  # no branch outlives its event's buffer
+            events.append(branched_rollout(
+                policy.act_batch, offline, ensemble, candidate.predicate, rcfg,
+                seed=child_seed(seed, "learn", "rollout"), h_min=env.h_min,
+                h_max=env.h_max, event=event, action_bounds=env.action_bounds))
             buffer = stack_buffers(events[-lc.rollout_window:])
         if critic is not None:
             update_feasibility_critics(critic, offline, buffer, steps=steps,
@@ -404,8 +401,9 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
     save_critic(reward, paths.reward_dir(cfg))
     save_policy(policy, paths.policy_dir(cfg))
     if ensemble is not None:
-        save_rollout_buffer(stack_buffers(events), paths.rollout_buffer(cfg),
-                            meta={"variant": cfg.variant()})
+        # The saved file drops the elite means, so they are not stacked.
+        save_rollout_buffer(stack_buffers([replace(b, elite_next=None) for b in events]),
+                            paths.rollout_buffer(cfg), meta={"variant": cfg.variant()})
 
 
 @_stage

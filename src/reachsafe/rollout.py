@@ -1,10 +1,10 @@
 """Branched model rollouts and conservative relabeling of offline data.
 
 Rollouts branch off dataset states with exploration noise on the policy
-action, step through the learned ensemble, and keep only branches whose
-conservative step labels ever fire. The labels use the any-elite rule:
-a step is flagged when any elite's mean successor is flagged, which is
-also the label the retained data carries into critic training.
+action, step through the learned ensemble, and return as buffer rows the
+steps of every branch whose conservative labels ever fire. A step is
+flagged when any elite's mean successor is flagged (the any-elite rule),
+the label the rows carry into critic training.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from .dynamics import (
 )
 from .seeding import ordered_map, substream
 
+MAX_HORIZON = 10
+
 
 @dataclass
 class RolloutConfig:
@@ -45,29 +47,29 @@ class RolloutConfig:
     horizon: int = 1
     epochs: int = 10
     noise_std: float = 0.1
-    max_horizon: int = 10
 
     def __post_init__(self) -> None:
         if min(self.frequency, self.batch, self.horizon, self.epochs) < 1:
             raise ConfigurationError("rollout parameters must be positive")
         if self.noise_std < 0:
             raise ConfigurationError("noise_std must be nonnegative")
-        if self.horizon > self.max_horizon:
+        if self.horizon > MAX_HORIZON:
             raise ConfigurationError(
                 f"rollout horizon {self.horizon} exceeds the supported "
-                f"maximum of {self.max_horizon}"
+                f"maximum of {MAX_HORIZON}"
             )
 
 
 @dataclass
-class BranchTrajectory:
-    """One retained branch: (state, action, label) steps, provenance, elite means."""
+class RolloutBuffer:
+    """Retained rollout steps as columns; ``elite_next`` is not saved and loads as None."""
 
-    origin: int
-    s: np.ndarray           # (h, d_s)
-    a: np.ndarray           # (h, d_a)
-    label: np.ndarray       # (h,) conservative any-elite labels
-    elite_next: np.ndarray  # (n_elites, h, d_s) elite mean successors
+    s: np.ndarray                          # (rows, d_s)
+    a: np.ndarray                          # (rows, d_a)
+    label: np.ndarray                      # (rows,) conservative any-elite labels
+    h_s: np.ndarray                        # (rows,) h_max where labelled, else h_min
+    origin: np.ndarray                     # (rows,) index into the start-state pool
+    elite_next: np.ndarray | None = None   # (n_elites, rows, d_s) elite means
 
     def __len__(self) -> int:
         return len(self.label)
@@ -80,20 +82,23 @@ def branched_rollout(
     cost_fn: Predicate,
     cfg: RolloutConfig,
     seed: int,
+    h_min: float,
+    h_max: float,
     event: int = 0,
     action_bounds: np.ndarray | None = None,
-) -> list[BranchTrajectory]:
-    """Run one rollout event; return only branches containing a violation.
+) -> RolloutBuffer:
+    """Run one rollout event; return the steps of its violating branches.
 
     ``policy`` maps a batch of states to a batch of actions. Start states
     are drawn uniformly without replacement (per epoch) from the dataset's
-    states plus its episode terminals. Noise, elite choice and Gaussian
+    states plus its episode terminals. A kept branch gives ``horizon`` rows
+    with one ``origin``, the first its start state; ``h_s`` follows the
+    labels as in ``relabel_offline``. Noise, elite choice and Gaussian
     sampling all derive from (seed, event, epoch), so results do not
     depend on scheduling: the epochs run as independent units through
-    ``ordered_map``, and their branches are returned in epoch order.
-    ``policy`` and ``cost_fn`` may therefore be called from several
-    threads at once. Noisy actions are clipped to ``action_bounds`` when
-    given ((d_a, 2) lo/hi columns).
+    ``ordered_map``, and their rows are stacked in epoch order. ``policy``
+    and ``cost_fn`` may therefore be called from several threads at once.
+    Noisy actions are clipped to ``action_bounds`` ((d_a, 2) lo/hi) if given.
     """
     if len(dataset) == 0:
         raise ConfigurationError("cannot roll out from an empty dataset")
@@ -102,82 +107,47 @@ def branched_rollout(
         lo, hi = action_bounds[:, 0], action_bounds[:, 1]
     else:
         lo, hi = -np.inf, np.inf
+    d_s, d_a, n_elites = pool.shape[1], model.d_a, model.n_elites
 
-    def run_epoch(epoch: int) -> list[BranchTrajectory]:
+    def run_epoch(epoch: int) -> RolloutBuffer:
         rng = substream(seed, "rollout", event, epoch)
         n = min(cfg.batch, len(pool))
         starts = rng.choice(len(pool), size=n, replace=False)
         s = pool[starts].copy()
-        steps_s = np.zeros((cfg.horizon, n, s.shape[1]))
-        steps_a = np.zeros((cfg.horizon, n, model.d_a))
-        steps_c = np.zeros((cfg.horizon, n), dtype=int)
-        steps_m = np.zeros((model.n_elites, cfg.horizon, n, s.shape[1]))
+        # Branch-major steps, so a kept branch's steps are adjacent rows.
+        steps_s = np.zeros((n, cfg.horizon, d_s))
+        steps_a = np.zeros((n, cfg.horizon, d_a))
+        labels = np.zeros((n, cfg.horizon), dtype=int)
+        steps_m = np.zeros((n_elites, n, cfg.horizon, d_s))
         for t in range(cfg.horizon):
             a = np.atleast_2d(policy(s))
             if cfg.noise_std > 0:
                 a = a + rng.normal(scale=cfg.noise_std, size=a.shape)
             a = np.clip(a, lo, hi)
-            steps_s[t] = s
-            steps_a[t] = a
+            steps_s[:, t] = s
+            steps_a[:, t] = a
             means, variances = model.elite_predictions(s, a)
-            steps_m[:, t] = means
-            steps_c[t] = conservative_cost_label_batch(means, cost_fn)
+            steps_m[:, :, t] = means
+            labels[:, t] = conservative_cost_label_batch(means, cost_fn)
             s = sample_next_batch(means, variances, rng)
-        violated = steps_c.sum(axis=0) > 0
-        return [BranchTrajectory(
-                    origin=int(starts[i]),
-                    s=steps_s[:, i].copy(),
-                    a=steps_a[:, i].copy(),
-                    label=steps_c[:, i].copy(),
-                    elite_next=steps_m[:, :, i].copy(),
-                ) for i in np.nonzero(violated)[0]]
+        kept = labels.any(axis=1)
+        label = labels[kept].reshape(-1)
+        return RolloutBuffer(
+            s=steps_s[kept].reshape(-1, d_s), a=steps_a[kept].reshape(-1, d_a),
+            label=label, h_s=np.where(label > 0, h_max, h_min),
+            origin=np.repeat(starts[kept], cfg.horizon),
+            elite_next=steps_m[:, kept].reshape(n_elites, -1, d_s))
 
-    return [branch for kept in ordered_map(run_epoch, range(cfg.epochs))
-            for branch in kept]
-
-
-@dataclass
-class RolloutBuffer:
-    """Flat view over retained branch steps for critic training; the rows'
-    elite mean successors ``elite_next`` are not saved, and read back as None."""
-
-    s: np.ndarray
-    a: np.ndarray
-    label: np.ndarray
-    h_s: np.ndarray
-    origin: np.ndarray
-    elite_next: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self.label)
-
-
-def flatten_branches(branches: Sequence[BranchTrajectory], h_min: float,
-                     h_max: float) -> RolloutBuffer:
-    """Stack retained branches; h labels derive from the step labels."""
-    if not branches:
-        return stack_buffers([])
-    s = np.concatenate([b.s for b in branches])
-    a = np.concatenate([b.a for b in branches])
-    label = np.concatenate([b.label for b in branches])
-    origin = np.concatenate([np.full(len(b), b.origin) for b in branches])
-    h_s = np.where(label > 0, h_max, h_min)
-    elite_next = np.concatenate([b.elite_next for b in branches], axis=1)
-    return RolloutBuffer(s=s, a=a, label=label, h_s=h_s, origin=origin,
-                         elite_next=elite_next)
+    return stack_buffers(ordered_map(run_epoch, range(cfg.epochs)))
 
 
 def stack_buffers(buffers: Sequence[RolloutBuffer]) -> RolloutBuffer:
-    """Row-concatenation of fresh buffers (elite means included), in order,
-    skipping empty ones."""
-    full = [b for b in buffers if len(b)]
-    if not full:
-        return RolloutBuffer(s=np.zeros((0, 1)), a=np.zeros((0, 1)),
-                             label=np.zeros(0, dtype=int), h_s=np.zeros(0),
-                             origin=np.zeros(0, dtype=int))
-    columns = {name: np.concatenate([getattr(b, name) for b in full])
+    """Row-concatenation of buffers, in order. The elite means are stacked
+    only when every buffer carries them; otherwise the result has None."""
+    columns = {name: np.concatenate([getattr(b, name) for b in buffers])
                for name in _BUFFER_COLUMNS}
-    elite_next = np.concatenate([b.elite_next for b in full], axis=1)
+    elite = [b.elite_next for b in buffers]
+    elite_next = None if any(e is None for e in elite) else np.concatenate(elite, axis=1)
     return RolloutBuffer(**columns, elite_next=elite_next)
 
 
@@ -191,14 +161,13 @@ def relabel_offline(dataset: OfflineDataset, cost_fn: Predicate,
     """
     cost = cost_labels(cost_fn, dataset.s2)
     cbar_s = cost_labels(cost_fn, dataset.s)
-    out = OfflineDataset(
+    return OfflineDataset(
         s=dataset.s.copy(), a=dataset.a.copy(), r=dataset.r.copy(),
         s2=dataset.s2.copy(), done=dataset.done.copy(), cost=cost,
         tag="mixed", meta={**dataset.meta, "relabeled": True,
                            "source_tag": dataset.tag},
         h_s=np.where(cbar_s > 0, h_max, h_min),
     )
-    return out
 
 
 _BUFFER_COLUMNS = ("s", "a", "label", "h_s", "origin")

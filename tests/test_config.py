@@ -56,6 +56,18 @@ def test_bad_list_contents_are_refused_naming_the_key(tmp_path, line):
         load_config(write(tmp_path, line + "\n"))
 
 
+@pytest.mark.parametrize("line", [
+    "learn.total_steps = 0",
+    "learn.total_steps = -5",
+    "learn.rollout_window = 0",
+    "learn.rollout_window = -1",
+])
+def test_empty_step_budget_or_rollout_window_is_refused_naming_the_key(tmp_path, line):
+    key = line.split(" = ")[0]
+    with pytest.raises(ConfigurationError, match=f"^{key} must be at least 1"):
+        load_config(write(tmp_path, line + "\n"))
+
+
 def test_unknown_key_is_refused(tmp_path):
     with pytest.raises(ConfigurationError, match="learn.total_stepz"):
         load_config(write(tmp_path, "learn.total_stepz = 10\n"))

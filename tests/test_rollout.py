@@ -9,17 +9,18 @@ from reachsafe.collect import collect_safe_dataset
 from reachsafe.cmdp import ConfigurationError
 from reachsafe.costgen import GenerationConfig, validate, CostCandidate
 from reachsafe.critics import make_feasibility_critic, update_feasibility_critics
-from reachsafe.dynamics import train_ensemble
+from reachsafe.dynamics import conservative_cost_label_batch, train_ensemble
 from reachsafe.envs import behavior_mixture, integrator_behavior, make_double_integrator
 from reachsafe.rollout import (
     RolloutConfig,
     branched_rollout,
-    flatten_branches,
     load_rollout_buffer,
     relabel_offline,
     save_rollout_buffer,
     stack_buffers,
 )
+
+COLUMNS = ("s", "a", "label", "h_s", "origin")
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +45,13 @@ def _constant(value):
     return lambda s: np.full(len(s), value)
 
 
+def _rollout(setup, cost_fn, cfg, seed, **kwargs):
+    env, data, model = setup
+    return branched_rollout(_outward_policy, data, model, cost_fn, cfg, seed=seed,
+                            h_min=-1.0, h_max=1.0, action_bounds=env.action_bounds,
+                            **kwargs)
+
+
 def test_defaults_match_expected_schedule():
     cfg = RolloutConfig()
     assert cfg.horizon == 1
@@ -57,73 +65,70 @@ def test_horizon_cap_enforced():
 
 
 def test_retained_branches_all_violate(setup):
-    env, data, model = setup
+    env, _, _ = setup
     cfg = RolloutConfig(batch=256, epochs=3)
-    pred = env.margin_predicate(0.04)
-    kept = branched_rollout(_outward_policy, data, model, pred, cfg, seed=3,
-                            action_bounds=env.action_bounds)
-    assert kept, "outward pushes from boundary data must violate"
-    for branch in kept:
-        assert branch.label.sum() > 0
-        assert len(branch) <= cfg.horizon
+    buf = _rollout(setup, env.margin_predicate(0.04), cfg, seed=3)
+    assert len(buf), "outward pushes from boundary data must violate"
+    assert np.all(buf.label.reshape(-1, cfg.horizon).sum(axis=1) > 0)
 
 
 def test_no_label_no_branches(setup):
-    env, data, model = setup
+    env, _, model = setup
     cfg = RolloutConfig(batch=128, epochs=2)
-    kept = branched_rollout(_outward_policy, data, model, _constant(0), cfg, seed=3,
-                            action_bounds=env.action_bounds)
-    assert kept == []
+    buf = _rollout(setup, _constant(0), cfg, seed=3)
+    assert len(buf) == 0
+    assert buf.s.shape == (0, env.d_s) and buf.a.shape == (0, env.d_a)
+    assert buf.elite_next.shape == (model.n_elites, 0, env.d_s)
 
 
 def test_constant_label_keeps_every_branch(setup):
-    env, data, model = setup
     cfg = RolloutConfig(batch=64, epochs=2)
-    kept = branched_rollout(_outward_policy, data, model, _constant(1), cfg, seed=3,
-                            action_bounds=env.action_bounds)
-    assert len(kept) == cfg.batch * cfg.epochs
+    buf = _rollout(setup, _constant(1), cfg, seed=3)
+    assert len(buf) == cfg.batch * cfg.epochs * cfg.horizon
+
+
+def test_rows_form_one_group_per_kept_branch(setup):
+    env, data, model = setup
+    h = 3
+    cfg = RolloutConfig(batch=128, epochs=2, horizon=h)
+    pred = env.margin_predicate(0.08)
+    every, buf = (_rollout(setup, cost_fn, cfg, seed=9) for cost_fn in (_constant(1), pred))
+    assert len(every) == cfg.batch * cfg.epochs * h
+    for b in (every, buf):
+        origin = b.origin.reshape(-1, h)
+        assert np.all(origin == origin[:, :1])
+        assert np.array_equal(b.s[::h], data.rollout_start_states()[origin[:, 0]])
+        assert np.all(b.label.reshape(-1, h).any(axis=1))
+        assert np.array_equal(b.h_s, np.where(b.label > 0, 1.0, -1.0))
+    # Labels do not steer the branches, so ``buf`` holds exactly the groups
+    # of ``every`` that ``pred`` flags at some step, under the any-elite rule.
+    labels = conservative_cost_label_batch(every.elite_next, pred).reshape(-1, h)
+    violating = labels.any(axis=1)
+    assert 0 < violating.sum() < len(violating)
+    assert (labels[violating] == 0).any(), "some kept branch has an unflagged step"
+    rows = np.repeat(violating, h)
+    assert np.array_equal(buf.label, labels[violating].ravel())
+    for name in ("s", "a", "origin"):
+        assert np.array_equal(getattr(buf, name), getattr(every, name)[rows])
+    assert np.array_equal(buf.elite_next, every.elite_next[:, rows])
 
 
 def test_rollout_determinism(setup):
-    env, data, model = setup
+    env, _, _ = setup
     cfg = RolloutConfig(batch=128, epochs=2)
-    pred = env.margin_predicate(0.08)
-
-    def run():
-        return branched_rollout(_outward_policy, data, model, pred, cfg, seed=11,
-                                action_bounds=env.action_bounds)
-
-    a, b = run(), run()
-    assert len(a) == len(b)
-    for ba, bb in zip(a, b):
-        assert ba.origin == bb.origin
-        assert np.array_equal(ba.s, bb.s)
-        assert np.array_equal(ba.a, bb.a)
-        assert np.array_equal(ba.label, bb.label)
+    a, b = (_rollout(setup, env.margin_predicate(0.08), cfg, seed=11) for _ in range(2))
+    assert len(a) == len(b) > 0
+    for name in (*COLUMNS, "elite_next"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_noise_is_injected_and_clipped(setup):
-    env, data, model = setup
     cfg = RolloutConfig(batch=256, epochs=1, noise_std=0.5)
-    kept = branched_rollout(_outward_policy, data, model, _constant(1), cfg, seed=5,
-                            action_bounds=env.action_bounds)
-    actions = np.concatenate([b.a for b in kept]).ravel()
+    actions = _rollout(setup, _constant(1), cfg, seed=5).a.ravel()
     assert actions.max() <= 1.0 + 1e-12
     assert actions.min() >= -1.0 - 1e-12
     # With noise the clipped pile-up at the bound is not a single atom.
     assert len(np.unique(actions.round(6))) > 10
-
-
-def test_flatten_branches_h_labels(setup):
-    env, data, model = setup
-    cfg = RolloutConfig(batch=128, epochs=2)
-    pred = env.margin_predicate(0.08)
-    kept = branched_rollout(_outward_policy, data, model, pred, cfg, seed=9,
-                            action_bounds=env.action_bounds)
-    buf = flatten_branches(kept, h_min=-1.0, h_max=1.0)
-    assert np.all(buf.h_s[buf.label > 0] == 1.0)
-    assert np.all(buf.h_s[buf.label == 0] == -1.0)
-    assert len(buf) == sum(len(b) for b in kept)
 
 
 def test_relabel_matches_validate_exactly(setup):
@@ -163,29 +168,23 @@ def test_relabel_constant_one_sets_h_max(setup):
 
 
 def test_rollout_buffer_roundtrip(setup, tmp_path):
-    env, data, model = setup
-    cfg = RolloutConfig(batch=64, epochs=2)
-    kept = branched_rollout(_outward_policy, data, model,
-                            env.margin_predicate(0.08), cfg, seed=13,
-                            action_bounds=env.action_bounds)
-    buf = flatten_branches(kept, -1.0, 1.0)
+    env, _, _ = setup
+    buf = _rollout(setup, env.margin_predicate(0.08), RolloutConfig(batch=64, epochs=2),
+                   seed=13)
     path = tmp_path / "rollouts.npz"
     save_rollout_buffer(buf, path)
     back = load_rollout_buffer(path)
-    assert np.array_equal(back.s, buf.s)
-    assert np.array_equal(back.a, buf.a)
-    assert np.array_equal(back.h_s, buf.h_s)
-    assert np.array_equal(back.label, buf.label)
-    assert np.array_equal(back.origin, buf.origin)
+    for name in COLUMNS:
+        assert np.array_equal(getattr(back, name), getattr(buf, name))
+    # Loaded buffers carry no elite means; stacking them gives none either.
+    both = stack_buffers([buf, back])
+    assert len(both) == 2 * len(buf) and both.elite_next is None
 
 
 def test_buffer_carries_the_elite_means_of_every_row(setup):
-    env, data, model = setup
+    env, _, model = setup
     cfg = RolloutConfig(batch=128, epochs=2, horizon=3)
-    kept = branched_rollout(_outward_policy, data, model,
-                            env.margin_predicate(0.08), cfg, seed=17,
-                            action_bounds=env.action_bounds)
-    buf = flatten_branches(kept, -1.0, 1.0)
+    buf = _rollout(setup, env.margin_predicate(0.08), cfg, seed=17)
     assert len(buf) > cfg.batch
     assert buf.elite_next.shape == (model.n_elites, len(buf), env.d_s)
     means, _ = model.elite_predictions(buf.s, buf.a)
@@ -194,12 +193,11 @@ def test_buffer_carries_the_elite_means_of_every_row(setup):
 
 
 def test_critic_update_refuses_a_buffer_without_elite_means(setup, tmp_path):
-    env, data, model = setup
-    kept = branched_rollout(_outward_policy, data, model,
-                            env.margin_predicate(0.08), RolloutConfig(batch=64, epochs=1),
-                            seed=13, action_bounds=env.action_bounds)
+    env, data, _ = setup
+    buf = _rollout(setup, env.margin_predicate(0.08), RolloutConfig(batch=64, epochs=1),
+                   seed=13)
     path = tmp_path / "rollouts.npz"
-    save_rollout_buffer(flatten_branches(kept, -1.0, 1.0), path)
+    save_rollout_buffer(buf, path)
     back = load_rollout_buffer(path)
     assert len(back) and back.elite_next is None
     critic = make_feasibility_critic(env, data, seed=0,
@@ -220,30 +218,41 @@ def test_rollout_epochs_in_threads_equal_the_serial_loop(setup, monkeypatch):
         for var in BLAS_THREAD_VARS:
             monkeypatch.setenv(var, blas)
         return branched_rollout(policy, data, model, env.margin_predicate(0.04),
-                                replace(cfg, epochs=epochs), seed=3, event=1,
-                                action_bounds=env.action_bounds)
+                                replace(cfg, epochs=epochs), seed=3, h_min=-1.0,
+                                h_max=1.0, event=1, action_bounds=env.action_bounds)
 
     threaded, serial = run("1"), run("2")
-    first_two = run("1", epochs=2)  # branches come in epoch order
-    assert len(threaded) == len(serial) > len(first_two) > 0
-    for a, b in [*zip(threaded, serial), *zip(threaded, first_two)]:
-        assert a.origin == b.origin
-        for name in ("s", "a", "label", "elite_next"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
+    first_two = run("1", epochs=2)  # rows come in epoch order
+    n = len(first_two)
+    assert len(threaded) == len(serial) > n > 0
+    for name in COLUMNS:
+        assert np.array_equal(getattr(threaded, name), getattr(serial, name))
+        assert np.array_equal(getattr(threaded, name)[:n], getattr(first_two, name))
+    assert np.array_equal(threaded.elite_next, serial.elite_next)
+    assert np.array_equal(threaded.elite_next[:, :n], first_two.elite_next)
 
 
 def test_window_and_saved_buffers_stack_the_event_buffers(setup):
-    env, data, model = setup
+    env, _, model = setup
     cfg = RolloutConfig(batch=128, epochs=2, horizon=2)
-    events = [branched_rollout(_outward_policy, data, model, env.margin_predicate(0.04),
-                               cfg, seed=3, event=e, action_bounds=env.action_bounds)
+    events = [_rollout(setup, env.margin_predicate(0.04), cfg, seed=3, event=e)
               for e in range(3)]
-    per_event = [flatten_branches(kept, -1.0, 1.0) for kept in events]
-    nothing = flatten_branches([], -1.0, 1.0)
-    whole = flatten_branches([b for kept in events for b in kept], -1.0, 1.0)
-    stacked = stack_buffers([nothing, *per_event[:1], nothing, *per_event[1:]])
-    for name in ("s", "a", "label", "h_s", "origin", "elite_next"):
-        assert np.array_equal(getattr(stacked, name), getattr(whole, name))
-        assert getattr(stacked, name).dtype == getattr(whole, name).dtype
+    nothing = _rollout(setup, _constant(0), cfg, seed=3, event=3)  # every epoch empty
+    assert len(nothing) == 0 and all(len(b) for b in events)
+    parts = [nothing, events[0], nothing, *events[1:]]
+    window = stack_buffers(parts)
+    saved = stack_buffers([replace(b, elite_next=None) for b in parts])
+    assert saved.elite_next is None
+    start = 0
+    for part in parts:
+        rows = slice(start, start + len(part))
+        for name in COLUMNS:
+            for stacked in (window, saved):
+                assert np.array_equal(getattr(stacked, name)[rows], getattr(part, name))
+                assert getattr(stacked, name).dtype == getattr(part, name).dtype
+        assert np.array_equal(window.elite_next[:, rows], part.elite_next)
+        start += len(part)
+    assert start == len(window) == len(saved)
     empty = stack_buffers([nothing, nothing])
-    assert len(empty) == 0 and empty.s.shape == nothing.s.shape
+    assert len(empty) == 0 and empty.s.shape == (0, env.d_s)
+    assert empty.elite_next.shape == (model.n_elites, 0, env.d_s)
