@@ -1,9 +1,11 @@
-"""Minimal MLP stack: forward, hand-rolled backward, adaptive-moment steps.
+"""Minimal MLP stack: forward, hand-rolled backward, Adam steps.
 
 Everything is plain float64 numpy. A network is a list of dense layers
 with tanh hidden activations and a linear head; ``forward`` caches the
 activations the matching ``backward`` consumes. No graph, no broadcasting
-cleverness: the shapes are (batch, features) throughout.
+cleverness: inputs are (batch, features) arrays, and anything else raises.
+``Trainer`` (Adam, Kingma & Ba 2015) and ``soft_update`` write parameter
+arrays in place, so no two networks may share one.
 
 A ``OneHot`` input batch stores each row's hot columns: the first layer
 sums the selected weight rows, exactly the dense product for one or two
@@ -118,7 +120,7 @@ class Mlp:
     of shape (out_i,), initialized with uniform fan-in scaling.
     """
 
-    def __init__(self, sizes: list[int], seed: int = 0, init_scale: float = 1.0):
+    def __init__(self, sizes: list[int], seed: int = 0):
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
         self.sizes = list(int(s) for s in sizes)
@@ -126,7 +128,7 @@ class Mlp:
         self.biases: list[np.ndarray] = []
         rng = substream(seed, "mlp-init", *sizes)
         for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
-            bound = init_scale / np.sqrt(fan_in)
+            bound = 1.0 / np.sqrt(fan_in)
             self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
             self.biases.append(np.zeros(fan_out))
         self._cache: list[np.ndarray] | None = None
@@ -140,6 +142,7 @@ class Mlp:
         return out
 
     def set_parameters(self, params: list[np.ndarray]) -> None:
+        """Copy ``params`` in; the network never keeps a caller's array."""
         flat = list(params)
         for i in range(len(self.weights)):
             self.weights[i] = flat[2 * i].reshape(self.weights[i].shape).astype(float)
@@ -147,7 +150,7 @@ class Mlp:
 
     def copy(self) -> "Mlp":
         twin = Mlp(self.sizes)
-        twin.set_parameters([p.copy() for p in self.parameters()])
+        twin.set_parameters(self.parameters())
         return twin
 
     # -- forward / backward -------------------------------------------------
@@ -166,9 +169,9 @@ class Mlp:
         other pass of that network in between. Bias and tanh act in place
         on each layer's own product, never on the input or the parameters.
         """
-        x = x if isinstance(x, OneHot) else np.asarray(x, dtype=float)
-        squeeze = len(x.shape) == 1
-        h = x.reshape(1, -1) if squeeze else x
+        h = x if isinstance(x, OneHot) else np.asarray(x, dtype=float)
+        if len(h.shape) != 2:
+            raise ValueError(f"expected an (n, {self.sizes[0]}) batch, got shape {h.shape}")
         if h.shape[1] != self.sizes[0]:
             raise ValueError(f"expected input width {self.sizes[0]}, got {h.shape[1]}")
         acts = [h]
@@ -183,8 +186,7 @@ class Mlp:
             if cache:
                 acts.append(h)
         self._cache = acts if cache else None
-        self._squeezed = squeeze
-        return h[0] if squeeze else h
+        return h
 
     def backward(self, upstream: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
         """Gradients of sum(upstream * output) w.r.t. parameters and input.
@@ -196,8 +198,6 @@ class Mlp:
             raise BackwardBeforeForward("run forward() first")
         cache = self._cache
         g = np.asarray(upstream, dtype=float)
-        if getattr(self, "_squeezed", False) and g.ndim == 1:
-            g = g.reshape(1, -1)
         if g.shape != cache[-1].shape:
             raise ValueError(f"upstream shape {g.shape} != output shape {cache[-1].shape}")
         grads: list[np.ndarray] = [None] * (2 * len(self.weights))
@@ -213,83 +213,62 @@ class Mlp:
             grads[2 * i] = h_in.T @ g
             grads[2 * i + 1] = g.sum(axis=0)
             g = g @ self.weights[i].T
-        input_grad = g[0] if getattr(self, "_squeezed", False) else g
-        return grads, input_grad
+        return grads, g
 
 
 # ---------------------------------------------------------------------------
 # Optimizer
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class OptimizerState:
-    """First/second moment accumulators plus the step counter."""
-
-    lr: float
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-    step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: list[float] | None = None  # per-parameter L2 coefficients
-
-
-def init_optimizer(params: list[np.ndarray], lr: float,
-                   weight_decay: list[float] | None = None) -> OptimizerState:
-    if weight_decay is not None and len(weight_decay) != len(params):
-        raise ValueError("one weight-decay coefficient per parameter tensor")
-    return OptimizerState(
-        lr=lr,
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
-        weight_decay=weight_decay,
-    )
-
-
-def optimizer_step(state: OptimizerState, params: list[np.ndarray],
-                   grads: list[np.ndarray]) -> list[np.ndarray]:
-    """One adaptive-moment update; mutates the accumulators, returns params."""
-    if len(params) != len(state.m) or len(grads) != len(state.m):
-        raise ValueError("parameter/gradient count mismatch with optimizer state")
-    state.step += 1
-    t = state.step
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        if state.weight_decay is not None and state.weight_decay[i]:
-            g = g + state.weight_decay[i] * p
-        state.m[i] = state.beta1 * state.m[i] + (1 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1 - state.beta2) * g * g
-        m_hat = state.m[i] / (1 - state.beta1 ** t)
-        v_hat = state.v[i] / (1 - state.beta2 ** t)
-        out.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
-    return out
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
 class Trainer:
-    """Convenience bundle of a network and its optimizer."""
+    """Adam on one network: moments, step count and in-place updates.
+
+    ``lr`` may change between steps. ``weight_decay`` holds one L2
+    coefficient per parameter tensor (0 skips it). ``apply`` updates the
+    moments and the network's own parameter arrays in place, in the
+    textbook operation order, so a run is bit-identical to the formula.
+    """
 
     net: Mlp
-    opt: OptimizerState = field(init=False)
     lr: float = 3e-4
     weight_decay: list[float] | None = None
+    step: int = field(default=0, init=False)
+    m: list[np.ndarray] = field(init=False, repr=False)
+    v: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.opt = init_optimizer(self.net.parameters(), self.lr, self.weight_decay)
+        params = self.net.parameters()
+        if self.weight_decay is not None and len(self.weight_decay) != len(params):
+            raise ValueError("one weight-decay coefficient per parameter tensor")
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
 
     def apply(self, grads: list[np.ndarray]) -> None:
-        self.net.set_parameters(optimizer_step(self.opt, self.net.parameters(), grads))
+        params = self.net.parameters()
+        if [g.shape for g in grads] != [p.shape for p in params]:
+            raise ValueError(f"gradient shapes {[g.shape for g in grads]} != "
+                             f"parameter shapes {[p.shape for p in params]}")
+        self.step += 1
+        bias1, bias2 = 1 - BETA1 ** self.step, 1 - BETA2 ** self.step
+        for i, (p, g, m, v) in enumerate(zip(params, grads, self.m, self.v)):
+            if self.weight_decay is not None and self.weight_decay[i]:
+                g = g + self.weight_decay[i] * p
+            m *= BETA1
+            m += (1 - BETA1) * g
+            v *= BETA2
+            v += (1 - BETA2) * g * g
+            p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)
 
 
 def soft_update(target: Mlp, source: Mlp, rate: float) -> None:
-    """Polyak mixing of source into target, in place."""
-    mixed = [(1 - rate) * t + rate * s
-             for t, s in zip(target.parameters(), source.parameters())]
-    target.set_parameters(mixed)
+    """Polyak mixing ``(1 - rate) * target + rate * source``, in place."""
+    for t, s in zip(target.parameters(), source.parameters()):
+        t *= 1 - rate
+        t += rate * s
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,6 @@ states.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .cmdp import (
@@ -22,31 +20,10 @@ from .cmdp import (
     SAFE_ONLY,
     UNSAFE_SMALL,
     UNSAFE_SMALL_LIMIT,
-    cost_labels,
     empty_dataset,
 )
 from .envs import BehaviorFn
 from .seeding import substream
-
-BehaviorSpec = "BehaviorFn | Sequence[tuple[BehaviorFn, float]]"
-
-
-def _violation_gap(env: HardCMDP, s: np.ndarray) -> float:
-    # Positive distance to the violating region; <= 0 once inside it.
-    if env.margin_predicate is None:
-        return np.inf
-    lo, hi = 0.0, 64.0
-    batch = s[None]
-    if cost_labels(env.margin_predicate(0.0), batch)[0]:
-        return 0.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if cost_labels(env.margin_predicate(mid), batch)[0]:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
 
 def _pick_behavior(behavior, rng: np.random.Generator) -> BehaviorFn:
     if callable(behavior):
@@ -60,15 +37,13 @@ def collect_safe_dataset(
     env: HardCMDP,
     behavior,
     n_transitions: int,
-    intervention_margin: float = 0.0,
     seed: int = 0,
 ) -> OfflineDataset:
     """Roll the behavior policy, truncating episodes before any violation.
 
     ``behavior`` is a policy ``(s, rng) -> a`` or a weighted list of them,
-    one drawn per episode. A step whose successor violates (or comes
-    within ``intervention_margin`` of violating) is discarded entirely and
-    the episode ends at the previous state.
+    one drawn per episode. A step whose successor violates is discarded
+    entirely and the episode ends at the previous state.
     """
     if n_transitions < 0:
         raise ConfigurationError("n_transitions must be >= 0")
@@ -91,10 +66,7 @@ def collect_safe_dataset(
         for t in range(env.horizon):
             a = env.clip_action(policy(s, rng_policy))
             s2 = env.transition(s, a)
-            intervene = env.cost(s2) == 1 or (
-                intervention_margin > 0 and _violation_gap(env, s2) < intervention_margin
-            )
-            if intervene:
+            if env.cost(s2) == 1:
                 if ep_len:
                     done_rows[-1] = True
                     episode_ends.append({"index": len(r_rows) - 1,

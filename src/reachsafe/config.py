@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .cmdp import ConfigurationError, HardCMDP
 from .envs import behavior_mixture, make_double_integrator, make_hazard_gridworld
+from .rollout import MAX_HORIZON
 
 ABLATIONS = ("no-model", "no-relabel", "det-rollout", "no-conservative", "ungated")
 
@@ -42,7 +43,6 @@ class DataSection:
     behavior: list = field(default_factory=lambda: [["goal_greedy", 0.4],
                                                     ["random", 0.4],
                                                     ["straight", 0.2]])
-    intervention_margin: float = 0.0
 
 
 @dataclass
@@ -54,7 +54,6 @@ class DynamicsSection:
     lr: float = 1e-3
     batch_size: int = 256
     hidden: list = field(default_factory=lambda: [128, 128])
-    loss: str = "nll"
 
 
 @dataclass
@@ -133,9 +132,23 @@ class ExperimentConfig:
             raise ConfigurationError("the unsafe corpus is capped at 100")
         if self.eval.episodes < 1:
             raise ConfigurationError("need at least one evaluation episode")
-        for key in ("total_steps", "rollout_window"):
-            if (value := getattr(self.learn, key)) < 1:
-                raise ConfigurationError(f"learn.{key} must be at least 1, got {value}")
+        counts = {f"learn.{key}": getattr(self.learn, key) for key in (
+            "total_steps", "rollout_window", "rollout_frequency", "rollout_batch",
+            "rollout_horizon", "rollout_epochs")}
+        counts["costgen.max_queries"] = self.costgen.max_queries
+        for key, value in counts.items():
+            if value < 1:
+                raise ConfigurationError(f"{key} must be at least 1, got {value}")
+        if self.learn.rollout_horizon > MAX_HORIZON:
+            raise ConfigurationError(f"learn.rollout_horizon must be at most {MAX_HORIZON}, "
+                                     f"got {self.learn.rollout_horizon}")
+        if self.learn.rollout_noise_std < 0:
+            raise ConfigurationError(
+                f"learn.rollout_noise_std must be at least 0, got {self.learn.rollout_noise_std}")
+        if not 1 <= self.dynamics.n_elite <= self.dynamics.n_total:
+            raise ConfigurationError(
+                f"dynamics.n_elite must lie between 1 and dynamics.n_total "
+                f"({self.dynamics.n_total}), got {self.dynamics.n_elite}")
         for key, widths in (("learn.hidden", self.learn.hidden),
                             ("dynamics.hidden", self.dynamics.hidden)):
             if not all(_is_int(w) and w > 0 for w in widths):

@@ -2,10 +2,10 @@
 
 Each member is an MLP mapping a normalized (state, action) pair to the
 mean and log-variance of the normalized next-state delta. Members train
-on their own shuffled splits by Gaussian negative log-likelihood (a
-squared-error variant is available behind ``loss='mse'``), elites are the
-members with the lowest held-out mean-squared prediction error, and all
-set-valued prediction and conservative labeling go through elites only.
+on their own shuffled splits by Gaussian negative log-likelihood, as in
+MOPO (Yu et al., 2020); elites are the members with the lowest held-out
+mean-squared prediction error, and all set-valued prediction and
+conservative labeling go through elites only.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ LOGVAR_MAX = 0.5
 # otherwise drive the inverse variance high enough that minibatch noise
 # through the shared trunk stalls every other output.
 LOGVAR_MIN = -6.0
+# L2 coefficient per layer's weights, the last one repeated for deeper nets.
+WEIGHT_DECAYS = (2.5e-5, 5e-5, 1e-4)
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
@@ -59,17 +61,11 @@ class GaussianDynamicsMember:
     net: Mlp
     d_s: int
     val_error: float = np.inf
-    fixed_var: np.ndarray | None = None  # per-dim variance for the mse variant
 
     def predict_norm(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        out = np.atleast_2d(self.net.forward(x, cache=False))
-        mean = out[:, : self.d_s]
-        if self.fixed_var is not None:
-            var = np.broadcast_to(self.fixed_var, mean.shape).copy()
-        else:
-            logvar, _ = _bound_logvar(out[:, self.d_s:])
-            var = np.exp(logvar)
-        return mean, var
+        out = self.net.forward(x, cache=False)
+        logvar, _ = _bound_logvar(out[:, self.d_s:])
+        return out[:, : self.d_s], np.exp(logvar)
 
 
 @dataclass
@@ -77,8 +73,6 @@ class TrainConfig:
     hidden: tuple[int, ...] = (128, 128)
     lr: float = 1e-3
     batch_size: int = 256
-    weight_decays: tuple[float, ...] = (2.5e-5, 5e-5, 1e-4)
-    loss: str = "nll"  # or "mse"
 
 
 @dataclass
@@ -107,10 +101,6 @@ class EnsembleDynamics:
     def n_elites(self) -> int:
         return len(self.elites)
 
-    def _normalize_inputs(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
-        x = np.concatenate([np.atleast_2d(s), np.atleast_2d(a)], axis=1)
-        return (x - self.in_mean) / self.in_std
-
     def elite_predictions(self, s: np.ndarray, a: np.ndarray
                           ) -> tuple[np.ndarray, np.ndarray]:
         """Per-elite Gaussians over next states, denormalized.
@@ -118,7 +108,8 @@ class EnsembleDynamics:
         Returns means and variances of shape (n_elites, batch, d_s).
         """
         s2d = np.atleast_2d(np.asarray(s, dtype=float))
-        x = self._normalize_inputs(s2d, np.atleast_2d(np.asarray(a, dtype=float)))
+        x = np.concatenate([s2d, np.atleast_2d(np.asarray(a, dtype=float))], axis=1)
+        x = (x - self.in_mean) / self.in_std
         means, variances = [], []
         for e in self.elites:
             mu, var = self.members[e].predict_norm(x)
@@ -128,8 +119,7 @@ class EnsembleDynamics:
 
 
 def sample_next_batch(means: np.ndarray, variances: np.ndarray,
-                      rng: np.random.Generator, deterministic: bool = False
-                      ) -> np.ndarray:
+                      rng: np.random.Generator) -> np.ndarray:
     """Draw one successor per row from a uniformly chosen elite.
 
     ``means`` and ``variances`` are ``elite_predictions`` output, shape
@@ -139,8 +129,6 @@ def sample_next_batch(means: np.ndarray, variances: np.ndarray,
     picks = rng.integers(n_elites, size=n)
     rows = np.arange(n)
     mean = means[picks, rows]
-    if deterministic:
-        return mean
     return mean + rng.normal(size=mean.shape) * np.sqrt(variances[picks, rows])
 
 
@@ -175,8 +163,6 @@ def train_ensemble(
         raise ConfigurationError("cannot train a dynamics model on an empty dataset")
     if n_elite > n_total or n_elite < 1:
         raise ConfigurationError("need 1 <= n_elite <= n_total")
-    if cfg.loss not in ("nll", "mse"):
-        raise ConfigurationError(f"unknown loss {cfg.loss!r}")
 
     d_s = data.s.shape[1]
     d_a = data.a.shape[1]
@@ -201,7 +187,7 @@ def train_ensemble(
     decays: list[float] = []
     n_layers = len(sizes) - 1
     for i in range(n_layers):
-        wd = cfg.weight_decays[min(i, len(cfg.weight_decays) - 1)]
+        wd = WEIGHT_DECAYS[min(i, len(WEIGHT_DECAYS) - 1)]
         decays.extend((wd, 0.0))  # decay weights, not biases
 
     def train_member(k: int) -> GaussianDynamicsMember:
@@ -218,26 +204,20 @@ def train_ensemble(
 
         for epoch in range(epochs):
             # Settle into the minimum once the bulk of training is done.
-            trainer.opt.lr = cfg.lr * (0.2 if epoch >= (2 * epochs) // 3 else 1.0)
+            trainer.lr = cfg.lr * (0.2 if epoch >= (2 * epochs) // 3 else 1.0)
             order = rng.permutation(len(train_idx))
             for lo in range(0, len(order) - cfg.batch_size + 1, cfg.batch_size):
                 batch = train_idx[order[lo:lo + cfg.batch_size]]
                 x, y = x_all[batch], y_all[batch]
                 out = net.forward(x)
                 mu, raw = out[:, :d_s], out[:, d_s:]
+                logvar, dlv = _bound_logvar(raw)
+                inv_var = np.exp(-logvar)
+                diff = mu - y
+                loss = 0.5 * float(np.mean(np.sum(diff * diff * inv_var + logvar, axis=1)))
                 upstream = np.zeros_like(out)
-                if cfg.loss == "nll":
-                    logvar, dlv = _bound_logvar(raw)
-                    inv_var = np.exp(-logvar)
-                    diff = mu - y
-                    loss = 0.5 * float(np.mean(np.sum(diff * diff * inv_var + logvar,
-                                                      axis=1)))
-                    upstream[:, :d_s] = diff * inv_var / len(x)
-                    upstream[:, d_s:] = 0.5 * (1.0 - diff * diff * inv_var) * dlv / len(x)
-                else:
-                    diff = mu - y
-                    loss = float(np.mean(np.sum(diff * diff, axis=1)))
-                    upstream[:, :d_s] = 2.0 * diff / len(x)
+                upstream[:, :d_s] = diff * inv_var / len(x)
+                upstream[:, d_s:] = 0.5 * (1.0 - diff * diff * inv_var) * dlv / len(x)
                 if not np.isfinite(loss):
                     raise RuntimeError(
                         f"dynamics member {k} diverged at epoch {epoch}: loss={loss}"
@@ -254,9 +234,6 @@ def train_ensemble(
 
         net.set_parameters(best_params)
         member.val_error = best_err
-        if cfg.loss == "mse":
-            resid = net.forward(x_all[ref_idx], cache=False)[:, :d_s] - y_all[ref_idx]
-            member.fixed_var = np.maximum(resid.var(axis=0), np.exp(LOGVAR_MIN))
         return member
 
     members = ordered_map(train_member, range(n_total))
@@ -288,8 +265,6 @@ def save_ensemble(model: EnsembleDynamics, directory: str | Path) -> None:
         "delta_mean": model.delta_mean.tolist(),
         "delta_std": model.delta_std.tolist(),
         "val_errors": model.val_errors.tolist(),
-        "fixed_var": [m.fixed_var.tolist() if m.fixed_var is not None else None
-                      for m in model.members],
     }
     nets = {f"member_{k}": member.net for k, member in enumerate(model.members)}
     save_mlp(nets, directory / "ensemble.npz", meta)
@@ -297,14 +272,9 @@ def save_ensemble(model: EnsembleDynamics, directory: str | Path) -> None:
 
 def load_ensemble(directory: str | Path) -> EnsembleDynamics:
     nets, meta = load_mlp(Path(directory) / "ensemble.npz")
-    members = [
-        GaussianDynamicsMember(
-            net=nets[f"member_{k}"], d_s=meta["d_s"],
-            val_error=meta["val_errors"][k],
-            fixed_var=None if fixed is None else np.asarray(fixed),
-        )
-        for k, fixed in enumerate(meta["fixed_var"])
-    ]
+    members = [GaussianDynamicsMember(net=nets[f"member_{k}"], d_s=meta["d_s"],
+                                      val_error=error)
+               for k, error in enumerate(meta["val_errors"])]
     return EnsembleDynamics(
         members=members, elites=list(meta["elites"]),
         in_mean=np.asarray(meta["in_mean"]), in_std=np.asarray(meta["in_std"]),

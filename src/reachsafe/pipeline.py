@@ -234,7 +234,6 @@ def stage_data(cfg: ExperimentConfig, paths: RunPaths) -> None:
     env = build_env(cfg)
     behavior = build_behavior(cfg, env)
     dataset = collect_safe_dataset(env, behavior, cfg.data.n_transitions,
-                                   cfg.data.intervention_margin,
                                    seed=child_seed(cfg.seed, "data", "safe"))
     d_unsafe = collect_unsafe_samples(env, cfg.data.n_unsafe,
                                       seed=child_seed(cfg.seed, "data", "unsafe"))
@@ -281,7 +280,7 @@ def stage_dynamics(cfg: ExperimentConfig, paths: RunPaths) -> None:
         val_fraction=d.val_fraction, epochs=d.epochs,
         seed=child_seed(cfg.seed, "dynamics"),
         cfg=TrainConfig(hidden=tuple(d.hidden), lr=d.lr,
-                        batch_size=d.batch_size, loss=d.loss),
+                        batch_size=d.batch_size),
     )
     save_ensemble(model, paths.ensemble_dir)
 
@@ -361,8 +360,7 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
         env, dataset,
         PolicyConfig(lr=lc.policy_lr, batch_size=lc.batch_size,
                      hidden=tuple(lc.hidden), temperature=lc.policy_temperature,
-                     weight_clip=lc.policy_weight_clip,
-                     noise_std=lc.rollout_noise_std),
+                     weight_clip=lc.policy_weight_clip),
         seed=child_seed(seed, "learn", "policy-init"))
 
     rcfg = RolloutConfig(

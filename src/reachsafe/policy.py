@@ -92,7 +92,6 @@ class PolicyConfig:
     hidden: tuple[int, ...] = (64, 64)
     temperature: float = 3.0
     weight_clip: float = 100.0
-    noise_std: float = 0.1  # exploration scale used by rollout callers
 
 
 @dataclass

@@ -3,17 +3,15 @@
 The backup ``(1-g) h(s) + g max(h(s), V(s'))`` with ``V(s) = min_a Q(s,a)``
 is written once, in ``feasible_backup``; its fixed point certifies
 feasibility by sign. The conservative operator passes the max of the
-successor values over a set (ensemble members, every successor observed
-for a pair), which can only raise values and hence never calls a doomed
-state safe for lack of model confidence. Exact value iteration over a
-tabular model, the fixed point over observed pairs and the learned
-critics' Q targets all call it.
+successor values over the ensemble's elite successors, which can only
+raise values and hence never calls a doomed state safe for lack of model
+confidence. Exact value iteration over a tabular model and the learned
+critics' Q targets both call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -87,113 +85,34 @@ class TabularCritic:
         return self.v() <= 0.0
 
 
-def apply_operator(q: np.ndarray, h: np.ndarray, next_sets: np.ndarray,
+def apply_operator(q: np.ndarray, h: np.ndarray, next_idx: np.ndarray,
                    gamma: float) -> np.ndarray:
     """One sweep of the feasible backup over all pairs.
 
-    ``next_sets`` has shape (n_members, n_states, n_actions); each pair
-    backs up against the max of its successor values across the members.
+    ``next_idx`` (n_states, n_actions) is the successor row of each pair.
     """
-    v_next = q.min(axis=1)[next_sets].max(axis=0)
-    return feasible_backup(h[:, None], v_next, gamma)
+    return feasible_backup(h[:, None], q.min(axis=1)[next_idx], gamma)
 
 
 def tabular_value_iteration(
-    model: TabularModel | Sequence[TabularModel],
+    model: TabularModel,
     gamma: float = 0.99,
     tol: float = 1e-9,
     max_iters: int = 200_000,
 ) -> TabularCritic:
     """Iterate the feasible operator to its fixed point with exact minima.
 
-    One model gives the standard operator; a list of members (shared
-    state and action sets) gives the conservative one, which coincides
-    with the standard operator for a single member. Convergence is a
-    sup-norm test; the operator is a gamma-contraction, so failure to
-    converge within ``max_iters`` indicates a bug and raises.
+    Convergence is a sup-norm test; the operator is a gamma-contraction, so
+    failure to converge within ``max_iters`` indicates a bug and raises.
     """
-    members = [model] if isinstance(model, TabularModel) else list(model)
-    if not members:
-        raise ValueError("need at least one model")
-    base = members[0]
-    next_sets = np.stack([m.next_idx for m in members])
-
-    q = np.full((base.n_states, base.n_actions), float(base.h_min))
+    q = np.full((model.n_states, model.n_actions), float(model.h_min))
     for _ in range(max_iters):
-        q_new = apply_operator(q, base.h, next_sets, gamma)
+        q_new = apply_operator(q, model.h, model.next_idx, gamma)
         delta = float(np.max(np.abs(q_new - q)))
         q = q_new
         if delta < tol:
-            return TabularCritic(model=base, q=q, gamma=gamma)
+            return TabularCritic(model=model, q=q, gamma=gamma)
     raise AssertionError(
         f"value iteration failed to reach tol={tol} within {max_iters} sweeps; "
         "the operator implementation violates the contraction"
     )
-
-
-# ---------------------------------------------------------------------------
-# Dataset-fitted tabular critic (observed pairs only)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FittedTabularCritic:
-    """Reachability critic restricted to state-action pairs seen in data.
-
-    Values default to the state's own h label where nothing was observed;
-    V takes the exact minimum over observed actions.
-    """
-
-    model: TabularModel
-    q: dict            # (state_idx, action_idx) -> value
-    v_arr: np.ndarray  # (n_states,)
-    gamma: float
-
-    def v(self, state_idx: int) -> float:
-        return float(self.v_arr[state_idx])
-
-
-def fit_tabular_critic(
-    model: TabularModel,
-    h_labels: np.ndarray,
-    offline_pairs: Sequence[tuple[int, int, int]],
-    rollout_pairs: Sequence[tuple[int, int, Sequence[int]]] = (),
-    gamma: float = 0.95,
-    tol: float = 1e-10,
-    max_iters: int = 100_000,
-) -> FittedTabularCritic:
-    """Exact fixed point over observed pairs.
-
-    ``offline_pairs`` are (state, action, next_state) index triples;
-    ``rollout_pairs`` are (state, action, successor-candidates) triples.
-    Each pair backs up against the worst (largest) value of every
-    successor observed for it, from either source. Unobserved states
-    keep ``V(s) = h(s)``.
-    """
-    edges = np.array(list(offline_pairs)
-                     + [(s, a, n) for s, a, cand in rollout_pairs for n in cand],
-                     dtype=int).reshape(-1, 3)
-    keys, pair = np.unique(edges[:, :2], axis=0, return_inverse=True)
-    pair, states, succ = pair.reshape(-1), keys[:, 0], edges[:, 2]
-
-    h = np.asarray(h_labels, dtype=float)
-    v = h.copy()
-    q = np.full(len(keys), float(model.h_min))
-    for _ in range(max_iters):
-        v_next = np.full(len(keys), -np.inf)
-        np.maximum.at(v_next, pair, v[succ])
-        new_q = feasible_backup(h[states], v_next, gamma)
-        new_v = h.copy()
-        new_v[states] = np.inf
-        np.minimum.at(new_v, states, new_q)
-        delta = max(float(np.max(np.abs(new_q - q), initial=0.0)),
-                    float(np.max(np.abs(new_v - v))))
-        q, v = new_q, new_v
-        if delta < tol:
-            break
-    else:
-        raise AssertionError("fitted critic failed to converge; contraction bug")
-
-    return FittedTabularCritic(
-        model=model, q={(int(s), int(a)): float(x) for (s, a), x in zip(keys, q)},
-        v_arr=v, gamma=gamma)

@@ -10,12 +10,11 @@ nearest enumerated row otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cmdp import ConfigurationError, HardCMDP, nearest_rows
-from .seeding import substream
 
 
 @dataclass(frozen=True)
@@ -98,21 +97,3 @@ def discretize(env: HardCMDP, grid: tuple | None = None) -> TabularModel:
 
 def build_model(env: HardCMDP, grid: tuple | None = None) -> TabularModel:
     return tabulate(env) if env.is_tabular else discretize(env, grid)
-
-
-def perturbed_models(model: TabularModel, n_extra: int, seed: int,
-                     shift: int = 1) -> list[TabularModel]:
-    """A calibrated synthetic ensemble: the true model plus perturbations.
-
-    Each perturbed member redirects every transition to a random state
-    within ``shift`` index steps of the true next state, so the true
-    model always remains one member of the returned set.
-    """
-    members = [model]
-    n = model.n_states
-    for k in range(n_extra):
-        rng = substream(seed, "perturbed-model", k)
-        offsets = rng.integers(-shift, shift + 1, size=model.next_idx.shape)
-        shifted = np.clip(model.next_idx + offsets, 0, n - 1)
-        members.append(replace(model, next_idx=shifted))
-    return members

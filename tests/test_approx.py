@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import threading
 import time
@@ -14,12 +15,15 @@ from reachsafe.approx import (
     OneHot,
     Trainer,
     concat,
-    init_optimizer,
     load_mlp,
-    optimizer_step,
     save_mlp,
     soft_update,
 )
+from reachsafe.collect import collect_safe_dataset
+from reachsafe.critics import make_feasibility_critic
+from reachsafe.dynamics import TrainConfig, train_ensemble
+from reachsafe.envs import behavior_mixture, make_double_integrator
+from reachsafe.policy import make_reward_critic
 from reachsafe.seeding import substream
 
 
@@ -52,14 +56,14 @@ def test_zero_weight_net_outputs_bias():
     net = Mlp([3, 4, 2], seed=0)
     net.set_parameters([np.zeros_like(p) for p in net.parameters()])
     net.biases[-1] = np.array([0.5, -1.5])
-    out = net.forward(np.array([1.0, 2.0, 3.0]))
-    assert np.allclose(out, [0.5, -1.5])
+    out = net.forward(np.array([[1.0, 2.0, 3.0]]))
+    assert np.allclose(out, [[0.5, -1.5]])
 
 
 def test_identity_linear_layer_passes_input_through():
     net = Mlp([3, 3], seed=0)
     net.set_parameters([np.eye(3), np.zeros(3)])
-    x = np.array([0.3, -0.7, 2.0])
+    x = np.array([[0.3, -0.7, 2.0]])
     assert np.allclose(net.forward(x), x)
 
 
@@ -74,17 +78,17 @@ def test_forward_is_deterministic_per_seed():
 
 def test_linear_case_gradient_is_input():
     net = Mlp([3, 1], seed=1)
-    x = np.array([1.0, -2.0, 0.5])
+    x = np.array([[1.0, -2.0, 0.5]])
     net.forward(x)
-    grads, _ = net.backward(np.array([1.0]))
+    grads, _ = net.backward(np.array([[1.0]]))
     assert np.allclose(grads[0].ravel(), x)
     assert np.allclose(grads[1], [1.0])
 
 
 def test_zero_upstream_gives_zero_gradients():
     net = Mlp([3, 5, 2], seed=2)
-    net.forward(np.ones(3))
-    grads, gx = net.backward(np.zeros(2))
+    net.forward(np.ones((1, 3)))
+    grads, gx = net.backward(np.zeros((1, 2)))
     assert all(np.allclose(g, 0) for g in grads)
     assert np.allclose(gx, 0)
 
@@ -92,13 +96,20 @@ def test_zero_upstream_gives_zero_gradients():
 def test_backward_without_forward_raises():
     net = Mlp([2, 2], seed=0)
     with pytest.raises(BackwardBeforeForward):
-        net.backward(np.ones(2))
+        net.backward(np.ones((1, 2)))
 
 
 def test_dimension_mismatch_raises():
     net = Mlp([3, 2], seed=0)
     with pytest.raises(ValueError):
-        net.forward(np.ones(4))
+        net.forward(np.ones((1, 4)))
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 1, 3), ()])
+def test_input_that_is_not_a_batch_raises_naming_its_shape(shape):
+    net = Mlp([3, 2], seed=0)
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        net.forward(np.ones(shape))
 
 
 def test_gradients_match_finite_differences():
@@ -120,43 +131,79 @@ def test_gradients_match_finite_differences():
 def test_input_gradient_matches_finite_differences():
     rng = substream(8, "input-grad")
     net = Mlp([4, 8, 3], seed=5)
-    x = rng.normal(size=4)
-    upstream = rng.normal(size=3)
+    x = rng.normal(size=(1, 4))
+    upstream = rng.normal(size=(1, 3))
     net.forward(x)
     _, gx = net.backward(upstream)
     numeric = np.zeros_like(x)
     for k in range(x.size):
         dx = np.zeros_like(x)
-        dx[k] = 1e-5
+        dx.flat[k] = 1e-5
         hi = float(np.sum(upstream * net.forward(x + dx)))
         lo = float(np.sum(upstream * net.forward(x - dx)))
-        numeric[k] = (hi - lo) / 2e-5
+        numeric.flat[k] = (hi - lo) / 2e-5
     assert relative_error(gx, numeric) < 1e-3
 
 
 def test_zero_gradient_leaves_parameters_unchanged():
     net = Mlp([2, 3, 1], seed=3)
-    state = init_optimizer(net.parameters(), lr=1e-2)
+    trainer = Trainer(net, lr=1e-2)
     before = [p.copy() for p in net.parameters()]
-    after = optimizer_step(state, net.parameters(), [np.zeros_like(p) for p in before])
-    assert all(np.allclose(a, b) for a, b in zip(after, before))
-    assert state.step == 1
+    trainer.apply([np.zeros_like(p) for p in before])
+    assert all(np.array_equal(a, b) for a, b in zip(net.parameters(), before))
+    assert trainer.step == 1
 
 
 def test_constant_gradient_moves_against_it():
-    params = [np.zeros((2, 2))]
-    state = init_optimizer(params, lr=1e-2)
-    g = np.full((2, 2), 0.7)
+    net = Mlp([2, 2], seed=0)
+    net.set_parameters([np.zeros((2, 2)), np.zeros(2)])
+    trainer = Trainer(net, lr=1e-2)
     for _ in range(50):
-        params = optimizer_step(state, params, [g])
-    assert np.all(params[0] < 0)
+        trainer.apply([np.full((2, 2), 0.7), np.full(2, 0.7)])
+    assert all(np.all(p < 0) for p in net.parameters())
 
 
 def test_optimizer_shape_mismatch_raises():
-    params = [np.zeros((2, 2))]
-    state = init_optimizer(params, lr=1e-2)
-    with pytest.raises(ValueError):
-        optimizer_step(state, params, [np.zeros(3)])
+    net = Mlp([2, 2], seed=0)
+    trainer = Trainer(net, lr=1e-2)
+    before = [p.copy() for p in net.parameters()]
+    with pytest.raises(ValueError, match="gradient shapes"):
+        trainer.apply([np.ones((2, 2)), np.ones(3)])
+    with pytest.raises(ValueError, match="gradient shapes"):
+        trainer.apply([np.ones((2, 2))])
+    # A refused step changes nothing, not even the leading parameters.
+    assert all(np.array_equal(a, b) for a, b in zip(net.parameters(), before))
+    assert trainer.step == 0
+    with pytest.raises(ValueError, match="one weight-decay coefficient"):
+        Trainer(net, weight_decay=[0.1])
+
+
+def test_trainer_is_textbook_adam_bit_for_bit():
+    # Weight decay on the weights only and a learning-rate drop mid-run, as
+    # the dynamics ensemble trains.
+    rng = np.random.default_rng(4)
+    net = Mlp([3, 5, 2], seed=7)
+    decay = [1e-2, 0.0, 5e-3, 0.0]
+    trainer = Trainer(net, lr=1e-2, weight_decay=decay)
+    params = [p.copy() for p in net.parameters()]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    for t in range(1, 9):
+        lr = 1e-2 if t <= 5 else 2e-3
+        trainer.lr = lr
+        grads = [rng.normal(size=p.shape) for p in params]
+        trainer.apply(grads)
+        for i, g in enumerate(grads):
+            g = g + decay[i] * params[i]
+            m[i] = beta1 * m[i] + (1 - beta1) * g
+            v[i] = beta2 * v[i] + (1 - beta2) * g * g
+            m_hat = m[i] / (1 - beta1 ** t)
+            v_hat = v[i] / (1 - beta2 ** t)
+            params[i] = params[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        assert all(np.array_equal(p, q) for p, q in zip(net.parameters(), params)), t
+        assert all(np.array_equal(a, b) for a, b in zip(trainer.m + trainer.v, m + v))
+    assert trainer.step == 8
 
 
 def test_training_runs_are_reproducible():
@@ -193,11 +240,46 @@ def test_quadratic_regression_converges():
 
 
 def test_soft_update_mixes_parameters():
-    a = Mlp([2, 2], seed=1)
-    b = Mlp([2, 2], seed=2)
-    ref = [0.9 * t + 0.1 * s for t, s in zip(a.parameters(), b.parameters())]
-    soft_update(a, b, 0.1)
-    assert all(np.allclose(p, q) for p, q in zip(a.parameters(), ref))
+    a = Mlp([2, 3, 2], seed=1)
+    b = Mlp([2, 3, 2], seed=2)
+    rng = substream(3, "bias")
+    for p in a.biases + b.biases:
+        p[:] = rng.normal(size=p.shape)
+    source = [p.copy() for p in b.parameters()]
+    for rate in (0.1, 0.01, 0.005):
+        ref = [(1 - rate) * t + rate * s for t, s in zip(a.parameters(), b.parameters())]
+        soft_update(a, b, rate)
+        assert all(np.array_equal(p, q) for p, q in zip(a.parameters(), ref)), rate
+    assert all(np.array_equal(p, q) for p, q in zip(b.parameters(), source))
+
+
+def shared_arrays(nets):
+    """Index pairs of parameter arrays, across all ``nets``, that share memory."""
+    arrays = [p for net in nets for p in net.parameters()]
+    return [(i, j) for i in range(len(arrays)) for j in range(i + 1, len(arrays))
+            if np.shares_memory(arrays[i], arrays[j])]
+
+
+def test_no_two_nets_share_a_parameter_array(tmp_path):
+    # Trainer and soft_update write parameters in place, so a shared array
+    # would silently move two networks at once.
+    net = Mlp([3, 4, 2], seed=1)
+    assert shared_arrays([net, net.copy()]) == []
+    save_mlp({"a": net, "b": net}, tmp_path / "twins.npz", {})
+    nets, _ = load_mlp(tmp_path / "twins.npz")
+    assert shared_arrays([net, *nets.values()]) == []
+
+    env = make_double_integrator(x_lim=1.0, a_max=1.0, dt=0.1, horizon=60)
+    data = collect_safe_dataset(env, behavior_mixture(env, [("random", 1.0)]),
+                                n_transitions=400, seed=3)
+    for critic in (make_feasibility_critic(env, data, seed=2),
+                   make_reward_critic(env, data, seed=2)):
+        assert shared_arrays([critic.q_net, critic.v_net,
+                              critic.q_target, critic.v_target]) == []
+    # Each member is restored to its best epoch's snapshot.
+    model = train_ensemble(data, n_total=3, n_elite=2, epochs=3, seed=1,
+                           cfg=TrainConfig(hidden=(8,), batch_size=64))
+    assert shared_arrays([member.net for member in model.members]) == []
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -101,26 +101,3 @@ def test_unsafe_sampling_errors_on_hazard_free_env():
     with pytest.raises(UnsafeSampleShortage) as err:
         collect_unsafe_samples(env, n=1, seed=0, step_budget=500)
     assert err.value.found == 0
-
-
-@pytest.mark.parametrize("env, spec, margin, inside, near", [
-    # Grid distances are whole cells: a 1.5 margin keeps every successor
-    # at least two cells from a hazard, so none lies within one, and some
-    # lie at exactly two.
-    (make_hazard_gridworld(6, 6, [(2, 2), (4, 3)], momentum=1),
-     [("goal_greedy", 0.5), ("random", 0.5)], 1.5, 1.0, 2.0),
-    # The bisection resolves the gap to 64 / 2**40; stay well above that.
-    (make_double_integrator(x_lim=1.0, a_max=1.0, dt=0.1, horizon=60),
-     [("creep", 0.5), ("random", 0.5)], 0.1, 0.1 - 1e-6, 0.15),
-])
-def test_intervention_margin_keeps_successors_clear(env, spec, margin, inside, near):
-    mix = behavior_mixture(env, spec)
-    plain = collect_safe_dataset(env, mix, n_transitions=600, seed=4)
-    wide = collect_safe_dataset(env, mix, n_transitions=600, seed=4,
-                                intervention_margin=margin)
-    assert int(env.margin_predicate(inside)(wide.s2).sum()) == 0
-    # The gap is measured, not overestimated: successors just outside the
-    # margin are kept.
-    assert int(env.margin_predicate(near)(wide.s2).sum()) > 0
-    assert int(env.margin_predicate(inside)(plain.s2).sum()) > 0
-    assert wide.meta["n_intervened_episodes"] > plain.meta["n_intervened_episodes"]

@@ -69,8 +69,46 @@ def test_empty_step_budget_or_rollout_window_is_refused_naming_the_key(tmp_path,
 
 
 def test_unknown_key_is_refused(tmp_path):
-    with pytest.raises(ConfigurationError, match="learn.total_stepz"):
-        load_config(write(tmp_path, "learn.total_stepz = 10\n"))
+    # A file naming a removed key (intervention margin, dynamics loss) is
+    # refused, not silently ignored.
+    for line in ("learn.total_stepz = 10", "data.intervention_margin = 0.0",
+                 'dynamics.loss = "nll"'):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigurationError, match=f"unknown configuration key '{key}'"):
+            load_config(write(tmp_path, line + "\n"))
+
+
+@pytest.mark.parametrize("line, message", [
+    ("learn.rollout_frequency = 0", "^learn.rollout_frequency must be at least 1"),
+    ("learn.rollout_batch = 0", "^learn.rollout_batch must be at least 1"),
+    ("learn.rollout_horizon = 0", "^learn.rollout_horizon must be at least 1"),
+    ("learn.rollout_horizon = 11", "^learn.rollout_horizon must be at most 10"),
+    ("learn.rollout_epochs = 0", "^learn.rollout_epochs must be at least 1"),
+    ("learn.rollout_noise_std = -1.0", "^learn.rollout_noise_std must be at least 0"),
+    ("costgen.max_queries = 0", "^costgen.max_queries must be at least 1"),
+    ("dynamics.n_elite = 9", "^dynamics.n_elite must lie between 1 and dynamics.n_total"),
+    ("dynamics.n_elite = 0", "^dynamics.n_elite must lie between 1 and dynamics.n_total"),
+    ("dynamics.n_total = 4", r"dynamics.n_total \(4\), got 5"),
+])
+def test_value_a_later_stage_refuses_is_refused_at_load(tmp_path, line, message):
+    with pytest.raises(ConfigurationError, match=message):
+        load_config(write(tmp_path, line + "\n"))
+
+
+def test_bounds_themselves_are_accepted(tmp_path):
+    cfg = load_config(write(tmp_path, "learn.rollout_horizon = 10\n"
+                                      "learn.rollout_noise_std = 0.0\n"
+                                      "dynamics.n_elite = 7\n"
+                                      "costgen.max_queries = 1\n"))
+    assert (cfg.learn.rollout_horizon, cfg.dynamics.n_elite) == (10, cfg.dynamics.n_total)
+
+
+def test_cli_refuses_a_bad_value_before_any_stage_writes(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = write(tmp_path, "learn.rollout_horizon = 11\n")
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists() or not any(out.rglob("*"))
+    assert "learn.rollout_horizon" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("ablations, message", [

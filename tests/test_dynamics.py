@@ -6,7 +6,6 @@ from reachsafe.cmdp import ConfigurationError
 from reachsafe.collect import collect_safe_dataset
 from reachsafe.dynamics import (
     EnsembleDynamics,
-    TrainConfig,
     conservative_cost_label_batch,
     load_ensemble,
     sample_next_batch,
@@ -118,10 +117,9 @@ def test_sample_next_modes(trained):
         d_s=model.d_s, d_a=model.d_a,
     )
     s, a = data.s[:1], data.a[:1]
-    mean = single.elite_predictions(s, a)[0][0]
-    out = sample_next_batch(*single.elite_predictions(s, a), substream(0, "det"),
-                            deterministic=True)
-    assert np.allclose(out, mean)
+    means, variances = single.elite_predictions(s, a)
+    out = sample_next_batch(means, np.zeros_like(variances), substream(0, "det"))
+    assert np.array_equal(out, means[0])
     one = sample_next_batch(*model.elite_predictions(s, a), substream(4, "fixed"))
     two = sample_next_batch(*model.elite_predictions(s, a), substream(4, "fixed"))
     assert np.array_equal(one, two)
@@ -134,7 +132,8 @@ def test_elite_choice_is_uniform(trained):
     s = np.repeat(data.s[:1], n, axis=0)
     a = np.repeat(data.a[:1], n, axis=0)
     means, _ = model.elite_predictions(data.s[0], data.a[0])
-    samples = sample_next_batch(*model.elite_predictions(s, a), rng, deterministic=True)
+    elite_means, variances = model.elite_predictions(s, a)
+    samples = sample_next_batch(elite_means, np.zeros_like(variances), rng)
     counts = np.array([
         int(np.sum(np.all(np.isclose(samples, means[k, 0]), axis=1)))
         for k in range(model.n_elites)
@@ -196,16 +195,6 @@ def test_training_rejects_bad_configs(integrator_setup):
                        epochs=1, seed=0)
 
 
-def test_mse_variant_trains_and_predicts(integrator_setup):
-    _, data = integrator_setup
-    model = train_ensemble(data, n_total=2, n_elite=1, val_fraction=0.2,
-                           epochs=5, seed=4, cfg=TrainConfig(loss="mse"))
-    means, variances = model.elite_predictions(data.s[:1], data.a[:1])
-    mean, var = means[0, 0], variances[0, 0]
-    assert mean.shape == (2,)
-    assert np.all(var > 0)
-
-
 def test_training_is_deterministic(integrator_setup):
     _, data = integrator_setup
     a = train_ensemble(data, n_total=2, n_elite=1, epochs=2, seed=8)
@@ -226,23 +215,18 @@ def test_ensemble_checkpoint_roundtrip(trained, tmp_path):
     assert np.array_equal(v1, v2)
 
 
-@pytest.mark.parametrize("loss", ["nll", "mse"])
-def test_members_in_threads_equal_the_serial_loop(integrator_setup, monkeypatch, loss):
+def test_members_in_threads_equal_the_serial_loop(integrator_setup, monkeypatch):
     _, data = integrator_setup
 
     def train(blas):
         for var in BLAS_THREAD_VARS:
             monkeypatch.setenv(var, blas)
-        return train_ensemble(data, n_total=3, n_elite=2, epochs=2, seed=8,
-                              cfg=TrainConfig(loss=loss))
+        return train_ensemble(data, n_total=3, n_elite=2, epochs=2, seed=8)
 
     threaded, serial = train("1"), train("2")
     assert threaded.elites == serial.elites
     assert np.array_equal(threaded.val_errors, serial.val_errors)
     for ma, mb in zip(threaded.members, serial.members):
         assert ma.val_error == mb.val_error
-        assert (ma.fixed_var is None) == (mb.fixed_var is None) == (loss == "nll")
-        if ma.fixed_var is not None:
-            assert np.array_equal(ma.fixed_var, mb.fixed_var)
         for p, q in zip(ma.net.parameters(), mb.net.parameters()):
             assert np.array_equal(p, q)
