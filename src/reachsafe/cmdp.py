@@ -10,6 +10,7 @@ after construction; all sampling goes through caller-supplied generators.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -98,6 +99,12 @@ class HardCMDP:
     states of shape (n, d_s) and return an int array of shape (n,) with
     1 where a state is flagged. Callers evaluate them through
     ``cost_labels``, which enforces that contract.
+
+    The per-row step (``transition``, ``violation``, ``reward``) is the
+    opposite: one state row (d_s,) and one action row (d_a,) in, computed
+    in Python floats with the operations of the numpy formula in the same
+    order, a (d_s,) float64 array, an int or a float out. Transcendental
+    calls stay in numpy, so that no value moves with the libm.
     """
 
     name: str
@@ -139,8 +146,12 @@ class HardCMDP:
         return int(self.violation(s))
 
     def clip_action(self, a: np.ndarray) -> np.ndarray:
+        """``a`` clipped into the bounds; a NaN or infinite action raises
+        rather than be clipped onto a bound or stepped as NaN."""
         a = np.asarray(a, dtype=float).reshape(self.d_a)
-        return np.clip(a, self.action_bounds[:, 0], self.action_bounds[:, 1])
+        if not all(map(math.isfinite, a.tolist())):  # a fifth of np.isfinite(a).all()
+            require_finite(a, "action")
+        return np.minimum(np.maximum(a, self.action_bounds[:, 0]), self.action_bounds[:, 1])
 
     @property
     def is_tabular(self) -> bool:

@@ -11,11 +11,9 @@ band distance, then by age, is adopted.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import re
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -239,6 +237,10 @@ class RemoteEndpoint:
 
 
 def _default_transport(endpoint: RemoteEndpoint, payload: dict) -> dict:
+    # Imported here: only the remote proposer pays for the HTTP stack.
+    import http.client
+    import urllib.request
+
     token = os.environ.get(endpoint.token_env, "")
     if not token:
         raise ProposerError(

@@ -41,17 +41,17 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bound_logvar(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Softly clamp raw log-variances into [LOGVAR_MIN, LOGVAR_MAX].
+def _bound_logvar(raw: np.ndarray) -> np.ndarray:
+    """Softly clamp raw log-variances into [LOGVAR_MIN, LOGVAR_MAX]."""
+    return LOGVAR_MIN + _softplus(LOGVAR_MAX - _softplus(LOGVAR_MAX - raw) - LOGVAR_MIN)
 
-    Returns the bounded value and its derivative w.r.t. the raw output,
-    both needed by the hand-rolled NLL backward pass.
-    """
+
+def _bound_logvar_grad(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_bound_logvar`` and its derivative w.r.t. the raw output, which only
+    the hand-rolled NLL backward pass needs; inference skips the sigmoids."""
     upper = LOGVAR_MAX - _softplus(LOGVAR_MAX - raw)
-    d_upper = _sigmoid(LOGVAR_MAX - raw)
     bounded = LOGVAR_MIN + _softplus(upper - LOGVAR_MIN)
-    d_bounded = _sigmoid(upper - LOGVAR_MIN) * d_upper
-    return bounded, d_bounded
+    return bounded, _sigmoid(upper - LOGVAR_MIN) * _sigmoid(LOGVAR_MAX - raw)
 
 
 @dataclass
@@ -64,8 +64,7 @@ class GaussianDynamicsMember:
 
     def predict_norm(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         out = self.net.forward(x, cache=False)
-        logvar, _ = _bound_logvar(out[:, self.d_s:])
-        return out[:, : self.d_s], np.exp(logvar)
+        return out[:, : self.d_s], np.exp(_bound_logvar(out[:, self.d_s:]))
 
 
 @dataclass
@@ -211,7 +210,7 @@ def train_ensemble(
                 x, y = x_all[batch], y_all[batch]
                 out = net.forward(x)
                 mu, raw = out[:, :d_s], out[:, d_s:]
-                logvar, dlv = _bound_logvar(raw)
+                logvar, dlv = _bound_logvar_grad(raw)
                 inv_var = np.exp(-logvar)
                 diff = mu - y
                 loss = 0.5 * float(np.mean(np.sum(diff * diff * inv_var + logvar, axis=1)))

@@ -10,10 +10,18 @@ Two families:
 - a double integrator on a line, position clamped between two unsafe
   boundaries, with reward for outward speed so that reward-greedy
   behavior violates.
+
+Per-row step contract: ``transition``, ``violation``, ``reward`` and the
+scripted behaviors take one state row (d_s,) and, where they take one,
+one action row (d_a,). They compute in Python floats, with the IEEE
+operations of the numpy formulas they replace in the same order, and
+return (d_s,) and (d_a,) float64 arrays. Transcendental calls (the
+integrator reward's ``np.tanh``) stay in numpy so that no value moves.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,11 +29,20 @@ import numpy as np
 from .cmdp import ConfigurationError, HardCMDP, Predicate, require_finite
 
 GRID_MOVES = np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]], dtype=float)
+_MOVES = GRID_MOVES.tolist()  # the rows as Python floats
+
+
+def _clip(x: float, lo: float, hi: float) -> float:
+    """``np.clip`` of one float: a NaN ``x`` stays NaN."""
+    return min(max(x, lo), hi)
 
 
 def _snap_move(a: np.ndarray) -> int:
-    d = np.sum((GRID_MOVES - np.asarray(a, dtype=float).reshape(2)) ** 2, axis=1)
-    return int(np.argmin(d))
+    """Row of ``GRID_MOVES`` nearest to ``a``: ``argmin`` of ``dx*dx + dy*dy``,
+    the first on ties, and row 0 for a NaN action (every distance is NaN)."""
+    ax, ay = np.asarray(a, dtype=float).reshape(2).tolist()
+    d = [(mx - ax) * (mx - ax) + (my - ay) * (my - ay) for mx, my in _MOVES]
+    return min(range(len(d)), key=d.__getitem__)
 
 
 def make_hazard_gridworld(
@@ -61,8 +78,7 @@ def make_hazard_gridworld(
         return 0 <= x < width and 0 <= y < height
 
     def violation(s: np.ndarray) -> int:
-        x, y = int(round(s[0])), int(round(s[1]))
-        return int((x, y) in hazards)
+        return int((round(float(s[0])), round(float(s[1]))) in hazards)
 
     hazard_xy = np.array(sorted(hazards), dtype=float).reshape(-1, 2)
 
@@ -75,30 +91,26 @@ def make_hazard_gridworld(
         return np.abs(cells[:, None, :] - hazard_xy[None]).sum(axis=2).min(axis=1)
 
     def transition(s: np.ndarray, a: np.ndarray) -> np.ndarray:
-        move = GRID_MOVES[_snap_move(a)]
+        mx, my = _MOVES[_snap_move(a)]
         if momentum:
-            x, y, vx, vy = s
+            x, y, vx, vy = np.asarray(s, dtype=float).tolist()
             tx, ty = x + vx, y + vy
             if in_grid(tx, ty):
-                nx, ny = tx, ty
-                vin = np.array([vx, vy])
+                x, y = tx, ty
             else:
-                nx, ny = x, y  # wall bump absorbs the momentum
-                vin = np.zeros(2)
-            if np.any(vin) and np.all(move == -vin):
-                nv = vin  # reversal forbidden: keep going
-            else:
-                nv = move
-            return np.array([nx, ny, nv[0], nv[1]], dtype=float)
-        x, y = s
-        tx, ty = x + move[0], y + move[1]
+                vx, vy = 0.0, 0.0  # wall bump absorbs the momentum
+            if (vx or vy) and mx == -vx and my == -vy:
+                mx, my = vx, vy  # reversal forbidden: keep going
+            return np.array([x, y, mx, my])
+        x, y = np.asarray(s, dtype=float).tolist()
+        tx, ty = x + mx, y + my
         if not in_grid(tx, ty):
             tx, ty = x, y
-        return np.array([tx, ty], dtype=float)
+        return np.array([tx, ty])
 
     def reward(s: np.ndarray, a: np.ndarray, s2: np.ndarray) -> float:
-        dist = abs(s2[0] - gx) + abs(s2[1] - gy)
-        return float(1.0 - dist / reward_scale) if dist < 0.5 else float(-dist / reward_scale)
+        dist = abs(float(s2[0]) - gx) + abs(float(s2[1]) - gy)
+        return 1.0 - dist / reward_scale if dist < 0.5 else -dist / reward_scale
 
     safe_cells = [(x, y) for x in range(width) for y in range(height)
                   if (x, y) not in hazards]
@@ -194,10 +206,8 @@ def make_double_integrator(
 
     def transition(s: np.ndarray, a: np.ndarray) -> np.ndarray:
         x, v = float(s[0]), float(s[1])
-        acc = float(np.clip(np.asarray(a).reshape(-1)[0], -a_max, a_max))
-        nx = x + v * dt
-        nv = float(np.clip(v + acc * dt, -v_max, v_max))
-        return np.array([nx, nv])
+        acc = _clip(float(np.asarray(a).reshape(-1)[0]), -a_max, a_max)
+        return np.array([x + v * dt, _clip(v + acc * dt, -v_max, v_max)])
 
     def reward(s: np.ndarray, a: np.ndarray, s2: np.ndarray) -> float:
         # Positive when moving away from the origin: greed pushes outward.
@@ -248,17 +258,18 @@ BehaviorFn = Callable[[np.ndarray, np.random.Generator], np.ndarray]
 def gridworld_behavior(env: HardCMDP, kind: str, *, goal: tuple[int, int] | None = None,
                        explore: float = 0.25) -> BehaviorFn:
     # The default goal is the far corner of the grid.
-    gx, gy = env.states[:, :2].max(axis=0) if goal is None else goal
+    gx, gy = map(float, env.states[:, :2].max(axis=0) if goal is None else goal)
 
     def greedy(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if rng.random() < explore:
             return GRID_MOVES[int(rng.integers(1, len(GRID_MOVES)))]
-        best, best_d = GRID_MOVES[0], np.inf
-        for mv in GRID_MOVES[1:]:
-            d = abs(s[0] + mv[0] - gx) + abs(s[1] + mv[1] - gy)
+        x, y = float(s[0]), float(s[1])
+        best, best_d = _MOVES[0], math.inf
+        for mx, my in _MOVES[1:]:
+            d = abs(x + mx - gx) + abs(y + my - gy)
             if d < best_d:
-                best, best_d = mv, d
-        return best.copy()
+                best, best_d = (mx, my), d
+        return np.array(best)
 
     def random_walk(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return GRID_MOVES[int(rng.integers(len(GRID_MOVES)))]
@@ -278,56 +289,57 @@ def integrator_behavior(env: HardCMDP, kind: str, *, creep_speed: float = 0.15,
                         push_until: float = 0.7, hover_at: float = 0.97,
                         rush_speed: float = 0.7) -> BehaviorFn:
     a_max = float(env.action_bounds[0, 1])
-    dt = None
     # Recover dt from one probe step; dynamics are x' = x + v dt.
-    probe = env.transition(np.array([0.0, 1.0]), np.array([0.0]))
-    dt = float(probe[0])
+    dt = float(env.transition(np.array([0.0, 1.0]), np.array([0.0]))[0])
+
+    def away(x: float) -> float:
+        # Outward direction: the sign of x, +1 at either zero, NaN stays NaN.
+        return 1.0 if x >= 0 else -1.0 if x < 0 else x
 
     def outward(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        direction = np.sign(s[0]) if s[0] != 0 else 1.0
-        return np.array([direction * a_max])
+        return np.array([away(float(s[0])) * a_max])
 
     def rush(direction: float, v: float) -> np.ndarray:
         # Approach at a capped cruise speed; full throttle only below it.
         if v * direction < rush_speed:
             return np.array([direction * a_max])
-        return np.array([np.clip((direction * rush_speed - v) / dt, -a_max, a_max)])
+        return np.array([_clip((direction * rush_speed - v) / dt, -a_max, a_max)])
 
     def creep(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        direction = np.sign(s[0]) if s[0] != 0 else 1.0
-        if abs(s[0]) < push_until:
-            return rush(direction, s[1])
-        v_des = direction * creep_speed
-        return np.array([np.clip((v_des - s[1]) / dt, -a_max, a_max)])
+        x, v = float(s[0]), float(s[1])
+        direction = away(x)
+        if abs(x) < push_until:
+            return rush(direction, v)
+        return np.array([_clip((direction * creep_speed - v) / dt, -a_max, a_max)])
 
     def random_walk(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return np.array([rng.uniform(-a_max, a_max)])
 
     def brake(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return np.array([-np.sign(s[1]) * a_max]) if abs(s[1]) > 1e-9 else np.array([0.0])
+        v = float(s[1])
+        return np.array([(-a_max if v > 0 else a_max) if abs(v) > 1e-9 else 0.0])
 
     def hover(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         # Work right at the edge of the safe band, the way teleoperated
         # data hugs an obstacle: rush out, then hold position near it.
-        direction = np.sign(s[0]) if s[0] != 0 else 1.0
-        target = direction * hover_at
-        if abs(s[0]) < push_until:
-            return rush(direction, s[1])
-        v_des = np.clip(1.5 * (target - s[0]), -0.2, 0.2)
-        return np.array([np.clip((v_des - s[1]) / dt, -a_max, a_max)])
+        x, v = float(s[0]), float(s[1])
+        direction = away(x)
+        if abs(x) < push_until:
+            return rush(direction, v)
+        v_des = _clip(1.5 * (direction * hover_at - x), -0.2, 0.2)
+        return np.array([_clip((v_des - v) / dt, -a_max, a_max)])
 
     def probe(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         # Touch-and-retreat: approach the boundary, kill the speed, back
         # off. Leaves braking and inward actions throughout the outer ring.
-        direction = np.sign(s[0]) if s[0] != 0 else 1.0
-        outward_v = s[1] * direction
-        if abs(s[0]) < 0.75 * push_until:
-            return rush(direction, s[1])
-        if outward_v > 0.3 or abs(s[0]) > hover_at:
+        x, v = float(s[0]), float(s[1])
+        direction = away(x)
+        if abs(x) < 0.75 * push_until:
+            return rush(direction, v)
+        if v * direction > 0.3 or abs(x) > hover_at:
             return np.array([-direction * a_max])
-        v_des = direction * np.clip(1.2 * (hover_at * direction - s[0]) * direction,
-                                    -0.3, 0.3)
-        return np.array([np.clip((v_des - s[1]) / dt, -a_max, a_max)])
+        v_des = direction * _clip(1.2 * (hover_at * direction - x) * direction, -0.3, 0.3)
+        return np.array([_clip((v_des - v) / dt, -a_max, a_max)])
 
     table = {"outward": outward, "creep": creep, "random": random_walk,
              "brake": brake, "hover": hover, "probe": probe}

@@ -1,7 +1,11 @@
 import http.server
 import json
+import os
+import subprocess
+import sys
 import threading
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from reachsafe.costgen import (
     select_fallback,
     validate,
 )
+import reachsafe
 from reachsafe.cmdp import empty_dataset
 from reachsafe.envs import behavior_mixture, make_hazard_gridworld
 
@@ -375,3 +380,12 @@ def test_default_transport_maps_failures_to_proposer_error(monkeypatch):
     # The server is gone now: the refused connection is a URLError.
     with pytest.raises(ProposerError):
         _default_transport(endpoint, payload)
+
+
+def test_importing_the_cli_and_pipeline_leaves_the_http_stack_unloaded():
+    code = ("import sys, reachsafe.cli, reachsafe.pipeline; "
+            "print([m for m in ('http.client', 'urllib.request') if m in sys.modules])")
+    src = str(Path(reachsafe.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from reachsafe import BLAS_THREAD_VARS
 from reachsafe.cmdp import ConfigurationError
 from reachsafe.collect import collect_safe_dataset
 from reachsafe.dynamics import (
+    LOGVAR_MAX,
+    LOGVAR_MIN,
+    _bound_logvar,
+    _bound_logvar_grad,
+    _sigmoid,
+    _softplus,
     EnsembleDynamics,
     conservative_cost_label_batch,
     load_ensemble,
@@ -31,6 +40,22 @@ def trained(integrator_setup):
     model = train_ensemble(data, n_total=7, n_elite=5, val_fraction=0.2,
                            epochs=25, seed=5)
     return env, data, model
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 3)),
+                  elements=st.floats(-60.0, 60.0)))
+@example(np.linspace(-60.0, 60.0, 4001).reshape(-1, 1))
+def test_bounded_logvar_and_derivative_match_the_joint_formula(raw):
+    # The former single function, which always computed the derivative.
+    upper = LOGVAR_MAX - _softplus(LOGVAR_MAX - raw)
+    d_upper = _sigmoid(LOGVAR_MAX - raw)
+    bounded = LOGVAR_MIN + _softplus(upper - LOGVAR_MIN)
+    d_bounded = _sigmoid(upper - LOGVAR_MIN) * d_upper
+    value, derivative = _bound_logvar_grad(raw)
+    assert _bound_logvar(raw).tobytes() == bounded.tobytes()
+    assert value.tobytes() == bounded.tobytes()
+    assert derivative.tobytes() == d_bounded.tobytes()
 
 
 def test_defaults_and_elite_count(trained):
