@@ -28,6 +28,7 @@ from .pipeline import (  # noqa: E402
     RunPaths,
     STAGES,
     StageMismatch,
+    critic_floor,
     run_pipeline,
 )
 
@@ -126,10 +127,9 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     critic_dir = paths.critic_dir(cfg)
     if not (critic_dir / "critic.npz").exists():
         raise MissingArtifact(f"no critic checkpoint under {critic_dir}")
-    history = paths.cost_history(cfg)
-    floor = None
-    if env.margin_predicate is not None and history.exists():
-        floor = load_final_candidate(history, env).predicate
+    # The floor the learn stage trained the critic with, and no other. A
+    # critic exists only where cost generation ran, so its history does too.
+    floor = critic_floor(cfg, load_final_candidate(paths.cost_history(cfg), env))
     critic = load_critic(critic_dir, env, cost_fn=floor)
     if env.is_tabular:
         # One value per cell: the grid spans 0..max along x and y.

@@ -1,9 +1,14 @@
 """Experiment configuration: plain-text key/value files, defaults, hashing.
 
-The file format is one ``dotted.key = value`` pair per line, ``#`` for
-comments; values parse as JSON when possible and as bare strings
-otherwise. Hashes cover the canonical serialization, so any semantic
-change to the configuration invalidates stage artifacts on resume.
+This module is the only place that defines a setting, its default and
+its refusal. The library takes the sections below (or, for ``dynamics``,
+their fields) as required arguments and keeps no defaults of its own, and
+``ExperimentConfig.validate`` refuses at load every value a later stage
+could not use. The file format is one ``dotted.key = value`` pair per
+line, ``#`` for comments; values parse as JSON when possible and as bare
+strings otherwise. Hashes cover the canonical serialization, so any
+semantic change to the configuration invalidates stage artifacts on
+resume.
 """
 
 from __future__ import annotations
@@ -133,12 +138,22 @@ class ExperimentConfig:
         if self.eval.episodes < 1:
             raise ConfigurationError("need at least one evaluation episode")
         counts = {f"learn.{key}": getattr(self.learn, key) for key in (
-            "total_steps", "rollout_window", "rollout_frequency", "rollout_batch",
-            "rollout_horizon", "rollout_epochs")}
+            "total_steps", "batch_size", "rollout_window", "rollout_frequency",
+            "rollout_batch", "rollout_horizon", "rollout_epochs")}
+        counts.update({f"dynamics.{key}": getattr(self.dynamics, key)
+                       for key in ("epochs", "batch_size")})
         counts["costgen.max_queries"] = self.costgen.max_queries
         for key, value in counts.items():
             if value < 1:
                 raise ConfigurationError(f"{key} must be at least 1, got {value}")
+        for key, value in (("learn.critic_lr", self.learn.critic_lr),
+                           ("learn.policy_lr", self.learn.policy_lr),
+                           ("dynamics.lr", self.dynamics.lr)):
+            if value <= 0:
+                raise ConfigurationError(f"{key} must be positive, got {value}")
+        if not 0 <= self.dynamics.val_fraction < 1:
+            raise ConfigurationError(
+                f"dynamics.val_fraction must lie in [0, 1), got {self.dynamics.val_fraction}")
         if self.learn.rollout_horizon > MAX_HORIZON:
             raise ConfigurationError(f"learn.rollout_horizon must be at most {MAX_HORIZON}, "
                                      f"got {self.learn.rollout_horizon}")

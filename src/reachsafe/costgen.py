@@ -6,7 +6,8 @@ tiny unsafe corpus (recall 1.0) and flag a controlled band of the safe
 corpus, the conservativeness, inside [p_min, p_max]. Failing candidates
 earn a feedback message describing the miss, and the loop re-queries up
 to a budget; if nothing passes, the best candidate by recall, then by
-band distance, then by age, is adopted.
+band distance, then by age, is adopted. The band and the query budget
+come from the configuration's ``costgen`` section.
 """
 
 from __future__ import annotations
@@ -21,26 +22,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cmdp import HardCMDP, OfflineDataset, Predicate, cost_labels
+from .config import CostGenSection
 from .safexpr import ExpressionRejected, compile_predicate
 from .seeding import substream
 
 
-@dataclass
-class GenerationConfig:
-    p_min: float = 0.10
-    p_max: float = 0.30
-    max_queries: int = 10
-    instruction_text: str = (
-        "Write a predicate that returns 1 when an observation is unsafe and 0 "
-        "otherwise. Be a little more conservative than the stated constraint: "
-        "flag observations that are close to violating it as unsafe too."
-    )
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p_min <= self.p_max <= 1.0:
-            raise ValueError("need 0 <= p_min <= p_max <= 1")
-        if self.max_queries < 1:
-            raise ValueError("max_queries must be at least 1")
+# The opening request of every remote conversation.
+INSTRUCTION_TEXT = (
+    "Write a predicate that returns 1 when an observation is unsafe and 0 "
+    "otherwise. Be a little more conservative than the stated constraint: "
+    "flag observations that are close to violating it as unsafe too."
+)
 
 
 @dataclass
@@ -50,7 +42,7 @@ class ValidationReport:
     passed: bool
     degenerate_unsafe: bool = False
 
-    def band_distance(self, cfg: GenerationConfig) -> float:
+    def band_distance(self, cfg: CostGenSection) -> float:
         if self.conservativeness < cfg.p_min:
             return cfg.p_min - self.conservativeness
         if self.conservativeness > cfg.p_max:
@@ -95,7 +87,7 @@ def _predicate_fraction(predicate: Predicate, states: np.ndarray) -> float:
 
 
 def validate(candidate: CostCandidate, d_unsafe: OfflineDataset,
-             d_safe: OfflineDataset, cfg: GenerationConfig) -> ValidationReport:
+             d_safe: OfflineDataset, cfg: CostGenSection) -> ValidationReport:
     """Score a candidate on both corpora.
 
     Both metrics evaluate successor states: recall is the flagged fraction
@@ -116,7 +108,7 @@ def _pct(x: float) -> str:
     return f"{100.0 * x:g}"
 
 
-def feedback_message(report: ValidationReport, cfg: GenerationConfig,
+def feedback_message(report: ValidationReport, cfg: CostGenSection,
                      n_unsafe: int = 100) -> str:
     """Compose the correction request for a failing report."""
     if report.recall_unsafe < 1.0:
@@ -138,7 +130,7 @@ def feedback_message(report: ValidationReport, cfg: GenerationConfig,
     return "The cost function meets all requirements."
 
 
-def select_fallback(history: Sequence[Round], cfg: GenerationConfig) -> CostCandidate:
+def select_fallback(history: Sequence[Round], cfg: CostGenSection) -> CostCandidate:
     """Deterministic fallback: best recall, then nearest the band, then oldest."""
     scored = [
         (-(r.report.recall_unsafe), r.report.band_distance(cfg), r.index, r.candidate)
@@ -154,7 +146,7 @@ def generation_loop(
     proposer: Callable[[int, str | None], CostCandidate],
     d_unsafe: OfflineDataset,
     d_safe: OfflineDataset,
-    cfg: GenerationConfig,
+    cfg: CostGenSection,
 ) -> tuple[CostCandidate, list[Round]]:
     """Propose, validate, feed back, repeat; at most ``max_queries`` calls.
 
@@ -270,7 +262,6 @@ class RemoteChatProposer:
     """
 
     def __init__(self, endpoint: RemoteEndpoint, env: HardCMDP,
-                 cfg: GenerationConfig,
                  transport: Callable[[RemoteEndpoint, dict], dict] | None = None,
                  transcript_path: str | Path | None = None):
         self.endpoint = endpoint
@@ -281,7 +272,7 @@ class RemoteChatProposer:
         self.messages: list[dict] = [{
             "role": "user",
             "content": (
-                f"{cfg.instruction_text}\n\n"
+                f"{INSTRUCTION_TEXT}\n\n"
                 f"Task: {env.task_text}\n"
                 f"Safety constraint: {env.cost_text}\n"
                 f"Observation fields, in order: {fields}.\n"

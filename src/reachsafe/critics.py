@@ -9,12 +9,13 @@ recorded in its buffer, all elites in one featurize and one forward. V
 regresses toward Q with the reverse expectile loss, whose tau near 1
 approximates the min over actions without ever querying
 out-of-distribution actions. The reward pair's TD target lives with the
-policy code that consumes it.
+policy code that consumes it. Both pairs read their settings from the
+configuration's ``learn`` section.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -22,6 +23,7 @@ import numpy as np
 
 from .approx import Mlp, OneHot, Trainer, concat, load_mlp, save_mlp, soft_update
 from .cmdp import HardCMDP, OfflineDataset, Predicate, cost_labels, nearest_rows, require_finite
+from .config import LearnSection
 from .reachability import feasible_backup, reverse_expectile_grad
 from .rollout import RolloutBuffer
 from .seeding import substream
@@ -93,35 +95,13 @@ def onehot_action_featurizer(env: HardCMDP) -> Featurizer:
 
 
 @dataclass
-class CriticConfig:
-    gamma: float = 0.99
-    tau: float = 0.9
-    lr: float = 3e-4
-    batch_size: int = 256
-    target_rate: float = 0.005
-    hidden: tuple[int, ...] = (64, 64)
-    include_rollout_in_v: bool = True
-    rollout_batch_fraction: float = 0.5  # rollout share of each Q/V batch
-
-
-@dataclass
-class RewardCriticConfig:
-    gamma: float = 0.99
-    expectile: float = 0.7
-    lr: float = 3e-4
-    batch_size: int = 256
-    target_rate: float = 0.005
-    hidden: tuple[int, ...] = (64, 64)
-
-
-@dataclass
 class QVCritic:
     """Q(s,a) and V(s) networks, their slow targets and their optimizers.
 
     Both critic pairs of the learner share this core and its gradient
     step: Q regresses onto a caller-built target by squared error, V onto
     the slow Q target by an asymmetric expectile loss, and both targets
-    then track their networks by Polyak averaging.
+    then track their networks by Polyak averaging at ``target_rate``.
     """
 
     q_net: Mlp
@@ -130,30 +110,30 @@ class QVCritic:
     v_target: Mlp
     state_feat: Featurizer
     action_feat: Featurizer
-    cfg: CriticConfig | RewardCriticConfig
+    lr: float
+    target_rate: float
     steps_trained: int = 0
     q_trainer: Trainer = field(init=False, repr=False)
     v_trainer: Trainer = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.q_trainer = Trainer(self.q_net, lr=self.cfg.lr)
-        self.v_trainer = Trainer(self.v_net, lr=self.cfg.lr)
+        self.q_trainer = Trainer(self.q_net, lr=self.lr)
+        self.v_trainer = Trainer(self.v_net, lr=self.lr)
 
     @classmethod
     def fresh(cls, state_feat: Featurizer, action_feat: Featurizer,
-              cfg: CriticConfig | RewardCriticConfig,
-              seed: int, stream: str, labels: tuple[str, str],
+              hidden: list[int], seed: int, stream: str, labels: tuple[str, str],
               out_bias: float = 0.0, **fields) -> QVCritic:
         """New Q and V nets seeded from ``stream``; the targets start as copies."""
-        q_net = Mlp([state_feat.dim + action_feat.dim, *cfg.hidden, 1],
+        q_net = Mlp([state_feat.dim + action_feat.dim, *hidden, 1],
                     seed=_net_seed(seed, stream, labels[0]))
-        v_net = Mlp([state_feat.dim, *cfg.hidden, 1],
+        v_net = Mlp([state_feat.dim, *hidden, 1],
                     seed=_net_seed(seed, stream, labels[1]))
         q_net.biases[-1][:] = out_bias
         v_net.biases[-1][:] = out_bias
         return cls(q_net=q_net, v_net=v_net, q_target=q_net.copy(),
                    v_target=v_net.copy(), state_feat=state_feat,
-                   action_feat=action_feat, cfg=cfg, **fields)
+                   action_feat=action_feat, **fields)
 
     def q_values(self, s: np.ndarray, a: np.ndarray,
                  target: bool = False) -> np.ndarray:
@@ -183,8 +163,8 @@ class QVCritic:
         grads_v, _ = self.v_net.backward(upstream_v)
         self.v_trainer.apply(grads_v)
 
-        soft_update(self.q_target, self.q_net, self.cfg.target_rate)
-        soft_update(self.v_target, self.v_net, self.cfg.target_rate)
+        soft_update(self.q_target, self.q_net, self.target_rate)
+        soft_update(self.v_target, self.v_net, self.target_rate)
         self.steps_trained += 1
 
 
@@ -217,19 +197,10 @@ class FeasibilityCritic(QVCritic):
         return np.maximum(self.floor_values(s), super().v_values(s, target))
 
 
-@dataclass
-class RewardCritic(QVCritic):
-    """Reward Q/V pair; ``sources_seen`` records the tag of every batch source."""
-
-    sources_seen: list = field(default_factory=list)
-
-
 def make_feasibility_critic(env: HardCMDP, dataset: OfflineDataset,
-                            cfg: CriticConfig | None = None,
-                            seed: int = 0,
+                            cfg: LearnSection, seed: int = 0,
                             cost_fn: Predicate | None = None
                             ) -> FeasibilityCritic:
-    cfg = cfg or CriticConfig()
     if env.is_tabular:
         state_feat = onehot_state_featurizer(env)
         action_feat = onehot_action_featurizer(env)
@@ -240,8 +211,9 @@ def make_feasibility_critic(env: HardCMDP, dataset: OfflineDataset,
     # safe regions are then already at their fixed point and only the
     # doomed region has to propagate upward.
     return FeasibilityCritic.fresh(
-        state_feat, action_feat, cfg, seed, "critic-init", ("qh", "vh"),
-        out_bias=env.h_min, h_min=env.h_min, h_max=env.h_max, cost_fn=cost_fn,
+        state_feat, action_feat, cfg.hidden, seed, "critic-init", ("qh", "vh"),
+        out_bias=env.h_min, lr=cfg.critic_lr, target_rate=cfg.critic_target_rate,
+        h_min=env.h_min, h_max=env.h_max, cost_fn=cost_fn,
     )
 
 
@@ -254,6 +226,7 @@ def update_feasibility_critics(
     offline: OfflineDataset,
     rollout_buffer: RolloutBuffer | None,
     steps: int,
+    cfg: LearnSection,
     seed: int = 0,
     stream: tuple = (),
 ) -> FeasibilityCritic:
@@ -269,8 +242,7 @@ def update_feasibility_critics(
     roll = rollout_buffer if rollout_buffer is not None and len(rollout_buffer) else None
     if roll is not None and roll.elite_next is None:
         raise ValueError("rollout buffer has no elite_next (a saved buffer drops it)")
-    cfg = critic.cfg
-    gamma, tau = cfg.gamma, cfg.tau
+    gamma, tau = cfg.critic_gamma, cfg.critic_tau
 
     # Featurized views and labels, reused across steps. The relabeled cost
     # column is the predicate at the next state.
@@ -371,12 +343,13 @@ def export_heatmap(path: str | Path, value_fn: Callable[[np.ndarray], np.ndarray
 
 
 def save_critic(critic: QVCritic, directory: str | Path) -> None:
-    """Write either critic as ``critic.npz``: nets, whole config, featurizers."""
+    """Write either critic as ``critic.npz``: nets, update rates, featurizers."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta = {
         "kind": type(critic).__name__,
-        "cfg": asdict(critic.cfg),
+        "lr": critic.lr,
+        "target_rate": critic.target_rate,
         "steps_trained": critic.steps_trained,
         "state_feat": critic.state_feat.to_meta(),
         "action_feat": critic.action_feat.to_meta(),
@@ -392,16 +365,14 @@ def load_critic(directory: str | Path, env: HardCMDP,
                 cost_fn: Predicate | None = None) -> QVCritic:
     """Rebuild a saved critic; ``cost_fn`` attaches a feasibility critic's floor."""
     nets, meta = load_mlp(Path(directory) / "critic.npz")
-    feasibility = meta["kind"] == "FeasibilityCritic"
-    cfg_type = CriticConfig if feasibility else RewardCriticConfig
     parts = dict(
         nets,
         state_feat=Featurizer.from_meta(meta["state_feat"], env),
         action_feat=Featurizer.from_meta(meta["action_feat"], env, action=True),
-        cfg=cfg_type(**{**meta["cfg"], "hidden": tuple(meta["cfg"]["hidden"])}),
+        lr=meta["lr"], target_rate=meta["target_rate"],
         steps_trained=meta["steps_trained"],
     )
-    if feasibility:
+    if meta["kind"] == "FeasibilityCritic":
         return FeasibilityCritic(**parts, h_min=meta["h_min"], h_max=meta["h_max"],
                                  cost_fn=cost_fn)
-    return RewardCritic(**parts)
+    return QVCritic(**parts)

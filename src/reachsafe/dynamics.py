@@ -68,13 +68,6 @@ class GaussianDynamicsMember:
 
 
 @dataclass
-class TrainConfig:
-    hidden: tuple[int, ...] = (128, 128)
-    lr: float = 1e-3
-    batch_size: int = 256
-
-
-@dataclass
 class EnsembleDynamics:
     """Trained ensemble with elite subset and normalization statistics."""
 
@@ -144,20 +137,27 @@ def conservative_cost_label_batch(means: np.ndarray, cost_fn: Predicate) -> np.n
 
 def train_ensemble(
     data: OfflineDataset,
-    n_total: int = 7,
-    n_elite: int = 5,
-    val_fraction: float = 0.2,
-    epochs: int = 40,
-    seed: int = 0,
-    cfg: TrainConfig | None = None,
+    *,
+    n_total: int,
+    n_elite: int,
+    val_fraction: float,
+    epochs: int,
+    lr: float,
+    batch_size: int,
+    hidden: list[int],
+    seed: int,
 ) -> EnsembleDynamics:
     """Train all members on their own shuffled splits; pick elites.
+
+    The keywords besides ``seed`` are the fields of the configuration's
+    ``dynamics`` section, which ``stage_dynamics`` passes whole. This
+    module cannot import that section: the configuration imports the
+    rollout code, which imports this module.
 
     Determinism: every member derives its init, split and minibatch order
     from a named substream of ``seed``, so the members train as independent
     units through ``ordered_map`` and give the serial loop's result.
     """
-    cfg = cfg or TrainConfig()
     if len(data) == 0:
         raise ConfigurationError("cannot train a dynamics model on an empty dataset")
     if n_elite > n_total or n_elite < 1:
@@ -177,12 +177,12 @@ def train_ensemble(
 
     n_val = int(round(val_fraction * len(data)))
     n_train = len(data) - n_val
-    if n_train < cfg.batch_size:
+    if n_train < batch_size:
         raise ConfigurationError(
-            f"training split of {n_train} is smaller than batch size {cfg.batch_size}"
+            f"training split of {n_train} is smaller than batch size {batch_size}"
         )
 
-    sizes = [d_s + d_a, *cfg.hidden, 2 * d_s]
+    sizes = [d_s + d_a, *hidden, 2 * d_s]
     decays: list[float] = []
     n_layers = len(sizes) - 1
     for i in range(n_layers):
@@ -196,17 +196,17 @@ def train_ensemble(
         train_idx = perm[n_val:]
         ref_idx = val_idx if n_val else train_idx
         net = Mlp(sizes, seed=int(rng.integers(1 << 31)))
-        trainer = Trainer(net, lr=cfg.lr, weight_decay=decays)
+        trainer = Trainer(net, lr=lr, weight_decay=decays)
         member = GaussianDynamicsMember(net=net, d_s=d_s)
         best_err = np.inf
         best_params = [p.copy() for p in net.parameters()]
 
         for epoch in range(epochs):
             # Settle into the minimum once the bulk of training is done.
-            trainer.lr = cfg.lr * (0.2 if epoch >= (2 * epochs) // 3 else 1.0)
+            trainer.lr = lr * (0.2 if epoch >= (2 * epochs) // 3 else 1.0)
             order = rng.permutation(len(train_idx))
-            for lo in range(0, len(order) - cfg.batch_size + 1, cfg.batch_size):
-                batch = train_idx[order[lo:lo + cfg.batch_size]]
+            for lo in range(0, len(order) - batch_size + 1, batch_size):
+                batch = train_idx[order[lo:lo + batch_size]]
                 x, y = x_all[batch], y_all[batch]
                 out = net.forward(x)
                 mu, raw = out[:, :d_s], out[:, d_s:]

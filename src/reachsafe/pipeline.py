@@ -25,12 +25,11 @@ from typing import Callable
 
 import numpy as np
 
-from .cmdp import ConfigurationError, load_dataset, save_dataset
+from .cmdp import ConfigurationError, Predicate, load_dataset, save_dataset
 from .collect import collect_safe_dataset, collect_unsafe_samples
 from .config import ExperimentConfig, build_behavior, build_env, config_hash
 from .costgen import (
     CostCandidate,
-    GenerationConfig,
     RemoteChatProposer,
     RemoteEndpoint,
     ScriptedMarginProposer,
@@ -39,18 +38,11 @@ from .costgen import (
     save_history,
     validate,
 )
-from .critics import (
-    CriticConfig,
-    RewardCriticConfig,
-    make_feasibility_critic,
-    save_critic,
-    update_feasibility_critics,
-)
-from .dynamics import TrainConfig, load_ensemble, save_ensemble, train_ensemble
+from .critics import make_feasibility_critic, save_critic, update_feasibility_critics
+from .dynamics import load_ensemble, save_ensemble, train_ensemble
 from .oracle import compute_feasible_set_oracle
 from .policy import (
     CSV_HEADER,
-    PolicyConfig,
     evaluate_policy,
     feasibility_guided_policy_update,
     load_policy,
@@ -118,6 +110,15 @@ def runs(stage: str, cfg: ExperimentConfig) -> bool:
 def _cost_ablations(cfg: ExperimentConfig) -> list[str]:
     """The ablations that reach cost generation: at most ``no-conservative``."""
     return ["no-conservative"] if "no-conservative" in cfg.ablations else []
+
+
+def critic_floor(cfg: ExperimentConfig, candidate: CostCandidate | None
+                 ) -> Predicate | None:
+    """The predicate that relabels the offline data and floors the feasibility
+    critic; ``no-relabel`` keeps the original costs, so it has neither."""
+    if candidate is None or "no-relabel" in cfg.ablations:
+        return None
+    return candidate.predicate
 
 
 def stage_hash(cfg: ExperimentConfig, stage: str) -> str:
@@ -274,14 +275,8 @@ def stage_oracle(cfg: ExperimentConfig, paths: RunPaths) -> None:
 
 @_stage
 def stage_dynamics(cfg: ExperimentConfig, paths: RunPaths) -> None:
-    d = cfg.dynamics
-    model = train_ensemble(
-        load_dataset(paths.dataset), n_total=d.n_total, n_elite=d.n_elite,
-        val_fraction=d.val_fraction, epochs=d.epochs,
-        seed=child_seed(cfg.seed, "dynamics"),
-        cfg=TrainConfig(hidden=tuple(d.hidden), lr=d.lr,
-                        batch_size=d.batch_size),
-    )
+    model = train_ensemble(load_dataset(paths.dataset), **asdict(cfg.dynamics),
+                           seed=child_seed(cfg.seed, "dynamics"))
     save_ensemble(model, paths.ensemble_dir)
 
 
@@ -291,15 +286,13 @@ def stage_costgen(cfg: ExperimentConfig, paths: RunPaths) -> None:
     history_path = paths.cost_history(cfg)
     dataset = load_dataset(paths.dataset)
     d_unsafe = load_dataset(paths.dataset_unsafe)
-    gen_cfg = GenerationConfig(p_min=cfg.costgen.p_min, p_max=cfg.costgen.p_max,
-                               max_queries=cfg.costgen.max_queries)
 
     if _cost_ablations(cfg):
         # Adopt the plain constraint: margin zero, no band requirement.
         candidate = CostCandidate(predicate=env.margin_predicate(0.0),
                                   provenance="scripted", source="margin=0",
                                   margin=0.0)
-        candidate.report = validate(candidate, d_unsafe, dataset, gen_cfg)
+        candidate.report = validate(candidate, d_unsafe, dataset, cfg.costgen)
         save_history([], candidate, history_path)
         return
 
@@ -313,9 +306,9 @@ def stage_costgen(cfg: ExperimentConfig, paths: RunPaths) -> None:
         endpoint = RemoteEndpoint(base_url=cfg.costgen.remote_base_url,
                                   model=cfg.costgen.remote_model,
                                   token_env=cfg.costgen.remote_token_env)
-        proposer = RemoteChatProposer(endpoint, env, gen_cfg,
+        proposer = RemoteChatProposer(endpoint, env,
                                       transcript_path=paths.transcripts(cfg))
-    final, history = generation_loop(proposer, d_unsafe, dataset, gen_cfg)
+    final, history = generation_loop(proposer, d_unsafe, dataset, cfg.costgen)
     save_history(history, final, history_path)
 
 
@@ -331,37 +324,19 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
     candidate = (load_final_candidate(paths.cost_history(cfg), env)
                  if runs("costgen", cfg) else None)
 
-    if candidate is None or "no-relabel" in cfg.ablations:
-        offline = dataset
-        floor_fn = None
-    else:
-        offline = relabel_offline(dataset, candidate.predicate, env.h_min, env.h_max)
-        floor_fn = candidate.predicate
+    floor_fn = critic_floor(cfg, candidate)
+    offline = (dataset if floor_fn is None
+               else relabel_offline(dataset, floor_fn, env.h_min, env.h_max))
 
     seed = cfg.seed
     critic = None
     if candidate is not None:
-        critic = make_feasibility_critic(
-            env, offline,
-            CriticConfig(gamma=lc.critic_gamma, tau=lc.critic_tau,
-                         lr=lc.critic_lr, batch_size=lc.batch_size,
-                         target_rate=lc.critic_target_rate,
-                         hidden=tuple(lc.hidden),
-                         include_rollout_in_v=lc.include_rollout_in_v,
-                         rollout_batch_fraction=lc.rollout_batch_fraction),
-            seed=child_seed(seed, "learn", "critic-init"), cost_fn=floor_fn)
-    reward = make_reward_critic(
-        env, dataset,
-        RewardCriticConfig(gamma=lc.reward_gamma, expectile=lc.reward_expectile,
-                           lr=lc.policy_lr, batch_size=lc.batch_size,
-                           hidden=tuple(lc.hidden)),
-        seed=child_seed(seed, "learn", "reward-init"))
-    policy = make_policy(
-        env, dataset,
-        PolicyConfig(lr=lc.policy_lr, batch_size=lc.batch_size,
-                     hidden=tuple(lc.hidden), temperature=lc.policy_temperature,
-                     weight_clip=lc.policy_weight_clip),
-        seed=child_seed(seed, "learn", "policy-init"))
+        critic = make_feasibility_critic(env, offline, lc,
+                                         seed=child_seed(seed, "learn", "critic-init"),
+                                         cost_fn=floor_fn)
+    reward = make_reward_critic(env, dataset, lc,
+                                seed=child_seed(seed, "learn", "reward-init"))
+    policy = make_policy(env, dataset, lc, seed=child_seed(seed, "learn", "policy-init"))
 
     rcfg = RolloutConfig(
         frequency=lc.rollout_frequency, batch=lc.rollout_batch,
@@ -381,16 +356,16 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
                 h_max=env.h_max, event=event, action_bounds=env.action_bounds))
             buffer = stack_buffers(events[-lc.rollout_window:])
         if critic is not None:
-            update_feasibility_critics(critic, offline, buffer, steps=steps,
+            update_feasibility_critics(critic, offline, buffer, steps=steps, cfg=lc,
                                        seed=child_seed(seed, "learn", "feas"),
                                        stream=("event", event))
         update_reward_critic(reward, dataset,
-                             max(1, int(steps * lc.reward_steps_fraction)),
+                             max(1, int(steps * lc.reward_steps_fraction)), lc,
                              seed=child_seed(seed, "learn", "reward"),
                              stream=("event", event))
         feasibility_guided_policy_update(
             policy, reward, critic, dataset,
-            max(1, int(steps * lc.reward_steps_fraction)),
+            max(1, int(steps * lc.reward_steps_fraction)), lc,
             seed=child_seed(seed, "learn", "policy"), stream=("event", event))
 
     paths.variant_dir(cfg).mkdir(parents=True, exist_ok=True)

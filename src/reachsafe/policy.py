@@ -5,27 +5,27 @@ rejected by contract). The policy is advantage-weighted behavior cloning
 with a feasibility gate: inside the feasible region the reward advantage
 drives the weights but actions with positive Q_h are never cloned; inside
 the infeasible region the weights instead prefer the least-violating
-actions, ignoring reward.
+actions, ignoring reward. Every setting comes from the configuration's
+``learn`` section.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .approx import Mlp, Trainer, concat, load_mlp, save_mlp
 from .cmdp import HardCMDP, OfflineDataset
-from .critics import (
-    Featurizer,
-    FeasibilityCritic,
-    RewardCritic,
-    RewardCriticConfig,
-    normalized_featurizer,
-)
+from .config import LearnSection
+from .critics import Featurizer, FeasibilityCritic, QVCritic, normalized_featurizer
 from .rollout import RolloutBuffer
 from .seeding import substream
+
+# Polyak rate of the reward pair's targets; only the feasibility pair's
+# rate is a configuration key.
+REWARD_TARGET_RATE = 0.005
 
 
 class RolloutDataRejected(TypeError):
@@ -33,17 +33,17 @@ class RolloutDataRejected(TypeError):
 
 
 def make_reward_critic(env: HardCMDP, dataset: OfflineDataset,
-                       cfg: RewardCriticConfig | None = None,
-                       seed: int = 0,
+                       cfg: LearnSection, seed: int = 0,
                        state_feat: Featurizer | None = None,
-                       action_feat: Featurizer | None = None) -> RewardCritic:
-    cfg = cfg or RewardCriticConfig()
+                       action_feat: Featurizer | None = None) -> QVCritic:
+    """The reward Q/V pair; it trains at the policy's learning rate."""
     if state_feat is None:
         state_feat = normalized_featurizer(dataset.s)
     if action_feat is None:
         action_feat = normalized_featurizer(dataset.a)
-    return RewardCritic.fresh(state_feat, action_feat, cfg, seed,
-                              "reward-critic", ("q", "v"))
+    return QVCritic.fresh(state_feat, action_feat, cfg.hidden, seed,
+                          "reward-critic", ("q", "v"), lr=cfg.policy_lr,
+                          target_rate=REWARD_TARGET_RATE)
 
 
 def _reject_rollout_data(data) -> None:
@@ -54,15 +54,13 @@ def _reject_rollout_data(data) -> None:
         raise RolloutDataRejected("reward critic update received rollout data")
 
 
-def update_reward_critic(critic: RewardCritic, offline: OfflineDataset,
-                         steps: int, seed: int = 0,
-                         stream: tuple = ()) -> RewardCritic:
+def update_reward_critic(critic: QVCritic, offline: OfflineDataset,
+                         steps: int, cfg: LearnSection, seed: int = 0,
+                         stream: tuple = ()) -> QVCritic:
     """Expectile TD learning on offline transitions only."""
     _reject_rollout_data(offline)
     if len(offline) == 0:
         raise ValueError("offline batch must not be empty")
-    critic.sources_seen.append(offline.tag)
-    cfg = critic.cfg
     feat_s = critic.state_feat(offline.s)
     feat_sa = concat([feat_s, critic.action_feat(offline.a)], axis=1)
     feat_s2 = critic.state_feat(offline.s2)
@@ -73,25 +71,16 @@ def update_reward_critic(critic: RewardCritic, offline: OfflineDataset,
     for _ in range(steps):
         idx = rng.integers(len(offline), size=min(cfg.batch_size, len(offline)))
         v2 = critic.v_target.forward(feat_s2[idx], cache=False)[:, 0]
-        target_q = rewards[idx] + cfg.gamma * not_done[idx] * v2
+        target_q = rewards[idx] + cfg.reward_gamma * not_done[idx] * v2
         q_in = feat_sa[idx]
         # The expectile weight |e - 1(u < 0)| is the reverse one at 1 - e.
-        critic.gradient_step(q_in, target_q, feat_s[idx], q_in, 1.0 - cfg.expectile)
+        critic.gradient_step(q_in, target_q, feat_s[idx], q_in, 1.0 - cfg.reward_expectile)
     return critic
 
 
 # ---------------------------------------------------------------------------
 # Policy
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class PolicyConfig:
-    lr: float = 3e-4
-    batch_size: int = 256
-    hidden: tuple[int, ...] = (64, 64)
-    temperature: float = 3.0
-    weight_clip: float = 100.0
 
 
 @dataclass
@@ -102,9 +91,12 @@ class SafePolicy:
     state_feat: Featurizer
     low: np.ndarray
     high: np.ndarray
-    cfg: PolicyConfig
+    lr: float
     steps_trained: int = 0
-    trainer: Trainer | None = None
+    trainer: Trainer = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.trainer = Trainer(self.net, lr=self.lr)
 
     def act(self, s: np.ndarray) -> np.ndarray:
         return self.act_batch(np.asarray(s, dtype=float).reshape(1, -1))[0]
@@ -114,20 +106,18 @@ class SafePolicy:
         return self.low + (self.high - self.low) * (np.tanh(raw) + 1.0) / 2.0
 
 
-def make_policy(env: HardCMDP, dataset: OfflineDataset,
-                cfg: PolicyConfig | None = None, seed: int = 0,
-                state_feat: Featurizer | None = None) -> SafePolicy:
-    cfg = cfg or PolicyConfig()
+def make_policy(env: HardCMDP, dataset: OfflineDataset, cfg: LearnSection,
+                seed: int = 0, state_feat: Featurizer | None = None) -> SafePolicy:
     if state_feat is None:
         state_feat = normalized_featurizer(dataset.s)
     net = Mlp([state_feat.dim, *cfg.hidden, env.d_a],
               seed=int(substream(seed, "policy-init").integers(1 << 31)))
     return SafePolicy(net=net, state_feat=state_feat,
                       low=env.action_bounds[:, 0].copy(),
-                      high=env.action_bounds[:, 1].copy(), cfg=cfg)
+                      high=env.action_bounds[:, 1].copy(), lr=cfg.policy_lr)
 
 
-def bc_weights(reward_critic: RewardCritic, feas_critic: FeasibilityCritic | None,
+def bc_weights(reward_critic: QVCritic, feas_critic: FeasibilityCritic | None,
                s: np.ndarray, a: np.ndarray, temperature: float,
                weight_clip: float) -> np.ndarray:
     """Per-sample cloning weights.
@@ -150,10 +140,11 @@ def bc_weights(reward_critic: RewardCritic, feas_critic: FeasibilityCritic | Non
 
 def feasibility_guided_policy_update(
     policy: SafePolicy,
-    reward_critic: RewardCritic,
+    reward_critic: QVCritic,
     feas_critic: FeasibilityCritic | None,
     offline: OfflineDataset,
     steps: int,
+    cfg: LearnSection,
     seed: int = 0,
     stream: tuple = (),
 ) -> SafePolicy:
@@ -161,13 +152,9 @@ def feasibility_guided_policy_update(
     _reject_rollout_data(offline)
     if len(offline) == 0:
         raise ValueError("offline batch must not be empty")
-    cfg = policy.cfg
-    if policy.trainer is None:
-        policy.trainer = Trainer(policy.net, lr=cfg.lr)
-
     feat_s = policy.state_feat(offline.s)
     weights = bc_weights(reward_critic, feas_critic, offline.s, offline.a,
-                         cfg.temperature, cfg.weight_clip)
+                         cfg.policy_temperature, cfg.policy_weight_clip)
     span = (policy.high - policy.low) / 2.0
     rng = substream(seed, "policy-update", *stream)
 
@@ -257,8 +244,7 @@ def save_policy(policy: SafePolicy, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta = {
-        "low": policy.low.tolist(), "high": policy.high.tolist(),
-        "cfg": asdict(policy.cfg),
+        "low": policy.low.tolist(), "high": policy.high.tolist(), "lr": policy.lr,
         "steps_trained": policy.steps_trained,
         "state_feat": policy.state_feat.to_meta(),
     }
@@ -267,11 +253,10 @@ def save_policy(policy: SafePolicy, directory: str | Path) -> None:
 
 def load_policy(directory: str | Path, env: HardCMDP) -> SafePolicy:
     nets, meta = load_mlp(Path(directory) / "policy.npz")
-    cfg = PolicyConfig(**{**meta["cfg"], "hidden": tuple(meta["cfg"]["hidden"])})
     return SafePolicy(net=nets["net"],
                       state_feat=Featurizer.from_meta(meta["state_feat"], env),
                       low=np.asarray(meta["low"]), high=np.asarray(meta["high"]),
-                      cfg=cfg, steps_trained=meta["steps_trained"])
+                      lr=meta["lr"], steps_trained=meta["steps_trained"])
 
 
 def reward_norm_from_dataset(dataset: OfflineDataset) -> tuple[float, float]:

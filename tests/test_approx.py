@@ -3,6 +3,7 @@ import re
 import sys
 import threading
 import time
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from reachsafe.approx import (
 )
 from reachsafe.collect import collect_safe_dataset
 from reachsafe.critics import make_feasibility_critic
-from reachsafe.dynamics import TrainConfig, train_ensemble
+from reachsafe.config import DynamicsSection, default_config
+from reachsafe.dynamics import train_ensemble
 from reachsafe.envs import behavior_mixture, make_double_integrator
 from reachsafe.policy import make_reward_critic
 from reachsafe.seeding import substream
@@ -272,13 +274,15 @@ def test_no_two_nets_share_a_parameter_array(tmp_path):
     env = make_double_integrator(x_lim=1.0, a_max=1.0, dt=0.1, horizon=60)
     data = collect_safe_dataset(env, behavior_mixture(env, [("random", 1.0)]),
                                 n_transitions=400, seed=3)
-    for critic in (make_feasibility_critic(env, data, seed=2),
-                   make_reward_critic(env, data, seed=2)):
+    learn = default_config("double_integrator").learn
+    for critic in (make_feasibility_critic(env, data, learn, seed=2),
+                   make_reward_critic(env, data, learn, seed=2)):
         assert shared_arrays([critic.q_net, critic.v_net,
                               critic.q_target, critic.v_target]) == []
     # Each member is restored to its best epoch's snapshot.
-    model = train_ensemble(data, n_total=3, n_elite=2, epochs=3, seed=1,
-                           cfg=TrainConfig(hidden=(8,), batch_size=64))
+    section = replace(DynamicsSection(), n_total=3, n_elite=2, epochs=3, hidden=[8],
+                      batch_size=64)
+    model = train_ensemble(data, **asdict(section), seed=1)
     assert shared_arrays([member.net for member in model.members]) == []
 
 

@@ -2,7 +2,7 @@ import pytest
 
 from reachsafe import cli
 from reachsafe.cmdp import ConfigurationError
-from reachsafe.config import default_config, load_config, save_config
+from reachsafe.config import config_hash, default_config, load_config, save_config
 
 
 def write(tmp_path, text):
@@ -86,6 +86,13 @@ def test_unknown_key_is_refused(tmp_path):
     ("learn.rollout_epochs = 0", "^learn.rollout_epochs must be at least 1"),
     ("learn.rollout_noise_std = -1.0", "^learn.rollout_noise_std must be at least 0"),
     ("costgen.max_queries = 0", "^costgen.max_queries must be at least 1"),
+    ("learn.batch_size = 0", "^learn.batch_size must be at least 1"),
+    ("dynamics.batch_size = 0", "^dynamics.batch_size must be at least 1"),
+    ("dynamics.epochs = 0", "^dynamics.epochs must be at least 1"),
+    ("learn.critic_lr = -1", "^learn.critic_lr must be positive"),
+    ("learn.policy_lr = -1", "^learn.policy_lr must be positive"),
+    ("dynamics.lr = -1", "^dynamics.lr must be positive"),
+    ("dynamics.val_fraction = 1.0", r"^dynamics.val_fraction must lie in \[0, 1\)"),
     ("dynamics.n_elite = 9", "^dynamics.n_elite must lie between 1 and dynamics.n_total"),
     ("dynamics.n_elite = 0", "^dynamics.n_elite must lie between 1 and dynamics.n_total"),
     ("dynamics.n_total = 4", r"dynamics.n_total \(4\), got 5"),
@@ -99,6 +106,7 @@ def test_bounds_themselves_are_accepted(tmp_path):
     cfg = load_config(write(tmp_path, "learn.rollout_horizon = 10\n"
                                       "learn.rollout_noise_std = 0.0\n"
                                       "dynamics.n_elite = 7\n"
+                                      "dynamics.val_fraction = 0.0\n"
                                       "costgen.max_queries = 1\n"))
     assert (cfg.learn.rollout_horizon, cfg.dynamics.n_elite) == (10, cfg.dynamics.n_total)
 
@@ -125,3 +133,13 @@ def test_cli_refuses_ungated_with_another_toggle(tmp_path, capsys):
     assert cli.main(["run", "--stage", "learn", "--ungated", "--no-model",
                      "--out", str(tmp_path)]) == 2
     assert "ungated cannot be combined" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("env, digest", [
+    ("gridworld", "a82f08147bd9597d"),
+    ("double_integrator", "736423c2cbbdb058"),
+])
+def test_default_config_hash_is_pinned(env, digest):
+    # Stage artifacts resume only under the hash they were made with, so a
+    # change to any default key or value would orphan every run directory.
+    assert config_hash(default_config(env)) == digest

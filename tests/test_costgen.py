@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from reachsafe.collect import collect_safe_dataset, collect_unsafe_samples
+from reachsafe.config import CostGenSection
 from reachsafe.costgen import (
     CostCandidate,
-    GenerationConfig,
     GenerationError,
     ProposerError,
     RemoteChatProposer,
@@ -52,7 +52,7 @@ def _const_candidate(value):
 
 def test_validate_constant_predicates(grid_setup):
     env, d_safe, d_unsafe = grid_setup
-    cfg = GenerationConfig()
+    cfg = CostGenSection()
     always = validate(_const_candidate(1), d_unsafe, d_safe, cfg)
     assert always.recall_unsafe == 1.0
     assert always.conservativeness == 1.0
@@ -64,7 +64,7 @@ def test_validate_constant_predicates(grid_setup):
 
 def test_validate_ground_truth_with_zero_floor(grid_setup):
     env, d_safe, d_unsafe = grid_setup
-    cfg = GenerationConfig(p_min=0.0, p_max=0.3)
+    cfg = CostGenSection(p_min=0.0, p_max=0.3)
     truth = CostCandidate(predicate=lambda s: np.array([env.cost(row) for row in s]),
                           provenance="manual")
     report = validate(truth, d_unsafe, d_safe, cfg)
@@ -75,7 +75,7 @@ def test_validate_ground_truth_with_zero_floor(grid_setup):
 
 def test_validate_empty_unsafe_is_degenerate(grid_setup):
     env, d_safe, _ = grid_setup
-    cfg = GenerationConfig()
+    cfg = CostGenSection()
     report = validate(_const_candidate(0), empty_dataset(env, "unsafe_small", 0),
                       d_safe, cfg)
     assert report.recall_unsafe == 1.0
@@ -84,7 +84,7 @@ def test_validate_empty_unsafe_is_degenerate(grid_setup):
 
 def test_validate_reports_conservativeness_even_with_bad_recall(grid_setup):
     env, d_safe, d_unsafe = grid_setup
-    cfg = GenerationConfig()
+    cfg = CostGenSection()
     # Flags the upper rows only: catches one hazard, misses the other.
     cand = CostCandidate(predicate=lambda s: (s[:, 1] >= 4).astype(int),
                          provenance="manual")
@@ -94,7 +94,7 @@ def test_validate_reports_conservativeness_even_with_bad_recall(grid_setup):
 
 
 def test_feedback_message_forms():
-    cfg = GenerationConfig(p_min=0.10, p_max=0.30)
+    cfg = CostGenSection(p_min=0.10, p_max=0.30)
     low = feedback_message(ValidationReport(1.0, 0.02, False), cfg)
     assert "2%" in low
     assert "10%-30%" in low
@@ -125,7 +125,7 @@ def test_scripted_margin_shrinks_on_too_conservative(grid_setup):
 
 def test_conservativeness_nondecreasing_in_margin(grid_setup):
     env, d_safe, d_unsafe = grid_setup
-    cfg = GenerationConfig()
+    cfg = CostGenSection()
     values = []
     for margin in (0.0, 1.0, 2.0, 3.0, 4.0):
         cand = CostCandidate(predicate=env.margin_predicate(margin),
@@ -136,7 +136,7 @@ def test_conservativeness_nondecreasing_in_margin(grid_setup):
 
 def test_generation_loop_passes_with_scripted_proposer(grid_setup):
     env, d_safe, d_unsafe = grid_setup
-    cfg = GenerationConfig()
+    cfg = CostGenSection()
     final, history = generation_loop(ScriptedMarginProposer(env, step=1.0), d_unsafe,
                                      d_safe, cfg)
     assert final.report.passed
@@ -147,7 +147,7 @@ def test_generation_loop_passes_with_scripted_proposer(grid_setup):
 
 def test_loop_falls_back_on_hopeless_proposer(grid_setup):
     env, d_safe, d_unsafe = grid_setup
-    cfg = GenerationConfig(max_queries=4)
+    cfg = CostGenSection(max_queries=4)
 
     def hopeless(idx, feedback):
         return _const_candidate(0)
@@ -159,7 +159,7 @@ def test_loop_falls_back_on_hopeless_proposer(grid_setup):
 
 def test_loop_counts_failed_calls_against_budget(grid_setup):
     env, d_safe, d_unsafe = grid_setup
-    cfg = GenerationConfig(max_queries=5)
+    cfg = CostGenSection(max_queries=5)
     calls = []
 
     def flaky(idx, feedback):
@@ -178,7 +178,7 @@ def test_loop_counts_failed_calls_against_budget(grid_setup):
 
 def test_loop_raises_when_everything_fails(grid_setup):
     env, d_safe, d_unsafe = grid_setup
-    cfg = GenerationConfig(max_queries=3)
+    cfg = CostGenSection(max_queries=3)
 
     def broken(idx, feedback):
         raise ProposerError("down")
@@ -189,7 +189,7 @@ def test_loop_raises_when_everything_fails(grid_setup):
 
 
 def test_fallback_prefers_distance_then_age():
-    cfg = GenerationConfig(p_min=0.10, p_max=0.30)
+    cfg = CostGenSection(p_min=0.10, p_max=0.30)
     near = _const_candidate(0)
     far = _const_candidate(0)
     history = [
@@ -206,7 +206,7 @@ def test_fallback_prefers_distance_then_age():
 
 
 def test_fallback_prefers_recall_first():
-    cfg = GenerationConfig()
+    cfg = CostGenSection()
     weak = _const_candidate(0)
     strong = _const_candidate(0)
     history = [
@@ -217,7 +217,7 @@ def test_fallback_prefers_recall_first():
 
 
 def test_fallback_is_pure_function_of_history():
-    cfg = GenerationConfig()
+    cfg = CostGenSection()
     history = [
         Round(index=i, candidate=_const_candidate(0),
               report=ValidationReport(1.0, 0.05 * i, False))
@@ -240,10 +240,10 @@ def _canned_transport(replies):
 
 def test_remote_proposer_accepts_threshold_reply(grid_setup, tmp_path):
     env, d_safe, d_unsafe = grid_setup
-    cfg = GenerationConfig()
+    cfg = CostGenSection()
     reply = "Sure.\n```python\ndef get_cost(observation):\n    return 1 if (abs(x - 2) + abs(y - 2) <= 2) or (abs(x - 4) + abs(y - 4) <= 2) else 0\n```"
     endpoint = RemoteEndpoint(base_url="http://replay.invalid", model="canned")
-    proposer = RemoteChatProposer(endpoint, env, cfg,
+    proposer = RemoteChatProposer(endpoint, env,
                                   transport=_canned_transport([reply]),
                                   transcript_path=tmp_path / "log.jsonl")
     cand = proposer(0, None)
@@ -255,11 +255,10 @@ def test_remote_proposer_accepts_threshold_reply(grid_setup, tmp_path):
 
 def test_remote_proposer_rejects_unsafe_source(grid_setup):
     env, _, _ = grid_setup
-    cfg = GenerationConfig()
     reply = "```python\ndef get_cost(observation):\n    return open('/etc/passwd')\n```"
     proposer = RemoteChatProposer(
         RemoteEndpoint(base_url="http://replay.invalid", model="canned"),
-        env, cfg, transport=_canned_transport([reply]))
+        env, transport=_canned_transport([reply]))
     with pytest.raises(ProposerError):
         proposer(0, None)
 
@@ -268,15 +267,14 @@ def test_remote_proposer_requires_code_block(grid_setup):
     env, _, _ = grid_setup
     proposer = RemoteChatProposer(
         RemoteEndpoint(base_url="http://replay.invalid", model="canned"),
-        env, GenerationConfig(),
-        transport=_canned_transport(["no code here, sorry"]))
+        env, transport=_canned_transport(["no code here, sorry"]))
     with pytest.raises(ProposerError):
         proposer(0, None)
 
 
 def test_remote_loop_with_canned_replies_is_reproducible(grid_setup):
     env, d_safe, d_unsafe = grid_setup
-    cfg = GenerationConfig()
+    cfg = CostGenSection()
     replies = [
         "```python\n1 if (abs(x - 2) + abs(y - 2) <= 0) or (abs(x - 4) + abs(y - 4) <= 0) else 0\n```",
         "```python\n1 if (abs(x - 2) + abs(y - 2) <= 2) or (abs(x - 4) + abs(y - 4) <= 2) else 0\n```",
@@ -285,7 +283,7 @@ def test_remote_loop_with_canned_replies_is_reproducible(grid_setup):
     def run():
         proposer = RemoteChatProposer(
             RemoteEndpoint(base_url="http://replay.invalid", model="canned"),
-            env, cfg, transport=_canned_transport(replies))
+            env, transport=_canned_transport(replies))
         return generation_loop(proposer, d_unsafe, d_safe, cfg)
 
     final_a, hist_a = run()
@@ -297,7 +295,7 @@ def test_remote_loop_with_canned_replies_is_reproducible(grid_setup):
 
 def test_candidate_record_roundtrip(grid_setup, tmp_path):
     env, d_safe, d_unsafe = grid_setup
-    cfg = GenerationConfig()
+    cfg = CostGenSection()
     final, history = generation_loop(ScriptedMarginProposer(env, step=1.0), d_unsafe,
                                      d_safe, cfg)
     path = tmp_path / "history.jsonl"
@@ -361,7 +359,7 @@ def test_default_transport_posts_json_with_bearer_token(grid_setup, monkeypatch)
     content = "```python\n1 if abs(x - 2) + abs(y - 2) <= 1 else 0\n```"
     reply = {"choices": [{"message": {"content": content, "role": "assistant"}}]}
     with _loopback(monkeypatch, [(200, json.dumps(reply))]) as (server, endpoint):
-        proposer = RemoteChatProposer(endpoint, env, GenerationConfig())
+        proposer = RemoteChatProposer(endpoint, env)
         cand = proposer(0, None)
     assert cand.source == "1 if abs(x - 2) + abs(y - 2) <= 1 else 0"
     (request,) = server.seen

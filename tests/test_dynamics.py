@@ -1,3 +1,5 @@
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from reachsafe import BLAS_THREAD_VARS
 from reachsafe.cmdp import ConfigurationError
 from reachsafe.collect import collect_safe_dataset
+from reachsafe.config import DynamicsSection
 from reachsafe.dynamics import (
     LOGVAR_MAX,
     LOGVAR_MIN,
@@ -26,6 +29,11 @@ from reachsafe.seeding import substream
 from reachsafe.tabular import build_model
 
 
+def dynamics(**fields) -> dict:
+    """``train_ensemble`` keywords: the default dynamics section, ``fields`` changed."""
+    return asdict(replace(DynamicsSection(), **fields))
+
+
 @pytest.fixture(scope="module")
 def integrator_setup():
     env = make_double_integrator(x_lim=1.0, a_max=1.0, dt=0.1, horizon=60)
@@ -37,8 +45,7 @@ def integrator_setup():
 @pytest.fixture(scope="module")
 def trained(integrator_setup):
     env, data = integrator_setup
-    model = train_ensemble(data, n_total=7, n_elite=5, val_fraction=0.2,
-                           epochs=25, seed=5)
+    model = train_ensemble(data, **dynamics(n_total=7, n_elite=5, epochs=25), seed=5)
     return env, data, model
 
 
@@ -79,8 +86,7 @@ def test_linear_system_is_learned_accurately():
                                  v_max=5.0)
     mix = behavior_mixture(env, [("creep", 0.4), ("random", 0.4), ("brake", 0.2)])
     data = collect_safe_dataset(env, mix, n_transitions=2500, seed=21)
-    model = train_ensemble(data, n_total=3, n_elite=2, val_fraction=0.2,
-                           epochs=60, seed=5)
+    model = train_ensemble(data, **dynamics(n_total=3, n_elite=2, epochs=60), seed=5)
     assert model.val_errors[model.elites].mean() < 1e-3
 
 
@@ -102,8 +108,7 @@ def test_predict_set_length_and_identical_members():
     env = make_double_integrator(x_lim=1.0, a_max=1.0, dt=0.1, horizon=60)
     mix = behavior_mixture(env, [("random", 1.0)])
     data = collect_safe_dataset(env, mix, n_transitions=600, seed=3)
-    model = train_ensemble(data, n_total=3, n_elite=3, val_fraction=0.2,
-                           epochs=5, seed=9)
+    model = train_ensemble(data, **dynamics(n_total=3, n_elite=3, epochs=5), seed=9)
     clones = EnsembleDynamics(
         members=[model.members[0]] * 3, elites=[0, 1, 2],
         in_mean=model.in_mean, in_std=model.in_std,
@@ -128,8 +133,7 @@ def test_elite_predictions_keep_no_activations(trained):
 
 def test_elites_equal_members_when_requested(integrator_setup):
     _, data = integrator_setup
-    model = train_ensemble(data, n_total=3, n_elite=3, val_fraction=0.2,
-                           epochs=3, seed=2)
+    model = train_ensemble(data, **dynamics(n_total=3, n_elite=3, epochs=3), seed=2)
     assert sorted(model.elites) == [0, 1, 2]
 
 
@@ -214,16 +218,16 @@ def test_conservative_label_dominates_single_elites(trained):
 def test_training_rejects_bad_configs(integrator_setup):
     _, data = integrator_setup
     with pytest.raises(ConfigurationError):
-        train_ensemble(data, n_total=3, n_elite=4, epochs=1, seed=0)
+        train_ensemble(data, **dynamics(n_total=3, n_elite=4, epochs=1), seed=0)
     with pytest.raises(ConfigurationError):
-        train_ensemble(data.subset(np.arange(10)), n_total=2, n_elite=1,
-                       epochs=1, seed=0)
+        train_ensemble(data.subset(np.arange(10)),
+                       **dynamics(n_total=2, n_elite=1, epochs=1), seed=0)
 
 
 def test_training_is_deterministic(integrator_setup):
     _, data = integrator_setup
-    a = train_ensemble(data, n_total=2, n_elite=1, epochs=2, seed=8)
-    b = train_ensemble(data, n_total=2, n_elite=1, epochs=2, seed=8)
+    a = train_ensemble(data, **dynamics(n_total=2, n_elite=1, epochs=2), seed=8)
+    b = train_ensemble(data, **dynamics(n_total=2, n_elite=1, epochs=2), seed=8)
     for ma, mb in zip(a.members, b.members):
         for p, q in zip(ma.net.parameters(), mb.net.parameters()):
             assert np.array_equal(p, q)
@@ -246,7 +250,7 @@ def test_members_in_threads_equal_the_serial_loop(integrator_setup, monkeypatch)
     def train(blas):
         for var in BLAS_THREAD_VARS:
             monkeypatch.setenv(var, blas)
-        return train_ensemble(data, n_total=3, n_elite=2, epochs=2, seed=8)
+        return train_ensemble(data, **dynamics(n_total=3, n_elite=2, epochs=2), seed=8)
 
     threaded, serial = train("1"), train("2")
     assert threaded.elites == serial.elites

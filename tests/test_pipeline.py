@@ -2,6 +2,7 @@ import importlib.util
 import json
 import shutil
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +10,11 @@ import pytest
 
 from reachsafe import cli, pipeline
 from reachsafe.collect import collect_safe_dataset
-from reachsafe.config import default_config, save_config
+from reachsafe.config import build_env, default_config, save_config
+from reachsafe.costgen import load_final_candidate
 from reachsafe.critics import (
-    CriticConfig,
     FeasibilityCritic,
-    RewardCritic,
+    QVCritic,
     load_critic,
     make_feasibility_critic,
     save_critic,
@@ -185,6 +186,32 @@ def test_export_heatmap_reads_the_critic_checkpoint(run_dir, capsys):
     assert len(rows) == 2 + 5   # two header lines, then one row per x cell
 
 
+@pytest.mark.parametrize("ablations, floored", [([], True), (["no-relabel"], False)])
+def test_heatmap_applies_the_floor_the_critic_was_trained_with(run_dir, ablations,
+                                                               floored):
+    # no-relabel trains its critic without the cost floor, so its heatmap
+    # is the bare network surface; full's carries the floor.
+    cfg = tiny_config(ablations)
+    run_pipeline(cfg, run_dir)
+    save_config(cfg, run_dir / "cfg.txt")
+    assert cli.main(["export-heatmap", "--config", str(run_dir / "cfg.txt"),
+                     "--out", str(run_dir)]) == 0
+    paths, env = pipeline.RunPaths(run_dir), build_env(cfg)
+    lines = paths.heatmap(cfg).read_text().splitlines()
+    x_lo, x_hi, nx, y_lo, y_hi, ny = (float(v) for v in lines[1].split(","))
+    written = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+    xs, ys = np.meshgrid(np.linspace(x_lo, x_hi, int(nx)), np.linspace(y_lo, y_hi, int(ny)),
+                         indexing="ij")
+    states = np.column_stack([xs.ravel(), ys.ravel(), np.zeros((xs.size, env.d_s - 2))])
+    predicate = load_final_candidate(paths.cost_history(cfg), env).predicate
+    surface = {floor: load_critic(paths.critic_dir(cfg), env,
+                                  cost_fn=predicate if floor else None
+                                  ).v_values(states).reshape(written.shape)
+               for floor in (True, False)}
+    assert not np.allclose(surface[True], surface[False], rtol=1e-8, atol=0.0)
+    assert np.allclose(written, surface[floored], rtol=1e-8, atol=0.0)
+
+
 def test_oracle_warnings_stay_out_of_stdout_json(tmp_path, capsys):
     cfg = tiny_config()
     cfg.learn.critic_gamma = 0.5   # at or below the threshold for any horizon
@@ -221,17 +248,14 @@ def test_feasibility_critic_roundtrip_keeps_config_and_floor(integrator, tmp_pat
     env, data = integrator
     learn = default_config("double_integrator").learn
     assert learn.rollout_batch_fraction == 0.25
-    cfg = CriticConfig(gamma=learn.critic_gamma, tau=learn.critic_tau,
-                       hidden=(16, 16), batch_size=64,
-                       include_rollout_in_v=learn.include_rollout_in_v,
-                       rollout_batch_fraction=learn.rollout_batch_fraction)
+    cfg = replace(learn, hidden=[16, 16], batch_size=64)
     floor = env.margin_predicate(0.05)
     critic = make_feasibility_critic(env, data, cfg, seed=1, cost_fn=floor)
-    update_feasibility_critics(critic, data, None, steps=3)
+    update_feasibility_critics(critic, data, None, steps=3, cfg=cfg)
     save_critic(critic, tmp_path / "critic")
     back = load_critic(tmp_path / "critic", env, cost_fn=floor)
     assert isinstance(back, FeasibilityCritic)
-    assert back.cfg == critic.cfg
+    assert (back.lr, back.target_rate) == (critic.lr, critic.target_rate)
     assert back.cost_fn is floor and back.steps_trained == 3
     assert_same_nets(back, critic)
     probe = np.array([[0.97, 0.5], [0.0, 0.0], [-0.5, -0.9]])
@@ -242,12 +266,13 @@ def test_feasibility_critic_roundtrip_keeps_config_and_floor(integrator, tmp_pat
 
 def test_reward_critic_roundtrip(integrator, tmp_path):
     env, data = integrator
-    reward = make_reward_critic(env, data, seed=2)
-    update_reward_critic(reward, data, steps=3)
+    learn = replace(default_config("double_integrator").learn, hidden=[16, 16], batch_size=64)
+    reward = make_reward_critic(env, data, learn, seed=2)
+    update_reward_critic(reward, data, steps=3, cfg=learn)
     save_critic(reward, tmp_path / "reward")
     back = load_critic(tmp_path / "reward", env)
-    assert isinstance(back, RewardCritic)
-    assert back.cfg == reward.cfg and back.steps_trained == 3
+    assert type(back) is QVCritic
+    assert (back.lr, back.target_rate, back.steps_trained) == (reward.lr, reward.target_rate, 3)
     assert_same_nets(back, reward)
     assert np.array_equal(back.q_values(data.s[:8], data.a[:8]),
                           reward.q_values(data.s[:8], data.a[:8]))

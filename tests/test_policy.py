@@ -1,11 +1,13 @@
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
 from reachsafe.approx import BackwardBeforeForward
 from reachsafe.collect import collect_safe_dataset
-from reachsafe.cmdp import OfflineDataset, SAFE_ONLY
+from reachsafe.cmdp import MIXED, OfflineDataset, SAFE_ONLY
+from reachsafe.config import DynamicsSection, default_config
 from reachsafe.critics import (
-    CriticConfig,
     make_feasibility_critic,
     onehot_action_featurizer,
     onehot_state_featurizer,
@@ -15,9 +17,8 @@ from reachsafe.dynamics import train_ensemble
 from reachsafe.envs import behavior_mixture, make_double_integrator, make_hazard_gridworld
 from reachsafe.oracle import compute_feasible_set_oracle
 from reachsafe.policy import (
+    REWARD_TARGET_RATE,
     EvalReport,
-    PolicyConfig,
-    RewardCriticConfig,
     RolloutDataRejected,
     bc_weights,
     evaluate_policy,
@@ -32,6 +33,8 @@ from reachsafe.policy import (
 from reachsafe.reachability import tabular_value_iteration
 from reachsafe.rollout import RolloutBuffer
 from reachsafe.tabular import tabulate
+
+LEARN = default_config("double_integrator").learn
 
 
 def _toy_dataset(n=64, r_value=1.0, done=True, seed=0):
@@ -57,24 +60,24 @@ def integrator():
 def test_reward_critic_rejects_rollout_data():
     ds = _toy_dataset()
     env = make_double_integrator(x_lim=1.0, a_max=1.0, dt=0.1, horizon=60)
-    critic = make_reward_critic(env, ds)
+    critic = make_reward_critic(env, ds, LEARN)
     buffer = RolloutBuffer(s=ds.s, a=ds.a, label=np.zeros(len(ds), dtype=int),
                            h_s=np.full(len(ds), -1.0),
                            origin=np.zeros(len(ds), dtype=int))
     with pytest.raises(RolloutDataRejected):
-        update_reward_critic(critic, buffer, steps=1)
+        update_reward_critic(critic, buffer, steps=1, cfg=LEARN)
     tagged = _toy_dataset()
     tagged.meta["kind"] = "rollout-buffer"
     with pytest.raises(RolloutDataRejected):
-        update_reward_critic(critic, tagged, steps=1)
+        update_reward_critic(critic, tagged, steps=1, cfg=LEARN)
 
 
 def test_reward_critic_fits_terminal_reward():
     # Every transition is terminal with r = 1, so q must go to 1.
     ds = _toy_dataset(r_value=1.0, done=True)
     env = make_double_integrator(x_lim=1.0, a_max=1.0, dt=0.1, horizon=60)
-    critic = make_reward_critic(env, ds, RewardCriticConfig(lr=3e-3), seed=1)
-    update_reward_critic(critic, ds, steps=1500, seed=1)
+    critic = make_reward_critic(env, ds, replace(LEARN, policy_lr=3e-3), seed=1)
+    update_reward_critic(critic, ds, steps=1500, cfg=LEARN, seed=1)
     q = critic.q_values(ds.s, ds.a)
     assert np.allclose(q, 1.0, atol=0.05)
 
@@ -90,12 +93,44 @@ def test_reward_critic_geometric_series_on_chain():
         tag=SAFE_ONLY, meta={"env": "toy", "episode_ends": []},
     )
     env = make_double_integrator(x_lim=1.0, a_max=1.0, dt=0.1, horizon=60)
-    critic = make_reward_critic(env, ds, RewardCriticConfig(gamma=0.9, lr=3e-3,
-                                                            target_rate=0.05),
-                                seed=2)
-    update_reward_critic(critic, ds, steps=4000, seed=2)
+    cfg = replace(LEARN, reward_gamma=0.9, policy_lr=3e-3)
+    critic = make_reward_critic(env, ds, cfg, seed=2)
+    critic.target_rate = 0.05
+    update_reward_critic(critic, ds, steps=4000, cfg=cfg, seed=2)
     q = critic.q_values(ds.s, ds.a)
     assert np.allclose(q, 5.0, atol=0.25), q.mean()
+
+
+def test_learn_settings_reach_the_critics_and_the_policy():
+    # Each value differs from both environments' defaults, so a consumer
+    # that kept a default of its own would show here.
+    env = make_double_integrator(x_lim=1.0, a_max=1.0, dt=0.1, horizon=60)
+    one = OfflineDataset(s=np.array([[0.5, 0.2]]), a=np.array([[0.3]]), r=np.array([0.7]),
+                         s2=np.array([[0.52, 0.23]]), done=np.array([False]),
+                         cost=np.array([1]), tag=MIXED)
+    cfg = replace(LEARN, critic_gamma=0.9, reward_gamma=0.8, critic_lr=2e-3,
+                  policy_lr=5e-4, critic_target_rate=0.02, hidden=[8, 4])
+    feas = make_feasibility_critic(env, one, cfg, seed=0)
+    reward = make_reward_critic(env, one, cfg, seed=0)
+    policy = make_policy(env, one, cfg, seed=0)
+    assert (feas.q_trainer.lr, feas.v_trainer.lr, feas.target_rate) == (2e-3, 2e-3, 0.02)
+    assert (reward.q_trainer.lr, reward.v_trainer.lr) == (5e-4, 5e-4)
+    assert reward.target_rate == REWARD_TARGET_RATE and policy.trainer.lr == 5e-4
+    assert all(net.sizes[1:-1] == [8, 4] for net in (feas.q_net, reward.v_net, policy.net))
+
+    # One step each, recording the Q target instead of stepping.
+    targets = {}
+    for name, critic in (("feas", feas), ("reward", reward)):
+        critic.gradient_step = (lambda q_in, q_tgt, *rest, name=name:
+                                targets.setdefault(name, q_tgt))
+    reward.v_target.biases[-1][:] = 2.0   # a successor value far from zero
+    v_feas, v_reward = (c.v_target.forward(c.state_feat(one.s2), cache=False)[0, 0]
+                        for c in (feas, reward))
+    update_feasibility_critics(feas, one, None, steps=1, cfg=cfg)
+    update_reward_critic(reward, one, steps=1, cfg=cfg)
+    # Feasible backup from h(s) = -1 with the successor flagged, h(s') = +1.
+    assert targets["feas"][0] == pytest.approx(0.1 * -1.0 + 0.9 * max(1.0, v_feas))
+    assert targets["reward"][0] == pytest.approx(0.7 + 0.8 * v_reward)
 
 
 def _stub_elite_next(env, s, a, violating):
@@ -116,26 +151,19 @@ def test_rollout_rows_back_up_against_the_worst_elite_successor(integrator):
             s=data.s[rows], a=data.a[rows], label=np.zeros(len(rows), dtype=int),
             h_s=np.full(len(rows), env.h_min), origin=rows,
             elite_next=_stub_elite_next(env, data.s[rows], data.a[rows], violating))
-        critic = make_feasibility_critic(
-            env, data, CriticConfig(lr=1e-2, rollout_batch_fraction=1.0), seed=0,
-            cost_fn=env.margin_predicate(0.0))
-        update_feasibility_critics(critic, data, buffer, steps=100)
+        cfg = replace(LEARN, critic_lr=1e-2, rollout_batch_fraction=1.0)
+        critic = make_feasibility_critic(env, data, cfg, seed=0,
+                                         cost_fn=env.margin_predicate(0.0))
+        update_feasibility_critics(critic, data, buffer, steps=100, cfg=cfg)
         q[violating] = float(critic.q_values(buffer.s, buffer.a).mean())
     assert q[True] > q[False] + 0.5, q
 
 
-def test_reward_critic_tracks_sources(integrator):
-    env, data = integrator
-    critic = make_reward_critic(env, data)
-    update_reward_critic(critic, data, steps=5)
-    assert critic.sources_seen == [SAFE_ONLY]
-
-
 def test_bc_weights_gate_blocks_positive_qh(integrator):
     env, data = integrator
-    reward = make_reward_critic(env, data, seed=0)
-    update_reward_critic(critic=reward, offline=data, steps=50)
-    feas = make_feasibility_critic(env, data, CriticConfig(), seed=0,
+    reward = make_reward_critic(env, data, LEARN, seed=0)
+    update_reward_critic(critic=reward, offline=data, cfg=LEARN, steps=50)
+    feas = make_feasibility_critic(env, data, LEARN, seed=0,
                                    cost_fn=env.margin_predicate(0.04))
     # Push q_h net strongly positive so every action is gated off.
     feas.q_net.biases[-1][:] = 5.0
@@ -146,9 +174,9 @@ def test_bc_weights_gate_blocks_positive_qh(integrator):
 
 def test_bc_weights_reduce_to_awr_when_all_safe(integrator):
     env, data = integrator
-    reward = make_reward_critic(env, data, seed=0)
-    update_reward_critic(critic=reward, offline=data, steps=50)
-    feas = make_feasibility_critic(env, data, CriticConfig(), seed=0)
+    reward = make_reward_critic(env, data, LEARN, seed=0)
+    update_reward_critic(critic=reward, offline=data, cfg=LEARN, steps=50)
+    feas = make_feasibility_critic(env, data, LEARN, seed=0)
     feas.q_net.biases[-1][:] = -5.0
     feas.v_net.biases[-1][:] = -5.0
     gated = bc_weights(reward, feas, data.s[:64], data.a[:64], 3.0, 100.0)
@@ -158,8 +186,8 @@ def test_bc_weights_reduce_to_awr_when_all_safe(integrator):
 
 def test_bc_weights_bounded(integrator):
     env, data = integrator
-    reward = make_reward_critic(env, data, seed=0)
-    feas = make_feasibility_critic(env, data, CriticConfig(), seed=0)
+    reward = make_reward_critic(env, data, LEARN, seed=0)
+    feas = make_feasibility_critic(env, data, LEARN, seed=0)
     w = bc_weights(reward, feas, data.s, data.a, 10.0, 100.0)
     assert np.all(w >= 0.0)
     assert np.all(w <= 100.0)
@@ -167,8 +195,8 @@ def test_bc_weights_bounded(integrator):
 
 def test_weight_scaling_preserves_action_ranking(integrator):
     env, data = integrator
-    reward = make_reward_critic(env, data, seed=0)
-    update_reward_critic(critic=reward, offline=data, steps=50)
+    reward = make_reward_critic(env, data, LEARN, seed=0)
+    update_reward_critic(critic=reward, offline=data, cfg=LEARN, steps=50)
     w = bc_weights(reward, None, data.s[:100], data.a[:100], 3.0, np.inf)
     order = np.argsort(w)
     order_scaled = np.argsort(2.5 * w)
@@ -177,10 +205,11 @@ def test_weight_scaling_preserves_action_ranking(integrator):
 
 def test_policy_update_trains_and_respects_bounds(integrator):
     env, data = integrator
-    reward = make_reward_critic(env, data, seed=0)
-    update_reward_critic(critic=reward, offline=data, steps=200)
-    policy = make_policy(env, data, PolicyConfig(lr=1e-3), seed=0)
-    feasibility_guided_policy_update(policy, reward, None, data, steps=300, seed=0)
+    reward = make_reward_critic(env, data, LEARN, seed=0)
+    update_reward_critic(critic=reward, offline=data, cfg=LEARN, steps=200)
+    policy = make_policy(env, data, replace(LEARN, policy_lr=1e-3), seed=0)
+    feasibility_guided_policy_update(policy, reward, None, data, steps=300, cfg=LEARN,
+                                     seed=0)
     acts = policy.act_batch(data.s[:200])
     assert acts.min() >= env.action_bounds[0, 0] - 1e-9
     assert acts.max() <= env.action_bounds[0, 1] + 1e-9
@@ -189,11 +218,11 @@ def test_policy_update_trains_and_respects_bounds(integrator):
 
 def test_policy_update_rejects_empty_batch(integrator):
     env, data = integrator
-    reward = make_reward_critic(env, data, seed=0)
-    policy = make_policy(env, data, seed=0)
+    reward = make_reward_critic(env, data, LEARN, seed=0)
+    policy = make_policy(env, data, LEARN, seed=0)
     empty = data.subset(np.array([], dtype=int))
     with pytest.raises(ValueError):
-        feasibility_guided_policy_update(policy, reward, None, empty, steps=1)
+        feasibility_guided_policy_update(policy, reward, None, empty, steps=1, cfg=LEARN)
 
 
 def test_greedy_actions_stay_feasible_with_oracle_critic():
@@ -206,10 +235,10 @@ def test_greedy_actions_stay_feasible_with_oracle_critic():
     exact = tabular_value_iteration(model, gamma=0.95, tol=1e-12)
     v_exact = exact.v()
 
-    reward = make_reward_critic(env, data, seed=0,
+    reward = make_reward_critic(env, data, LEARN, seed=0,
                                 state_feat=onehot_state_featurizer(env),
                                 action_feat=onehot_action_featurizer(env))
-    update_reward_critic(critic=reward, offline=data, steps=400, seed=0)
+    update_reward_critic(critic=reward, offline=data, cfg=LEARN, steps=400, seed=0)
 
     class OracleCritic:
         h_min, h_max = env.h_min, env.h_max
@@ -223,10 +252,10 @@ def test_greedy_actions_stay_feasible_with_oracle_critic():
                   for arow in a]
             return exact.q[env.state_index(s), ai]
 
-    policy = make_policy(env, data, PolicyConfig(lr=1e-3), seed=0,
+    policy = make_policy(env, data, replace(LEARN, policy_lr=1e-3), seed=0,
                          state_feat=onehot_state_featurizer(env))
     feasibility_guided_policy_update(policy, reward, OracleCritic(), data,
-                                     steps=800, seed=0)
+                                     steps=800, cfg=LEARN, seed=0)
     feasible_states = env.states[v_exact[env.state_index(env.states)] <= 0]
     for s in feasible_states[::3]:
         state = s.copy()
@@ -238,7 +267,7 @@ def test_greedy_actions_stay_feasible_with_oracle_critic():
 
 def test_evaluate_policy_normalization(integrator):
     env, data = integrator
-    policy = make_policy(env, data, seed=0)
+    policy = make_policy(env, data, LEARN, seed=0)
     report = evaluate_policy(policy, env, episodes=3, reward_norm=(-10.0, 10.0),
                              seed=0)
     assert report.episodes == 3
@@ -266,10 +295,10 @@ def test_reward_norm_from_dataset(integrator):
 
 def test_policy_checkpoint_roundtrip(integrator, tmp_path):
     env, data = integrator
-    policy = make_policy(env, data, seed=3)
+    policy = make_policy(env, data, LEARN, seed=3)
     save_policy(policy, tmp_path / "pol")
     back = load_policy(tmp_path / "pol", env)
-    assert back.cfg == policy.cfg
+    assert back.lr == policy.lr
     acts_a = policy.act_batch(data.s[:16])
     acts_b = back.act_batch(data.s[:16])
     assert np.array_equal(acts_a, acts_b)
@@ -280,9 +309,9 @@ def test_inference_passes_leave_no_activations_for_backward(integrator):
     # they keep no activations: none stays pinned in memory after the call.
     env, data = integrator
     s, a = data.s[:32], data.a[:32]
-    reward = make_reward_critic(env, data, seed=1)
-    feas = make_feasibility_critic(env, data, seed=1)
-    policy = make_policy(env, data, seed=1)
+    reward = make_reward_critic(env, data, LEARN, seed=1)
+    feas = make_feasibility_critic(env, data, LEARN, seed=1)
+    policy = make_policy(env, data, LEARN, seed=1)
     nets = [net for c in (reward, feas)
             for net in (c.q_net, c.v_net, c.q_target, c.v_target)] + [policy.net]
 
@@ -300,9 +329,10 @@ def test_inference_passes_leave_no_activations_for_backward(integrator):
     policy.act_batch(s)
     assert_no_cache(nets)
 
-    update_reward_critic(reward, data, steps=1)
-    update_feasibility_critics(feas, data, None, steps=1)
+    update_reward_critic(reward, data, steps=1, cfg=LEARN)
+    update_feasibility_critics(feas, data, None, steps=1, cfg=LEARN)
     assert_no_cache([net for c in (reward, feas) for net in (c.q_target, c.v_target)])
 
-    model = train_ensemble(data, n_total=2, n_elite=1, epochs=1, seed=3)
+    section = replace(DynamicsSection(), n_total=2, n_elite=1, epochs=1)
+    model = train_ensemble(data, **asdict(section), seed=3)
     assert_no_cache([member.net for member in model.members])

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -7,7 +7,8 @@ from reachsafe import BLAS_THREAD_VARS
 from reachsafe.approx import Mlp
 from reachsafe.collect import collect_safe_dataset
 from reachsafe.cmdp import ConfigurationError
-from reachsafe.costgen import GenerationConfig, validate, CostCandidate
+from reachsafe.config import CostGenSection, DynamicsSection, default_config
+from reachsafe.costgen import validate, CostCandidate
 from reachsafe.critics import make_feasibility_critic, update_feasibility_critics
 from reachsafe.dynamics import conservative_cost_label_batch, train_ensemble
 from reachsafe.envs import behavior_mixture, integrator_behavior, make_double_integrator
@@ -31,8 +32,8 @@ def setup():
            (integrator_behavior(env, "random"), 0.3),
            (integrator_behavior(env, "brake"), 0.2)]
     data = collect_safe_dataset(env, mix, n_transitions=2500, seed=7)
-    model = train_ensemble(data, n_total=3, n_elite=2, val_fraction=0.2,
-                           epochs=30, seed=1)
+    section = replace(DynamicsSection(), n_total=3, n_elite=2, epochs=30)
+    model = train_ensemble(data, **asdict(section), seed=1)
     return env, data, model
 
 
@@ -137,7 +138,7 @@ def test_relabel_matches_validate_exactly(setup):
     relabeled = relabel_offline(data, pred, h_min=-1.0, h_max=1.0)
     cand = CostCandidate(predicate=pred, provenance="scripted", margin=0.06)
     report = validate(cand, data.subset(np.array([], dtype=int)), data,
-                      GenerationConfig())
+                      CostGenSection())
     assert relabeled.cost.mean() == pytest.approx(report.conservativeness)
 
 
@@ -200,10 +201,11 @@ def test_critic_update_refuses_a_buffer_without_elite_means(setup, tmp_path):
     save_rollout_buffer(buf, path)
     back = load_rollout_buffer(path)
     assert len(back) and back.elite_next is None
-    critic = make_feasibility_critic(env, data, seed=0,
+    learn = default_config("double_integrator").learn
+    critic = make_feasibility_critic(env, data, learn, seed=0,
                                      cost_fn=env.margin_predicate(0.08))
     with pytest.raises(ValueError, match="elite_next"):
-        update_feasibility_critics(critic, data, back, steps=1)
+        update_feasibility_critics(critic, data, back, steps=1, cfg=learn)
 
 
 def test_rollout_epochs_in_threads_equal_the_serial_loop(setup, monkeypatch):
