@@ -127,9 +127,11 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     critic_dir = paths.critic_dir(cfg)
     if not (critic_dir / "critic.npz").exists():
         raise MissingArtifact(f"no critic checkpoint under {critic_dir}")
-    # The floor the learn stage trained the critic with, and no other. A
-    # critic exists only where cost generation ran, so its history does too.
-    floor = critic_floor(cfg, load_final_candidate(paths.cost_history(cfg), env))
+    history = paths.cost_history(cfg)
+    if not history.exists():
+        raise MissingArtifact(f"no cost history at {history}")
+    # The floor the learn stage trained the critic with, and no other.
+    floor = critic_floor(cfg, load_final_candidate(history, env))
     critic = load_critic(critic_dir, env, cost_fn=floor)
     if env.is_tabular:
         # One value per cell: the grid spans 0..max along x and y.

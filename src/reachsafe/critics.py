@@ -15,7 +15,7 @@ configuration's ``learn`` section.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -110,15 +110,15 @@ class QVCritic:
     v_target: Mlp
     state_feat: Featurizer
     action_feat: Featurizer
-    lr: float
+    lr: InitVar[float]  # held by the two trainers only
     target_rate: float
     steps_trained: int = 0
     q_trainer: Trainer = field(init=False, repr=False)
     v_trainer: Trainer = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self.q_trainer = Trainer(self.q_net, lr=self.lr)
-        self.v_trainer = Trainer(self.v_net, lr=self.lr)
+    def __post_init__(self, lr: float) -> None:
+        self.q_trainer = Trainer(self.q_net, lr=lr)
+        self.v_trainer = Trainer(self.v_net, lr=lr)
 
     @classmethod
     def fresh(cls, state_feat: Featurizer, action_feat: Featurizer,
@@ -348,8 +348,7 @@ def save_critic(critic: QVCritic, directory: str | Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     meta = {
         "kind": type(critic).__name__,
-        "lr": critic.lr,
-        "target_rate": critic.target_rate,
+        "cfg": {"lr": critic.q_trainer.lr, "target_rate": critic.target_rate},
         "steps_trained": critic.steps_trained,
         "state_feat": critic.state_feat.to_meta(),
         "action_feat": critic.action_feat.to_meta(),
@@ -369,7 +368,7 @@ def load_critic(directory: str | Path, env: HardCMDP,
         nets,
         state_feat=Featurizer.from_meta(meta["state_feat"], env),
         action_feat=Featurizer.from_meta(meta["action_feat"], env, action=True),
-        lr=meta["lr"], target_rate=meta["target_rate"],
+        lr=meta["cfg"]["lr"], target_rate=meta["cfg"]["target_rate"],
         steps_trained=meta["steps_trained"],
     )
     if meta["kind"] == "FeasibilityCritic":

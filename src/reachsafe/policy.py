@@ -11,7 +11,7 @@ actions, ignoring reward. Every setting comes from the configuration's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -91,12 +91,12 @@ class SafePolicy:
     state_feat: Featurizer
     low: np.ndarray
     high: np.ndarray
-    lr: float
+    lr: InitVar[float]  # held by the trainer only
     steps_trained: int = 0
     trainer: Trainer = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self.trainer = Trainer(self.net, lr=self.lr)
+    def __post_init__(self, lr: float) -> None:
+        self.trainer = Trainer(self.net, lr=lr)
 
     def act(self, s: np.ndarray) -> np.ndarray:
         return self.act_batch(np.asarray(s, dtype=float).reshape(1, -1))[0]
@@ -244,7 +244,8 @@ def save_policy(policy: SafePolicy, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta = {
-        "low": policy.low.tolist(), "high": policy.high.tolist(), "lr": policy.lr,
+        "low": policy.low.tolist(), "high": policy.high.tolist(),
+        "cfg": {"lr": policy.trainer.lr},
         "steps_trained": policy.steps_trained,
         "state_feat": policy.state_feat.to_meta(),
     }
@@ -256,7 +257,7 @@ def load_policy(directory: str | Path, env: HardCMDP) -> SafePolicy:
     return SafePolicy(net=nets["net"],
                       state_feat=Featurizer.from_meta(meta["state_feat"], env),
                       low=np.asarray(meta["low"]), high=np.asarray(meta["high"]),
-                      lr=meta["lr"], steps_trained=meta["steps_trained"])
+                      lr=meta["cfg"]["lr"], steps_trained=meta["steps_trained"])
 
 
 def reward_norm_from_dataset(dataset: OfflineDataset) -> tuple[float, float]:

@@ -3,7 +3,6 @@ import re
 import sys
 import threading
 import time
-from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -22,11 +21,13 @@ from reachsafe.approx import (
 )
 from reachsafe.collect import collect_safe_dataset
 from reachsafe.critics import make_feasibility_critic
-from reachsafe.config import DynamicsSection, default_config
+from reachsafe.config import default_config
 from reachsafe.dynamics import train_ensemble
 from reachsafe.envs import behavior_mixture, make_double_integrator
 from reachsafe.policy import make_reward_critic
 from reachsafe.seeding import substream
+
+from helpers import dynamics
 
 
 def finite_difference_grads(net, x, upstream, step=1e-5):
@@ -280,9 +281,8 @@ def test_no_two_nets_share_a_parameter_array(tmp_path):
         assert shared_arrays([critic.q_net, critic.v_net,
                               critic.q_target, critic.v_target]) == []
     # Each member is restored to its best epoch's snapshot.
-    section = replace(DynamicsSection(), n_total=3, n_elite=2, epochs=3, hidden=[8],
-                      batch_size=64)
-    model = train_ensemble(data, **asdict(section), seed=1)
+    model = train_ensemble(data, **dynamics(n_total=3, n_elite=2, epochs=3, hidden=[8],
+                                            batch_size=64), seed=1)
     assert shared_arrays([member.net for member in model.members]) == []
 
 

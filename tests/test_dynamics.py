@@ -1,5 +1,3 @@
-from dataclasses import asdict, replace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +7,6 @@ from hypothesis.extra import numpy as hnp
 from reachsafe import BLAS_THREAD_VARS
 from reachsafe.cmdp import ConfigurationError
 from reachsafe.collect import collect_safe_dataset
-from reachsafe.config import DynamicsSection
 from reachsafe.dynamics import (
     LOGVAR_MAX,
     LOGVAR_MIN,
@@ -28,10 +25,7 @@ from reachsafe.envs import behavior_mixture, make_double_integrator
 from reachsafe.seeding import substream
 from reachsafe.tabular import build_model
 
-
-def dynamics(**fields) -> dict:
-    """``train_ensemble`` keywords: the default dynamics section, ``fields`` changed."""
-    return asdict(replace(DynamicsSection(), **fields))
+from helpers import dynamics
 
 
 @pytest.fixture(scope="module")

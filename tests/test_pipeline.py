@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from reachsafe import cli, pipeline
+from reachsafe.approx import load_mlp, save_mlp
 from reachsafe.collect import collect_safe_dataset
 from reachsafe.config import build_env, default_config, save_config
 from reachsafe.costgen import load_final_candidate
@@ -22,7 +23,7 @@ from reachsafe.critics import (
 )
 from reachsafe.envs import behavior_mixture, make_double_integrator
 from reachsafe.pipeline import StageMismatch, run_pipeline
-from reachsafe.policy import make_reward_critic, update_reward_critic
+from reachsafe.policy import REWARD_TARGET_RATE, make_reward_critic, update_reward_critic
 
 
 def tiny_config(ablations=()):
@@ -212,6 +213,60 @@ def test_heatmap_applies_the_floor_the_critic_was_trained_with(run_dir, ablation
     assert np.allclose(written, surface[floored], rtol=1e-8, atol=0.0)
 
 
+def test_export_heatmap_without_cost_history_is_a_missing_artifact(run_dir, capsys):
+    cfg = tiny_config()
+    save_config(cfg, run_dir / "cfg.txt")
+    pipeline.RunPaths(run_dir).cost_history(cfg).unlink()
+    assert cli.main(["export-heatmap", "--config", str(run_dir / "cfg.txt"),
+                     "--out", str(run_dir)]) == 2
+    error = json.loads(capsys.readouterr().err.strip())
+    assert error["kind"] == "MissingArtifact" and "cost_history" in error["error"]
+
+
+def _rewrite_cfg(path, cfg_meta, **fields):
+    """Rewrite a checkpoint's metadata with exactly the former keys."""
+    nets, meta = load_mlp(path)
+    former = ("kind", "low", "high", "steps_trained", "state_feat", "action_feat",
+              "h_min", "h_max")
+    save_mlp(nets, path, {**{k: meta[k] for k in former if k in meta}, "cfg": cfg_meta,
+                          **fields})
+
+
+def test_checkpoints_that_keep_the_whole_learn_config_still_load(run_dir, capsys):
+    # Checkpoints written before the learn settings moved to config.py
+    # carry every setting of their consumer under "cfg"; a resumed run
+    # still evaluates and draws them.
+    cfg = tiny_config()
+    lc, paths = cfg.learn, pipeline.RunPaths(run_dir)
+    save_config(cfg, run_dir / "cfg.txt")
+    heatmap = ["export-heatmap", "--config", str(run_dir / "cfg.txt"), "--out", str(run_dir)]
+    assert cli.main(heatmap) == 0
+    before = paths.heatmap(cfg).read_bytes(), paths.eval_csv(cfg).read_bytes()
+    common = {"lr": lc.policy_lr, "batch_size": lc.batch_size, "hidden": lc.hidden}
+    _rewrite_cfg(paths.critic_dir(cfg) / "critic.npz", {
+        "gamma": lc.critic_gamma, "tau": lc.critic_tau, "lr": lc.critic_lr,
+        "batch_size": lc.batch_size, "target_rate": lc.critic_target_rate,
+        "hidden": lc.hidden, "include_rollout_in_v": lc.include_rollout_in_v,
+        "rollout_batch_fraction": lc.rollout_batch_fraction})
+    _rewrite_cfg(paths.reward_dir(cfg) / "critic.npz", {
+        **common, "gamma": lc.reward_gamma, "expectile": lc.reward_expectile,
+        "target_rate": REWARD_TARGET_RATE}, kind="RewardCritic")
+    _rewrite_cfg(paths.policy_dir(cfg) / "policy.npz", {
+        **common, "temperature": lc.policy_temperature, "weight_clip": lc.policy_weight_clip})
+
+    manifest = json.loads(paths.manifest.read_text())
+    del manifest["stages"]["evaluate:full"]
+    paths.manifest.write_text(json.dumps(manifest))
+    paths.eval_csv(cfg).unlink()
+    run_pipeline(cfg, run_dir)
+    assert cli.main(heatmap) == 0
+    assert (paths.heatmap(cfg).read_bytes(), paths.eval_csv(cfg).read_bytes()) == before
+    critic = load_critic(paths.critic_dir(cfg), build_env(cfg))
+    reward = load_critic(paths.reward_dir(cfg), build_env(cfg))
+    assert (critic.q_trainer.lr, critic.target_rate) == (lc.critic_lr, lc.critic_target_rate)
+    assert (reward.v_trainer.lr, reward.target_rate) == (lc.policy_lr, REWARD_TARGET_RATE)
+
+
 def test_oracle_warnings_stay_out_of_stdout_json(tmp_path, capsys):
     cfg = tiny_config()
     cfg.learn.critic_gamma = 0.5   # at or below the threshold for any horizon
@@ -255,7 +310,8 @@ def test_feasibility_critic_roundtrip_keeps_config_and_floor(integrator, tmp_pat
     save_critic(critic, tmp_path / "critic")
     back = load_critic(tmp_path / "critic", env, cost_fn=floor)
     assert isinstance(back, FeasibilityCritic)
-    assert (back.lr, back.target_rate) == (critic.lr, critic.target_rate)
+    assert (back.q_trainer.lr, back.v_trainer.lr, back.target_rate) == (
+        critic.q_trainer.lr, critic.v_trainer.lr, critic.target_rate)
     assert back.cost_fn is floor and back.steps_trained == 3
     assert_same_nets(back, critic)
     probe = np.array([[0.97, 0.5], [0.0, 0.0], [-0.5, -0.9]])
@@ -272,7 +328,8 @@ def test_reward_critic_roundtrip(integrator, tmp_path):
     save_critic(reward, tmp_path / "reward")
     back = load_critic(tmp_path / "reward", env)
     assert type(back) is QVCritic
-    assert (back.lr, back.target_rate, back.steps_trained) == (reward.lr, reward.target_rate, 3)
+    assert (back.q_trainer.lr, back.v_trainer.lr, back.target_rate, back.steps_trained) == (
+        reward.q_trainer.lr, reward.v_trainer.lr, reward.target_rate, 3)
     assert_same_nets(back, reward)
     assert np.array_equal(back.q_values(data.s[:8], data.a[:8]),
                           reward.q_values(data.s[:8], data.a[:8]))

@@ -1,4 +1,4 @@
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from reachsafe.approx import BackwardBeforeForward
 from reachsafe.collect import collect_safe_dataset
 from reachsafe.cmdp import MIXED, OfflineDataset, SAFE_ONLY
-from reachsafe.config import DynamicsSection, default_config
+from reachsafe.config import default_config
 from reachsafe.critics import (
     make_feasibility_critic,
     onehot_action_featurizer,
@@ -33,6 +33,8 @@ from reachsafe.policy import (
 from reachsafe.reachability import tabular_value_iteration
 from reachsafe.rollout import RolloutBuffer
 from reachsafe.tabular import tabulate
+
+from helpers import dynamics
 
 LEARN = default_config("double_integrator").learn
 
@@ -298,7 +300,7 @@ def test_policy_checkpoint_roundtrip(integrator, tmp_path):
     policy = make_policy(env, data, LEARN, seed=3)
     save_policy(policy, tmp_path / "pol")
     back = load_policy(tmp_path / "pol", env)
-    assert back.lr == policy.lr
+    assert back.trainer.lr == policy.trainer.lr
     acts_a = policy.act_batch(data.s[:16])
     acts_b = back.act_batch(data.s[:16])
     assert np.array_equal(acts_a, acts_b)
@@ -333,6 +335,5 @@ def test_inference_passes_leave_no_activations_for_backward(integrator):
     update_feasibility_critics(feas, data, None, steps=1, cfg=LEARN)
     assert_no_cache([net for c in (reward, feas) for net in (c.q_target, c.v_target)])
 
-    section = replace(DynamicsSection(), n_total=2, n_elite=1, epochs=1)
-    model = train_ensemble(data, **asdict(section), seed=3)
+    model = train_ensemble(data, **dynamics(n_total=2, n_elite=1, epochs=1), seed=3)
     assert_no_cache([member.net for member in model.members])

@@ -1,4 +1,4 @@
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from reachsafe import BLAS_THREAD_VARS
 from reachsafe.approx import Mlp
 from reachsafe.collect import collect_safe_dataset
 from reachsafe.cmdp import ConfigurationError
-from reachsafe.config import CostGenSection, DynamicsSection, default_config
+from reachsafe.config import CostGenSection, default_config
 from reachsafe.costgen import validate, CostCandidate
 from reachsafe.critics import make_feasibility_critic, update_feasibility_critics
 from reachsafe.dynamics import conservative_cost_label_batch, train_ensemble
@@ -21,6 +21,8 @@ from reachsafe.rollout import (
     stack_buffers,
 )
 
+from helpers import dynamics
+
 COLUMNS = ("s", "a", "label", "h_s", "origin")
 
 
@@ -32,8 +34,7 @@ def setup():
            (integrator_behavior(env, "random"), 0.3),
            (integrator_behavior(env, "brake"), 0.2)]
     data = collect_safe_dataset(env, mix, n_transitions=2500, seed=7)
-    section = replace(DynamicsSection(), n_total=3, n_elite=2, epochs=30)
-    model = train_ensemble(data, **asdict(section), seed=1)
+    model = train_ensemble(data, **dynamics(n_total=3, n_elite=2, epochs=30), seed=1)
     return env, data, model
 
 
