@@ -154,6 +154,24 @@ class ExperimentConfig:
         if not 0 <= self.dynamics.val_fraction < 1:
             raise ConfigurationError(
                 f"dynamics.val_fraction must lie in [0, 1), got {self.dynamics.val_fraction}")
+        n, d = self.data.n_transitions, self.dynamics
+        n_train = n - int(round(d.val_fraction * n))
+        if n_train < d.batch_size:
+            raise ConfigurationError(
+                f"the dynamics training split of data.n_transitions = {n} less its "
+                f"dynamics.val_fraction = {d.val_fraction} is {n_train} rows, fewer "
+                f"than dynamics.batch_size = {d.batch_size}")
+        lc = self.learn
+        for key, value, ok, bounds in (
+                ("critic_target_rate", lc.critic_target_rate,
+                 0 < lc.critic_target_rate <= 1, "(0, 1]"),
+                ("reward_expectile", lc.reward_expectile, 0 < lc.reward_expectile < 1,
+                 "(0, 1)"),
+                ("reward_gamma", lc.reward_gamma, 0 <= lc.reward_gamma < 1, "[0, 1)"),
+                ("policy_temperature", lc.policy_temperature,
+                 0 <= lc.policy_temperature < math.inf, "[0, inf)")):
+            if not ok:
+                raise ConfigurationError(f"learn.{key} must lie in {bounds}, got {value}")
         if self.learn.rollout_horizon > MAX_HORIZON:
             raise ConfigurationError(f"learn.rollout_horizon must be at most {MAX_HORIZON}, "
                                      f"got {self.learn.rollout_horizon}")

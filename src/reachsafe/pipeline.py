@@ -1,16 +1,21 @@
 """Staged experiment runner driven by one stage table.
 
-Stage order: data -> oracle -> dynamics -> costgen -> learn -> evaluate.
-Each ``STAGE_TABLE`` row names the configuration sections a stage hashes
-(so ablation variants reuse upstream artifacts), its artifacts, the
-upstream stages it needs and the ablations that skip it. ``_stage``
-applies the row around each ``stage_<name>`` body, which only computes
-and writes: a stage recorded in the manifest under the current hash,
-with its artifacts present, is resumed without loading anything; another
-hash raises ``StageMismatch`` rather than mixing configurations; a
-missing upstream artifact raises ``MissingArtifact``; after the body
+Stage order: data -> oracle -> dynamics -> costgen -> reward -> learn ->
+evaluate. Each ``STAGE_TABLE`` row names the configuration sections a
+stage hashes (so ablation variants reuse upstream artifacts), its
+artifacts, the upstream stages it needs and the ablations that skip it.
+``_stage`` applies the row around each ``stage_<name>`` body, which only
+computes and writes: a stage recorded in the manifest under the current
+hash, with its artifacts present, is resumed without loading anything;
+another hash raises ``StageMismatch`` rather than mixing configurations;
+a missing upstream artifact raises ``MissingArtifact``; after the body
 runs, the manifest records the stage. All randomness flows from the root
 seed through named substreams.
+
+The reward Q/V pair trains on the dataset as collected and reads no
+ablation, cost candidate or rollout, so ``reward`` hashes no ablations and
+runs once per run directory: every variant's ``learn`` reuses the
+advantages it stores after each event.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cmdp import ConfigurationError, Predicate, load_dataset, save_dataset
+from .cmdp import ConfigurationError, Predicate, load_dataset, load_npz, save_dataset, save_npz
 from .collect import collect_safe_dataset, collect_unsafe_samples
 from .config import ExperimentConfig, build_behavior, build_env, config_hash
 from .costgen import (
@@ -48,6 +53,7 @@ from .policy import (
     load_policy,
     make_policy,
     make_reward_critic,
+    reward_advantage,
     reward_norm_from_dataset,
     save_policy,
     update_reward_critic,
@@ -89,12 +95,15 @@ STAGE_TABLE = {
     "costgen": Stage(("seed", "env", "data", "costgen"),
                      lambda p, cfg: [p.cost_history(cfg)],
                      needs=("data",), skip=frozenset({"ungated"})),
+    "reward": Stage(("seed", "env", "data", "learn"),
+                    lambda p, cfg: [p.reward_advantages, p.reward_dir / "critic.npz"],
+                    needs=("data",)),
     # The feasibility critic needs the cost candidate, so a variant that
     # skips cost generation (ungated) saves no critic.
     "learn": Stage(("seed", "ablations", "env", "data", "dynamics", "costgen", "learn"),
                    lambda p, cfg: [p.policy_dir(cfg) / "policy.npz"]
                    + ([p.critic_dir(cfg) / "critic.npz"] if runs("costgen", cfg) else []),
-                   needs=("data", "dynamics", "costgen")),
+                   needs=("data", "reward", "dynamics", "costgen")),
     "evaluate": Stage(("seed", "ablations", "env", "data", "dynamics", "costgen",
                        "learn", "eval"),
                       lambda p, cfg: [p.eval_csv(cfg)], needs=("data", "learn")),
@@ -165,6 +174,14 @@ class RunPaths:
         suffix = "_noconsv" if _cost_ablations(cfg) else ""
         return self.root / f"cost_history{suffix}.jsonl"
 
+    @property
+    def reward_dir(self) -> Path:
+        return self.root / "reward_critic"
+
+    @property
+    def reward_advantages(self) -> Path:
+        return self.root / "reward_advantages.npz"
+
     def transcripts(self, cfg: ExperimentConfig) -> Path:
         return self.root / "proposer_transcripts.jsonl"
 
@@ -173,9 +190,6 @@ class RunPaths:
 
     def critic_dir(self, cfg: ExperimentConfig) -> Path:
         return self.variant_dir(cfg) / "critic"
-
-    def reward_dir(self, cfg: ExperimentConfig) -> Path:
-        return self.variant_dir(cfg) / "reward_critic"
 
     def policy_dir(self, cfg: ExperimentConfig) -> Path:
         return self.variant_dir(cfg) / "policy"
@@ -312,6 +326,30 @@ def stage_costgen(cfg: ExperimentConfig, paths: RunPaths) -> None:
     save_history(history, final, history_path)
 
 
+def _event_steps(lc) -> list[int]:
+    """Gradient steps of each rollout event: ``rollout_frequency``, the last one short."""
+    return [min(lc.rollout_frequency, lc.total_steps - start)
+            for start in range(0, lc.total_steps, lc.rollout_frequency)]
+
+
+@_stage
+def stage_reward(cfg: ExperimentConfig, paths: RunPaths) -> None:
+    dataset = load_dataset(paths.dataset)
+    lc = cfg.learn
+    reward = make_reward_critic(build_env(cfg), dataset, lc,
+                                seed=child_seed(cfg.seed, "learn", "reward-init"))
+    advantages = []
+    for event, steps in enumerate(_event_steps(lc)):
+        update_reward_critic(reward, dataset,
+                             max(1, int(steps * lc.reward_steps_fraction)), lc,
+                             seed=child_seed(cfg.seed, "learn", "reward"),
+                             stream=("event", event))
+        advantages.append(reward_advantage(reward, dataset.s, dataset.a))
+    save_critic(reward, paths.reward_dir)
+    save_npz(paths.reward_advantages, {"advantages": np.stack(advantages)},
+             {"kind": "reward-advantages"})
+
+
 @_stage
 def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
     env = build_env(cfg)
@@ -323,6 +361,7 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
     ensemble = load_ensemble(paths.ensemble_dir) if runs("dynamics", cfg) else None
     candidate = (load_final_candidate(paths.cost_history(cfg), env)
                  if runs("costgen", cfg) else None)
+    advantages = load_npz(paths.reward_advantages, "reward-advantages")[0]["advantages"]
 
     floor_fn = critic_floor(cfg, candidate)
     offline = (dataset if floor_fn is None
@@ -334,8 +373,6 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
         critic = make_feasibility_critic(env, offline, lc,
                                          seed=child_seed(seed, "learn", "critic-init"),
                                          cost_fn=floor_fn)
-    reward = make_reward_critic(env, dataset, lc,
-                                seed=child_seed(seed, "learn", "reward-init"))
     policy = make_policy(env, dataset, lc, seed=child_seed(seed, "learn", "policy-init"))
 
     rcfg = RolloutConfig(
@@ -344,34 +381,31 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
         noise_std=0.0 if "det-rollout" in cfg.ablations else lc.rollout_noise_std,
     )
     events: list = []  # one buffer per rollout event
-    total = lc.total_steps
-    n_events = (total + rcfg.frequency - 1) // rcfg.frequency
-    for event in range(n_events):
-        steps = min(rcfg.frequency, total - event * rcfg.frequency)
+    for event, steps in enumerate(_event_steps(lc)):
         buffer = None
         if ensemble is not None:
             events.append(branched_rollout(
                 policy.act_batch, offline, ensemble, candidate.predicate, rcfg,
                 seed=child_seed(seed, "learn", "rollout"), h_min=env.h_min,
                 h_max=env.h_max, event=event, action_bounds=env.action_bounds))
+            if len(events) > lc.rollout_window:
+                # Only the window's elite means are read again; the saved
+                # buffer drops them.
+                gone = -lc.rollout_window - 1
+                events[gone] = replace(events[gone], elite_next=None)
             buffer = stack_buffers(events[-lc.rollout_window:])
         if critic is not None:
             update_feasibility_critics(critic, offline, buffer, steps=steps, cfg=lc,
                                        seed=child_seed(seed, "learn", "feas"),
                                        stream=("event", event))
-        update_reward_critic(reward, dataset,
-                             max(1, int(steps * lc.reward_steps_fraction)), lc,
-                             seed=child_seed(seed, "learn", "reward"),
-                             stream=("event", event))
         feasibility_guided_policy_update(
-            policy, reward, critic, dataset,
+            policy, advantages[event], critic, dataset,
             max(1, int(steps * lc.reward_steps_fraction)), lc,
             seed=child_seed(seed, "learn", "policy"), stream=("event", event))
 
     paths.variant_dir(cfg).mkdir(parents=True, exist_ok=True)
     if critic is not None:
         save_critic(critic, paths.critic_dir(cfg))
-    save_critic(reward, paths.reward_dir(cfg))
     save_policy(policy, paths.policy_dir(cfg))
     if ensemble is not None:
         # The saved file drops the elite means, so they are not stacked.

@@ -5,8 +5,10 @@ rejected by contract). The policy is advantage-weighted behavior cloning
 with a feasibility gate: inside the feasible region the reward advantage
 drives the weights but actions with positive Q_h are never cloned; inside
 the infeasible region the weights instead prefer the least-violating
-actions, ignoring reward. Every setting comes from the configuration's
-``learn`` section.
+actions, ignoring reward. The cloning weights read stored advantages
+(``reward_advantage`` over the dataset rows), not the reward critic, so
+the pair trains once and every variant clones from the same values.
+Every setting comes from the configuration's ``learn`` section.
 """
 
 from __future__ import annotations
@@ -78,6 +80,11 @@ def update_reward_critic(critic: QVCritic, offline: OfflineDataset,
     return critic
 
 
+def reward_advantage(critic: QVCritic, s: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Q(s, a) - V(s) per row: the reward signal of the cloning weights."""
+    return critic.q_values(s, a) - critic.v_values(s)
+
+
 # ---------------------------------------------------------------------------
 # Policy
 # ---------------------------------------------------------------------------
@@ -117,17 +124,16 @@ def make_policy(env: HardCMDP, dataset: OfflineDataset, cfg: LearnSection,
                       high=env.action_bounds[:, 1].copy(), lr=cfg.policy_lr)
 
 
-def bc_weights(reward_critic: QVCritic, feas_critic: FeasibilityCritic | None,
+def bc_weights(adv_r: np.ndarray, feas_critic: FeasibilityCritic | None,
                s: np.ndarray, a: np.ndarray, temperature: float,
                weight_clip: float) -> np.ndarray:
-    """Per-sample cloning weights.
+    """Per-sample cloning weights from the rows' reward advantages ``adv_r``.
 
     Feasible states weight by the exponentiated reward advantage and drop
     any action whose Q_h is positive; infeasible states weight by how much
     the action reduces the violation value, ignoring reward. Without a
     feasibility critic the weights are the ungated reward advantage.
     """
-    adv_r = reward_critic.q_values(s, a) - reward_critic.v_values(s)
     if feas_critic is None:
         return np.clip(np.exp(temperature * adv_r), 0.0, weight_clip)
     v_h = feas_critic.v_values(s)
@@ -140,7 +146,7 @@ def bc_weights(reward_critic: QVCritic, feas_critic: FeasibilityCritic | None,
 
 def feasibility_guided_policy_update(
     policy: SafePolicy,
-    reward_critic: QVCritic,
+    advantages: np.ndarray,
     feas_critic: FeasibilityCritic | None,
     offline: OfflineDataset,
     steps: int,
@@ -148,12 +154,17 @@ def feasibility_guided_policy_update(
     seed: int = 0,
     stream: tuple = (),
 ) -> SafePolicy:
-    """Weighted behavior cloning on the offline dataset only."""
+    """Weighted behavior cloning on the offline dataset only.
+
+    ``advantages`` holds one reward advantage per ``offline`` row.
+    """
     _reject_rollout_data(offline)
     if len(offline) == 0:
         raise ValueError("offline batch must not be empty")
+    if len(advantages) != len(offline):
+        raise ValueError(f"{len(advantages)} advantages for {len(offline)} offline rows")
     feat_s = policy.state_feat(offline.s)
-    weights = bc_weights(reward_critic, feas_critic, offline.s, offline.a,
+    weights = bc_weights(advantages, feas_critic, offline.s, offline.a,
                          cfg.policy_temperature, cfg.policy_weight_clip)
     span = (policy.high - policy.low) / 2.0
     rng = substream(seed, "policy-update", *stream)

@@ -96,6 +96,10 @@ def test_unknown_key_is_refused(tmp_path):
     ("dynamics.n_elite = 9", "^dynamics.n_elite must lie between 1 and dynamics.n_total"),
     ("dynamics.n_elite = 0", "^dynamics.n_elite must lie between 1 and dynamics.n_total"),
     ("dynamics.n_total = 4", r"dynamics.n_total \(4\), got 5"),
+    ("learn.critic_target_rate = 0.0", r"^learn.critic_target_rate must lie in \(0, 1\]"),
+    ("learn.reward_expectile = 1.5", r"^learn.reward_expectile must lie in \(0, 1\)"),
+    ("learn.reward_gamma = 1.0", r"^learn.reward_gamma must lie in \[0, 1\)"),
+    ("learn.policy_temperature = -3.0", r"^learn.policy_temperature must lie in \[0, inf\)"),
 ])
 def test_value_a_later_stage_refuses_is_refused_at_load(tmp_path, line, message):
     with pytest.raises(ConfigurationError, match=message):
@@ -117,6 +121,19 @@ def test_cli_refuses_a_bad_value_before_any_stage_writes(tmp_path, capsys):
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists() or not any(out.rglob("*"))
     assert "learn.rollout_horizon" in capsys.readouterr().err
+
+
+def test_dynamics_split_below_its_batch_is_refused_before_any_stage(tmp_path, capsys):
+    # 300 rows less a 0.2 validation share leave 240, under the batch of 256.
+    out = tmp_path / "run"
+    cfg = write(tmp_path, "data.n_transitions = 300\n")
+    with pytest.raises(ConfigurationError, match="is 240 rows, fewer than"):
+        load_config(cfg)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    for key in ("data.n_transitions", "dynamics.val_fraction", "dynamics.batch_size"):
+        assert key in err
 
 
 @pytest.mark.parametrize("ablations, message", [

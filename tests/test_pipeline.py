@@ -65,8 +65,11 @@ def test_resume_leaves_manifest_untouched(run_dir):
 def test_changed_learn_value_is_refused(run_dir):
     cfg = tiny_config()
     cfg.learn.policy_lr *= 2
-    with pytest.raises(StageMismatch, match="learn:full"):
+    # The shared reward stage hashes the learn section too, and runs first.
+    with pytest.raises(StageMismatch, match="stage 'reward'"):
         run_pipeline(cfg, run_dir)
+    with pytest.raises(StageMismatch, match="learn:full"):
+        run_pipeline(cfg, run_dir, stages=("learn",))
 
 
 def test_ablation_reuses_upstream_artifacts(run_dir, monkeypatch):
@@ -96,7 +99,7 @@ def test_resume_loads_no_artifact(run_dir, monkeypatch):
 
 @pytest.mark.parametrize("stage, upstream", [
     ("dynamics", "data"), ("costgen", "data"), ("learn", "data"),
-    ("learn", "dynamics"), ("learn", "costgen"), ("evaluate", "data"),
+    ("learn", "dynamics"), ("learn", "costgen"), ("learn", "reward"), ("evaluate", "data"),
     ("evaluate", "learn"),
 ])
 def test_missing_upstream_artifact_is_reported(run_dir, stage, upstream):
@@ -138,20 +141,41 @@ def test_stage_wrappers_on_the_module_see_every_call(tmp_path, monkeypatch):
 
 
 @pytest.fixture
-def needed_stages(monkeypatch):
-    """The benchmark's list of the manifest keys each variant must record.
+def perfbench_module(monkeypatch):
+    """Load a benchmark module from ``perfbench/`` by name.
 
-    Importing its module pins the BLAS thread variables; the fixture
+    Importing ``workload`` pins the BLAS thread variables; the fixture
     restores them and ``sys.modules`` afterwards.
     """
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workload.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workload", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module.needed_stages
+
+    def load(name):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+        return module
+    return load
+
+
+@pytest.fixture
+def needed_stages(perfbench_module):
+    """The benchmark's list of the manifest keys each variant must record."""
+    return perfbench_module("workload").needed_stages
+
+
+def test_benchmark_probes_find_every_binding_but_the_two_stale_ones(perfbench_module):
+    # A renamed binding leaves its probe reading zero; only the two probes
+    # of deleted code may be missing.
+    spans = perfbench_module("spans")
+    learn = pipeline.stage_learn
+    with spans.instrument(spans.StageProbe(), spans.Tracer()) as missing:
+        assert pipeline.stage_learn is not learn
+    assert sorted(missing) == ["reachsafe.pipeline.flatten_branches",
+                               "reachsafe.policy.soft_update"]
+    assert pipeline.stage_learn is learn
 
 
 @pytest.mark.parametrize("ablations, rolls_out", [
@@ -164,11 +188,36 @@ def test_variant_records_the_benchmark_manifest_keys(tmp_path, needed_stages,
     run_pipeline(cfg, tmp_path)
     stages = json.loads((tmp_path / "manifest.json").read_text())["stages"]
     needed = needed_stages(cfg)
-    assert sorted(stages) == sorted(key for _, key in needed)
+    # The benchmark's list predates the shared reward stage.
+    assert sorted(stages) == sorted([*(key for _, key in needed), "reward"])
     for stage, key in needed:
         assert stages[key]["hash"] == pipeline.stage_hash(cfg, stage)
     buffer = pipeline.RunPaths(tmp_path).rollout_buffer(cfg)
     assert buffer.exists() == rolls_out
+
+
+def test_variants_share_one_reward_stage(tmp_path, monkeypatch):
+    # The reward pair reads no ablation: the first variant trains it, a
+    # later one reuses it and clones exactly as in a run of its own.
+    calls = []
+    update = pipeline.update_reward_critic
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return update(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "update_reward_critic", counted)
+    shared, alone = tmp_path / "shared", tmp_path / "alone"
+    run_pipeline(tiny_config(["no-model"]), shared)
+    assert len(calls) == 2   # one update per rollout event
+    run_pipeline(tiny_config(["ungated"]), shared)
+    assert len(calls) == 2
+    stages = json.loads((shared / "manifest.json").read_text())["stages"]
+    assert [key for key in stages if key.startswith("reward")] == ["reward"]
+    run_pipeline(tiny_config(["ungated"]), alone)
+    for name in ("policy/policy.npz", "eval.csv"):
+        assert ((shared / "ungated" / name).read_bytes()
+                == (alone / "ungated" / name).read_bytes())
 
 
 def test_cli_error_is_one_json_line_with_exit_code_2(tmp_path, capsys):
@@ -248,7 +297,7 @@ def test_checkpoints_that_keep_the_whole_learn_config_still_load(run_dir, capsys
         "batch_size": lc.batch_size, "target_rate": lc.critic_target_rate,
         "hidden": lc.hidden, "include_rollout_in_v": lc.include_rollout_in_v,
         "rollout_batch_fraction": lc.rollout_batch_fraction})
-    _rewrite_cfg(paths.reward_dir(cfg) / "critic.npz", {
+    _rewrite_cfg(paths.reward_dir / "critic.npz", {
         **common, "gamma": lc.reward_gamma, "expectile": lc.reward_expectile,
         "target_rate": REWARD_TARGET_RATE}, kind="RewardCritic")
     _rewrite_cfg(paths.policy_dir(cfg) / "policy.npz", {
@@ -262,7 +311,7 @@ def test_checkpoints_that_keep_the_whole_learn_config_still_load(run_dir, capsys
     assert cli.main(heatmap) == 0
     assert (paths.heatmap(cfg).read_bytes(), paths.eval_csv(cfg).read_bytes()) == before
     critic = load_critic(paths.critic_dir(cfg), build_env(cfg))
-    reward = load_critic(paths.reward_dir(cfg), build_env(cfg))
+    reward = load_critic(paths.reward_dir, build_env(cfg))
     assert (critic.q_trainer.lr, critic.target_rate) == (lc.critic_lr, lc.critic_target_rate)
     assert (reward.v_trainer.lr, reward.target_rate) == (lc.policy_lr, REWARD_TARGET_RATE)
 

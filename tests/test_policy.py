@@ -26,6 +26,7 @@ from reachsafe.policy import (
     load_policy,
     make_policy,
     make_reward_critic,
+    reward_advantage,
     reward_norm_from_dataset,
     save_policy,
     update_reward_critic,
@@ -170,7 +171,8 @@ def test_bc_weights_gate_blocks_positive_qh(integrator):
     # Push q_h net strongly positive so every action is gated off.
     feas.q_net.biases[-1][:] = 5.0
     feas.v_net.biases[-1][:] = -5.0  # states look feasible
-    w = bc_weights(reward, feas, data.s[:32], data.a[:32], 3.0, 100.0)
+    w = bc_weights(reward_advantage(reward, data.s[:32], data.a[:32]), feas,
+                   data.s[:32], data.a[:32], 3.0, 100.0)
     assert np.all(w == 0.0)
 
 
@@ -181,8 +183,9 @@ def test_bc_weights_reduce_to_awr_when_all_safe(integrator):
     feas = make_feasibility_critic(env, data, LEARN, seed=0)
     feas.q_net.biases[-1][:] = -5.0
     feas.v_net.biases[-1][:] = -5.0
-    gated = bc_weights(reward, feas, data.s[:64], data.a[:64], 3.0, 100.0)
-    plain = bc_weights(reward, None, data.s[:64], data.a[:64], 3.0, 100.0)
+    adv = reward_advantage(reward, data.s[:64], data.a[:64])
+    gated = bc_weights(adv, feas, data.s[:64], data.a[:64], 3.0, 100.0)
+    plain = bc_weights(adv, None, data.s[:64], data.a[:64], 3.0, 100.0)
     assert np.allclose(gated, plain)
 
 
@@ -190,7 +193,8 @@ def test_bc_weights_bounded(integrator):
     env, data = integrator
     reward = make_reward_critic(env, data, LEARN, seed=0)
     feas = make_feasibility_critic(env, data, LEARN, seed=0)
-    w = bc_weights(reward, feas, data.s, data.a, 10.0, 100.0)
+    w = bc_weights(reward_advantage(reward, data.s, data.a), feas, data.s, data.a,
+                   10.0, 100.0)
     assert np.all(w >= 0.0)
     assert np.all(w <= 100.0)
 
@@ -199,7 +203,8 @@ def test_weight_scaling_preserves_action_ranking(integrator):
     env, data = integrator
     reward = make_reward_critic(env, data, LEARN, seed=0)
     update_reward_critic(critic=reward, offline=data, cfg=LEARN, steps=50)
-    w = bc_weights(reward, None, data.s[:100], data.a[:100], 3.0, np.inf)
+    w = bc_weights(reward_advantage(reward, data.s[:100], data.a[:100]), None,
+                   data.s[:100], data.a[:100], 3.0, np.inf)
     order = np.argsort(w)
     order_scaled = np.argsort(2.5 * w)
     assert np.array_equal(order, order_scaled)
@@ -210,8 +215,8 @@ def test_policy_update_trains_and_respects_bounds(integrator):
     reward = make_reward_critic(env, data, LEARN, seed=0)
     update_reward_critic(critic=reward, offline=data, cfg=LEARN, steps=200)
     policy = make_policy(env, data, replace(LEARN, policy_lr=1e-3), seed=0)
-    feasibility_guided_policy_update(policy, reward, None, data, steps=300, cfg=LEARN,
-                                     seed=0)
+    feasibility_guided_policy_update(policy, reward_advantage(reward, data.s, data.a),
+                                     None, data, steps=300, cfg=LEARN, seed=0)
     acts = policy.act_batch(data.s[:200])
     assert acts.min() >= env.action_bounds[0, 0] - 1e-9
     assert acts.max() <= env.action_bounds[0, 1] + 1e-9
@@ -220,11 +225,14 @@ def test_policy_update_trains_and_respects_bounds(integrator):
 
 def test_policy_update_rejects_empty_batch(integrator):
     env, data = integrator
-    reward = make_reward_critic(env, data, LEARN, seed=0)
     policy = make_policy(env, data, LEARN, seed=0)
     empty = data.subset(np.array([], dtype=int))
     with pytest.raises(ValueError):
-        feasibility_guided_policy_update(policy, reward, None, empty, steps=1, cfg=LEARN)
+        feasibility_guided_policy_update(policy, np.zeros(0), None, empty, steps=1,
+                                         cfg=LEARN)
+    with pytest.raises(ValueError, match="advantages for"):
+        feasibility_guided_policy_update(policy, np.zeros(len(data) - 1), None, data,
+                                         steps=1, cfg=LEARN)
 
 
 def test_greedy_actions_stay_feasible_with_oracle_critic():
@@ -256,8 +264,8 @@ def test_greedy_actions_stay_feasible_with_oracle_critic():
 
     policy = make_policy(env, data, replace(LEARN, policy_lr=1e-3), seed=0,
                          state_feat=onehot_state_featurizer(env))
-    feasibility_guided_policy_update(policy, reward, OracleCritic(), data,
-                                     steps=800, cfg=LEARN, seed=0)
+    feasibility_guided_policy_update(policy, reward_advantage(reward, data.s, data.a),
+                                     OracleCritic(), data, steps=800, cfg=LEARN, seed=0)
     feasible_states = env.states[v_exact[env.state_index(env.states)] <= 0]
     for s in feasible_states[::3]:
         state = s.copy()
