@@ -3,7 +3,8 @@
 Everything is plain float64 numpy. A network is a list of dense layers
 with tanh hidden activations and a linear head; ``forward`` caches the
 activations the matching ``backward`` consumes. No graph, no broadcasting
-cleverness: inputs are (batch, features) arrays, and anything else raises.
+cleverness: inputs are (batch, features) arrays, or (batch, 1, features)
+in a cache-free pass (below), and anything else raises.
 ``Trainer`` (Adam, Kingma & Ba 2015) and ``soft_update`` write parameter
 arrays in place, so no two networks may share one.
 
@@ -19,6 +20,13 @@ Thread contract: cache-free passes may run on several threads at once,
 even on one network; a caching pass and the ``backward`` that consumes it
 run on one thread per network, with no other pass of it in between.
 
+A cache-free pass also takes an (n, 1, d) batch, ``split_rows`` of an
+(n, d) one, and returns (n, 1, out). ``np.matmul`` then multiplies each
+row on its own, a (1, d) @ (d, k) product with the kernel of a one-row
+call, so row i is bit-identical to a pass over row i alone; an (n, d)
+GEMM may sum a row in another order and move its last bit. The split
+pass uses the scratch blocks under the same thread contract.
+
 Checkpoints keep float64 as well: ``save_mlp`` writes every network of one
 model (a critic's four nets, a policy, a dynamics ensemble) and a JSON
 metadata string into a single ``.npz``, and ``load_mlp`` reads it back
@@ -27,6 +35,7 @@ without pickle, so a reloaded model computes exactly what the saved one did.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -44,15 +53,16 @@ class BackwardBeforeForward(RuntimeError):
 class OneHot:
     """A (n, width) batch of concatenated one-hot blocks.
 
-    ``cols`` (n, k) holds each row's hot column per block, offsets included.
+    ``cols`` (n, k) holds each row's hot column per block, offsets included;
+    ``split_rows`` makes it (n, 1, k), an (n, 1, width) batch.
     """
 
     cols: np.ndarray
     width: int
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.cols), self.width)
+    def shape(self) -> tuple[int, ...]:
+        return (*self.cols.shape[:-1], self.width)
 
     def __len__(self) -> int:
         return len(self.cols)
@@ -62,7 +72,7 @@ class OneHot:
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         out = np.zeros(self.shape)
-        np.put_along_axis(out, self.cols, 1.0, axis=1)
+        np.put_along_axis(out, self.cols, 1.0, axis=-1)
         return out
 
 
@@ -79,6 +89,13 @@ def concat(parts, axis: int = 0):
                   int(offsets[-1]))
 
 
+def split_rows(x: np.ndarray | OneHot) -> np.ndarray | OneHot:
+    """An (n, d) batch as (n, 1, d): a cache-free pass over it is row-exact."""
+    if isinstance(x, OneHot):
+        return OneHot(x.cols[:, None], x.width)
+    return np.asarray(x, dtype=float)[:, None]
+
+
 class _Scratch(threading.local):
     """Hidden layers of this thread's cache-free passes; layer i uses block
     i % 2, so a layer never overwrites its own input."""
@@ -90,10 +107,10 @@ class _Scratch(threading.local):
 _SCRATCH = _Scratch()
 
 
-def _scratch(i: int, shape: tuple[int, int]) -> np.ndarray:
-    """A (rows, width) view of this thread's block i % 2, grown if too small."""
+def _scratch(i: int, shape: tuple[int, ...]) -> np.ndarray:
+    """A view of ``shape`` on this thread's block i % 2, grown if too small."""
     blocks = _SCRATCH.blocks
-    size = shape[0] * shape[1]
+    size = math.prod(shape)
     if blocks[i % 2].size < size:
         blocks[i % 2] = np.empty(size)
     return blocks[i % 2][:size].reshape(shape)
@@ -107,8 +124,8 @@ def _product(h: np.ndarray | OneHot, w: np.ndarray, out: np.ndarray | None) -> n
     """
     if not isinstance(h, OneHot):
         return np.matmul(h, w, out=out)
-    out = np.take(w, h.cols[:, 0], axis=0, out=out)
-    for c in h.cols.T[1:]:
+    out = np.take(w, h.cols[..., 0], axis=0, out=out)
+    for c in np.moveaxis(h.cols, -1, 0)[1:]:
         out += w[c]
     return out
 
@@ -168,17 +185,22 @@ class Mlp:
         the matching ``backward`` run on one thread per network, with no
         other pass of that network in between. Bias and tanh act in place
         on each layer's own product, never on the input or the parameters.
+
+        A cache-free pass also takes an (n, 1, d) batch (``split_rows``)
+        and returns (n, 1, out); its row i is bit-identical to a pass over
+        row i alone.
         """
         h = x if isinstance(x, OneHot) else np.asarray(x, dtype=float)
-        if len(h.shape) != 2:
+        split = not cache and len(h.shape) == 3 and h.shape[1] == 1
+        if len(h.shape) != 2 and not split:
             raise ValueError(f"expected an (n, {self.sizes[0]}) batch, got shape {h.shape}")
-        if h.shape[1] != self.sizes[0]:
-            raise ValueError(f"expected input width {self.sizes[0]}, got {h.shape[1]}")
+        if h.shape[-1] != self.sizes[0]:
+            raise ValueError(f"expected input width {self.sizes[0]}, got {h.shape[-1]}")
         acts = [h]
         n_layers = len(self.weights)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             hidden = i < n_layers - 1
-            out = _scratch(i, (len(h), w.shape[1])) if hidden and not cache else None
+            out = _scratch(i, (*h.shape[:-1], w.shape[1])) if hidden and not cache else None
             h = _product(h, w, out)
             h += b
             if hidden:

@@ -336,7 +336,7 @@ def _event_steps(lc) -> list[int]:
 def stage_reward(cfg: ExperimentConfig, paths: RunPaths) -> None:
     dataset = load_dataset(paths.dataset)
     lc = cfg.learn
-    reward = make_reward_critic(build_env(cfg), dataset, lc,
+    reward = make_reward_critic(dataset, lc,
                                 seed=child_seed(cfg.seed, "learn", "reward-init"))
     advantages = []
     for event, steps in enumerate(_event_steps(lc)):

@@ -9,6 +9,11 @@ actions, ignoring reward. The cloning weights read stored advantages
 (``reward_advantage`` over the dataset rows), not the reward critic, so
 the pair trains once and every variant clones from the same values.
 Every setting comes from the configuration's ``learn`` section.
+
+Evaluation steps all its episodes in lockstep: one row-exact policy pass
+(``SafePolicy.act``) over every episode's state per time step, then each
+row through the environment's per-row step, so every episode's trajectory
+is bit-identical to rolling that episode alone.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .approx import Mlp, Trainer, concat, load_mlp, save_mlp
+from .approx import Mlp, Trainer, concat, load_mlp, save_mlp, split_rows
 from .cmdp import HardCMDP, OfflineDataset
 from .config import LearnSection
 from .critics import Featurizer, FeasibilityCritic, QVCritic, normalized_featurizer
@@ -34,8 +39,7 @@ class RolloutDataRejected(TypeError):
     """Reward critics only ever see the original offline dataset."""
 
 
-def make_reward_critic(env: HardCMDP, dataset: OfflineDataset,
-                       cfg: LearnSection, seed: int = 0,
+def make_reward_critic(dataset: OfflineDataset, cfg: LearnSection, seed: int = 0,
                        state_feat: Featurizer | None = None,
                        action_feat: Featurizer | None = None) -> QVCritic:
     """The reward Q/V pair; it trains at the policy's learning rate."""
@@ -106,10 +110,17 @@ class SafePolicy:
         self.trainer = Trainer(self.net, lr=lr)
 
     def act(self, s: np.ndarray) -> np.ndarray:
-        return self.act_batch(np.asarray(s, dtype=float).reshape(1, -1))[0]
+        """Actions for an (n, d_s) batch, row i bit-identical to acting on
+        row i alone: one row-exact (``split_rows``) pass."""
+        raw = self.net.forward(split_rows(self.state_feat(s)), cache=False)
+        return self._squash(raw[:, 0])
 
     def act_batch(self, s: np.ndarray) -> np.ndarray:
-        raw = self.net.forward(self.state_feat(s), cache=False)
+        """Actions for an (n, d_s) batch in one GEMM pass; a row's last bit
+        may depend on the batch it shares."""
+        return self._squash(self.net.forward(self.state_feat(s), cache=False))
+
+    def _squash(self, raw: np.ndarray) -> np.ndarray:
         return self.low + (self.high - self.low) * (np.tanh(raw) + 1.0) / 2.0
 
 
@@ -214,6 +225,12 @@ def evaluate_policy(policy: SafePolicy, env: HardCMDP, episodes: int,
                     reward_norm: tuple[float, float], seed: int = 0) -> EvalReport:
     """Roll the deterministic policy; normalize rewards and scale costs.
 
+    The episodes run in lockstep. Episode ep starts from its own
+    ``("eval-episode", ep)`` substream; each time step makes one row-exact
+    ``policy.act`` pass over all episodes' states, then clips, steps,
+    rewards and costs each row through the environment's per-row calls.
+    Every episode thus follows the trajectory it would follow alone.
+
     Normalized reward maps the dataset's return range onto [0, 1]; the
     per-episode violation count is divided by the cost scale, and a run
     is safe when that normalized cost stays at or below 1.
@@ -223,19 +240,17 @@ def evaluate_policy(policy: SafePolicy, env: HardCMDP, episodes: int,
     lo, hi = reward_norm
     if hi <= lo:
         raise ValueError(f"degenerate reward normalization range [{lo}, {hi}]")
-    returns, violations = [], []
-    for ep in range(episodes):
-        rng = substream(seed, "eval-episode", ep)
-        s = env.initial_state(rng)
-        total_r, total_c = 0.0, 0
-        for _ in range(env.horizon):
-            a = env.clip_action(policy.act(s))
+    states = [env.initial_state(substream(seed, "eval-episode", ep))
+              for ep in range(episodes)]
+    returns, violations = [0.0] * episodes, [0] * episodes
+    for _ in range(env.horizon):
+        actions = policy.act(np.stack(states))
+        for ep, s in enumerate(states):
+            a = env.clip_action(actions[ep])
             s2 = env.transition(s, a)
-            total_r += env.reward(s, a, s2)
-            total_c += env.cost(s2)
-            s = s2
-        returns.append(total_r)
-        violations.append(total_c)
+            returns[ep] += env.reward(s, a, s2)
+            violations[ep] += env.cost(s2)
+            states[ep] = s2
     norm_reward = (float(np.mean(returns)) - lo) / (hi - lo)
     norm_cost = float(np.mean(violations)) / COST_SCALE
     return EvalReport(

@@ -129,7 +129,8 @@ def branched_rollout(
             means, variances = model.elite_predictions(s, a)
             steps_m[:, :, t] = means
             labels[:, t] = conservative_cost_label_batch(means, cost_fn)
-            s = sample_next_batch(means, variances, rng)
+            if t + 1 < cfg.horizon:  # the last step's successor is never read
+                s = sample_next_batch(means, variances, rng)
         kept = labels.any(axis=1)
         label = labels[kept].reshape(-1)
         return RolloutBuffer(

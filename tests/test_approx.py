@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reachsafe.approx import (
@@ -18,6 +18,7 @@ from reachsafe.approx import (
     load_mlp,
     save_mlp,
     soft_update,
+    split_rows,
 )
 from reachsafe.collect import collect_safe_dataset
 from reachsafe.critics import make_feasibility_critic
@@ -277,7 +278,7 @@ def test_no_two_nets_share_a_parameter_array(tmp_path):
                                 n_transitions=400, seed=3)
     learn = default_config("double_integrator").learn
     for critic in (make_feasibility_critic(env, data, learn, seed=2),
-                   make_reward_critic(env, data, learn, seed=2)):
+                   make_reward_critic(data, learn, seed=2)):
         assert shared_arrays([critic.q_net, critic.v_net,
                               critic.q_target, critic.v_target]) == []
     # Each member is restored to its best epoch's snapshot.
@@ -395,6 +396,57 @@ def test_forward_writes_into_no_input_parameter_or_earlier_output(kind, cache):
 
 
 # ---------------------------------------------------------------------------
+# A split (n, 1, d) pass multiplies each row on its own: row-exact.
+# ---------------------------------------------------------------------------
+
+
+def signed_zeros(rng, a, share):
+    """``a`` with about ``share`` of its entries set to +0.0 or -0.0, in place."""
+    hit = rng.random(a.shape) < share
+    a[hit] = np.copysign(0.0, rng.normal(size=int(hit.sum())))
+    return a
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 40), st.lists(st.integers(1, 96), max_size=3), st.integers(1, 4),
+       st.integers(1, 50), st.integers(0, 2**31 - 1), st.sampled_from(["dense", "onehot"]))
+@example(2, [64, 64], 1, 20, 0, "dense")   # the evaluation policy's shape
+@example(1, [], 1, 1, 1, "dense")
+@example(9, [1], 3, 7, 2, "onehot")
+def test_split_row_pass_equals_one_row_passes_bit_for_bit(d_in, hidden, d_out, n, seed, kind):
+    rng = np.random.default_rng(seed)
+    net = Mlp([d_in, *hidden, d_out], seed=seed)
+    for p in net.biases:
+        p[:] = rng.normal(size=p.shape)
+    for p in net.parameters():
+        signed_zeros(rng, p, 0.2)
+    if kind == "dense":
+        x = signed_zeros(rng, rng.normal(scale=3.0, size=(n, d_in)), 0.3)
+        x[0] = -0.0
+    else:
+        x = random_onehot(rng, n, [d_in])
+    rows = [x[i:i + 1] for i in range(n)]
+    got = net.forward(split_rows(x), cache=False)
+    assert got.shape == (n, 1, d_out)
+    want = np.concatenate([net.forward(r, cache=False) for r in rows])
+    assert got[:, 0].tobytes() == want.tobytes()
+    # The scratch blocks are reused; a second split pass is unchanged.
+    assert net.forward(split_rows(x), cache=False).tobytes() == got.tobytes()
+
+
+def test_split_rows_is_cache_free_only():
+    net = Mlp([3, 4, 2], seed=0)
+    x = split_rows(np.ones((5, 3)))
+    with pytest.raises(ValueError, match=re.escape("got shape (5, 1, 3)")):
+        net.forward(x)
+    with pytest.raises(ValueError, match="input width 3, got 4"):
+        net.forward(split_rows(np.ones((5, 4))), cache=False)
+    onehot = random_onehot(np.random.default_rng(0), 4, [3])
+    assert split_rows(onehot).shape == (4, 1, 3)
+    assert np.array_equal(np.asarray(split_rows(onehot)), np.asarray(onehot)[:, None])
+
+
+# ---------------------------------------------------------------------------
 # Cache-free passes share two scratch blocks across calls and networks.
 # ---------------------------------------------------------------------------
 
@@ -443,6 +495,7 @@ def test_concurrent_cache_free_passes_equal_the_serial_ones():
             p[:] = rng.normal(size=p.shape)
     inputs = [rng.normal(size=(n, 9)) for n in (1, 7, 64, 300, 1000)]
     inputs += [random_onehot(rng, n, [6, 3]) for n in (5, 500)]
+    inputs += [split_rows(rng.normal(size=(n, 9))) for n in (3, 40)]
     cases = [(net, x) for net in nets for x in inputs]
     want = [net.forward(x, cache=False) for net, x in cases]
     deadline = time.monotonic() + 1.5

@@ -301,7 +301,7 @@ def test_clip_action_refuses_a_non_finite_action(env, bad):
 def test_a_nan_emitting_policy_is_refused_not_scored_safe(env):
     class NanPolicy:
         def act(self, s):
-            return np.full(env.d_a, np.nan)
+            return np.full((len(s), env.d_a), np.nan)
 
     with pytest.raises(ValueError, match="action must be finite"):
         evaluate_policy(NanPolicy(), env, episodes=2, reward_norm=(-1.0, 1.0))

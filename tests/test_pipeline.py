@@ -372,7 +372,7 @@ def test_feasibility_critic_roundtrip_keeps_config_and_floor(integrator, tmp_pat
 def test_reward_critic_roundtrip(integrator, tmp_path):
     env, data = integrator
     learn = replace(default_config("double_integrator").learn, hidden=[16, 16], batch_size=64)
-    reward = make_reward_critic(env, data, learn, seed=2)
+    reward = make_reward_critic(data, learn, seed=2)
     update_reward_critic(reward, data, steps=3, cfg=learn)
     save_critic(reward, tmp_path / "reward")
     back = load_critic(tmp_path / "reward", env)

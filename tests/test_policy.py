@@ -1,9 +1,11 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from reachsafe.approx import BackwardBeforeForward
+from reachsafe.approx import BackwardBeforeForward, Mlp
 from reachsafe.collect import collect_safe_dataset
 from reachsafe.cmdp import MIXED, OfflineDataset, SAFE_ONLY
 from reachsafe.config import default_config
@@ -33,6 +35,7 @@ from reachsafe.policy import (
 )
 from reachsafe.reachability import tabular_value_iteration
 from reachsafe.rollout import RolloutBuffer
+from reachsafe.seeding import substream
 from reachsafe.tabular import tabulate
 
 from helpers import dynamics
@@ -62,8 +65,7 @@ def integrator():
 
 def test_reward_critic_rejects_rollout_data():
     ds = _toy_dataset()
-    env = make_double_integrator(x_lim=1.0, a_max=1.0, dt=0.1, horizon=60)
-    critic = make_reward_critic(env, ds, LEARN)
+    critic = make_reward_critic(ds, LEARN)
     buffer = RolloutBuffer(s=ds.s, a=ds.a, label=np.zeros(len(ds), dtype=int),
                            h_s=np.full(len(ds), -1.0),
                            origin=np.zeros(len(ds), dtype=int))
@@ -78,8 +80,7 @@ def test_reward_critic_rejects_rollout_data():
 def test_reward_critic_fits_terminal_reward():
     # Every transition is terminal with r = 1, so q must go to 1.
     ds = _toy_dataset(r_value=1.0, done=True)
-    env = make_double_integrator(x_lim=1.0, a_max=1.0, dt=0.1, horizon=60)
-    critic = make_reward_critic(env, ds, replace(LEARN, policy_lr=3e-3), seed=1)
+    critic = make_reward_critic(ds, replace(LEARN, policy_lr=3e-3), seed=1)
     update_reward_critic(critic, ds, steps=1500, cfg=LEARN, seed=1)
     q = critic.q_values(ds.s, ds.a)
     assert np.allclose(q, 1.0, atol=0.05)
@@ -95,9 +96,8 @@ def test_reward_critic_geometric_series_on_chain():
         done=np.zeros(n, dtype=bool), cost=np.zeros(n, dtype=int),
         tag=SAFE_ONLY, meta={"env": "toy", "episode_ends": []},
     )
-    env = make_double_integrator(x_lim=1.0, a_max=1.0, dt=0.1, horizon=60)
     cfg = replace(LEARN, reward_gamma=0.9, policy_lr=3e-3)
-    critic = make_reward_critic(env, ds, cfg, seed=2)
+    critic = make_reward_critic(ds, cfg, seed=2)
     critic.target_rate = 0.05
     update_reward_critic(critic, ds, steps=4000, cfg=cfg, seed=2)
     q = critic.q_values(ds.s, ds.a)
@@ -114,7 +114,7 @@ def test_learn_settings_reach_the_critics_and_the_policy():
     cfg = replace(LEARN, critic_gamma=0.9, reward_gamma=0.8, critic_lr=2e-3,
                   policy_lr=5e-4, critic_target_rate=0.02, hidden=[8, 4])
     feas = make_feasibility_critic(env, one, cfg, seed=0)
-    reward = make_reward_critic(env, one, cfg, seed=0)
+    reward = make_reward_critic(one, cfg, seed=0)
     policy = make_policy(env, one, cfg, seed=0)
     assert (feas.q_trainer.lr, feas.v_trainer.lr, feas.target_rate) == (2e-3, 2e-3, 0.02)
     assert (reward.q_trainer.lr, reward.v_trainer.lr) == (5e-4, 5e-4)
@@ -164,7 +164,7 @@ def test_rollout_rows_back_up_against_the_worst_elite_successor(integrator):
 
 def test_bc_weights_gate_blocks_positive_qh(integrator):
     env, data = integrator
-    reward = make_reward_critic(env, data, LEARN, seed=0)
+    reward = make_reward_critic(data, LEARN, seed=0)
     update_reward_critic(critic=reward, offline=data, cfg=LEARN, steps=50)
     feas = make_feasibility_critic(env, data, LEARN, seed=0,
                                    cost_fn=env.margin_predicate(0.04))
@@ -178,7 +178,7 @@ def test_bc_weights_gate_blocks_positive_qh(integrator):
 
 def test_bc_weights_reduce_to_awr_when_all_safe(integrator):
     env, data = integrator
-    reward = make_reward_critic(env, data, LEARN, seed=0)
+    reward = make_reward_critic(data, LEARN, seed=0)
     update_reward_critic(critic=reward, offline=data, cfg=LEARN, steps=50)
     feas = make_feasibility_critic(env, data, LEARN, seed=0)
     feas.q_net.biases[-1][:] = -5.0
@@ -191,7 +191,7 @@ def test_bc_weights_reduce_to_awr_when_all_safe(integrator):
 
 def test_bc_weights_bounded(integrator):
     env, data = integrator
-    reward = make_reward_critic(env, data, LEARN, seed=0)
+    reward = make_reward_critic(data, LEARN, seed=0)
     feas = make_feasibility_critic(env, data, LEARN, seed=0)
     w = bc_weights(reward_advantage(reward, data.s, data.a), feas, data.s, data.a,
                    10.0, 100.0)
@@ -201,7 +201,7 @@ def test_bc_weights_bounded(integrator):
 
 def test_weight_scaling_preserves_action_ranking(integrator):
     env, data = integrator
-    reward = make_reward_critic(env, data, LEARN, seed=0)
+    reward = make_reward_critic(data, LEARN, seed=0)
     update_reward_critic(critic=reward, offline=data, cfg=LEARN, steps=50)
     w = bc_weights(reward_advantage(reward, data.s[:100], data.a[:100]), None,
                    data.s[:100], data.a[:100], 3.0, np.inf)
@@ -212,7 +212,7 @@ def test_weight_scaling_preserves_action_ranking(integrator):
 
 def test_policy_update_trains_and_respects_bounds(integrator):
     env, data = integrator
-    reward = make_reward_critic(env, data, LEARN, seed=0)
+    reward = make_reward_critic(data, LEARN, seed=0)
     update_reward_critic(critic=reward, offline=data, cfg=LEARN, steps=200)
     policy = make_policy(env, data, replace(LEARN, policy_lr=1e-3), seed=0)
     feasibility_guided_policy_update(policy, reward_advantage(reward, data.s, data.a),
@@ -245,7 +245,7 @@ def test_greedy_actions_stay_feasible_with_oracle_critic():
     exact = tabular_value_iteration(model, gamma=0.95, tol=1e-12)
     v_exact = exact.v()
 
-    reward = make_reward_critic(env, data, LEARN, seed=0,
+    reward = make_reward_critic(data, LEARN, seed=0,
                                 state_feat=onehot_state_featurizer(env),
                                 action_feat=onehot_action_featurizer(env))
     update_reward_critic(critic=reward, offline=data, cfg=LEARN, steps=400, seed=0)
@@ -270,7 +270,7 @@ def test_greedy_actions_stay_feasible_with_oracle_critic():
     for s in feasible_states[::3]:
         state = s.copy()
         for _ in range(10):
-            a = env.clip_action(policy.act(state))
+            a = env.clip_action(policy.act(state[None])[0])
             state = env.transition(state, a)
             assert v_exact[env.state_index(state[None])[0]] <= 0.0, (s, state)
 
@@ -286,6 +286,83 @@ def test_evaluate_policy_normalization(integrator):
         evaluate_policy(policy, env, episodes=3, reward_norm=(1.0, 1.0))
     with pytest.raises(ValueError):
         evaluate_policy(policy, env, episodes=0, reward_norm=(0.0, 1.0))
+
+
+def reference_evaluate(policy, env, episodes, reward_norm, seed):
+    """The per-row evaluation loop: each episode alone, one one-row GEMM
+    pass per step, in the order ``evaluate_policy`` used before lockstep."""
+    lo, hi = reward_norm
+    returns, violations = [], []
+    for ep in range(episodes):
+        s = env.initial_state(substream(seed, "eval-episode", ep))
+        total_r, total_c = 0.0, 0
+        for _ in range(env.horizon):
+            a = env.clip_action(policy.act_batch(s.reshape(1, -1))[0])
+            s2 = env.transition(s, a)
+            total_r += env.reward(s, a, s2)
+            total_c += env.cost(s2)
+            s = s2
+        returns.append(total_r)
+        violations.append(total_c)
+    norm_cost = float(np.mean(violations)) / 10.0
+    return EvalReport(
+        normalized_reward=(float(np.mean(returns)) - lo) / (hi - lo),
+        normalized_cost=norm_cost, episodes=episodes, safe=norm_cost <= 1.0,
+        mean_violations=float(np.mean(violations)), mean_return=float(np.mean(returns)))
+
+
+def report_bits(report):
+    return [v.hex() if isinstance(v, float) else v for v in astuple(report)]
+
+
+@pytest.fixture(scope="module")
+def gridworld():
+    env = make_hazard_gridworld(7, 7, [(3, 3), (2, 4)], momentum=1, horizon=30)
+    mix = behavior_mixture(env, [("random", 1.0)])
+    return env, collect_safe_dataset(env, mix, n_transitions=600, seed=4)
+
+
+@pytest.mark.parametrize("world", ["integrator", "gridworld"])
+@settings(max_examples=15, deadline=None)
+@given(net_seed=st.integers(0, 2**31 - 1), seed=st.integers(0, 2**31 - 1),
+       episodes=st.integers(1, 25), scale=st.sampled_from([0.5, 1.0, 4.0]))
+@example(net_seed=0, seed=0, episodes=20, scale=1.0)
+def test_lockstep_evaluation_equals_the_per_row_loop_bit_for_bit(
+        request, world, net_seed, seed, episodes, scale):
+    env, data = request.getfixturevalue(world)
+    policy = make_policy(env, data, LEARN, seed=net_seed)
+    rng = np.random.default_rng(net_seed)
+    for w, b in zip(policy.net.weights, policy.net.biases):
+        w *= scale
+        b[:] = rng.normal(scale=0.5, size=b.shape)
+    got = evaluate_policy(policy, env, episodes, reward_norm=(-5.0, 5.0), seed=seed)
+    want = reference_evaluate(policy, env, episodes, (-5.0, 5.0), seed)
+    assert report_bits(got) == report_bits(want)
+
+
+def test_trained_policy_evaluates_like_the_per_row_loop(integrator):
+    env, data = integrator
+    policy = make_policy(env, data, LEARN, seed=5)
+    feasibility_guided_policy_update(policy, np.zeros(len(data)), None, data,
+                                     steps=30, cfg=LEARN, seed=5)
+    got = evaluate_policy(policy, env, 40, reward_norm=(-5.0, 5.0), seed=9)
+    assert report_bits(got) == report_bits(reference_evaluate(policy, env, 40, (-5.0, 5.0), 9))
+
+
+@pytest.mark.parametrize("world", ["integrator", "gridworld"])
+def test_evaluation_makes_one_policy_pass_per_time_step(request, world, monkeypatch):
+    env, data = request.getfixturevalue(world)
+    policy = make_policy(env, data, LEARN, seed=0)
+    passes = []
+    forward = Mlp.forward
+
+    def counted(net, x, cache=True):
+        passes.append(len(x))
+        return forward(net, x, cache=cache)
+
+    monkeypatch.setattr(Mlp, "forward", counted)
+    evaluate_policy(policy, env, 7, reward_norm=(-5.0, 5.0), seed=0)
+    assert passes == [7] * env.horizon
 
 
 def test_eval_report_cost_scaling():
@@ -319,7 +396,7 @@ def test_inference_passes_leave_no_activations_for_backward(integrator):
     # they keep no activations: none stays pinned in memory after the call.
     env, data = integrator
     s, a = data.s[:32], data.a[:32]
-    reward = make_reward_critic(env, data, LEARN, seed=1)
+    reward = make_reward_critic(data, LEARN, seed=1)
     feas = make_feasibility_critic(env, data, LEARN, seed=1)
     policy = make_policy(env, data, LEARN, seed=1)
     nets = [net for c in (reward, feas)
