@@ -256,7 +256,7 @@ class Trainer:
     """
 
     net: Mlp
-    lr: float = 3e-4
+    lr: float
     weight_decay: list[float] | None = None
     step: int = field(default=0, init=False)
     m: list[np.ndarray] = field(init=False, repr=False)

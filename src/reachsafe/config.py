@@ -4,9 +4,14 @@ This module is the only place that defines a setting, its default and
 its refusal. The library takes the sections below (or, for ``dynamics``,
 their fields) as required arguments and keeps no defaults of its own, and
 ``ExperimentConfig.validate`` refuses at load every value a later stage
-could not use. The file format is one ``dotted.key = value`` pair per
-line, ``#`` for comments; values parse as JSON when possible and as bare
-strings otherwise. Hashes cover the canonical serialization, so any
+could not use. The one exception is the keyword defaults in ``envs``
+(the environment factories and behaviour policies): they define the
+built-in environments themselves, and ``build_env`` overrides each one
+that has an ``env`` key.
+
+The file format is one ``dotted.key = value`` pair per line, ``#`` for
+comments; values parse as JSON when possible and as bare strings
+otherwise. Hashes cover the canonical serialization, so any
 semantic change to the configuration invalidates stage artifacts on
 resume.
 """
@@ -19,11 +24,11 @@ import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .cmdp import ConfigurationError, HardCMDP
+from .cmdp import UNSAFE_SMALL_LIMIT, ConfigurationError, HardCMDP
 from .envs import behavior_mixture, make_double_integrator, make_hazard_gridworld
-from .rollout import MAX_HORIZON
 
 ABLATIONS = ("no-model", "no-relabel", "det-rollout", "no-conservative", "ungated")
+MAX_HORIZON = 10   # the longest branched rollout, in model steps
 
 
 @dataclass
@@ -133,8 +138,14 @@ class ExperimentConfig:
             raise ConfigurationError("need 0 <= p_min <= p_max <= 1")
         if self.costgen.proposer not in ("scripted", "remote"):
             raise ConfigurationError("proposer must be scripted or remote")
-        if self.data.n_unsafe > 100:
-            raise ConfigurationError("the unsafe corpus is capped at 100")
+        if self.costgen.proposer == "remote" and not (self.costgen.remote_base_url
+                                                      and self.costgen.remote_model):
+            raise ConfigurationError(
+                "the remote proposer needs costgen.remote_base_url and "
+                "costgen.remote_model")
+        if self.data.n_unsafe > UNSAFE_SMALL_LIMIT:
+            raise ConfigurationError(
+                f"the unsafe corpus is capped at {UNSAFE_SMALL_LIMIT}")
         if self.eval.episodes < 1:
             raise ConfigurationError("need at least one evaluation episode")
         counts = {f"learn.{key}": getattr(self.learn, key) for key in (

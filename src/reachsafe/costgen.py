@@ -109,7 +109,7 @@ def _pct(x: float) -> str:
 
 
 def feedback_message(report: ValidationReport, cfg: CostGenSection,
-                     n_unsafe: int = 100) -> str:
+                     n_unsafe: int) -> str:
     """Compose the correction request for a failing report."""
     if report.recall_unsafe < 1.0:
         return (
@@ -211,40 +211,32 @@ class ScriptedMarginProposer:
 
 
 _CODE_BLOCK = re.compile(r"```(?:[a-zA-Z0-9_+-]*)\n(.*?)```", re.DOTALL)
+REMOTE_TIMEOUT_S = 60.0     # per request
+REMOTE_TEMPERATURE = 0.2    # sent with every request
 
 
-@dataclass
-class RemoteEndpoint:
-    """Chat-completion-compatible endpoint configuration.
+def _default_transport(cfg: CostGenSection, payload: dict) -> dict:
+    """POST ``payload`` to ``remote_base_url``'s chat-completion route.
 
     The bearer token comes from the environment variable named by
-    ``token_env``; it is read per request and never stored.
+    ``remote_token_env``; it is read per request and never stored.
     """
-
-    base_url: str
-    model: str
-    token_env: str = "REACHSAFE_API_TOKEN"
-    timeout: float = 60.0
-    temperature: float = 0.2
-
-
-def _default_transport(endpoint: RemoteEndpoint, payload: dict) -> dict:
     # Imported here: only the remote proposer pays for the HTTP stack.
     import http.client
     import urllib.request
 
-    token = os.environ.get(endpoint.token_env, "")
+    token = os.environ.get(cfg.remote_token_env, "")
     if not token:
         raise ProposerError(
-            f"no credential: set {endpoint.token_env} to call {endpoint.base_url}")
-    url = endpoint.base_url.rstrip("/") + "/chat/completions"
+            f"no credential: set {cfg.remote_token_env} to call {cfg.remote_base_url}")
+    url = cfg.remote_base_url.rstrip("/") + "/chat/completions"
     request = urllib.request.Request(
         url, data=json.dumps(payload).encode("utf-8"), method="POST",
         headers={"Authorization": f"Bearer {token}",
                  "Content-Type": "application/json"},
     )
     try:
-        with urllib.request.urlopen(request, timeout=endpoint.timeout) as resp:
+        with urllib.request.urlopen(request, timeout=REMOTE_TIMEOUT_S) as resp:
             return json.loads(resp.read())
     # URLError, its HTTPError (any non-2xx reply) and TimeoutError are all
     # OSErrors; a body that is not JSON raises a ValueError.
@@ -257,14 +249,16 @@ class RemoteChatProposer:
 
     Keeps the running transcript (instruction, replies, feedback), extracts
     the first fenced code block of each reply, and compiles it with the
-    whitelist interpreter. Request/response pairs are appended to
-    ``transcript_path`` as line-delimited records when a path is given.
+    whitelist interpreter. The endpoint is the ``remote_*`` keys of ``cfg``;
+    ``transport`` replaces the HTTP call. Request/response pairs are
+    appended to ``transcript_path`` as line-delimited records when a path
+    is given.
     """
 
-    def __init__(self, endpoint: RemoteEndpoint, env: HardCMDP,
-                 transport: Callable[[RemoteEndpoint, dict], dict] | None = None,
+    def __init__(self, cfg: CostGenSection, env: HardCMDP,
+                 transport: Callable[[CostGenSection, dict], dict] | None = None,
                  transcript_path: str | Path | None = None):
-        self.endpoint = endpoint
+        self.cfg = cfg
         self.env = env
         self.transport = transport or _default_transport
         self.transcript_path = Path(transcript_path) if transcript_path else None
@@ -295,11 +289,11 @@ class RemoteChatProposer:
             if not (last and last["role"] == "user" and last["content"] == feedback):
                 self.messages.append({"role": "user", "content": feedback})
         payload = {
-            "model": self.endpoint.model,
+            "model": self.cfg.remote_model,
             "messages": list(self.messages),
-            "temperature": self.endpoint.temperature,
+            "temperature": REMOTE_TEMPERATURE,
         }
-        response = self.transport(self.endpoint, payload)
+        response = self.transport(self.cfg, payload)
         self._log({"round": round_index, "request": payload, "response": response})
         try:
             content = response["choices"][0]["message"]["content"]

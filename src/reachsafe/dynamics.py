@@ -150,9 +150,10 @@ def train_ensemble(
     """Train all members on their own shuffled splits; pick elites.
 
     The keywords besides ``seed`` are the fields of the configuration's
-    ``dynamics`` section, which ``stage_dynamics`` passes whole. This
-    module cannot import that section: the configuration imports the
-    rollout code, which imports this module.
+    ``dynamics`` section, which ``stage_dynamics`` passes whole. They stay
+    keywords rather than one section argument because the benchmark's
+    probe (``perfbench/spans.py``) reads ``epochs`` and ``n_total`` from
+    the call's keywords to count training samples.
 
     Determinism: every member derives its init, split and minibatch order
     from a named substream of ``seed``, so the members train as independent

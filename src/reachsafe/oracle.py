@@ -53,7 +53,6 @@ class FeasibleSetOracle:
 
 def compute_feasible_set_oracle(
     env: HardCMDP,
-    grid: tuple | None = None,
     h_star: int | None = None,
 ) -> FeasibleSetOracle:
     """Exhaustive backward-reachability labeling of ``env``'s state set.
@@ -63,7 +62,7 @@ def compute_feasible_set_oracle(
     cap cuts the computation short or the grid cannot separate the safe
     and unsafe regions.
     """
-    model = build_model(env, grid)
+    model = build_model(env)
     n = model.n_states
     max_sweeps = h_star if h_star is not None else n + 1
 

@@ -36,7 +36,6 @@ from .config import ExperimentConfig, build_behavior, build_env, config_hash
 from .costgen import (
     CostCandidate,
     RemoteChatProposer,
-    RemoteEndpoint,
     ScriptedMarginProposer,
     generation_loop,
     load_final_candidate,
@@ -182,7 +181,8 @@ class RunPaths:
     def reward_advantages(self) -> Path:
         return self.root / "reward_advantages.npz"
 
-    def transcripts(self, cfg: ExperimentConfig) -> Path:
+    @property
+    def transcripts(self) -> Path:
         return self.root / "proposer_transcripts.jsonl"
 
     def variant_dir(self, cfg: ExperimentConfig) -> Path:
@@ -313,15 +313,7 @@ def stage_costgen(cfg: ExperimentConfig, paths: RunPaths) -> None:
     if cfg.costgen.proposer == "scripted":
         proposer = ScriptedMarginProposer(env, step=cfg.costgen.margin_step)
     else:
-        if not cfg.costgen.remote_base_url or not cfg.costgen.remote_model:
-            raise ConfigurationError(
-                "remote proposer needs costgen.remote_base_url and "
-                "costgen.remote_model")
-        endpoint = RemoteEndpoint(base_url=cfg.costgen.remote_base_url,
-                                  model=cfg.costgen.remote_model,
-                                  token_env=cfg.costgen.remote_token_env)
-        proposer = RemoteChatProposer(endpoint, env,
-                                      transcript_path=paths.transcripts(cfg))
+        proposer = RemoteChatProposer(cfg.costgen, env, transcript_path=paths.transcripts)
     final, history = generation_loop(proposer, d_unsafe, dataset, cfg.costgen)
     save_history(history, final, history_path)
 
@@ -376,8 +368,7 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
     policy = make_policy(env, dataset, lc, seed=child_seed(seed, "learn", "policy-init"))
 
     rcfg = RolloutConfig(
-        frequency=lc.rollout_frequency, batch=lc.rollout_batch,
-        horizon=lc.rollout_horizon, epochs=lc.rollout_epochs,
+        batch=lc.rollout_batch, horizon=lc.rollout_horizon, epochs=lc.rollout_epochs,
         noise_std=0.0 if "det-rollout" in cfg.ablations else lc.rollout_noise_std,
     )
     events: list = []  # one buffer per rollout event

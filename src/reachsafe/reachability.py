@@ -96,7 +96,7 @@ def apply_operator(q: np.ndarray, h: np.ndarray, next_idx: np.ndarray,
 
 def tabular_value_iteration(
     model: TabularModel,
-    gamma: float = 0.99,
+    gamma: float,
     tol: float = 1e-9,
     max_iters: int = 200_000,
 ) -> TabularCritic:

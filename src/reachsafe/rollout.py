@@ -30,34 +30,21 @@ from .dynamics import (
 )
 from .seeding import ordered_map, substream
 
-MAX_HORIZON = 10
-
 
 @dataclass
 class RolloutConfig:
-    """Branched-rollout schedule.
+    """Branched-rollout schedule of one event.
 
-    ``frequency`` is the number of gradient steps between rollout events
-    during critic training; each event samples ``batch`` start states and
-    rolls each for ``horizon`` steps, repeated ``epochs`` times.
+    The event samples ``batch`` start states and rolls each for ``horizon``
+    steps, repeated ``epochs`` times. The values are the ``learn``
+    section's ``rollout_*`` keys, which ``ExperimentConfig.validate``
+    checks at load.
     """
 
-    frequency: int = 2500
-    batch: int = 2048
-    horizon: int = 1
-    epochs: int = 10
-    noise_std: float = 0.1
-
-    def __post_init__(self) -> None:
-        if min(self.frequency, self.batch, self.horizon, self.epochs) < 1:
-            raise ConfigurationError("rollout parameters must be positive")
-        if self.noise_std < 0:
-            raise ConfigurationError("noise_std must be nonnegative")
-        if self.horizon > MAX_HORIZON:
-            raise ConfigurationError(
-                f"rollout horizon {self.horizon} exceeds the supported "
-                f"maximum of {MAX_HORIZON}"
-            )
+    batch: int
+    horizon: int
+    epochs: int
+    noise_std: float
 
 
 @dataclass
@@ -85,7 +72,8 @@ def branched_rollout(
     h_min: float,
     h_max: float,
     event: int = 0,
-    action_bounds: np.ndarray | None = None,
+    *,
+    action_bounds: np.ndarray,
 ) -> RolloutBuffer:
     """Run one rollout event; return the steps of its violating branches.
 
@@ -98,15 +86,12 @@ def branched_rollout(
     depend on scheduling: the epochs run as independent units through
     ``ordered_map``, and their rows are stacked in epoch order. ``policy``
     and ``cost_fn`` may therefore be called from several threads at once.
-    Noisy actions are clipped to ``action_bounds`` ((d_a, 2) lo/hi) if given.
+    Noisy actions are clipped to ``action_bounds`` ((d_a, 2) lo/hi).
     """
     if len(dataset) == 0:
         raise ConfigurationError("cannot roll out from an empty dataset")
     pool = dataset.rollout_start_states()
-    if action_bounds is not None:
-        lo, hi = action_bounds[:, 0], action_bounds[:, 1]
-    else:
-        lo, hi = -np.inf, np.inf
+    lo, hi = action_bounds[:, 0], action_bounds[:, 1]
     d_s, d_a, n_elites = pool.shape[1], model.d_a, model.n_elites
 
     def run_epoch(epoch: int) -> RolloutBuffer:

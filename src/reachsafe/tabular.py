@@ -74,14 +74,14 @@ def tabulate(env: HardCMDP) -> TabularModel:
                         next_idx=next_idx, h=h, h_min=env.h_min, h_max=env.h_max)
 
 
-def discretize(env: HardCMDP, grid: tuple | None = None) -> TabularModel:
+def discretize(env: HardCMDP) -> TabularModel:
     """Grid model of a continuous environment.
 
     Cell centers are the states; stepping from a center snaps the exact
     next state back to the nearest center. The declared discretized
     action set of the environment supplies the actions.
     """
-    ranges = grid if grid is not None else env.state_grid
+    ranges = env.state_grid
     if ranges is None:
         raise ConfigurationError(f"{env.name} declares no state grid")
     axes = [np.linspace(lo, hi, n) for lo, hi, n in ranges]
@@ -95,5 +95,5 @@ def discretize(env: HardCMDP, grid: tuple | None = None) -> TabularModel:
                         h_min=env.h_min, h_max=env.h_max, grid_ranges=tuple(ranges))
 
 
-def build_model(env: HardCMDP, grid: tuple | None = None) -> TabularModel:
-    return tabulate(env) if env.is_tabular else discretize(env, grid)
+def build_model(env: HardCMDP) -> TabularModel:
+    return tabulate(env) if env.is_tabular else discretize(env)

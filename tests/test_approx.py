@@ -179,7 +179,7 @@ def test_optimizer_shape_mismatch_raises():
     assert all(np.array_equal(a, b) for a, b in zip(net.parameters(), before))
     assert trainer.step == 0
     with pytest.raises(ValueError, match="one weight-decay coefficient"):
-        Trainer(net, weight_decay=[0.1])
+        Trainer(net, lr=1e-2, weight_decay=[0.1])
 
 
 def test_trainer_is_textbook_adam_bit_for_bit():

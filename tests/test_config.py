@@ -100,6 +100,8 @@ def test_unknown_key_is_refused(tmp_path):
     ("learn.reward_expectile = 1.5", r"^learn.reward_expectile must lie in \(0, 1\)"),
     ("learn.reward_gamma = 1.0", r"^learn.reward_gamma must lie in \[0, 1\)"),
     ("learn.policy_temperature = -3.0", r"^learn.policy_temperature must lie in \[0, inf\)"),
+    ("costgen.proposer = remote",
+     "^the remote proposer needs costgen.remote_base_url and costgen.remote_model"),
 ])
 def test_value_a_later_stage_refuses_is_refused_at_load(tmp_path, line, message):
     with pytest.raises(ConfigurationError, match=message):
@@ -121,6 +123,16 @@ def test_cli_refuses_a_bad_value_before_any_stage_writes(tmp_path, capsys):
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists() or not any(out.rglob("*"))
     assert "learn.rollout_horizon" in capsys.readouterr().err
+
+
+def test_cli_refuses_a_remote_proposer_without_endpoint_before_any_stage(tmp_path,
+                                                                        capsys):
+    out = tmp_path / "run"
+    assert cli.main(["run", "--proposer", "remote", "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    for key in ("costgen.remote_base_url", "costgen.remote_model"):
+        assert key in err
 
 
 def test_dynamics_split_below_its_batch_is_refused_before_any_stage(tmp_path, capsys):

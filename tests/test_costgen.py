@@ -1,10 +1,6 @@
-import http.server
-import json
 import os
 import subprocess
 import sys
-import threading
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +13,6 @@ from reachsafe.costgen import (
     GenerationError,
     ProposerError,
     RemoteChatProposer,
-    RemoteEndpoint,
     Round,
     ScriptedMarginProposer,
     ValidationReport,
@@ -34,6 +29,8 @@ from reachsafe.costgen import (
 import reachsafe
 from reachsafe.cmdp import empty_dataset
 from reachsafe.envs import behavior_mixture, make_hazard_gridworld
+
+from helpers import chat_reply, loopback
 
 
 @pytest.fixture(scope="module")
@@ -95,11 +92,11 @@ def test_validate_reports_conservativeness_even_with_bad_recall(grid_setup):
 
 def test_feedback_message_forms():
     cfg = CostGenSection(p_min=0.10, p_max=0.30)
-    low = feedback_message(ValidationReport(1.0, 0.02, False), cfg)
+    low = feedback_message(ValidationReport(1.0, 0.02, False), cfg, n_unsafe=100)
     assert "2%" in low
     assert "10%-30%" in low
     assert "more conservative" in low
-    high = feedback_message(ValidationReport(1.0, 0.40, False), cfg)
+    high = feedback_message(ValidationReport(1.0, 0.40, False), cfg, n_unsafe=100)
     assert "too conservative" in high
     recall = feedback_message(ValidationReport(0.98, 0.2, False), cfg, n_unsafe=100)
     assert "98% accuracy" in recall
@@ -226,10 +223,15 @@ def test_fallback_is_pure_function_of_history():
     assert select_fallback(history, cfg) is select_fallback(history, cfg)
 
 
+# A remote section whose endpoint the canned transports below stand in for.
+REPLAY = CostGenSection(proposer="remote", remote_base_url="http://replay.invalid",
+                        remote_model="canned")
+
+
 def _canned_transport(replies):
     state = {"i": 0}
 
-    def transport(endpoint, payload):
+    def transport(cfg, payload):
         i = min(state["i"], len(replies) - 1)
         state["i"] += 1
         return {"choices": [{"message": {"content": replies[i],
@@ -242,8 +244,7 @@ def test_remote_proposer_accepts_threshold_reply(grid_setup, tmp_path):
     env, d_safe, d_unsafe = grid_setup
     cfg = CostGenSection()
     reply = "Sure.\n```python\ndef get_cost(observation):\n    return 1 if (abs(x - 2) + abs(y - 2) <= 2) or (abs(x - 4) + abs(y - 4) <= 2) else 0\n```"
-    endpoint = RemoteEndpoint(base_url="http://replay.invalid", model="canned")
-    proposer = RemoteChatProposer(endpoint, env,
+    proposer = RemoteChatProposer(REPLAY, env,
                                   transport=_canned_transport([reply]),
                                   transcript_path=tmp_path / "log.jsonl")
     cand = proposer(0, None)
@@ -256,18 +257,15 @@ def test_remote_proposer_accepts_threshold_reply(grid_setup, tmp_path):
 def test_remote_proposer_rejects_unsafe_source(grid_setup):
     env, _, _ = grid_setup
     reply = "```python\ndef get_cost(observation):\n    return open('/etc/passwd')\n```"
-    proposer = RemoteChatProposer(
-        RemoteEndpoint(base_url="http://replay.invalid", model="canned"),
-        env, transport=_canned_transport([reply]))
+    proposer = RemoteChatProposer(REPLAY, env, transport=_canned_transport([reply]))
     with pytest.raises(ProposerError):
         proposer(0, None)
 
 
 def test_remote_proposer_requires_code_block(grid_setup):
     env, _, _ = grid_setup
-    proposer = RemoteChatProposer(
-        RemoteEndpoint(base_url="http://replay.invalid", model="canned"),
-        env, transport=_canned_transport(["no code here, sorry"]))
+    proposer = RemoteChatProposer(REPLAY, env,
+                                  transport=_canned_transport(["no code here, sorry"]))
     with pytest.raises(ProposerError):
         proposer(0, None)
 
@@ -281,9 +279,7 @@ def test_remote_loop_with_canned_replies_is_reproducible(grid_setup):
     ]
 
     def run():
-        proposer = RemoteChatProposer(
-            RemoteEndpoint(base_url="http://replay.invalid", model="canned"),
-            env, transport=_canned_transport(replies))
+        proposer = RemoteChatProposer(REPLAY, env, transport=_canned_transport(replies))
         return generation_loop(proposer, d_unsafe, d_safe, cfg)
 
     final_a, hist_a = run()
@@ -314,52 +310,11 @@ def test_candidate_record_roundtrip(grid_setup, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-class _ReplayHandler(http.server.BaseHTTPRequestHandler):
-    """Answers each POST with the next (status, body) of ``server.replies``."""
-
-    def do_POST(self):
-        body = self.rfile.read(int(self.headers["Content-Length"]))
-        self.server.seen.append({"path": self.path,
-                                 "auth": self.headers["Authorization"],
-                                 "payload": json.loads(body)})
-        status, reply = self.server.replies.pop(0)
-        data = reply.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
-@contextmanager
-def _loopback(monkeypatch, replies):
-    monkeypatch.setenv("REACHSAFE_API_TOKEN", "tok-123")
-    monkeypatch.setenv("no_proxy", "*")
-    server = http.server.HTTPServer(("127.0.0.1", 0), _ReplayHandler)
-    server.replies, server.seen = list(replies), []
-    thread = threading.Thread(target=server.serve_forever,
-                              kwargs={"poll_interval": 0.05}, daemon=True)
-    thread.start()
-    try:
-        yield server, RemoteEndpoint(
-            base_url=f"http://127.0.0.1:{server.server_port}/v1",
-            model="loopback", timeout=5.0)
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5.0)
-        assert not thread.is_alive()
-
-
 def test_default_transport_posts_json_with_bearer_token(grid_setup, monkeypatch):
     env, _, _ = grid_setup
     content = "```python\n1 if abs(x - 2) + abs(y - 2) <= 1 else 0\n```"
-    reply = {"choices": [{"message": {"content": content, "role": "assistant"}}]}
-    with _loopback(monkeypatch, [(200, json.dumps(reply))]) as (server, endpoint):
-        proposer = RemoteChatProposer(endpoint, env)
+    with loopback(monkeypatch, [(200, chat_reply(content))]) as (server, remote):
+        proposer = RemoteChatProposer(remote, env)
         cand = proposer(0, None)
     assert cand.source == "1 if abs(x - 2) + abs(y - 2) <= 1 else 0"
     (request,) = server.seen
@@ -370,14 +325,14 @@ def test_default_transport_posts_json_with_bearer_token(grid_setup, monkeypatch)
 
 def test_default_transport_maps_failures_to_proposer_error(monkeypatch):
     payload = {"model": "loopback", "messages": []}
-    with _loopback(monkeypatch, [(500, "{}"), (200, "not json")]) as (_, endpoint):
+    with loopback(monkeypatch, [(500, "{}"), (200, "not json")]) as (_, remote):
         with pytest.raises(ProposerError, match="500"):
-            _default_transport(endpoint, payload)
+            _default_transport(remote, payload)
         with pytest.raises(ProposerError):
-            _default_transport(endpoint, payload)
+            _default_transport(remote, payload)
     # The server is gone now: the refused connection is a URLError.
     with pytest.raises(ProposerError):
-        _default_transport(endpoint, payload)
+        _default_transport(remote, payload)
 
 
 def test_importing_the_cli_and_pipeline_leaves_the_http_stack_unloaded():

@@ -10,6 +10,7 @@ import pytest
 
 from reachsafe import cli, pipeline
 from reachsafe.approx import load_mlp, save_mlp
+from reachsafe.cmdp import load_dataset
 from reachsafe.collect import collect_safe_dataset
 from reachsafe.config import build_env, default_config, save_config
 from reachsafe.costgen import load_final_candidate
@@ -24,6 +25,8 @@ from reachsafe.critics import (
 from reachsafe.envs import behavior_mixture, make_double_integrator
 from reachsafe.pipeline import StageMismatch, run_pipeline
 from reachsafe.policy import REWARD_TARGET_RATE, make_reward_critic, update_reward_critic
+
+from helpers import chat_reply, loopback
 
 
 def tiny_config(ablations=()):
@@ -176,6 +179,61 @@ def test_benchmark_probes_find_every_binding_but_the_two_stale_ones(perfbench_mo
     assert sorted(missing) == ["reachsafe.pipeline.flatten_branches",
                                "reachsafe.policy.soft_update"]
     assert pipeline.stage_learn is learn
+
+
+def test_benchmark_probes_count_from_the_config_the_run_uses(tmp_path, perfbench_module):
+    # The probes read the rollout schedule from ``branched_rollout``'s ``cfg``
+    # and the dynamics budget from ``train_ensemble``'s keywords; a call that
+    # stopped passing either would leave the probe on its own fallbacks.
+    spans = perfbench_module("spans")
+    cfg = tiny_config()
+    cfg.learn.rollout_epochs = 3
+    tracer = spans.Tracer()
+    tracer.active = True
+    with spans.instrument(spans.StageProbe(), tracer):
+        run_pipeline(cfg, tmp_path)
+    data = load_dataset(pipeline.RunPaths(tmp_path).dataset)
+    lc, dc = cfg.learn, cfg.dynamics
+    events = -(-lc.total_steps // lc.rollout_frequency)
+    pool = len(data.rollout_start_states())
+    assert tracer.counts["rollout.branched.calls"] == events == 2
+    assert (tracer.counts["rollout.branches_started"]
+            == events * lc.rollout_epochs * min(lc.rollout_batch, pool))
+    assert tracer.counts["dynamics.train.samples"] == len(data) * dc.epochs * dc.n_total
+
+
+def test_remote_proposer_runs_through_the_costgen_stage(tmp_path, monkeypatch):
+    low = "1 if abs(x - 2) + abs(y - 2) <= 1 else 0"     # flags 5.5% of the safe data
+    band = "1 if max(abs(x - 2), abs(y - 2)) <= 1 else 0"  # flags 13.3%
+    replies = [f"```python\n{low}\n```", f"Wider:\n```python\n{band}\n```"]
+    cfg = tiny_config()
+    with loopback(monkeypatch, [(200, chat_reply(r)) for r in replies]) as (server, remote):
+        cfg.costgen = remote
+        run_pipeline(cfg, tmp_path, stages=("data", "costgen"))
+    paths = pipeline.RunPaths(tmp_path)
+    env = build_env(cfg)
+    final = load_final_candidate(paths.cost_history(cfg), env)
+    assert (final.provenance, final.source, final.report.passed) == ("remote", band, True)
+    x, y = env.states[:, 0], env.states[:, 1]
+    want = (np.maximum(abs(x - 2), abs(y - 2)) <= 1).astype(int)
+    assert np.array_equal(final.predicate(env.states), want)
+
+    records = [json.loads(line) for line in paths.transcripts.read_text().splitlines()]
+    assert [r["round"] for r in records] == [0, 1]
+    assert len(server.seen) == 2
+    feedback = json.loads(paths.cost_history(cfg).read_text().splitlines()[2])["feedback_sent"]
+    assert "more conservative" in feedback
+    (opening,) = records[0]["request"]["messages"]   # the transcript sorts keys
+    instruction = [{"role": "user", "content": opening["content"]}]
+    conversations = [instruction, [*instruction, {"role": "assistant", "content": replies[0]},
+                                   {"role": "user", "content": feedback}]]
+    for record, request, messages in zip(records, server.seen, conversations):
+        assert request["path"] == "/v1/chat/completions"
+        assert request["auth"] == "Bearer tok-123"
+        # The exact bytes on the wire: key order, model and temperature.
+        assert request["body"] == json.dumps(
+            {"model": "loopback", "messages": messages, "temperature": 0.2}).encode()
+        assert record["request"] == request["payload"]
 
 
 @pytest.mark.parametrize("ablations, rolls_out", [

@@ -6,14 +6,12 @@ import pytest
 from reachsafe import BLAS_THREAD_VARS
 from reachsafe.approx import Mlp
 from reachsafe.collect import collect_safe_dataset
-from reachsafe.cmdp import ConfigurationError
 from reachsafe.config import CostGenSection, default_config
 from reachsafe.costgen import validate, CostCandidate
 from reachsafe.critics import make_feasibility_critic, update_feasibility_critics
 from reachsafe.dynamics import conservative_cost_label_batch, train_ensemble
 from reachsafe.envs import behavior_mixture, integrator_behavior, make_double_integrator
 from reachsafe.rollout import (
-    RolloutConfig,
     branched_rollout,
     load_rollout_buffer,
     relabel_offline,
@@ -21,7 +19,7 @@ from reachsafe.rollout import (
     stack_buffers,
 )
 
-from helpers import dynamics
+from helpers import dynamics, rollout
 
 COLUMNS = ("s", "a", "label", "h_s", "origin")
 
@@ -54,21 +52,9 @@ def _rollout(setup, cost_fn, cfg, seed, **kwargs):
                             **kwargs)
 
 
-def test_defaults_match_expected_schedule():
-    cfg = RolloutConfig()
-    assert cfg.horizon == 1
-    assert cfg.epochs == 10
-    assert cfg.noise_std == 0.1
-
-
-def test_horizon_cap_enforced():
-    with pytest.raises(ConfigurationError):
-        RolloutConfig(horizon=11)
-
-
 def test_retained_branches_all_violate(setup):
     env, _, _ = setup
-    cfg = RolloutConfig(batch=256, epochs=3)
+    cfg = rollout(batch=256, epochs=3)
     buf = _rollout(setup, env.margin_predicate(0.04), cfg, seed=3)
     assert len(buf), "outward pushes from boundary data must violate"
     assert np.all(buf.label.reshape(-1, cfg.horizon).sum(axis=1) > 0)
@@ -76,7 +62,7 @@ def test_retained_branches_all_violate(setup):
 
 def test_no_label_no_branches(setup):
     env, _, model = setup
-    cfg = RolloutConfig(batch=128, epochs=2)
+    cfg = rollout(batch=128, epochs=2)
     buf = _rollout(setup, _constant(0), cfg, seed=3)
     assert len(buf) == 0
     assert buf.s.shape == (0, env.d_s) and buf.a.shape == (0, env.d_a)
@@ -84,7 +70,7 @@ def test_no_label_no_branches(setup):
 
 
 def test_constant_label_keeps_every_branch(setup):
-    cfg = RolloutConfig(batch=64, epochs=2)
+    cfg = rollout(batch=64, epochs=2)
     buf = _rollout(setup, _constant(1), cfg, seed=3)
     assert len(buf) == cfg.batch * cfg.epochs * cfg.horizon
 
@@ -92,7 +78,7 @@ def test_constant_label_keeps_every_branch(setup):
 def test_rows_form_one_group_per_kept_branch(setup):
     env, data, model = setup
     h = 3
-    cfg = RolloutConfig(batch=128, epochs=2, horizon=h)
+    cfg = rollout(batch=128, epochs=2, horizon=h)
     pred = env.margin_predicate(0.08)
     every, buf = (_rollout(setup, cost_fn, cfg, seed=9) for cost_fn in (_constant(1), pred))
     assert len(every) == cfg.batch * cfg.epochs * h
@@ -117,7 +103,7 @@ def test_rows_form_one_group_per_kept_branch(setup):
 
 def test_rollout_determinism(setup):
     env, _, _ = setup
-    cfg = RolloutConfig(batch=128, epochs=2)
+    cfg = rollout(batch=128, epochs=2)
     a, b = (_rollout(setup, env.margin_predicate(0.08), cfg, seed=11) for _ in range(2))
     assert len(a) == len(b) > 0
     for name in (*COLUMNS, "elite_next"):
@@ -125,7 +111,7 @@ def test_rollout_determinism(setup):
 
 
 def test_noise_is_injected_and_clipped(setup):
-    cfg = RolloutConfig(batch=256, epochs=1, noise_std=0.5)
+    cfg = rollout(batch=256, epochs=1, noise_std=0.5)
     actions = _rollout(setup, _constant(1), cfg, seed=5).a.ravel()
     assert actions.max() <= 1.0 + 1e-12
     assert actions.min() >= -1.0 - 1e-12
@@ -171,7 +157,7 @@ def test_relabel_constant_one_sets_h_max(setup):
 
 def test_rollout_buffer_roundtrip(setup, tmp_path):
     env, _, _ = setup
-    buf = _rollout(setup, env.margin_predicate(0.08), RolloutConfig(batch=64, epochs=2),
+    buf = _rollout(setup, env.margin_predicate(0.08), rollout(batch=64, epochs=2),
                    seed=13)
     path = tmp_path / "rollouts.npz"
     save_rollout_buffer(buf, path)
@@ -185,7 +171,7 @@ def test_rollout_buffer_roundtrip(setup, tmp_path):
 
 def test_buffer_carries_the_elite_means_of_every_row(setup):
     env, _, model = setup
-    cfg = RolloutConfig(batch=128, epochs=2, horizon=3)
+    cfg = rollout(batch=128, epochs=2, horizon=3)
     buf = _rollout(setup, env.margin_predicate(0.08), cfg, seed=17)
     assert len(buf) > cfg.batch
     assert buf.elite_next.shape == (model.n_elites, len(buf), env.d_s)
@@ -196,7 +182,7 @@ def test_buffer_carries_the_elite_means_of_every_row(setup):
 
 def test_critic_update_refuses_a_buffer_without_elite_means(setup, tmp_path):
     env, data, _ = setup
-    buf = _rollout(setup, env.margin_predicate(0.08), RolloutConfig(batch=64, epochs=1),
+    buf = _rollout(setup, env.margin_predicate(0.08), rollout(batch=64, epochs=1),
                    seed=13)
     path = tmp_path / "rollouts.npz"
     save_rollout_buffer(buf, path)
@@ -211,7 +197,7 @@ def test_critic_update_refuses_a_buffer_without_elite_means(setup, tmp_path):
 
 def test_rollout_epochs_in_threads_equal_the_serial_loop(setup, monkeypatch):
     env, data, model = setup
-    cfg = RolloutConfig(batch=256, horizon=3, epochs=5)
+    cfg = rollout(batch=256, horizon=3, epochs=5)
     net = Mlp([2, 16, 1], seed=4)  # one policy net, shared by every epoch
 
     def policy(states):
@@ -237,7 +223,7 @@ def test_rollout_epochs_in_threads_equal_the_serial_loop(setup, monkeypatch):
 
 def test_window_and_saved_buffers_stack_the_event_buffers(setup):
     env, _, model = setup
-    cfg = RolloutConfig(batch=128, epochs=2, horizon=2)
+    cfg = rollout(batch=128, epochs=2, horizon=2)
     events = [_rollout(setup, env.margin_predicate(0.04), cfg, seed=3, event=e)
               for e in range(3)]
     nothing = _rollout(setup, _constant(0), cfg, seed=3, event=3)  # every epoch empty
