@@ -63,31 +63,26 @@ def collect_safe_dataset(
         s = env.initial_state(rng_init)
         ep_return = 0.0
         ep_len = 0
-        for t in range(env.horizon):
+        intervened = False
+        for _ in range(env.horizon):
             a = env.clip_action(policy(s, rng_policy))
             s2 = env.transition(s, a)
             if env.cost(s2) == 1:
-                if ep_len:
-                    done_rows[-1] = True
-                    episode_ends.append({"index": len(r_rows) - 1,
-                                         "reason": END_INTERVENTION})
+                intervened = True
                 n_intervened += 1
                 break
             r = env.reward(s, a, s2)
-            last = t == env.horizon - 1 or len(r_rows) + 1 >= n_transitions
             s_rows.append(s); a_rows.append(a); r_rows.append(r)
-            s2_rows.append(s2); done_rows.append(last); cost_rows.append(0)
+            s2_rows.append(s2); done_rows.append(False); cost_rows.append(0)
             ep_return += r
             ep_len += 1
             s = s2
             if len(r_rows) >= n_transitions:
                 break
-        else:
-            episode_ends.append({"index": len(r_rows) - 1, "reason": END_HORIZON})
-        if ep_len and (not episode_ends or episode_ends[-1]["index"] != len(r_rows) - 1):
-            # Episode ended by the transition cap rather than by a rule above.
-            episode_ends.append({"index": len(r_rows) - 1, "reason": END_HORIZON})
         if ep_len:
+            done_rows[-1] = True
+            episode_ends.append({"index": len(r_rows) - 1,
+                                 "reason": END_INTERVENTION if intervened else END_HORIZON})
             episode_returns.append(ep_return)
 
     meta = {

@@ -9,6 +9,14 @@ could not use. The one exception is the keyword defaults in ``envs``
 built-in environments themselves, and ``build_env`` overrides each one
 that has an ``env`` key.
 
+Each numeric setting declares the interval its value must lie in beside
+its default, as in ``critic_gamma: float = _key(0.95, "(0, 1)")``; the
+interval sits in the field's metadata, so it never enters a hash.
+``validate`` checks every declared interval in one loop, then the rules
+that span keys or read list contents, and ends by building the
+environment and its behaviour mixture, so the factories' refusals
+(hazard cells off the grid, behaviour names the env lacks) apply at load.
+
 The file format is one ``dotted.key = value`` pair per line, ``#`` for
 comments; values parse as JSON when possible and as bare strings
 otherwise. Hashes cover the canonical serialization, so any
@@ -21,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .cmdp import UNSAFE_SMALL_LIMIT, ConfigurationError, HardCMDP
@@ -31,25 +39,37 @@ ABLATIONS = ("no-model", "no-relabel", "det-rollout", "no-conservative", "ungate
 MAX_HORIZON = 10   # the longest branched rollout, in model steps
 
 
+def _key(default, interval: str):
+    """A numeric setting's default and the interval, such as ``"(0, 1]"``,
+    that ``ExperimentConfig.validate`` holds its value to."""
+    return field(default=default, metadata={"interval": interval})
+
+
+def _within(value, interval: str) -> bool:
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    return ((lo < value if interval[0] == "(" else lo <= value)
+            and (value < hi if interval[-1] == ")" else value <= hi))
+
+
 @dataclass
 class EnvSection:
     name: str = "gridworld"
-    width: int = 7
-    height: int = 7
+    width: int = _key(7, "[3, inf)")
+    height: int = _key(7, "[3, inf)")
     hazards: list = field(default_factory=lambda: [[2, 2], [4, 4]])
-    momentum: int = 1
-    gamma: float = 0.99
-    horizon: int = 40
-    x_lim: float = 1.0
-    a_max: float = 1.0
-    dt: float = 0.1
-    v_max: float = 1.0
+    momentum: int = _key(1, "[0, 1]")
+    gamma: float = _key(0.99, "(0, 1)")
+    horizon: int = _key(40, "[1, inf)")
+    x_lim: float = _key(1.0, "(0, inf)")
+    a_max: float = _key(1.0, "(0, inf)")
+    dt: float = _key(0.1, "(0, inf)")
+    v_max: float = _key(1.0, "(0, inf)")
 
 
 @dataclass
 class DataSection:
-    n_transitions: int = 8000
-    n_unsafe: int = 100
+    n_transitions: int = _key(8000, "[1, inf)")
+    n_unsafe: int = _key(100, f"[0, {UNSAFE_SMALL_LIMIT}]")
     behavior: list = field(default_factory=lambda: [["goal_greedy", 0.4],
                                                     ["random", 0.4],
                                                     ["straight", 0.2]])
@@ -57,22 +77,22 @@ class DataSection:
 
 @dataclass
 class DynamicsSection:
-    n_total: int = 7
-    n_elite: int = 5
-    val_fraction: float = 0.2
-    epochs: int = 25
-    lr: float = 1e-3
-    batch_size: int = 256
+    n_total: int = _key(7, "[1, inf)")
+    n_elite: int = _key(5, "[1, inf)")
+    val_fraction: float = _key(0.2, "[0, 1)")
+    epochs: int = _key(25, "[1, inf)")
+    lr: float = _key(1e-3, "(0, inf)")
+    batch_size: int = _key(256, "[1, inf)")
     hidden: list = field(default_factory=lambda: [128, 128])
 
 
 @dataclass
 class CostGenSection:
     proposer: str = "scripted"
-    p_min: float = 0.10
-    p_max: float = 0.30
-    max_queries: int = 10
-    margin_step: float = 1.0
+    p_min: float = _key(0.10, "[0, 1]")
+    p_max: float = _key(0.30, "[0, 1]")
+    max_queries: int = _key(10, "[1, inf)")
+    margin_step: float = _key(1.0, "(0, inf)")
     remote_base_url: str = ""
     remote_model: str = ""
     remote_token_env: str = "REACHSAFE_API_TOKEN"
@@ -80,32 +100,32 @@ class CostGenSection:
 
 @dataclass
 class LearnSection:
-    total_steps: int = 7500
-    critic_gamma: float = 0.95
-    critic_tau: float = 0.9
-    critic_lr: float = 1e-3
-    critic_target_rate: float = 0.01
-    policy_lr: float = 3e-4
+    total_steps: int = _key(7500, "[1, inf)")
+    critic_gamma: float = _key(0.95, "(0, 1)")
+    critic_tau: float = _key(0.9, "(0, 1)")
+    critic_lr: float = _key(1e-3, "(0, inf)")
+    critic_target_rate: float = _key(0.01, "(0, 1]")
+    policy_lr: float = _key(3e-4, "(0, inf)")
     include_rollout_in_v: bool = True
-    rollout_batch_fraction: float = 0.5
-    reward_gamma: float = 0.99
-    reward_expectile: float = 0.7
-    reward_steps_fraction: float = 0.5
-    policy_temperature: float = 3.0
-    policy_weight_clip: float = 100.0
-    batch_size: int = 256
+    rollout_batch_fraction: float = _key(0.5, "(0, inf)")
+    reward_gamma: float = _key(0.99, "[0, 1)")
+    reward_expectile: float = _key(0.7, "(0, 1)")
+    reward_steps_fraction: float = _key(0.5, "(0, inf)")
+    policy_temperature: float = _key(3.0, "[0, inf)")
+    policy_weight_clip: float = _key(100.0, "(0, inf)")
+    batch_size: int = _key(256, "[1, inf)")
     hidden: list = field(default_factory=lambda: [64, 64])
-    rollout_frequency: int = 2500
-    rollout_batch: int = 1024
-    rollout_horizon: int = 1
-    rollout_epochs: int = 10
-    rollout_noise_std: float = 0.1
-    rollout_window: int = 2
+    rollout_frequency: int = _key(2500, "[1, inf)")
+    rollout_batch: int = _key(1024, "[1, inf)")
+    rollout_horizon: int = _key(1, f"[1, {MAX_HORIZON}]")
+    rollout_epochs: int = _key(10, "[1, inf)")
+    rollout_noise_std: float = _key(0.1, "[0, inf)")
+    rollout_window: int = _key(2, "[1, inf)")
 
 
 @dataclass
 class EvalSection:
-    episodes: int = 20
+    episodes: int = _key(20, "[1, inf)")
 
 
 @dataclass
@@ -120,6 +140,12 @@ class ExperimentConfig:
     eval: EvalSection = field(default_factory=EvalSection)
 
     def validate(self) -> None:
+        for name, section in vars(self).items():
+            for f in fields(section) if is_dataclass(section) else ():
+                value, interval = getattr(section, f.name), f.metadata.get("interval")
+                if interval and not _within(value, interval):
+                    raise ConfigurationError(
+                        f"{name}.{f.name} must lie in {interval}, got {value}")
         if self.env.name not in ("gridworld", "double_integrator"):
             raise ConfigurationError(f"unknown environment {self.env.name!r}")
         for a in self.ablations:
@@ -130,12 +156,10 @@ class ExperimentConfig:
             raise ConfigurationError(f"duplicate ablation in {self.ablations}")
         if "ungated" in self.ablations and len(self.ablations) > 1:
             raise ConfigurationError("ungated cannot be combined with other ablations")
-        if not 0 < self.learn.critic_gamma < 1:
-            raise ConfigurationError("critic gamma must lie in (0,1)")
-        if not 0 < self.learn.critic_tau < 1:
-            raise ConfigurationError("critic tau must lie in (0,1)")
-        if not 0 <= self.costgen.p_min <= self.costgen.p_max <= 1:
-            raise ConfigurationError("need 0 <= p_min <= p_max <= 1")
+        if self.costgen.p_min > self.costgen.p_max:
+            raise ConfigurationError(
+                f"costgen.p_min must be at most costgen.p_max = {self.costgen.p_max}, "
+                f"got {self.costgen.p_min}")
         if self.costgen.proposer not in ("scripted", "remote"):
             raise ConfigurationError("proposer must be scripted or remote")
         if self.costgen.proposer == "remote" and not (self.costgen.remote_base_url
@@ -143,28 +167,6 @@ class ExperimentConfig:
             raise ConfigurationError(
                 "the remote proposer needs costgen.remote_base_url and "
                 "costgen.remote_model")
-        if self.data.n_unsafe > UNSAFE_SMALL_LIMIT:
-            raise ConfigurationError(
-                f"the unsafe corpus is capped at {UNSAFE_SMALL_LIMIT}")
-        if self.eval.episodes < 1:
-            raise ConfigurationError("need at least one evaluation episode")
-        counts = {f"learn.{key}": getattr(self.learn, key) for key in (
-            "total_steps", "batch_size", "rollout_window", "rollout_frequency",
-            "rollout_batch", "rollout_horizon", "rollout_epochs")}
-        counts.update({f"dynamics.{key}": getattr(self.dynamics, key)
-                       for key in ("epochs", "batch_size")})
-        counts["costgen.max_queries"] = self.costgen.max_queries
-        for key, value in counts.items():
-            if value < 1:
-                raise ConfigurationError(f"{key} must be at least 1, got {value}")
-        for key, value in (("learn.critic_lr", self.learn.critic_lr),
-                           ("learn.policy_lr", self.learn.policy_lr),
-                           ("dynamics.lr", self.dynamics.lr)):
-            if value <= 0:
-                raise ConfigurationError(f"{key} must be positive, got {value}")
-        if not 0 <= self.dynamics.val_fraction < 1:
-            raise ConfigurationError(
-                f"dynamics.val_fraction must lie in [0, 1), got {self.dynamics.val_fraction}")
         n, d = self.data.n_transitions, self.dynamics
         n_train = n - int(round(d.val_fraction * n))
         if n_train < d.batch_size:
@@ -172,27 +174,10 @@ class ExperimentConfig:
                 f"the dynamics training split of data.n_transitions = {n} less its "
                 f"dynamics.val_fraction = {d.val_fraction} is {n_train} rows, fewer "
                 f"than dynamics.batch_size = {d.batch_size}")
-        lc = self.learn
-        for key, value, ok, bounds in (
-                ("critic_target_rate", lc.critic_target_rate,
-                 0 < lc.critic_target_rate <= 1, "(0, 1]"),
-                ("reward_expectile", lc.reward_expectile, 0 < lc.reward_expectile < 1,
-                 "(0, 1)"),
-                ("reward_gamma", lc.reward_gamma, 0 <= lc.reward_gamma < 1, "[0, 1)"),
-                ("policy_temperature", lc.policy_temperature,
-                 0 <= lc.policy_temperature < math.inf, "[0, inf)")):
-            if not ok:
-                raise ConfigurationError(f"learn.{key} must lie in {bounds}, got {value}")
-        if self.learn.rollout_horizon > MAX_HORIZON:
-            raise ConfigurationError(f"learn.rollout_horizon must be at most {MAX_HORIZON}, "
-                                     f"got {self.learn.rollout_horizon}")
-        if self.learn.rollout_noise_std < 0:
-            raise ConfigurationError(
-                f"learn.rollout_noise_std must be at least 0, got {self.learn.rollout_noise_std}")
-        if not 1 <= self.dynamics.n_elite <= self.dynamics.n_total:
+        if d.n_elite > d.n_total:
             raise ConfigurationError(
                 f"dynamics.n_elite must lie between 1 and dynamics.n_total "
-                f"({self.dynamics.n_total}), got {self.dynamics.n_elite}")
+                f"({d.n_total}), got {d.n_elite}")
         for key, widths in (("learn.hidden", self.learn.hidden),
                             ("dynamics.hidden", self.dynamics.hidden)):
             if not all(_is_int(w) and w > 0 for w in widths):
@@ -208,6 +193,9 @@ class ExperimentConfig:
                    for c in self.env.hazards):
             raise ConfigurationError(
                 f"env.hazards must list [int, int] cells, got {self.env.hazards!r}")
+        # The env factories and behaviour makers refuse hazards off the grid
+        # and behaviour names the env does not know.
+        build_behavior(self, build_env(self))
 
     def variant(self) -> str:
         return "+".join(sorted(self.ablations)) if self.ablations else "full"

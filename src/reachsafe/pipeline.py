@@ -419,12 +419,12 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: str | Path,
                  stages: tuple[str, ...] | None = None) -> RunPaths:
     """Execute the requested stages (all by default) with resume."""
     cfg.validate()
-    paths = RunPaths(root=Path(out_dir))
-    paths.root.mkdir(parents=True, exist_ok=True)
     todo = STAGES if stages is None else tuple(stages)
     for stage in todo:
         if stage not in STAGES:
             raise ConfigurationError(f"unknown stage {stage!r}")
+    paths = RunPaths(root=Path(out_dir))
+    paths.root.mkdir(parents=True, exist_ok=True)
     for stage in STAGES:
         if stage in todo and runs(stage, cfg):
             # Looked up by name at each call, so a wrapper installed on the
