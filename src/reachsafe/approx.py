@@ -5,12 +5,24 @@ with tanh hidden activations and a linear head; ``forward`` caches the
 activations the matching ``backward`` consumes. No graph, no broadcasting
 cleverness: inputs are (batch, features) arrays, or (batch, 1, features)
 in a cache-free pass (below), and anything else raises.
-``Trainer`` (Adam, Kingma & Ba 2015) and ``soft_update`` write parameter
-arrays in place, so no two networks may share one.
+
+Layout: each network owns one contiguous vector ``params``. ``weights[i]``
+(in_i, out_i) and ``biases[i]`` (out_i,) are views into it, in
+parameters() order (w0, b0, w1, b1, ...); ``split`` cuts the same views
+from any vector of that length. A network that runs ``backward`` also owns
+``grad``, laid out the same way and allocated by its first ``backward``,
+so target nets and loaded nets carry none. ``backward`` writes ``grad`` in
+place and returns it; it is valid until that network's next ``backward``,
+so a caller that keeps it longer copies it. ``Trainer`` (Adam, Kingma &
+Ba 2015) keeps its moments as two more such vectors, and it and
+``soft_update`` step whole vectors in place. Hence the rule: parameters
+change in place only (``weights[i][...] = ...``, never
+``weights[i] = ...``, which would leave the vector), and no two networks
+share a vector.
 
 A ``OneHot`` input batch stores each row's hot columns: the first layer
 sums the selected weight rows, exactly the dense product for one or two
-blocks; ``backward`` keeps the dense GEMM and forms no input gradient.
+blocks; ``backward`` keeps the dense GEMM for layer 0's weight gradient.
 
 An inference pass (``forward(..., cache=False)``) keeps nothing: hidden
 layer i is written into one of the calling thread's two scratch blocks,
@@ -18,7 +30,9 @@ chosen by i % 2, which grow on demand and are reused by its later
 cache-free passes of any network. Only the output layer is a fresh array.
 Thread contract: cache-free passes may run on several threads at once,
 even on one network; a caching pass and the ``backward`` that consumes it
-run on one thread per network, with no other pass of it in between.
+run on one thread per network, with no other pass of it in between. The
+flat layout leaves this contract as it was: ``backward`` writes only its
+own network's ``grad``.
 
 A cache-free pass also takes an (n, 1, d) batch, ``split_rows`` of an
 (n, d) one, and returns (n, 1, out). ``np.matmul`` then multiplies each
@@ -134,23 +148,39 @@ class Mlp:
     """Dense tanh network with a linear output layer.
 
     Parameters are ``weights[i]`` of shape (in_i, out_i) and ``biases[i]``
-    of shape (out_i,), initialized with uniform fan-in scaling.
+    of shape (out_i,), views into ``params`` (see the module docstring),
+    initialized with uniform fan-in scaling; ``seed=None`` leaves them zero
+    for a twin or a load to fill.
     """
 
-    def __init__(self, sizes: list[int], seed: int = 0):
+    def __init__(self, sizes: list[int], seed: int | None = 0):
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
         self.sizes = list(int(s) for s in sizes)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        rng = substream(seed, "mlp-init", *sizes)
-        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
-            bound = 1.0 / np.sqrt(fan_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
+        self.params = np.zeros(sum((i + 1) * o for i, o in zip(self.sizes, self.sizes[1:])))
+        views = self.split(self.params)
+        self.weights, self.biases = views[0::2], views[1::2]
+        self.grad: np.ndarray | None = None
+        self._grads: list[np.ndarray] = []
         self._cache: list[np.ndarray] | None = None
+        if seed is not None:
+            rng = substream(seed, "mlp-init", *sizes)
+            for w in self.weights:
+                bound = 1.0 / np.sqrt(w.shape[0])
+                w[...] = rng.uniform(-bound, bound, size=w.shape)
 
     # -- parameter plumbing -------------------------------------------------
+
+    def split(self, vector: np.ndarray) -> list[np.ndarray]:
+        """Views of a vector laid out like ``params``, in parameters() order."""
+        if vector.shape != (len(self.params),):
+            raise ValueError(f"expected a vector of {len(self.params)}, got shape {vector.shape}")
+        views, at = [], 0
+        for fan_in, fan_out in zip(self.sizes, self.sizes[1:]):
+            views.append(vector[at:at + fan_in * fan_out].reshape(fan_in, fan_out))
+            views.append(vector[at + fan_in * fan_out:at + (fan_in + 1) * fan_out])
+            at += (fan_in + 1) * fan_out
+        return views
 
     def parameters(self) -> list[np.ndarray]:
         out = []
@@ -158,16 +188,10 @@ class Mlp:
             out.extend((w, b))
         return out
 
-    def set_parameters(self, params: list[np.ndarray]) -> None:
-        """Copy ``params`` in; the network never keeps a caller's array."""
-        flat = list(params)
-        for i in range(len(self.weights)):
-            self.weights[i] = flat[2 * i].reshape(self.weights[i].shape).astype(float)
-            self.biases[i] = flat[2 * i + 1].reshape(self.biases[i].shape).astype(float)
-
     def copy(self) -> "Mlp":
-        twin = Mlp(self.sizes)
-        twin.set_parameters(self.parameters())
+        """A twin with its own parameter vector and no gradient."""
+        twin = Mlp(self.sizes, seed=None)
+        twin.params[:] = self.params
         return twin
 
     # -- forward / backward -------------------------------------------------
@@ -210,32 +234,35 @@ class Mlp:
         self._cache = acts if cache else None
         return h
 
-    def backward(self, upstream: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """Gradients of sum(upstream * output) w.r.t. parameters and input.
+    def backward(self, upstream: np.ndarray) -> np.ndarray:
+        """Gradient of sum(upstream * output) w.r.t. the parameters.
 
-        Returns (grads, input_grad) with grads ordered like parameters();
-        input_grad is None for a ``OneHot`` input.
+        Returns ``grad``, written in place and valid until this network's
+        next ``backward``; ``split`` gives its per-tensor views. The pass
+        consumes the cached forward (tanh' is formed in its activations),
+        stops at layer 0's parameters and forms no input gradient.
         """
-        if self._cache is None:
-            raise BackwardBeforeForward("run forward() first")
         cache = self._cache
+        if cache is None:
+            raise BackwardBeforeForward("run forward() first")
         g = np.asarray(upstream, dtype=float)
         if g.shape != cache[-1].shape:
             raise ValueError(f"upstream shape {g.shape} != output shape {cache[-1].shape}")
-        grads: list[np.ndarray] = [None] * (2 * len(self.weights))
-        n_layers = len(self.weights)
-        for i in range(n_layers - 1, -1, -1):
-            h_in, h_out = cache[i], cache[i + 1]
-            if i < n_layers - 1:
-                g = g * (1.0 - h_out * h_out)  # tanh'(z) = 1 - tanh(z)^2
-            if isinstance(h_in, OneHot):
-                # The dense GEMM keeps the dense input's summation order.
-                grads[0], grads[1] = np.asarray(h_in).T @ g, g.sum(axis=0)
-                return grads, None
-            grads[2 * i] = h_in.T @ g
-            grads[2 * i + 1] = g.sum(axis=0)
-            g = g @ self.weights[i].T
-        return grads, g
+        self._cache = None
+        if self.grad is None:
+            self.grad = np.empty_like(self.params)
+            self._grads = self.split(self.grad)
+        for i in range(len(self.weights) - 1, -1, -1):
+            # A one-hot input keeps the dense GEMM and its summation order.
+            h_in = np.asarray(cache[i]) if isinstance(cache[i], OneHot) else cache[i]
+            np.matmul(h_in.T, g, out=self._grads[2 * i])
+            g.sum(axis=0, out=self._grads[2 * i + 1])
+            if i:
+                g = g @ self.weights[i].T
+                h_in *= h_in  # tanh'(z) = 1 - tanh(z)^2
+                np.subtract(1.0, h_in, out=h_in)
+                g *= h_in
+        return self.grad
 
 
 # ---------------------------------------------------------------------------
@@ -250,47 +277,61 @@ class Trainer:
     """Adam on one network: moments, step count and in-place updates.
 
     ``lr`` may change between steps. ``weight_decay`` holds one L2
-    coefficient per parameter tensor (0 skips it). ``apply`` updates the
-    moments and the network's own parameter arrays in place, in the
-    textbook operation order, so a run is bit-identical to the formula.
+    coefficient per parameter tensor. A 0 adds 0 * p, which changes only a
+    gradient of -0.0 (into +0.0), and the moment sums after it only where
+    a moment is itself -0.0. ``m`` and ``v`` are
+    vectors laid out like the network's ``params``. ``apply`` updates them
+    and the parameter vector in place, one whole-vector operation at a
+    time in the textbook operation order, so a run is bit-identical to the
+    formula applied tensor by tensor.
     """
 
     net: Mlp
     lr: float
     weight_decay: list[float] | None = None
     step: int = field(default=0, init=False)
-    m: list[np.ndarray] = field(init=False, repr=False)
-    v: list[np.ndarray] = field(init=False, repr=False)
+    m: np.ndarray = field(init=False, repr=False)
+    v: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        params = self.net.parameters()
-        if self.weight_decay is not None and len(self.weight_decay) != len(params):
-            raise ValueError("one weight-decay coefficient per parameter tensor")
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        p = self.net.params
+        self.m, self.v = np.zeros_like(p), np.zeros_like(p)
+        self._tmp = np.empty_like(p), np.empty_like(p)
+        self._decay = None
+        if self.weight_decay is not None:
+            params = self.net.parameters()
+            if len(self.weight_decay) != len(params):
+                raise ValueError("one weight-decay coefficient per parameter tensor")
+            self._decay = np.concatenate([np.full(q.size, c)
+                                          for q, c in zip(params, self.weight_decay)])
 
-    def apply(self, grads: list[np.ndarray]) -> None:
-        params = self.net.parameters()
-        if [g.shape for g in grads] != [p.shape for p in params]:
-            raise ValueError(f"gradient shapes {[g.shape for g in grads]} != "
-                             f"parameter shapes {[p.shape for p in params]}")
+    def apply(self, grad: np.ndarray) -> None:
+        """One step from ``grad``, a vector laid out like ``net.params``."""
+        p, m, v = self.net.params, self.m, self.v
+        if grad.shape != p.shape:
+            raise ValueError(f"gradient shape {grad.shape} != parameter shape {p.shape}")
+        t, u = self._tmp
+        if self._decay is not None:
+            grad = np.add(grad, np.multiply(self._decay, p, out=u), out=u)
         self.step += 1
         bias1, bias2 = 1 - BETA1 ** self.step, 1 - BETA2 ** self.step
-        for i, (p, g, m, v) in enumerate(zip(params, grads, self.m, self.v)):
-            if self.weight_decay is not None and self.weight_decay[i]:
-                g = g + self.weight_decay[i] * p
-            m *= BETA1
-            m += (1 - BETA1) * g
-            v *= BETA2
-            v += (1 - BETA2) * g * g
-            p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)
+        m *= BETA1
+        m += np.multiply(grad, 1 - BETA1, out=t)
+        v *= BETA2
+        np.multiply(grad, 1 - BETA2, out=t)
+        v += np.multiply(t, grad, out=t)
+        np.sqrt(np.divide(v, bias2, out=t), out=t)
+        t += EPS
+        np.divide(m, bias1, out=u)
+        u *= self.lr
+        u /= t
+        p -= u
 
 
 def soft_update(target: Mlp, source: Mlp, rate: float) -> None:
     """Polyak mixing ``(1 - rate) * target + rate * source``, in place."""
-    for t, s in zip(target.parameters(), source.parameters()):
-        t *= 1 - rate
-        t += rate * s
+    target.params *= 1 - rate
+    target.params += rate * source.params
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +354,10 @@ def load_mlp(path) -> tuple[dict[str, Mlp], dict]:
     arrays, meta = load_npz(path)
     nets = {}
     for name, sizes in meta.pop("nets").items():
-        net = Mlp(sizes)
+        net = Mlp(sizes, seed=None)
         params = [arrays[f"{name}.{i}"] for i in range(len(net.parameters()))]
         if [p.shape for p in params] != [p.shape for p in net.parameters()]:
             raise ValueError(f"{path}: {name} parameters do not match sizes {sizes}")
-        net.set_parameters(params)
+        np.concatenate([p.ravel() for p in params], out=net.params)
         nets[name] = net
     return nets, meta

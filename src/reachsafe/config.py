@@ -194,8 +194,16 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"env.hazards must list [int, int] cells, got {self.env.hazards!r}")
         # The env factories and behaviour makers refuse hazards off the grid
-        # and behaviour names the env does not know.
-        build_behavior(self, build_env(self))
+        # (the intervals above leave them nothing else to refuse) and
+        # behaviour names the env does not know; the refusal names the key.
+        try:
+            env = build_env(self)
+        except ConfigurationError as err:
+            raise ConfigurationError(f"env.hazards: {err}") from None
+        try:
+            build_behavior(self, env)
+        except ConfigurationError as err:
+            raise ConfigurationError(f"data.behavior: {err}") from None
 
     def variant(self) -> str:
         return "+".join(sorted(self.ablations)) if self.ablations else "full"

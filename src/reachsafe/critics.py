@@ -154,14 +154,12 @@ class QVCritic:
         """
         q_pred = self.q_net.forward(q_in)[:, 0]
         upstream = (2.0 * (q_pred - q_tgt) / len(q_tgt))[:, None]
-        grads, _ = self.q_net.backward(upstream)
-        self.q_trainer.apply(grads)
+        self.q_trainer.apply(self.q_net.backward(upstream))
 
         q_ref = self.q_target.forward(q_ref_in, cache=False)[:, 0]
         u = q_ref - self.v_net.forward(v_in)[:, 0]
         upstream_v = (-reverse_expectile_grad(u, tau) / len(u))[:, None]
-        grads_v, _ = self.v_net.backward(upstream_v)
-        self.v_trainer.apply(grads_v)
+        self.v_trainer.apply(self.v_net.backward(upstream_v))
 
         soft_update(self.q_target, self.q_net, self.target_rate)
         soft_update(self.v_target, self.v_net, self.target_rate)

@@ -200,7 +200,7 @@ def train_ensemble(
         trainer = Trainer(net, lr=lr, weight_decay=decays)
         member = GaussianDynamicsMember(net=net, d_s=d_s)
         best_err = np.inf
-        best_params = [p.copy() for p in net.parameters()]
+        best_params = net.params.copy()
 
         for epoch in range(epochs):
             # Settle into the minimum once the bulk of training is done.
@@ -222,17 +222,16 @@ def train_ensemble(
                     raise RuntimeError(
                         f"dynamics member {k} diverged at epoch {epoch}: loss={loss}"
                     )
-                grads, _ = net.backward(upstream)
-                trainer.apply(grads)
+                trainer.apply(net.backward(upstream))
 
             # Snapshot the epoch with the best held-out mean prediction.
             mu_ref = net.forward(x_all[ref_idx], cache=False)[:, :d_s]
             err = float(np.mean((mu_ref - y_all[ref_idx]) ** 2))
             if err < best_err:
                 best_err = err
-                best_params = [p.copy() for p in net.parameters()]
+                best_params[:] = net.params
 
-        net.set_parameters(best_params)
+        net.params[:] = best_params
         member.val_error = best_err
         return member
 

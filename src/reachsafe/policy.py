@@ -190,8 +190,7 @@ def feasibility_guided_policy_update(
         diff = squashed - target_a
         dsquash = span * (1.0 - np.tanh(raw) ** 2)
         upstream = 2.0 * w * diff * dsquash / len(idx)
-        grads, _ = policy.net.backward(upstream)
-        policy.trainer.apply(grads)
+        policy.trainer.apply(policy.net.backward(upstream))
         policy.steps_trained += 1
     return policy
 

@@ -20,6 +20,7 @@ from reachsafe.approx import (
     soft_update,
     split_rows,
 )
+from reachsafe.cmdp import save_npz
 from reachsafe.collect import collect_safe_dataset
 from reachsafe.critics import make_feasibility_critic
 from reachsafe.config import default_config
@@ -58,15 +59,15 @@ def relative_error(a, b):
 
 def test_zero_weight_net_outputs_bias():
     net = Mlp([3, 4, 2], seed=0)
-    net.set_parameters([np.zeros_like(p) for p in net.parameters()])
-    net.biases[-1] = np.array([0.5, -1.5])
+    net.params[:] = 0.0
+    net.biases[-1][:] = [0.5, -1.5]
     out = net.forward(np.array([[1.0, 2.0, 3.0]]))
     assert np.allclose(out, [[0.5, -1.5]])
 
 
 def test_identity_linear_layer_passes_input_through():
     net = Mlp([3, 3], seed=0)
-    net.set_parameters([np.eye(3), np.zeros(3)])
+    net.weights[0][:] = np.eye(3)
     x = np.array([[0.3, -0.7, 2.0]])
     assert np.allclose(net.forward(x), x)
 
@@ -84,7 +85,7 @@ def test_linear_case_gradient_is_input():
     net = Mlp([3, 1], seed=1)
     x = np.array([[1.0, -2.0, 0.5]])
     net.forward(x)
-    grads, _ = net.backward(np.array([[1.0]]))
+    grads = net.split(net.backward(np.array([[1.0]])))
     assert np.allclose(grads[0].ravel(), x)
     assert np.allclose(grads[1], [1.0])
 
@@ -92,9 +93,7 @@ def test_linear_case_gradient_is_input():
 def test_zero_upstream_gives_zero_gradients():
     net = Mlp([3, 5, 2], seed=2)
     net.forward(np.ones((1, 3)))
-    grads, gx = net.backward(np.zeros((1, 2)))
-    assert all(np.allclose(g, 0) for g in grads)
-    assert np.allclose(gx, 0)
+    assert np.all(net.backward(np.zeros((1, 2))) == 0)
 
 
 def test_backward_without_forward_raises():
@@ -125,45 +124,80 @@ def test_gradients_match_finite_differences():
         x = rng.normal(size=(2, 3))
         upstream = rng.normal(size=(2, 2))
         net.forward(x)
-        grads, _ = net.backward(upstream)
+        grads = net.split(net.backward(upstream))
         numeric = finite_difference_grads(net, x, upstream)
         for g, n in zip(grads, numeric):
             worst = max(worst, relative_error(g, n))
     assert worst < 1e-3, worst
 
 
-def test_input_gradient_matches_finite_differences():
-    rng = substream(8, "input-grad")
-    net = Mlp([4, 8, 3], seed=5)
-    x = rng.normal(size=(1, 4))
-    upstream = rng.normal(size=(1, 3))
-    net.forward(x)
-    _, gx = net.backward(upstream)
-    numeric = np.zeros_like(x)
-    for k in range(x.size):
-        dx = np.zeros_like(x)
-        dx.flat[k] = 1e-5
-        hi = float(np.sum(upstream * net.forward(x + dx)))
-        lo = float(np.sum(upstream * net.forward(x - dx)))
-        numeric.flat[k] = (hi - lo) / 2e-5
-    assert relative_error(gx, numeric) < 1e-3
+def reference_backward(net, x, upstream):
+    """The per-layer formulas on a dense copy of ``x``: (output, grads)."""
+    acts = [np.asarray(x, dtype=float)]
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = acts[-1] @ w + b
+        acts.append(np.tanh(z) if i < len(net.weights) - 1 else z)
+    g, grads = upstream, [None] * (2 * len(net.weights))
+    for i in range(len(net.weights) - 1, -1, -1):
+        if i < len(net.weights) - 1:
+            g = g * (1 - acts[i + 1] * acts[i + 1])
+        grads[2 * i] = acts[i].T @ g
+        grads[2 * i + 1] = g.sum(axis=0)
+        g = g @ net.weights[i].T
+    return acts[-1], grads
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["dense", "onehot"])
+def test_backward_is_bit_exact_to_the_per_layer_formulas(kind, depth):
+    rng = np.random.default_rng(depth)
+    for n in (1, 7, 256):
+        net = Mlp([9, *[64, 17, 128][:depth], 2], seed=n)
+        for p in net.biases:
+            p[:] = rng.normal(size=p.shape)
+        x = rng.normal(size=(n, 9)) if kind == "dense" else random_onehot(rng, n, [6, 3])
+        upstream = rng.normal(size=(n, 2))
+        want_out, want = reference_backward(net, x, upstream)
+        assert np.array_equal(net.forward(x), want_out)
+        got = net.split(net.backward(upstream))
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), (n, depth)
+
+
+def test_backward_overwrites_its_own_gradient_and_no_other():
+    rng = np.random.default_rng(2)
+    a, b = Mlp([4, 8, 2], seed=1), Mlp([4, 8, 2], seed=2)
+    assert a.grad is None and b.grad is None  # allocated by the first backward
+    x, upstream = rng.normal(size=(5, 4)), rng.normal(size=(5, 2))
+    a.forward(x)
+    grad_a = a.backward(upstream)
+    b.forward(x)
+    grad_b = b.backward(upstream)
+    kept_a, kept_b = grad_a.copy(), grad_b.copy()
+    a.forward(2 * x)
+    assert a.backward(upstream) is grad_a is a.grad
+    assert not np.array_equal(grad_a, kept_a)
+    assert np.array_equal(grad_b, kept_b)
+    # The pass consumed its cached activations.
+    with pytest.raises(BackwardBeforeForward):
+        a.backward(upstream)
 
 
 def test_zero_gradient_leaves_parameters_unchanged():
     net = Mlp([2, 3, 1], seed=3)
     trainer = Trainer(net, lr=1e-2)
     before = [p.copy() for p in net.parameters()]
-    trainer.apply([np.zeros_like(p) for p in before])
+    trainer.apply(np.zeros_like(net.params))
     assert all(np.array_equal(a, b) for a, b in zip(net.parameters(), before))
     assert trainer.step == 1
 
 
 def test_constant_gradient_moves_against_it():
     net = Mlp([2, 2], seed=0)
-    net.set_parameters([np.zeros((2, 2)), np.zeros(2)])
+    net.params[:] = 0.0
     trainer = Trainer(net, lr=1e-2)
     for _ in range(50):
-        trainer.apply([np.full((2, 2), 0.7), np.full(2, 0.7)])
+        trainer.apply(np.full(6, 0.7))
     assert all(np.all(p < 0) for p in net.parameters())
 
 
@@ -171,10 +205,9 @@ def test_optimizer_shape_mismatch_raises():
     net = Mlp([2, 2], seed=0)
     trainer = Trainer(net, lr=1e-2)
     before = [p.copy() for p in net.parameters()]
-    with pytest.raises(ValueError, match="gradient shapes"):
-        trainer.apply([np.ones((2, 2)), np.ones(3)])
-    with pytest.raises(ValueError, match="gradient shapes"):
-        trainer.apply([np.ones((2, 2))])
+    for grad in (np.ones(7), np.ones(4), np.ones((6, 1)), np.ones(1)):
+        with pytest.raises(ValueError, match="gradient shape"):
+            trainer.apply(grad)
     # A refused step changes nothing, not even the leading parameters.
     assert all(np.array_equal(a, b) for a, b in zip(net.parameters(), before))
     assert trainer.step == 0
@@ -197,7 +230,7 @@ def test_trainer_is_textbook_adam_bit_for_bit():
         lr = 1e-2 if t <= 5 else 2e-3
         trainer.lr = lr
         grads = [rng.normal(size=p.shape) for p in params]
-        trainer.apply(grads)
+        trainer.apply(np.concatenate([g.ravel() for g in grads]))
         for i, g in enumerate(grads):
             g = g + decay[i] * params[i]
             m[i] = beta1 * m[i] + (1 - beta1) * g
@@ -206,7 +239,8 @@ def test_trainer_is_textbook_adam_bit_for_bit():
             v_hat = v[i] / (1 - beta2 ** t)
             params[i] = params[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
         assert all(np.array_equal(p, q) for p, q in zip(net.parameters(), params)), t
-        assert all(np.array_equal(a, b) for a, b in zip(trainer.m + trainer.v, m + v))
+        moments = net.split(trainer.m) + net.split(trainer.v)
+        assert all(np.array_equal(a, b) for a, b in zip(moments, m + v))
     assert trainer.step == 8
 
 
@@ -219,8 +253,7 @@ def test_training_runs_are_reproducible():
             x = rng.uniform(-1, 1, size=(16, 1))
             y = x * x
             pred = net.forward(x)
-            grads, _ = net.backward(2 * (pred - y) / len(x))
-            trainer.apply(grads)
+            trainer.apply(net.backward(2 * (pred - y) / len(x)))
         return net.parameters()
 
     a, b = run(), run()
@@ -238,8 +271,7 @@ def test_quadratic_regression_converges():
     for _ in range(1000):
         pred = net.forward(x)
         loss = float(np.mean((pred - y) ** 2))
-        grads, _ = net.backward(2 * (pred - y) / len(x))
-        trainer.apply(grads)
+        trainer.apply(net.backward(2 * (pred - y) / len(x)))
     assert loss < 1e-6
 
 
@@ -257,21 +289,39 @@ def test_soft_update_mixes_parameters():
     assert all(np.array_equal(p, q) for p, q in zip(b.parameters(), source))
 
 
-def shared_arrays(nets):
-    """Index pairs of parameter arrays, across all ``nets``, that share memory."""
-    arrays = [p for net in nets for p in net.parameters()]
+def shared_arrays(nets, trainers=()):
+    """Index pairs of arrays, across all ``nets`` and ``trainers``, that share
+    memory: parameter views, gradient vectors and Adam moments."""
+    arrays = [p for net in nets for p in (*net.parameters(), net.grad) if p is not None]
+    arrays += [a for trainer in trainers for a in (trainer.m, trainer.v)]
     return [(i, j) for i in range(len(arrays)) for j in range(i + 1, len(arrays))
             if np.shares_memory(arrays[i], arrays[j])]
 
 
+def train_once(net, trainer=None):
+    """One forward/backward (and Adam step) on a batch of ones."""
+    net.forward(np.ones((2, net.sizes[0])))
+    grad = net.backward(np.ones((2, net.sizes[-1])))
+    if trainer is not None:
+        trainer.apply(grad)
+
+
 def test_no_two_nets_share_a_parameter_array(tmp_path):
-    # Trainer and soft_update write parameters in place, so a shared array
-    # would silently move two networks at once.
+    # Trainer, soft_update and backward write their vectors in place, so a
+    # shared array would silently move two networks at once.
     net = Mlp([3, 4, 2], seed=1)
-    assert shared_arrays([net, net.copy()]) == []
+    twin = net.copy()
+    assert twin.grad is None
+    trainers = [Trainer(n, lr=1e-2) for n in (net, twin)]
+    for n, trainer in zip((net, twin), trainers):
+        train_once(n, trainer)
+    assert shared_arrays([net, twin], trainers) == []
     save_mlp({"a": net, "b": net}, tmp_path / "twins.npz", {})
     nets, _ = load_mlp(tmp_path / "twins.npz")
-    assert shared_arrays([net, *nets.values()]) == []
+    assert all(n.grad is None for n in nets.values())
+    for n in nets.values():
+        train_once(n)
+    assert shared_arrays([net, *nets.values()], trainers) == []
 
     env = make_double_integrator(x_lim=1.0, a_max=1.0, dt=0.1, horizon=60)
     data = collect_safe_dataset(env, behavior_mixture(env, [("random", 1.0)]),
@@ -279,12 +329,45 @@ def test_no_two_nets_share_a_parameter_array(tmp_path):
     learn = default_config("double_integrator").learn
     for critic in (make_feasibility_critic(env, data, learn, seed=2),
                    make_reward_critic(data, learn, seed=2)):
-        assert shared_arrays([critic.q_net, critic.v_net,
-                              critic.q_target, critic.v_target]) == []
+        train_once(critic.q_net, critic.q_trainer)
+        train_once(critic.v_net, critic.v_trainer)
+        assert critic.q_target.grad is None and critic.v_target.grad is None
+        assert shared_arrays([critic.q_net, critic.v_net, critic.q_target, critic.v_target],
+                             [critic.q_trainer, critic.v_trainer]) == []
     # Each member is restored to its best epoch's snapshot.
     model = train_ensemble(data, **dynamics(n_total=3, n_elite=2, epochs=3, hidden=[8],
                                             batch_size=64), seed=1)
+    assert all(member.net.grad is not None for member in model.members)
     assert shared_arrays([member.net for member in model.members]) == []
+
+
+def test_views_tile_each_vector_in_parameters_order():
+    net = Mlp([3, 5, 4, 2], seed=1)
+    trainer = Trainer(net, lr=1e-2)
+    train_once(net, trainer)
+    for vector in (net.params, net.grad, trainer.m, trainer.v):
+        views = net.parameters() if vector is net.params else net.split(vector)
+        assert [v.shape for v in views] == [p.shape for p in net.parameters()]
+        at = vector.ctypes.data
+        for view in views:
+            assert view.flags.c_contiguous and view.ctypes.data == at
+            at += view.nbytes
+        assert at == vector.ctypes.data + vector.nbytes
+    net.params[:] = np.arange(len(net.params))
+    assert np.array_equal(np.concatenate([p.ravel() for p in net.parameters()]),
+                          np.arange(len(net.params)))
+    with pytest.raises(ValueError, match="expected a vector of 54"):
+        net.split(np.zeros(53))
+
+
+def test_save_from_the_flat_views_is_byte_equal_to_a_save_of_own_arrays(tmp_path):
+    net, head = Mlp([3, 8, 2], seed=11), Mlp([2, 1], seed=12)
+    save_mlp({"net": net, "head": head}, tmp_path / "views.npz", {"note": "x"})
+    arrays = {f"{name}.{i}": np.array(p) for name, n in (("net", net), ("head", head))
+              for i, p in enumerate(n.parameters())}
+    save_npz(tmp_path / "arrays.npz", arrays,
+             {"note": "x", "nets": {"net": net.sizes, "head": head.sizes}})
+    assert (tmp_path / "views.npz").read_bytes() == (tmp_path / "arrays.npz").read_bytes()
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -337,12 +420,10 @@ def test_onehot_forward_and_gradients_equal_the_dense_input(widths, n, seed):
         p[:] = rng.normal(size=p.shape)
     upstream = rng.normal(size=(n, 1))
     out = net.forward(x)
-    grads, gx = net.backward(upstream)
-    assert gx is None
+    grads = net.backward(upstream).copy()  # the next backward overwrites it
     want = net.forward(dense)
-    want_grads, _ = net.backward(upstream)
     assert np.array_equal(out, want)
-    assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+    assert np.array_equal(grads, net.backward(upstream))
     assert np.array_equal(net.forward(x, cache=False), want)
 
 
@@ -467,11 +548,10 @@ def test_cache_free_passes_across_nets_keep_results_and_cached_activations(kind)
         for a, b in pairs:
             ref = a.copy()
             want = ref.forward(x)
-            want_grads, _ = ref.backward(upstream)
+            want_grads = ref.backward(upstream)
             out_a = a.forward(x)
             out_b = b.forward(x, cache=False)
-            grads, _ = a.backward(upstream)
-            assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+            assert np.array_equal(a.backward(upstream), want_grads)
             assert np.array_equal(out_a, want)
             assert np.array_equal(out_b, b.forward(x))
             free_a = a.forward(x, cache=False)

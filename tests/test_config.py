@@ -89,10 +89,10 @@ NOW_REFUSED = [
     ("learn.policy_weight_clip = -1.0", r"^learn.policy_weight_clip must lie in \(0, inf\)"),
     ("costgen.margin_step = -1.0", r"^costgen.margin_step must lie in \(0, inf\)"),
     ("data.n_unsafe = -1", r"^data.n_unsafe must lie in \[0, 100\]"),
-    ('data.behavior = [["fly", 1.0]]', "unknown gridworld behavior 'fly'"),
+    ('data.behavior = [["fly", 1.0]]', "^data.behavior: unknown gridworld behavior 'fly'"),
     ("env.width = 2", r"^env.width must lie in \[3, inf\)"),
     ("env.gamma = 1.5", r"^env.gamma must lie in \(0, 1\)"),
-    ("env.hazards = [[9, 9]]", r"hazard cell \(9,9\) outside the grid"),
+    ("env.hazards = [[9, 9]]", r"^env.hazards: hazard cell \(9,9\) outside the grid"),
     ("learn.rollout_batch_fraction = 0.0",
      r"^learn.rollout_batch_fraction must lie in \(0, inf\)"),
     ("learn.reward_steps_fraction = -0.5",
