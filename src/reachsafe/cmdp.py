@@ -105,6 +105,12 @@ class HardCMDP:
     in Python floats with the operations of the numpy formula in the same
     order, a (d_s,) float64 array, an int or a float out. Transcendental
     calls stay in numpy, so that no value moves with the libm.
+
+    ``transitions`` is its batch-first twin, bit-equal row by row: states
+    (n, d_s) and actions (n, d_a) in, successors (n, d_s) out. The tabular
+    models step every state-action pair through it in one call; collection
+    and evaluation keep ``transition``, since they step one row at a time
+    from one random stream and a (1, d) array call is slower there.
     """
 
     name: str
@@ -114,6 +120,7 @@ class HardCMDP:
     gamma: float
     horizon: int
     transition: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    transitions: Callable[[np.ndarray, np.ndarray], np.ndarray]
     reward: Callable[[np.ndarray, np.ndarray, np.ndarray], float]
     violation: Callable[[np.ndarray], int]
     initial_state: Callable[[np.random.Generator], np.ndarray]

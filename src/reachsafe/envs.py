@@ -17,6 +17,12 @@ one action row (d_a,). They compute in Python floats, with the IEEE
 operations of the numpy formulas they replace in the same order, and
 return (d_s,) and (d_a,) float64 arrays. Transcendental calls (the
 integrator reward's ``np.tanh``) stay in numpy so that no value moves.
+
+Batch step contract: ``transitions`` maps states (n, d_s) and actions
+(n, d_a) to successors (n, d_s), each row bit-equal to ``transition``: the
+same operations in the same order, a clip as ``np.minimum(np.maximum(...))``
+and a branch as ``np.where``. Only the tabular models call it (see
+``HardCMDP``); the per-row step stays for collection and evaluation.
 """
 
 from __future__ import annotations
@@ -43,6 +49,15 @@ def _snap_move(a: np.ndarray) -> int:
     ax, ay = np.asarray(a, dtype=float).reshape(2).tolist()
     d = [(mx - ax) * (mx - ax) + (my - ay) * (my - ay) for mx, my in _MOVES]
     return min(range(len(d)), key=d.__getitem__)
+
+
+def _snap_moves(a: np.ndarray) -> np.ndarray:
+    """``GRID_MOVES[_snap_move(row)]`` for each row of ``a`` (n, 2): ``argmin``
+    also keeps the first minimum and returns 0 for a NaN row."""
+    mx, my = GRID_MOVES[:, 0], GRID_MOVES[:, 1]
+    ax, ay = a[:, 0:1], a[:, 1:2]
+    d = (mx - ax) * (mx - ax) + (my - ay) * (my - ay)
+    return GRID_MOVES[np.argmin(d, axis=1)]
 
 
 def make_hazard_gridworld(
@@ -74,8 +89,9 @@ def make_hazard_gridworld(
     d_s = 4 if momentum else 2
     reward_scale = float(width + height)
 
-    def in_grid(x: float, y: float) -> bool:
-        return 0 <= x < width and 0 <= y < height
+    def in_grid(x, y):
+        # ``&`` rather than ``and``: one formula for floats and arrays.
+        return (0 <= x) & (x < width) & (0 <= y) & (y < height)
 
     def violation(s: np.ndarray) -> int:
         return int((round(float(s[0])), round(float(s[1]))) in hazards)
@@ -107,6 +123,22 @@ def make_hazard_gridworld(
         if not in_grid(tx, ty):
             tx, ty = x, y
         return np.array([tx, ty])
+
+    def transitions(s: np.ndarray, a: np.ndarray) -> np.ndarray:
+        s = np.asarray(s, dtype=float)
+        mx, my = _snap_moves(np.asarray(a, dtype=float)).T
+        if momentum:
+            x, y, vx, vy = s.T
+            tx, ty = x + vx, y + vy
+            inside = in_grid(tx, ty)
+            x, y = np.where(inside, tx, x), np.where(inside, ty, y)
+            vx, vy = np.where(inside, vx, 0.0), np.where(inside, vy, 0.0)
+            back = ((vx != 0) | (vy != 0)) & (mx == -vx) & (my == -vy)
+            return np.stack([x, y, np.where(back, vx, mx), np.where(back, vy, my)], axis=1)
+        x, y = s.T
+        tx, ty = x + mx, y + my
+        inside = in_grid(tx, ty)
+        return np.stack([np.where(inside, tx, x), np.where(inside, ty, y)], axis=1)
 
     def reward(s: np.ndarray, a: np.ndarray, s2: np.ndarray) -> float:
         dist = abs(float(s2[0]) - gx) + abs(float(s2[1]) - gy)
@@ -159,7 +191,8 @@ def make_hazard_gridworld(
         d_s=d_s, d_a=2,
         action_bounds=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
         gamma=gamma, horizon=horizon,
-        transition=transition, reward=reward, violation=violation,
+        transition=transition, transitions=transitions,
+        reward=reward, violation=violation,
         initial_state=initial_state, action_set=GRID_MOVES.copy(),
         h_min=h_min, h_max=h_max,
         states=states, state_index=state_index,
@@ -209,6 +242,13 @@ def make_double_integrator(
         acc = _clip(float(np.asarray(a).reshape(-1)[0]), -a_max, a_max)
         return np.array([x + v * dt, _clip(v + acc * dt, -v_max, v_max)])
 
+    def transitions(s: np.ndarray, a: np.ndarray) -> np.ndarray:
+        s = np.asarray(s, dtype=float)
+        x, v = s[:, 0], s[:, 1]
+        acc = np.minimum(np.maximum(np.asarray(a, dtype=float)[:, 0], -a_max), a_max)
+        v2 = np.minimum(np.maximum(v + acc * dt, -v_max), v_max)
+        return np.stack([x + v * dt, v2], axis=1)
+
     def reward(s: np.ndarray, a: np.ndarray, s2: np.ndarray) -> float:
         # Positive when moving away from the origin: greed pushes outward.
         return float(s2[1] * np.tanh(4.0 * s2[0]))
@@ -229,7 +269,8 @@ def make_double_integrator(
         d_s=2, d_a=1,
         action_bounds=np.array([[-a_max, a_max]]),
         gamma=gamma, horizon=horizon,
-        transition=transition, reward=reward, violation=violation,
+        transition=transition, transitions=transitions,
+        reward=reward, violation=violation,
         initial_state=initial_state,
         action_set=np.linspace(-a_max, a_max, n_actions).reshape(-1, 1),
         h_min=h_min, h_max=h_max,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmdp import ConfigurationError, HardCMDP, nearest_rows
+from .cmdp import ConfigurationError, HardCMDP, nearest_rows, require_finite
 
 
 @dataclass(frozen=True)
@@ -41,21 +41,31 @@ class TabularModel:
         return self.h > 0.0
 
     def index(self, states: np.ndarray) -> np.ndarray:
-        """Row of the model state nearest to each of ``states`` (n, d_s)."""
+        """Row of the model state nearest to each of ``states`` (n, d_s); a
+        NaN or infinite state raises."""
         states = np.asarray(states, dtype=float)
         if self.grid_ranges is None:
+            require_finite(states, "states")
             return nearest_rows(self.states, states)
         return _grid_rows(self.grid_ranges, states)
 
 
 def _grid_rows(ranges: tuple, states: np.ndarray) -> np.ndarray:
-    """Row-major index of the nearest grid center, clipped into the grid."""
+    """Row-major index of the nearest grid center, clipped into the grid. A
+    NaN or infinite state raises; the int cast and clip would hide it."""
+    require_finite(states, "states")
     idx = 0
     for dim, (lo, hi, n) in enumerate(ranges):
         step = (hi - lo) / (n - 1)
         k = np.clip(np.rint((states[:, dim] - lo) / step).astype(int), 0, n - 1)
         idx = idx * n + k
     return idx
+
+
+def _step_all(env: HardCMDP, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """Row i*m + j: ``states[i]`` stepped with ``actions[j]``, in one call."""
+    n, m = len(states), len(actions)
+    return env.transitions(np.repeat(states, m, axis=0), np.tile(actions, (n, 1)))
 
 
 def tabulate(env: HardCMDP) -> TabularModel:
@@ -65,8 +75,7 @@ def tabulate(env: HardCMDP) -> TabularModel:
     states = env.states
     actions = env.action_set
     n, m = len(states), len(actions)
-    successors = np.array([env.transition(s, a) for s in states for a in actions])
-    next_idx = env.state_index(successors).reshape(n, m)
+    next_idx = env.state_index(_step_all(env, states, actions)).reshape(n, m)
     if (next_idx < 0).any():
         raise ConfigurationError(f"{env.name} steps outside its enumerated states")
     h = np.array([env.h(s) for s in states])
@@ -88,8 +97,8 @@ def discretize(env: HardCMDP) -> TabularModel:
     mesh = np.meshgrid(*axes, indexing="ij")
     states = np.stack([m.ravel() for m in mesh], axis=1)
     actions = env.action_set
-    successors = np.array([env.transition(s, a) for s in states for a in actions])
-    next_idx = _grid_rows(ranges, successors).reshape(len(states), len(actions))
+    n, m = len(states), len(actions)
+    next_idx = _grid_rows(ranges, _step_all(env, states, actions)).reshape(n, m)
     return TabularModel(states=states, actions=actions, next_idx=next_idx,
                         h=np.array([env.h(s) for s in states]),
                         h_min=env.h_min, h_max=env.h_max, grid_ranges=tuple(ranges))

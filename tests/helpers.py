@@ -6,6 +6,8 @@ import threading
 from contextlib import contextmanager
 from dataclasses import asdict, replace
 
+import numpy as np
+
 from reachsafe.config import CostGenSection, DynamicsSection, LearnSection
 from reachsafe.rollout import RolloutConfig
 
@@ -21,6 +23,15 @@ def rollout(**fields) -> RolloutConfig:
     return replace(RolloutConfig(batch=lc.rollout_batch, horizon=lc.rollout_horizon,
                                  epochs=lc.rollout_epochs,
                                  noise_std=lc.rollout_noise_std), **fields)
+
+
+def assert_same_bits(got, want):
+    """Equal dtype, shape and bits, signed zeros and NaN positions included."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 class _ReplayHandler(http.server.BaseHTTPRequestHandler):

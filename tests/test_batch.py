@@ -1,4 +1,4 @@
-"""Batch-first predicates, state lookup and one-hot features.
+"""Batch-first steps, predicates, state lookup and one-hot features.
 
 Each batch implementation is checked against the per-row code it
 replaced, kept here as the reference, and each contract breach must fail
@@ -9,14 +9,17 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from helpers import assert_same_bits
 from reachsafe.cmdp import ConfigurationError, cost_labels, nearest_rows
+from reachsafe.config import build_env, default_config
 from reachsafe.critics import onehot_action_featurizer, onehot_state_featurizer
 from reachsafe.dynamics import conservative_cost_label_batch
 from reachsafe.envs import make_double_integrator, make_hazard_gridworld
+from reachsafe.oracle import compute_feasible_set_oracle
 from reachsafe.safexpr import _eval, compile_predicate, extract_expression
 from reachsafe.tabular import build_model, tabulate
 
@@ -173,6 +176,105 @@ def test_state_index_and_featurizers_reject_non_finite():
 
 
 def test_tabulate_rejects_steps_off_the_enumeration():
-    env = dataclasses.replace(FLAT, transition=lambda s, a: s + 10.0)
+    env = dataclasses.replace(FLAT, transitions=lambda s, a: s + 10.0)
     with pytest.raises(ConfigurationError):
         tabulate(env)
+
+
+def test_model_index_and_oracle_label_refuse_non_finite_states():
+    oracle = compute_feasible_set_oracle(DI)
+    flat_model = tabulate(FLAT)
+    for bad in (np.nan, np.inf, -np.inf):
+        states = np.array([[0.0, 0.0], [bad, 0.0]])
+        for lookup in (DI_MODEL.index, oracle.label, flat_model.index):
+            with pytest.raises(ValueError, match="states must be finite"):
+                lookup(states)
+    assert DI_MODEL.index(np.array([[-9.0, 9.0]])).tolist() == [40]   # clipped, finite
+
+
+def test_discretize_refuses_non_finite_successors():
+    env = dataclasses.replace(DI, transitions=lambda s, a: np.full(s.shape, np.nan))
+    with pytest.raises(ValueError, match="states must be finite"):
+        build_model(env)
+
+
+# ---------------------------------------------------------------------------
+# Batch steps: ``transitions`` against the per-row ``transition``, row by row.
+# ---------------------------------------------------------------------------
+
+STEP_EDGES = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 5.0, -5.0,
+              np.nan, np.inf, -np.inf]
+step_value = st.one_of(st.sampled_from(STEP_EDGES), st.floats(-3.0, 3.0),
+                       st.floats(allow_nan=True, allow_infinity=True))
+cell_value = st.one_of(st.integers(-1, 7).map(float), step_value)
+
+
+def step_batches(d_s, d_a, state_values):
+    return st.integers(1, 12).flatmap(lambda n: st.tuples(
+        hnp.arrays(float, (n, d_s), elements=state_values),
+        hnp.arrays(float, (n, d_a), elements=step_value)))
+
+
+def looped(env, states, actions):
+    return np.array([env.transition(s, a) for s, a in zip(states, actions)])
+
+
+# The per-row steps compute in Python floats and stay silent where the
+# array forms warn on inf - inf or an overflow.
+quiet = pytest.mark.filterwarnings(
+    "ignore:(overflow|invalid value) encountered:RuntimeWarning")
+
+
+@quiet
+@settings(max_examples=300, deadline=None)
+@given(step_batches(2, 1, step_value))
+@example((np.array([[0.3, 1.0], [0.3, -1.0], [-0.0, 0.0], [0.9, 1.0], [0.0, -0.0],
+                    [0.2, 0.95], [0.2, 0.5], [0.2, 0.5], [0.2, 0.5]]),
+          np.array([[1.0], [-1.0], [-0.0], [5.0], [0.0], [-9.0], [np.nan],
+                    [np.inf], [-np.inf]])))
+def test_integrator_batch_step_is_the_per_row_step(batch):
+    states, actions = batch
+    assert_same_bits(DI.transitions(states, actions), looped(DI, states, actions))
+
+
+@quiet
+@settings(max_examples=400, deadline=None)
+@given(step_batches(4, 2, cell_value))
+@example((np.array([[0.0, 3.0, -1.0, 0.0],     # wall bump
+                    [6.0, 6.0, 0.0, 1.0],      # bump, then reverse
+                    [3.0, 3.0, 1.0, 0.0],      # reversal refused
+                    [3.0, 3.0, -0.0, 1.0],
+                    [3.0, 3.0, 0.0, -0.0],
+                    [3.0, 3.0, 0.0, 1.0],      # tie actions
+                    [3.0, 3.0, 0.0, 1.0],
+                    [3.0, 3.0, 0.0, 1.0],
+                    [3.0, 3.0, 1.0, 0.0],      # NaN and inf actions
+                    [3.0, 3.0, 1.0, 0.0],
+                    [2.6, 3.4, 0.4, -0.6]]),   # model-predicted
+          np.array([[1.0, 0.0], [0.0, -1.0], [-1.0, 0.0], [0.0, -1.0], [-0.0, 0.0],
+                    [0.5, 0.5], [0.5, 0.0], [0.0, -0.5], [np.nan, 0.0],
+                    [np.inf, -np.inf], [0.2, -0.9]])))
+def test_grid_batch_step_is_the_per_row_step(batch):
+    states, actions = batch
+    assert_same_bits(GRID.transitions(states, actions), looped(GRID, states, actions))
+    flat = states[:, :2]
+    assert_same_bits(FLAT.transitions(flat, actions), looped(FLAT, flat, actions))
+
+
+@pytest.mark.parametrize("name", ["gridworld", "double_integrator"])
+def test_build_model_steps_every_pair_in_one_batch_call(name):
+    env = build_env(default_config(name))
+    calls = {"transition": 0, "transitions": 0}
+
+    def counted(field):
+        step = getattr(env, field)
+
+        def call(s, a):
+            calls[field] += 1
+            return step(s, a)
+        return call
+
+    model = build_model(dataclasses.replace(
+        env, transition=counted("transition"), transitions=counted("transitions")))
+    assert calls == {"transition": 0, "transitions": 1}
+    assert np.array_equal(model.next_idx, build_model(env).next_idx)

@@ -126,7 +126,7 @@ NOW_REFUSED = [
     ("learn.policy_temperature = -3.0", r"^learn.policy_temperature must lie in \[0, inf\)"),
     ("costgen.proposer = remote",
      "^the remote proposer needs costgen.remote_base_url and costgen.remote_model"),
-] + NOW_REFUSED)
+] + [pytest.param(line, message, id=line) for line, message in NOW_REFUSED])
 def test_value_a_later_stage_refuses_is_refused_at_load(tmp_path, line, message):
     with pytest.raises(ConfigurationError, match=message):
         load_config(write(tmp_path, line + "\n"))

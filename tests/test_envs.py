@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import assert_same_bits
 from reachsafe.collect import collect_safe_dataset, collect_unsafe_samples
 from reachsafe.config import build_behavior, build_env, default_config
 from reachsafe.envs import (
@@ -184,14 +185,6 @@ def reference_mixture(env, cfg):
     return [(maker(env, kind), float(w)) for kind, w in cfg.data.behavior]
 
 
-def assert_same_bits(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    nan = np.isnan(want)
-    assert np.array_equal(np.isnan(got), nan)
-    assert got[~nan].tobytes() == want[~nan].tobytes()
-
-
 def outcome(fn, *args):
     """``fn(*args)``, or the type of the exception it raises."""
     try:
@@ -356,6 +349,10 @@ def test_collectors_and_models_match_the_reference_env(name):
     for column in ("s", "a", "r", "s2"):
         assert_same_bits(getattr(got, column), getattr(want, column))
 
-    got, want = build_model(env), build_model(ref)
-    assert np.array_equal(got.next_idx, want.next_idx)
-    assert_same_bits(got.h, want.h)
+    # The model steps through the batch ``transitions``; the reference
+    # loops the numpy per-row step over the same state-action pairs.
+    model = build_model(env)
+    n, m = model.n_states, model.n_actions
+    successors = np.array([ref.transition(s, a) for s in model.states for a in model.actions])
+    assert np.array_equal(model.next_idx, model.index(successors).reshape(n, m))
+    assert_same_bits(model.h, np.array([ref.h(s) for s in model.states]))
