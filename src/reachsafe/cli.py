@@ -60,6 +60,13 @@ def _load_cfg(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
+def _resolution(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, ablations: bool = False) -> None:
     p.add_argument("--config", type=str, default="", help="key/value config file")
     p.add_argument("--env", type=str, default="gridworld",
@@ -95,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_heat = sub.add_parser("export-heatmap",
                             help="export the critic's value surface as CSV")
     _add_common(p_heat, ablations=True)
-    p_heat.add_argument("--resolution", type=int, default=41)
+    p_heat.add_argument("--resolution", type=_resolution, default=41,
+                        help="grid points per axis on continuous envs (at least 2)")
     p_heat.set_defaults(func=_cmd_heatmap)
     return parser
 

@@ -25,6 +25,16 @@ from .cmdp import (
 from .envs import BehaviorFn
 from .seeding import substream
 
+# Safe collection gives up after this many episodes in a row that keep no
+# step. A behavior whose first step violates from every initial state would
+# otherwise loop for ever; the default configs have no such episode at all.
+MAX_EMPTY_EPISODES = 1000
+
+
+class SafeCollectionStalled(RuntimeError):
+    """The behavior ended many episodes in a row before any safe step."""
+
+
 def _pick_behavior(behavior, rng: np.random.Generator) -> BehaviorFn:
     if callable(behavior):
         return behavior
@@ -57,6 +67,7 @@ def collect_safe_dataset(
     episode_ends: list[dict] = []
     episode_returns: list[float] = []
     n_intervened = 0
+    empty_streak = 0
 
     while len(r_rows) < n_transitions:
         policy = _pick_behavior(behavior, rng_policy)
@@ -84,6 +95,11 @@ def collect_safe_dataset(
             episode_ends.append({"index": len(r_rows) - 1,
                                  "reason": END_INTERVENTION if intervened else END_HORIZON})
             episode_returns.append(ep_return)
+        empty_streak = 0 if ep_len else empty_streak + 1
+        if empty_streak == MAX_EMPTY_EPISODES:
+            raise SafeCollectionStalled(
+                f"{MAX_EMPTY_EPISODES} episodes in a row ended before a safe step; "
+                f"collected {len(r_rows)} of {n_transitions} transitions")
 
     meta = {
         "env": env.name, "d_s": env.d_s, "d_a": env.d_a,

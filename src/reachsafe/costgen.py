@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -63,7 +63,6 @@ class CostCandidate:
 class Round:
     index: int
     candidate: CostCandidate | None = None
-    report: ValidationReport | None = None
     feedback_sent: str | None = None
     error: str | None = None
 
@@ -133,8 +132,9 @@ def feedback_message(report: ValidationReport, cfg: CostGenSection,
 def select_fallback(history: Sequence[Round], cfg: CostGenSection) -> CostCandidate:
     """Deterministic fallback: best recall, then nearest the band, then oldest."""
     scored = [
-        (-(r.report.recall_unsafe), r.report.band_distance(cfg), r.index, r.candidate)
-        for r in history if r.candidate is not None and r.report is not None
+        (-r.candidate.report.recall_unsafe, r.candidate.report.band_distance(cfg), r.index,
+         r.candidate)
+        for r in history if r.candidate is not None and r.candidate.report is not None
     ]
     if not scored:
         raise GenerationError(list(history))
@@ -164,8 +164,7 @@ def generation_loop(
             continue
         report = validate(candidate, d_unsafe, d_safe, cfg)
         candidate.report = report
-        history.append(Round(index=idx, candidate=candidate, report=report,
-                             feedback_sent=feedback))
+        history.append(Round(index=idx, candidate=candidate, feedback_sent=feedback))
         if report.passed:
             return candidate, history
         feedback = feedback_message(report, cfg, n_unsafe=max(len(d_unsafe), 1))
@@ -326,12 +325,7 @@ def candidate_to_record(candidate: CostCandidate) -> dict:
     rec = {"provenance": candidate.provenance, "source": candidate.source,
            "margin": candidate.margin}
     if candidate.report is not None:
-        rec["report"] = {
-            "recall_unsafe": candidate.report.recall_unsafe,
-            "conservativeness": candidate.report.conservativeness,
-            "passed": candidate.report.passed,
-            "degenerate_unsafe": candidate.report.degenerate_unsafe,
-        }
+        rec["report"] = asdict(candidate.report)
     return rec
 
 

@@ -1,11 +1,17 @@
-"""Whitelist expression interpreter for generated cost predicates.
+"""Whitelist gate and evaluator for generated cost predicates.
 
-Remote proposers return source text; executing it natively would hand the
-counterparty an arbitrary-code channel. Instead the first code block must
-reduce to a single arithmetic/boolean expression over named observation
-fields (or indexed access into the raw observation), and that expression
-is walked directly over the AST. Anything outside the whitelist, imports,
-attribute access, loops, string operations, is rejected up front.
+A remote proposer's reply is untrusted text, so it never runs as given.
+Its first code block must reduce to one arithmetic/boolean expression,
+and the gate (``_check``) is the security boundary: it admits no
+attribute access, no lambda, no comprehension, no call but ``abs``,
+``min`` and ``max``, and no name outside the row's bindings. Only the
+checked tree is compiled, never the text, and it runs with empty builtins
+and ``abs``, ``min``, ``max`` and ``bool`` as its only globals, which no
+binding may shadow.
+
+Each comparison is wrapped in ``bool(...)``: on a numpy scalar it gives
+``np.bool_``, which refuses unary minus and adds as a logical or, while
+the labels count a comparison as the Python bool 0 or 1.
 """
 
 from __future__ import annotations
@@ -22,26 +28,11 @@ class ExpressionRejected(ValueError):
     """Source uses constructs outside the whitelist."""
 
 
-_ALLOWED_CALLS = {"abs": abs, "min": min, "max": max}
-
-_BIN_OPS = {
-    ast.Add: lambda a, b: a + b,
-    ast.Sub: lambda a, b: a - b,
-    ast.Mult: lambda a, b: a * b,
-    ast.Div: lambda a, b: a / b,
-    ast.FloorDiv: lambda a, b: a // b,
-    ast.Mod: lambda a, b: a % b,
-    ast.Pow: lambda a, b: a ** b,
-}
-
-_CMP_OPS = {
-    ast.Lt: lambda a, b: a < b,
-    ast.LtE: lambda a, b: a <= b,
-    ast.Gt: lambda a, b: a > b,
-    ast.GtE: lambda a, b: a >= b,
-    ast.Eq: lambda a, b: a == b,
-    ast.NotEq: lambda a, b: a != b,
-}
+_ALLOWED_CALLS = ("abs", "min", "max")
+# The compiled expression's only globals; ``bool`` is the comparison wrap.
+_SCOPE = {"__builtins__": {}, "abs": abs, "min": min, "max": max, "bool": bool}
+_BIN_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow)
+_CMP_OPS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
 
 
 def extract_expression(source: str) -> tuple[ast.expr, list[str], dict]:
@@ -101,7 +92,7 @@ def _check(node: ast.expr, names: set[str]) -> None:
         if node.id not in names:
             raise ExpressionRejected(f"unknown name {node.id!r}")
         return
-    if isinstance(node, ast.BinOp) and type(node.op) in _BIN_OPS:
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _BIN_OPS):
         _check(node.left, names)
         _check(node.right, names)
         return
@@ -113,7 +104,7 @@ def _check(node: ast.expr, names: set[str]) -> None:
             _check(v, names)
         return
     if isinstance(node, ast.Compare):
-        if any(type(op) not in _CMP_OPS for op in node.ops):
+        if not all(isinstance(op, _CMP_OPS) for op in node.ops):
             raise ExpressionRejected("comparison operator outside the whitelist")
         _check(node.left, names)
         for comp in node.comparators:
@@ -138,88 +129,42 @@ def _check(node: ast.expr, names: set[str]) -> None:
         idx = node.slice
         if isinstance(idx, ast.UnaryOp) and isinstance(idx.op, ast.USub):
             idx = idx.operand
-            if not (isinstance(idx, ast.Constant) and isinstance(idx.value, int)):
-                raise ExpressionRejected("indices must be integer constants")
-            return
         if not (isinstance(idx, ast.Constant) and isinstance(idx.value, int)):
             raise ExpressionRejected("indices must be integer constants")
         return
     raise ExpressionRejected(f"construct {type(node).__name__} is not allowed")
 
 
-def _eval(node: ast.expr, env: dict) -> object:
-    if isinstance(node, ast.Constant):
-        return node.value
-    if isinstance(node, ast.Name):
-        return env[node.id]
-    if isinstance(node, ast.BinOp):
-        return _BIN_OPS[type(node.op)](_eval(node.left, env), _eval(node.right, env))
-    if isinstance(node, ast.UnaryOp):
-        val = _eval(node.operand, env)
-        if isinstance(node.op, ast.USub):
-            return -val
-        if isinstance(node.op, ast.UAdd):
-            return +val
-        return not val
-    if isinstance(node, ast.BoolOp):
-        if isinstance(node.op, ast.And):
-            result = True
-            for v in node.values:
-                result = _eval(v, env)
-                if not result:
-                    return result
-            return result
-        for v in node.values:
-            result = _eval(v, env)
-            if result:
-                return result
-        return result
-    if isinstance(node, ast.Compare):
-        left = _eval(node.left, env)
-        for op, comp in zip(node.ops, node.comparators):
-            right = _eval(comp, env)
-            if not _CMP_OPS[type(op)](left, right):
-                return False
-            left = right
-        return True
-    if isinstance(node, ast.IfExp):
-        return _eval(node.body, env) if _eval(node.test, env) else _eval(node.orelse, env)
-    if isinstance(node, ast.Call):
-        return _ALLOWED_CALLS[node.func.id](*[_eval(a, env) for a in node.args])
-    if isinstance(node, ast.Subscript):
-        seq = env[node.value.id]
-        idx = node.slice
-        if isinstance(idx, ast.UnaryOp):
-            return seq[-idx.operand.value]
-        return seq[idx.value]
-    raise ExpressionRejected(f"cannot evaluate {type(node).__name__}")
+class _WrapCompare(ast.NodeTransformer):
+    def visit_Compare(self, node: ast.Compare) -> ast.Call:
+        self.generic_visit(node)
+        return ast.Call(func=ast.Name(id="bool", ctx=ast.Load()), args=[node], keywords=[])
 
 
-def compile_predicate(source: str, field_names: Sequence[str],
-                      obs_name: str = "observation") -> Predicate:
+def compile_predicate(source: str, field_names: Sequence[str]) -> Predicate:
     """Turn whitelisted source into a batch-first cost predicate.
 
     The predicate maps states of shape (n, d_s) to an int array of 0/1
-    labels of shape (n,), evaluating the expression on each row with the
-    scalar interpreter. Per row, the observation vector is bound to
-    ``obs_name``, to the function's own argument name when the source is
-    a function, and to each field name individually.
+    labels of shape (n,), evaluating the compiled expression on each row.
+    Per row, the observation vector is bound to ``observation``, ``obs``,
+    ``s`` and the function's own argument name when the source is a
+    function, and each field name to its entry as a Python float.
     """
     expr, aliases, constants = extract_expression(source)
-    vector_names = {obs_name, "obs", "s", *aliases}
+    vector_names = {"observation", "obs", "s", *aliases}
     names = set(field_names) | vector_names | set(constants)
+    shadowed = sorted(names & _SCOPE.keys())
+    if shadowed:
+        raise ExpressionRejected(f"the name {shadowed[0]!r} would shadow a builtin")
     _check(expr, names)
-
-    fields = list(field_names)
+    tree = ast.fix_missing_locations(_WrapCompare().visit(ast.Expression(body=expr)))
+    code = compile(tree, "<predicate>", "eval")
 
     def label(vec: np.ndarray) -> int:
-        env: dict = dict(constants)
-        for name in vector_names:
-            env[name] = vec
-        for i, name in enumerate(fields):
-            if i < len(vec):
-                env[name] = float(vec[i])
-        return int(bool(_eval(expr, env)))
+        bindings = dict(constants)
+        bindings.update(dict.fromkeys(vector_names, vec))
+        bindings.update(zip(field_names, map(float, vec)))
+        return int(bool(eval(code, _SCOPE, bindings)))
 
     def predicate(states: np.ndarray) -> np.ndarray:
         rows = np.asarray(states, dtype=float)

@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import assert_same_bits
+from test_safexpr import reference_label
 from reachsafe.cmdp import ConfigurationError, cost_labels, nearest_rows
 from reachsafe.config import build_env, default_config
 from reachsafe.critics import onehot_action_featurizer, onehot_state_featurizer
 from reachsafe.dynamics import conservative_cost_label_batch
 from reachsafe.envs import make_double_integrator, make_hazard_gridworld
 from reachsafe.oracle import compute_feasible_set_oracle
-from reachsafe.safexpr import _eval, compile_predicate, extract_expression
+from reachsafe.safexpr import compile_predicate
 from reachsafe.tabular import build_model, tabulate
 
 GRID = make_hazard_gridworld(7, 7, [(2, 2), (4, 4), (5, 1)], momentum=1)
@@ -131,12 +132,7 @@ SOURCES = (
        hnp.arrays(float, st.tuples(st.integers(0, 10), st.just(2)),
                   elements=st.floats(-1.2, 1.2, allow_nan=False)))
 def test_compiled_predicate_matches_row_by_row_eval(source, states):
-    expr, aliases, constants = extract_expression(source)
-    want = []
-    for vec in states:
-        env = {**constants, "x": float(vec[0]), "v": float(vec[1])}
-        env.update({name: vec for name in ("observation", "obs", "s", *aliases)})
-        want.append(int(bool(_eval(expr, env))))
+    want = [reference_label(source, ("x", "v"), vec) for vec in states]
     got = compile_predicate(source, ("x", "v"))(states)
     assert got.shape == (len(states),)
     assert got.tolist() == want

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from reachsafe.collect import (
+    MAX_EMPTY_EPISODES,
+    SafeCollectionStalled,
     UnsafeSampleShortage,
     collect_safe_dataset,
     collect_unsafe_samples,
 )
 from reachsafe.cmdp import END_INTERVENTION, SAFE_ONLY, UNSAFE_SMALL
+from reachsafe.config import build_behavior, build_env, default_config
 from reachsafe.envs import (
     behavior_mixture,
     integrator_behavior,
@@ -101,3 +104,17 @@ def test_unsafe_sampling_errors_on_hazard_free_env():
     with pytest.raises(UnsafeSampleShortage) as err:
         collect_unsafe_samples(env, n=1, seed=0, step_budget=500)
     assert err.value.found == 0
+
+
+@pytest.mark.parametrize("kind", ["straight", "goal_greedy"])
+def test_collection_that_keeps_no_step_fails_fast(kind):
+    # From the one safe cell of this grid every move enters a hazard.
+    cfg = default_config("gridworld")
+    cfg.env.width = cfg.env.height = 3
+    cfg.env.momentum = 0
+    cfg.env.hazards = [[x, y] for x in range(3) for y in range(3) if (x, y) != (1, 1)]
+    cfg.data.behavior = [[kind, 1.0]]
+    cfg.validate()
+    env = build_env(cfg)
+    with pytest.raises(SafeCollectionStalled, match=f"{MAX_EMPTY_EPISODES} episodes"):
+        collect_safe_dataset(env, build_behavior(cfg, env), 100)

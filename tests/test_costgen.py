@@ -43,8 +43,9 @@ def grid_setup():
     return env, d_safe, d_unsafe
 
 
-def _const_candidate(value):
-    return CostCandidate(predicate=lambda s: np.full(len(s), value), provenance="manual")
+def _const_candidate(value, report=None):
+    return CostCandidate(predicate=lambda s: np.full(len(s), value), provenance="manual",
+                         report=report)
 
 
 def test_validate_constant_predicates(grid_setup):
@@ -187,37 +188,27 @@ def test_loop_raises_when_everything_fails(grid_setup):
 
 def test_fallback_prefers_distance_then_age():
     cfg = CostGenSection(p_min=0.10, p_max=0.30)
-    near = _const_candidate(0)
-    far = _const_candidate(0)
-    history = [
-        Round(index=0, candidate=near,
-              report=ValidationReport(1.0, 0.05, False)),
-        Round(index=1, candidate=far,
-              report=ValidationReport(1.0, 0.40, False)),
-    ]
+    near = _const_candidate(0, ValidationReport(1.0, 0.05, False))
+    far = _const_candidate(0, ValidationReport(1.0, 0.40, False))
+    history = [Round(index=0, candidate=near), Round(index=1, candidate=far)]
     assert select_fallback(history, cfg) is near  # 0.05 vs 0.10 beats 0.40 vs 0.30
-    twin = _const_candidate(0)
-    history.append(Round(index=2, candidate=twin,
-                         report=ValidationReport(1.0, 0.05, False)))
+    twin = _const_candidate(0, ValidationReport(1.0, 0.05, False))
+    history.append(Round(index=2, candidate=twin))
     assert select_fallback(history, cfg) is near  # earliest wins the tie
 
 
 def test_fallback_prefers_recall_first():
     cfg = CostGenSection()
-    weak = _const_candidate(0)
-    strong = _const_candidate(0)
-    history = [
-        Round(index=0, candidate=weak, report=ValidationReport(0.9, 0.2, False)),
-        Round(index=1, candidate=strong, report=ValidationReport(1.0, 0.9, False)),
-    ]
+    weak = _const_candidate(0, ValidationReport(0.9, 0.2, False))
+    strong = _const_candidate(0, ValidationReport(1.0, 0.9, False))
+    history = [Round(index=0, candidate=weak), Round(index=1, candidate=strong)]
     assert select_fallback(history, cfg) is strong
 
 
 def test_fallback_is_pure_function_of_history():
     cfg = CostGenSection()
     history = [
-        Round(index=i, candidate=_const_candidate(0),
-              report=ValidationReport(1.0, 0.05 * i, False))
+        Round(index=i, candidate=_const_candidate(0, ValidationReport(1.0, 0.05 * i, False)))
         for i in range(5)
     ]
     assert select_fallback(history, cfg) is select_fallback(history, cfg)

@@ -294,6 +294,17 @@ def test_export_heatmap_reads_the_critic_checkpoint(run_dir, capsys):
     assert len(rows) == 2 + 5   # two header lines, then one row per x cell
 
 
+@pytest.mark.parametrize("resolution", ["1", "0", "-4"])
+def test_export_heatmap_refuses_a_resolution_below_two(run_dir, resolution, capsys):
+    save_config(tiny_config(), run_dir / "cfg.txt")
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["export-heatmap", "--config", str(run_dir / "cfg.txt"),
+                  "--out", str(run_dir), "--resolution", resolution])
+    assert exit_.value.code == 2
+    assert "at least 2" in capsys.readouterr().err
+    assert not (run_dir / "full" / "heatmap.csv").exists()
+
+
 @pytest.mark.parametrize("ablations, floored", [([], True), (["no-relabel"], False)])
 def test_heatmap_applies_the_floor_the_critic_was_trained_with(run_dir, ablations,
                                                                floored):
