@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ END_HORIZON = "horizon"
 
 # A cost predicate: states (n, d_s) -> int array (n,), 1 where flagged.
 Predicate = Callable[[np.ndarray], np.ndarray]
+Row = Sequence[float]  # a state or action row of the per-row step (see ``HardCMDP``)
 
 
 class ConfigurationError(ValueError):
@@ -100,17 +101,18 @@ class HardCMDP:
     1 where a state is flagged. Callers evaluate them through
     ``cost_labels``, which enforces that contract.
 
-    The per-row step (``transition``, ``violation``, ``reward``) is the
-    opposite: one state row (d_s,) and one action row (d_a,) in, computed
-    in Python floats with the operations of the numpy formula in the same
-    order, a (d_s,) float64 array, an int or a float out. Transcendental
-    calls stay in numpy, so that no value moves with the libm.
+    The per-row step (``transition``, ``violation``, ``reward``,
+    ``initial_state``, ``clip_action``) is the opposite: rows that unpack
+    into floats in, computed in Python floats with the numpy formula's
+    operations in the same order, a tuple, an int or a float out; callers
+    build arrays once (per dataset column, per model, per time step).
+    Transcendental calls stay in numpy, so that no value moves with the libm.
 
     ``transitions`` is its batch-first twin, bit-equal row by row: states
     (n, d_s) and actions (n, d_a) in, successors (n, d_s) out. The tabular
     models step every state-action pair through it in one call; collection
     and evaluation keep ``transition``, since they step one row at a time
-    from one random stream and a (1, d) array call is slower there.
+    from one random stream and an array call is slower there.
     """
 
     name: str
@@ -119,11 +121,11 @@ class HardCMDP:
     action_bounds: np.ndarray  # (d_a, 2) columns lo, hi
     gamma: float
     horizon: int
-    transition: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    transition: Callable[[Row, Row], Row]
     transitions: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    reward: Callable[[np.ndarray, np.ndarray, np.ndarray], float]
-    violation: Callable[[np.ndarray], int]
-    initial_state: Callable[[np.random.Generator], np.ndarray]
+    reward: Callable[[Row, Row, Row], float]
+    violation: Callable[[Row], int]
+    initial_state: Callable[[np.random.Generator], Row]
     action_set: np.ndarray  # (n_actions, d_a)
     h_min: float = -1.0
     h_max: float = 1.0
@@ -144,21 +146,24 @@ class HardCMDP:
             )
         if self.horizon < 1:
             raise ConfigurationError("horizon must be positive")
+        object.__setattr__(self, "_bounds", self.action_bounds.T.tolist())  # [lows, highs]
 
-    def h(self, s: np.ndarray) -> float:
+    def h(self, s: Row) -> float:
         """Binary constraint-violation value: exactly h_min or h_max."""
         return self.h_max if self.violation(s) else self.h_min
 
-    def cost(self, s: np.ndarray) -> int:
-        return int(self.violation(s))
+    def cost(self, s: Row) -> int:
+        return self.violation(s)
 
-    def clip_action(self, a: np.ndarray) -> np.ndarray:
-        """``a`` clipped into the bounds; a NaN or infinite action raises
+    def clip_action(self, a: Row) -> tuple[float, ...]:
+        """``a`` clipped into the bounds as ``np.clip`` clips; an action of
+        another length, or with a NaN or an infinity, raises ``ValueError``
         rather than be clipped onto a bound or stepped as NaN."""
-        a = np.asarray(a, dtype=float).reshape(self.d_a)
-        if not all(map(math.isfinite, a.tolist())):  # a fifth of np.isfinite(a).all()
-            require_finite(a, "action")
-        return np.minimum(np.maximum(a, self.action_bounds[:, 0]), self.action_bounds[:, 1])
+        a = tuple(map(float, a))
+        if len(a) != self.d_a or not all(map(math.isfinite, a)):
+            raise ValueError(f"action must be finite and of length {self.d_a}, got {a}")
+        lo, hi = self._bounds
+        return tuple(map(min, map(max, a, lo), hi))
 
     @property
     def is_tabular(self) -> bool:

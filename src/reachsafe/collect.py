@@ -5,6 +5,9 @@ instant the behavior policy's next step would violate, the violating step
 is discarded and the episode ends. The returned dataset therefore has no
 cost-1 transition, but its intervention terminals are typically doomed
 states.
+
+Both collectors keep the rows of the per-row calls (see ``HardCMDP``) and
+build each dataset column as an array once, at the end.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .cmdp import (
     UNSAFE_SMALL_LIMIT,
     empty_dataset,
 )
-from .envs import BehaviorFn
 from .seeding import substream
 
 # Safe collection gives up after this many episodes in a row that keep no
@@ -33,14 +35,6 @@ MAX_EMPTY_EPISODES = 1000
 
 class SafeCollectionStalled(RuntimeError):
     """The behavior ended many episodes in a row before any safe step."""
-
-
-def _pick_behavior(behavior, rng: np.random.Generator) -> BehaviorFn:
-    if callable(behavior):
-        return behavior
-    fns, weights = zip(*behavior)
-    w = np.asarray(weights, dtype=float)
-    return fns[int(rng.choice(len(fns), p=w / w.sum()))]
 
 
 def collect_safe_dataset(
@@ -62,36 +56,38 @@ def collect_safe_dataset(
 
     rng_policy = substream(seed, "collect", "policy")
     rng_init = substream(seed, "collect", "init")
+    fns, weights = ((behavior,), (1.0,)) if callable(behavior) else zip(*behavior)
+    w = np.asarray(weights, dtype=float)
+    p = w / w.sum()  # once per collection; a lone callable draws no choice
 
-    s_rows, a_rows, r_rows, s2_rows, done_rows, cost_rows = [], [], [], [], [], []
+    clip, step, cost, reward = env.clip_action, env.transition, env.cost, env.reward
+    s_rows, a_rows, r_rows, s2_rows = [], [], [], []
     episode_ends: list[dict] = []
     episode_returns: list[float] = []
     n_intervened = 0
     empty_streak = 0
 
     while len(r_rows) < n_transitions:
-        policy = _pick_behavior(behavior, rng_policy)
+        policy = behavior if callable(behavior) else fns[int(rng_policy.choice(len(fns), p=p))]
         s = env.initial_state(rng_init)
         ep_return = 0.0
         ep_len = 0
         intervened = False
         for _ in range(env.horizon):
-            a = env.clip_action(policy(s, rng_policy))
-            s2 = env.transition(s, a)
-            if env.cost(s2) == 1:
+            a = clip(policy(s, rng_policy))
+            s2 = step(s, a)
+            if cost(s2) == 1:
                 intervened = True
                 n_intervened += 1
                 break
-            r = env.reward(s, a, s2)
-            s_rows.append(s); a_rows.append(a); r_rows.append(r)
-            s2_rows.append(s2); done_rows.append(False); cost_rows.append(0)
+            r = reward(s, a, s2)
+            s_rows.append(s); a_rows.append(a); r_rows.append(r); s2_rows.append(s2)
             ep_return += r
             ep_len += 1
             s = s2
             if len(r_rows) >= n_transitions:
                 break
         if ep_len:
-            done_rows[-1] = True
             episode_ends.append({"index": len(r_rows) - 1,
                                  "reason": END_INTERVENTION if intervened else END_HORIZON})
             episode_returns.append(ep_return)
@@ -112,10 +108,10 @@ def collect_safe_dataset(
     if n_intervened == 0:
         meta["no_infeasible_terminals"] = True
 
+    done = np.isin(np.arange(n_transitions), [end["index"] for end in episode_ends])
     return OfflineDataset(
-        s=np.array(s_rows), a=np.array(a_rows), r=np.array(r_rows),
-        s2=np.array(s2_rows), done=np.array(done_rows, dtype=bool),
-        cost=np.array(cost_rows, dtype=int), tag=SAFE_ONLY, meta=meta,
+        s=np.array(s_rows), a=np.array(a_rows), r=np.array(r_rows), s2=np.array(s2_rows),
+        done=done, cost=np.zeros(n_transitions, dtype=int), tag=SAFE_ONLY, meta=meta,
     )
 
 
@@ -148,27 +144,22 @@ def collect_unsafe_samples(
     rng = substream(seed, "collect", "unsafe")
     budget = step_budget if step_budget is not None else max(2000, 500 * n)
 
-    if env.is_tabular:
-        def random_state() -> np.ndarray:
-            return env.states[int(rng.integers(len(env.states)))].copy()
-    else:
-        ranges = env.state_grid
-        if ranges is None:
-            raise ConfigurationError(f"{env.name} declares no state box to explore")
-
-        def random_state() -> np.ndarray:
-            return np.array([rng.uniform(lo, hi) for lo, hi, _ in ranges])
-
+    if not env.is_tabular and env.state_grid is None:
+        raise ConfigurationError(f"{env.name} declares no state box to explore")
+    states = env.states.tolist() if env.is_tabular else None
+    actions, bounds = env.action_set.tolist(), env.action_bounds.tolist()
     s_rows, a_rows, r_rows, s2_rows = [], [], [], []
     for _ in range(budget):
         if len(r_rows) >= n:
             break
-        s = random_state()
+        s = (states[int(rng.integers(len(states)))] if states is not None
+             else [rng.uniform(lo, hi) for lo, hi, _ in env.state_grid])
         if env.cost(s) == 1:
             continue  # start from a safe state so the violation is the step's doing
-        a = env.clip_action(env.action_set[int(rng.integers(len(env.action_set)))]
+        # A scalar draw per action dimension draws what one array draw would.
+        a = env.clip_action(actions[int(rng.integers(len(actions)))]
                             if rng.random() < 0.5 else
-                            rng.uniform(env.action_bounds[:, 0], env.action_bounds[:, 1]))
+                            [rng.uniform(lo, hi) for lo, hi in bounds])
         s2 = env.transition(s, a)
         if env.cost(s2) == 1:
             s_rows.append(s); a_rows.append(a)

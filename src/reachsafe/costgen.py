@@ -308,7 +308,7 @@ class RemoteChatProposer:
         except ExpressionRejected as err:
             raise ProposerError(f"rejected source: {err}") from err
         try:
-            cost_labels(predicate, self.env.initial_state(substream(0, "preflight"))[None])
+            cost_labels(predicate, np.array([self.env.initial_state(substream(0, "preflight"))]))
         except Exception as err:  # noqa: BLE001 - any runtime fault fails the round
             raise ProposerError(f"predicate crashed on a probe state: {err}") from err
 

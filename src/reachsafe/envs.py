@@ -11,11 +11,11 @@ Two families:
   boundaries, with reward for outward speed so that reward-greedy
   behavior violates.
 
-Per-row step contract: ``transition``, ``violation``, ``reward`` and the
-scripted behaviors take one state row (d_s,) and, where they take one,
-one action row (d_a,). They compute in Python floats, with the IEEE
-operations of the numpy formulas they replace in the same order, and
-return (d_s,) and (d_a,) float64 arrays. Transcendental calls (the
+Per-row step contract: a row is a tuple of Python floats (any sequence that
+unpacks into floats is accepted). ``transition``, ``violation``, ``reward``,
+``initial_state`` and the scripted behaviors compute with the IEEE operations
+of the numpy formulas they replace, in the same order, and return tuples,
+never arrays: callers stack the rows they keep. Transcendental calls (the
 integrator reward's ``np.tanh``) stay in numpy so that no value moves.
 
 Batch step contract: ``transitions`` maps states (n, d_s) and actions
@@ -32,10 +32,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cmdp import ConfigurationError, HardCMDP, Predicate, require_finite
+from .cmdp import ConfigurationError, HardCMDP, Predicate, Row, require_finite
 
 GRID_MOVES = np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]], dtype=float)
-_MOVES = GRID_MOVES.tolist()  # the rows as Python floats
+_MOVES = list(map(tuple, GRID_MOVES.tolist()))  # the rows as tuple rows
+_MOVE_INDEX = {move: i for i, move in enumerate(_MOVES)}
 
 
 def _clip(x: float, lo: float, hi: float) -> float:
@@ -43,12 +44,15 @@ def _clip(x: float, lo: float, hi: float) -> float:
     return min(max(x, lo), hi)
 
 
-def _snap_move(a: np.ndarray) -> int:
+def _snap_move(a: Row) -> int:
     """Row of ``GRID_MOVES`` nearest to ``a``: ``argmin`` of ``dx*dx + dy*dy``,
-    the first on ties, and row 0 for a NaN action (every distance is NaN)."""
-    ax, ay = np.asarray(a, dtype=float).reshape(2).tolist()
+    the first on ties, row 0 for a NaN action (``index`` finds the NaN ``min``
+    keeps by identity), and at once the move that ``a`` equals, if any."""
+    ax, ay = a
+    if (i := _MOVE_INDEX.get((ax, ay))) is not None:
+        return i
     d = [(mx - ax) * (mx - ax) + (my - ay) * (my - ay) for mx, my in _MOVES]
-    return min(range(len(d)), key=d.__getitem__)
+    return d.index(min(d))
 
 
 def _snap_moves(a: np.ndarray) -> np.ndarray:
@@ -93,8 +97,8 @@ def make_hazard_gridworld(
         # ``&`` rather than ``and``: one formula for floats and arrays.
         return (0 <= x) & (x < width) & (0 <= y) & (y < height)
 
-    def violation(s: np.ndarray) -> int:
-        return int((round(float(s[0])), round(float(s[1]))) in hazards)
+    def violation(s: Row) -> int:
+        return int((round(s[0]), round(s[1])) in hazards)
 
     hazard_xy = np.array(sorted(hazards), dtype=float).reshape(-1, 2)
 
@@ -106,10 +110,10 @@ def make_hazard_gridworld(
         cells = np.rint(s[:, :2])
         return np.abs(cells[:, None, :] - hazard_xy[None]).sum(axis=2).min(axis=1)
 
-    def transition(s: np.ndarray, a: np.ndarray) -> np.ndarray:
+    def transition(s: Row, a: Row) -> Row:
         mx, my = _MOVES[_snap_move(a)]
         if momentum:
-            x, y, vx, vy = np.asarray(s, dtype=float).tolist()
+            x, y, vx, vy = s
             tx, ty = x + vx, y + vy
             if in_grid(tx, ty):
                 x, y = tx, ty
@@ -117,12 +121,12 @@ def make_hazard_gridworld(
                 vx, vy = 0.0, 0.0  # wall bump absorbs the momentum
             if (vx or vy) and mx == -vx and my == -vy:
                 mx, my = vx, vy  # reversal forbidden: keep going
-            return np.array([x, y, mx, my])
-        x, y = np.asarray(s, dtype=float).tolist()
+            return x, y, mx, my
+        x, y = s
         tx, ty = x + mx, y + my
         if not in_grid(tx, ty):
             tx, ty = x, y
-        return np.array([tx, ty])
+        return tx, ty
 
     def transitions(s: np.ndarray, a: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -140,29 +144,20 @@ def make_hazard_gridworld(
         inside = in_grid(tx, ty)
         return np.stack([np.where(inside, tx, x), np.where(inside, ty, y)], axis=1)
 
-    def reward(s: np.ndarray, a: np.ndarray, s2: np.ndarray) -> float:
-        dist = abs(float(s2[0]) - gx) + abs(float(s2[1]) - gy)
+    def reward(s: Row, a: Row, s2: Row) -> float:
+        dist = abs(s2[0] - gx) + abs(s2[1] - gy)
         return 1.0 - dist / reward_scale if dist < 0.5 else -dist / reward_scale
 
-    safe_cells = [(x, y) for x in range(width) for y in range(height)
-                  if (x, y) not in hazards]
-    if not safe_cells:
+    starts = [(float(x), float(y), 0.0, 0.0)[:d_s] for x in range(width)
+              for y in range(height) if (x, y) not in hazards]
+    if not starts:
         raise ConfigurationError("every cell is a hazard")
 
-    def initial_state(rng: np.random.Generator) -> np.ndarray:
-        x, y = safe_cells[int(rng.integers(len(safe_cells)))]
-        if momentum:
-            return np.array([x, y, 0.0, 0.0])
-        return np.array([x, y], dtype=float)
+    def initial_state(rng: np.random.Generator) -> Row:
+        return starts[int(rng.integers(len(starts)))]
 
-    if momentum:
-        states = np.array([
-            [x, y, mv[0], mv[1]]
-            for x in range(width) for y in range(height) for mv in GRID_MOVES
-        ], dtype=float)
-    else:
-        states = np.array([[x, y] for x in range(width) for y in range(height)],
-                          dtype=float)
+    states = np.array([(x, y, *mv)[:d_s] for x in range(width) for y in range(height)
+                       for mv in (_MOVES if momentum else _MOVES[:1])], dtype=float)
     # Dense lookup over the box the states span: position in ``states``
     # for every enumerated integer point, -1 for the rest of the box.
     box_lo = states.min(axis=0)
@@ -234,13 +229,13 @@ def make_double_integrator(
     if v_max <= 0 or horizon < 1:
         raise ConfigurationError("v_max and horizon must be positive")
 
-    def violation(s: np.ndarray) -> int:
-        return int(abs(float(s[0])) > x_lim)
+    def violation(s: Row) -> int:
+        return int(abs(s[0]) > x_lim)
 
-    def transition(s: np.ndarray, a: np.ndarray) -> np.ndarray:
-        x, v = float(s[0]), float(s[1])
-        acc = _clip(float(np.asarray(a).reshape(-1)[0]), -a_max, a_max)
-        return np.array([x + v * dt, _clip(v + acc * dt, -v_max, v_max)])
+    def transition(s: Row, a: Row) -> Row:
+        (x, v), (acc,) = s, a
+        acc = min(max(acc, -a_max), a_max)  # ``_clip``, inlined on the hot path
+        return x + v * dt, min(max(v + acc * dt, -v_max), v_max)
 
     def transitions(s: np.ndarray, a: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -249,14 +244,13 @@ def make_double_integrator(
         v2 = np.minimum(np.maximum(v + acc * dt, -v_max), v_max)
         return np.stack([x + v * dt, v2], axis=1)
 
-    def reward(s: np.ndarray, a: np.ndarray, s2: np.ndarray) -> float:
+    def reward(s: Row, a: Row, s2: Row) -> float:
         # Positive when moving away from the origin: greed pushes outward.
         return float(s2[1] * np.tanh(4.0 * s2[0]))
 
-    def initial_state(rng: np.random.Generator) -> np.ndarray:
+    def initial_state(rng: np.random.Generator) -> Row:
         x = rng.uniform(-0.8 * x_lim, 0.8 * x_lim)
-        v = rng.uniform(-0.3 * v_max, 0.3 * v_max)
-        return np.array([x, v])
+        return x, rng.uniform(-0.3 * v_max, 0.3 * v_max)
 
     def margin_predicate(margin: float) -> Predicate:
         def predicate(s: np.ndarray) -> np.ndarray:
@@ -293,7 +287,7 @@ def make_double_integrator(
 # Scripted behavior policies for dataset collection.
 # ---------------------------------------------------------------------------
 
-BehaviorFn = Callable[[np.ndarray, np.random.Generator], np.ndarray]
+BehaviorFn = Callable[[Row, np.random.Generator], Row]
 
 
 def gridworld_behavior(env: HardCMDP, kind: str, *, goal: tuple[int, int] | None = None,
@@ -301,24 +295,24 @@ def gridworld_behavior(env: HardCMDP, kind: str, *, goal: tuple[int, int] | None
     # The default goal is the far corner of the grid.
     gx, gy = map(float, env.states[:, :2].max(axis=0) if goal is None else goal)
 
-    def greedy(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def greedy(s: Row, rng: np.random.Generator) -> Row:
         if rng.random() < explore:
-            return GRID_MOVES[int(rng.integers(1, len(GRID_MOVES)))]
-        x, y = float(s[0]), float(s[1])
+            return _MOVES[int(rng.integers(1, len(_MOVES)))]
+        x, y = s[0], s[1]
         best, best_d = _MOVES[0], math.inf
         for mx, my in _MOVES[1:]:
             d = abs(x + mx - gx) + abs(y + my - gy)
             if d < best_d:
                 best, best_d = (mx, my), d
-        return np.array(best)
+        return best
 
-    def random_walk(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return GRID_MOVES[int(rng.integers(len(GRID_MOVES)))]
+    def random_walk(s: Row, rng: np.random.Generator) -> Row:
+        return _MOVES[int(rng.integers(len(_MOVES)))]
 
-    def straight(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def straight(s: Row, rng: np.random.Generator) -> Row:
         if env.d_s == 4 and (s[2] != 0 or s[3] != 0):
-            return np.array([s[2], s[3]])
-        return GRID_MOVES[int(rng.integers(1, len(GRID_MOVES)))]
+            return s[2], s[3]
+        return _MOVES[int(rng.integers(1, len(_MOVES)))]
 
     table = {"goal_greedy": greedy, "random": random_walk, "straight": straight}
     if kind not in table:
@@ -331,56 +325,56 @@ def integrator_behavior(env: HardCMDP, kind: str, *, creep_speed: float = 0.15,
                         rush_speed: float = 0.7) -> BehaviorFn:
     a_max = float(env.action_bounds[0, 1])
     # Recover dt from one probe step; dynamics are x' = x + v dt.
-    dt = float(env.transition(np.array([0.0, 1.0]), np.array([0.0]))[0])
+    dt, _ = env.transition((0.0, 1.0), (0.0,))
 
     def away(x: float) -> float:
         # Outward direction: the sign of x, +1 at either zero, NaN stays NaN.
         return 1.0 if x >= 0 else -1.0 if x < 0 else x
 
-    def outward(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return np.array([away(float(s[0])) * a_max])
+    def outward(s: Row, rng: np.random.Generator) -> Row:
+        return (away(s[0]) * a_max,)
 
-    def rush(direction: float, v: float) -> np.ndarray:
+    def rush(direction: float, v: float) -> Row:
         # Approach at a capped cruise speed; full throttle only below it.
         if v * direction < rush_speed:
-            return np.array([direction * a_max])
-        return np.array([_clip((direction * rush_speed - v) / dt, -a_max, a_max)])
+            return (direction * a_max,)
+        return (_clip((direction * rush_speed - v) / dt, -a_max, a_max),)
 
-    def creep(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        x, v = float(s[0]), float(s[1])
+    def creep(s: Row, rng: np.random.Generator) -> Row:
+        x, v = s
         direction = away(x)
         if abs(x) < push_until:
             return rush(direction, v)
-        return np.array([_clip((direction * creep_speed - v) / dt, -a_max, a_max)])
+        return (_clip((direction * creep_speed - v) / dt, -a_max, a_max),)
 
-    def random_walk(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return np.array([rng.uniform(-a_max, a_max)])
+    def random_walk(s: Row, rng: np.random.Generator) -> Row:
+        return (rng.uniform(-a_max, a_max),)
 
-    def brake(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        v = float(s[1])
-        return np.array([(-a_max if v > 0 else a_max) if abs(v) > 1e-9 else 0.0])
+    def brake(s: Row, rng: np.random.Generator) -> Row:
+        v = s[1]
+        return ((-a_max if v > 0 else a_max) if abs(v) > 1e-9 else 0.0,)
 
-    def hover(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def hover(s: Row, rng: np.random.Generator) -> Row:
         # Work right at the edge of the safe band, the way teleoperated
         # data hugs an obstacle: rush out, then hold position near it.
-        x, v = float(s[0]), float(s[1])
+        x, v = s
         direction = away(x)
         if abs(x) < push_until:
             return rush(direction, v)
         v_des = _clip(1.5 * (direction * hover_at - x), -0.2, 0.2)
-        return np.array([_clip((v_des - v) / dt, -a_max, a_max)])
+        return (_clip((v_des - v) / dt, -a_max, a_max),)
 
-    def probe(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def probe(s: Row, rng: np.random.Generator) -> Row:
         # Touch-and-retreat: approach the boundary, kill the speed, back
         # off. Leaves braking and inward actions throughout the outer ring.
-        x, v = float(s[0]), float(s[1])
+        x, v = s
         direction = away(x)
         if abs(x) < 0.75 * push_until:
             return rush(direction, v)
         if v * direction > 0.3 or abs(x) > hover_at:
-            return np.array([-direction * a_max])
+            return (-direction * a_max,)
         v_des = direction * _clip(1.2 * (hover_at * direction - x) * direction, -0.3, 0.3)
-        return np.array([_clip((v_des - v) / dt, -a_max, a_max)])
+        return (_clip((v_des - v) / dt, -a_max, a_max),)
 
     table = {"outward": outward, "creep": creep, "random": random_walk,
              "brake": brake, "hover": hover, "probe": probe}

@@ -225,9 +225,9 @@ def evaluate_policy(policy: SafePolicy, env: HardCMDP, episodes: int,
     """Roll the deterministic policy; normalize rewards and scale costs.
 
     The episodes run in lockstep. Episode ep starts from its own
-    ``("eval-episode", ep)`` substream; each time step makes one row-exact
-    ``policy.act`` pass over all episodes' states, then clips, steps,
-    rewards and costs each row through the environment's per-row calls.
+    ``("eval-episode", ep)`` substream; each time step stacks the episodes'
+    state rows into one array for one row-exact ``policy.act`` pass, then
+    clips, steps, rewards and costs each tuple row through the per-row calls.
     Every episode thus follows the trajectory it would follow alone.
 
     Normalized reward maps the dataset's return range onto [0, 1]; the
@@ -243,7 +243,7 @@ def evaluate_policy(policy: SafePolicy, env: HardCMDP, episodes: int,
               for ep in range(episodes)]
     returns, violations = [0.0] * episodes, [0] * episodes
     for _ in range(env.horizon):
-        actions = policy.act(np.stack(states))
+        actions = policy.act(np.array(states)).tolist()
         for ep, s in enumerate(states):
             a = env.clip_action(actions[ep])
             s2 = env.transition(s, a)

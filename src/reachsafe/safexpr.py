@@ -4,7 +4,9 @@ A remote proposer's reply is untrusted text, so it never runs as given.
 Its first code block must reduce to one arithmetic/boolean expression,
 and the gate (``_check``) is the security boundary: it admits no
 attribute access, no lambda, no comprehension, no call but ``abs``,
-``min`` and ``max``, and no name outside the row's bindings. Only the
+``min`` and ``max``, no name outside the row's bindings, and no power but
+by a constant of magnitude at most 8 of a base with no power in it (a
+label of ``9 ** 9 ** 9`` would never finish). Only the
 checked tree is compiled, never the text, and it runs with empty builtins
 and ``abs``, ``min``, ``max`` and ``bool`` as its only globals, which no
 binding may shadow.
@@ -93,6 +95,13 @@ def _check(node: ast.expr, names: set[str]) -> None:
             raise ExpressionRejected(f"unknown name {node.id!r}")
         return
     if isinstance(node, ast.BinOp) and isinstance(node.op, _BIN_OPS):
+        if isinstance(node.op, ast.Pow):
+            exp = getattr(node.right, "operand", node.right)  # a sign is allowed
+            if (not (isinstance(exp, ast.Constant) and isinstance(exp.value, (int, float))
+                     and abs(exp.value) <= 8)
+                    or any(isinstance(n, ast.Pow) for n in ast.walk(node.left))):
+                raise ExpressionRejected("a power needs a constant exponent of at most 8 "
+                                         "in magnitude and a base with no power in it")
         _check(node.left, names)
         _check(node.right, names)
         return

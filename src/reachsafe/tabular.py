@@ -78,7 +78,7 @@ def tabulate(env: HardCMDP) -> TabularModel:
     next_idx = env.state_index(_step_all(env, states, actions)).reshape(n, m)
     if (next_idx < 0).any():
         raise ConfigurationError(f"{env.name} steps outside its enumerated states")
-    h = np.array([env.h(s) for s in states])
+    h = np.array([env.h(s) for s in states.tolist()])
     return TabularModel(states=states.copy(), actions=actions.copy(),
                         next_idx=next_idx, h=h, h_min=env.h_min, h_max=env.h_max)
 
@@ -100,7 +100,7 @@ def discretize(env: HardCMDP) -> TabularModel:
     n, m = len(states), len(actions)
     next_idx = _grid_rows(ranges, _step_all(env, states, actions)).reshape(n, m)
     return TabularModel(states=states, actions=actions, next_idx=next_idx,
-                        h=np.array([env.h(s) for s in states]),
+                        h=np.array([env.h(s) for s in states.tolist()]),
                         h_min=env.h_min, h_max=env.h_max, grid_ranges=tuple(ranges))
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import array_rows
+from helpers import assert_same_bits
 from reachsafe.collect import (
     MAX_EMPTY_EPISODES,
     SafeCollectionStalled,
@@ -118,3 +120,43 @@ def test_collection_that_keeps_no_step_fails_fast(kind):
     env = build_env(cfg)
     with pytest.raises(SafeCollectionStalled, match=f"{MAX_EMPTY_EPISODES} episodes"):
         collect_safe_dataset(env, build_behavior(cfg, env), 100)
+
+
+def _default_env(name):
+    cfg = default_config("double_integrator" if name == "double_integrator" else "gridworld")
+    if name == "gridworld_flat":
+        cfg.env.momentum = 0
+        cfg.validate()
+    return cfg, build_env(cfg)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", ["gridworld", "gridworld_flat", "double_integrator"])
+def test_collectors_equal_the_array_row_code(name, seed):
+    cfg, env = _default_env(name)
+    ref = array_rows.array_row_env(cfg.env, env)
+    mixture = array_rows.behavior_mixture(ref, [(k, float(w)) for k, w in cfg.data.behavior])
+    pairs = [
+        (collect_safe_dataset(env, build_behavior(cfg, env), cfg.data.n_transitions, seed),
+         array_rows.collect_safe_dataset(ref, mixture, cfg.data.n_transitions, seed)),
+        (collect_unsafe_samples(env, cfg.data.n_unsafe, seed),
+         array_rows.collect_unsafe_samples(ref, cfg.data.n_unsafe, seed)),
+    ]
+    for got, want in pairs:
+        assert got.tag == want.tag and got.meta == want.meta
+        for column in ("s", "a", "r", "s2", "done", "cost"):
+            assert_same_bits(getattr(got, column), getattr(want, column))
+
+
+@pytest.mark.parametrize("bounds", [[[-1.0, 1.0]], [[-1.0, 1.0], [-0.5, 2.0]]],
+                         ids=["d_a=1", "d_a=2"])
+def test_scalar_action_draws_equal_one_array_draw(bounds):
+    # The unsafe collector draws a continuous action one dimension at a
+    # time; every seeded unsafe set rests on this matching the array call.
+    lo, hi = np.array(bounds).T
+    for seed in range(200):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got = [rng.uniform(low, high) for low, high in bounds]
+            assert_same_bits(got, twin.uniform(lo, hi))
+            assert rng.bit_generator.state == twin.bit_generator.state

@@ -1,9 +1,10 @@
 """Per-row environment steps against the numpy formulas they replaced.
 
-The steps compute in Python floats; the former numpy forms of
-``transition``, ``violation``, ``clip_action``, ``_snap_move`` and the
+The steps compute in Python floats on tuple rows; the former numpy forms
+of ``transition``, ``violation``, ``clip_action``, ``_snap_move`` and the
 scripted behaviors are kept here as references, and every value must
-match them bit for bit, signed zeros and NaN positions included.
+match them bit for bit, signed zeros and NaN positions included. So must
+the array-row code that the tuple rows replaced, kept in ``array_rows``.
 """
 
 import dataclasses
@@ -13,6 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import array_rows
+from array_rows import ArrayRowEnv, grid_rows, integrator_rows
 from helpers import assert_same_bits
 from reachsafe.collect import collect_safe_dataset, collect_unsafe_samples
 from reachsafe.config import build_behavior, build_env, default_config
@@ -204,6 +207,10 @@ DI = make_double_integrator(x_lim=1.0, a_max=1.0, dt=0.1, horizon=50, v_max=1.0)
 GRID_REF = ref_grid_steps(7, 7, HAZARDS, 1)
 FLAT_REF = ref_grid_steps(5, 4, [(1, 2)], 0)
 DI_REF = ref_integrator_steps(1.0, 1.0, 0.1, 1.0)
+# The same environments with the array-row code in front.
+ARRAY_ROW = {"grid": (GRID, ArrayRowEnv(GRID, grid_rows(7, 7, HAZARDS, 1))),
+             "flat": (FLAT, ArrayRowEnv(FLAT, grid_rows(5, 4, [(1, 2)], 0))),
+             "di": (DI, ArrayRowEnv(DI, integrator_rows(1.0, 1.0, 0.1, 1.0)))}
 
 EDGES = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 0.7, -0.7, 0.97, -0.97, 0.525, -0.525,
          float("nan"), float("inf"), float("-inf")]
@@ -220,7 +227,8 @@ move_coord = st.one_of(st.sampled_from([-1.0, 0.0, -0.0, 1.0]), any_float)
 
 
 def vec(*coords):
-    return st.tuples(*coords).map(lambda t: np.array(t, dtype=float))
+    """A row of Python floats, as the collectors and the evaluator pass it."""
+    return st.tuples(*coords)
 
 
 # ---------------------------------------------------------------------------
@@ -356,3 +364,65 @@ def test_collectors_and_models_match_the_reference_env(name):
     successors = np.array([ref.transition(s, a) for s in model.states for a in model.actions])
     assert np.array_equal(model.next_idx, model.index(successors).reshape(n, m))
     assert_same_bits(model.h, np.array([ref.h(s) for s in model.states]))
+
+
+# ---------------------------------------------------------------------------
+# Tuple rows against the array-row code they replaced.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["grid", "flat", "di"])
+@settings(max_examples=300, deadline=None)
+@given(s=vec(grid_coord, grid_coord, move_coord, move_coord),
+       a=vec(any_float, any_float), s2=vec(grid_coord, grid_coord, move_coord, move_coord))
+@example(s=(3.0, 3.0, 1.0, 0.0), a=(-1.0, 0.0), s2=(4.0, 3.0, 1.0, 0.0))
+@example(s=(0.3, 1.0, 0.0, 0.0), a=(5.0, 0.0), s2=(0.2, -0.0, 0.0, 0.0))
+@example(s=(-0.0, 0.0, 0.0, 0.0), a=(-0.0, -0.0), s2=(-0.0, 0.0, 0.0, 0.0))
+def test_row_steps_equal_the_array_row_code(name, s, a, s2):
+    env, ref = ARRAY_ROW[name]
+    s, s2, a = s[:env.d_s], s2[:env.d_s], a[:env.d_a]
+    assert isinstance(env.transition(s, a), tuple)
+    assert_same_bits(env.transition(s, a), ref.transition(np.array(s), np.array(a)))
+    assert_same_bits(env.reward(s, a, s2), ref.reward(np.array(s), np.array(a), np.array(s2)))
+    for method in ("violation", "cost", "h"):
+        assert outcome(getattr(env, method), s) == outcome(getattr(ref, method), np.array(s))
+    got, want = outcome(env.clip_action, a), outcome(ref.clip_action, np.array(a))
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert isinstance(got, tuple)
+        assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("name", ["grid", "flat", "di"])
+def test_initial_states_equal_the_array_row_code(name):
+    env, ref = ARRAY_ROW[name]
+    for seed in range(50):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = env.initial_state(rng)
+        assert isinstance(got, tuple) and all(type(x) is float for x in got)
+        assert_same_bits(got, ref.initial_state(ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+BEHAVIORS = {"di": (integrator_behavior, array_rows.integrator_behavior, ["di"]),
+             "grid": (gridworld_behavior, array_rows.gridworld_behavior, ["grid", "flat"])}
+
+
+@pytest.mark.parametrize("family,kind", [
+    *(("di", k) for k in ("outward", "creep", "random", "brake", "hover", "probe")),
+    *(("grid", k) for k in ("goal_greedy", "random", "straight"))])
+@settings(max_examples=150, deadline=None)
+@given(s=vec(grid_coord, grid_coord, move_coord, move_coord),
+       seed=st.integers(0, 2**32 - 1))
+@example(s=(0.8, 1e-9, 0.0, 0.0), seed=0)
+@example(s=(3.0, 3.0, -0.0, 1.0), seed=0)
+def test_behaviors_equal_the_array_row_code(family, kind, s, seed):
+    make, make_ref, names = BEHAVIORS[family]
+    for env, ref in map(ARRAY_ROW.get, names):
+        state = s[:env.d_s]
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = make(env, kind)(state, rng)
+        assert isinstance(got, tuple)
+        assert_same_bits(got, make_ref(ref, kind)(np.array(state), ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state

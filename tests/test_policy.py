@@ -38,6 +38,7 @@ from reachsafe.rollout import RolloutBuffer
 from reachsafe.seeding import substream
 from reachsafe.tabular import tabulate
 
+import array_rows
 from helpers import dynamics
 
 LEARN = default_config("double_integrator").learn
@@ -271,7 +272,7 @@ def test_greedy_actions_stay_feasible_with_oracle_critic():
         state = s.copy()
         for _ in range(10):
             a = env.clip_action(policy.act(state[None])[0])
-            state = env.transition(state, a)
+            state = np.array(env.transition(state, a))
             assert v_exact[env.state_index(state[None])[0]] <= 0.0, (s, state)
 
 
@@ -297,7 +298,7 @@ def reference_evaluate(policy, env, episodes, reward_norm, seed):
         s = env.initial_state(substream(seed, "eval-episode", ep))
         total_r, total_c = 0.0, 0
         for _ in range(env.horizon):
-            a = env.clip_action(policy.act_batch(s.reshape(1, -1))[0])
+            a = env.clip_action(policy.act_batch(np.array([s]))[0])
             s2 = env.transition(s, a)
             total_r += env.reward(s, a, s2)
             total_c += env.cost(s2)
@@ -347,6 +348,20 @@ def test_trained_policy_evaluates_like_the_per_row_loop(integrator):
                                      steps=30, cfg=LEARN, seed=5)
     got = evaluate_policy(policy, env, 40, reward_norm=(-5.0, 5.0), seed=9)
     assert report_bits(got) == report_bits(reference_evaluate(policy, env, 40, (-5.0, 5.0), 9))
+
+
+@pytest.mark.parametrize("world", ["integrator", "gridworld"])
+def test_evaluation_equals_the_array_row_code(request, world):
+    env, data = request.getfixturevalue(world)
+    rows = (array_rows.integrator_rows(1.0, 1.0, 0.1, 1.0) if world == "integrator"
+            else array_rows.grid_rows(7, 7, [(3, 3), (2, 4)], 1))
+    policy = make_policy(env, data, LEARN, seed=7)
+    feasibility_guided_policy_update(policy, np.zeros(len(data)), None, data,
+                                     steps=30, cfg=LEARN, seed=7)
+    got = evaluate_policy(policy, env, 20, reward_norm=(-5.0, 5.0), seed=3)
+    want = array_rows.evaluate_policy(policy, array_rows.ArrayRowEnv(env, rows), 20,
+                                      reward_norm=(-5.0, 5.0), seed=3)
+    assert report_bits(got) == report_bits(want)
 
 
 @pytest.mark.parametrize("world", ["integrator", "gridworld"])

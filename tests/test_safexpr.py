@@ -108,23 +108,24 @@ def reference_label(source: str, field_names, vec: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Random whitelisted sources, depth 1-4. A power's exponent is a leaf, so
-# no source builds a tower of integer powers that never finishes.
+# Random whitelisted sources, depth 1-4. A power's exponent is a constant
+# the gate admits and its base holds no power, as the gate requires.
 # ---------------------------------------------------------------------------
 
 _NUMBERS = st.one_of(st.integers(-3, 9).map(str),
                      st.sampled_from(["0.5", "-0.25", "1e-3", "0.0", "True", "False"]),
                      st.floats(-4.0, 4.0, allow_nan=False).map(repr))
-_EXPONENTS = st.sampled_from(["2", "3", "0", "-1", "0.5", "x", "obs[1]"])
+_EXPONENTS = st.sampled_from(["2", "3", "0", "-1", "0.5", "8", "-8"])
 _BARE_LEAVES = ("obs[0]", "observation[1]", "s[-1]", "obs[-2]", "x", "v", "obs[2]", "obs")
 _FUNCTION_LEAVES = _BARE_LEAVES + ("o[0]", "o[-1]", "lim")
 
 
-def _expressions(leaves, depth):
+def _expressions(leaves, depth, powers=True):
     atom = st.one_of(st.sampled_from(leaves), _NUMBERS)
     if depth == 1:
         return atom
-    sub = _expressions(leaves, depth - 1)
+    sub = _expressions(leaves, depth - 1, powers)
+    base = _expressions(leaves, depth - 1, powers=False)
     compare = st.sampled_from(["<", "<=", ">", ">=", "==", "!="])
     # Comparisons come first and twice, so that arithmetic on a comparison's
     # result (where numpy's bool and Python's bool part ways) is common.
@@ -138,7 +139,7 @@ def _expressions(leaves, depth):
             lambda t: f"({t[0]}{t[1]})"),
         st.tuples(st.one_of(comparison, sub), st.sampled_from(["+", "-", "*", "/", "//", "%"]),
                   st.one_of(comparison, sub)).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
-        st.tuples(sub, _EXPONENTS).map(lambda t: f"({t[0]} ** {t[1]})"),
+        *([st.tuples(base, _EXPONENTS).map(lambda t: f"({t[0]} ** {t[1]})")] if powers else []),
         st.tuples(sub, st.sampled_from(["and", "or"]), sub).map(
             lambda t: f"({t[0]} {t[1]} {t[2]})"),
         st.tuples(sub, sub, sub).map(lambda t: f"({t[0]} if {t[1]} else {t[2]})"),
@@ -280,6 +281,27 @@ def test_rejects_non_constant_default():
     src = "def get_cost(observation, limit=abs(-1)):\n    return observation[0] > limit\n"
     with pytest.raises(ExpressionRejected):
         compile_predicate(src, FIELDS)
+
+
+@pytest.mark.parametrize("source", [
+    "9 ** 9 ** 9 > x",
+    "9 ** 99999999 > x",
+    "((9 ** 8) ** 8) ** 8 > x",
+    "2 ** x > 1",
+    "x ** obs[1] > 1",
+    "x ** 8.5 > 1",
+    "abs(x ** 2) ** 2 > 1",
+])
+def test_rejects_powers_that_could_run_unbounded(source):
+    with pytest.raises(ExpressionRejected, match="power"):
+        compile_predicate(source, FIELDS)
+
+
+def test_small_constant_powers_still_label():
+    states = np.array([[0.9, 0.04], [0.5, 0.0], [-0.8, -0.25]])
+    assert compile_predicate("x ** 2 > 0.5", FIELDS)(states).tolist() == [1, 0, 1]
+    assert compile_predicate("abs(v) ** 0.5 > 0.1", FIELDS)(states).tolist() == [1, 0, 1]
+    assert compile_predicate("x ** -8 > 100", FIELDS)(states).tolist() == [0, 1, 0]
 
 
 def test_rejects_variable_index():
