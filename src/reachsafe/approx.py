@@ -41,6 +41,18 @@ call, so row i is bit-identical to a pass over row i alone; an (n, d)
 GEMM may sum a row in another order and move its last bit. The split
 pass uses the scratch blocks under the same thread contract.
 
+A cache-free pass over n >= 2 * BLOCK rows runs, on the calling thread,
+as n // BLOCK consecutive row blocks of BLOCK rows into one output array,
+the last block also taking the n % BLOCK remainder; so a scratch block
+holds at most 4,095 rows, not the largest batch. No block is shorter than
+BLOCK because BLAS picks its kernel by problem size: such blocks give the
+whole pass's bits on every default network shape, while near-equal
+splits, one-row tails and blocks under about 1,953 rows move the last
+bits of narrow outputs. The limit: a 4-64-64-2 net differs from its whole
+pass at 8,000 rows or more, where the whole pass crosses a kernel cutoff;
+no default pass has that shape and size (the grid policy runs on
+1,024-row rollouts and on split evaluation rows).
+
 Checkpoints keep float64 as well: ``save_mlp`` writes every network of one
 model (a critic's four nets, a policy, a dynamics ensemble) and a JSON
 metadata string into a single ``.npz``, and ``load_mlp`` reads it back
@@ -57,6 +69,9 @@ import numpy as np
 
 from .cmdp import load_npz, save_npz
 from .seeding import substream
+
+
+BLOCK = 2048  # rows per block of a long cache-free pass (module docstring)
 
 
 class BackwardBeforeForward(RuntimeError):
@@ -82,7 +97,7 @@ class OneHot:
         return len(self.cols)
 
     def __getitem__(self, rows) -> OneHot:  # a batch, also for a single row
-        return OneHot(self.cols[rows].reshape(-1, self.cols.shape[1]), self.width)
+        return OneHot(self.cols[rows].reshape(-1, *self.cols.shape[1:]), self.width)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         out = np.zeros(self.shape)
@@ -213,6 +228,11 @@ class Mlp:
         A cache-free pass also takes an (n, 1, d) batch (``split_rows``)
         and returns (n, 1, out); its row i is bit-identical to a pass over
         row i alone.
+
+        A cache-free pass of n >= 2 * BLOCK rows runs inside this one call
+        in n // BLOCK row blocks, none shorter than BLOCK, so a scratch
+        block never holds more than 4,095 rows; the module docstring says
+        why and where the result may differ from the whole pass.
         """
         h = x if isinstance(x, OneHot) else np.asarray(x, dtype=float)
         split = not cache and len(h.shape) == 3 and h.shape[1] == 1
@@ -220,12 +240,24 @@ class Mlp:
             raise ValueError(f"expected an (n, {self.sizes[0]}) batch, got shape {h.shape}")
         if h.shape[-1] != self.sizes[0]:
             raise ValueError(f"expected input width {self.sizes[0]}, got {h.shape[-1]}")
+        n = len(h)
+        if cache or n < 2 * BLOCK:
+            return self._layers(h, cache)
+        out = np.empty((*h.shape[:-1], self.sizes[-1]))
+        edges = [*range(0, n - BLOCK + 1, BLOCK), n]
+        for lo, hi in zip(edges, edges[1:]):
+            self._layers(h[lo:hi], False, out[lo:hi])
+        return out
+
+    def _layers(self, h: np.ndarray | OneHot, cache: bool,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """One pass over ``h``, the output layer written into ``out`` if given."""
         acts = [h]
         n_layers = len(self.weights)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             hidden = i < n_layers - 1
-            out = _scratch(i, (*h.shape[:-1], w.shape[1])) if hidden and not cache else None
-            h = _product(h, w, out)
+            dest = _scratch(i, (*h.shape[:-1], w.shape[1])) if hidden and not cache else out
+            h = _product(h, w, dest)
             h += b
             if hidden:
                 np.tanh(h, out=h)

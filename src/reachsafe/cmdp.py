@@ -193,8 +193,9 @@ class OfflineDataset:
 
     def __post_init__(self) -> None:
         n = len(self.r)
-        for name in ("s", "a", "s2", "done", "cost"):
-            if len(getattr(self, name)) != n:
+        for name in ("s", "a", "s2", "done", "cost", "h_s"):
+            column = getattr(self, name)
+            if column is not None and len(column) != n:
                 raise ConfigurationError(f"column {name} length mismatch")
         self.validate_tag()
 

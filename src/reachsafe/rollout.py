@@ -58,6 +58,15 @@ class RolloutBuffer:
     origin: np.ndarray                     # (rows,) index into the start-state pool
     elite_next: np.ndarray | None = None   # (n_elites, rows, d_s) elite means
 
+    def __post_init__(self) -> None:
+        n = len(self.label)
+        rows = {name: len(getattr(self, name)) for name in ("s", "a", "h_s", "origin")}
+        if self.elite_next is not None:
+            rows["elite_next"] = self.elite_next.shape[1]
+        for name, m in rows.items():
+            if m != n:
+                raise ConfigurationError(f"column {name} has {m} rows, label has {n}")
+
     def __len__(self) -> int:
         return len(self.label)
 

@@ -16,7 +16,6 @@ import hashlib
 import itertools
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable
 
 import numpy as np
@@ -82,11 +81,16 @@ def ordered_map(fn: Callable, items: Iterable) -> list:
                 with lock:
                     errors[index] = err
 
-    with ThreadPoolExecutor(n_threads - 1) as pool:
-        helpers = [pool.submit(work) for _ in range(n_threads - 1)]
+    started = []
+    try:
+        for _ in range(n_threads - 1):
+            helper = threading.Thread(target=work)
+            helper.start()
+            started.append(helper)
         work()
-        for helper in helpers:
-            helper.result()
+    finally:
+        for helper in started:
+            helper.join()
     if errors:
         raise errors[min(errors)]
     return results

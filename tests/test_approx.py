@@ -1,15 +1,20 @@
 import json
+import os
 import re
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reachsafe import BLAS_THREAD_VARS, approx
 from reachsafe.approx import (
+    BLOCK,
     BackwardBeforeForward,
     Mlp,
     OneHot,
@@ -432,10 +437,11 @@ def test_onehot_rows_and_stacking_follow_the_dense_matrix():
     a, b = random_onehot(rng, 6, [5, 3]), random_onehot(rng, 4, [5, 3])
     da, db = np.asarray(a), np.asarray(b)
     assert len(a) == 6 and a.shape == da.shape == (6, 8)
-    rows = np.array([4, 0, 4])
-    assert np.array_equal(np.asarray(a[rows]), da[rows])
-    assert np.array_equal(np.asarray(a[1:3]), da[1:3])
-    assert np.array_equal(np.asarray(a[2]), da[2:3])
+    for batch in (a, split_rows(a)):  # a 2-D and an (n, 1, d) batch keep their row shape
+        dense = np.asarray(batch)
+        for rows, want in ((np.array([4, 0, 4]), dense[[4, 0, 4]]), (slice(1, 3), dense[1:3]),
+                           (2, dense[2:3])):
+            assert np.array_equal(np.asarray(batch[rows]), want)
     assert np.array_equal(np.asarray(concat([a, b])), np.concatenate([da, db]))
     assert np.array_equal(np.asarray(concat([a, a[:6]], axis=1)),
                           np.concatenate([da, da], axis=1))
@@ -494,6 +500,8 @@ def signed_zeros(rng, a, share):
 @example(2, [64, 64], 1, 20, 0, "dense")   # the evaluation policy's shape
 @example(1, [], 1, 1, 1, "dense")
 @example(9, [1], 3, 7, 2, "onehot")
+@example(3, [64, 64], 1, 2 * BLOCK + 1, 3, "dense")   # split passes run in row blocks
+@example(245, [64, 64], 1, 3 * BLOCK - 1, 4, "onehot")
 def test_split_row_pass_equals_one_row_passes_bit_for_bit(d_in, hidden, d_out, n, seed, kind):
     rng = np.random.default_rng(seed)
     net = Mlp([d_in, *hidden, d_out], seed=seed)
@@ -606,3 +614,73 @@ def test_concurrent_cache_free_passes_equal_the_serial_ones():
         sys.setswitchinterval(interval)
     assert not errors and not mismatches
     assert min(passes) > 0
+
+
+# ---------------------------------------------------------------------------
+# A cache-free pass over 2 * BLOCK rows or more runs in row blocks: the same
+# bits as the whole pass, in one call, over bounded scratch.
+# ---------------------------------------------------------------------------
+
+# The default nets: the 64-wide critic, reward and integrator-policy nets,
+# dense and one-hot (state blocks, then state and action blocks), and both
+# dynamics ensembles.
+DEFAULT_SHAPES = [([3, 64, 64, 1], None), ([2, 64, 64, 1], None), ([6, 64, 64, 1], None),
+                  ([4, 64, 64, 1], None), ([245, 64, 64, 1], [245]),
+                  ([250, 64, 64, 1], [245, 5]), ([3, 128, 128, 4], None),
+                  ([6, 128, 128, 8], None)]
+BLOCKED_ROWS = (2049, 4095, 4096, 4097, 6143, 8000, 8001, 20480)
+
+
+def blocked_pass_mismatches() -> list:
+    """[sizes, n] of each default net shape and row count where a cache-free
+    pass differs from the cached whole pass in any bit."""
+    rng = np.random.default_rng(21)
+    mismatches = []
+    for sizes, widths in DEFAULT_SHAPES:
+        net = Mlp(sizes, seed=sizes[0])
+        for p in net.biases:
+            p[:] = rng.normal(size=p.shape)
+        for n in BLOCKED_ROWS:
+            x = rng.normal(size=(n, sizes[0])) if widths is None else random_onehot(rng, n, widths)
+            if net.forward(x, cache=False).tobytes() != net.forward(x).tobytes():
+                mismatches.append([sizes, n])
+    return mismatches
+
+
+def test_blocked_pass_equals_the_whole_pass_with_blas_pinned():
+    # Pinned as the CLI runs: the BLAS thread count decides how a whole pass
+    # is partitioned, and a two-thread one-row tail moves its own last bits.
+    env = {**os.environ, **{var: "1" for var in BLAS_THREAD_VARS},
+           "PYTHONPATH": os.pathsep.join([str(Path(approx.__file__).parents[1]),
+                                          str(Path(__file__).parent)])}
+    code = "import json, test_approx; print(json.dumps(test_approx.blocked_pass_mismatches()))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    assert json.loads(proc.stdout) == []
+
+
+@pytest.mark.parametrize("width, n", [(64, 8000), (128, 20480)])
+def test_a_long_cache_free_pass_is_one_call_over_bounded_scratch(monkeypatch, width, n):
+    net = Mlp([3, width, width, 4], seed=5)
+    x = np.random.default_rng(6).normal(size=(n, 3))
+    seen = []
+    forward = Mlp.__dict__["forward"]
+
+    def wrapper(self, x, *args, **kwargs):  # a class-level wrapper, as the benchmark's tracer
+        seen.append(len(x))
+        return forward(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(Mlp, "forward", wrapper)
+    sizes = []
+
+    def run():  # a fresh thread: its scratch starts empty, and blocks only grow
+        for batch in (x, split_rows(x)):
+            net.forward(batch, cache=False)
+        sizes.extend(block.size for block in approx._SCRATCH.blocks)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert seen == [n, n]
+    assert sizes and max(sizes) <= (2 * BLOCK - 1) * width

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,19 @@ def test_dataset_file_roundtrip(tmp_path):
     ds.h_s = np.array([-1.0, 1.0])
     save_dataset(ds, path)
     _assert_same_dataset(load_dataset(path), ds)
+
+
+def test_a_saved_dataset_with_a_short_column_is_refused_on_load(tmp_path):
+    n = 10
+    ds = OfflineDataset(s=np.zeros((n, 2)), a=np.zeros((n, 1)), r=np.zeros(n),
+                        s2=np.zeros((n, 2)), done=np.zeros(n, dtype=bool),
+                        cost=np.zeros(n, dtype=int), tag=SAFE_ONLY)
+    with pytest.raises(ConfigurationError, match="column h_s"):
+        replace(ds, h_s=np.zeros(3))
+    ds.h_s = np.zeros(3)  # set after the check, as a corrupt file would carry it
+    save_dataset(ds, tmp_path / "short.npz")
+    with pytest.raises(ConfigurationError, match="column h_s"):
+        load_dataset(tmp_path / "short.npz")
 
 
 def test_empty_dataset_roundtrip(tmp_path):

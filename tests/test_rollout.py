@@ -5,6 +5,7 @@ import pytest
 
 from reachsafe import BLAS_THREAD_VARS
 from reachsafe.approx import Mlp
+from reachsafe.cmdp import ConfigurationError
 from reachsafe.collect import collect_safe_dataset
 from reachsafe.config import CostGenSection, default_config
 from reachsafe.costgen import validate, CostCandidate
@@ -12,6 +13,7 @@ from reachsafe.critics import make_feasibility_critic, update_feasibility_critic
 from reachsafe.dynamics import conservative_cost_label_batch, train_ensemble
 from reachsafe.envs import behavior_mixture, integrator_behavior, make_double_integrator
 from reachsafe.rollout import (
+    RolloutBuffer,
     branched_rollout,
     load_rollout_buffer,
     relabel_offline,
@@ -167,6 +169,16 @@ def test_rollout_buffer_roundtrip(setup, tmp_path):
     # Loaded buffers carry no elite means; stacking them gives none either.
     both = stack_buffers([buf, back])
     assert len(both) == 2 * len(buf) and both.elite_next is None
+
+
+@pytest.mark.parametrize("name", ["s", "a", "h_s", "origin", "elite_next"])
+def test_a_buffer_with_a_short_column_is_refused(name):
+    columns = dict(s=np.zeros((4, 2)), a=np.zeros((4, 1)), label=np.ones(4, dtype=int),
+                   h_s=np.ones(4), origin=np.arange(4), elite_next=np.zeros((2, 4, 2)))
+    assert len(RolloutBuffer(**columns)) == 4
+    columns[name] = columns[name][:, :2] if name == "elite_next" else columns[name][:2]
+    with pytest.raises(ConfigurationError, match=f"column {name} has 2 rows, label has 4"):
+        RolloutBuffer(**columns)
 
 
 def test_buffer_carries_the_elite_means_of_every_row(setup):
