@@ -5,7 +5,10 @@ and one gradient step. For the reachability pair, Q fits squared error
 against the feasible backup: on offline transitions the successor value
 comes from the dataset next state, on retained rollout steps from the
 worst (largest) target value across the elite mean successors the rollout
-recorded in its buffer, all elites in one featurize and one forward. V
+recorded in its buffer, all elites in one featurize and one forward. The
+update reads the rollout window's event buffers in place, rows indexed as
+if concatenated; ``rollout.stack_buffers`` serves only a rollout's epochs
+and the saved buffer. V
 regresses toward Q with the reverse expectile loss, whose tau near 1
 approximates the min over actions without ever querying
 out-of-distribution actions. The reward pair's TD target lives with the
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -222,7 +225,7 @@ def _net_seed(seed: int, *labels: str) -> int:
 def update_feasibility_critics(
     critic: FeasibilityCritic,
     offline: OfflineDataset,
-    rollout_buffer: RolloutBuffer | None,
+    rollouts: Sequence[RolloutBuffer],
     steps: int,
     cfg: LearnSection,
     seed: int = 0,
@@ -231,15 +234,26 @@ def update_feasibility_critics(
     """Run gradient steps on Q_h and V_h from offline plus rollout batches.
 
     The offline dataset must carry h labels (``h_s``); a missing column
-    means everything sits at h_min. Rollout rows back up against the elite
-    mean successors the rollout recorded (``RolloutBuffer.elite_next``). The
-    critic object is updated in place and returned.
+    means everything sits at h_min. ``rollouts`` is the rollout window, a
+    sequence of event buffers (empty: no rollouts). The buffers are read in
+    place, never stacked: their rows are indexed as if concatenated in
+    order, and each step makes one draw over that range, as from a stacked
+    buffer. Rollout rows back up against the elite mean successors the
+    rollout recorded (``RolloutBuffer.elite_next``), which every non-empty
+    buffer must carry with the same (n_elites, d_s). Each buffer's floor at
+    those successors is reduced over elites once; that is exact, since
+    max_e max(F_e, V_e) = max(max_e F_e, max_e V_e) bit for bit. The critic
+    object is updated in place and returned.
     """
     if len(offline) == 0:
         raise ValueError("offline batch must not be empty")
-    roll = rollout_buffer if rollout_buffer is not None and len(rollout_buffer) else None
-    if roll is not None and roll.elite_next is None:
+    window = [b for b in rollouts if len(b)]
+    if any(b.elite_next is None for b in window):
         raise ValueError("rollout buffer has no elite_next (a saved buffer drops it)")
+    shapes = {(b.elite_next.shape[0], b.elite_next.shape[2]) for b in window}
+    if len(shapes) > 1:
+        raise ValueError(f"rollout buffers disagree on elite_next's (n_elites, d_s): "
+                         f"{sorted(shapes)}")
     gamma, tau = cfg.critic_gamma, cfg.critic_tau
 
     # Featurized views and labels, reused across steps. The relabeled cost
@@ -250,14 +264,20 @@ def update_feasibility_critics(
     h_s = (np.full(len(offline), critic.h_min) if offline.h_s is None
            else np.asarray(offline.h_s, dtype=float))
     h_s2 = np.where(offline.cost > 0, critic.h_max, critic.h_min).astype(float)
-    if roll is not None:
-        # Elite mean successors, (n_elites, n, d_s), and the floor there.
-        n_elites, n_roll, d_s = roll.elite_next.shape
-        elite_floor = critic.floor_values(
-            roll.elite_next.reshape(-1, d_s)).reshape(n_elites, n_roll)
-        roll_s = critic.state_feat(roll.s)
-        roll_sa = concat([roll_s, critic.action_feat(roll.a)], axis=1)
-        roll_h = roll.h_s.astype(float)
+    if window:
+        # Per buffer: featurized rows, labels, the elite means as a
+        # (rows, n_elites, d_s) view and the floor there, reduced over elites.
+        n_elites, d_s = shapes.pop()
+        roll_s = [critic.state_feat(b.s) for b in window]
+        roll_sa = [concat([f, critic.action_feat(b.a)], axis=1)
+                   for f, b in zip(roll_s, window)]
+        roll_h = [np.asarray(b.h_s, dtype=float) for b in window]
+        roll_next = [b.elite_next.swapaxes(0, 1) for b in window]
+        roll_floor = [critic.floor_values(b.elite_next.reshape(-1, d_s))
+                      .reshape(n_elites, -1).max(axis=0) for b in window]
+        sizes = np.array([len(b) for b in window])
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
     rng = substream(seed, "critic-update", *stream)
 
     for _ in range(steps):
@@ -266,27 +286,42 @@ def update_feasibility_critics(
         v2 = np.maximum(h_s2[idx], critic.v_target.forward(feat_s2[idx], cache=False)[:, 0])
         target_off = feasible_backup(h_s[idx], v2, gamma)
 
-        if roll is not None:
+        if window:
             want = max(1, int(cfg.batch_size * cfg.rollout_batch_fraction))
-            ridx = rng.integers(len(roll), size=min(want, len(roll)))
-            rh = roll_h[ridx]
-            succ = roll.elite_next[:, ridx].reshape(-1, d_s)
+            ridx = rng.integers(ends[-1], size=min(want, ends[-1]))
+            part = np.searchsorted(ends, ridx, side="right")  # buffer of each draw
+            local = ridx - starts[part]
+            picks = [(at, local[at]) for at in
+                     (np.flatnonzero(part == j) for j in range(len(window)))]
+            succ = _gather(roll_next, picks).swapaxes(0, 1).reshape(-1, d_s)
             v_succ = critic.v_target.forward(critic.state_feat(succ), cache=False)[:, 0]
-            v_next = np.maximum(elite_floor[:, ridx],
-                                v_succ.reshape(n_elites, -1)).max(axis=0)
-            target_roll = feasible_backup(rh, v_next, gamma)
-            q_in = concat([feat_sa[idx], roll_sa[ridx]])
+            v_next = np.maximum(_gather(roll_floor, picks),
+                                v_succ.reshape(n_elites, -1).max(axis=0))
+            target_roll = feasible_backup(_gather(roll_h, picks), v_next, gamma)
+            q_in = concat([feat_sa[idx], _gather(roll_sa, picks)])
             q_tgt = np.concatenate([target_off, target_roll])
         else:
             q_in, q_tgt = feat_sa[idx], target_off
 
-        if roll is not None and cfg.include_rollout_in_v:
-            v_in, q_ref_in = concat([fs, roll_s[ridx]]), q_in
+        if window and cfg.include_rollout_in_v:
+            v_in, q_ref_in = concat([fs, _gather(roll_s, picks)]), q_in
         else:
             v_in, q_ref_in = fs, q_in[:len(fs)]
         critic.gradient_step(q_in, q_tgt, v_in, q_ref_in, tau)
 
     return critic
+
+
+def _gather(parts: list, picks: list[tuple[np.ndarray, np.ndarray]]):
+    """Rows of the concatenated ``parts`` in draw order; ``picks`` holds
+    each part's (draw positions, rows in the part)."""
+    if isinstance(parts[0], OneHot):
+        return OneHot(_gather([p.cols for p in parts], picks), parts[0].width)
+    out = np.empty((sum(len(at) for at, _ in picks), *parts[0].shape[1:]),
+                   dtype=parts[0].dtype)
+    for part, (at, rows) in zip(parts, picks):
+        out[at] = part[rows]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -373,7 +373,6 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
     )
     events: list = []  # one buffer per rollout event
     for event, steps in enumerate(_event_steps(lc)):
-        buffer = None
         if ensemble is not None:
             events.append(branched_rollout(
                 policy.act_batch, offline, ensemble, candidate.predicate, rcfg,
@@ -384,9 +383,10 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
                 # buffer drops them.
                 gone = -lc.rollout_window - 1
                 events[gone] = replace(events[gone], elite_next=None)
-            buffer = stack_buffers(events[-lc.rollout_window:])
         if critic is not None:
-            update_feasibility_critics(critic, offline, buffer, steps=steps, cfg=lc,
+            # The window's own buffers, read in place (none without rollouts).
+            update_feasibility_critics(critic, offline, events[-lc.rollout_window:],
+                                       steps=steps, cfg=lc,
                                        seed=child_seed(seed, "learn", "feas"),
                                        stream=("event", event))
         feasibility_guided_policy_update(
@@ -399,8 +399,9 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
         save_critic(critic, paths.critic_dir(cfg))
     save_policy(policy, paths.policy_dir(cfg))
     if ensemble is not None:
-        # The saved file drops the elite means, so they are not stacked.
-        save_rollout_buffer(stack_buffers([replace(b, elite_next=None) for b in events]),
+        # The saved file drops the elite means: let them go before stacking.
+        events = [replace(b, elite_next=None) for b in events]
+        save_rollout_buffer(stack_buffers(events),
                             paths.rollout_buffer(cfg), meta={"variant": cfg.variant()})
 
 

@@ -62,7 +62,11 @@ class RolloutBuffer:
         n = len(self.label)
         rows = {name: len(getattr(self, name)) for name in ("s", "a", "h_s", "origin")}
         if self.elite_next is not None:
-            rows["elite_next"] = self.elite_next.shape[1]
+            shape = self.elite_next.shape
+            if len(shape) != 3 or shape[2:] != self.s.shape[1:]:
+                raise ConfigurationError(f"column elite_next has shape {shape}, not "
+                                         f"(n_elites, rows, d_s) for s of shape {self.s.shape}")
+            rows["elite_next"] = shape[1]
         for name, m in rows.items():
             if m != n:
                 raise ConfigurationError(f"column {name} has {m} rows, label has {n}")
@@ -138,7 +142,12 @@ def branched_rollout(
 
 def stack_buffers(buffers: Sequence[RolloutBuffer]) -> RolloutBuffer:
     """Row-concatenation of buffers, in order. The elite means are stacked
-    only when every buffer carries them; otherwise the result has None."""
+    only when every buffer carries them; otherwise the result has None.
+
+    Its users are a rollout event, which stacks its epochs, and the learn
+    stage's saved buffer; the critic update reads the rollout window's
+    buffers in place instead.
+    """
     columns = {name: np.concatenate([getattr(b, name) for b in buffers])
                for name in _BUFFER_COLUMNS}
     elite = [b.elite_next for b in buffers]

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import shutil
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -200,6 +201,41 @@ def test_benchmark_probes_count_from_the_config_the_run_uses(tmp_path, perfbench
     assert (tracer.counts["rollout.branches_started"]
             == events * lc.rollout_epochs * min(lc.rollout_batch, pool))
     assert tracer.counts["dynamics.train.samples"] == len(data) * dc.epochs * dc.n_total
+
+
+def test_critic_updates_read_the_rollout_window_in_place(tmp_path, monkeypatch):
+    # Each update gets the very buffers the last W rollouts returned, elite
+    # means intact; the saved buffer is stacked once every elite mean is let
+    # go. Only weak references are kept here, so none is held alive.
+    cfg = tiny_config()
+    cfg.learn.total_steps = 6  # three rollout events through a window of two
+    width = cfg.learn.rollout_window
+    rollouts, windows, held = [], [], []
+    roll, update = pipeline.branched_rollout, pipeline.update_feasibility_critics
+    stack = pipeline.stack_buffers
+
+    def rolled(*args, **kwargs):
+        buffer = roll(*args, **kwargs)
+        rollouts.append((weakref.ref(buffer), weakref.ref(buffer.elite_next)))
+        return buffer
+
+    def updated(critic, offline, window, *args, **kwargs):
+        last = rollouts[-width:]
+        windows.append(len(window) == len(last) and all(
+            b is buffer() and b.elite_next is means() and means() is not None
+            for b, (buffer, means) in zip(window, last)))
+        return update(critic, offline, window, *args, **kwargs)
+
+    def stacked(buffers):
+        held.append(sum(means() is not None for _, means in rollouts))
+        return stack(buffers)
+
+    monkeypatch.setattr(pipeline, "branched_rollout", rolled)
+    monkeypatch.setattr(pipeline, "update_feasibility_critics", updated)
+    monkeypatch.setattr(pipeline, "stack_buffers", stacked)
+    run_pipeline(cfg, tmp_path)
+    assert len(rollouts) == 3 and windows == [True] * 3
+    assert held == [0]
 
 
 def test_remote_proposer_runs_through_the_costgen_stage(tmp_path, monkeypatch):
@@ -424,7 +460,7 @@ def test_feasibility_critic_roundtrip_keeps_config_and_floor(integrator, tmp_pat
     cfg = replace(learn, hidden=[16, 16], batch_size=64)
     floor = env.margin_predicate(0.05)
     critic = make_feasibility_critic(env, data, cfg, seed=1, cost_fn=floor)
-    update_feasibility_critics(critic, data, None, steps=3, cfg=cfg)
+    update_feasibility_critics(critic, data, [], steps=3, cfg=cfg)
     save_critic(critic, tmp_path / "critic")
     back = load_critic(tmp_path / "critic", env, cost_fn=floor)
     assert isinstance(back, FeasibilityCritic)

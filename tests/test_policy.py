@@ -34,12 +34,12 @@ from reachsafe.policy import (
     update_reward_critic,
 )
 from reachsafe.reachability import tabular_value_iteration
-from reachsafe.rollout import RolloutBuffer
+from reachsafe.rollout import RolloutBuffer, relabel_offline, stack_buffers
 from reachsafe.seeding import substream
 from reachsafe.tabular import tabulate
 
 import array_rows
-from helpers import dynamics
+from helpers import assert_same_bits, dynamics
 
 LEARN = default_config("double_integrator").learn
 
@@ -130,7 +130,7 @@ def test_learn_settings_reach_the_critics_and_the_policy():
     reward.v_target.biases[-1][:] = 2.0   # a successor value far from zero
     v_feas, v_reward = (c.v_target.forward(c.state_feat(one.s2), cache=False)[0, 0]
                         for c in (feas, reward))
-    update_feasibility_critics(feas, one, None, steps=1, cfg=cfg)
+    update_feasibility_critics(feas, one, [], steps=1, cfg=cfg)
     update_reward_critic(reward, one, steps=1, cfg=cfg)
     # Feasible backup from h(s) = -1 with the successor flagged, h(s') = +1.
     assert targets["feas"][0] == pytest.approx(0.1 * -1.0 + 0.9 * max(1.0, v_feas))
@@ -158,9 +158,47 @@ def test_rollout_rows_back_up_against_the_worst_elite_successor(integrator):
         cfg = replace(LEARN, critic_lr=1e-2, rollout_batch_fraction=1.0)
         critic = make_feasibility_critic(env, data, cfg, seed=0,
                                          cost_fn=env.margin_predicate(0.0))
-        update_feasibility_critics(critic, data, buffer, steps=100, cfg=cfg)
+        update_feasibility_critics(critic, data, [buffer], steps=100, cfg=cfg)
         q[violating] = float(critic.q_values(buffer.s, buffer.a).mean())
     assert q[True] > q[False] + 0.5, q
+
+
+def _event_window(env, data, sizes, n_elites=3, seed=0):
+    """Rollout buffers of dataset rows; each elite mean is the dataset
+    successor moved by noise, so the one-hot featurizer has to snap some."""
+    rng = np.random.default_rng(seed)
+    window = []
+    for n in sizes:
+        rows = rng.choice(len(data), size=n, replace=False)
+        label = rng.integers(2, size=n)
+        window.append(RolloutBuffer(
+            s=data.s[rows], a=data.a[rows], label=label,
+            h_s=np.where(label > 0, env.h_max, env.h_min), origin=rows,
+            elite_next=data.s2[rows] + rng.normal(scale=0.3, size=(n_elites, n, env.d_s))))
+    return window
+
+
+@pytest.mark.parametrize("in_v", [True, False], ids=["rollout-in-v", "offline-v"])
+@pytest.mark.parametrize("world", ["integrator", "gridworld"])
+def test_a_window_updates_the_critic_as_its_stacked_buffer_does(request, world, in_v):
+    # The window's buffers are read in place, an empty one among them; the
+    # result is the update on the one stacked buffer, bit for bit.
+    env, data = request.getfixturevalue(world)
+    cost_fn = env.margin_predicate(0.1)
+    offline = relabel_offline(data, cost_fn, env.h_min, env.h_max)
+    window = _event_window(env, data, sizes=(90, 0, 70))
+    cfg = replace(LEARN, hidden=[16, 16], batch_size=64, include_rollout_in_v=in_v)
+    got, want = (make_feasibility_critic(env, offline, cfg, seed=3, cost_fn=cost_fn)
+                 for _ in range(2))
+    update_feasibility_critics(got, offline, window, steps=25, cfg=cfg, seed=5,
+                               stream=("event", 1))
+    update_feasibility_critics(want, offline, [stack_buffers(window)], steps=25, cfg=cfg,
+                               seed=5, stream=("event", 1))
+    assert got.steps_trained == want.steps_trained == 25
+    for name in ("q_net", "v_net", "q_target", "v_target"):
+        assert_same_bits(getattr(got, name).params, getattr(want, name).params)
+    assert not np.array_equal(got.q_net.params, make_feasibility_critic(
+        env, offline, cfg, seed=3, cost_fn=cost_fn).q_net.params)
 
 
 def test_bc_weights_gate_blocks_positive_qh(integrator):
@@ -432,7 +470,7 @@ def test_inference_passes_leave_no_activations_for_backward(integrator):
     assert_no_cache(nets)
 
     update_reward_critic(reward, data, steps=1, cfg=LEARN)
-    update_feasibility_critics(feas, data, None, steps=1, cfg=LEARN)
+    update_feasibility_critics(feas, data, [], steps=1, cfg=LEARN)
     assert_no_cache([net for c in (reward, feas) for net in (c.q_target, c.v_target)])
 
     model = train_ensemble(data, **dynamics(n_total=2, n_elite=1, epochs=1), seed=3)

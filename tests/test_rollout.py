@@ -181,6 +181,15 @@ def test_a_buffer_with_a_short_column_is_refused(name):
         RolloutBuffer(**columns)
 
 
+@pytest.mark.parametrize("shape", [(5, 4, 3), (5, 4), (5, 4, 2, 1)],
+                         ids=["three-wide", "2-d", "4-d"])
+def test_elite_means_that_are_not_n_elites_by_rows_by_state_width_are_refused(shape):
+    columns = dict(s=np.zeros((4, 2)), a=np.zeros((4, 1)), label=np.ones(4, dtype=int),
+                   h_s=np.ones(4), origin=np.arange(4))
+    with pytest.raises(ConfigurationError, match="column elite_next has shape"):
+        RolloutBuffer(**columns, elite_next=np.zeros(shape))
+
+
 def test_buffer_carries_the_elite_means_of_every_row(setup):
     env, _, model = setup
     cfg = rollout(batch=128, epochs=2, horizon=3)
@@ -204,7 +213,29 @@ def test_critic_update_refuses_a_buffer_without_elite_means(setup, tmp_path):
     critic = make_feasibility_critic(env, data, learn, seed=0,
                                      cost_fn=env.margin_predicate(0.08))
     with pytest.raises(ValueError, match="elite_next"):
-        update_feasibility_critics(critic, data, back, steps=1, cfg=learn)
+        update_feasibility_critics(critic, data, [back], steps=1, cfg=learn)
+    with pytest.raises(ValueError, match="elite_next"):
+        update_feasibility_critics(critic, data, [buf, back], steps=1, cfg=learn)
+
+
+def test_critic_update_refuses_a_window_whose_elite_means_disagree(setup):
+    env, data, model = setup
+    cfg = rollout(batch=64, epochs=1)
+    first, second = (_rollout(setup, env.margin_predicate(0.08), cfg, seed=13, event=e)
+                     for e in range(2))
+    assert len(first) and len(second) and model.n_elites > 1
+    fewer = replace(second, elite_next=second.elite_next[:1])
+    learn = default_config("double_integrator").learn
+    critic = make_feasibility_critic(env, data, learn, seed=0,
+                                     cost_fn=env.margin_predicate(0.08))
+    with pytest.raises(ValueError, match=r"disagree on elite_next's \(n_elites, d_s\)"):
+        update_feasibility_critics(critic, data, [first, fewer], steps=1, cfg=learn)
+    assert critic.steps_trained == 0
+    # An empty buffer adds no rows, so its elite means are never read.
+    nothing = replace(first, **{name: getattr(first, name)[:0] for name in COLUMNS},
+                      elite_next=None)
+    update_feasibility_critics(critic, data, [first, nothing, second], steps=1, cfg=learn)
+    assert critic.steps_trained == 1
 
 
 def test_rollout_epochs_in_threads_equal_the_serial_loop(setup, monkeypatch):
