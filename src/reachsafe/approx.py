@@ -22,12 +22,28 @@ share a vector.
 
 A ``OneHot`` input batch stores each row's hot columns: the first layer
 sums the selected weight rows, exactly the dense product for one or two
-blocks; ``backward`` keeps the dense GEMM for layer 0's weight gradient.
+blocks. ``backward`` forms layer 0's weight gradient as a scatter: row by
+row, in row order, each row's upstream is added into its hot columns'
+gradient rows (one ``np.bincount``, which sums in input order), and a
+column never hot reads +0.0. That is the definition for every batch; up
+to 384 rows it is also OpenBLAS's dense GEMM bit for bit, which sums
+those rows in the same order.
 
-An inference pass (``forward(..., cache=False)``) keeps nothing: hidden
-layer i is written into one of the calling thread's two scratch blocks,
-chosen by i % 2, which grow on demand and are reused by its later
-cache-free passes of any network. Only the output layer is a fresh array.
+An inference pass (``forward(..., cache=False)``) keeps nothing: its
+hidden layers live in the calling thread's scratch blocks, which grow on
+demand and are reused by its later cache-free passes of any network. They
+run tile by tile, TILE rows a tile, the last tile also taking the
+remainder (fewer than 2 * TILE rows are one tile). In a tile, hidden layer
+i but the last goes to tile block i % 2, and the last hidden product to
+the tile's rows of one full-height block; that layer's bias and tanh and
+the output layer then run once over the block, the output into the
+returned array. So a thread holds one block under 2 * TILE rows (two with
+three or more hidden layers) and one full-height block of the last hidden
+width. Only the narrow output layer needs all rows at once: BLAS rounds a
+128->4 or 64->1 product differently as its row count changes, while the
+hidden products of TILE-row tiles give each row the whole pass's bits on
+every default network shape (checked with BLAS pinned, as the blocks
+below are).
 Thread contract: cache-free passes may run on several threads at once,
 even on one network; a caching pass and the ``backward`` that consumes it
 run on one thread per network, with no other pass of it in between. The
@@ -39,19 +55,19 @@ A cache-free pass also takes an (n, 1, d) batch, ``split_rows`` of an
 row on its own, a (1, d) @ (d, k) product with the kernel of a one-row
 call, so row i is bit-identical to a pass over row i alone; an (n, d)
 GEMM may sum a row in another order and move its last bit. The split
-pass uses the scratch blocks under the same thread contract.
+pass uses the scratch blocks and tiles under the same thread contract.
 
 A cache-free pass over n >= 2 * BLOCK rows runs, on the calling thread,
 as n // BLOCK consecutive row blocks of BLOCK rows into one output array,
-the last block also taking the n % BLOCK remainder; so a scratch block
-holds at most 4,095 rows, not the largest batch. No block is shorter than
-BLOCK because BLAS picks its kernel by problem size: such blocks give the
-whole pass's bits on every default network shape, while near-equal
-splits, one-row tails and blocks under about 1,953 rows move the last
-bits of narrow outputs. The limit: a 4-64-64-2 net differs from its whole
-pass at 8,000 rows or more, where the whole pass crosses a kernel cutoff;
-no default pass has that shape and size (the grid policy runs on
-1,024-row rollouts and on split evaluation rows).
+the last block also taking the n % BLOCK remainder; so the full-height
+block holds at most 4,095 rows, not the largest batch. No block is
+shorter than BLOCK because BLAS picks its kernel by problem size: such
+blocks give the whole pass's bits on every default network shape, while
+near-equal splits, one-row tails and blocks under about 1,953 rows move
+the last bits of narrow outputs. The limit: a 4-64-64-2 net differs from
+its whole pass at 8,000 rows or more, where the whole pass crosses a
+kernel cutoff; no default pass has that shape and size (the grid policy
+runs on 1,024-row rollouts and on split evaluation rows).
 
 Checkpoints keep float64 as well: ``save_mlp`` writes every network of one
 model (a critic's four nets, a policy, a dynamics ensemble) and a JSON
@@ -72,6 +88,7 @@ from .seeding import substream
 
 
 BLOCK = 2048  # rows per block of a long cache-free pass (module docstring)
+TILE = 256  # rows per tile of a cache-free pass's hidden layers (module docstring)
 
 
 class BackwardBeforeForward(RuntimeError):
@@ -126,23 +143,68 @@ def split_rows(x: np.ndarray | OneHot) -> np.ndarray | OneHot:
 
 
 class _Scratch(threading.local):
-    """Hidden layers of this thread's cache-free passes; layer i uses block
-    i % 2, so a layer never overwrites its own input."""
+    """Hidden layers of this thread's cache-free passes: blocks 0 and 1 hold
+    a tile's earlier hidden layers (layer i in block i % 2, so a layer never
+    overwrites its own input), block 2 the last hidden layer of the pass."""
 
     def __init__(self) -> None:
-        self.blocks = [np.empty(0), np.empty(0)]
+        self.blocks = [np.empty(0), np.empty(0), np.empty(0)]
 
 
 _SCRATCH = _Scratch()
 
 
-def _scratch(i: int, shape: tuple[int, ...]) -> np.ndarray:
-    """A view of ``shape`` on this thread's block i % 2, grown if too small."""
+def _scratch(k: int, shape: tuple[int, ...]) -> np.ndarray:
+    """A view of ``shape`` on this thread's block k, grown if too small."""
     blocks = _SCRATCH.blocks
     size = math.prod(shape)
-    if blocks[i % 2].size < size:
-        blocks[i % 2] = np.empty(size)
-    return blocks[i % 2][:size].reshape(shape)
+    if blocks[k].size < size:
+        blocks[k] = np.empty(size)
+    return blocks[k][:size].reshape(shape)
+
+
+def _spans(n: int, size: int) -> list[tuple[int, int]]:
+    """(lo, hi) of ``size``-row parts of n rows, the last part also taking
+    the remainder; fewer than 2 * size rows stay one part."""
+    edges = [0, n] if n < 2 * size else [*range(0, n - size + 1, size), n]
+    return list(zip(edges, edges[1:]))
+
+
+def _affine(h: np.ndarray | OneHot, w: np.ndarray, b: np.ndarray,
+            out: np.ndarray | None, hidden: bool) -> np.ndarray:
+    """``h @ w + b`` in ``out`` (fresh when None), tanh'd in place if hidden."""
+    h = _product(h, w, out)
+    h += b
+    return np.tanh(h, out=h) if hidden else h
+
+
+def _free_pass(h: np.ndarray | OneHot, layers: list, out: np.ndarray) -> None:
+    """A cache-free pass over ``h`` into ``out``: the hidden layers tile by
+    tile, each tile's last hidden product into its rows of scratch block 2,
+    then that layer's bias and tanh (elementwise, so the bits stay; fewer
+    calls hand the interpreter lock between concurrent passes less often)
+    and the output layer once over the whole block."""
+    *hidden, (w, b) = layers
+    if hidden:
+        w_top, b_top = hidden.pop()
+        top = _scratch(2, (*h.shape[:-1], w.shape[0]))
+        for lo, hi in _spans(len(h), TILE):
+            t = h[lo:hi]
+            for i, (wi, bi) in enumerate(hidden):
+                t = _affine(t, wi, bi, _scratch(i % 2, (*t.shape[:-1], wi.shape[1])), True)
+            _product(t, w_top, top[lo:hi])
+        top += b_top
+        h = np.tanh(top, out=top)
+    _affine(h, w, b, out, False)
+
+
+def _scatter_rows(x: OneHot, g: np.ndarray, out: np.ndarray) -> None:
+    """``x.T @ g`` into ``out``: each row's ``g[r]`` added into its hot
+    columns' rows, in row order (``np.bincount`` sums in input order)."""
+    k = g.shape[1]
+    bins = (x.cols.reshape(-1, 1) * k + np.arange(k)).ravel()
+    weights = np.repeat(g, x.cols.shape[1], axis=0).ravel()
+    out[...] = np.bincount(bins, weights, minlength=out.size).reshape(out.shape)
 
 
 def _product(h: np.ndarray | OneHot, w: np.ndarray, out: np.ndarray | None) -> np.ndarray:
@@ -216,10 +278,10 @@ class Mlp:
 
         ``cache=False`` is an inference-only pass: it keeps no activations
         and drops any an earlier pass left, so a large batch is not pinned
-        in memory after the call. Its hidden layers live in the calling
-        thread's two scratch blocks (layer i in block i % 2), so no hidden
-        layer is allocated per call; only the returned output layer is
-        fresh. Cache-free passes may run on several threads at once, even
+        in memory after the call. Its hidden layers run in TILE-row tiles
+        over the calling thread's scratch blocks (module docstring), so no
+        hidden layer is allocated per call; only the returned output layer
+        is fresh. Cache-free passes may run on several threads at once, even
         on one network. ``cache=True`` never touches the scratch; it and
         the matching ``backward`` run on one thread per network, with no
         other pass of that network in between. Bias and tanh act in place
@@ -230,9 +292,10 @@ class Mlp:
         row i alone.
 
         A cache-free pass of n >= 2 * BLOCK rows runs inside this one call
-        in n // BLOCK row blocks, none shorter than BLOCK, so a scratch
-        block never holds more than 4,095 rows; the module docstring says
-        why and where the result may differ from the whole pass.
+        in n // BLOCK row blocks, none shorter than BLOCK, so the
+        full-height block never holds more than 4,095 rows; the module
+        docstring says why and where the result may differ from the whole
+        pass.
         """
         h = x if isinstance(x, OneHot) else np.asarray(x, dtype=float)
         split = not cache and len(h.shape) == 3 and h.shape[1] == 1
@@ -240,31 +303,18 @@ class Mlp:
             raise ValueError(f"expected an (n, {self.sizes[0]}) batch, got shape {h.shape}")
         if h.shape[-1] != self.sizes[0]:
             raise ValueError(f"expected input width {self.sizes[0]}, got {h.shape[-1]}")
-        n = len(h)
-        if cache or n < 2 * BLOCK:
-            return self._layers(h, cache)
+        layers = list(zip(self.weights, self.biases))
+        if cache:
+            acts = [h]
+            for i, (w, b) in enumerate(layers):
+                acts.append(_affine(acts[-1], w, b, None, i < len(layers) - 1))
+            self._cache = acts
+            return acts[-1]
+        self._cache = None
         out = np.empty((*h.shape[:-1], self.sizes[-1]))
-        edges = [*range(0, n - BLOCK + 1, BLOCK), n]
-        for lo, hi in zip(edges, edges[1:]):
-            self._layers(h[lo:hi], False, out[lo:hi])
+        for lo, hi in _spans(len(h), BLOCK):
+            _free_pass(h[lo:hi], layers, out[lo:hi])
         return out
-
-    def _layers(self, h: np.ndarray | OneHot, cache: bool,
-                out: np.ndarray | None = None) -> np.ndarray:
-        """One pass over ``h``, the output layer written into ``out`` if given."""
-        acts = [h]
-        n_layers = len(self.weights)
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            hidden = i < n_layers - 1
-            dest = _scratch(i, (*h.shape[:-1], w.shape[1])) if hidden and not cache else out
-            h = _product(h, w, dest)
-            h += b
-            if hidden:
-                np.tanh(h, out=h)
-            if cache:
-                acts.append(h)
-        self._cache = acts if cache else None
-        return h
 
     def backward(self, upstream: np.ndarray) -> np.ndarray:
         """Gradient of sum(upstream * output) w.r.t. the parameters.
@@ -272,7 +322,9 @@ class Mlp:
         Returns ``grad``, written in place and valid until this network's
         next ``backward``; ``split`` gives its per-tensor views. The pass
         consumes the cached forward (tanh' is formed in its activations),
-        stops at layer 0's parameters and forms no input gradient.
+        stops at layer 0's parameters and forms no input gradient. A
+        ``OneHot`` input's weight gradient is the row-order scatter of the
+        module docstring; no dense one-hot matrix is built.
         """
         cache = self._cache
         if cache is None:
@@ -285,9 +337,11 @@ class Mlp:
             self.grad = np.empty_like(self.params)
             self._grads = self.split(self.grad)
         for i in range(len(self.weights) - 1, -1, -1):
-            # A one-hot input keeps the dense GEMM and its summation order.
-            h_in = np.asarray(cache[i]) if isinstance(cache[i], OneHot) else cache[i]
-            np.matmul(h_in.T, g, out=self._grads[2 * i])
+            h_in = cache[i]
+            if isinstance(h_in, OneHot):
+                _scatter_rows(h_in, g, self._grads[2 * i])
+            else:
+                np.matmul(h_in.T, g, out=self._grads[2 * i])
             g.sum(axis=0, out=self._grads[2 * i + 1])
             if i:
                 g = g @ self.weights[i].T

@@ -19,6 +19,7 @@ configuration's ``learn`` section.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from functools import reduce
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -241,9 +242,15 @@ def update_feasibility_critics(
     buffer. Rollout rows back up against the elite mean successors the
     rollout recorded (``RolloutBuffer.elite_next``), which every non-empty
     buffer must carry with the same (n_elites, d_s). Each buffer's floor at
-    those successors is reduced over elites once; that is exact, since
-    max_e max(F_e, V_e) = max(max_e F_e, max_e V_e) bit for bit. The critic
-    object is updated in place and returned.
+    those successors is reduced over elites once, a running max over one
+    elite at a time; that is exact, since max_e max(F_e, V_e) =
+    max(max_e F_e, max_e V_e) bit for bit.
+
+    The violation value in a backup differs by source: an offline row's
+    ``h_s`` is its own state's label (``relabel_offline``), a rollout row's
+    is its successor's any-elite label (``branched_rollout``). So offline
+    targets back up h(s) and rollout targets h(s'). The critic object is
+    updated in place and returned.
     """
     if len(offline) == 0:
         raise ValueError("offline batch must not be empty")
@@ -273,8 +280,8 @@ def update_feasibility_critics(
                    for f, b in zip(roll_s, window)]
         roll_h = [np.asarray(b.h_s, dtype=float) for b in window]
         roll_next = [b.elite_next.swapaxes(0, 1) for b in window]
-        roll_floor = [critic.floor_values(b.elite_next.reshape(-1, d_s))
-                      .reshape(n_elites, -1).max(axis=0) for b in window]
+        roll_floor = [reduce(np.maximum, map(critic.floor_values, b.elite_next))
+                      for b in window]
         sizes = np.array([len(b) for b in window])
         ends = np.cumsum(sizes)
         starts = ends - sizes

@@ -198,9 +198,8 @@ def train_ensemble(
         ref_idx = val_idx if n_val else train_idx
         net = Mlp(sizes, seed=int(rng.integers(1 << 31)))
         trainer = Trainer(net, lr=lr, weight_decay=decays)
-        member = GaussianDynamicsMember(net=net, d_s=d_s)
+        best = net.copy()  # the member: a twin without gradient, like a loaded one
         best_err = np.inf
-        best_params = net.params.copy()
 
         for epoch in range(epochs):
             # Settle into the minimum once the bulk of training is done.
@@ -229,11 +228,9 @@ def train_ensemble(
             err = float(np.mean((mu_ref - y_all[ref_idx]) ** 2))
             if err < best_err:
                 best_err = err
-                best_params[:] = net.params
+                best.params[:] = net.params
 
-        net.params[:] = best_params
-        member.val_error = best_err
-        return member
+        return GaussianDynamicsMember(net=best, d_s=d_s, val_error=best_err)
 
     members = ordered_map(train_member, range(n_total))
     val_errors = np.array([member.val_error for member in members])

@@ -53,8 +53,9 @@ class RolloutBuffer:
 
     s: np.ndarray                          # (rows, d_s)
     a: np.ndarray                          # (rows, d_a)
-    label: np.ndarray                      # (rows,) conservative any-elite labels
-    h_s: np.ndarray                        # (rows,) h_max where labelled, else h_min
+    label: np.ndarray                      # (rows,) any-elite labels of the successor
+    h_s: np.ndarray                        # (rows,) h_max where labelled, else h_min:
+                                           # h(s'), where an offline row holds h(s)
     origin: np.ndarray                     # (rows,) index into the start-state pool
     elite_next: np.ndarray | None = None   # (n_elites, rows, d_s) elite means
 
@@ -93,12 +94,14 @@ def branched_rollout(
     ``policy`` maps a batch of states to a batch of actions. Start states
     are drawn uniformly without replacement (per epoch) from the dataset's
     states plus its episode terminals. A kept branch gives ``horizon`` rows
-    with one ``origin``, the first its start state; ``h_s`` follows the
-    labels as in ``relabel_offline``. Noise, elite choice and Gaussian
-    sampling all derive from (seed, event, epoch), so results do not
-    depend on scheduling: the epochs run as independent units through
-    ``ordered_map``, and their rows are stacked in epoch order. ``policy``
-    and ``cost_fn`` may therefore be called from several threads at once.
+    with one ``origin``, the first its start state. A row's label is the
+    conservative any-elite label of its successor, and ``h_s`` maps it to
+    h_max or h_min: h(s'), where ``relabel_offline`` gives h(s). Noise,
+    elite choice and Gaussian sampling all derive from (seed, event,
+    epoch), so results do not depend on scheduling: the epochs run as
+    independent units through ``ordered_map``, and their rows are stacked
+    in epoch order. ``policy`` and ``cost_fn`` may therefore be called
+    from several threads at once.
     Noisy actions are clipped to ``action_bounds`` ((d_a, 2) lo/hi).
     """
     if len(dataset) == 0:

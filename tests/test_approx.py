@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from reachsafe import BLAS_THREAD_VARS, approx
 from reachsafe.approx import (
     BLOCK,
+    TILE,
     BackwardBeforeForward,
     Mlp,
     OneHot,
@@ -137,7 +138,8 @@ def test_gradients_match_finite_differences():
 
 
 def reference_backward(net, x, upstream):
-    """The per-layer formulas on a dense copy of ``x``: (output, grads)."""
+    """The per-layer formulas on a dense copy of ``x``: (output, grads,
+    the gradient at layer 0's output)."""
     acts = [np.asarray(x, dtype=float)]
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = acts[-1] @ w + b
@@ -148,8 +150,8 @@ def reference_backward(net, x, upstream):
             g = g * (1 - acts[i + 1] * acts[i + 1])
         grads[2 * i] = acts[i].T @ g
         grads[2 * i + 1] = g.sum(axis=0)
-        g = g @ net.weights[i].T
-    return acts[-1], grads
+        g0, g = g, g @ net.weights[i].T
+    return acts[-1], grads, g0
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -162,7 +164,7 @@ def test_backward_is_bit_exact_to_the_per_layer_formulas(kind, depth):
             p[:] = rng.normal(size=p.shape)
         x = rng.normal(size=(n, 9)) if kind == "dense" else random_onehot(rng, n, [6, 3])
         upstream = rng.normal(size=(n, 2))
-        want_out, want = reference_backward(net, x, upstream)
+        want_out, want, _ = reference_backward(net, x, upstream)
         assert np.array_equal(net.forward(x), want_out)
         got = net.split(net.backward(upstream))
         assert len(got) == len(want)
@@ -339,10 +341,10 @@ def test_no_two_nets_share_a_parameter_array(tmp_path):
         assert critic.q_target.grad is None and critic.v_target.grad is None
         assert shared_arrays([critic.q_net, critic.v_net, critic.q_target, critic.v_target],
                              [critic.q_trainer, critic.v_trainer]) == []
-    # Each member is restored to its best epoch's snapshot.
+    # Each member is a twin holding its best epoch's snapshot, without gradient.
     model = train_ensemble(data, **dynamics(n_total=3, n_elite=2, epochs=3, hidden=[8],
                                             batch_size=64), seed=1)
-    assert all(member.net.grad is not None for member in model.members)
+    assert all(member.net.grad is None for member in model.members)
     assert shared_arrays([member.net for member in model.members]) == []
 
 
@@ -411,6 +413,15 @@ def random_onehot(rng, n, widths):
     return concat(blocks, axis=1)
 
 
+def row_order_product(x, g):
+    """``x.T @ g`` for a one-hot ``x``, summed over rows in row order."""
+    out = np.zeros((x.width, g.shape[1]))
+    for r in range(len(g)):
+        for c in x.cols[r]:
+            out[c] += g[r]
+    return out
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(1, 250), min_size=1, max_size=2),
        st.sampled_from([1, 384, 1000]), st.integers(0, 2**31 - 1))
@@ -425,11 +436,31 @@ def test_onehot_forward_and_gradients_equal_the_dense_input(widths, n, seed):
         p[:] = rng.normal(size=p.shape)
     upstream = rng.normal(size=(n, 1))
     out = net.forward(x)
-    grads = net.backward(upstream).copy()  # the next backward overwrites it
-    want = net.forward(dense)
-    assert np.array_equal(out, want)
-    assert np.array_equal(grads, net.backward(upstream))
-    assert np.array_equal(net.forward(x, cache=False), want)
+    grads = net.split(net.backward(upstream))
+    want_out, want, g0 = reference_backward(net, dense, upstream)
+    assert np.array_equal(out, want_out)
+    # Layer 0's weight gradient is the row-order sum for every batch; up to
+    # 384 rows OpenBLAS's dense GEMM sums its rows in that order too. One
+    # column makes the dense product a GEMV, which sums in another order.
+    assert np.array_equal(grads[0], row_order_product(x, g0))
+    if n <= 384 and x.width > 1:
+        assert np.array_equal(grads[0], want[0])
+    assert all(np.array_equal(g, w) for g, w in zip(grads[1:], want[1:]))
+    assert np.array_equal(net.forward(x, cache=False), want_out)
+
+
+def test_onehot_weight_gradient_sums_hot_rows_in_row_order():
+    # Column 1 is hot in four rows: 1e16 + 1 rounds back to 1e16, so only
+    # the row order gives 1.0. Columns 2-4 are never hot and read +0.0 under
+    # negative upstream rows, as the dense product does.
+    x = OneHot(np.array([[1], [1], [1], [1], [0]]), 5)
+    upstream = np.array([[1e16], [1.0], [-1e16], [1.0], [-2.0]])
+    net = Mlp([5, 1], seed=0)
+    net.forward(x)
+    got = net.split(net.backward(upstream))[0][:, 0]
+    assert got.tolist() == [-2.0, 1.0, 0.0, 0.0, 0.0]
+    assert not np.signbit(got[2:]).any()
+    assert got.tobytes() == (np.asarray(x).T @ upstream)[:, 0].tobytes()
 
 
 def test_onehot_rows_and_stacking_follow_the_dense_matrix():
@@ -550,7 +581,8 @@ def test_cache_free_passes_across_nets_keep_results_and_cached_activations(kind)
         for p in net.biases:
             p[:] = rng.normal(size=p.shape)
     kept = []  # (result, its value when returned)
-    for n in (4, 64, 300, 20, 1):  # the scratch grows, then serves smaller batches
+    # The scratch grows (700 rows run in tiles), then serves smaller batches.
+    for n in (4, 64, 300, 700, 20, 1):
         x = rng.normal(size=(n, 9)) if kind == "dense" else random_onehot(rng, n, [6, 3])
         upstream = rng.normal(size=(n, 3))
         for a, b in pairs:
@@ -617,8 +649,9 @@ def test_concurrent_cache_free_passes_equal_the_serial_ones():
 
 
 # ---------------------------------------------------------------------------
-# A cache-free pass over 2 * BLOCK rows or more runs in row blocks: the same
-# bits as the whole pass, in one call, over bounded scratch.
+# A cache-free pass over 2 * BLOCK rows or more runs in row blocks, and its
+# hidden layers over 2 * TILE rows or more run in row tiles: the same bits as
+# the whole pass, in one call, over bounded scratch.
 # ---------------------------------------------------------------------------
 
 # The default nets: the 64-wide critic, reward and integrator-policy nets,
@@ -628,22 +661,30 @@ DEFAULT_SHAPES = [([3, 64, 64, 1], None), ([2, 64, 64, 1], None), ([6, 64, 64, 1
                   ([4, 64, 64, 1], None), ([245, 64, 64, 1], [245]),
                   ([250, 64, 64, 1], [245, 5]), ([3, 128, 128, 4], None),
                   ([6, 128, 128, 8], None)]
+TILED_ROWS = (2 * TILE - 1, 2 * TILE, 2 * TILE + 1, 3 * TILE - 1, 1024, 1600, 2047, 2048)
 BLOCKED_ROWS = (2049, 4095, 4096, 4097, 6143, 8000, 8001, 20480)
+SPLIT_ROWS = 2 * TILE + 1
 
 
 def blocked_pass_mismatches() -> list:
     """[sizes, n] of each default net shape and row count where a cache-free
-    pass differs from the cached whole pass in any bit."""
+    pass differs from the cached whole pass in any bit, and [sizes, n,
+    "split"] where a tiled split pass differs from its one-row passes."""
     rng = np.random.default_rng(21)
     mismatches = []
     for sizes, widths in DEFAULT_SHAPES:
         net = Mlp(sizes, seed=sizes[0])
         for p in net.biases:
             p[:] = rng.normal(size=p.shape)
-        for n in BLOCKED_ROWS:
+        for n in (*TILED_ROWS, *BLOCKED_ROWS):
             x = rng.normal(size=(n, sizes[0])) if widths is None else random_onehot(rng, n, widths)
             if net.forward(x, cache=False).tobytes() != net.forward(x).tobytes():
                 mismatches.append([sizes, n])
+        rows = [x[i:i + 1] for i in range(SPLIT_ROWS)]
+        split = net.forward(split_rows(x[:SPLIT_ROWS]), cache=False)[:, 0]
+        one_rows = np.concatenate([net.forward(r, cache=False) for r in rows])
+        if split.tobytes() != one_rows.tobytes():
+            mismatches.append([sizes, SPLIT_ROWS, "split"])
     return mismatches
 
 
@@ -659,7 +700,7 @@ def test_blocked_pass_equals_the_whole_pass_with_blas_pinned():
     assert json.loads(proc.stdout) == []
 
 
-@pytest.mark.parametrize("width, n", [(64, 8000), (128, 20480)])
+@pytest.mark.parametrize("width, n", [(64, 8000), (128, 1600), (128, 20480)])
 def test_a_long_cache_free_pass_is_one_call_over_bounded_scratch(monkeypatch, width, n):
     net = Mlp([3, width, width, 4], seed=5)
     x = np.random.default_rng(6).normal(size=(n, 3))
@@ -683,4 +724,7 @@ def test_a_long_cache_free_pass_is_one_call_over_bounded_scratch(monkeypatch, wi
     thread.join(timeout=60)
     assert not thread.is_alive()
     assert seen == [n, n]
-    assert sizes and max(sizes) <= (2 * BLOCK - 1) * width
+    # Tile blocks (the second serves only a third hidden layer), then the
+    # last hidden layer of one row block.
+    assert sizes[0] <= (2 * TILE - 1) * width and sizes[1] == 0
+    assert sizes[2] <= min(n, 2 * BLOCK - 1) * width

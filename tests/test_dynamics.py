@@ -116,6 +116,11 @@ def test_predict_set_length_and_identical_members():
         assert np.allclose(variances[k], variances[0])
 
 
+def test_trained_members_keep_no_gradient(trained):
+    # A member is a twin holding the best epoch's parameters, like a loaded one.
+    assert all(member.net.grad is None for member in trained[2].members)
+
+
 def test_elite_predictions_keep_no_activations(trained):
     _, data, model = trained
     # A training pass caches activations; an inference pass drops them.

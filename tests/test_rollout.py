@@ -5,7 +5,7 @@ import pytest
 
 from reachsafe import BLAS_THREAD_VARS
 from reachsafe.approx import Mlp
-from reachsafe.cmdp import ConfigurationError
+from reachsafe.cmdp import ConfigurationError, cost_labels
 from reachsafe.collect import collect_safe_dataset
 from reachsafe.config import CostGenSection, default_config
 from reachsafe.costgen import validate, CostCandidate
@@ -199,6 +199,19 @@ def test_buffer_carries_the_elite_means_of_every_row(setup):
     means, _ = model.elite_predictions(buf.s, buf.a)
     for carried, recomputed in zip(buf.elite_next, means):
         assert np.allclose(carried, recomputed, rtol=0, atol=1e-12)
+
+
+def test_h_s_is_the_successor_label_in_rollouts_and_the_state_label_offline(setup):
+    # So the critic update backs up h(s') on rollout rows and h(s) on
+    # offline rows (``update_feasibility_critics``).
+    env, data, _ = setup
+    pred = env.margin_predicate(0.08)
+    buf = _rollout(setup, pred, rollout(batch=128, epochs=2, horizon=3), seed=17)
+    successor = conservative_cost_label_batch(buf.elite_next, pred)
+    assert np.array_equal(buf.h_s, np.where(successor > 0, 1.0, -1.0))
+    assert (successor != cost_labels(pred, buf.s)).any()
+    offline = relabel_offline(data, pred, -1.0, 1.0)
+    assert np.array_equal(offline.h_s, np.where(cost_labels(pred, data.s) > 0, 1.0, -1.0))
 
 
 def test_critic_update_refuses_a_buffer_without_elite_means(setup, tmp_path):
