@@ -8,7 +8,9 @@ worst (largest) target value across the elite mean successors the rollout
 recorded in its buffer, all elites in one featurize and one forward. The
 update reads the rollout window's event buffers in place, rows indexed as
 if concatenated; ``rollout.stack_buffers`` serves only a rollout's epochs
-and the saved buffer. V
+and the saved buffer. Every violation value a target needs is a label
+stored with its row (the relabelled offline ``h_s`` and ``cost``, a rollout
+row's ``label`` and ``h_s``), so the update calls no cost predicate. V
 regresses toward Q with the reverse expectile loss, whose tau near 1
 approximates the min over actions without ever querying
 out-of-distribution actions. The reward pair's TD target lives with the
@@ -19,7 +21,6 @@ configuration's ``learn`` section.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from functools import reduce
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -139,14 +140,12 @@ class QVCritic:
                    v_target=v_net.copy(), state_feat=state_feat,
                    action_feat=action_feat, **fields)
 
-    def q_values(self, s: np.ndarray, a: np.ndarray,
-                 target: bool = False) -> np.ndarray:
+    def q_values(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
         x = concat([self.state_feat(s), self.action_feat(a)], axis=1)
-        return (self.q_target if target else self.q_net).forward(x, cache=False)[:, 0]
+        return self.q_net.forward(x, cache=False)[:, 0]
 
-    def v_values(self, s: np.ndarray, target: bool = False) -> np.ndarray:
-        return (self.v_target if target else self.v_net).forward(
-            self.state_feat(s), cache=False)[:, 0]
+    def v_values(self, s: np.ndarray) -> np.ndarray:
+        return self.v_net.forward(self.state_feat(s), cache=False)[:, 0]
 
     def gradient_step(self, q_in: np.ndarray, q_tgt: np.ndarray,
                       v_in: np.ndarray, q_ref_in: np.ndarray, tau: float) -> None:
@@ -174,11 +173,12 @@ class QVCritic:
 class FeasibilityCritic(QVCritic):
     """Q_h(s,a) and V_h(s) on the Q/V core.
 
-    When the conservative cost predicate is attached, values are
-    parameterized as max(h(s), net(...)): every valid reachability value
-    dominates the state's own violation value, so the known binary labels
-    act as an architectural floor rather than a learned fact. The floor
-    also enters the bootstrap targets.
+    When the conservative cost predicate is attached, values are read as
+    max(h(s), net(...)): every valid reachability value dominates the
+    state's own violation value, so the known binary labels act as an
+    architectural floor rather than a learned fact. ``cost_fn`` serves only
+    these reads (``q_values``, ``v_values``); the bootstrap targets floor
+    their successors with the labels stored beside the rows instead.
     """
 
     h_min: float = -1.0
@@ -191,12 +191,11 @@ class FeasibilityCritic(QVCritic):
             return np.full(len(s), self.h_min)
         return np.where(cost_labels(self.cost_fn, s) > 0, self.h_max, self.h_min)
 
-    def q_values(self, s: np.ndarray, a: np.ndarray,
-                 target: bool = False) -> np.ndarray:
-        return np.maximum(self.floor_values(s), super().q_values(s, a, target))
+    def q_values(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
+        return np.maximum(self.floor_values(s), super().q_values(s, a))
 
-    def v_values(self, s: np.ndarray, target: bool = False) -> np.ndarray:
-        return np.maximum(self.floor_values(s), super().v_values(s, target))
+    def v_values(self, s: np.ndarray) -> np.ndarray:
+        return np.maximum(self.floor_values(s), super().v_values(s))
 
 
 def make_feasibility_critic(env: HardCMDP, dataset: OfflineDataset,
@@ -241,10 +240,10 @@ def update_feasibility_critics(
     order, and each step makes one draw over that range, as from a stacked
     buffer. Rollout rows back up against the elite mean successors the
     rollout recorded (``RolloutBuffer.elite_next``), which every non-empty
-    buffer must carry with the same (n_elites, d_s). Each buffer's floor at
-    those successors is reduced over elites once, a running max over one
-    elite at a time; that is exact, since max_e max(F_e, V_e) =
-    max(max_e F_e, max_e V_e) bit for bit.
+    buffer must carry with the same (n_elites, d_s). The floor at those
+    successors is the row's stored any-elite ``label`` mapped to h_max or
+    h_min, the max over elites of their own floors under the predicate the
+    rollout labelled with; no predicate runs here.
 
     The violation value in a backup differs by source: an offline row's
     ``h_s`` is its own state's label (``relabel_offline``), a rollout row's
@@ -273,15 +272,14 @@ def update_feasibility_critics(
     h_s2 = np.where(offline.cost > 0, critic.h_max, critic.h_min).astype(float)
     if window:
         # Per buffer: featurized rows, labels, the elite means as a
-        # (rows, n_elites, d_s) view and the floor there, reduced over elites.
+        # (rows, n_elites, d_s) view and the successor floor from the label.
         n_elites, d_s = shapes.pop()
         roll_s = [critic.state_feat(b.s) for b in window]
         roll_sa = [concat([f, critic.action_feat(b.a)], axis=1)
                    for f, b in zip(roll_s, window)]
         roll_h = [np.asarray(b.h_s, dtype=float) for b in window]
         roll_next = [b.elite_next.swapaxes(0, 1) for b in window]
-        roll_floor = [reduce(np.maximum, map(critic.floor_values, b.elite_next))
-                      for b in window]
+        roll_floor = [np.where(b.label > 0, critic.h_max, critic.h_min) for b in window]
         sizes = np.array([len(b) for b in window])
         ends = np.cumsum(sizes)
         starts = ends - sizes

@@ -55,23 +55,13 @@ def _bound_logvar_grad(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass
-class GaussianDynamicsMember:
-    """One next-state-delta predictor with a diagonal Gaussian head."""
-
-    net: Mlp
-    d_s: int
-    val_error: float = np.inf
-
-    def predict_norm(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        out = self.net.forward(x, cache=False)
-        return out[:, : self.d_s], np.exp(_bound_logvar(out[:, self.d_s:]))
-
-
-@dataclass
 class EnsembleDynamics:
-    """Trained ensemble with elite subset and normalization statistics."""
+    """Trained ensemble with elite subset and normalization statistics.
 
-    members: list[GaussianDynamicsMember]
+    A member is its network; ``val_errors`` holds each member's held-out error.
+    """
+
+    members: list[Mlp]
     elites: list[int]
     in_mean: np.ndarray
     in_std: np.ndarray
@@ -104,7 +94,8 @@ class EnsembleDynamics:
         x = (x - self.in_mean) / self.in_std
         means, variances = [], []
         for e in self.elites:
-            mu, var = self.members[e].predict_norm(x)
+            out = self.members[e].forward(x, cache=False)
+            mu, var = out[:, :self.d_s], np.exp(_bound_logvar(out[:, self.d_s:]))
             means.append(s2d + mu * self.delta_std + self.delta_mean)
             variances.append(var * self.delta_std ** 2)
         return np.stack(means), np.stack(variances)
@@ -190,7 +181,7 @@ def train_ensemble(
         wd = WEIGHT_DECAYS[min(i, len(WEIGHT_DECAYS) - 1)]
         decays.extend((wd, 0.0))  # decay weights, not biases
 
-    def train_member(k: int) -> GaussianDynamicsMember:
+    def train_member(k: int) -> tuple[Mlp, float]:
         rng = substream(seed, "dynamics-member", k)
         perm = rng.permutation(len(data))
         val_idx = perm[:n_val]
@@ -230,14 +221,14 @@ def train_ensemble(
                 best_err = err
                 best.params[:] = net.params
 
-        return GaussianDynamicsMember(net=best, d_s=d_s, val_error=best_err)
+        return best, best_err
 
-    members = ordered_map(train_member, range(n_total))
-    val_errors = np.array([member.val_error for member in members])
+    members, errors = zip(*ordered_map(train_member, range(n_total)))
+    val_errors = np.array(errors)
 
     elites = list(np.argsort(val_errors, kind="stable")[:n_elite])
     return EnsembleDynamics(
-        members=members, elites=[int(e) for e in elites],
+        members=list(members), elites=[int(e) for e in elites],
         in_mean=in_mean, in_std=in_std,
         delta_mean=delta_mean, delta_std=delta_std,
         d_s=d_s, d_a=d_a, val_errors=val_errors,
@@ -262,17 +253,15 @@ def save_ensemble(model: EnsembleDynamics, directory: str | Path) -> None:
         "delta_std": model.delta_std.tolist(),
         "val_errors": model.val_errors.tolist(),
     }
-    nets = {f"member_{k}": member.net for k, member in enumerate(model.members)}
+    nets = {f"member_{k}": member for k, member in enumerate(model.members)}
     save_mlp(nets, directory / "ensemble.npz", meta)
 
 
 def load_ensemble(directory: str | Path) -> EnsembleDynamics:
     nets, meta = load_mlp(Path(directory) / "ensemble.npz")
-    members = [GaussianDynamicsMember(net=nets[f"member_{k}"], d_s=meta["d_s"],
-                                      val_error=error)
-               for k, error in enumerate(meta["val_errors"])]
     return EnsembleDynamics(
-        members=members, elites=list(meta["elites"]),
+        members=[nets[f"member_{k}"] for k in range(len(nets))],
+        elites=list(meta["elites"]),
         in_mean=np.asarray(meta["in_mean"]), in_std=np.asarray(meta["in_std"]),
         delta_mean=np.asarray(meta["delta_mean"]),
         delta_std=np.asarray(meta["delta_std"]),

@@ -70,22 +70,18 @@ def make_hazard_gridworld(
     hazard_cells: Sequence[tuple[int, int]],
     momentum: int,
     *,
-    goal: tuple[int, int] | None = None,
     gamma: float = 0.99,
-    h_min: float = -1.0,
-    h_max: float = 1.0,
     horizon: int = 40,
 ) -> HardCMDP:
-    """Finite gridworld with hazard cells and optional movement momentum."""
+    """Finite gridworld with hazard cells and optional movement momentum; the
+    goal is the far corner (width - 1, height - 1)."""
     if width < 3 or height < 3:
         raise ConfigurationError("grid must be at least 3x3")
     hazards = {(int(x), int(y)) for x, y in hazard_cells}
     for x, y in hazards:
         if not (0 <= x < width and 0 <= y < height):
             raise ConfigurationError(f"hazard cell ({x},{y}) outside the grid")
-    if goal is None:
-        goal = (width - 1, height - 1)
-    gx, gy = goal
+    gx, gy = width - 1, height - 1
     momentum = int(momentum)
     if momentum not in (0, 1):
         raise ConfigurationError("momentum must be 0 or 1")
@@ -189,7 +185,6 @@ def make_hazard_gridworld(
         transition=transition, transitions=transitions,
         reward=reward, violation=violation,
         initial_state=initial_state, action_set=GRID_MOVES.copy(),
-        h_min=h_min, h_max=h_max,
         states=states, state_index=state_index,
         margin_predicate=margin_predicate,
         obs_fields=("x", "y", "vx", "vy") if momentum else ("x", "y"),
@@ -216,14 +211,13 @@ def make_double_integrator(
     horizon: int,
     *,
     v_max: float = 1.0,
-    n_actions: int = 9,
     gamma: float = 0.995,
-    h_min: float = -1.0,
-    h_max: float = 1.0,
-    grid_shape: tuple[int, int] = (61, 41),
-    grid_margin: float = 0.2,
 ) -> HardCMDP:
-    """Point mass on a line; crossing either boundary at +-x_lim is unsafe."""
+    """Point mass on a line; crossing either boundary at +-x_lim is unsafe.
+
+    The action set is nine evenly spaced accelerations; the state grid of
+    the tabular model has 61 positions over +-(x_lim + 0.2) by 41 speeds
+    over +-v_max."""
     if x_lim <= 0 or a_max <= 0 or dt <= 0:
         raise ConfigurationError("x_lim, a_max and dt must all be positive")
     if v_max <= 0 or horizon < 1:
@@ -257,7 +251,7 @@ def make_double_integrator(
             return (np.abs(s[:, 0]) > x_lim - margin).astype(int)
         return predicate
 
-    x_hi = x_lim + grid_margin
+    x_hi = x_lim + 0.2
     return HardCMDP(
         name="double_integrator",
         d_s=2, d_a=1,
@@ -266,10 +260,9 @@ def make_double_integrator(
         transition=transition, transitions=transitions,
         reward=reward, violation=violation,
         initial_state=initial_state,
-        action_set=np.linspace(-a_max, a_max, n_actions).reshape(-1, 1),
-        h_min=h_min, h_max=h_max,
+        action_set=np.linspace(-a_max, a_max, 9).reshape(-1, 1),
         margin_predicate=margin_predicate,
-        state_grid=((-x_hi, x_hi, grid_shape[0]), (-v_max, v_max, grid_shape[1])),
+        state_grid=((-x_hi, x_hi, 61), (-v_max, v_max, 41)),
         obs_fields=("x", "v"),
         task_text=(
             "A point mass moves on a line. The state is [x, v]: position and "
@@ -290,10 +283,10 @@ def make_double_integrator(
 BehaviorFn = Callable[[Row, np.random.Generator], Row]
 
 
-def gridworld_behavior(env: HardCMDP, kind: str, *, goal: tuple[int, int] | None = None,
-                       explore: float = 0.25) -> BehaviorFn:
-    # The default goal is the far corner of the grid.
-    gx, gy = map(float, env.states[:, :2].max(axis=0) if goal is None else goal)
+def gridworld_behavior(env: HardCMDP, kind: str) -> BehaviorFn:
+    # The goal is the far corner of the grid; a quarter of greedy moves explore.
+    gx, gy = map(float, env.states[:, :2].max(axis=0))
+    explore = 0.25
 
     def greedy(s: Row, rng: np.random.Generator) -> Row:
         if rng.random() < explore:
@@ -320,10 +313,9 @@ def gridworld_behavior(env: HardCMDP, kind: str, *, goal: tuple[int, int] | None
     return table[kind]
 
 
-def integrator_behavior(env: HardCMDP, kind: str, *, creep_speed: float = 0.15,
-                        push_until: float = 0.7, hover_at: float = 0.97,
-                        rush_speed: float = 0.7) -> BehaviorFn:
+def integrator_behavior(env: HardCMDP, kind: str) -> BehaviorFn:
     a_max = float(env.action_bounds[0, 1])
+    creep_speed, push_until, hover_at, rush_speed = 0.15, 0.7, 0.97, 0.7
     # Recover dt from one probe step; dynamics are x' = x + v dt.
     dt, _ = env.transition((0.0, 1.0), (0.0,))
 

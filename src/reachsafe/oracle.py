@@ -51,36 +51,23 @@ class FeasibleSetOracle:
         return infeasible | doomed
 
 
-def compute_feasible_set_oracle(
-    env: HardCMDP,
-    h_star: int | None = None,
-) -> FeasibleSetOracle:
+def compute_feasible_set_oracle(env: HardCMDP) -> FeasibleSetOracle:
     """Exhaustive backward-reachability labeling of ``env``'s state set.
 
-    ``h_star`` caps the number of sweeps; by default sweeps run to the
-    fixed point (at most one per state). A warning is recorded when the
-    cap cuts the computation short or the grid cannot separate the safe
-    and unsafe regions.
+    Sweeps run to the fixed point: each sweep that does not stop marks a
+    new state, so there are at most as many as states. A warning is
+    recorded when the grid cannot separate the safe and unsafe regions.
     """
     model = build_model(env)
-    n = model.n_states
-    max_sweeps = h_star if h_star is not None else n + 1
-
     infeasible = model.violating().copy()
     distance = np.where(infeasible, 0, -1)
     warnings: list[str] = []
 
     sweeps = 0
-    for k in range(1, max_sweeps + 1):
-        doomed = np.all(infeasible[model.next_idx], axis=1) & ~infeasible
-        if not doomed.any():
-            break
+    while (doomed := np.all(infeasible[model.next_idx], axis=1) & ~infeasible).any():
+        sweeps += 1
         infeasible |= doomed
-        distance[doomed] = k
-        sweeps = k
-    else:
-        if np.any(np.all(infeasible[model.next_idx], axis=1) & ~infeasible):
-            warnings.append(f"sweep cap {max_sweeps} reached before the fixed point")
+        distance[doomed] = sweeps
 
     if not model.violating().any():
         warnings.append("no violating state on the grid; h is h_min everywhere")

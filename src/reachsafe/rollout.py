@@ -53,7 +53,8 @@ class RolloutBuffer:
 
     s: np.ndarray                          # (rows, d_s)
     a: np.ndarray                          # (rows, d_a)
-    label: np.ndarray                      # (rows,) any-elite labels of the successor
+    label: np.ndarray                      # (rows,) any-elite labels of the successor:
+                                           # the backup's successor floor
     h_s: np.ndarray                        # (rows,) h_max where labelled, else h_min:
                                            # h(s'), where an offline row holds h(s)
     origin: np.ndarray                     # (rows,) index into the start-state pool

@@ -344,8 +344,8 @@ def test_no_two_nets_share_a_parameter_array(tmp_path):
     # Each member is a twin holding its best epoch's snapshot, without gradient.
     model = train_ensemble(data, **dynamics(n_total=3, n_elite=2, epochs=3, hidden=[8],
                                             batch_size=64), seed=1)
-    assert all(member.net.grad is None for member in model.members)
-    assert shared_arrays([member.net for member in model.members]) == []
+    assert all(member.grad is None for member in model.members)
+    assert shared_arrays(model.members) == []
 
 
 def test_views_tile_each_vector_in_parameters_order():

@@ -118,16 +118,16 @@ def test_predict_set_length_and_identical_members():
 
 def test_trained_members_keep_no_gradient(trained):
     # A member is a twin holding the best epoch's parameters, like a loaded one.
-    assert all(member.net.grad is None for member in trained[2].members)
+    assert all(member.grad is None for member in trained[2].members)
 
 
 def test_elite_predictions_keep_no_activations(trained):
     _, data, model = trained
     # A training pass caches activations; an inference pass drops them.
     for member in model.members:
-        member.net.forward(np.zeros((8, member.net.sizes[0])))
+        member.forward(np.zeros((8, member.sizes[0])))
     model.elite_predictions(data.s[:50], data.a[:50])
-    assert all(model.members[e].net._cache is None for e in model.elites)
+    assert all(model.members[e]._cache is None for e in model.elites)
 
 
 def test_elites_equal_members_when_requested(integrator_setup):
@@ -228,7 +228,7 @@ def test_training_is_deterministic(integrator_setup):
     a = train_ensemble(data, **dynamics(n_total=2, n_elite=1, epochs=2), seed=8)
     b = train_ensemble(data, **dynamics(n_total=2, n_elite=1, epochs=2), seed=8)
     for ma, mb in zip(a.members, b.members):
-        for p, q in zip(ma.net.parameters(), mb.net.parameters()):
+        for p, q in zip(ma.parameters(), mb.parameters()):
             assert np.array_equal(p, q)
 
 
@@ -255,6 +255,5 @@ def test_members_in_threads_equal_the_serial_loop(integrator_setup, monkeypatch)
     assert threaded.elites == serial.elites
     assert np.array_equal(threaded.val_errors, serial.val_errors)
     for ma, mb in zip(threaded.members, serial.members):
-        assert ma.val_error == mb.val_error
-        for p, q in zip(ma.net.parameters(), mb.net.parameters()):
+        for p, q in zip(ma.parameters(), mb.parameters()):
             assert np.array_equal(p, q)

@@ -100,12 +100,6 @@ def test_distance_counts_forced_violation_steps():
         assert np.any(succ == k - 1)
 
 
-def test_sweep_cap_reports_truncation():
-    env = make_double_integrator(x_lim=1.0, a_max=1.0, dt=0.1, horizon=60)
-    oracle = compute_feasible_set_oracle(env, h_star=1)
-    assert any("sweep cap" in w for w in oracle.warnings)
-
-
 def test_tabular_snap_roundtrip_on_grid():
     env = make_double_integrator(x_lim=1.0, a_max=1.0, dt=0.1, horizon=60)
     model = build_model(env)

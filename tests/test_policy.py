@@ -15,7 +15,7 @@ from reachsafe.critics import (
     onehot_state_featurizer,
     update_feasibility_critics,
 )
-from reachsafe.dynamics import train_ensemble
+from reachsafe.dynamics import conservative_cost_label_batch, train_ensemble
 from reachsafe.envs import behavior_mixture, make_double_integrator, make_hazard_gridworld
 from reachsafe.oracle import compute_feasible_set_oracle
 from reachsafe.policy import (
@@ -34,12 +34,12 @@ from reachsafe.policy import (
     update_reward_critic,
 )
 from reachsafe.reachability import tabular_value_iteration
-from reachsafe.rollout import RolloutBuffer, relabel_offline, stack_buffers
+from reachsafe.rollout import RolloutBuffer, branched_rollout, relabel_offline, stack_buffers
 from reachsafe.seeding import substream
 from reachsafe.tabular import tabulate
 
 import array_rows
-from helpers import assert_same_bits, dynamics
+from helpers import assert_same_bits, dynamics, rollout
 
 LEARN = default_config("double_integrator").learn
 
@@ -149,18 +149,49 @@ def test_rollout_rows_back_up_against_the_worst_elite_successor(integrator):
     # Q_h target from about h_min to (1-g) h_min + g h_max.
     env, data = integrator
     rows = np.arange(0, 400, 2)
+    cost_fn = env.margin_predicate(0.0)
     q = {}
     for violating in (False, True):
+        elite_next = _stub_elite_next(env, data.s[rows], data.a[rows], violating)
         buffer = RolloutBuffer(
-            s=data.s[rows], a=data.a[rows], label=np.zeros(len(rows), dtype=int),
-            h_s=np.full(len(rows), env.h_min), origin=rows,
-            elite_next=_stub_elite_next(env, data.s[rows], data.a[rows], violating))
+            s=data.s[rows], a=data.a[rows],
+            label=conservative_cost_label_batch(elite_next, cost_fn),
+            h_s=np.full(len(rows), env.h_min), origin=rows, elite_next=elite_next)
         cfg = replace(LEARN, critic_lr=1e-2, rollout_batch_fraction=1.0)
-        critic = make_feasibility_critic(env, data, cfg, seed=0,
-                                         cost_fn=env.margin_predicate(0.0))
+        critic = make_feasibility_critic(env, data, cfg, seed=0, cost_fn=cost_fn)
         update_feasibility_critics(critic, data, [buffer], steps=100, cfg=cfg)
         q[violating] = float(critic.q_values(buffer.s, buffer.a).mean())
     assert q[True] > q[False] + 0.5, q
+
+
+@pytest.mark.parametrize("world", ["integrator", "gridworld"])
+def test_the_critic_update_trains_from_stored_labels_and_calls_no_predicate(request, world):
+    # A window of two real rollout events: the update reads the labels the
+    # rollout stored, so a critic whose predicate raises on any call trains
+    # exactly as one carrying the rollout's predicate.
+    env, data = request.getfixturevalue(world)
+    cost_fn = env.margin_predicate(0.1)
+    offline = relabel_offline(data, cost_fn, env.h_min, env.h_max)
+    model = train_ensemble(data, **dynamics(n_total=2, n_elite=2, epochs=2, hidden=[16],
+                                            batch_size=64), seed=0)
+    policy = make_policy(env, data, LEARN, seed=0)
+    window = [branched_rollout(policy.act_batch, offline, model, cost_fn,
+                               rollout(batch=64, horizon=2, epochs=2), seed=1,
+                               h_min=env.h_min, h_max=env.h_max, event=event,
+                               action_bounds=env.action_bounds)
+              for event in (0, 1)]
+    assert all(len(b) for b in window)
+
+    def no_predicate(s):
+        raise AssertionError("the critic update called a cost predicate")
+
+    cfg = replace(LEARN, hidden=[16, 16], batch_size=64)
+    got, want = (make_feasibility_critic(env, offline, cfg, seed=3, cost_fn=fn)
+                 for fn in (no_predicate, cost_fn))
+    for critic in (got, want):
+        update_feasibility_critics(critic, offline, window, steps=10, cfg=cfg, seed=5)
+    for name in ("q_net", "v_net", "q_target", "v_target"):
+        assert_same_bits(getattr(got, name).params, getattr(want, name).params)
 
 
 def _event_window(env, data, sizes, n_elites=3, seed=0):
@@ -292,10 +323,10 @@ def test_greedy_actions_stay_feasible_with_oracle_critic():
     class OracleCritic:
         h_min, h_max = env.h_min, env.h_max
 
-        def v_values(self, s, target=False):
+        def v_values(self, s):
             return v_exact[env.state_index(np.atleast_2d(s))]
 
-        def q_values(self, s, a, target=False):
+        def q_values(self, s, a):
             s, a = np.atleast_2d(s), np.atleast_2d(a)
             ai = [int(np.argmin(np.sum((env.action_set - arow) ** 2, axis=1)))
                   for arow in a]
@@ -463,15 +494,16 @@ def test_inference_passes_leave_no_activations_for_backward(integrator):
     for net in nets:
         net.forward(np.zeros((4, net.sizes[0])))  # a training pass caches
     for critic in (reward, feas):
-        for target in (False, True):
-            critic.q_values(s, a, target=target)
-            critic.v_values(s, target=target)
+        critic.q_values(s, a)
+        critic.v_values(s)
     policy.act_batch(s)
-    assert_no_cache(nets)
+    assert_no_cache([net for c in (reward, feas) for net in (c.q_net, c.v_net)]
+                    + [policy.net])
 
+    # The target nets are read only by the updates.
     update_reward_critic(reward, data, steps=1, cfg=LEARN)
     update_feasibility_critics(feas, data, [], steps=1, cfg=LEARN)
     assert_no_cache([net for c in (reward, feas) for net in (c.q_target, c.v_target)])
 
     model = train_ensemble(data, **dynamics(n_total=2, n_elite=1, epochs=1), seed=3)
-    assert_no_cache([member.net for member in model.members])
+    assert_no_cache(model.members)
