@@ -1,6 +1,13 @@
 """Minimal MLP stack: forward, hand-rolled backward, Adam steps.
 
-Everything is plain float64 numpy. A network is a list of dense layers
+Parameters, gradients, optimizer moments and checkpoints are float64
+numpy. The precision rule: a cache-free pass (below) handed a float32
+batch runs in float32. It casts the weights for that call, views the
+thread's scratch blocks as float32 (no block is added) and returns a
+float32 output. Every other pass, caching passes and ``OneHot`` batches
+included, runs in float64 (a float32 batch converted first).
+
+A network is a list of dense layers
 with tanh hidden activations and a linear head; ``forward`` caches the
 activations the matching ``backward`` consumes. No graph, no broadcasting
 cleverness: inputs are (batch, features) arrays, or (batch, 1, features)
@@ -69,7 +76,11 @@ its whole pass at 8,000 rows or more, where the whole pass crosses a
 kernel cutoff; no default pass has that shape and size (the grid policy
 runs on 1,024-row rollouts and on split evaluation rows).
 
-Checkpoints keep float64 as well: ``save_mlp`` writes every network of one
+The tile, block and split-row bit guarantees above were checked in
+float64 only. A float32 pass runs the same tiles, blocks and split rows,
+but whether its rows keep the whole pass's bits was never checked.
+
+Checkpoints keep float64: ``save_mlp`` writes every network of one
 model (a critic's four nets, a policy, a dynamics ensemble) and a JSON
 metadata string into a single ``.npz``, and ``load_mlp`` reads it back
 without pickle, so a reloaded model computes exactly what the saved one did.
@@ -154,13 +165,15 @@ class _Scratch(threading.local):
 _SCRATCH = _Scratch()
 
 
-def _scratch(k: int, shape: tuple[int, ...]) -> np.ndarray:
-    """A view of ``shape`` on this thread's block k, grown if too small."""
+def _scratch(k: int, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """A ``dtype`` view of ``shape`` on this thread's float64 block k, grown
+    if too small; a float32 view packs two values into each float64 slot."""
     blocks = _SCRATCH.blocks
     size = math.prod(shape)
-    if blocks[k].size < size:
-        blocks[k] = np.empty(size)
-    return blocks[k][:size].reshape(shape)
+    slots = -(-size * dtype.itemsize // 8)
+    if blocks[k].size < slots:
+        blocks[k] = np.empty(slots)
+    return blocks[k][:slots].view(dtype)[:size].reshape(shape)
 
 
 def _spans(n: int, size: int) -> list[tuple[int, int]]:
@@ -187,11 +200,12 @@ def _free_pass(h: np.ndarray | OneHot, layers: list, out: np.ndarray) -> None:
     *hidden, (w, b) = layers
     if hidden:
         w_top, b_top = hidden.pop()
-        top = _scratch(2, (*h.shape[:-1], w.shape[0]))
+        top = _scratch(2, (*h.shape[:-1], w.shape[0]), out.dtype)
         for lo, hi in _spans(len(h), TILE):
             t = h[lo:hi]
             for i, (wi, bi) in enumerate(hidden):
-                t = _affine(t, wi, bi, _scratch(i % 2, (*t.shape[:-1], wi.shape[1])), True)
+                block = _scratch(i % 2, (*t.shape[:-1], wi.shape[1]), out.dtype)
+                t = _affine(t, wi, bi, block, True)
             _product(t, w_top, top[lo:hi])
         top += b_top
         h = np.tanh(top, out=top)
@@ -296,8 +310,13 @@ class Mlp:
         full-height block never holds more than 4,095 rows; the module
         docstring says why and where the result may differ from the whole
         pass.
+
+        Precision: a cache-free pass over a float32 ndarray runs in float32
+        (the weights cast for this call, the scratch viewed as float32) and
+        returns float32; every other pass runs and returns float64.
         """
-        h = x if isinstance(x, OneHot) else np.asarray(x, dtype=float)
+        single = not cache and getattr(x, "dtype", None) == np.float32
+        h = x if isinstance(x, OneHot) or single else np.asarray(x, dtype=float)
         split = not cache and len(h.shape) == 3 and h.shape[1] == 1
         if len(h.shape) != 2 and not split:
             raise ValueError(f"expected an (n, {self.sizes[0]}) batch, got shape {h.shape}")
@@ -311,7 +330,9 @@ class Mlp:
             self._cache = acts
             return acts[-1]
         self._cache = None
-        out = np.empty((*h.shape[:-1], self.sizes[-1]))
+        if single:
+            layers = [(w.astype(np.float32), b.astype(np.float32)) for w, b in layers]
+        out = np.empty((*h.shape[:-1], self.sizes[-1]), dtype=np.float32 if single else float)
         for lo, hi in _spans(len(h), BLOCK):
             _free_pass(h[lo:hi], layers, out[lo:hi])
         return out

@@ -176,9 +176,10 @@ class FeasibilityCritic(QVCritic):
     When the conservative cost predicate is attached, values are read as
     max(h(s), net(...)): every valid reachability value dominates the
     state's own violation value, so the known binary labels act as an
-    architectural floor rather than a learned fact. ``cost_fn`` serves only
-    these reads (``q_values``, ``v_values``); the bootstrap targets floor
-    their successors with the labels stored beside the rows instead.
+    architectural floor rather than a learned fact. A read given the rows'
+    stored h labels (``h_s``, as ``relabel_offline`` writes them) floors
+    with those; otherwise ``cost_fn`` labels the rows. The bootstrap targets
+    floor their successors with the labels stored beside the rows too.
     """
 
     h_min: float = -1.0
@@ -191,11 +192,14 @@ class FeasibilityCritic(QVCritic):
             return np.full(len(s), self.h_min)
         return np.where(cost_labels(self.cost_fn, s) > 0, self.h_max, self.h_min)
 
-    def q_values(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
-        return np.maximum(self.floor_values(s), super().q_values(s, a))
+    def q_values(self, s: np.ndarray, a: np.ndarray,
+                 h_s: np.ndarray | None = None) -> np.ndarray:
+        floor = self.floor_values(s) if h_s is None else h_s
+        return np.maximum(floor, super().q_values(s, a))
 
-    def v_values(self, s: np.ndarray) -> np.ndarray:
-        return np.maximum(self.floor_values(s), super().v_values(s))
+    def v_values(self, s: np.ndarray, h_s: np.ndarray | None = None) -> np.ndarray:
+        floor = self.floor_values(s) if h_s is None else h_s
+        return np.maximum(floor, super().v_values(s))
 
 
 def make_feasibility_critic(env: HardCMDP, dataset: OfflineDataset,

@@ -316,6 +316,12 @@ def stage_costgen(cfg: ExperimentConfig, paths: RunPaths) -> None:
         proposer = RemoteChatProposer(cfg.costgen, env, transcript_path=paths.transcripts)
     final, history = generation_loop(proposer, d_unsafe, dataset, cfg.costgen)
     save_history(history, final, history_path)
+    report, band = final.report, f"[{cfg.costgen.p_min:g}, {cfg.costgen.p_max:g}]"
+    if not report.passed:
+        adopted = f"margin {final.margin:g}" if final.margin is not None else repr(final.source)
+        print(f"warning: no cost candidate passed validation in {len(history)} rounds; "
+              f"adopted {adopted} with recall {report.recall_unsafe:.3f} and "
+              f"conservativeness {report.conservativeness:.3f} (band {band})", file=sys.stderr)
 
 
 def _event_steps(lc) -> list[int]:
@@ -390,7 +396,7 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
                                        seed=child_seed(seed, "learn", "feas"),
                                        stream=("event", event))
         feasibility_guided_policy_update(
-            policy, advantages[event], critic, dataset,
+            policy, advantages[event], critic, offline,
             max(1, int(steps * lc.reward_steps_fraction)), lc,
             seed=child_seed(seed, "learn", "policy"), stream=("event", event))
 

@@ -137,18 +137,20 @@ def make_policy(env: HardCMDP, dataset: OfflineDataset, cfg: LearnSection,
 
 def bc_weights(adv_r: np.ndarray, feas_critic: FeasibilityCritic | None,
                s: np.ndarray, a: np.ndarray, temperature: float,
-               weight_clip: float) -> np.ndarray:
+               weight_clip: float, h_s: np.ndarray | None = None) -> np.ndarray:
     """Per-sample cloning weights from the rows' reward advantages ``adv_r``.
 
     Feasible states weight by the exponentiated reward advantage and drop
     any action whose Q_h is positive; infeasible states weight by how much
     the action reduces the violation value, ignoring reward. Without a
     feasibility critic the weights are the ungated reward advantage.
+    ``h_s`` holds the rows' stored h labels, the floor of both value reads;
+    without it the critic's predicate labels ``s`` (``FeasibilityCritic``).
     """
     if feas_critic is None:
         return np.clip(np.exp(temperature * adv_r), 0.0, weight_clip)
-    v_h = feas_critic.v_values(s)
-    q_h = feas_critic.q_values(s, a)
+    v_h = feas_critic.v_values(s, h_s=h_s)
+    q_h = feas_critic.q_values(s, a, h_s=h_s)
     feasible = v_h <= 0.0
     w_feasible = np.exp(temperature * adv_r) * (q_h <= 0.0)
     w_infeasible = np.exp(-temperature * (q_h - v_h))
@@ -167,7 +169,9 @@ def feasibility_guided_policy_update(
 ) -> SafePolicy:
     """Weighted behavior cloning on the offline dataset only.
 
-    ``advantages`` holds one reward advantage per ``offline`` row.
+    ``advantages`` holds one reward advantage per ``offline`` row. The gate
+    floors the critic's values with ``offline.h_s`` when the dataset is
+    relabelled, so no predicate runs over the dataset here.
     """
     _reject_rollout_data(offline)
     if len(offline) == 0:
@@ -176,7 +180,7 @@ def feasibility_guided_policy_update(
         raise ValueError(f"{len(advantages)} advantages for {len(offline)} offline rows")
     feat_s = policy.state_feat(offline.s)
     weights = bc_weights(advantages, feas_critic, offline.s, offline.a,
-                         cfg.policy_temperature, cfg.policy_weight_clip)
+                         cfg.policy_temperature, cfg.policy_weight_clip, h_s=offline.h_s)
     span = (policy.high - policy.low) / 2.0
     rng = substream(seed, "policy-update", *stream)
 

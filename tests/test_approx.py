@@ -607,26 +607,20 @@ def test_cache_free_passes_across_nets_keep_results_and_cached_activations(kind)
 # ---------------------------------------------------------------------------
 
 
-def test_concurrent_cache_free_passes_equal_the_serial_ones():
-    rng = np.random.default_rng(5)
-    nets = [Mlp([9, *[32] * depth, 3], seed=depth) for depth in (1, 2, 3)]
-    for net in nets:
-        for p in net.biases:
-            p[:] = rng.normal(size=p.shape)
-    inputs = [rng.normal(size=(n, 9)) for n in (1, 7, 64, 300, 1000)]
-    inputs += [random_onehot(rng, n, [6, 3]) for n in (5, 500)]
-    inputs += [split_rows(rng.normal(size=(n, 9))) for n in (3, 40)]
-    cases = [(net, x) for net in nets for x in inputs]
+def assert_concurrent_passes_equal_serial(cases, workers):
+    """Threads cycling through (net, batch) cases for 1.5 s, with a short
+    switch interval, get each case's serial cache-free output bit for bit."""
     want = [net.forward(x, cache=False) for net, x in cases]
     deadline = time.monotonic() + 1.5
-    passes, mismatches, errors = [0] * 4, [], []
+    passes, mismatches, errors = [0] * workers, [], []
 
     def hammer(worker):
         k = worker * 5  # each thread starts on a different case
         try:
             while time.monotonic() < deadline:
                 net, x = cases[k % len(cases)]
-                if not np.array_equal(net.forward(x, cache=False), want[k % len(cases)]):
+                got, expected = net.forward(x, cache=False), want[k % len(cases)]
+                if got.dtype != expected.dtype or not np.array_equal(got, expected):
                     mismatches.append(k % len(cases))
                 passes[worker] += 1
                 k += 1
@@ -636,7 +630,7 @@ def test_concurrent_cache_free_passes_equal_the_serial_ones():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=hammer, args=(w,)) for w in range(len(passes))]
+        threads = [threading.Thread(target=hammer, args=(w,)) for w in range(workers)]
         for t in threads:
             t.start()
         for t in threads:
@@ -646,6 +640,58 @@ def test_concurrent_cache_free_passes_equal_the_serial_ones():
         sys.setswitchinterval(interval)
     assert not errors and not mismatches
     assert min(passes) > 0
+
+
+def test_concurrent_cache_free_passes_equal_the_serial_ones():
+    rng = np.random.default_rng(5)
+    nets = [Mlp([9, *[32] * depth, 3], seed=depth) for depth in (1, 2, 3)]
+    for net in nets:
+        for p in net.biases:
+            p[:] = rng.normal(size=p.shape)
+    inputs = [rng.normal(size=(n, 9)) for n in (1, 7, 64, 300, 1000)]
+    inputs += [random_onehot(rng, n, [6, 3]) for n in (5, 500)]
+    inputs += [split_rows(rng.normal(size=(n, 9))) for n in (3, 40)]
+    assert_concurrent_passes_equal_serial([(net, x) for net in nets for x in inputs],
+                                          workers=4)
+
+
+def test_concurrent_float32_passes_equal_the_serial_ones():
+    rng = np.random.default_rng(8)
+    nets = [Mlp([3, 128, 128, 4], seed=1), Mlp([9, 32, 32, 32, 3], seed=2)]
+    for net in nets:
+        for p in net.biases:
+            p[:] = rng.normal(size=p.shape)
+    cases = [(net, rng.normal(size=(n, net.sizes[0])).astype(np.float32))
+             for net in nets for n in (1, 300, 2 * TILE + 5, 2 * BLOCK + 9)]
+    cases += [(net, split_rows(x[:40])) for net, x in cases[-2:]]
+    assert_concurrent_passes_equal_serial(cases, workers=2)
+
+
+def test_a_float32_pass_runs_in_float32_over_the_same_scratch():
+    # A cache-free float32 pass casts the weights for the call and views
+    # the thread's float64 scratch blocks as float32; everything else,
+    # a caching pass over a float32 batch included, stays float64.
+    net = Mlp([3, 128, 128, 4], seed=4)
+    x = np.random.default_rng(9).normal(size=(1600, 3))
+    out = {}
+
+    def run():  # a fresh thread: its scratch starts empty
+        out["double"] = net.forward(x, cache=False)
+        before = list(approx._SCRATCH.blocks)
+        out["single"] = net.forward(x.astype(np.float32), cache=False)
+        out["same_blocks"] = all(a is b for a, b in zip(before, approx._SCRATCH.blocks))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert out["same_blocks"]
+    assert out["double"].dtype == np.float64 and out["single"].dtype == np.float32
+    assert np.abs(out["single"] - out["double"]).max() <= 1e-5
+    x32 = x.astype(np.float32)
+    assert net.forward(x32).dtype == np.float64
+    assert net.forward(x32).tobytes() == net.forward(x32.astype(float)).tobytes()
+    assert all(p.dtype == np.float64 for p in net.parameters())
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from reachsafe.dynamics import (
     save_ensemble,
     train_ensemble,
 )
-from reachsafe.envs import behavior_mixture, make_double_integrator
+from reachsafe.envs import behavior_mixture, make_double_integrator, make_hazard_gridworld
 from reachsafe.seeding import substream
 from reachsafe.tabular import build_model
 
@@ -128,6 +128,50 @@ def test_elite_predictions_keep_no_activations(trained):
         member.forward(np.zeros((8, member.sizes[0])))
     model.elite_predictions(data.s[:50], data.a[:50])
     assert all(model.members[e]._cache is None for e in model.elites)
+
+
+def _float64_predictions(model, s, a):
+    """``elite_predictions`` in float64 throughout, layer by layer: the
+    reference for its float32 member passes."""
+    x = (np.concatenate([s, a], axis=1) - model.in_mean) / model.in_std
+    means, variances = [], []
+    for e in model.elites:
+        net, h = model.members[e], x
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            h = h @ w + b
+            if i < len(net.weights) - 1:
+                h = np.tanh(h)
+        means.append(s + h[:, :model.d_s] * model.delta_std + model.delta_mean)
+        variances.append(np.exp(_bound_logvar(h[:, model.d_s:])) * model.delta_std ** 2)
+    return np.stack(means), np.stack(variances)
+
+
+@pytest.fixture(scope="module")
+def grid_trained():
+    env = make_hazard_gridworld(7, 7, [(3, 3), (2, 4)], momentum=1, horizon=30)
+    data = collect_safe_dataset(env, behavior_mixture(env, [("random", 1.0)]),
+                                n_transitions=2000, seed=4)
+    model = train_ensemble(data, **dynamics(n_total=3, n_elite=3, epochs=15), seed=5)
+    return env, data, model
+
+
+@pytest.mark.parametrize("world, margin", [("trained", 0.04), ("grid_trained", 1.0)])
+def test_float32_elite_passes_track_the_float64_reference(request, world, margin):
+    # The members run in float32; means, variances and any-elite labels stay
+    # within the stated tolerance of a float64 pass on 20,000 rows.
+    env, data, model = request.getfixturevalue(world)
+    rng = np.random.default_rng(11)
+    s = data.s[rng.integers(len(data), size=20_000)]
+    a = env.action_set[rng.integers(len(env.action_set), size=20_000)]
+    means, variances = model.elite_predictions(s, a)
+    want_means, want_variances = _float64_predictions(model, s, a)
+    assert means.dtype == variances.dtype == np.float64
+    assert np.abs(means - want_means).max() <= 1e-6
+    assert (np.abs(variances - want_variances) / want_variances).max() <= 1e-5
+    cost_fn = env.margin_predicate(margin)
+    labels = conservative_cost_label_batch(means, cost_fn)
+    assert 0 < labels.sum() < len(labels)
+    assert np.array_equal(labels, conservative_cost_label_batch(want_means, cost_fn))
 
 
 def test_elites_equal_members_when_requested(integrator_setup):

@@ -14,7 +14,7 @@ from reachsafe.approx import load_mlp, save_mlp
 from reachsafe.cmdp import load_dataset
 from reachsafe.collect import collect_safe_dataset
 from reachsafe.config import build_env, default_config, save_config
-from reachsafe.costgen import load_final_candidate
+from reachsafe.costgen import CostCandidate, load_final_candidate
 from reachsafe.critics import (
     FeasibilityCritic,
     QVCritic,
@@ -431,6 +431,31 @@ def test_oracle_warnings_stay_out_of_stdout_json(tmp_path, capsys):
     report = json.loads(captured.out)
     assert any("learn.critic_gamma" in w for w in report["warnings"])
     assert "warning: learn.critic_gamma" in captured.err
+
+
+def test_a_cost_generation_fallback_warns_on_stderr(tmp_path, capsys, monkeypatch):
+    # A proposer stuck at margin 0, whose predicate flags no safe successor,
+    # never reaches the band: the stage adopts a fallback and says so.
+    def stuck(env, step):
+        return lambda idx, feedback: CostCandidate(
+            predicate=env.margin_predicate(0.0), provenance="scripted",
+            source="margin=0", margin=0.0)
+
+    monkeypatch.setattr(pipeline, "ScriptedMarginProposer", stuck)
+    cfg = tiny_config()
+    cfg.costgen.max_queries = 3
+    run_pipeline(cfg, tmp_path, stages=("data", "costgen"))
+    final = load_final_candidate(tmp_path / "cost_history.jsonl", build_env(cfg))
+    assert final.margin == 0.0 and final.report is not None and not final.report.passed
+    err = capsys.readouterr().err
+    assert ("warning: no cost candidate passed validation in 3 rounds; adopted margin 0 "
+            f"with recall {final.report.recall_unsafe:.3f} and conservativeness 0.000 "
+            "(band [0.1, 0.3])") in err
+
+
+def test_a_passing_cost_generation_prints_no_warning(tmp_path, capsys):
+    run_pipeline(tiny_config(), tmp_path, stages=("data", "costgen"))
+    assert "warning" not in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,32 @@ def test_the_critic_update_trains_from_stored_labels_and_calls_no_predicate(requ
         assert_same_bits(getattr(got, name).params, getattr(want, name).params)
 
 
+@pytest.mark.parametrize("world, margin", [("integrator", 0.1), ("gridworld", 1.0)])
+def test_the_policy_update_gates_with_stored_labels_and_calls_no_predicate(request, world,
+                                                                          margin):
+    # The cloning weights floor the critic's values with the relabelled
+    # dataset's h_s, so a critic whose predicate raises on any call trains
+    # the policy exactly as one carrying the predicate.
+    env, data = request.getfixturevalue(world)
+    cost_fn = env.margin_predicate(margin)
+    offline = relabel_offline(data, cost_fn, env.h_min, env.h_max)
+    assert (offline.h_s == env.h_max).any() and (offline.h_s == env.h_min).any()
+
+    def no_predicate(s):
+        raise AssertionError("the policy update called a cost predicate")
+
+    cfg = replace(LEARN, hidden=[16, 16], batch_size=64)
+    advantages = np.random.default_rng(2).normal(size=len(offline))
+    policies = []
+    for fn in (no_predicate, cost_fn):
+        critic = make_feasibility_critic(env, offline, cfg, seed=3, cost_fn=fn)
+        policy = make_policy(env, data, cfg, seed=4)
+        feasibility_guided_policy_update(policy, advantages, critic, offline, steps=10,
+                                         cfg=cfg, seed=6)
+        policies.append(policy)
+    assert_same_bits(policies[0].net.params, policies[1].net.params)
+
+
 def _event_window(env, data, sizes, n_elites=3, seed=0):
     """Rollout buffers of dataset rows; each elite mean is the dataset
     successor moved by noise, so the one-hot featurizer has to snap some."""
@@ -323,10 +349,10 @@ def test_greedy_actions_stay_feasible_with_oracle_critic():
     class OracleCritic:
         h_min, h_max = env.h_min, env.h_max
 
-        def v_values(self, s):
+        def v_values(self, s, h_s=None):
             return v_exact[env.state_index(np.atleast_2d(s))]
 
-        def q_values(self, s, a):
+        def q_values(self, s, a, h_s=None):
             s, a = np.atleast_2d(s), np.atleast_2d(a)
             ai = [int(np.argmin(np.sum((env.action_set - arow) ** 2, axis=1)))
                   for arow in a]

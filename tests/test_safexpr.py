@@ -164,6 +164,7 @@ def _outcome(fn):
         return type(err)
 
 
+@pytest.mark.slow
 @settings(max_examples=500, deadline=None)
 @given(_sources(),
        hnp.arrays(float, st.tuples(st.integers(1, 6), st.just(2)),
