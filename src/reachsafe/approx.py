@@ -36,21 +36,14 @@ column never hot reads +0.0. That is the definition for every batch; up
 to 384 rows it is also OpenBLAS's dense GEMM bit for bit, which sums
 those rows in the same order.
 
-An inference pass (``forward(..., cache=False)``) keeps nothing: its
-hidden layers live in the calling thread's scratch blocks, which grow on
-demand and are reused by its later cache-free passes of any network. They
-run tile by tile, TILE rows a tile, the last tile also taking the
-remainder (fewer than 2 * TILE rows are one tile). In a tile, hidden layer
-i but the last goes to tile block i % 2, and the last hidden product to
-the tile's rows of one full-height block; that layer's bias and tanh and
-the output layer then run once over the block, the output into the
-returned array. So a thread holds one block under 2 * TILE rows (two with
-three or more hidden layers) and one full-height block of the last hidden
-width. Only the narrow output layer needs all rows at once: BLAS rounds a
-128->4 or 64->1 product differently as its row count changes, while the
-hidden products of TILE-row tiles give each row the whole pass's bits on
-every default network shape (checked with BLAS pinned, as the blocks
-below are).
+An inference pass (``forward(..., cache=False)``) keeps nothing: hidden
+layer i runs over the whole row block into block i % 2 of the calling
+thread's two scratch blocks (so a layer never overwrites its own input),
+which grow on demand and are reused by its later cache-free passes of any
+network; the output layer goes into the returned array. Each layer is one
+product, one bias add and one tanh over the block: every numpy call hands
+over the interpreter lock, so concurrent passes trade it a few times per
+layer. A thread holds two blocks of at most 4,095 rows each (below).
 Thread contract: cache-free passes may run on several threads at once,
 even on one network; a caching pass and the ``backward`` that consumes it
 run on one thread per network, with no other pass of it in between. The
@@ -62,23 +55,21 @@ A cache-free pass also takes an (n, 1, d) batch, ``split_rows`` of an
 row on its own, a (1, d) @ (d, k) product with the kernel of a one-row
 call, so row i is bit-identical to a pass over row i alone; an (n, d)
 GEMM may sum a row in another order and move its last bit. The split
-pass uses the scratch blocks and tiles under the same thread contract.
+pass uses the scratch blocks under the same thread contract.
 
 A cache-free pass over n >= 2 * BLOCK rows runs, on the calling thread,
 as n // BLOCK consecutive row blocks of BLOCK rows into one output array,
-the last block also taking the n % BLOCK remainder; so the full-height
-block holds at most 4,095 rows, not the largest batch. No block is
+the last block also taking the n % BLOCK remainder; so a scratch block
+holds at most 4,095 rows, not the largest batch. No block is
 shorter than BLOCK because BLAS picks its kernel by problem size: such
 blocks give the whole pass's bits on every default network shape, while
 near-equal splits, one-row tails and blocks under about 1,953 rows move
 the last bits of narrow outputs. The limit: a 4-64-64-2 net differs from
 its whole pass at 8,000 rows or more, where the whole pass crosses a
 kernel cutoff; no default pass has that shape and size (the grid policy
-runs on 1,024-row rollouts and on split evaluation rows).
-
-The tile, block and split-row bit guarantees above were checked in
-float64 only. A float32 pass runs the same tiles, blocks and split rows,
-but whether its rows keep the whole pass's bits was never checked.
+runs on 1,024-row rollouts and on split evaluation rows). The block and
+split-row guarantees hold in float64 and in float32 (checked with BLAS
+pinned, against a whole pass in the same precision).
 
 Checkpoints keep float64: ``save_mlp`` writes every network of one
 model (a critic's four nets, a policy, a dynamics ensemble) and a JSON
@@ -99,7 +90,6 @@ from .seeding import substream
 
 
 BLOCK = 2048  # rows per block of a long cache-free pass (module docstring)
-TILE = 256  # rows per tile of a cache-free pass's hidden layers (module docstring)
 
 
 class BackwardBeforeForward(RuntimeError):
@@ -154,12 +144,11 @@ def split_rows(x: np.ndarray | OneHot) -> np.ndarray | OneHot:
 
 
 class _Scratch(threading.local):
-    """Hidden layers of this thread's cache-free passes: blocks 0 and 1 hold
-    a tile's earlier hidden layers (layer i in block i % 2, so a layer never
-    overwrites its own input), block 2 the last hidden layer of the pass."""
+    """Hidden layers of this thread's cache-free passes: hidden layer i of a
+    row block in block i % 2, so a layer never overwrites its own input."""
 
     def __init__(self) -> None:
-        self.blocks = [np.empty(0), np.empty(0), np.empty(0)]
+        self.blocks = [np.empty(0), np.empty(0)]
 
 
 _SCRATCH = _Scratch()
@@ -192,23 +181,12 @@ def _affine(h: np.ndarray | OneHot, w: np.ndarray, b: np.ndarray,
 
 
 def _free_pass(h: np.ndarray | OneHot, layers: list, out: np.ndarray) -> None:
-    """A cache-free pass over ``h`` into ``out``: the hidden layers tile by
-    tile, each tile's last hidden product into its rows of scratch block 2,
-    then that layer's bias and tanh (elementwise, so the bits stay; fewer
-    calls hand the interpreter lock between concurrent passes less often)
-    and the output layer once over the whole block."""
+    """A cache-free pass over the row block ``h`` into ``out``: hidden layer
+    i into scratch block i % 2, the output layer into ``out``."""
     *hidden, (w, b) = layers
-    if hidden:
-        w_top, b_top = hidden.pop()
-        top = _scratch(2, (*h.shape[:-1], w.shape[0]), out.dtype)
-        for lo, hi in _spans(len(h), TILE):
-            t = h[lo:hi]
-            for i, (wi, bi) in enumerate(hidden):
-                block = _scratch(i % 2, (*t.shape[:-1], wi.shape[1]), out.dtype)
-                t = _affine(t, wi, bi, block, True)
-            _product(t, w_top, top[lo:hi])
-        top += b_top
-        h = np.tanh(top, out=top)
+    for i, (wi, bi) in enumerate(hidden):
+        block = _scratch(i % 2, (*h.shape[:-1], wi.shape[1]), out.dtype)
+        h = _affine(h, wi, bi, block, True)
     _affine(h, w, b, out, False)
 
 
@@ -292,11 +270,11 @@ class Mlp:
 
         ``cache=False`` is an inference-only pass: it keeps no activations
         and drops any an earlier pass left, so a large batch is not pinned
-        in memory after the call. Its hidden layers run in TILE-row tiles
-        over the calling thread's scratch blocks (module docstring), so no
-        hidden layer is allocated per call; only the returned output layer
-        is fresh. Cache-free passes may run on several threads at once, even
-        on one network. ``cache=True`` never touches the scratch; it and
+        in memory after the call. Its hidden layers run over the calling
+        thread's two scratch blocks (module docstring), so no hidden layer
+        is allocated per call; only the returned output layer is fresh.
+        Cache-free passes may run on several threads at once, even on one
+        network. ``cache=True`` never touches the scratch; it and
         the matching ``backward`` run on one thread per network, with no
         other pass of that network in between. Bias and tanh act in place
         on each layer's own product, never on the input or the parameters.
@@ -306,10 +284,9 @@ class Mlp:
         row i alone.
 
         A cache-free pass of n >= 2 * BLOCK rows runs inside this one call
-        in n // BLOCK row blocks, none shorter than BLOCK, so the
-        full-height block never holds more than 4,095 rows; the module
-        docstring says why and where the result may differ from the whole
-        pass.
+        in n // BLOCK row blocks, none shorter than BLOCK, so a scratch
+        block never holds more than 4,095 rows; the module docstring says
+        why and where the result may differ from the whole pass.
 
         Precision: a cache-free pass over a float32 ndarray runs in float32
         (the weights cast for this call, the scratch viewed as float32) and

@@ -8,7 +8,8 @@ mean-squared prediction error, and all set-valued prediction and
 conservative labeling go through elites only.
 
 Training and checkpoints are float64; ``elite_predictions`` runs the elite
-networks in float32 and its statistics in float64 (tolerance there).
+networks in float32 and one float64 Gaussian head over all elites'
+outputs (tolerance and bit rules there).
 """
 
 from __future__ import annotations
@@ -92,23 +93,23 @@ class EnsembleDynamics:
 
         Returns float64 means and variances of shape (n_elites, batch, d_s).
         The batch is normalised in float64 and cast to float32 once; each
-        elite's network runs in float32 (``Mlp.forward``'s precision rule),
-        and its output returns to float64 before the mean and variance
-        arithmetic. Against an all-float64 pass the means differ by at most
-        1e-6 and the variances by 1e-5 relative, and the any-elite labels
-        agree row for row (checked on the trained integrator and gridworld
-        ensembles of the tests, 20,000 rows each).
+        elite's network runs in float32 (``Mlp.forward``'s precision rule).
+        The outputs are stacked once into a float64 (n_elites, batch, 2 d_s)
+        array, and the Gaussian head runs once over all elites: elementwise,
+        so each elite's rows get the bits of a head over that elite alone.
+        Against an all-float64 pass the means differ by at most 1e-6 and the
+        variances by 1e-5 relative, and the any-elite labels agree row for
+        row (checked on the trained integrator and gridworld ensembles of
+        the tests, 20,000 rows each).
         """
         s2d = np.atleast_2d(np.asarray(s, dtype=float))
         x = np.concatenate([s2d, np.atleast_2d(np.asarray(a, dtype=float))], axis=1)
         x = ((x - self.in_mean) / self.in_std).astype(np.float32)
-        means, variances = [], []
-        for e in self.elites:
-            out = self.members[e].forward(x, cache=False).astype(float)
-            mu, var = out[:, :self.d_s], np.exp(_bound_logvar(out[:, self.d_s:]))
-            means.append(s2d + mu * self.delta_std + self.delta_mean)
-            variances.append(var * self.delta_std ** 2)
-        return np.stack(means), np.stack(variances)
+        out = np.stack([self.members[e].forward(x, cache=False) for e in self.elites],
+                       dtype=float)
+        mu, raw = out[..., :self.d_s], out[..., self.d_s:]
+        return (s2d + mu * self.delta_std + self.delta_mean,
+                np.exp(_bound_logvar(raw)) * self.delta_std ** 2)
 
 
 def sample_next_batch(means: np.ndarray, variances: np.ndarray,

@@ -368,9 +368,10 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
     seed = cfg.seed
     critic = None
     if candidate is not None:
+        # No predicate: the update and the policy's weights floor with the
+        # stored labels; readers of the saved critic attach one on load.
         critic = make_feasibility_critic(env, offline, lc,
-                                         seed=child_seed(seed, "learn", "critic-init"),
-                                         cost_fn=floor_fn)
+                                         seed=child_seed(seed, "learn", "critic-init"))
     policy = make_policy(env, dataset, lc, seed=child_seed(seed, "learn", "policy-init"))
 
     rcfg = RolloutConfig(

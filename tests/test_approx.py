@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from reachsafe import BLAS_THREAD_VARS, approx
 from reachsafe.approx import (
     BLOCK,
-    TILE,
     BackwardBeforeForward,
     Mlp,
     OneHot,
@@ -581,7 +580,7 @@ def test_cache_free_passes_across_nets_keep_results_and_cached_activations(kind)
         for p in net.biases:
             p[:] = rng.normal(size=p.shape)
     kept = []  # (result, its value when returned)
-    # The scratch grows (700 rows run in tiles), then serves smaller batches.
+    # The scratch grows, then serves smaller batches.
     for n in (4, 64, 300, 700, 20, 1):
         x = rng.normal(size=(n, 9)) if kind == "dense" else random_onehot(rng, n, [6, 3])
         upstream = rng.normal(size=(n, 3))
@@ -662,7 +661,7 @@ def test_concurrent_float32_passes_equal_the_serial_ones():
         for p in net.biases:
             p[:] = rng.normal(size=p.shape)
     cases = [(net, rng.normal(size=(n, net.sizes[0])).astype(np.float32))
-             for net in nets for n in (1, 300, 2 * TILE + 5, 2 * BLOCK + 9)]
+             for net in nets for n in (1, 300, 517, 2 * BLOCK + 9)]
     cases += [(net, split_rows(x[:40])) for net, x in cases[-2:]]
     assert_concurrent_passes_equal_serial(cases, workers=2)
 
@@ -695,9 +694,9 @@ def test_a_float32_pass_runs_in_float32_over_the_same_scratch():
 
 
 # ---------------------------------------------------------------------------
-# A cache-free pass over 2 * BLOCK rows or more runs in row blocks, and its
-# hidden layers over 2 * TILE rows or more run in row tiles: the same bits as
-# the whole pass, in one call, over bounded scratch.
+# A cache-free pass over 2 * BLOCK rows or more runs in row blocks: the same
+# bits as the whole pass, in float64 and float32, in one call, over bounded
+# scratch.
 # ---------------------------------------------------------------------------
 
 # The default nets: the 64-wide critic, reward and integrator-policy nets,
@@ -707,30 +706,47 @@ DEFAULT_SHAPES = [([3, 64, 64, 1], None), ([2, 64, 64, 1], None), ([6, 64, 64, 1
                   ([4, 64, 64, 1], None), ([245, 64, 64, 1], [245]),
                   ([250, 64, 64, 1], [245, 5]), ([3, 128, 128, 4], None),
                   ([6, 128, 128, 8], None)]
-TILED_ROWS = (2 * TILE - 1, 2 * TILE, 2 * TILE + 1, 3 * TILE - 1, 1024, 1600, 2047, 2048)
+UNBLOCKED_ROWS = (511, 512, 513, 767, 1024, 1600, 2047, 2048)
 BLOCKED_ROWS = (2049, 4095, 4096, 4097, 6143, 8000, 8001, 20480)
-SPLIT_ROWS = 2 * TILE + 1
+SPLIT_ROWS = 513
+
+
+def whole_pass_float32(net: Mlp, x: np.ndarray) -> np.ndarray:
+    """A plain float32 pass over all rows at once, the float32 reference."""
+    h = x
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = h @ w.astype(np.float32) + b.astype(np.float32)
+        if i < len(net.weights) - 1:
+            h = np.tanh(h)
+    return h
 
 
 def blocked_pass_mismatches() -> list:
-    """[sizes, n] of each default net shape and row count where a cache-free
-    pass differs from the cached whole pass in any bit, and [sizes, n,
-    "split"] where a tiled split pass differs from its one-row passes."""
+    """[sizes, n, dtype] of each default net shape, row count and precision
+    where a cache-free pass differs in any bit from the whole pass (the
+    cached pass in float64, ``whole_pass_float32`` in float32), and [sizes,
+    n, dtype, "split"] where a split pass differs from its one-row passes.
+    A one-hot shape's float32 batch is its dense 0/1 matrix."""
     rng = np.random.default_rng(21)
     mismatches = []
     for sizes, widths in DEFAULT_SHAPES:
         net = Mlp(sizes, seed=sizes[0])
         for p in net.biases:
             p[:] = rng.normal(size=p.shape)
-        for n in (*TILED_ROWS, *BLOCKED_ROWS):
+        for n in (*UNBLOCKED_ROWS, *BLOCKED_ROWS):
             x = rng.normal(size=(n, sizes[0])) if widths is None else random_onehot(rng, n, widths)
+            x32 = np.asarray(x, dtype=float).astype(np.float32)
             if net.forward(x, cache=False).tobytes() != net.forward(x).tobytes():
-                mismatches.append([sizes, n])
-        rows = [x[i:i + 1] for i in range(SPLIT_ROWS)]
-        split = net.forward(split_rows(x[:SPLIT_ROWS]), cache=False)[:, 0]
-        one_rows = np.concatenate([net.forward(r, cache=False) for r in rows])
-        if split.tobytes() != one_rows.tobytes():
-            mismatches.append([sizes, SPLIT_ROWS, "split"])
+                mismatches.append([sizes, n, "float64"])
+            if net.forward(x32, cache=False).tobytes() != whole_pass_float32(net, x32).tobytes():
+                mismatches.append([sizes, n, "float32"])
+        for batch, split, dtype in ((x, split_rows(x[:SPLIT_ROWS]), "float64"),
+                                    (x32, x32[:SPLIT_ROWS, None], "float32")):
+            got = net.forward(split, cache=False)[:, 0]
+            one_rows = np.concatenate([net.forward(batch[i:i + 1], cache=False)
+                                       for i in range(SPLIT_ROWS)])
+            if got.dtype != one_rows.dtype or got.tobytes() != one_rows.tobytes():
+                mismatches.append([sizes, SPLIT_ROWS, dtype, "split"])
     return mismatches
 
 
@@ -770,7 +786,6 @@ def test_a_long_cache_free_pass_is_one_call_over_bounded_scratch(monkeypatch, wi
     thread.join(timeout=60)
     assert not thread.is_alive()
     assert seen == [n, n]
-    # Tile blocks (the second serves only a third hidden layer), then the
-    # last hidden layer of one row block.
-    assert sizes[0] <= (2 * TILE - 1) * width and sizes[1] == 0
-    assert sizes[2] <= min(n, 2 * BLOCK - 1) * width
+    # Hidden layers 0 and 1 of one row block.
+    assert len(sizes) == 2
+    assert all(size <= min(n, 2 * BLOCK - 1) * width for size in sizes)

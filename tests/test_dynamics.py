@@ -25,7 +25,7 @@ from reachsafe.envs import behavior_mixture, make_double_integrator, make_hazard
 from reachsafe.seeding import substream
 from reachsafe.tabular import build_model
 
-from helpers import dynamics
+from helpers import assert_same_bits, dynamics
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +172,32 @@ def test_float32_elite_passes_track_the_float64_reference(request, world, margin
     labels = conservative_cost_label_batch(means, cost_fn)
     assert 0 < labels.sum() < len(labels)
     assert np.array_equal(labels, conservative_cost_label_batch(want_means, cost_fn))
+
+
+def _per_elite_predictions(model, s, a):
+    """``elite_predictions`` with the Gaussian head run elite by elite: the
+    reference for the one head over all elites."""
+    s2d = np.atleast_2d(np.asarray(s, dtype=float))
+    x = np.concatenate([s2d, np.atleast_2d(np.asarray(a, dtype=float))], axis=1)
+    x = ((x - model.in_mean) / model.in_std).astype(np.float32)
+    means, variances = [], []
+    for e in model.elites:
+        out = model.members[e].forward(x, cache=False).astype(float)
+        mu, var = out[:, :model.d_s], np.exp(_bound_logvar(out[:, model.d_s:]))
+        means.append(s2d + mu * model.delta_std + model.delta_mean)
+        variances.append(var * model.delta_std ** 2)
+    return np.stack(means), np.stack(variances)
+
+
+@pytest.mark.parametrize("world", ["trained", "grid_trained"])
+@pytest.mark.parametrize("n", [1, 5000])
+def test_one_head_over_all_elites_equals_the_per_elite_loop(request, world, n):
+    env, data, model = request.getfixturevalue(world)
+    rng = np.random.default_rng(12)
+    s = data.s[rng.integers(len(data), size=n)]
+    a = env.action_set[rng.integers(len(env.action_set), size=n)]
+    for got, want in zip(model.elite_predictions(s, a), _per_elite_predictions(model, s, a)):
+        assert_same_bits(got, want)
 
 
 def test_elites_equal_members_when_requested(integrator_setup):

@@ -238,6 +238,22 @@ def test_critic_updates_read_the_rollout_window_in_place(tmp_path, monkeypatch):
     assert held == [0]
 
 
+def test_learn_builds_its_feasibility_critic_without_a_predicate(tmp_path, monkeypatch):
+    # The update and the policy weights floor with stored labels, so nothing
+    # in learn reads a predicate on the critic; the heatmap and the
+    # benchmark attach one to the loaded critic.
+    built = []
+    make = pipeline.make_feasibility_critic
+
+    def recording(*args, **kwargs):
+        built.append(make(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "make_feasibility_critic", recording)
+    run_pipeline(tiny_config(), tmp_path)
+    assert len(built) == 1 and built[0].cost_fn is None
+
+
 def test_remote_proposer_runs_through_the_costgen_stage(tmp_path, monkeypatch):
     low = "1 if abs(x - 2) + abs(y - 2) <= 1 else 0"     # flags 5.5% of the safe data
     band = "1 if max(abs(x - 2), abs(y - 2)) <= 1 else 0"  # flags 13.3%
