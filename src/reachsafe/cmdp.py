@@ -189,13 +189,11 @@ class OfflineDataset:
     cost: np.ndarray
     tag: str
     meta: dict = field(default_factory=dict)
-    h_s: np.ndarray | None = None  # attached by relabeling; h label of s
 
     def __post_init__(self) -> None:
         n = len(self.r)
-        for name in ("s", "a", "s2", "done", "cost", "h_s"):
-            column = getattr(self, name)
-            if column is not None and len(column) != n:
+        for name in ("s", "a", "s2", "done", "cost"):
+            if len(getattr(self, name)) != n:
                 raise ConfigurationError(f"column {name} length mismatch")
         self.validate_tag()
 
@@ -231,7 +229,6 @@ class OfflineDataset:
             s=self.s[idx], a=self.a[idx], r=self.r[idx], s2=self.s2[idx],
             done=self.done[idx], cost=self.cost[idx], tag=MIXED,
             meta={"parent": self.meta.get("env", ""), "note": "subset"},
-            h_s=None if self.h_s is None else self.h_s[idx],
         )
 
 
@@ -276,15 +273,14 @@ def load_npz(path: str | Path, kind: str | None = None
     return arrays, meta
 
 
-# Dataset columns and the dtypes a load restores; ``h_s`` only when relabeled.
+# Dataset columns and the dtypes a load restores.
 _DATASET_DTYPES = {"s": float, "a": float, "r": float, "s2": float,
-                   "done": bool, "cost": int, "h_s": float}
+                   "done": bool, "cost": int}
 
 
 def save_dataset(dataset: OfflineDataset, path: str | Path) -> None:
     """Write the columns, the tag and the collection metadata to one ``.npz``."""
-    columns = {name: getattr(dataset, name) for name in _DATASET_DTYPES
-               if getattr(dataset, name) is not None}
+    columns = {name: getattr(dataset, name) for name in _DATASET_DTYPES}
     save_npz(path, columns, {"kind": "transitions", "tag": dataset.tag,
                              "meta": dataset.meta})
 
@@ -292,5 +288,5 @@ def save_dataset(dataset: OfflineDataset, path: str | Path) -> None:
 def load_dataset(path: str | Path) -> OfflineDataset:
     arrays, header = load_npz(path, "transitions")
     columns = {name: np.asarray(arrays[name], dtype=dtype)
-               for name, dtype in _DATASET_DTYPES.items() if name in arrays}
+               for name, dtype in _DATASET_DTYPES.items()}
     return OfflineDataset(**columns, tag=header["tag"], meta=header["meta"])

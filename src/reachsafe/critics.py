@@ -1,21 +1,17 @@
 """Parametric Q/V critics: the reachability pair and the reward pair.
 
 Both pairs share one core (``QVCritic``): four networks, two optimizers
-and one gradient step. For the reachability pair, Q fits squared error
-against the feasible backup: on offline transitions the successor value
-comes from the dataset next state, on retained rollout steps from the
-worst (largest) target value across the elite mean successors the rollout
-recorded in its buffer, all elites in one featurize and one forward. The
-update reads the rollout window's event buffers in place, rows indexed as
-if concatenated; ``rollout.stack_buffers`` serves only a rollout's epochs
-and the saved buffer. Every violation value a target needs is a label
-stored with its row (the relabelled offline ``h_s`` and ``cost``, a rollout
-row's ``label`` and ``h_s``), so the update calls no cost predicate. V
-regresses toward Q with the reverse expectile loss, whose tau near 1
-approximates the min over actions without ever querying
-out-of-distribution actions. The reward pair's TD target lives with the
-policy code that consumes it. Both pairs read their settings from the
-configuration's ``learn`` section.
+and one gradient step. The reachability pair trains on rows of one type
+(``RolloutBuffer``) from two sources: the relabelled dataset transitions,
+each with one successor (its next state), and the rollout window, whose
+rows carry the elite mean successors the rollout recorded. Q fits squared
+error against one feasible backup for every row, from the worst (largest)
+target value over its successors; every violation value is a label
+stored with the row, so the update calls no cost predicate. V regresses
+toward Q with the reverse expectile loss, whose tau near 1 approximates
+the min over actions without ever querying out-of-distribution actions.
+The reward pair's TD target lives with the policy code that consumes it.
+Both pairs read their settings from the configuration's ``learn`` section.
 """
 
 from __future__ import annotations
@@ -177,9 +173,9 @@ class FeasibilityCritic(QVCritic):
     max(h(s), net(...)): every valid reachability value dominates the
     state's own violation value, so the known binary labels act as an
     architectural floor rather than a learned fact. A read given the rows'
-    stored h labels (``h_s``, as ``relabel_offline`` writes them) floors
-    with those; otherwise ``cost_fn`` labels the rows. The bootstrap targets
-    floor their successors with the labels stored beside the rows too.
+    stored h labels (``h_s``) floors with those, and the bootstrap targets
+    floor successors with the rows' stored ``label``; otherwise ``cost_fn``
+    labels the rows.
     """
 
     h_min: float = -1.0
@@ -203,9 +199,7 @@ class FeasibilityCritic(QVCritic):
 
 
 def make_feasibility_critic(env: HardCMDP, dataset: OfflineDataset,
-                            cfg: LearnSection, seed: int = 0,
-                            cost_fn: Predicate | None = None
-                            ) -> FeasibilityCritic:
+                            cfg: LearnSection, seed: int = 0) -> FeasibilityCritic:
     if env.is_tabular:
         state_feat = onehot_state_featurizer(env)
         action_feat = onehot_action_featurizer(env)
@@ -218,7 +212,7 @@ def make_feasibility_critic(env: HardCMDP, dataset: OfflineDataset,
     return FeasibilityCritic.fresh(
         state_feat, action_feat, cfg.hidden, seed, "critic-init", ("qh", "vh"),
         out_bias=env.h_min, lr=cfg.critic_lr, target_rate=cfg.critic_target_rate,
-        h_min=env.h_min, h_max=env.h_max, cost_fn=cost_fn,
+        h_min=env.h_min, h_max=env.h_max,
     )
 
 
@@ -228,102 +222,96 @@ def _net_seed(seed: int, *labels: str) -> int:
 
 def update_feasibility_critics(
     critic: FeasibilityCritic,
-    offline: OfflineDataset,
+    offline: RolloutBuffer,
     rollouts: Sequence[RolloutBuffer],
     steps: int,
     cfg: LearnSection,
     seed: int = 0,
     stream: tuple = (),
 ) -> FeasibilityCritic:
-    """Run gradient steps on Q_h and V_h from offline plus rollout batches.
+    """Run gradient steps on Q_h and V_h from rows of two sources.
 
-    The offline dataset must carry h labels (``h_s``); a missing column
-    means everything sits at h_min. ``rollouts`` is the rollout window, a
-    sequence of event buffers (empty: no rollouts). The buffers are read in
-    place, never stacked: their rows are indexed as if concatenated in
-    order, and each step makes one draw over that range, as from a stacked
-    buffer. Rollout rows back up against the elite mean successors the
-    rollout recorded (``RolloutBuffer.elite_next``), which every non-empty
-    buffer must carry with the same (n_elites, d_s). The floor at those
-    successors is the row's stored any-elite ``label`` mapped to h_max or
-    h_min, the max over elites of their own floors under the predicate the
-    rollout labelled with; no predicate runs here.
-
-    The violation value in a backup differs by source: an offline row's
-    ``h_s`` is its own state's label (``relabel_offline``), a rollout row's
-    is its successor's any-elite label (``branched_rollout``). So offline
-    targets back up h(s) and rollout targets h(s'). The critic object is
-    updated in place and returned.
+    Both sources hold ``RolloutBuffer`` rows: ``offline`` the dataset's
+    transitions from ``relabel_offline``, one successor each, of which a
+    step draws ``batch_size``; ``rollouts`` the rollout window's event
+    buffers (empty: no rollouts), of which it draws the rollout share. A
+    source's non-empty buffers are read in place, their rows indexed as if
+    concatenated, and must carry successors (``elite_next``) of one
+    (n_elites, d_s). Every row is backed up as ``feasible_backup(h_s,
+    max(floor(label), max over its successors of V_target), gamma)``; the
+    floor maps the stored label to h_max or h_min, so no predicate runs.
+    ``h_s`` is h(s) on offline rows and h(s') on rollout rows
+    (``branched_rollout``). The critic is updated in place and returned.
     """
     if len(offline) == 0:
         raise ValueError("offline batch must not be empty")
+    sources = [_Source(critic, [offline], cfg.batch_size, True)]
     window = [b for b in rollouts if len(b)]
-    if any(b.elite_next is None for b in window):
-        raise ValueError("rollout buffer has no elite_next (a saved buffer drops it)")
-    shapes = {(b.elite_next.shape[0], b.elite_next.shape[2]) for b in window}
-    if len(shapes) > 1:
-        raise ValueError(f"rollout buffers disagree on elite_next's (n_elites, d_s): "
-                         f"{sorted(shapes)}")
-    gamma, tau = cfg.critic_gamma, cfg.critic_tau
-
-    # Featurized views and labels, reused across steps. The relabeled cost
-    # column is the predicate at the next state.
-    feat_s = critic.state_feat(offline.s)
-    feat_sa = concat([feat_s, critic.action_feat(offline.a)], axis=1)
-    feat_s2 = critic.state_feat(offline.s2)
-    h_s = (np.full(len(offline), critic.h_min) if offline.h_s is None
-           else np.asarray(offline.h_s, dtype=float))
-    h_s2 = np.where(offline.cost > 0, critic.h_max, critic.h_min).astype(float)
     if window:
-        # Per buffer: featurized rows, labels, the elite means as a
-        # (rows, n_elites, d_s) view and the successor floor from the label.
-        n_elites, d_s = shapes.pop()
-        roll_s = [critic.state_feat(b.s) for b in window]
-        roll_sa = [concat([f, critic.action_feat(b.a)], axis=1)
-                   for f, b in zip(roll_s, window)]
-        roll_h = [np.asarray(b.h_s, dtype=float) for b in window]
-        roll_next = [b.elite_next.swapaxes(0, 1) for b in window]
-        roll_floor = [np.where(b.label > 0, critic.h_max, critic.h_min) for b in window]
-        sizes = np.array([len(b) for b in window])
-        ends = np.cumsum(sizes)
-        starts = ends - sizes
+        share = max(1, int(cfg.batch_size * cfg.rollout_batch_fraction))
+        sources.append(_Source(critic, window, share, cfg.include_rollout_in_v))
+    gamma, tau, d_s = cfg.critic_gamma, cfg.critic_tau, offline.s.shape[1]
     rng = substream(seed, "critic-update", *stream)
 
     for _ in range(steps):
-        idx = rng.integers(len(offline), size=min(cfg.batch_size, len(offline)))
-        fs = feat_s[idx]
-        v2 = np.maximum(h_s2[idx], critic.v_target.forward(feat_s2[idx], cache=False)[:, 0])
-        target_off = feasible_backup(h_s[idx], v2, gamma)
-
-        if window:
-            want = max(1, int(cfg.batch_size * cfg.rollout_batch_fraction))
-            ridx = rng.integers(ends[-1], size=min(want, ends[-1]))
-            part = np.searchsorted(ends, ridx, side="right")  # buffer of each draw
-            local = ridx - starts[part]
-            picks = [(at, local[at]) for at in
-                     (np.flatnonzero(part == j) for j in range(len(window)))]
-            succ = _gather(roll_next, picks).swapaxes(0, 1).reshape(-1, d_s)
-            v_succ = critic.v_target.forward(critic.state_feat(succ), cache=False)[:, 0]
-            v_next = np.maximum(_gather(roll_floor, picks),
-                                v_succ.reshape(n_elites, -1).max(axis=0))
-            target_roll = feasible_backup(_gather(roll_h, picks), v_next, gamma)
-            q_in = concat([feat_sa[idx], _gather(roll_sa, picks)])
-            q_tgt = np.concatenate([target_off, target_roll])
-        else:
-            q_in, q_tgt = feat_sa[idx], target_off
-
-        if window and cfg.include_rollout_in_v:
-            v_in, q_ref_in = concat([fs, _gather(roll_s, picks)]), q_in
-        else:
-            v_in, q_ref_in = fs, q_in[:len(fs)]
-        critic.gradient_step(q_in, q_tgt, v_in, q_ref_in, tau)
+        picks = [src.draw(rng) for src in sources]
+        succ = [_gather(src.next, p) for src, p in zip(sources, picks)]
+        # One featurize over every source's successors, one V pass per source.
+        feat_next = critic.state_feat(np.concatenate(
+            [x.swapaxes(0, 1).reshape(-1, d_s) for x in succ]))
+        q_parts, q_tgt, v_parts, at = [], [], [], 0
+        for src, p, x in zip(sources, picks, succ):
+            n, n_elites = x.shape[:2]
+            v = critic.v_target.forward(feat_next[at:at + n * n_elites], cache=False)[:, 0]
+            at += n * n_elites
+            v_next = np.maximum(_gather(src.floor, p), v.reshape(n_elites, n).max(axis=0))
+            q_tgt.append(feasible_backup(_gather(src.h_s, p), v_next, gamma))
+            q_parts.append(_gather(src.feat_sa, p))
+            if src.in_v:
+                v_parts.append(_gather(src.feat_s, p))
+        q_in, v_in = concat(q_parts), concat(v_parts)
+        critic.gradient_step(q_in, np.concatenate(q_tgt), v_in, q_in[:len(v_in)], tau)
 
     return critic
 
 
-def _gather(parts: list, picks: list[tuple[np.ndarray, np.ndarray]]):
-    """Rows of the concatenated ``parts`` in draw order; ``picks`` holds
-    each part's (draw positions, rows in the part)."""
+class _Source:
+    """Buffers of one row source, featurized and labelled once per update
+    call; a step draws ``share`` rows, and V trains on them when ``in_v``."""
+
+    def __init__(self, critic: FeasibilityCritic, buffers: list[RolloutBuffer],
+                 share: int, in_v: bool) -> None:
+        if any(b.elite_next is None for b in buffers):
+            raise ValueError("rollout buffer has no elite_next (a saved buffer drops it)")
+        shapes = {(b.elite_next.shape[0], b.elite_next.shape[2]) for b in buffers}
+        if len(shapes) > 1:
+            raise ValueError(f"rollout buffers disagree on elite_next's (n_elites, d_s): "
+                             f"{sorted(shapes)}")
+        self.share, self.in_v = share, in_v
+        self.feat_s = [critic.state_feat(b.s) for b in buffers]
+        self.feat_sa = [concat([f, critic.action_feat(b.a)], axis=1)
+                        for f, b in zip(self.feat_s, buffers)]
+        self.h_s = [np.asarray(b.h_s, dtype=float) for b in buffers]
+        self.floor = [np.where(b.label > 0, critic.h_max, critic.h_min) for b in buffers]
+        self.next = [b.elite_next.swapaxes(0, 1) for b in buffers]  # (rows, n_elites, d_s)
+        self.ends = np.cumsum([len(b) for b in buffers])
+
+    def draw(self, rng: np.random.Generator) -> list:
+        """One step's draw as ``_gather`` picks."""
+        idx = rng.integers(self.ends[-1], size=min(self.share, self.ends[-1]))
+        if len(self.ends) == 1:
+            return [(None, idx)]
+        part = np.searchsorted(self.ends, idx, side="right")  # buffer of each draw
+        local = idx - np.append(0, self.ends[:-1])[part]
+        return [(at, local[at]) for at in
+                (np.flatnonzero(part == j) for j in range(len(self.ends)))]
+
+
+def _gather(parts: list, picks: list[tuple[np.ndarray | None, np.ndarray]]):
+    """Rows of the concatenated ``parts`` in draw order; ``picks`` holds each
+    part's (draw positions, rows in the part), positions unread for one part."""
+    if len(parts) == 1:
+        return parts[0][picks[0][1]]
     if isinstance(parts[0], OneHot):
         return OneHot(_gather([p.cols for p in parts], picks), parts[0].width)
     out = np.empty((sum(len(at) for at, _ in picks), *parts[0].shape[1:]),

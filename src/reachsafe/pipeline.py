@@ -361,16 +361,13 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
                  if runs("costgen", cfg) else None)
     advantages = load_npz(paths.reward_advantages, "reward-advantages")[0]["advantages"]
 
-    floor_fn = critic_floor(cfg, candidate)
-    offline = (dataset if floor_fn is None
-               else relabel_offline(dataset, floor_fn, env.h_min, env.h_max))
-
     seed = cfg.seed
-    critic = None
+    critic = rows = None
     if candidate is not None:
         # No predicate: the update and the policy's weights floor with the
-        # stored labels; readers of the saved critic attach one on load.
-        critic = make_feasibility_critic(env, offline, lc,
+        # rows' stored labels; readers of the saved critic attach one on load.
+        rows = relabel_offline(dataset, critic_floor(cfg, candidate), env.h_min, env.h_max)
+        critic = make_feasibility_critic(env, dataset, lc,
                                          seed=child_seed(seed, "learn", "critic-init"))
     policy = make_policy(env, dataset, lc, seed=child_seed(seed, "learn", "policy-init"))
 
@@ -382,7 +379,7 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
     for event, steps in enumerate(_event_steps(lc)):
         if ensemble is not None:
             events.append(branched_rollout(
-                policy.act_batch, offline, ensemble, candidate.predicate, rcfg,
+                policy.act_batch, dataset, ensemble, candidate.predicate, rcfg,
                 seed=child_seed(seed, "learn", "rollout"), h_min=env.h_min,
                 h_max=env.h_max, event=event, action_bounds=env.action_bounds))
             if len(events) > lc.rollout_window:
@@ -392,14 +389,15 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
                 events[gone] = replace(events[gone], elite_next=None)
         if critic is not None:
             # The window's own buffers, read in place (none without rollouts).
-            update_feasibility_critics(critic, offline, events[-lc.rollout_window:],
+            update_feasibility_critics(critic, rows, events[-lc.rollout_window:],
                                        steps=steps, cfg=lc,
                                        seed=child_seed(seed, "learn", "feas"),
                                        stream=("event", event))
         feasibility_guided_policy_update(
-            policy, advantages[event], critic, offline,
+            policy, advantages[event], critic, dataset,
             max(1, int(steps * lc.reward_steps_fraction)), lc,
-            seed=child_seed(seed, "learn", "policy"), stream=("event", event))
+            seed=child_seed(seed, "learn", "policy"), stream=("event", event),
+            h_s=None if rows is None else rows.h_s)
 
     paths.variant_dir(cfg).mkdir(parents=True, exist_ok=True)
     if critic is not None:

@@ -161,33 +161,34 @@ def feasibility_guided_policy_update(
     policy: SafePolicy,
     advantages: np.ndarray,
     feas_critic: FeasibilityCritic | None,
-    offline: OfflineDataset,
+    dataset: OfflineDataset,
     steps: int,
     cfg: LearnSection,
     seed: int = 0,
     stream: tuple = (),
+    h_s: np.ndarray | None = None,
 ) -> SafePolicy:
     """Weighted behavior cloning on the offline dataset only.
 
-    ``advantages`` holds one reward advantage per ``offline`` row. The gate
-    floors the critic's values with ``offline.h_s`` when the dataset is
-    relabelled, so no predicate runs over the dataset here.
+    ``advantages`` holds one reward advantage per ``dataset`` row. The gate
+    floors the critic's values with ``h_s``, the critic's offline rows'
+    labels (``relabel_offline``), so no predicate runs over the dataset.
     """
-    _reject_rollout_data(offline)
-    if len(offline) == 0:
+    _reject_rollout_data(dataset)
+    if len(dataset) == 0:
         raise ValueError("offline batch must not be empty")
-    if len(advantages) != len(offline):
-        raise ValueError(f"{len(advantages)} advantages for {len(offline)} offline rows")
-    feat_s = policy.state_feat(offline.s)
-    weights = bc_weights(advantages, feas_critic, offline.s, offline.a,
-                         cfg.policy_temperature, cfg.policy_weight_clip, h_s=offline.h_s)
+    if len(advantages) != len(dataset):
+        raise ValueError(f"{len(advantages)} advantages for {len(dataset)} offline rows")
+    feat_s = policy.state_feat(dataset.s)
+    weights = bc_weights(advantages, feas_critic, dataset.s, dataset.a,
+                         cfg.policy_temperature, cfg.policy_weight_clip, h_s=h_s)
     span = (policy.high - policy.low) / 2.0
     rng = substream(seed, "policy-update", *stream)
 
     for _ in range(steps):
-        idx = rng.integers(len(offline), size=min(cfg.batch_size, len(offline)))
+        idx = rng.integers(len(dataset), size=min(cfg.batch_size, len(dataset)))
         fs = feat_s[idx]
-        target_a = offline.a[idx]
+        target_a = dataset.a[idx]
         w = weights[idx][:, None]
         raw = policy.net.forward(fs)
         squashed = policy.low + span * (np.tanh(raw) + 1.0)

@@ -4,7 +4,8 @@ Rollouts branch off dataset states with exploration noise on the policy
 action, step through the learned ensemble, and return as buffer rows the
 steps of every branch whose conservative labels ever fire. A step is
 flagged when any elite's mean successor is flagged (the any-elite rule),
-the label the rows carry into critic training.
+the label the rows carry into critic training. Relabelled offline
+transitions are critic rows of the same type.
 """
 
 from __future__ import annotations
@@ -49,16 +50,19 @@ class RolloutConfig:
 
 @dataclass
 class RolloutBuffer:
-    """Retained rollout steps as columns; ``elite_next`` is not saved and loads as None."""
+    """Critic rows as columns: rollout steps, with one successor per elite,
+    or offline transitions (``relabel_offline``), with one, the dataset's
+    ``s2``, and their own index as ``origin``. ``h_s`` is h(s') on rollout
+    rows and h(s) on offline rows. ``elite_next`` is not saved and loads as None.
+    """
 
     s: np.ndarray                          # (rows, d_s)
     a: np.ndarray                          # (rows, d_a)
-    label: np.ndarray                      # (rows,) any-elite labels of the successor:
-                                           # the backup's successor floor
-    h_s: np.ndarray                        # (rows,) h_max where labelled, else h_min:
-                                           # h(s'), where an offline row holds h(s)
+    label: np.ndarray                      # (rows,) label of the successors (any-elite on
+                                           # rollout rows): the backup's successor floor
+    h_s: np.ndarray                        # (rows,) h_max or h_min
     origin: np.ndarray                     # (rows,) index into the start-state pool
-    elite_next: np.ndarray | None = None   # (n_elites, rows, d_s) elite means
+    elite_next: np.ndarray | None = None   # (n_elites, rows, d_s) successors
 
     def __post_init__(self) -> None:
         n = len(self.label)
@@ -97,7 +101,7 @@ def branched_rollout(
     states plus its episode terminals. A kept branch gives ``horizon`` rows
     with one ``origin``, the first its start state. A row's label is the
     conservative any-elite label of its successor, and ``h_s`` maps it to
-    h_max or h_min: h(s'), where ``relabel_offline`` gives h(s). Noise,
+    h_max or h_min: h(s'), where ``relabel_offline``'s rows hold h(s). Noise,
     elite choice and Gaussian sampling all derive from (seed, event,
     epoch), so results do not depend on scheduling: the epochs run as
     independent units through ``ordered_map``, and their rows are stacked
@@ -159,23 +163,19 @@ def stack_buffers(buffers: Sequence[RolloutBuffer]) -> RolloutBuffer:
     return RolloutBuffer(**columns, elite_next=elite_next)
 
 
-def relabel_offline(dataset: OfflineDataset, cost_fn: Predicate,
-                    h_min: float, h_max: float) -> OfflineDataset:
-    """Fresh copy of the dataset with costs and h labels from ``cost_fn``.
-
-    The cost column becomes the predicate at the next state; ``h_s``
-    carries the label of the current state for backup targets. The input
-    dataset is never touched, and the operation is idempotent.
-    """
-    cost = cost_labels(cost_fn, dataset.s2)
-    cbar_s = cost_labels(cost_fn, dataset.s)
-    return OfflineDataset(
-        s=dataset.s.copy(), a=dataset.a.copy(), r=dataset.r.copy(),
-        s2=dataset.s2.copy(), done=dataset.done.copy(), cost=cost,
-        tag="mixed", meta={**dataset.meta, "relabeled": True,
-                           "source_tag": dataset.tag},
-        h_s=np.where(cbar_s > 0, h_max, h_min),
-    )
+def relabel_offline(dataset: OfflineDataset, cost_fn: Predicate | None,
+                    h_min: float, h_max: float) -> RolloutBuffer:
+    """The dataset's transitions as critic rows, each with one successor,
+    ``s2``: ``label`` is ``cost_fn`` at ``s2`` and ``h_s`` the h label of
+    ``s``, or without ``cost_fn`` (``no-relabel``) the dataset's cost and
+    h_min. Row i starts from state i of the start pool; no column is copied."""
+    if cost_fn is None:
+        label, h_s = dataset.cost, np.full(len(dataset), h_min)
+    else:
+        label = cost_labels(cost_fn, dataset.s2)
+        h_s = np.where(cost_labels(cost_fn, dataset.s) > 0, h_max, h_min)
+    return RolloutBuffer(s=dataset.s, a=dataset.a, label=label, h_s=h_s,
+                         origin=np.arange(len(dataset)), elite_next=dataset.s2[None])
 
 
 _BUFFER_COLUMNS = ("s", "a", "label", "h_s", "origin")

@@ -115,11 +115,8 @@ def test_dataset_tag_invariants():
 
 
 def _assert_same_dataset(back, ds):
-    for name in ("s", "a", "r", "s2", "done", "cost", "h_s"):
+    for name in ("s", "a", "r", "s2", "done", "cost"):
         x, y = getattr(back, name), getattr(ds, name)
-        if y is None:
-            assert x is None
-            continue
         assert x.dtype == y.dtype and x.shape == y.shape, name
         assert np.array_equal(x, y), name
     assert back.tag == ds.tag and back.meta == ds.meta
@@ -145,21 +142,17 @@ def test_dataset_file_roundtrip(tmp_path):
     assert back.cost.dtype == np.dtype(int)
     assert back.meta["episode_ends"] == [{"index": 1, "reason": "horizon"}]
 
-    ds.h_s = np.array([-1.0, 1.0])
-    save_dataset(ds, path)
-    _assert_same_dataset(load_dataset(path), ds)
-
 
 def test_a_saved_dataset_with_a_short_column_is_refused_on_load(tmp_path):
     n = 10
     ds = OfflineDataset(s=np.zeros((n, 2)), a=np.zeros((n, 1)), r=np.zeros(n),
                         s2=np.zeros((n, 2)), done=np.zeros(n, dtype=bool),
                         cost=np.zeros(n, dtype=int), tag=SAFE_ONLY)
-    with pytest.raises(ConfigurationError, match="column h_s"):
-        replace(ds, h_s=np.zeros(3))
-    ds.h_s = np.zeros(3)  # set after the check, as a corrupt file would carry it
+    with pytest.raises(ConfigurationError, match="column cost"):
+        replace(ds, cost=np.zeros(3, dtype=int))
+    ds.cost = np.zeros(3, dtype=int)  # set after the check, as a corrupt file would carry it
     save_dataset(ds, tmp_path / "short.npz")
-    with pytest.raises(ConfigurationError, match="column h_s"):
+    with pytest.raises(ConfigurationError, match="column cost"):
         load_dataset(tmp_path / "short.npz")
 
 

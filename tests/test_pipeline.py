@@ -26,6 +26,7 @@ from reachsafe.critics import (
 from reachsafe.envs import behavior_mixture, make_double_integrator
 from reachsafe.pipeline import StageMismatch, run_pipeline
 from reachsafe.policy import REWARD_TARGET_RATE, make_reward_critic, update_reward_critic
+from reachsafe.rollout import relabel_offline
 
 from helpers import chat_reply, loopback
 
@@ -183,9 +184,10 @@ def test_benchmark_probes_find_every_binding_but_the_two_stale_ones(perfbench_mo
 
 
 def test_benchmark_probes_count_from_the_config_the_run_uses(tmp_path, perfbench_module):
-    # The probes read the rollout schedule from ``branched_rollout``'s ``cfg``
-    # and the dynamics budget from ``train_ensemble``'s keywords; a call that
-    # stopped passing either would leave the probe on its own fallbacks.
+    # The probes read the rollout schedule from ``branched_rollout``'s ``cfg``,
+    # the dynamics budget from ``train_ensemble``'s keywords and the update
+    # steps from the ``steps`` arguments; a call that stopped passing any of
+    # them would leave the probe on its own fallbacks.
     spans = perfbench_module("spans")
     cfg = tiny_config()
     cfg.learn.rollout_epochs = 3
@@ -201,6 +203,10 @@ def test_benchmark_probes_count_from_the_config_the_run_uses(tmp_path, perfbench
     assert (tracer.counts["rollout.branches_started"]
             == events * lc.rollout_epochs * min(lc.rollout_batch, pool))
     assert tracer.counts["dynamics.train.samples"] == len(data) * dc.epochs * dc.n_total
+    assert tracer.counts["critics.update.steps"] == lc.total_steps
+    assert tracer.counts["policy.bc_update.steps"] == sum(
+        max(1, int(steps * lc.reward_steps_fraction)) for steps in pipeline._event_steps(lc))
+    assert tracer.counts["rollout.relabel.calls"] == 1
 
 
 def test_critic_updates_read_the_rollout_window_in_place(tmp_path, monkeypatch):
@@ -500,8 +506,10 @@ def test_feasibility_critic_roundtrip_keeps_config_and_floor(integrator, tmp_pat
     assert learn.rollout_batch_fraction == 0.25
     cfg = replace(learn, hidden=[16, 16], batch_size=64)
     floor = env.margin_predicate(0.05)
-    critic = make_feasibility_critic(env, data, cfg, seed=1, cost_fn=floor)
-    update_feasibility_critics(critic, data, [], steps=3, cfg=cfg)
+    critic = make_feasibility_critic(env, data, cfg, seed=1)
+    critic.cost_fn = floor
+    update_feasibility_critics(critic, relabel_offline(data, None, env.h_min, env.h_max), [],
+                               steps=3, cfg=cfg)
     save_critic(critic, tmp_path / "critic")
     back = load_critic(tmp_path / "critic", env, cost_fn=floor)
     assert isinstance(back, FeasibilityCritic)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reachsafe.approx import BackwardBeforeForward, Mlp
+from reachsafe.approx import BackwardBeforeForward, Mlp, concat
 from reachsafe.collect import collect_safe_dataset
-from reachsafe.cmdp import MIXED, OfflineDataset, SAFE_ONLY
+from reachsafe.cmdp import MIXED, OfflineDataset, SAFE_ONLY, cost_labels
 from reachsafe.config import default_config
 from reachsafe.critics import (
     make_feasibility_critic,
@@ -33,7 +33,7 @@ from reachsafe.policy import (
     save_policy,
     update_reward_critic,
 )
-from reachsafe.reachability import tabular_value_iteration
+from reachsafe.reachability import feasible_backup, tabular_value_iteration
 from reachsafe.rollout import RolloutBuffer, branched_rollout, relabel_offline, stack_buffers
 from reachsafe.seeding import substream
 from reachsafe.tabular import tabulate
@@ -130,7 +130,8 @@ def test_learn_settings_reach_the_critics_and_the_policy():
     reward.v_target.biases[-1][:] = 2.0   # a successor value far from zero
     v_feas, v_reward = (c.v_target.forward(c.state_feat(one.s2), cache=False)[0, 0]
                         for c in (feas, reward))
-    update_feasibility_critics(feas, one, [], steps=1, cfg=cfg)
+    update_feasibility_critics(feas, relabel_offline(one, None, env.h_min, env.h_max), [],
+                               steps=1, cfg=cfg)
     update_reward_critic(reward, one, steps=1, cfg=cfg)
     # Feasible backup from h(s) = -1 with the successor flagged, h(s') = +1.
     assert targets["feas"][0] == pytest.approx(0.1 * -1.0 + 0.9 * max(1.0, v_feas))
@@ -158,8 +159,10 @@ def test_rollout_rows_back_up_against_the_worst_elite_successor(integrator):
             label=conservative_cost_label_batch(elite_next, cost_fn),
             h_s=np.full(len(rows), env.h_min), origin=rows, elite_next=elite_next)
         cfg = replace(LEARN, critic_lr=1e-2, rollout_batch_fraction=1.0)
-        critic = make_feasibility_critic(env, data, cfg, seed=0, cost_fn=cost_fn)
-        update_feasibility_critics(critic, data, [buffer], steps=100, cfg=cfg)
+        critic = make_feasibility_critic(env, data, cfg, seed=0)
+        critic.cost_fn = cost_fn
+        update_feasibility_critics(critic, relabel_offline(data, None, env.h_min, env.h_max),
+                                   [buffer], steps=100, cfg=cfg)
         q[violating] = float(critic.q_values(buffer.s, buffer.a).mean())
     assert q[True] > q[False] + 0.5, q
 
@@ -171,11 +174,11 @@ def test_the_critic_update_trains_from_stored_labels_and_calls_no_predicate(requ
     # exactly as one carrying the rollout's predicate.
     env, data = request.getfixturevalue(world)
     cost_fn = env.margin_predicate(0.1)
-    offline = relabel_offline(data, cost_fn, env.h_min, env.h_max)
+    rows = relabel_offline(data, cost_fn, env.h_min, env.h_max)
     model = train_ensemble(data, **dynamics(n_total=2, n_elite=2, epochs=2, hidden=[16],
                                             batch_size=64), seed=0)
     policy = make_policy(env, data, LEARN, seed=0)
-    window = [branched_rollout(policy.act_batch, offline, model, cost_fn,
+    window = [branched_rollout(policy.act_batch, data, model, cost_fn,
                                rollout(batch=64, horizon=2, epochs=2), seed=1,
                                h_min=env.h_min, h_max=env.h_max, event=event,
                                action_bounds=env.action_bounds)
@@ -186,10 +189,10 @@ def test_the_critic_update_trains_from_stored_labels_and_calls_no_predicate(requ
         raise AssertionError("the critic update called a cost predicate")
 
     cfg = replace(LEARN, hidden=[16, 16], batch_size=64)
-    got, want = (make_feasibility_critic(env, offline, cfg, seed=3, cost_fn=fn)
-                 for fn in (no_predicate, cost_fn))
+    got, want = (make_feasibility_critic(env, data, cfg, seed=3) for _ in range(2))
+    got.cost_fn, want.cost_fn = no_predicate, cost_fn
     for critic in (got, want):
-        update_feasibility_critics(critic, offline, window, steps=10, cfg=cfg, seed=5)
+        update_feasibility_critics(critic, rows, window, steps=10, cfg=cfg, seed=5)
     for name in ("q_net", "v_net", "q_target", "v_target"):
         assert_same_bits(getattr(got, name).params, getattr(want, name).params)
 
@@ -198,24 +201,25 @@ def test_the_critic_update_trains_from_stored_labels_and_calls_no_predicate(requ
 def test_the_policy_update_gates_with_stored_labels_and_calls_no_predicate(request, world,
                                                                           margin):
     # The cloning weights floor the critic's values with the relabelled
-    # dataset's h_s, so a critic whose predicate raises on any call trains
-    # the policy exactly as one carrying the predicate.
+    # rows' h_s, so a critic whose predicate raises on any call trains the
+    # policy exactly as one carrying the predicate.
     env, data = request.getfixturevalue(world)
     cost_fn = env.margin_predicate(margin)
-    offline = relabel_offline(data, cost_fn, env.h_min, env.h_max)
-    assert (offline.h_s == env.h_max).any() and (offline.h_s == env.h_min).any()
+    rows = relabel_offline(data, cost_fn, env.h_min, env.h_max)
+    assert (rows.h_s == env.h_max).any() and (rows.h_s == env.h_min).any()
 
     def no_predicate(s):
         raise AssertionError("the policy update called a cost predicate")
 
     cfg = replace(LEARN, hidden=[16, 16], batch_size=64)
-    advantages = np.random.default_rng(2).normal(size=len(offline))
+    advantages = np.random.default_rng(2).normal(size=len(data))
     policies = []
     for fn in (no_predicate, cost_fn):
-        critic = make_feasibility_critic(env, offline, cfg, seed=3, cost_fn=fn)
+        critic = make_feasibility_critic(env, data, cfg, seed=3)
+        critic.cost_fn = fn
         policy = make_policy(env, data, cfg, seed=4)
-        feasibility_guided_policy_update(policy, advantages, critic, offline, steps=10,
-                                         cfg=cfg, seed=6)
+        feasibility_guided_policy_update(policy, advantages, critic, data, steps=10,
+                                         cfg=cfg, seed=6, h_s=rows.h_s)
         policies.append(policy)
     assert_same_bits(policies[0].net.params, policies[1].net.params)
 
@@ -241,29 +245,114 @@ def test_a_window_updates_the_critic_as_its_stacked_buffer_does(request, world, 
     # The window's buffers are read in place, an empty one among them; the
     # result is the update on the one stacked buffer, bit for bit.
     env, data = request.getfixturevalue(world)
-    cost_fn = env.margin_predicate(0.1)
-    offline = relabel_offline(data, cost_fn, env.h_min, env.h_max)
+    rows = relabel_offline(data, env.margin_predicate(0.1), env.h_min, env.h_max)
     window = _event_window(env, data, sizes=(90, 0, 70))
     cfg = replace(LEARN, hidden=[16, 16], batch_size=64, include_rollout_in_v=in_v)
-    got, want = (make_feasibility_critic(env, offline, cfg, seed=3, cost_fn=cost_fn)
-                 for _ in range(2))
-    update_feasibility_critics(got, offline, window, steps=25, cfg=cfg, seed=5,
+    got, want = (make_feasibility_critic(env, data, cfg, seed=3) for _ in range(2))
+    update_feasibility_critics(got, rows, window, steps=25, cfg=cfg, seed=5,
                                stream=("event", 1))
-    update_feasibility_critics(want, offline, [stack_buffers(window)], steps=25, cfg=cfg,
+    update_feasibility_critics(want, rows, [stack_buffers(window)], steps=25, cfg=cfg,
                                seed=5, stream=("event", 1))
     assert got.steps_trained == want.steps_trained == 25
     for name in ("q_net", "v_net", "q_target", "v_target"):
         assert_same_bits(getattr(got, name).params, getattr(want, name).params)
     assert not np.array_equal(got.q_net.params, make_feasibility_critic(
-        env, offline, cfg, seed=3, cost_fn=cost_fn).q_net.params)
+        env, data, cfg, seed=3).q_net.params)
+
+
+def _two_path_update(critic, data, cost_fn, rollouts, steps, cfg, seed=0, stream=()):
+    """The critic update with its former two target paths, as a plain loop.
+
+    Offline rows back up h(s) through the dataset's featurized next states
+    (``feat_s2``) floored by the relabelled cost (``h_s2``); ``cost_fn``
+    None keeps the dataset's costs and h_min. Rollout rows are picked one
+    by one from the window, as if concatenated, and back up h(s') through
+    the worst target value over their elite means.
+    """
+    h_min, h_max, gamma = critic.h_min, critic.h_max, cfg.critic_gamma
+    if cost_fn is None:
+        cost, h_s = data.cost, np.full(len(data), h_min)
+    else:
+        cost = cost_labels(cost_fn, data.s2)
+        h_s = np.where(cost_labels(cost_fn, data.s) > 0, h_max, h_min)
+    feat_s = critic.state_feat(data.s)
+    feat_sa = concat([feat_s, critic.action_feat(data.a)], axis=1)
+    feat_s2 = critic.state_feat(data.s2)
+    h_s2 = np.where(cost > 0, h_max, h_min).astype(float)
+    rows = [(b, i) for b in rollouts for i in range(len(b))]
+    rng = substream(seed, "critic-update", *stream)
+    for _ in range(steps):
+        idx = rng.integers(len(data), size=min(cfg.batch_size, len(data)))
+        v2 = np.maximum(h_s2[idx], critic.v_target.forward(feat_s2[idx], cache=False)[:, 0])
+        q_in, q_tgt = feat_sa[idx], feasible_backup(h_s[idx], v2, gamma)
+        v_in, q_ref_in = feat_s[idx], q_in
+        if rows:
+            want = max(1, int(cfg.batch_size * cfg.rollout_batch_fraction))
+            picked = [rows[j] for j in rng.integers(len(rows), size=min(want, len(rows)))]
+            s = np.array([b.s[i] for b, i in picked])
+            a = np.array([b.a[i] for b, i in picked])
+            means = np.array([b.elite_next[:, i] for b, i in picked])  # (r, n_elites, d_s)
+            v_succ = critic.v_target.forward(critic.state_feat(
+                means.swapaxes(0, 1).reshape(-1, s.shape[1])), cache=False)[:, 0]
+            floor = np.array([h_max if b.label[i] > 0 else h_min for b, i in picked])
+            v_next = np.maximum(floor, v_succ.reshape(means.shape[1], -1).max(axis=0))
+            roll_h = np.array([float(b.h_s[i]) for b, i in picked])
+            roll_s = critic.state_feat(s)
+            q_in = concat([q_in, concat([roll_s, critic.action_feat(a)], axis=1)])
+            q_tgt = np.concatenate([q_tgt, feasible_backup(roll_h, v_next, gamma)])
+            q_ref_in = q_in
+            if cfg.include_rollout_in_v:
+                v_in = concat([v_in, roll_s])
+        critic.gradient_step(q_in, q_tgt, v_in, q_ref_in[:len(v_in)], cfg.critic_tau)
+    return critic
+
+
+@pytest.mark.parametrize("relabel", [True, False], ids=["relabel", "no-relabel"])
+@pytest.mark.parametrize("sizes, in_v", [((), False), ((90, 0, 70), True),
+                                         ((90, 0, 70), False)],
+                         ids=["offline-only", "window-rollout-in-v", "window-offline-v"])
+@pytest.mark.parametrize("world", ["integrator", "gridworld"])
+def test_one_backup_path_equals_the_two_path_update_bit_for_bit(request, world, sizes,
+                                                                in_v, relabel):
+    # Offline rows are rows with one successor: backed up on the rollout
+    # rows' path, they train the critic exactly as the offline path did.
+    env, data = request.getfixturevalue(world)
+    cost_fn = env.margin_predicate(0.1 if world == "integrator" else 1.0) if relabel else None
+    rows = relabel_offline(data, cost_fn, env.h_min, env.h_max)
+    if relabel:
+        assert (rows.label > 0).any() and (rows.h_s != np.where(rows.label > 0, env.h_max,
+                                                                 env.h_min)).any()
+    window = _event_window(env, data, sizes)
+    cfg = replace(LEARN, hidden=[16, 16], batch_size=64, include_rollout_in_v=in_v)
+    got, want = (make_feasibility_critic(env, data, cfg, seed=3) for _ in range(2))
+    update_feasibility_critics(got, rows, window, steps=25, cfg=cfg, seed=5,
+                               stream=("event", 1))
+    _two_path_update(want, data, cost_fn, window, 25, cfg, seed=5, stream=("event", 1))
+    assert got.steps_trained == want.steps_trained == 25
+    for name in ("q_net", "v_net", "q_target", "v_target"):
+        assert_same_bits(getattr(got, name).params, getattr(want, name).params)
+
+
+def test_critic_rows_are_no_cloning_or_reward_data(integrator):
+    # Relabelled offline rows are critic rows, of the rollout rows' type:
+    # the cloning update and the reward critic refuse them as rollout data.
+    env, data = integrator
+    rows = relabel_offline(data, env.margin_predicate(0.1), env.h_min, env.h_max)
+    policy = make_policy(env, data, LEARN, seed=0)
+    with pytest.raises(RolloutDataRejected):
+        feasibility_guided_policy_update(policy, np.zeros(len(data)), None, rows, steps=1,
+                                         cfg=LEARN, h_s=rows.h_s)
+    with pytest.raises(RolloutDataRejected):
+        update_reward_critic(make_reward_critic(data, LEARN), rows, steps=1, cfg=LEARN)
+    assert policy.steps_trained == 0
 
 
 def test_bc_weights_gate_blocks_positive_qh(integrator):
     env, data = integrator
     reward = make_reward_critic(data, LEARN, seed=0)
     update_reward_critic(critic=reward, offline=data, cfg=LEARN, steps=50)
-    feas = make_feasibility_critic(env, data, LEARN, seed=0,
-                                   cost_fn=env.margin_predicate(0.04))
+    feas = make_feasibility_critic(env, data, LEARN, seed=0)
+    feas.cost_fn = env.margin_predicate(0.04)
     # Push q_h net strongly positive so every action is gated off.
     feas.q_net.biases[-1][:] = 5.0
     feas.v_net.biases[-1][:] = -5.0  # states look feasible
@@ -528,7 +617,8 @@ def test_inference_passes_leave_no_activations_for_backward(integrator):
 
     # The target nets are read only by the updates.
     update_reward_critic(reward, data, steps=1, cfg=LEARN)
-    update_feasibility_critics(feas, data, [], steps=1, cfg=LEARN)
+    update_feasibility_critics(feas, relabel_offline(data, None, env.h_min, env.h_max), [],
+                               steps=1, cfg=LEARN)
     assert_no_cache([net for c in (reward, feas) for net in (c.q_target, c.v_target)])
 
     model = train_ensemble(data, **dynamics(n_total=2, n_elite=1, epochs=1), seed=3)

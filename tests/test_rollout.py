@@ -128,32 +128,43 @@ def test_relabel_matches_validate_exactly(setup):
     cand = CostCandidate(predicate=pred, provenance="scripted", margin=0.06)
     report = validate(cand, data.subset(np.array([], dtype=int)), data,
                       CostGenSection())
-    assert relabeled.cost.mean() == pytest.approx(report.conservativeness)
+    assert relabeled.label.mean() == pytest.approx(report.conservativeness)
 
 
-def test_relabel_is_idempotent_and_nonmutating(setup):
+@pytest.mark.parametrize("relabel", [True, False], ids=["relabel", "no-relabel"])
+def test_relabelled_rows_view_the_dataset_and_leave_it_as_it_is(setup, relabel):
+    # Rows with one successor each, the dataset's s2; row i starts from
+    # state i of the start pool. No column is copied, and none is written.
     env, data, _ = setup
-    pred = env.margin_predicate(0.06)
-    before = data.cost.copy()
-    once = relabel_offline(data, pred, -1.0, 1.0)
-    twice = relabel_offline(once, pred, -1.0, 1.0)
-    assert np.array_equal(once.cost, twice.cost)
-    assert np.array_equal(once.h_s, twice.h_s)
-    assert np.array_equal(data.cost, before)
+    pred = env.margin_predicate(0.06) if relabel else None
+    before = {name: getattr(data, name).copy() for name in ("s", "a", "s2", "cost")}
+    rows = relabel_offline(data, pred, -1.0, 1.0)
+    assert rows.s is data.s and rows.a is data.a
+    assert rows.elite_next.shape == (1, len(data), env.d_s)
+    assert np.shares_memory(rows.elite_next, data.s2)
+    assert np.array_equal(rows.elite_next[0], data.s2)
+    assert np.array_equal(rows.origin, np.arange(len(data)))
+    assert np.array_equal(data.rollout_start_states()[rows.origin], data.s)
+    if relabel:
+        assert np.array_equal(rows.label, cost_labels(pred, data.s2))
+    else:
+        assert rows.label is data.cost and np.all(rows.h_s == -1.0)
+    for name, column in before.items():
+        assert np.array_equal(getattr(data, name), column)
 
 
 def test_relabel_ground_truth_on_safe_data_changes_nothing(setup):
     env, data, _ = setup
     relabeled = relabel_offline(data, lambda s: np.array([env.cost(row) for row in s]),
                                 -1.0, 1.0)
-    assert int(relabeled.cost.sum()) == 0
+    assert int(relabeled.label.sum()) == 0
     assert np.all(relabeled.h_s == -1.0)
 
 
 def test_relabel_constant_one_sets_h_max(setup):
     env, data, _ = setup
     relabeled = relabel_offline(data, _constant(1), -1.0, 1.0)
-    assert np.all(relabeled.cost == 1)
+    assert np.all(relabeled.label == 1)
     assert np.all(relabeled.h_s == 1.0)
 
 
@@ -202,8 +213,8 @@ def test_buffer_carries_the_elite_means_of_every_row(setup):
 
 
 def test_h_s_is_the_successor_label_in_rollouts_and_the_state_label_offline(setup):
-    # So the critic update backs up h(s') on rollout rows and h(s) on
-    # offline rows (``update_feasibility_critics``).
+    # Both are critic rows, so the critic update backs up h(s') on rollout
+    # rows and h(s) on the relabelled offline rows (``update_feasibility_critics``).
     env, data, _ = setup
     pred = env.margin_predicate(0.08)
     buf = _rollout(setup, pred, rollout(batch=128, epochs=2, horizon=3), seed=17)
@@ -223,12 +234,13 @@ def test_critic_update_refuses_a_buffer_without_elite_means(setup, tmp_path):
     back = load_rollout_buffer(path)
     assert len(back) and back.elite_next is None
     learn = default_config("double_integrator").learn
-    critic = make_feasibility_critic(env, data, learn, seed=0,
-                                     cost_fn=env.margin_predicate(0.08))
+    critic = make_feasibility_critic(env, data, learn, seed=0)
+    critic.cost_fn = env.margin_predicate(0.08)
+    rows = relabel_offline(data, critic.cost_fn, env.h_min, env.h_max)
     with pytest.raises(ValueError, match="elite_next"):
-        update_feasibility_critics(critic, data, [back], steps=1, cfg=learn)
+        update_feasibility_critics(critic, rows, [back], steps=1, cfg=learn)
     with pytest.raises(ValueError, match="elite_next"):
-        update_feasibility_critics(critic, data, [buf, back], steps=1, cfg=learn)
+        update_feasibility_critics(critic, rows, [buf, back], steps=1, cfg=learn)
 
 
 def test_critic_update_refuses_a_window_whose_elite_means_disagree(setup):
@@ -239,15 +251,16 @@ def test_critic_update_refuses_a_window_whose_elite_means_disagree(setup):
     assert len(first) and len(second) and model.n_elites > 1
     fewer = replace(second, elite_next=second.elite_next[:1])
     learn = default_config("double_integrator").learn
-    critic = make_feasibility_critic(env, data, learn, seed=0,
-                                     cost_fn=env.margin_predicate(0.08))
+    critic = make_feasibility_critic(env, data, learn, seed=0)
+    critic.cost_fn = env.margin_predicate(0.08)
+    rows = relabel_offline(data, critic.cost_fn, env.h_min, env.h_max)
     with pytest.raises(ValueError, match=r"disagree on elite_next's \(n_elites, d_s\)"):
-        update_feasibility_critics(critic, data, [first, fewer], steps=1, cfg=learn)
+        update_feasibility_critics(critic, rows, [first, fewer], steps=1, cfg=learn)
     assert critic.steps_trained == 0
     # An empty buffer adds no rows, so its elite means are never read.
     nothing = replace(first, **{name: getattr(first, name)[:0] for name in COLUMNS},
                       elite_next=None)
-    update_feasibility_critics(critic, data, [first, nothing, second], steps=1, cfg=learn)
+    update_feasibility_critics(critic, rows, [first, nothing, second], steps=1, cfg=learn)
     assert critic.steps_trained == 1
 
 
