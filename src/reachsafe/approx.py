@@ -1,11 +1,12 @@
 """Minimal MLP stack: forward, hand-rolled backward, Adam steps.
 
-Parameters, gradients, optimizer moments and checkpoints are float64
-numpy. The precision rule: a cache-free pass (below) handed a float32
-batch runs in float32. It casts the weights for that call, views the
-thread's scratch blocks as float32 (no block is added) and returns a
-float32 output. Every other pass, caching passes and ``OneHot`` batches
-included, runs in float64 (a float32 batch converted first).
+Parameters, gradients and optimizer moments are float64 numpy, or
+float32 when a network is built on a float32 vector; checkpoints are
+float64. The precision rule: a pass runs in its parameters' dtype, a batch
+of another dtype converted first. One exception: a float64 network's
+cache-free pass (below) handed a float32 batch runs in float32. It casts
+the weights for that call, views the thread's scratch blocks as float32
+(no block is added) and returns a float32 output.
 
 A network is a list of dense layers
 with tanh hidden activations and a linear head; ``forward`` caches the
@@ -24,8 +25,17 @@ so a caller that keeps it longer copies it. ``Trainer`` (Adam, Kingma &
 Ba 2015) keeps its moments as two more such vectors, and it and
 ``soft_update`` step whole vectors in place. Hence the rule: parameters
 change in place only (``weights[i][...] = ...``, never
-``weights[i] = ...``, which would leave the vector), and no two networks
-share a vector.
+``weights[i] = ...``, which would leave the vector), and no two trained
+networks share a vector.
+
+A stack holds E networks of one shape in an (E, P) array, member k's
+vector in row k; its views, ``grad`` and ``Trainer`` moments gain that
+leading axis. Its caching pass takes an (E, n, in) batch and ``backward``
+an (E, n, out) upstream. Each product is one stacked ``np.matmul``, which
+runs each member's slice with the kernel of its own 2-D call, and every
+other operation acts within a member, so member k's slice has the bits of
+the same calls on member k alone. A stack runs no cache-free pass;
+``Mlp(sizes, params=stack.params[k])`` views member k as a network.
 
 A ``OneHot`` input batch stores each row's hot columns: the first layer
 sums the selected weight rows, exactly the dense product for one or two
@@ -46,9 +56,8 @@ over the interpreter lock, so concurrent passes trade it a few times per
 layer. A thread holds two blocks of at most 4,095 rows each (below).
 Thread contract: cache-free passes may run on several threads at once,
 even on one network; a caching pass and the ``backward`` that consumes it
-run on one thread per network, with no other pass of it in between. The
-flat layout leaves this contract as it was: ``backward`` writes only its
-own network's ``grad``.
+run on one thread per network, with no other pass of it in between;
+``backward`` writes only its own network's ``grad``.
 
 A cache-free pass also takes an (n, 1, d) batch, ``split_rows`` of an
 (n, d) one, and returns (n, 1, out). ``np.matmul`` then multiplies each
@@ -71,10 +80,12 @@ runs on 1,024-row rollouts and on split evaluation rows). The block and
 split-row guarantees hold in float64 and in float32 (checked with BLAS
 pinned, against a whole pass in the same precision).
 
-Checkpoints keep float64: ``save_mlp`` writes every network of one
-model (a critic's four nets, a policy, a dynamics ensemble) and a JSON
-metadata string into a single ``.npz``, and ``load_mlp`` reads it back
-without pickle, so a reloaded model computes exactly what the saved one did.
+Checkpoints keep float64 (the dynamics ensemble widens its float32
+members, exactly, before it returns them): ``save_mlp`` writes every
+network of one model (a critic's four nets, a policy, a dynamics
+ensemble) and a JSON metadata string into a single ``.npz``, and
+``load_mlp`` reads it back without pickle, so a reloaded model computes
+exactly what the saved one did.
 """
 
 from __future__ import annotations
@@ -174,9 +185,10 @@ def _spans(n: int, size: int) -> list[tuple[int, int]]:
 
 def _affine(h: np.ndarray | OneHot, w: np.ndarray, b: np.ndarray,
             out: np.ndarray | None, hidden: bool) -> np.ndarray:
-    """``h @ w + b`` in ``out`` (fresh when None), tanh'd in place if hidden."""
+    """``h @ w + b`` in ``out`` (fresh when None), tanh'd in place if hidden;
+    the bias broadcasts over rows, of one network or of each stack member."""
     h = _product(h, w, out)
-    h += b
+    h += b[..., None, :]
     return np.tanh(h, out=h) if hidden else h
 
 
@@ -219,20 +231,25 @@ class Mlp:
     Parameters are ``weights[i]`` of shape (in_i, out_i) and ``biases[i]``
     of shape (out_i,), views into ``params`` (see the module docstring),
     initialized with uniform fan-in scaling; ``seed=None`` leaves them zero
-    for a twin or a load to fill.
+    for a twin or a load to fill. ``params`` (a vector or a stack, of any
+    float dtype) is used as given: not copied, not drawn into.
     """
 
-    def __init__(self, sizes: list[int], seed: int | None = 0):
+    def __init__(self, sizes: list[int], seed: int | None = 0,
+                 params: np.ndarray | None = None):
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
         self.sizes = list(int(s) for s in sizes)
-        self.params = np.zeros(sum((i + 1) * o for i, o in zip(self.sizes, self.sizes[1:])))
+        n = sum((i + 1) * o for i, o in zip(self.sizes, self.sizes[1:]))
+        if params is not None and (params.ndim not in (1, 2) or params.shape[-1] != n):
+            raise ValueError(f"expected a vector or stack of {n}, got shape {params.shape}")
+        self.params = np.zeros(n) if params is None else params
         views = self.split(self.params)
         self.weights, self.biases = views[0::2], views[1::2]
         self.grad: np.ndarray | None = None
         self._grads: list[np.ndarray] = []
         self._cache: list[np.ndarray] | None = None
-        if seed is not None:
+        if seed is not None and params is None:
             rng = substream(seed, "mlp-init", *sizes)
             for w in self.weights:
                 bound = 1.0 / np.sqrt(w.shape[0])
@@ -242,26 +259,22 @@ class Mlp:
 
     def split(self, vector: np.ndarray) -> list[np.ndarray]:
         """Views of a vector laid out like ``params``, in parameters() order."""
-        if vector.shape != (len(self.params),):
-            raise ValueError(f"expected a vector of {len(self.params)}, got shape {vector.shape}")
-        views, at = [], 0
+        if vector.shape != self.params.shape:
+            raise ValueError(f"expected a vector of {self.params.shape[-1]}, "
+                             f"got shape {vector.shape}")
+        views, at, lead = [], 0, vector.shape[:-1]
         for fan_in, fan_out in zip(self.sizes, self.sizes[1:]):
-            views.append(vector[at:at + fan_in * fan_out].reshape(fan_in, fan_out))
-            views.append(vector[at + fan_in * fan_out:at + (fan_in + 1) * fan_out])
+            views.append(vector[..., at:at + fan_in * fan_out].reshape(*lead, fan_in, fan_out))
+            views.append(vector[..., at + fan_in * fan_out:at + (fan_in + 1) * fan_out])
             at += (fan_in + 1) * fan_out
         return views
 
     def parameters(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     def copy(self) -> "Mlp":
         """A twin with its own parameter vector and no gradient."""
-        twin = Mlp(self.sizes, seed=None)
-        twin.params[:] = self.params
-        return twin
+        return Mlp(self.sizes, params=self.params.copy())
 
     # -- forward / backward -------------------------------------------------
 
@@ -288,17 +301,23 @@ class Mlp:
         block never holds more than 4,095 rows; the module docstring says
         why and where the result may differ from the whole pass.
 
-        Precision: a cache-free pass over a float32 ndarray runs in float32
-        (the weights cast for this call, the scratch viewed as float32) and
-        returns float32; every other pass runs and returns float64.
+        Precision: a pass runs in the parameters' dtype, except that a
+        float64 network's cache-free pass over a float32 ndarray runs in
+        float32 (the weights cast for this call, the scratch viewed as
+        float32) and returns float32.
         """
-        single = not cache and getattr(x, "dtype", None) == np.float32
-        h = x if isinstance(x, OneHot) or single else np.asarray(x, dtype=float)
-        split = not cache and len(h.shape) == 3 and h.shape[1] == 1
-        if len(h.shape) != 2 and not split:
-            raise ValueError(f"expected an (n, {self.sizes[0]}) batch, got shape {h.shape}")
+        own = self.params.dtype
+        dtype = x.dtype if not cache and getattr(x, "dtype", None) == np.float32 else own
+        h = x if isinstance(x, OneHot) else np.asarray(x, dtype=dtype)
+        lead = self.params.shape[:-1]
+        split = not cache and not lead and len(h.shape) == 3 and h.shape[1] == 1
+        if (len(h.shape) != len(lead) + 2 or h.shape[:-2] != lead) and not split:
+            want = ", ".join([*map(str, lead), "n", str(self.sizes[0])])
+            raise ValueError(f"expected an ({want}) batch, got shape {h.shape}")
         if h.shape[-1] != self.sizes[0]:
             raise ValueError(f"expected input width {self.sizes[0]}, got {h.shape[-1]}")
+        if lead and not cache:
+            raise ValueError("a stack runs caching passes only")
         layers = list(zip(self.weights, self.biases))
         if cache:
             acts = [h]
@@ -307,9 +326,9 @@ class Mlp:
             self._cache = acts
             return acts[-1]
         self._cache = None
-        if single:
-            layers = [(w.astype(np.float32), b.astype(np.float32)) for w, b in layers]
-        out = np.empty((*h.shape[:-1], self.sizes[-1]), dtype=np.float32 if single else float)
+        if dtype != own:
+            layers = [(w.astype(dtype), b.astype(dtype)) for w, b in layers]
+        out = np.empty((*h.shape[:-1], self.sizes[-1]), dtype=dtype)
         for lo, hi in _spans(len(h), BLOCK):
             _free_pass(h[lo:hi], layers, out[lo:hi])
         return out
@@ -327,22 +346,23 @@ class Mlp:
         cache = self._cache
         if cache is None:
             raise BackwardBeforeForward("run forward() first")
-        g = np.asarray(upstream, dtype=float)
+        g = np.asarray(upstream, dtype=cache[-1].dtype)
         if g.shape != cache[-1].shape:
             raise ValueError(f"upstream shape {g.shape} != output shape {cache[-1].shape}")
         self._cache = None
         if self.grad is None:
             self.grad = np.empty_like(self.params)
             self._grads = self.split(self.grad)
+        cache.pop()  # the output; each activation below is dropped once consumed
         for i in range(len(self.weights) - 1, -1, -1):
-            h_in = cache[i]
+            h_in = cache.pop()
             if isinstance(h_in, OneHot):
                 _scatter_rows(h_in, g, self._grads[2 * i])
             else:
-                np.matmul(h_in.T, g, out=self._grads[2 * i])
-            g.sum(axis=0, out=self._grads[2 * i + 1])
+                np.matmul(h_in.swapaxes(-1, -2), g, out=self._grads[2 * i])
+            g.sum(axis=-2, out=self._grads[2 * i + 1])
             if i:
-                g = g @ self.weights[i].T
+                g = g @ self.weights[i].swapaxes(-1, -2)
                 h_in *= h_in  # tanh'(z) = 1 - tanh(z)^2
                 np.subtract(1.0, h_in, out=h_in)
                 g *= h_in
@@ -361,10 +381,11 @@ class Trainer:
     """Adam on one network: moments, step count and in-place updates.
 
     ``lr`` may change between steps. ``weight_decay`` holds one L2
-    coefficient per parameter tensor. A 0 adds 0 * p, which changes only a
-    gradient of -0.0 (into +0.0), and the moment sums after it only where
-    a moment is itself -0.0. ``m`` and ``v`` are
-    vectors laid out like the network's ``params``. ``apply`` updates them
+    coefficient per parameter tensor, kept as one member's vector in the
+    parameters' dtype. A 0 adds 0 * p, which changes only a gradient of
+    -0.0 (into +0.0), and the moment sums after it only where a moment is
+    itself -0.0. ``m`` and ``v`` are laid out like the network's
+    ``params``, in its dtype. ``apply`` updates them
     and the parameter vector in place, one whole-vector operation at a
     time in the textbook operation order, so a run is bit-identical to the
     formula applied tensor by tensor.
@@ -386,8 +407,8 @@ class Trainer:
             params = self.net.parameters()
             if len(self.weight_decay) != len(params):
                 raise ValueError("one weight-decay coefficient per parameter tensor")
-            self._decay = np.concatenate([np.full(q.size, c)
-                                          for q, c in zip(params, self.weight_decay)])
+            sizes = [q.size * p.shape[-1] // p.size for q in params]  # one member's
+            self._decay = np.repeat(np.asarray(self.weight_decay, dtype=p.dtype), sizes)
 
     def apply(self, grad: np.ndarray) -> None:
         """One step from ``grad``, a vector laid out like ``net.params``."""

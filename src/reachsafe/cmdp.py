@@ -89,7 +89,8 @@ class HardCMDP:
       finite environments; ``None`` for continuous ones. ``state_index``
       is batch-first: states of shape (n, d_s) in, an int array of shape
       (n,) out, holding each rounded row's position in ``states`` or -1
-      for a row that is no enumerated state.
+      for a row that is no enumerated state; a non-finite row raises
+      ``ValueError``.
     - ``margin_predicate``: builds a state predicate flagging everything
       within ``margin`` of the violating region. ``margin == 0``
       reproduces the true cost indicator; conservativeness grows

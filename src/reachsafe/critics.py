@@ -52,7 +52,6 @@ class Featurizer:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if self.kind == "normalized":
             return (x - self.mean) / self.std
-        require_finite(x, "one-hot featurizer input")
         return OneHot(self.index(x)[:, None], len(self.table))
 
     def to_meta(self) -> dict:
@@ -79,7 +78,7 @@ def onehot_state_featurizer(env: HardCMDP) -> Featurizer:
     table = env.states
 
     def index(s: np.ndarray) -> np.ndarray:
-        rows = env.state_index(s)
+        rows = env.state_index(s)  # raises on a non-finite row
         # Model-predicted states need not be valid grid states; snap.
         miss = rows < 0
         if miss.any():
@@ -91,8 +90,12 @@ def onehot_state_featurizer(env: HardCMDP) -> Featurizer:
 
 def onehot_action_featurizer(env: HardCMDP) -> Featurizer:
     table = env.action_set
-    return Featurizer(kind="onehot", table=table,
-                      index=lambda a: nearest_rows(table, a))
+
+    def index(a: np.ndarray) -> np.ndarray:
+        require_finite(a, "one-hot featurizer input")  # nearest_rows checks nothing
+        return nearest_rows(table, a)
+
+    return Featurizer(kind="onehot", table=table, index=index)
 
 
 @dataclass

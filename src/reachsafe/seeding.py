@@ -44,6 +44,14 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
+def groups(n: int) -> list[range]:
+    """``range(n)`` in ``min(n, cores)`` contiguous groups, one ``ordered_map``
+    unit per core, the larger first: 7 items on 2 cores are 0-3 and 4-6."""
+    k = max(1, min(n, _cores()))
+    edges = [0, *itertools.accumulate(n // k + (i < n % k) for i in range(k))]
+    return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
 def ordered_map(fn: Callable, items: Iterable) -> list:
     """``[fn(item) for item in items]``, spread over the available cores.
 

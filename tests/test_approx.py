@@ -34,7 +34,7 @@ from reachsafe.envs import behavior_mixture, make_double_integrator
 from reachsafe.policy import make_reward_critic
 from reachsafe.seeding import substream
 
-from helpers import dynamics
+from helpers import assert_same_bits, dynamics
 
 
 def finite_difference_grads(net, x, upstream, step=1e-5):
@@ -248,6 +248,58 @@ def test_trainer_is_textbook_adam_bit_for_bit():
         moments = net.split(trainer.m) + net.split(trainer.v)
         assert all(np.array_equal(a, b) for a, b in zip(moments, m + v))
     assert trainer.step == 8
+
+
+# ---------------------------------------------------------------------------
+# A stack: the members of one network shape on a leading axis of one array.
+# ---------------------------------------------------------------------------
+
+
+def test_a_stack_steps_each_member_with_the_bits_of_its_own_network():
+    # Caching pass, backward and Adam step with weight decay, in float32:
+    # each member's slice equals the same calls on that member alone.
+    sizes, members = [3, 16, 16, 4], 3
+    rng = np.random.default_rng(5)
+    inits = np.stack([Mlp(sizes, seed=k).params for k in range(members)], dtype=np.float32)
+    stack = Mlp(sizes, params=inits.copy())
+    alone = [Mlp(sizes, params=row.copy()) for row in inits]
+    decay = [1e-3, 0.0, 2e-3, 0.0, 4e-3, 0.0]
+    trainers = [Trainer(net, lr=1e-2, weight_decay=decay) for net in (stack, *alone)]
+    assert trainers[0]._decay.shape == (len(inits[0]),)
+    assert trainers[0]._decay.dtype == np.float32
+    for step in range(4):
+        trainers[0].lr = trainers[1].lr = 1e-2 if step < 2 else 2e-3
+        x = rng.normal(size=(members, 32, 3))
+        upstream = rng.normal(size=(members, 32, 4))
+        out = stack.forward(x)
+        assert out.dtype == np.float32
+        trainers[0].apply(stack.backward(upstream))
+        for k, (net, trainer) in enumerate(zip(alone, trainers[1:])):
+            trainer.lr = trainers[0].lr
+            assert_same_bits(out[k], net.forward(x[k]))
+            grad = net.backward(upstream[k])
+            assert_same_bits(stack.grad[k], grad)
+            trainer.apply(grad)
+            assert_same_bits(stack.params[k], net.params)
+            assert_same_bits(trainers[0].m[k], trainer.m)
+    # The stack's views tile its array; a member's row views it as a network.
+    assert all(np.shares_memory(view, stack.params) for view in stack.parameters())
+    assert stack.weights[1].shape == (members, 16, 16) and stack.biases[1].shape == (members, 16)
+    row = Mlp(sizes, params=stack.params[1])
+    x = rng.normal(size=(50, 3)).astype(np.float32)
+    assert_same_bits(row.forward(x, cache=False), alone[1].forward(x, cache=False))
+
+
+def test_a_stack_refuses_other_batches_and_cache_free_passes():
+    stack = Mlp([3, 4, 2], params=np.zeros((2, 26), dtype=np.float32))
+    for shape in ((5, 3), (3, 5, 3), (2, 5, 1, 3)):
+        want = f"expected an (2, n, 3) batch, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            stack.forward(np.ones(shape))
+    with pytest.raises(ValueError, match="caching passes only"):
+        stack.forward(np.ones((2, 5, 3)), cache=False)
+    with pytest.raises(ValueError, match="expected a vector or stack of 26"):
+        Mlp([3, 4, 2], params=np.zeros((2, 25)))
 
 
 def test_training_runs_are_reproducible():

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import reachsafe
-from reachsafe import BLAS_THREAD_VARS
-from reachsafe.seeding import ordered_map
+from reachsafe import BLAS_THREAD_VARS, seeding
+from reachsafe.seeding import groups, ordered_map
 
 SRC = Path(reachsafe.__file__).resolve().parents[1]
 
@@ -34,6 +34,17 @@ def test_ordered_map_returns_results_in_item_order(monkeypatch):
     if len(os.sched_getaffinity(0)) > 1:
         assert len(threads) > 1
     assert ordered_map(slow_first, []) == []
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 8])
+@pytest.mark.parametrize("n", [1, 2, 7, 10])
+def test_groups_cut_the_items_into_one_contiguous_run_per_core(monkeypatch, n, cores):
+    monkeypatch.setattr(seeding, "_cores", lambda: cores)
+    parts = groups(n)
+    assert [i for part in parts for i in part] == list(range(n))
+    sizes = [len(part) for part in parts]
+    assert len(parts) == min(n, cores)
+    assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
 
 
 @pytest.mark.parametrize("pinned", ["1", "2"])
