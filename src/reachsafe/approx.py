@@ -3,10 +3,8 @@
 Parameters, gradients and optimizer moments are float64 numpy, or
 float32 when a network is built on a float32 vector; checkpoints are
 float64. The precision rule: a pass runs in its parameters' dtype, a batch
-of another dtype converted first. One exception: a float64 network's
-cache-free pass (below) handed a float32 batch runs in float32. It casts
-the weights for that call, views the thread's scratch blocks as float32
-(no block is added) and returns a float32 output.
+of another dtype converted first; a float32 cache-free pass views the
+thread's float64 scratch blocks (below) as float32, so no block is added.
 
 A network is a list of dense layers
 with tanh hidden activations and a linear head; ``forward`` caches the
@@ -80,8 +78,8 @@ runs on 1,024-row rollouts and on split evaluation rows). The block and
 split-row guarantees hold in float64 and in float32 (checked with BLAS
 pinned, against a whole pass in the same precision).
 
-Checkpoints keep float64 (the dynamics ensemble widens its float32
-members, exactly, before it returns them): ``save_mlp`` writes every
+Checkpoints keep float64 (``save_mlp`` widens float32 parameters, exactly;
+the dynamics ensemble's loader narrows them back): ``save_mlp`` writes every
 network of one model (a critic's four nets, a policy, a dynamics
 ensemble) and a JSON metadata string into a single ``.npz``, and
 ``load_mlp`` reads it back without pickle, so a reloaded model computes
@@ -301,13 +299,10 @@ class Mlp:
         block never holds more than 4,095 rows; the module docstring says
         why and where the result may differ from the whole pass.
 
-        Precision: a pass runs in the parameters' dtype, except that a
-        float64 network's cache-free pass over a float32 ndarray runs in
-        float32 (the weights cast for this call, the scratch viewed as
-        float32) and returns float32.
+        Precision: a pass runs in the parameters' dtype, a batch of another
+        dtype converted first.
         """
-        own = self.params.dtype
-        dtype = x.dtype if not cache and getattr(x, "dtype", None) == np.float32 else own
+        dtype = self.params.dtype
         h = x if isinstance(x, OneHot) else np.asarray(x, dtype=dtype)
         lead = self.params.shape[:-1]
         split = not cache and not lead and len(h.shape) == 3 and h.shape[1] == 1
@@ -326,8 +321,6 @@ class Mlp:
             self._cache = acts
             return acts[-1]
         self._cache = None
-        if dtype != own:
-            layers = [(w.astype(dtype), b.astype(dtype)) for w, b in layers]
         out = np.empty((*h.shape[:-1], self.sizes[-1]), dtype=dtype)
         for lo, hi in _spans(len(h), BLOCK):
             _free_pass(h[lo:hi], layers, out[lo:hi])
@@ -447,8 +440,9 @@ def soft_update(target: Mlp, source: Mlp, rate: float) -> None:
 
 
 def save_mlp(nets: dict[str, Mlp], path, meta: dict) -> None:
-    """Write the named networks of one model, plus its metadata, to ``path``."""
-    arrays = {f"{name}.{i}": p for name, net in nets.items()
+    """Write the named networks of one model, plus its metadata, to ``path``;
+    float32 parameters are widened, exactly, to float64."""
+    arrays = {f"{name}.{i}": np.asarray(p, dtype=float) for name, net in nets.items()
               for i, p in enumerate(net.parameters())}
     sizes = {name: net.sizes for name, net in nets.items()}
     save_npz(path, arrays, {**meta, "nets": sizes})

@@ -1,10 +1,11 @@
 """Hard-constraint CMDP core types and the offline-transition dataset.
 
 A hard-constraint CMDP couples a reward signal with a binary
-constraint-violation function ``h``: ``h(s) = h_min <= 0`` on safe states
-and ``h(s) = h_max > 0`` on violating ones, with the cost indicator
-``c(s) = 1 iff h(s) > 0``. Environments are deterministic and immutable
-after construction; all sampling goes through caller-supplied generators.
+constraint-violation function ``h``: ``h(s) = H_MIN = -1`` on safe states
+and ``h(s) = H_MAX = +1`` on violating ones, with the cost indicator
+``c(s) = 1 iff h(s) > 0``; ``h_values`` maps 0/1 labels to these values.
+Environments are deterministic and immutable after construction; all
+sampling goes through caller-supplied generators.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ UNSAFE_SMALL_LIMIT = 100
 END_INTERVENTION = "intervention"
 END_HORIZON = "horizon"
 
+H_MIN, H_MAX = -1.0, 1.0  # h of a safe and of a violating state
+
 
 # A cost predicate: states (n, d_s) -> int array (n,), 1 where flagged.
 Predicate = Callable[[np.ndarray], np.ndarray]
@@ -40,6 +43,11 @@ def require_finite(x: np.ndarray, what: str) -> None:
     """Raise ``ValueError`` when ``x`` holds a NaN or an infinity."""
     if not np.isfinite(x).all():
         raise ValueError(f"{what} must be finite")
+
+
+def h_values(labels: np.ndarray | Sequence[int]) -> np.ndarray:
+    """The violation value of each 0/1 label: H_MAX where 1, H_MIN where 0."""
+    return np.where(np.asarray(labels) > 0, H_MAX, H_MIN)
 
 
 def cost_labels(predicate: Predicate, states: np.ndarray) -> np.ndarray:
@@ -128,8 +136,6 @@ class HardCMDP:
     violation: Callable[[Row], int]
     initial_state: Callable[[np.random.Generator], Row]
     action_set: np.ndarray  # (n_actions, d_a)
-    h_min: float = -1.0
-    h_max: float = 1.0
     states: np.ndarray | None = None
     state_index: Callable[[np.ndarray], np.ndarray] | None = None
     margin_predicate: Callable[[float], Predicate] | None = None
@@ -141,17 +147,9 @@ class HardCMDP:
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma < 1.0:
             raise ConfigurationError(f"gamma must lie in (0,1), got {self.gamma}")
-        if self.h_min > 0.0 or self.h_max <= 0.0:
-            raise ConfigurationError(
-                f"need h_min <= 0 < h_max, got h_min={self.h_min}, h_max={self.h_max}"
-            )
         if self.horizon < 1:
             raise ConfigurationError("horizon must be positive")
         object.__setattr__(self, "_bounds", self.action_bounds.T.tolist())  # [lows, highs]
-
-    def h(self, s: Row) -> float:
-        """Binary constraint-violation value: exactly h_min or h_max."""
-        return self.h_max if self.violation(s) else self.h_min
 
     def cost(self, s: Row) -> int:
         return self.violation(s)

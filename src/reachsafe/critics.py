@@ -23,7 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .approx import Mlp, OneHot, Trainer, concat, load_mlp, save_mlp, soft_update
-from .cmdp import HardCMDP, OfflineDataset, Predicate, cost_labels, nearest_rows, require_finite
+from .cmdp import (H_MIN, HardCMDP, OfflineDataset, Predicate, cost_labels, h_values,
+                   nearest_rows, require_finite)
 from .config import LearnSection
 from .reachability import feasible_backup, reverse_expectile_grad
 from .rollout import RolloutBuffer
@@ -181,15 +182,13 @@ class FeasibilityCritic(QVCritic):
     labels the rows.
     """
 
-    h_min: float = -1.0
-    h_max: float = 1.0
     cost_fn: Predicate | None = None
 
     def floor_values(self, s: np.ndarray) -> np.ndarray:
         s = np.atleast_2d(np.asarray(s, dtype=float))
         if self.cost_fn is None:
-            return np.full(len(s), self.h_min)
-        return np.where(cost_labels(self.cost_fn, s) > 0, self.h_max, self.h_min)
+            return np.full(len(s), H_MIN)
+        return h_values(cost_labels(self.cost_fn, s))
 
     def q_values(self, s: np.ndarray, a: np.ndarray,
                  h_s: np.ndarray | None = None) -> np.ndarray:
@@ -209,14 +208,12 @@ def make_feasibility_critic(env: HardCMDP, dataset: OfflineDataset,
     else:
         state_feat = normalized_featurizer(dataset.s)
         action_feat = normalized_featurizer(dataset.a)
-    # Start the value surface at h_min, mirroring the tabular iteration:
+    # Start the value surface at H_MIN, mirroring the tabular iteration:
     # safe regions are then already at their fixed point and only the
     # doomed region has to propagate upward.
     return FeasibilityCritic.fresh(
         state_feat, action_feat, cfg.hidden, seed, "critic-init", ("qh", "vh"),
-        out_bias=env.h_min, lr=cfg.critic_lr, target_rate=cfg.critic_target_rate,
-        h_min=env.h_min, h_max=env.h_max,
-    )
+        out_bias=H_MIN, lr=cfg.critic_lr, target_rate=cfg.critic_target_rate)
 
 
 def _net_seed(seed: int, *labels: str) -> int:
@@ -242,7 +239,7 @@ def update_feasibility_critics(
     concatenated, and must carry successors (``elite_next``) of one
     (n_elites, d_s). Every row is backed up as ``feasible_backup(h_s,
     max(floor(label), max over its successors of V_target), gamma)``; the
-    floor maps the stored label to h_max or h_min, so no predicate runs.
+    floor is the stored label's ``h_values``, so no predicate runs.
     ``h_s`` is h(s) on offline rows and h(s') on rollout rows
     (``branched_rollout``). The critic is updated in place and returned.
     """
@@ -295,7 +292,7 @@ class _Source:
         self.feat_sa = [concat([f, critic.action_feat(b.a)], axis=1)
                         for f, b in zip(self.feat_s, buffers)]
         self.h_s = [np.asarray(b.h_s, dtype=float) for b in buffers]
-        self.floor = [np.where(b.label > 0, critic.h_max, critic.h_min) for b in buffers]
+        self.floor = [h_values(b.label) for b in buffers]
         self.next = [b.elite_next.swapaxes(0, 1) for b in buffers]  # (rows, n_elites, d_s)
         self.ends = np.cumsum([len(b) for b in buffers])
 
@@ -386,8 +383,6 @@ def save_critic(critic: QVCritic, directory: str | Path) -> None:
         "state_feat": critic.state_feat.to_meta(),
         "action_feat": critic.action_feat.to_meta(),
     }
-    if isinstance(critic, FeasibilityCritic):
-        meta.update(h_min=critic.h_min, h_max=critic.h_max)
     nets = {"q_net": critic.q_net, "v_net": critic.v_net,
             "q_target": critic.q_target, "v_target": critic.v_target}
     save_mlp(nets, directory / "critic.npz", meta)
@@ -405,6 +400,5 @@ def load_critic(directory: str | Path, env: HardCMDP,
         steps_trained=meta["steps_trained"],
     )
     if meta["kind"] == "FeasibilityCritic":
-        return FeasibilityCritic(**parts, h_min=meta["h_min"], h_max=meta["h_max"],
-                                 cost_fn=cost_fn)
+        return FeasibilityCritic(**parts, cost_fn=cost_fn)
     return QVCritic(**parts)

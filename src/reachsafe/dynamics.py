@@ -7,11 +7,12 @@ MOPO (Yu et al., 2020); elites are the members with the lowest held-out
 mean-squared prediction error, and all set-valued prediction and
 conservative labeling go through elites only.
 
-Training is float32: each thread's share of the members steps as one
-float32 stack (``approx``), and the trained members are widened, exactly,
-to the float64 networks that checkpoints keep. ``elite_predictions`` runs
-the elite networks in float32 and one float64 Gaussian head over all
-elites' outputs (tolerance and bit rules there).
+The members are float32 networks: each thread's share of them trains as
+one float32 stack (``approx``), and the trained members stay float32.
+Checkpoints keep them widened, exactly, to float64 (``save_mlp``), and
+``load_ensemble`` narrows them back. ``elite_predictions`` runs the elite
+networks in float32 and one float64 Gaussian head over all elites'
+outputs (tolerance and bit rules there).
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ class EnsembleDynamics:
         """Per-elite Gaussians over next states, denormalized.
 
         Returns float64 means and variances of shape (n_elites, batch, d_s).
-        The batch is normalised in float64 and cast to float32 once; each
-        elite's network runs in float32 (``Mlp.forward``'s precision rule).
+        The batch is normalised in float64 and cast to float32 once, and
+        each elite's float32 network runs on it.
         The outputs are stacked once into a float64 (n_elites, batch, 2 d_s)
         array, and the Gaussian head runs once over all elites: elementwise,
         so each elite's rows get the bits of a head over that elite alone.
@@ -239,7 +240,7 @@ def train_ensemble(
 
         if diverged:
             raise RuntimeError(diverged[min(diverged)])
-        return [(Mlp(sizes, params=row.astype(float)), err) for row, err in zip(best, best_err)]
+        return [(Mlp(sizes, params=row), err) for row, err in zip(best, best_err)]
 
     members, errors = zip(*(r for group in ordered_map(train_group, groups(n_total))
                             for r in group))
@@ -276,9 +277,11 @@ def save_ensemble(model: EnsembleDynamics, directory: str | Path) -> None:
 
 
 def load_ensemble(directory: str | Path) -> EnsembleDynamics:
+    """Read ``save_ensemble``'s file; the members are narrowed to float32."""
     nets, meta = load_mlp(Path(directory) / "ensemble.npz")
+    members = [nets[f"member_{k}"] for k in range(len(nets))]
     return EnsembleDynamics(
-        members=[nets[f"member_{k}"] for k in range(len(nets))],
+        members=[Mlp(m.sizes, params=m.params.astype(np.float32)) for m in members],
         elites=list(meta["elites"]),
         in_mean=np.asarray(meta["in_mean"]), in_std=np.asarray(meta["in_std"]),
         delta_mean=np.asarray(meta["delta_mean"]),

@@ -30,7 +30,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cmdp import ConfigurationError, Predicate, load_dataset, load_npz, save_dataset, save_npz
+from .cmdp import (ConfigurationError, Predicate, load_dataset, load_npz, require_finite,
+                   save_dataset, save_npz)
 from .collect import collect_safe_dataset, collect_unsafe_samples
 from .config import ExperimentConfig, build_behavior, build_env, config_hash
 from .costgen import (
@@ -263,7 +264,7 @@ def stage_oracle(cfg: ExperimentConfig, paths: RunPaths) -> None:
     critic = tabular_value_iteration(oracle.model, gamma=env.gamma, tol=1e-10)
     agreement = float(np.mean(critic.feasible_mask() == oracle.feasible))
     h_star = max(oracle.h_star, 1)
-    threshold = gamma_threshold(env.h_min, env.h_max, h_star)
+    threshold = gamma_threshold(h_star)
     warnings = list(oracle.warnings)
     for name, g in (("env.gamma", env.gamma),
                     ("learn.critic_gamma", cfg.learn.critic_gamma)):
@@ -330,6 +331,13 @@ def _event_steps(lc) -> list[int]:
             for start in range(0, lc.total_steps, lc.rollout_frequency)]
 
 
+def _require_finite(event: int, **values) -> None:
+    """Refuse, before the stage is recorded, a learn event that left a network's
+    parameters or a value (an ndarray) with a NaN or an infinity."""
+    for name, x in values.items():
+        require_finite(getattr(x, "params", x), f"{name} after learn event {event}")
+
+
 @_stage
 def stage_reward(cfg: ExperimentConfig, paths: RunPaths) -> None:
     dataset = load_dataset(paths.dataset)
@@ -343,6 +351,8 @@ def stage_reward(cfg: ExperimentConfig, paths: RunPaths) -> None:
                              seed=child_seed(cfg.seed, "learn", "reward"),
                              stream=("event", event))
         advantages.append(reward_advantage(reward, dataset.s, dataset.a))
+        _require_finite(event, reward_q_net=reward.q_net, reward_v_net=reward.v_net,
+                        reward_advantages=advantages[-1])
     save_critic(reward, paths.reward_dir)
     save_npz(paths.reward_advantages, {"advantages": np.stack(advantages)},
              {"kind": "reward-advantages"})
@@ -366,7 +376,7 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
     if candidate is not None:
         # No predicate: the update and the policy's weights floor with the
         # rows' stored labels; readers of the saved critic attach one on load.
-        rows = relabel_offline(dataset, critic_floor(cfg, candidate), env.h_min, env.h_max)
+        rows = relabel_offline(dataset, critic_floor(cfg, candidate))
         critic = make_feasibility_critic(env, dataset, lc,
                                          seed=child_seed(seed, "learn", "critic-init"))
     policy = make_policy(env, dataset, lc, seed=child_seed(seed, "learn", "policy-init"))
@@ -380,8 +390,8 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
         if ensemble is not None:
             events.append(branched_rollout(
                 policy.act_batch, dataset, ensemble, candidate.predicate, rcfg,
-                seed=child_seed(seed, "learn", "rollout"), h_min=env.h_min,
-                h_max=env.h_max, event=event, action_bounds=env.action_bounds))
+                seed=child_seed(seed, "learn", "rollout"), event=event,
+                action_bounds=env.action_bounds))
             if len(events) > lc.rollout_window:
                 # Only the window's elite means are read again; the saved
                 # buffer drops them.
@@ -393,11 +403,13 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
                                        steps=steps, cfg=lc,
                                        seed=child_seed(seed, "learn", "feas"),
                                        stream=("event", event))
+            _require_finite(event, critic_q_net=critic.q_net, critic_v_net=critic.v_net)
         feasibility_guided_policy_update(
             policy, advantages[event], critic, dataset,
             max(1, int(steps * lc.reward_steps_fraction)), lc,
             seed=child_seed(seed, "learn", "policy"), stream=("event", event),
             h_s=None if rows is None else rows.h_s)
+        _require_finite(event, policy_net=policy.net)
 
     paths.variant_dir(cfg).mkdir(parents=True, exist_ok=True)
     if critic is not None:

@@ -146,15 +146,16 @@ def bc_weights(adv_r: np.ndarray, feas_critic: FeasibilityCritic | None,
     feasibility critic the weights are the ungated reward advantage.
     ``h_s`` holds the rows' stored h labels, the floor of both value reads;
     without it the critic's predicate labels ``s`` (``FeasibilityCritic``).
+    An overflowing ``exp`` clips to ``weight_clip``; a gated-out action weighs 0.
     """
-    if feas_critic is None:
-        return np.clip(np.exp(temperature * adv_r), 0.0, weight_clip)
-    v_h = feas_critic.v_values(s, h_s=h_s)
-    q_h = feas_critic.q_values(s, a, h_s=h_s)
-    feasible = v_h <= 0.0
-    w_feasible = np.exp(temperature * adv_r) * (q_h <= 0.0)
-    w_infeasible = np.exp(-temperature * (q_h - v_h))
-    return np.clip(np.where(feasible, w_feasible, w_infeasible), 0.0, weight_clip)
+    with np.errstate(over="ignore"):
+        if feas_critic is None:
+            return np.clip(np.exp(temperature * adv_r), 0.0, weight_clip)
+        v_h = feas_critic.v_values(s, h_s=h_s)
+        q_h = feas_critic.q_values(s, a, h_s=h_s)
+        w_feasible = np.where(q_h <= 0.0, np.exp(temperature * adv_r), 0.0)
+        w_infeasible = np.exp(-temperature * (q_h - v_h))
+    return np.clip(np.where(v_h <= 0.0, w_feasible, w_infeasible), 0.0, weight_clip)
 
 
 def feasibility_guided_policy_update(

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cmdp import H_MAX, H_MIN
 from .tabular import TabularModel
 
 
@@ -29,18 +30,16 @@ def feasible_backup(h, v_next, gamma: float):
     return (1.0 - gamma) * h + gamma * np.maximum(h, v_next)
 
 
-def gamma_threshold(h_min: float, h_max: float, h_star: int) -> float:
+def gamma_threshold(h_star: int) -> float:
     """Smallest discount for which every doomed state gets a positive value.
 
-    Any ``gamma`` strictly above ``(h_min / (h_min - h_max)) ** (1 / h_star)``
+    Any ``gamma`` strictly above ``(H_MIN / (H_MIN - H_MAX)) ** (1 / h_star)``
     makes the violation-distance lower bound
-    ``h_min + gamma**h_star (h_max - h_min)`` positive.
+    ``H_MIN + gamma**h_star (H_MAX - H_MIN)`` positive.
     """
-    if not (h_min < 0.0 < h_max):
-        raise ValueError(f"need h_min < 0 < h_max, got {h_min}, {h_max}")
     if h_star < 1:
         raise ValueError("h_star must be at least 1")
-    return float((h_min / (h_min - h_max)) ** (1.0 / h_star))
+    return float((H_MIN / (H_MIN - H_MAX)) ** (1.0 / h_star))
 
 
 def reverse_expectile_loss(u, tau: float):
@@ -105,7 +104,7 @@ def tabular_value_iteration(
     Convergence is a sup-norm test; the operator is a gamma-contraction, so
     failure to converge within ``max_iters`` indicates a bug and raises.
     """
-    q = np.full((model.n_states, model.n_actions), float(model.h_min))
+    q = np.full((model.n_states, model.n_actions), H_MIN)
     for _ in range(max_iters):
         q_new = apply_operator(q, model.h, model.next_idx, gamma)
         delta = float(np.max(np.abs(q_new - q)))

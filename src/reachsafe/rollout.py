@@ -16,19 +16,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cmdp import (
-    ConfigurationError,
-    OfflineDataset,
-    Predicate,
-    cost_labels,
-    load_npz,
-    save_npz,
-)
-from .dynamics import (
-    EnsembleDynamics,
-    conservative_cost_label_batch,
-    sample_next_batch,
-)
+from .cmdp import (H_MIN, ConfigurationError, OfflineDataset, Predicate, cost_labels, h_values,
+                   load_npz, save_npz)
+from .dynamics import EnsembleDynamics, conservative_cost_label_batch, sample_next_batch
 from .seeding import ordered_map, substream
 
 
@@ -60,7 +50,7 @@ class RolloutBuffer:
     a: np.ndarray                          # (rows, d_a)
     label: np.ndarray                      # (rows,) label of the successors (any-elite on
                                            # rollout rows): the backup's successor floor
-    h_s: np.ndarray                        # (rows,) h_max or h_min
+    h_s: np.ndarray                        # (rows,) H_MAX or H_MIN (``h_values``)
     origin: np.ndarray                     # (rows,) index into the start-state pool
     elite_next: np.ndarray | None = None   # (n_elites, rows, d_s) successors
 
@@ -88,8 +78,6 @@ def branched_rollout(
     cost_fn: Predicate,
     cfg: RolloutConfig,
     seed: int,
-    h_min: float,
-    h_max: float,
     event: int = 0,
     *,
     action_bounds: np.ndarray,
@@ -100,8 +88,8 @@ def branched_rollout(
     are drawn uniformly without replacement (per epoch) from the dataset's
     states plus its episode terminals. A kept branch gives ``horizon`` rows
     with one ``origin``, the first its start state. A row's label is the
-    conservative any-elite label of its successor, and ``h_s`` maps it to
-    h_max or h_min: h(s'), where ``relabel_offline``'s rows hold h(s). Noise,
+    conservative any-elite label of its successor, and ``h_s`` is its
+    ``h_values``: h(s'), where ``relabel_offline``'s rows hold h(s). Noise,
     elite choice and Gaussian sampling all derive from (seed, event,
     epoch), so results do not depend on scheduling: the epochs run as
     independent units through ``ordered_map``, and their rows are stacked
@@ -141,7 +129,7 @@ def branched_rollout(
         label = labels[kept].reshape(-1)
         return RolloutBuffer(
             s=steps_s[kept].reshape(-1, d_s), a=steps_a[kept].reshape(-1, d_a),
-            label=label, h_s=np.where(label > 0, h_max, h_min),
+            label=label, h_s=h_values(label),
             origin=np.repeat(starts[kept], cfg.horizon),
             elite_next=steps_m[:, kept].reshape(n_elites, -1, d_s))
 
@@ -163,17 +151,16 @@ def stack_buffers(buffers: Sequence[RolloutBuffer]) -> RolloutBuffer:
     return RolloutBuffer(**columns, elite_next=elite_next)
 
 
-def relabel_offline(dataset: OfflineDataset, cost_fn: Predicate | None,
-                    h_min: float, h_max: float) -> RolloutBuffer:
+def relabel_offline(dataset: OfflineDataset, cost_fn: Predicate | None) -> RolloutBuffer:
     """The dataset's transitions as critic rows, each with one successor,
     ``s2``: ``label`` is ``cost_fn`` at ``s2`` and ``h_s`` the h label of
     ``s``, or without ``cost_fn`` (``no-relabel``) the dataset's cost and
-    h_min. Row i starts from state i of the start pool; no column is copied."""
+    H_MIN. Row i starts from state i of the start pool; no column is copied."""
     if cost_fn is None:
-        label, h_s = dataset.cost, np.full(len(dataset), h_min)
+        label, h_s = dataset.cost, np.full(len(dataset), H_MIN)
     else:
         label = cost_labels(cost_fn, dataset.s2)
-        h_s = np.where(cost_labels(cost_fn, dataset.s) > 0, h_max, h_min)
+        h_s = h_values(cost_labels(cost_fn, dataset.s))
     return RolloutBuffer(s=dataset.s, a=dataset.a, label=label, h_s=h_s,
                          origin=np.arange(len(dataset)), elite_next=dataset.s2[None])
 

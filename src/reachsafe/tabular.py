@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmdp import ConfigurationError, HardCMDP, nearest_rows, require_finite
+from .cmdp import ConfigurationError, HardCMDP, h_values, nearest_rows, require_finite
 
 
 @dataclass(frozen=True)
@@ -24,9 +24,7 @@ class TabularModel:
     states: np.ndarray      # (n, d_s)
     actions: np.ndarray     # (m, d_a)
     next_idx: np.ndarray    # (n, m) int
-    h: np.ndarray           # (n,) in {h_min, h_max}
-    h_min: float
-    h_max: float
+    h: np.ndarray           # (n,) in {H_MIN, H_MAX}
     grid_ranges: tuple | None = None   # ((lo, hi, n) per dim) for a grid model
 
     @property
@@ -78,9 +76,8 @@ def tabulate(env: HardCMDP) -> TabularModel:
     next_idx = env.state_index(_step_all(env, states, actions)).reshape(n, m)
     if (next_idx < 0).any():
         raise ConfigurationError(f"{env.name} steps outside its enumerated states")
-    h = np.array([env.h(s) for s in states.tolist()])
-    return TabularModel(states=states.copy(), actions=actions.copy(),
-                        next_idx=next_idx, h=h, h_min=env.h_min, h_max=env.h_max)
+    h = h_values([env.violation(s) for s in states.tolist()])
+    return TabularModel(states.copy(), actions.copy(), next_idx, h)
 
 
 def discretize(env: HardCMDP) -> TabularModel:
@@ -99,9 +96,8 @@ def discretize(env: HardCMDP) -> TabularModel:
     actions = env.action_set
     n, m = len(states), len(actions)
     next_idx = _grid_rows(ranges, _step_all(env, states, actions)).reshape(n, m)
-    return TabularModel(states=states, actions=actions, next_idx=next_idx,
-                        h=np.array([env.h(s) for s in states.tolist()]),
-                        h_min=env.h_min, h_max=env.h_max, grid_ranges=tuple(ranges))
+    h = h_values([env.violation(s) for s in states.tolist()])
+    return TabularModel(states, actions, next_idx, h, grid_ranges=tuple(ranges))
 
 
 def build_model(env: HardCMDP) -> TabularModel:

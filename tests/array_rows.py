@@ -138,10 +138,6 @@ class ArrayRowEnv:
     def __getattr__(self, name):
         return getattr(self._env, name)
 
-    def h(self, s: np.ndarray) -> float:
-        """Binary constraint-violation value: exactly h_min or h_max."""
-        return self.h_max if self.violation(s) else self.h_min
-
     def cost(self, s: np.ndarray) -> int:
         return int(self.violation(s))
 

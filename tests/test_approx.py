@@ -706,30 +706,38 @@ def test_concurrent_cache_free_passes_equal_the_serial_ones():
                                           workers=4)
 
 
+def float32_twin(net: Mlp) -> Mlp:
+    """``net`` with its parameters rounded to a float32 vector."""
+    return Mlp(net.sizes, params=net.params.astype(np.float32))
+
+
 def test_concurrent_float32_passes_equal_the_serial_ones():
     rng = np.random.default_rng(8)
     nets = [Mlp([3, 128, 128, 4], seed=1), Mlp([9, 32, 32, 32, 3], seed=2)]
     for net in nets:
         for p in net.biases:
             p[:] = rng.normal(size=p.shape)
+    nets = [float32_twin(net) for net in nets]
     cases = [(net, rng.normal(size=(n, net.sizes[0])).astype(np.float32))
              for net in nets for n in (1, 300, 517, 2 * BLOCK + 9)]
-    cases += [(net, split_rows(x[:40])) for net, x in cases[-2:]]
+    cases += [(net, x[:40, None]) for net, x in cases[-2:]]
+    assert all(net.forward(x, cache=False).dtype == np.float32 for net, x in cases)
     assert_concurrent_passes_equal_serial(cases, workers=2)
 
 
 def test_a_float32_pass_runs_in_float32_over_the_same_scratch():
-    # A cache-free float32 pass casts the weights for the call and views
-    # the thread's float64 scratch blocks as float32; everything else,
-    # a caching pass over a float32 batch included, stays float64.
+    # A float32 network's cache-free pass views the thread's float64
+    # scratch blocks as float32. A pass runs in its network's dtype: a
+    # float64 network converts a float32 batch, a float32 one a float64 batch.
     net = Mlp([3, 128, 128, 4], seed=4)
+    net32 = float32_twin(net)
     x = np.random.default_rng(9).normal(size=(1600, 3))
     out = {}
 
     def run():  # a fresh thread: its scratch starts empty
         out["double"] = net.forward(x, cache=False)
         before = list(approx._SCRATCH.blocks)
-        out["single"] = net.forward(x.astype(np.float32), cache=False)
+        out["single"] = net32.forward(x.astype(np.float32), cache=False)
         out["same_blocks"] = all(a is b for a, b in zip(before, approx._SCRATCH.blocks))
 
     thread = threading.Thread(target=run)
@@ -740,9 +748,15 @@ def test_a_float32_pass_runs_in_float32_over_the_same_scratch():
     assert out["double"].dtype == np.float64 and out["single"].dtype == np.float32
     assert np.abs(out["single"] - out["double"]).max() <= 1e-5
     x32 = x.astype(np.float32)
-    assert net.forward(x32).dtype == np.float64
-    assert net.forward(x32).tobytes() == net.forward(x32.astype(float)).tobytes()
+    for cache in (True, False):
+        assert net.forward(x32, cache=cache).dtype == np.float64
+        assert (net.forward(x32, cache=cache).tobytes()
+                == net.forward(x32.astype(float), cache=cache).tobytes())
+    widened = x32.astype(float)  # a float64 batch holding float32 values
+    assert net32.forward(widened, cache=False).tobytes() == out["single"].tobytes()
+    assert net32.forward(x32).dtype == np.float32
     assert all(p.dtype == np.float64 for p in net.parameters())
+    assert all(p.dtype == np.float32 for p in net32.parameters())
 
 
 # ---------------------------------------------------------------------------
@@ -764,10 +778,11 @@ SPLIT_ROWS = 513
 
 
 def whole_pass_float32(net: Mlp, x: np.ndarray) -> np.ndarray:
-    """A plain float32 pass over all rows at once, the float32 reference."""
+    """A plain pass of a float32 network over all rows at once, the float32
+    reference."""
     h = x
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w.astype(np.float32) + b.astype(np.float32)
+        h = h @ w + b
         if i < len(net.weights) - 1:
             h = np.tanh(h)
     return h
@@ -785,17 +800,19 @@ def blocked_pass_mismatches() -> list:
         net = Mlp(sizes, seed=sizes[0])
         for p in net.biases:
             p[:] = rng.normal(size=p.shape)
+        net32 = float32_twin(net)
         for n in (*UNBLOCKED_ROWS, *BLOCKED_ROWS):
             x = rng.normal(size=(n, sizes[0])) if widths is None else random_onehot(rng, n, widths)
             x32 = np.asarray(x, dtype=float).astype(np.float32)
             if net.forward(x, cache=False).tobytes() != net.forward(x).tobytes():
                 mismatches.append([sizes, n, "float64"])
-            if net.forward(x32, cache=False).tobytes() != whole_pass_float32(net, x32).tobytes():
+            got32 = net32.forward(x32, cache=False)
+            if got32.tobytes() != whole_pass_float32(net32, x32).tobytes():
                 mismatches.append([sizes, n, "float32"])
-        for batch, split, dtype in ((x, split_rows(x[:SPLIT_ROWS]), "float64"),
-                                    (x32, x32[:SPLIT_ROWS, None], "float32")):
-            got = net.forward(split, cache=False)[:, 0]
-            one_rows = np.concatenate([net.forward(batch[i:i + 1], cache=False)
+        for model, batch, split, dtype in ((net, x, split_rows(x[:SPLIT_ROWS]), "float64"),
+                                           (net32, x32, x32[:SPLIT_ROWS, None], "float32")):
+            got = model.forward(split, cache=False)[:, 0]
+            one_rows = np.concatenate([model.forward(batch[i:i + 1], cache=False)
                                        for i in range(SPLIT_ROWS)])
             if got.dtype != one_rows.dtype or got.tobytes() != one_rows.tobytes():
                 mismatches.append([sizes, SPLIT_ROWS, dtype, "split"])

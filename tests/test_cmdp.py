@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from reachsafe.cmdp import (
+    H_MAX,
+    H_MIN,
     ConfigurationError,
     OfflineDataset,
     SAFE_ONLY,
     UNSAFE_SMALL,
     empty_dataset,
+    h_values,
     load_dataset,
     save_dataset,
     save_npz,
@@ -18,16 +21,17 @@ from reachsafe.envs import make_double_integrator, make_hazard_gridworld
 
 def test_h_is_binary_and_matches_cost_indicator():
     env = make_hazard_gridworld(5, 5, [(2, 2)], momentum=0)
-    for s in env.states:
-        h = env.h(s)
-        assert h in (env.h_min, env.h_max)
-        assert int(h > 0) == env.cost(s)
+    cost = np.array([env.cost(s) for s in env.states])
+    h = h_values(cost)
+    assert h.dtype == np.float64 and set(h.tolist()) == {H_MIN, H_MAX}
+    assert np.array_equal((h > 0).astype(int), cost)
 
 
 def test_h_defaults_on_hazard_cell():
     env = make_hazard_gridworld(5, 5, [(2, 2)], momentum=0)
-    assert env.h(np.array([2.0, 2.0])) == 1.0
-    assert env.h(np.array([0.0, 0.0])) == -1.0
+    assert (H_MIN, H_MAX) == (-1.0, 1.0)
+    labels = [env.cost(np.array([2.0, 2.0])), env.cost(np.array([0.0, 0.0]))]
+    assert h_values(labels).tolist() == [1.0, -1.0]
 
 
 def test_hazard_out_of_bounds_rejected():

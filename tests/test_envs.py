@@ -363,7 +363,7 @@ def test_collectors_and_models_match_the_reference_env(name):
     n, m = model.n_states, model.n_actions
     successors = np.array([ref.transition(s, a) for s in model.states for a in model.actions])
     assert np.array_equal(model.next_idx, model.index(successors).reshape(n, m))
-    assert_same_bits(model.h, np.array([ref.h(s) for s in model.states]))
+    assert_same_bits(model.h, np.array([1.0 if ref.violation(s) else -1.0 for s in model.states]))
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +384,7 @@ def test_row_steps_equal_the_array_row_code(name, s, a, s2):
     assert isinstance(env.transition(s, a), tuple)
     assert_same_bits(env.transition(s, a), ref.transition(np.array(s), np.array(a)))
     assert_same_bits(env.reward(s, a, s2), ref.reward(np.array(s), np.array(a), np.array(s2)))
-    for method in ("violation", "cost", "h"):
+    for method in ("violation", "cost"):
         assert outcome(getattr(env, method), s) == outcome(getattr(ref, method), np.array(s))
     got, want = outcome(env.clip_action, a), outcome(ref.clip_action, np.array(a))
     if isinstance(want, type):

@@ -336,6 +336,37 @@ def test_variants_share_one_reward_stage(tmp_path, monkeypatch):
                 == (alone / "ungated" / name).read_bytes())
 
 
+# What each learn step returns, and where a poisoned value goes in it.
+POISONS = {
+    "reward_advantage": ("reward_advantages", lambda out: out),
+    "update_reward_critic": ("reward_v_net", lambda out: out.v_net.params),
+    "update_feasibility_critics": ("critic_q_net", lambda out: out.q_net.params),
+    "feasibility_guided_policy_update": ("policy_net", lambda out: out.net.params),
+}
+
+
+@pytest.mark.parametrize("target", sorted(POISONS))
+def test_a_non_finite_learn_event_is_not_recorded(tmp_path, monkeypatch, target):
+    # A NaN in the second event's network or advantages stops its stage with
+    # an error naming both, and the manifest gets no entry for the stage.
+    name, where = POISONS[target]
+    real, calls = getattr(pipeline, target), []
+
+    def poisoned(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(target)
+        if len(calls) == 2:
+            where(out)[0] = np.nan
+        return out
+
+    monkeypatch.setattr(pipeline, target, poisoned)
+    with pytest.raises(ValueError, match=f"^{name} after learn event 1 must be finite$"):
+        run_pipeline(tiny_config(), tmp_path)
+    stages = json.loads((tmp_path / "manifest.json").read_text())["stages"]
+    stage = "reward" if "reward" in target else "learn:full"
+    assert "dynamics" in stages and stage not in stages and "learn:full" not in stages
+
+
 def test_cli_error_is_one_json_line_with_exit_code_2(tmp_path, capsys):
     assert cli.main(["run", "--stage", "learn", "--out", str(tmp_path)]) == 2
     captured = capsys.readouterr()
@@ -402,15 +433,15 @@ def test_export_heatmap_without_cost_history_is_a_missing_artifact(run_dir, caps
 def _rewrite_cfg(path, cfg_meta, **fields):
     """Rewrite a checkpoint's metadata with exactly the former keys."""
     nets, meta = load_mlp(path)
-    former = ("kind", "low", "high", "steps_trained", "state_feat", "action_feat",
-              "h_min", "h_max")
+    former = ("kind", "low", "high", "steps_trained", "state_feat", "action_feat")
     save_mlp(nets, path, {**{k: meta[k] for k in former if k in meta}, "cfg": cfg_meta,
                           **fields})
 
 
 def test_checkpoints_that_keep_the_whole_learn_config_still_load(run_dir, capsys):
     # Checkpoints written before the learn settings moved to config.py
-    # carry every setting of their consumer under "cfg"; a resumed run
+    # carry every setting of their consumer under "cfg", and a feasibility
+    # critic's file the h_min/h_max keys no longer written; a resumed run
     # still evaluates and draws them.
     cfg = tiny_config()
     lc, paths = cfg.learn, pipeline.RunPaths(run_dir)
@@ -423,7 +454,7 @@ def test_checkpoints_that_keep_the_whole_learn_config_still_load(run_dir, capsys
         "gamma": lc.critic_gamma, "tau": lc.critic_tau, "lr": lc.critic_lr,
         "batch_size": lc.batch_size, "target_rate": lc.critic_target_rate,
         "hidden": lc.hidden, "include_rollout_in_v": lc.include_rollout_in_v,
-        "rollout_batch_fraction": lc.rollout_batch_fraction})
+        "rollout_batch_fraction": lc.rollout_batch_fraction}, h_min=-1.0, h_max=1.0)
     _rewrite_cfg(paths.reward_dir / "critic.npz", {
         **common, "gamma": lc.reward_gamma, "expectile": lc.reward_expectile,
         "target_rate": REWARD_TARGET_RATE}, kind="RewardCritic")
@@ -508,7 +539,7 @@ def test_feasibility_critic_roundtrip_keeps_config_and_floor(integrator, tmp_pat
     floor = env.margin_predicate(0.05)
     critic = make_feasibility_critic(env, data, cfg, seed=1)
     critic.cost_fn = floor
-    update_feasibility_critics(critic, relabel_offline(data, None, env.h_min, env.h_max), [],
+    update_feasibility_critics(critic, relabel_offline(data, None), [],
                                steps=3, cfg=cfg)
     save_critic(critic, tmp_path / "critic")
     back = load_critic(tmp_path / "critic", env, cost_fn=floor)

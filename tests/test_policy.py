@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from reachsafe.approx import BackwardBeforeForward, Mlp, concat
 from reachsafe.collect import collect_safe_dataset
-from reachsafe.cmdp import MIXED, OfflineDataset, SAFE_ONLY, cost_labels
+from reachsafe.cmdp import H_MAX, H_MIN, MIXED, OfflineDataset, SAFE_ONLY, cost_labels
 from reachsafe.config import default_config
 from reachsafe.critics import (
     make_feasibility_critic,
@@ -130,7 +130,7 @@ def test_learn_settings_reach_the_critics_and_the_policy():
     reward.v_target.biases[-1][:] = 2.0   # a successor value far from zero
     v_feas, v_reward = (c.v_target.forward(c.state_feat(one.s2), cache=False)[0, 0]
                         for c in (feas, reward))
-    update_feasibility_critics(feas, relabel_offline(one, None, env.h_min, env.h_max), [],
+    update_feasibility_critics(feas, relabel_offline(one, None), [],
                                steps=1, cfg=cfg)
     update_reward_critic(reward, one, steps=1, cfg=cfg)
     # Feasible backup from h(s) = -1 with the successor flagged, h(s') = +1.
@@ -157,11 +157,11 @@ def test_rollout_rows_back_up_against_the_worst_elite_successor(integrator):
         buffer = RolloutBuffer(
             s=data.s[rows], a=data.a[rows],
             label=conservative_cost_label_batch(elite_next, cost_fn),
-            h_s=np.full(len(rows), env.h_min), origin=rows, elite_next=elite_next)
+            h_s=np.full(len(rows), H_MIN), origin=rows, elite_next=elite_next)
         cfg = replace(LEARN, critic_lr=1e-2, rollout_batch_fraction=1.0)
         critic = make_feasibility_critic(env, data, cfg, seed=0)
         critic.cost_fn = cost_fn
-        update_feasibility_critics(critic, relabel_offline(data, None, env.h_min, env.h_max),
+        update_feasibility_critics(critic, relabel_offline(data, None),
                                    [buffer], steps=100, cfg=cfg)
         q[violating] = float(critic.q_values(buffer.s, buffer.a).mean())
     assert q[True] > q[False] + 0.5, q
@@ -174,14 +174,13 @@ def test_the_critic_update_trains_from_stored_labels_and_calls_no_predicate(requ
     # exactly as one carrying the rollout's predicate.
     env, data = request.getfixturevalue(world)
     cost_fn = env.margin_predicate(0.1)
-    rows = relabel_offline(data, cost_fn, env.h_min, env.h_max)
+    rows = relabel_offline(data, cost_fn)
     model = train_ensemble(data, **dynamics(n_total=2, n_elite=2, epochs=2, hidden=[16],
                                             batch_size=64), seed=0)
     policy = make_policy(env, data, LEARN, seed=0)
     window = [branched_rollout(policy.act_batch, data, model, cost_fn,
                                rollout(batch=64, horizon=2, epochs=2), seed=1,
-                               h_min=env.h_min, h_max=env.h_max, event=event,
-                               action_bounds=env.action_bounds)
+                               event=event, action_bounds=env.action_bounds)
               for event in (0, 1)]
     assert all(len(b) for b in window)
 
@@ -205,8 +204,8 @@ def test_the_policy_update_gates_with_stored_labels_and_calls_no_predicate(reque
     # policy exactly as one carrying the predicate.
     env, data = request.getfixturevalue(world)
     cost_fn = env.margin_predicate(margin)
-    rows = relabel_offline(data, cost_fn, env.h_min, env.h_max)
-    assert (rows.h_s == env.h_max).any() and (rows.h_s == env.h_min).any()
+    rows = relabel_offline(data, cost_fn)
+    assert (rows.h_s == H_MAX).any() and (rows.h_s == H_MIN).any()
 
     def no_predicate(s):
         raise AssertionError("the policy update called a cost predicate")
@@ -234,7 +233,7 @@ def _event_window(env, data, sizes, n_elites=3, seed=0):
         label = rng.integers(2, size=n)
         window.append(RolloutBuffer(
             s=data.s[rows], a=data.a[rows], label=label,
-            h_s=np.where(label > 0, env.h_max, env.h_min), origin=rows,
+            h_s=np.where(label > 0, H_MAX, H_MIN), origin=rows,
             elite_next=data.s2[rows] + rng.normal(scale=0.3, size=(n_elites, n, env.d_s))))
     return window
 
@@ -245,7 +244,7 @@ def test_a_window_updates_the_critic_as_its_stacked_buffer_does(request, world, 
     # The window's buffers are read in place, an empty one among them; the
     # result is the update on the one stacked buffer, bit for bit.
     env, data = request.getfixturevalue(world)
-    rows = relabel_offline(data, env.margin_predicate(0.1), env.h_min, env.h_max)
+    rows = relabel_offline(data, env.margin_predicate(0.1))
     window = _event_window(env, data, sizes=(90, 0, 70))
     cfg = replace(LEARN, hidden=[16, 16], batch_size=64, include_rollout_in_v=in_v)
     got, want = (make_feasibility_critic(env, data, cfg, seed=3) for _ in range(2))
@@ -269,7 +268,7 @@ def _two_path_update(critic, data, cost_fn, rollouts, steps, cfg, seed=0, stream
     by one from the window, as if concatenated, and back up h(s') through
     the worst target value over their elite means.
     """
-    h_min, h_max, gamma = critic.h_min, critic.h_max, cfg.critic_gamma
+    h_min, h_max, gamma = H_MIN, H_MAX, cfg.critic_gamma
     if cost_fn is None:
         cost, h_s = data.cost, np.full(len(data), h_min)
     else:
@@ -318,10 +317,10 @@ def test_one_backup_path_equals_the_two_path_update_bit_for_bit(request, world, 
     # rows' path, they train the critic exactly as the offline path did.
     env, data = request.getfixturevalue(world)
     cost_fn = env.margin_predicate(0.1 if world == "integrator" else 1.0) if relabel else None
-    rows = relabel_offline(data, cost_fn, env.h_min, env.h_max)
+    rows = relabel_offline(data, cost_fn)
     if relabel:
-        assert (rows.label > 0).any() and (rows.h_s != np.where(rows.label > 0, env.h_max,
-                                                                 env.h_min)).any()
+        assert (rows.label > 0).any() and (rows.h_s != np.where(rows.label > 0, H_MAX,
+                                                                 H_MIN)).any()
     window = _event_window(env, data, sizes)
     cfg = replace(LEARN, hidden=[16, 16], batch_size=64, include_rollout_in_v=in_v)
     got, want = (make_feasibility_critic(env, data, cfg, seed=3) for _ in range(2))
@@ -337,7 +336,7 @@ def test_critic_rows_are_no_cloning_or_reward_data(integrator):
     # Relabelled offline rows are critic rows, of the rollout rows' type:
     # the cloning update and the reward critic refuse them as rollout data.
     env, data = integrator
-    rows = relabel_offline(data, env.margin_predicate(0.1), env.h_min, env.h_max)
+    rows = relabel_offline(data, env.margin_predicate(0.1))
     policy = make_policy(env, data, LEARN, seed=0)
     with pytest.raises(RolloutDataRejected):
         feasibility_guided_policy_update(policy, np.zeros(len(data)), None, rows, steps=1,
@@ -382,6 +381,38 @@ def test_bc_weights_bounded(integrator):
                    10.0, 100.0)
     assert np.all(w >= 0.0)
     assert np.all(w <= 100.0)
+
+
+class _FixedValues:
+    """A feasibility critic stand-in that reads the given V_h and Q_h."""
+
+    def __init__(self, v, q):
+        self.v, self.q = v, q
+
+    def v_values(self, s, h_s=None):
+        return self.v
+
+    def q_values(self, s, a, h_s=None):
+        return self.q
+
+
+def test_an_overflowing_advantage_of_a_gated_out_action_weighs_zero():
+    # exp(1000) overflows: a gated-out action (q_h > 0) weighs 0, not
+    # inf * 0 = NaN; a kept one clips to weight_clip, without a warning.
+    v = np.array([-1.0, -1.0, -1.0, 0.5])  # the last state is infeasible
+    q = np.array([0.5, -0.5, -0.5, 2.0])
+    adv, s = np.array([1000.0, 1000.0, 0.1, 1000.0]), np.zeros((4, 1))
+    w = bc_weights(adv, _FixedValues(v, q), s, s, 1.0, 100.0)
+    assert np.isfinite(w).all()
+    assert_same_bits(w, np.array([0.0, 100.0, np.exp(0.1), np.exp(-1.5)]))
+    assert bc_weights(adv, None, s, s, 1.0, 100.0).tolist() == [100.0, 100.0, np.exp(0.1), 100.0]
+    # Where the former product was finite, the weights keep its bits.
+    rng = np.random.default_rng(3)
+    v, q, adv = rng.normal(size=(3, 500))
+    s = np.zeros((500, 1))
+    former = np.clip(np.where(v <= 0.0, np.exp(3.0 * adv) * (q <= 0.0),
+                              np.exp(-3.0 * (q - v))), 0.0, 20.0)
+    assert_same_bits(bc_weights(adv, _FixedValues(v, q), s, s, 3.0, 20.0), former)
 
 
 def test_weight_scaling_preserves_action_ranking(integrator):
@@ -436,8 +467,6 @@ def test_greedy_actions_stay_feasible_with_oracle_critic():
     update_reward_critic(critic=reward, offline=data, cfg=LEARN, steps=400, seed=0)
 
     class OracleCritic:
-        h_min, h_max = env.h_min, env.h_max
-
         def v_values(self, s, h_s=None):
             return v_exact[env.state_index(np.atleast_2d(s))]
 
@@ -617,7 +646,7 @@ def test_inference_passes_leave_no_activations_for_backward(integrator):
 
     # The target nets are read only by the updates.
     update_reward_critic(reward, data, steps=1, cfg=LEARN)
-    update_feasibility_critics(feas, relabel_offline(data, None, env.h_min, env.h_max), [],
+    update_feasibility_critics(feas, relabel_offline(data, None), [],
                                steps=1, cfg=LEARN)
     assert_no_cache([net for c in (reward, feas) for net in (c.q_target, c.v_target)])
 

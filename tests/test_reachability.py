@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reachsafe.cmdp import H_MAX, H_MIN
 from reachsafe.envs import make_double_integrator, make_hazard_gridworld
 from reachsafe.oracle import compute_feasible_set_oracle
 from reachsafe.reachability import (
@@ -62,13 +63,13 @@ def test_backup_monotone_in_elite_values(h, base, bump, which, gamma):
 
 
 def test_gamma_threshold_plugins():
-    assert gamma_threshold(-1.0, 1.0, 2) == pytest.approx(0.5 ** 0.5)
-    assert gamma_threshold(-1.0, 1.0, 1) == pytest.approx(0.5)
-    assert gamma_threshold(-1.0, 1e12, 1) == pytest.approx(0.0, abs=1e-10)
+    assert gamma_threshold(2) == pytest.approx(0.5 ** 0.5)
+    assert gamma_threshold(1) == pytest.approx(0.5)
+    # At the threshold the lower bound H_MIN + gamma**k (H_MAX - H_MIN) is 0.
+    for k in (1, 3, 12):
+        assert H_MIN + gamma_threshold(k) ** k * (H_MAX - H_MIN) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
-        gamma_threshold(1.0, 1.0, 1)
-    with pytest.raises(ValueError):
-        gamma_threshold(-1.0, 1.0, 0)
+        gamma_threshold(0)
 
 
 def test_reverse_expectile_plugins():

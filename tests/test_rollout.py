@@ -50,8 +50,7 @@ def _constant(value):
 def _rollout(setup, cost_fn, cfg, seed, **kwargs):
     env, data, model = setup
     return branched_rollout(_outward_policy, data, model, cost_fn, cfg, seed=seed,
-                            h_min=-1.0, h_max=1.0, action_bounds=env.action_bounds,
-                            **kwargs)
+                            action_bounds=env.action_bounds, **kwargs)
 
 
 def test_retained_branches_all_violate(setup):
@@ -124,7 +123,7 @@ def test_noise_is_injected_and_clipped(setup):
 def test_relabel_matches_validate_exactly(setup):
     env, data, _ = setup
     pred = env.margin_predicate(0.06)
-    relabeled = relabel_offline(data, pred, h_min=-1.0, h_max=1.0)
+    relabeled = relabel_offline(data, pred)
     cand = CostCandidate(predicate=pred, provenance="scripted", margin=0.06)
     report = validate(cand, data.subset(np.array([], dtype=int)), data,
                       CostGenSection())
@@ -138,7 +137,7 @@ def test_relabelled_rows_view_the_dataset_and_leave_it_as_it_is(setup, relabel):
     env, data, _ = setup
     pred = env.margin_predicate(0.06) if relabel else None
     before = {name: getattr(data, name).copy() for name in ("s", "a", "s2", "cost")}
-    rows = relabel_offline(data, pred, -1.0, 1.0)
+    rows = relabel_offline(data, pred)
     assert rows.s is data.s and rows.a is data.a
     assert rows.elite_next.shape == (1, len(data), env.d_s)
     assert np.shares_memory(rows.elite_next, data.s2)
@@ -155,15 +154,14 @@ def test_relabelled_rows_view_the_dataset_and_leave_it_as_it_is(setup, relabel):
 
 def test_relabel_ground_truth_on_safe_data_changes_nothing(setup):
     env, data, _ = setup
-    relabeled = relabel_offline(data, lambda s: np.array([env.cost(row) for row in s]),
-                                -1.0, 1.0)
+    relabeled = relabel_offline(data, lambda s: np.array([env.cost(row) for row in s]))
     assert int(relabeled.label.sum()) == 0
     assert np.all(relabeled.h_s == -1.0)
 
 
 def test_relabel_constant_one_sets_h_max(setup):
     env, data, _ = setup
-    relabeled = relabel_offline(data, _constant(1), -1.0, 1.0)
+    relabeled = relabel_offline(data, _constant(1))
     assert np.all(relabeled.label == 1)
     assert np.all(relabeled.h_s == 1.0)
 
@@ -221,7 +219,7 @@ def test_h_s_is_the_successor_label_in_rollouts_and_the_state_label_offline(setu
     successor = conservative_cost_label_batch(buf.elite_next, pred)
     assert np.array_equal(buf.h_s, np.where(successor > 0, 1.0, -1.0))
     assert (successor != cost_labels(pred, buf.s)).any()
-    offline = relabel_offline(data, pred, -1.0, 1.0)
+    offline = relabel_offline(data, pred)
     assert np.array_equal(offline.h_s, np.where(cost_labels(pred, data.s) > 0, 1.0, -1.0))
 
 
@@ -236,7 +234,7 @@ def test_critic_update_refuses_a_buffer_without_elite_means(setup, tmp_path):
     learn = default_config("double_integrator").learn
     critic = make_feasibility_critic(env, data, learn, seed=0)
     critic.cost_fn = env.margin_predicate(0.08)
-    rows = relabel_offline(data, critic.cost_fn, env.h_min, env.h_max)
+    rows = relabel_offline(data, critic.cost_fn)
     with pytest.raises(ValueError, match="elite_next"):
         update_feasibility_critics(critic, rows, [back], steps=1, cfg=learn)
     with pytest.raises(ValueError, match="elite_next"):
@@ -253,7 +251,7 @@ def test_critic_update_refuses_a_window_whose_elite_means_disagree(setup):
     learn = default_config("double_integrator").learn
     critic = make_feasibility_critic(env, data, learn, seed=0)
     critic.cost_fn = env.margin_predicate(0.08)
-    rows = relabel_offline(data, critic.cost_fn, env.h_min, env.h_max)
+    rows = relabel_offline(data, critic.cost_fn)
     with pytest.raises(ValueError, match=r"disagree on elite_next's \(n_elites, d_s\)"):
         update_feasibility_critics(critic, rows, [first, fewer], steps=1, cfg=learn)
     assert critic.steps_trained == 0
@@ -276,8 +274,8 @@ def test_rollout_epochs_in_threads_equal_the_serial_loop(setup, monkeypatch):
         for var in BLAS_THREAD_VARS:
             monkeypatch.setenv(var, blas)
         return branched_rollout(policy, data, model, env.margin_predicate(0.04),
-                                replace(cfg, epochs=epochs), seed=3, h_min=-1.0,
-                                h_max=1.0, event=1, action_bounds=env.action_bounds)
+                                replace(cfg, epochs=epochs), seed=3, event=1,
+                                action_bounds=env.action_bounds)
 
     threaded, serial = run("1"), run("2")
     first_two = run("1", epochs=2)  # rows come in epoch order
