@@ -151,9 +151,6 @@ class HardCMDP:
             raise ConfigurationError("horizon must be positive")
         object.__setattr__(self, "_bounds", self.action_bounds.T.tolist())  # [lows, highs]
 
-    def cost(self, s: Row) -> int:
-        return self.violation(s)
-
     def clip_action(self, a: Row) -> tuple[float, ...]:
         """``a`` clipped into the bounds as ``np.clip`` clips; an action of
         another length, or with a NaN or an infinity, raises ``ValueError``
@@ -207,9 +204,8 @@ class OfflineDataset:
                 f"unsafe_small dataset exceeds {UNSAFE_SMALL_LIMIT} transitions"
             )
 
-    def episode_end_indices(self, reason: str | None = None) -> list[int]:
-        ends = self.meta.get("episode_ends", [])
-        return [e["index"] for e in ends if reason is None or e["reason"] == reason]
+    def episode_end_indices(self) -> list[int]:
+        return [e["index"] for e in self.meta.get("episode_ends", [])]
 
     def rollout_start_states(self) -> np.ndarray:
         """States from which branched rollouts may start.
@@ -231,18 +227,14 @@ class OfflineDataset:
         )
 
 
-def empty_dataset(env: HardCMDP, tag: str, seed: int, meta: dict | None = None) -> OfflineDataset:
-    base = {
-        "env": env.name, "d_s": env.d_s, "d_a": env.d_a,
-        "tag": tag, "seed": seed, "episode_ends": [],
-    }
-    if meta:
-        base.update(meta)
+def empty_dataset(env: HardCMDP, tag: str, seed: int) -> OfflineDataset:
+    meta = {"env": env.name, "d_s": env.d_s, "d_a": env.d_a,
+            "tag": tag, "seed": seed, "episode_ends": []}
     return OfflineDataset(
         s=np.zeros((0, env.d_s)), a=np.zeros((0, env.d_a)),
         r=np.zeros(0), s2=np.zeros((0, env.d_s)),
         done=np.zeros(0, dtype=bool), cost=np.zeros(0, dtype=int),
-        tag=tag, meta=base,
+        tag=tag, meta=meta,
     )
 
 

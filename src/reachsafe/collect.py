@@ -60,7 +60,7 @@ def collect_safe_dataset(
     w = np.asarray(weights, dtype=float)
     p = w / w.sum()  # once per collection; a lone callable draws no choice
 
-    clip, step, cost, reward = env.clip_action, env.transition, env.cost, env.reward
+    clip, step, violation, reward = env.clip_action, env.transition, env.violation, env.reward
     s_rows, a_rows, r_rows, s2_rows = [], [], [], []
     episode_ends: list[dict] = []
     episode_returns: list[float] = []
@@ -76,7 +76,7 @@ def collect_safe_dataset(
         for _ in range(env.horizon):
             a = clip(policy(s, rng_policy))
             s2 = step(s, a)
-            if cost(s2) == 1:
+            if violation(s2) == 1:
                 intervened = True
                 n_intervened += 1
                 break
@@ -128,7 +128,6 @@ def collect_unsafe_samples(
     env: HardCMDP,
     n: int,
     seed: int = 0,
-    step_budget: int | None = None,
 ) -> OfflineDataset:
     """Gather exactly ``n`` cost-1 transitions by random exploration.
 
@@ -142,7 +141,7 @@ def collect_unsafe_samples(
         return empty_dataset(env, UNSAFE_SMALL, seed)
 
     rng = substream(seed, "collect", "unsafe")
-    budget = step_budget if step_budget is not None else max(2000, 500 * n)
+    budget = max(2000, 500 * n)
 
     if not env.is_tabular and env.state_grid is None:
         raise ConfigurationError(f"{env.name} declares no state box to explore")
@@ -154,14 +153,14 @@ def collect_unsafe_samples(
             break
         s = (states[int(rng.integers(len(states)))] if states is not None
              else [rng.uniform(lo, hi) for lo, hi, _ in env.state_grid])
-        if env.cost(s) == 1:
+        if env.violation(s) == 1:
             continue  # start from a safe state so the violation is the step's doing
         # A scalar draw per action dimension draws what one array draw would.
         a = env.clip_action(actions[int(rng.integers(len(actions)))]
                             if rng.random() < 0.5 else
                             [rng.uniform(lo, hi) for lo, hi in bounds])
         s2 = env.transition(s, a)
-        if env.cost(s2) == 1:
+        if env.violation(s2) == 1:
             s_rows.append(s); a_rows.append(a)
             r_rows.append(env.reward(s, a, s2)); s2_rows.append(s2)
 

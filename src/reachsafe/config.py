@@ -310,8 +310,7 @@ def _assign(target, dotted: str, value) -> None:
     setattr(obj, leaf, value)
 
 
-def load_config(path: str | Path, base: ExperimentConfig | None = None
-                ) -> ExperimentConfig:
+def load_config(path: str | Path) -> ExperimentConfig:
     """Parse a key/value file over the environment-specific defaults."""
     text = Path(path).read_text(encoding="utf-8")
     pairs: list[tuple[str, object]] = []
@@ -329,13 +328,12 @@ def load_config(path: str | Path, base: ExperimentConfig | None = None
             value = value_text
         pairs.append((key.strip(), value))
 
-    if base is None:
-        env_name = next((v for k, v in pairs if k == "env.name"), "gridworld")
-        base = default_config(str(env_name))
+    env_name = next((v for k, v in pairs if k == "env.name"), "gridworld")
+    cfg = default_config(str(env_name))
     for key, value in pairs:
-        _assign(base, key, value)
-    base.validate()
-    return base
+        _assign(cfg, key, value)
+    cfg.validate()
+    return cfg
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -117,7 +117,6 @@ class QVCritic:
     action_feat: Featurizer
     lr: InitVar[float]  # held by the two trainers only
     target_rate: float
-    steps_trained: int = 0
     q_trainer: Trainer = field(init=False, repr=False)
     v_trainer: Trainer = field(init=False, repr=False)
 
@@ -166,7 +165,6 @@ class QVCritic:
 
         soft_update(self.q_target, self.q_net, self.target_rate)
         soft_update(self.v_target, self.v_net, self.target_rate)
-        self.steps_trained += 1
 
 
 @dataclass
@@ -372,14 +370,13 @@ def export_heatmap(path: str | Path, value_fn: Callable[[np.ndarray], np.ndarray
             fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
 
 
-def save_critic(critic: QVCritic, directory: str | Path) -> None:
-    """Write either critic as ``critic.npz``: nets, update rates, featurizers."""
+def save_critic(critic: FeasibilityCritic, directory: str | Path) -> None:
+    """Write the feasibility critic as ``critic.npz``: nets, update rates,
+    featurizers. The floor's predicate is not saved."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta = {
-        "kind": type(critic).__name__,
         "cfg": {"lr": critic.q_trainer.lr, "target_rate": critic.target_rate},
-        "steps_trained": critic.steps_trained,
         "state_feat": critic.state_feat.to_meta(),
         "action_feat": critic.action_feat.to_meta(),
     }
@@ -389,16 +386,11 @@ def save_critic(critic: QVCritic, directory: str | Path) -> None:
 
 
 def load_critic(directory: str | Path, env: HardCMDP,
-                cost_fn: Predicate | None = None) -> QVCritic:
-    """Rebuild a saved critic; ``cost_fn`` attaches a feasibility critic's floor."""
+                cost_fn: Predicate | None = None) -> FeasibilityCritic:
+    """Rebuild a saved feasibility critic; ``cost_fn`` attaches its floor."""
     nets, meta = load_mlp(Path(directory) / "critic.npz")
-    parts = dict(
-        nets,
+    return FeasibilityCritic(
+        **nets,
         state_feat=Featurizer.from_meta(meta["state_feat"], env),
         action_feat=Featurizer.from_meta(meta["action_feat"], env, action=True),
-        lr=meta["cfg"]["lr"], target_rate=meta["cfg"]["target_rate"],
-        steps_trained=meta["steps_trained"],
-    )
-    if meta["kind"] == "FeasibilityCritic":
-        return FeasibilityCritic(**parts, cost_fn=cost_fn)
-    return QVCritic(**parts)
+        lr=meta["cfg"]["lr"], target_rate=meta["cfg"]["target_rate"], cost_fn=cost_fn)

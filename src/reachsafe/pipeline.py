@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -96,7 +97,7 @@ STAGE_TABLE = {
                      lambda p, cfg: [p.cost_history(cfg)],
                      needs=("data",), skip=frozenset({"ungated"})),
     "reward": Stage(("seed", "env", "data", "learn"),
-                    lambda p, cfg: [p.reward_advantages, p.reward_dir / "critic.npz"],
+                    lambda p, cfg: [p.reward_advantages],
                     needs=("data",)),
     # The feasibility critic needs the cost candidate, so a variant that
     # skips cost generation (ungated) saves no critic.
@@ -175,10 +176,6 @@ class RunPaths:
         return self.root / f"cost_history{suffix}.jsonl"
 
     @property
-    def reward_dir(self) -> Path:
-        return self.root / "reward_critic"
-
-    @property
     def reward_advantages(self) -> Path:
         return self.root / "reward_advantages.npz"
 
@@ -236,7 +233,11 @@ def _stage(body: Callable[[ExperimentConfig, RunPaths], None]):
             "hash": want,
             "artifacts": [str(p.relative_to(paths.root)) for p in artifacts],
         }
-        paths.manifest.write_text(json.dumps(manifest, sort_keys=True, indent=2))
+        # Written whole, then renamed over the old one: a run killed mid-write
+        # leaves the previous manifest, not a truncated one.
+        partial = paths.manifest.with_name(paths.manifest.name + ".tmp")
+        partial.write_text(json.dumps(manifest, sort_keys=True, indent=2))
+        os.replace(partial, paths.manifest)
     return run
 
 
@@ -261,8 +262,8 @@ def stage_data(cfg: ExperimentConfig, paths: RunPaths) -> None:
 def stage_oracle(cfg: ExperimentConfig, paths: RunPaths) -> None:
     env = build_env(cfg)
     oracle = compute_feasible_set_oracle(env)
-    critic = tabular_value_iteration(oracle.model, gamma=env.gamma, tol=1e-10)
-    agreement = float(np.mean(critic.feasible_mask() == oracle.feasible))
+    q = tabular_value_iteration(oracle.model, gamma=env.gamma, tol=1e-10)
+    agreement = float(np.mean((q.min(axis=1) <= 0) == oracle.feasible))
     h_star = max(oracle.h_star, 1)
     threshold = gamma_threshold(h_star)
     warnings = list(oracle.warnings)
@@ -353,7 +354,6 @@ def stage_reward(cfg: ExperimentConfig, paths: RunPaths) -> None:
         advantages.append(reward_advantage(reward, dataset.s, dataset.a))
         _require_finite(event, reward_q_net=reward.q_net, reward_v_net=reward.v_net,
                         reward_advantages=advantages[-1])
-    save_critic(reward, paths.reward_dir)
     save_npz(paths.reward_advantages, {"advantages": np.stack(advantages)},
              {"kind": "reward-advantages"})
 

@@ -39,16 +39,10 @@ class RolloutDataRejected(TypeError):
     """Reward critics only ever see the original offline dataset."""
 
 
-def make_reward_critic(dataset: OfflineDataset, cfg: LearnSection, seed: int = 0,
-                       state_feat: Featurizer | None = None,
-                       action_feat: Featurizer | None = None) -> QVCritic:
+def make_reward_critic(dataset: OfflineDataset, cfg: LearnSection, seed: int = 0) -> QVCritic:
     """The reward Q/V pair; it trains at the policy's learning rate."""
-    if state_feat is None:
-        state_feat = normalized_featurizer(dataset.s)
-    if action_feat is None:
-        action_feat = normalized_featurizer(dataset.a)
-    return QVCritic.fresh(state_feat, action_feat, cfg.hidden, seed,
-                          "reward-critic", ("q", "v"), lr=cfg.policy_lr,
+    return QVCritic.fresh(normalized_featurizer(dataset.s), normalized_featurizer(dataset.a),
+                          cfg.hidden, seed, "reward-critic", ("q", "v"), lr=cfg.policy_lr,
                           target_rate=REWARD_TARGET_RATE)
 
 
@@ -103,7 +97,6 @@ class SafePolicy:
     low: np.ndarray
     high: np.ndarray
     lr: InitVar[float]  # held by the trainer only
-    steps_trained: int = 0
     trainer: Trainer = field(init=False, repr=False)
 
     def __post_init__(self, lr: float) -> None:
@@ -125,9 +118,8 @@ class SafePolicy:
 
 
 def make_policy(env: HardCMDP, dataset: OfflineDataset, cfg: LearnSection,
-                seed: int = 0, state_feat: Featurizer | None = None) -> SafePolicy:
-    if state_feat is None:
-        state_feat = normalized_featurizer(dataset.s)
+                seed: int = 0) -> SafePolicy:
+    state_feat = normalized_featurizer(dataset.s)
     net = Mlp([state_feat.dim, *cfg.hidden, env.d_a],
               seed=int(substream(seed, "policy-init").integers(1 << 31)))
     return SafePolicy(net=net, state_feat=state_feat,
@@ -197,7 +189,6 @@ def feasibility_guided_policy_update(
         dsquash = span * (1.0 - np.tanh(raw) ** 2)
         upstream = 2.0 * w * diff * dsquash / len(idx)
         policy.trainer.apply(policy.net.backward(upstream))
-        policy.steps_trained += 1
     return policy
 
 
@@ -254,7 +245,7 @@ def evaluate_policy(policy: SafePolicy, env: HardCMDP, episodes: int,
             a = env.clip_action(actions[ep])
             s2 = env.transition(s, a)
             returns[ep] += env.reward(s, a, s2)
-            violations[ep] += env.cost(s2)
+            violations[ep] += env.violation(s2)
             states[ep] = s2
     norm_reward = (float(np.mean(returns)) - lo) / (hi - lo)
     norm_cost = float(np.mean(violations)) / COST_SCALE
@@ -277,7 +268,6 @@ def save_policy(policy: SafePolicy, directory: str | Path) -> None:
     meta = {
         "low": policy.low.tolist(), "high": policy.high.tolist(),
         "cfg": {"lr": policy.trainer.lr},
-        "steps_trained": policy.steps_trained,
         "state_feat": policy.state_feat.to_meta(),
     }
     save_mlp({"net": policy.net}, directory / "policy.npz", meta)
@@ -288,7 +278,7 @@ def load_policy(directory: str | Path, env: HardCMDP) -> SafePolicy:
     return SafePolicy(net=nets["net"],
                       state_feat=Featurizer.from_meta(meta["state_feat"], env),
                       low=np.asarray(meta["low"]), high=np.asarray(meta["high"]),
-                      lr=meta["cfg"]["lr"], steps_trained=meta["steps_trained"])
+                      lr=meta["cfg"]["lr"])
 
 
 def reward_norm_from_dataset(dataset: OfflineDataset) -> tuple[float, float]:

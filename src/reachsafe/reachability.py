@@ -1,4 +1,4 @@
-"""The feasible Bellman backup and exact tabular reachability critics.
+"""The feasible Bellman backup and exact tabular value iteration.
 
 The backup ``(1-g) h(s) + g max(h(s), V(s'))`` with ``V(s) = min_a Q(s,a)``
 is written once, in ``feasible_backup``; its fixed point certifies
@@ -10,8 +10,6 @@ critics' Q targets both call it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,19 +67,8 @@ def reverse_expectile_grad(u, tau: float):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TabularCritic:
-    """Fixed point of a reachability operator over a finite model."""
-
-    model: TabularModel
-    q: np.ndarray            # (n_states, n_actions)
-    gamma: float
-
-    def v(self) -> np.ndarray:
-        return self.q.min(axis=1)
-
-    def feasible_mask(self) -> np.ndarray:
-        return self.v() <= 0.0
+# Sweeps before value iteration gives up: the contraction converges long before.
+MAX_SWEEPS = 200_000
 
 
 def apply_operator(q: np.ndarray, h: np.ndarray, next_idx: np.ndarray,
@@ -93,25 +80,22 @@ def apply_operator(q: np.ndarray, h: np.ndarray, next_idx: np.ndarray,
     return feasible_backup(h[:, None], q.min(axis=1)[next_idx], gamma)
 
 
-def tabular_value_iteration(
-    model: TabularModel,
-    gamma: float,
-    tol: float = 1e-9,
-    max_iters: int = 200_000,
-) -> TabularCritic:
-    """Iterate the feasible operator to its fixed point with exact minima.
+def tabular_value_iteration(model: TabularModel, gamma: float,
+                            tol: float = 1e-9) -> np.ndarray:
+    """The fixed point Q (n_states, n_actions) of the feasible operator, with
+    exact minima; ``Q.min(axis=1) <= 0`` marks the feasible states.
 
     Convergence is a sup-norm test; the operator is a gamma-contraction, so
-    failure to converge within ``max_iters`` indicates a bug and raises.
+    failure to converge within ``MAX_SWEEPS`` indicates a bug and raises.
     """
     q = np.full((model.n_states, model.n_actions), H_MIN)
-    for _ in range(max_iters):
+    for _ in range(MAX_SWEEPS):
         q_new = apply_operator(q, model.h, model.next_idx, gamma)
         delta = float(np.max(np.abs(q_new - q)))
         q = q_new
         if delta < tol:
-            return TabularCritic(model=model, q=q, gamma=gamma)
+            return q
     raise AssertionError(
-        f"value iteration failed to reach tol={tol} within {max_iters} sweeps; "
+        f"value iteration failed to reach tol={tol} within {MAX_SWEEPS} sweeps; "
         "the operator implementation violates the contraction"
     )

@@ -138,9 +138,6 @@ class ArrayRowEnv:
     def __getattr__(self, name):
         return getattr(self._env, name)
 
-    def cost(self, s: np.ndarray) -> int:
-        return int(self.violation(s))
-
     def clip_action(self, a: np.ndarray) -> np.ndarray:
         """``a`` clipped into the bounds; a NaN or infinite action raises
         rather than be clipped onto a bound or stepped as NaN."""
@@ -310,7 +307,7 @@ def collect_safe_dataset(
         for _ in range(env.horizon):
             a = env.clip_action(policy(s, rng_policy))
             s2 = env.transition(s, a)
-            if env.cost(s2) == 1:
+            if env.violation(s2) == 1:
                 intervened = True
                 n_intervened += 1
                 break
@@ -387,13 +384,13 @@ def collect_unsafe_samples(
         if len(r_rows) >= n:
             break
         s = random_state()
-        if env.cost(s) == 1:
+        if env.violation(s) == 1:
             continue  # start from a safe state so the violation is the step's doing
         a = env.clip_action(env.action_set[int(rng.integers(len(env.action_set)))]
                             if rng.random() < 0.5 else
                             rng.uniform(env.action_bounds[:, 0], env.action_bounds[:, 1]))
         s2 = env.transition(s, a)
-        if env.cost(s2) == 1:
+        if env.violation(s2) == 1:
             s_rows.append(s); a_rows.append(a)
             r_rows.append(env.reward(s, a, s2)); s2_rows.append(s2)
 
@@ -442,7 +439,7 @@ def evaluate_policy(policy, env, episodes: int,
             a = env.clip_action(actions[ep])
             s2 = env.transition(s, a)
             returns[ep] += env.reward(s, a, s2)
-            violations[ep] += env.cost(s2)
+            violations[ep] += env.violation(s2)
             states[ep] = s2
     norm_reward = (float(np.mean(returns)) - lo) / (hi - lo)
     norm_cost = float(np.mean(violations)) / COST_SCALE

@@ -21,7 +21,7 @@ from reachsafe.envs import make_double_integrator, make_hazard_gridworld
 
 def test_h_is_binary_and_matches_cost_indicator():
     env = make_hazard_gridworld(5, 5, [(2, 2)], momentum=0)
-    cost = np.array([env.cost(s) for s in env.states])
+    cost = np.array([env.violation(s) for s in env.states])
     h = h_values(cost)
     assert h.dtype == np.float64 and set(h.tolist()) == {H_MIN, H_MAX}
     assert np.array_equal((h > 0).astype(int), cost)
@@ -30,7 +30,7 @@ def test_h_is_binary_and_matches_cost_indicator():
 def test_h_defaults_on_hazard_cell():
     env = make_hazard_gridworld(5, 5, [(2, 2)], momentum=0)
     assert (H_MIN, H_MAX) == (-1.0, 1.0)
-    labels = [env.cost(np.array([2.0, 2.0])), env.cost(np.array([0.0, 0.0]))]
+    labels = [env.violation(np.array([2.0, 2.0])), env.violation(np.array([0.0, 0.0]))]
     assert h_values(labels).tolist() == [1.0, -1.0]
 
 
@@ -55,9 +55,9 @@ def test_double_integrator_dynamics_and_violation():
     env = make_double_integrator(x_lim=1.0, a_max=1.0, dt=0.1, horizon=50)
     s2 = env.transition(np.array([0.0, 0.5]), np.array([1.0]))
     assert np.allclose(s2, [0.05, 0.6])
-    assert env.cost(np.array([1.01, 0.0])) == 1
-    assert env.cost(np.array([1.0, 0.0])) == 0
-    assert env.cost(np.array([-1.2, 0.0])) == 1
+    assert env.violation(np.array([1.01, 0.0])) == 1
+    assert env.violation(np.array([1.0, 0.0])) == 0
+    assert env.violation(np.array([-1.2, 0.0])) == 1
 
 
 def test_momentum_gridworld_coasts_then_steers():
@@ -90,7 +90,7 @@ def test_margin_predicate_matches_ground_truth_at_zero():
         else:
             rng = np.random.default_rng(0)
             probe = np.stack([rng.uniform(-1.3, 1.3, 200), rng.uniform(-1, 1, 200)], axis=1)
-        assert np.array_equal(pred(probe), [env.cost(s) for s in probe])
+        assert np.array_equal(pred(probe), [env.violation(s) for s in probe])
 
 
 def test_margin_predicate_monotone_in_margin():

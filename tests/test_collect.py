@@ -29,8 +29,12 @@ def test_safe_dataset_contains_no_violation():
     assert len(ds) == 800
     assert int(ds.cost.sum()) == 0
     for i in range(len(ds)):
-        assert env.cost(ds.s[i]) == 0
-        assert env.cost(ds.s2[i]) == 0
+        assert env.violation(ds.s[i]) == 0
+        assert env.violation(ds.s2[i]) == 0
+
+
+def intervention_ends(ds) -> list[int]:
+    return [e["index"] for e in ds.meta["episode_ends"] if e["reason"] == END_INTERVENTION]
 
 
 def test_straight_driver_terminals_are_infeasible():
@@ -38,7 +42,7 @@ def test_straight_driver_terminals_are_infeasible():
     driver = integrator_behavior(env, "outward")
     ds = collect_safe_dataset(env, driver, n_transitions=400, seed=0)
     oracle = compute_feasible_set_oracle(env)
-    terminals = ds.episode_end_indices(END_INTERVENTION)
+    terminals = intervention_ends(ds)
     assert terminals, "full-throttle driving must trigger interventions"
     assert not oracle.label(ds.s2[terminals]).any()
     assert "no_infeasible_terminals" not in ds.meta
@@ -49,7 +53,7 @@ def test_always_brake_never_triggers_intervention():
     braker = integrator_behavior(env, "brake")
     ds = collect_safe_dataset(env, braker, n_transitions=300, seed=1)
     assert ds.meta.get("no_infeasible_terminals") is True
-    assert ds.episode_end_indices(END_INTERVENTION) == []
+    assert intervention_ends(ds) == []
     oracle = compute_feasible_set_oracle(env)
     assert oracle.label(ds.s[::7]).all()
 
@@ -92,7 +96,7 @@ def test_unsafe_samples_all_violate():
     assert len(ds) == 100
     assert np.all(ds.cost == 1)
     for i in range(len(ds)):
-        assert env.cost(ds.s2[i]) == 1
+        assert env.violation(ds.s2[i]) == 1
 
 
 def test_unsafe_zero_request_is_empty():
@@ -104,7 +108,7 @@ def test_unsafe_zero_request_is_empty():
 def test_unsafe_sampling_errors_on_hazard_free_env():
     env = make_hazard_gridworld(5, 5, [], momentum=0)
     with pytest.raises(UnsafeSampleShortage) as err:
-        collect_unsafe_samples(env, n=1, seed=0, step_budget=500)
+        collect_unsafe_samples(env, n=1, seed=0)
     assert err.value.found == 0
 
 

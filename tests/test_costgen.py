@@ -63,7 +63,7 @@ def test_validate_constant_predicates(grid_setup):
 def test_validate_ground_truth_with_zero_floor(grid_setup):
     env, d_safe, d_unsafe = grid_setup
     cfg = CostGenSection(p_min=0.0, p_max=0.3)
-    truth = CostCandidate(predicate=lambda s: np.array([env.cost(row) for row in s]),
+    truth = CostCandidate(predicate=lambda s: np.array([env.violation(row) for row in s]),
                           provenance="manual")
     report = validate(truth, d_unsafe, d_safe, cfg)
     assert report.recall_unsafe == 1.0
@@ -109,7 +109,7 @@ def test_scripted_margin_zero_equals_ground_truth(grid_setup):
     cand = ScriptedMarginProposer(env, step=1.0)(0, None)
     assert cand.margin == 0.0
     probe = env.states[::7]
-    assert np.array_equal(cand.predicate(probe), [env.cost(s) for s in probe])
+    assert np.array_equal(cand.predicate(probe), [env.violation(s) for s in probe])
 
 
 def test_scripted_margin_shrinks_on_too_conservative(grid_setup):

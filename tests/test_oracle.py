@@ -8,7 +8,7 @@ from reachsafe.tabular import build_model
 def test_gridworld_without_momentum_infeasible_equals_hazards():
     env = make_hazard_gridworld(5, 5, [(2, 2)], momentum=0)
     oracle = compute_feasible_set_oracle(env)
-    hazard_mask = np.array([env.cost(s) == 1 for s in env.states])
+    hazard_mask = np.array([env.violation(s) == 1 for s in env.states])
     assert np.array_equal(oracle.infeasible, hazard_mask)
     # Standing still is legal, so (2,1) right next to the hazard is fine.
     assert oracle.label(np.array([[2.0, 1.0]]))[0]
@@ -28,7 +28,7 @@ def test_momentum_creates_safe_but_doomed_states():
     # Adjacent cell, moving straight into the hazard: the coast step is fatal.
     doomed = np.array([1.0, 2.0, 1.0, 0.0])
     assert not oracle.label(doomed[None])[0]
-    assert env.cost(doomed) == 0
+    assert env.violation(doomed) == 0
     # Same cell at rest is fine.
     assert oracle.label(np.array([[1.0, 2.0, 0.0, 0.0]]))[0]
     # Hazard cells themselves are infeasible with distance zero.

@@ -17,7 +17,6 @@ from reachsafe.config import build_env, default_config, save_config
 from reachsafe.costgen import CostCandidate, load_final_candidate
 from reachsafe.critics import (
     FeasibilityCritic,
-    QVCritic,
     load_critic,
     make_feasibility_critic,
     save_critic,
@@ -25,7 +24,7 @@ from reachsafe.critics import (
 )
 from reachsafe.envs import behavior_mixture, make_double_integrator
 from reachsafe.pipeline import StageMismatch, run_pipeline
-from reachsafe.policy import REWARD_TARGET_RATE, make_reward_critic, update_reward_critic
+from reachsafe.policy import REWARD_TARGET_RATE, make_reward_critic
 from reachsafe.rollout import relabel_offline
 
 from helpers import chat_reply, loopback
@@ -433,16 +432,24 @@ def test_export_heatmap_without_cost_history_is_a_missing_artifact(run_dir, caps
 def _rewrite_cfg(path, cfg_meta, **fields):
     """Rewrite a checkpoint's metadata with exactly the former keys."""
     nets, meta = load_mlp(path)
-    former = ("kind", "low", "high", "steps_trained", "state_feat", "action_feat")
+    former = ("low", "high", "state_feat", "action_feat")
     save_mlp(nets, path, {**{k: meta[k] for k in former if k in meta}, "cfg": cfg_meta,
                           **fields})
 
 
+def _files(root):
+    """Bytes and modification time of every file under ``root``, by path."""
+    return {p.relative_to(root): (p.read_bytes(), p.stat().st_mtime_ns)
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 def test_checkpoints_that_keep_the_whole_learn_config_still_load(run_dir, capsys):
-    # Checkpoints written before the learn settings moved to config.py
-    # carry every setting of their consumer under "cfg", and a feasibility
-    # critic's file the h_min/h_max keys no longer written; a resumed run
-    # still evaluates and draws them.
+    # A run directory in a former format. Its checkpoints carry every
+    # setting of their consumer under "cfg" and a "steps_trained" count; the
+    # feasibility critic's file also a "kind" and the h_min/h_max keys. Its
+    # reward stage also saved the reward critic, which the manifest lists
+    # and nothing reads. The run resumes with no stage run and no file
+    # changed, and it still evaluates and draws as before.
     cfg = tiny_config()
     lc, paths = cfg.learn, pipeline.RunPaths(run_dir)
     save_config(cfg, run_dir / "cfg.txt")
@@ -454,24 +461,69 @@ def test_checkpoints_that_keep_the_whole_learn_config_still_load(run_dir, capsys
         "gamma": lc.critic_gamma, "tau": lc.critic_tau, "lr": lc.critic_lr,
         "batch_size": lc.batch_size, "target_rate": lc.critic_target_rate,
         "hidden": lc.hidden, "include_rollout_in_v": lc.include_rollout_in_v,
-        "rollout_batch_fraction": lc.rollout_batch_fraction}, h_min=-1.0, h_max=1.0)
-    _rewrite_cfg(paths.reward_dir / "critic.npz", {
-        **common, "gamma": lc.reward_gamma, "expectile": lc.reward_expectile,
-        "target_rate": REWARD_TARGET_RATE}, kind="RewardCritic")
+        "rollout_batch_fraction": lc.rollout_batch_fraction},
+        kind="FeasibilityCritic", steps_trained=lc.total_steps, h_min=-1.0, h_max=1.0)
     _rewrite_cfg(paths.policy_dir(cfg) / "policy.npz", {
-        **common, "temperature": lc.policy_temperature, "weight_clip": lc.policy_weight_clip})
-
+        **common, "temperature": lc.policy_temperature, "weight_clip": lc.policy_weight_clip},
+        steps_trained=lc.total_steps)
+    reward = make_reward_critic(load_dataset(paths.dataset), lc)
+    nets = {name: getattr(reward, name) for name in ("q_net", "v_net", "q_target", "v_target")}
+    (run_dir / "reward_critic").mkdir()
+    save_mlp(nets, run_dir / "reward_critic" / "critic.npz",
+             {"kind": "QVCritic", "steps_trained": lc.total_steps,
+              "cfg": {"lr": lc.policy_lr, "target_rate": REWARD_TARGET_RATE},
+              "state_feat": reward.state_feat.to_meta(),
+              "action_feat": reward.action_feat.to_meta()})
     manifest = json.loads(paths.manifest.read_text())
+    manifest["stages"]["reward"]["artifacts"].append("reward_critic/critic.npz")
+    paths.manifest.write_text(json.dumps(manifest, sort_keys=True, indent=2))
+
+    files = _files(run_dir)
+    run_pipeline(cfg, run_dir)
+    assert _files(run_dir) == files
+    assert cli.main(heatmap) == 0
+    assert paths.heatmap(cfg).read_bytes() == before[0]
+
+    # The policy in the former format evaluates as it did.
     del manifest["stages"]["evaluate:full"]
     paths.manifest.write_text(json.dumps(manifest))
     paths.eval_csv(cfg).unlink()
     run_pipeline(cfg, run_dir)
-    assert cli.main(heatmap) == 0
-    assert (paths.heatmap(cfg).read_bytes(), paths.eval_csv(cfg).read_bytes()) == before
+    assert paths.eval_csv(cfg).read_bytes() == before[1]
     critic = load_critic(paths.critic_dir(cfg), build_env(cfg))
-    reward = load_critic(paths.reward_dir, build_env(cfg))
     assert (critic.q_trainer.lr, critic.target_rate) == (lc.critic_lr, lc.critic_target_rate)
-    assert (reward.v_trainer.lr, reward.target_rate) == (lc.policy_lr, REWARD_TARGET_RATE)
+
+
+class _Killed(BaseException):
+    """Stands in for a signal that ends the process."""
+
+
+def test_a_run_killed_while_writing_the_manifest_resumes(full_run, tmp_path, monkeypatch):
+    # The kill lands halfway through the third stage's manifest write. The
+    # next command in the directory resumes from the manifest as it stood
+    # and ends where an uninterrupted run does.
+    cfg, run = tiny_config(), tmp_path / "run"
+    save_config(cfg, tmp_path / "cfg.txt")
+    write_text, writes = Path.write_text, []
+
+    def killed_halfway(self, data, *args, **kwargs):
+        if self.name.startswith("manifest"):
+            writes.append(self)
+            if len(writes) == 3:
+                write_text(self, data[:len(data) // 2], *args, **kwargs)
+                raise _Killed
+        return write_text(self, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", killed_halfway)
+    with pytest.raises(_Killed):
+        run_pipeline(cfg, run)
+    monkeypatch.undo()
+    assert sorted(json.loads((run / "manifest.json").read_text())["stages"]) == [
+        "data", "oracle"]
+    assert cli.main(["run", "--config", str(tmp_path / "cfg.txt"), "--out", str(run)]) == 0
+    paths = pipeline.RunPaths(run)
+    assert paths.eval_csv(cfg).read_bytes() == pipeline.RunPaths(full_run).eval_csv(
+        cfg).read_bytes()
 
 
 def test_oracle_warnings_stay_out_of_stdout_json(tmp_path, capsys):
@@ -546,25 +598,9 @@ def test_feasibility_critic_roundtrip_keeps_config_and_floor(integrator, tmp_pat
     assert isinstance(back, FeasibilityCritic)
     assert (back.q_trainer.lr, back.v_trainer.lr, back.target_rate) == (
         critic.q_trainer.lr, critic.v_trainer.lr, critic.target_rate)
-    assert back.cost_fn is floor and back.steps_trained == 3
+    assert back.cost_fn is floor and critic.q_trainer.step == 3
     assert_same_nets(back, critic)
     probe = np.array([[0.97, 0.5], [0.0, 0.0], [-0.5, -0.9]])
     assert np.array_equal(back.v_values(probe), critic.v_values(probe))
     assert np.array_equal(back.q_values(data.s[:8], data.a[:8]),
                           critic.q_values(data.s[:8], data.a[:8]))
-
-
-def test_reward_critic_roundtrip(integrator, tmp_path):
-    env, data = integrator
-    learn = replace(default_config("double_integrator").learn, hidden=[16, 16], batch_size=64)
-    reward = make_reward_critic(data, learn, seed=2)
-    update_reward_critic(reward, data, steps=3, cfg=learn)
-    save_critic(reward, tmp_path / "reward")
-    back = load_critic(tmp_path / "reward", env)
-    assert type(back) is QVCritic
-    assert (back.q_trainer.lr, back.v_trainer.lr, back.target_rate, back.steps_trained) == (
-        reward.q_trainer.lr, reward.v_trainer.lr, reward.target_rate, 3)
-    assert_same_nets(back, reward)
-    assert np.array_equal(back.q_values(data.s[:8], data.a[:8]),
-                          reward.q_values(data.s[:8], data.a[:8]))
-

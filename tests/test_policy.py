@@ -10,6 +10,7 @@ from reachsafe.collect import collect_safe_dataset
 from reachsafe.cmdp import H_MAX, H_MIN, MIXED, OfflineDataset, SAFE_ONLY, cost_labels
 from reachsafe.config import default_config
 from reachsafe.critics import (
+    QVCritic,
     make_feasibility_critic,
     onehot_action_featurizer,
     onehot_state_featurizer,
@@ -22,6 +23,7 @@ from reachsafe.policy import (
     REWARD_TARGET_RATE,
     EvalReport,
     RolloutDataRejected,
+    SafePolicy,
     bc_weights,
     evaluate_policy,
     feasibility_guided_policy_update,
@@ -252,7 +254,7 @@ def test_a_window_updates_the_critic_as_its_stacked_buffer_does(request, world, 
                                stream=("event", 1))
     update_feasibility_critics(want, rows, [stack_buffers(window)], steps=25, cfg=cfg,
                                seed=5, stream=("event", 1))
-    assert got.steps_trained == want.steps_trained == 25
+    assert got.q_trainer.step == want.q_trainer.step == 25
     for name in ("q_net", "v_net", "q_target", "v_target"):
         assert_same_bits(getattr(got, name).params, getattr(want, name).params)
     assert not np.array_equal(got.q_net.params, make_feasibility_critic(
@@ -327,7 +329,7 @@ def test_one_backup_path_equals_the_two_path_update_bit_for_bit(request, world, 
     update_feasibility_critics(got, rows, window, steps=25, cfg=cfg, seed=5,
                                stream=("event", 1))
     _two_path_update(want, data, cost_fn, window, 25, cfg, seed=5, stream=("event", 1))
-    assert got.steps_trained == want.steps_trained == 25
+    assert got.q_trainer.step == want.q_trainer.step == 25
     for name in ("q_net", "v_net", "q_target", "v_target"):
         assert_same_bits(getattr(got, name).params, getattr(want, name).params)
 
@@ -343,7 +345,7 @@ def test_critic_rows_are_no_cloning_or_reward_data(integrator):
                                          cfg=LEARN, h_s=rows.h_s)
     with pytest.raises(RolloutDataRejected):
         update_reward_critic(make_reward_critic(data, LEARN), rows, steps=1, cfg=LEARN)
-    assert policy.steps_trained == 0
+    assert policy.trainer.step == 0
 
 
 def test_bc_weights_gate_blocks_positive_qh(integrator):
@@ -436,7 +438,7 @@ def test_policy_update_trains_and_respects_bounds(integrator):
     acts = policy.act_batch(data.s[:200])
     assert acts.min() >= env.action_bounds[0, 0] - 1e-9
     assert acts.max() <= env.action_bounds[0, 1] + 1e-9
-    assert policy.steps_trained == 300
+    assert policy.trainer.step == 300
 
 
 def test_policy_update_rejects_empty_batch(integrator):
@@ -458,12 +460,14 @@ def test_greedy_actions_stay_feasible_with_oracle_critic():
     mix = behavior_mixture(env, [("goal_greedy", 0.5), ("random", 0.5)])
     data = collect_safe_dataset(env, mix, n_transitions=2500, seed=4)
     model = tabulate(env)
-    exact = tabular_value_iteration(model, gamma=0.95, tol=1e-12)
-    v_exact = exact.v()
+    q_exact = tabular_value_iteration(model, gamma=0.95, tol=1e-12)
+    v_exact = q_exact.min(axis=1)
 
-    reward = make_reward_critic(data, LEARN, seed=0,
-                                state_feat=onehot_state_featurizer(env),
-                                action_feat=onehot_action_featurizer(env))
+    # The reward pair and the policy read one-hot states, as the critics do.
+    state_feat = onehot_state_featurizer(env)
+    reward = QVCritic.fresh(state_feat, onehot_action_featurizer(env), LEARN.hidden, 0,
+                            "reward-critic", ("q", "v"), lr=LEARN.policy_lr,
+                            target_rate=REWARD_TARGET_RATE)
     update_reward_critic(critic=reward, offline=data, cfg=LEARN, steps=400, seed=0)
 
     class OracleCritic:
@@ -474,10 +478,12 @@ def test_greedy_actions_stay_feasible_with_oracle_critic():
             s, a = np.atleast_2d(s), np.atleast_2d(a)
             ai = [int(np.argmin(np.sum((env.action_set - arow) ** 2, axis=1)))
                   for arow in a]
-            return exact.q[env.state_index(s), ai]
+            return q_exact[env.state_index(s), ai]
 
-    policy = make_policy(env, data, replace(LEARN, policy_lr=1e-3), seed=0,
-                         state_feat=onehot_state_featurizer(env))
+    net = Mlp([state_feat.dim, *LEARN.hidden, env.d_a],
+              seed=int(substream(0, "policy-init").integers(1 << 31)))
+    policy = SafePolicy(net=net, state_feat=state_feat, low=env.action_bounds[:, 0].copy(),
+                        high=env.action_bounds[:, 1].copy(), lr=1e-3)
     feasibility_guided_policy_update(policy, reward_advantage(reward, data.s, data.a),
                                      OracleCritic(), data, steps=800, cfg=LEARN, seed=0)
     feasible_states = env.states[v_exact[env.state_index(env.states)] <= 0]
@@ -514,7 +520,7 @@ def reference_evaluate(policy, env, episodes, reward_norm, seed):
             a = env.clip_action(policy.act_batch(np.array([s]))[0])
             s2 = env.transition(s, a)
             total_r += env.reward(s, a, s2)
-            total_c += env.cost(s2)
+            total_c += env.violation(s2)
             s = s2
         returns.append(total_r)
         violations.append(total_c)

@@ -115,8 +115,7 @@ def test_value_iteration_exact_values_from_oracle_distances():
     env = make_hazard_gridworld(5, 5, [(2, 2)], momentum=1, gamma=0.99)
     model = tabulate(env)
     oracle = compute_feasible_set_oracle(env)
-    critic = tabular_value_iteration(model, gamma=0.99, tol=1e-12)
-    v = critic.v()
+    v = tabular_value_iteration(model, gamma=0.99, tol=1e-12).min(axis=1)
     expected = np.where(
         oracle.feasible, -1.0, -1.0 + (0.99 ** np.maximum(oracle.distance, 0)) * 2.0
     )
@@ -125,17 +124,17 @@ def test_value_iteration_exact_values_from_oracle_distances():
 
 def test_value_iteration_sign_matches_oracle_on_gridworld():
     env = make_hazard_gridworld(6, 5, [(2, 2), (4, 3)], momentum=1, gamma=0.99)
-    critic = tabular_value_iteration(tabulate(env), gamma=0.99)
+    q = tabular_value_iteration(tabulate(env), gamma=0.99)
     oracle = compute_feasible_set_oracle(env)
-    assert np.array_equal(critic.feasible_mask(), oracle.feasible)
+    assert np.array_equal(q.min(axis=1) <= 0.0, oracle.feasible)
 
 
 def test_hazard_states_saturate_at_h_max():
     env = make_hazard_gridworld(5, 5, [(2, 2)], momentum=0, gamma=0.9)
     model = tabulate(env)
-    critic = tabular_value_iteration(model, gamma=0.9)
+    q = tabular_value_iteration(model, gamma=0.9)
     hazard_idx = env.state_index(np.array([[2.0, 2.0]]))[0]
-    assert np.allclose(critic.q[hazard_idx], 1.0)
+    assert np.allclose(q[hazard_idx], 1.0)
 
 
 def test_violation_distance_lower_bound_plugin():
@@ -147,7 +146,7 @@ def test_violation_distance_bound_holds_on_gridworld():
     env = make_hazard_gridworld(5, 5, [(2, 2)], momentum=1, gamma=0.95)
     model = tabulate(env)
     oracle = compute_feasible_set_oracle(env)
-    critic = tabular_value_iteration(model, gamma=0.95, tol=1e-12)
+    q = tabular_value_iteration(model, gamma=0.95, tol=1e-12)
     bound = -1.0 + (0.95 ** oracle.h_star) * 2.0
-    q_infeasible = critic.q[oracle.infeasible]
+    q_infeasible = q[oracle.infeasible]
     assert np.all(q_infeasible >= bound - 1e-9)

@@ -154,7 +154,7 @@ def test_relabelled_rows_view_the_dataset_and_leave_it_as_it_is(setup, relabel):
 
 def test_relabel_ground_truth_on_safe_data_changes_nothing(setup):
     env, data, _ = setup
-    relabeled = relabel_offline(data, lambda s: np.array([env.cost(row) for row in s]))
+    relabeled = relabel_offline(data, lambda s: np.array([env.violation(row) for row in s]))
     assert int(relabeled.label.sum()) == 0
     assert np.all(relabeled.h_s == -1.0)
 
@@ -254,12 +254,12 @@ def test_critic_update_refuses_a_window_whose_elite_means_disagree(setup):
     rows = relabel_offline(data, critic.cost_fn)
     with pytest.raises(ValueError, match=r"disagree on elite_next's \(n_elites, d_s\)"):
         update_feasibility_critics(critic, rows, [first, fewer], steps=1, cfg=learn)
-    assert critic.steps_trained == 0
+    assert critic.q_trainer.step == 0
     # An empty buffer adds no rows, so its elite means are never read.
     nothing = replace(first, **{name: getattr(first, name)[:0] for name in COLUMNS},
                       elite_next=None)
     update_feasibility_critics(critic, rows, [first, nothing, second], steps=1, cfg=learn)
-    assert critic.steps_trained == 1
+    assert critic.q_trainer.step == 1
 
 
 def test_rollout_epochs_in_threads_equal_the_serial_loop(setup, monkeypatch):
