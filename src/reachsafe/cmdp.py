@@ -240,7 +240,7 @@ def empty_dataset(env: HardCMDP, tag: str, seed: int) -> OfflineDataset:
 
 # ---------------------------------------------------------------------------
 # Array artifacts: one .npz of named arrays plus a JSON ``meta`` string, read
-# without pickle. Datasets, rollout buffers and model checkpoints use it.
+# without pickle. Datasets, reward advantages and model checkpoints use it.
 # ---------------------------------------------------------------------------
 
 

@@ -150,8 +150,9 @@ def generation_loop(
 ) -> tuple[CostCandidate, list[Round]]:
     """Propose, validate, feed back, repeat; at most ``max_queries`` calls.
 
-    A failed proposer call is recorded in the history and counts against
-    the budget; the next call reuses the same feedback.
+    A failed proposer call, or a candidate whose predicate raises on a
+    corpus state, is recorded in the history and counts against the budget;
+    the next call reuses the same feedback.
     """
     history: list[Round] = []
     feedback: str | None = None
@@ -159,10 +160,14 @@ def generation_loop(
     for idx in range(cfg.max_queries):
         try:
             candidate = proposer(idx, feedback)
+            try:
+                report = validate(candidate, d_unsafe, d_safe, cfg)
+            except Exception as err:  # noqa: BLE001 - any runtime fault fails the round
+                raise ProposerError("predicate crashed on a corpus state: "
+                                    f"{type(err).__name__}: {err}") from err
         except ProposerError as err:
             history.append(Round(index=idx, feedback_sent=feedback, error=str(err)))
             continue
-        report = validate(candidate, d_unsafe, d_safe, cfg)
         candidate.report = report
         history.append(Round(index=idx, candidate=candidate, feedback_sent=feedback))
         if report.passed:

@@ -234,7 +234,7 @@ def update_feasibility_critics(
     step draws ``batch_size``; ``rollouts`` the rollout window's event
     buffers (empty: no rollouts), of which it draws the rollout share. A
     source's non-empty buffers are read in place, their rows indexed as if
-    concatenated, and must carry successors (``elite_next``) of one
+    concatenated, and their successors (``elite_next``) must share one
     (n_elites, d_s). Every row is backed up as ``feasible_backup(h_s,
     max(floor(label), max over its successors of V_target), gamma)``; the
     floor is the stored label's ``h_values``, so no predicate runs.
@@ -274,13 +274,11 @@ def update_feasibility_critics(
 
 
 class _Source:
-    """Buffers of one row source, featurized and labelled once per update
-    call; a step draws ``share`` rows, and V trains on them when ``in_v``."""
+    """One row source's buffers, read in place, featurized and labelled once
+    per update call; a step draws ``share`` rows, and V trains on them when ``in_v``."""
 
     def __init__(self, critic: FeasibilityCritic, buffers: list[RolloutBuffer],
                  share: int, in_v: bool) -> None:
-        if any(b.elite_next is None for b in buffers):
-            raise ValueError("rollout buffer has no elite_next (a saved buffer drops it)")
         shapes = {(b.elite_next.shape[0], b.elite_next.shape[2]) for b in buffers}
         if len(shapes) > 1:
             raise ValueError(f"rollout buffers disagree on elite_next's (n_elites, d_s): "

@@ -25,7 +25,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -60,13 +60,7 @@ from .policy import (
     update_reward_critic,
 )
 from .reachability import gamma_threshold, tabular_value_iteration
-from .rollout import (
-    RolloutConfig,
-    branched_rollout,
-    relabel_offline,
-    save_rollout_buffer,
-    stack_buffers,
-)
+from .rollout import RolloutConfig, branched_rollout, relabel_offline
 from .seeding import child_seed
 
 
@@ -191,9 +185,6 @@ class RunPaths:
 
     def policy_dir(self, cfg: ExperimentConfig) -> Path:
         return self.variant_dir(cfg) / "policy"
-
-    def rollout_buffer(self, cfg: ExperimentConfig) -> Path:
-        return self.variant_dir(cfg) / "rollout_buffer.npz"
 
     def eval_csv(self, cfg: ExperimentConfig) -> Path:
         return self.variant_dir(cfg) / "eval.csv"
@@ -385,22 +376,17 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
         batch=lc.rollout_batch, horizon=lc.rollout_horizon, epochs=lc.rollout_epochs,
         noise_std=0.0 if "det-rollout" in cfg.ablations else lc.rollout_noise_std,
     )
-    events: list = []  # one buffer per rollout event
+    window: list = []  # the last ``rollout_window`` events' buffers, nothing older
     for event, steps in enumerate(_event_steps(lc)):
         if ensemble is not None:
-            events.append(branched_rollout(
+            new = branched_rollout(
                 policy.act_batch, dataset, ensemble, candidate.predicate, rcfg,
                 seed=child_seed(seed, "learn", "rollout"), event=event,
-                action_bounds=env.action_bounds))
-            if len(events) > lc.rollout_window:
-                # Only the window's elite means are read again; the saved
-                # buffer drops them.
-                gone = -lc.rollout_window - 1
-                events[gone] = replace(events[gone], elite_next=None)
+                action_bounds=env.action_bounds)
+            window = [*window, new][-lc.rollout_window:]
         if critic is not None:
             # The window's own buffers, read in place (none without rollouts).
-            update_feasibility_critics(critic, rows, events[-lc.rollout_window:],
-                                       steps=steps, cfg=lc,
+            update_feasibility_critics(critic, rows, window, steps=steps, cfg=lc,
                                        seed=child_seed(seed, "learn", "feas"),
                                        stream=("event", event))
             _require_finite(event, critic_q_net=critic.q_net, critic_v_net=critic.v_net)
@@ -415,11 +401,6 @@ def stage_learn(cfg: ExperimentConfig, paths: RunPaths) -> None:
     if critic is not None:
         save_critic(critic, paths.critic_dir(cfg))
     save_policy(policy, paths.policy_dir(cfg))
-    if ensemble is not None:
-        # The saved file drops the elite means: let them go before stacking.
-        events = [replace(b, elite_next=None) for b in events]
-        save_rollout_buffer(stack_buffers(events),
-                            paths.rollout_buffer(cfg), meta={"variant": cfg.variant()})
 
 
 @_stage

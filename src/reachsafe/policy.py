@@ -49,9 +49,6 @@ def make_reward_critic(dataset: OfflineDataset, cfg: LearnSection, seed: int = 0
 def _reject_rollout_data(data) -> None:
     if isinstance(data, RolloutBuffer):
         raise RolloutDataRejected("reward critic update received rollout data")
-    meta = getattr(data, "meta", {})
-    if isinstance(meta, dict) and meta.get("kind") == "rollout-buffer":
-        raise RolloutDataRejected("reward critic update received rollout data")
 
 
 def update_reward_critic(critic: QVCritic, offline: OfflineDataset,

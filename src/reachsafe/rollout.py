@@ -5,19 +5,18 @@ action, step through the learned ensemble, and return as buffer rows the
 steps of every branch whose conservative labels ever fire. A step is
 flagged when any elite's mean successor is flagged (the any-elite rule),
 the label the rows carry into critic training. Relabelled offline
-transitions are critic rows of the same type.
+transitions are critic rows of the same type. Buffers live in memory
+only: the learn stage keeps the rollout window's and writes none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .cmdp import (H_MIN, ConfigurationError, OfflineDataset, Predicate, cost_labels, h_values,
-                   load_npz, save_npz)
+from .cmdp import H_MIN, ConfigurationError, OfflineDataset, Predicate, cost_labels, h_values
 from .dynamics import EnsembleDynamics, conservative_cost_label_batch, sample_next_batch
 from .seeding import ordered_map, substream
 
@@ -42,27 +41,22 @@ class RolloutConfig:
 class RolloutBuffer:
     """Critic rows as columns: rollout steps, with one successor per elite,
     or offline transitions (``relabel_offline``), with one, the dataset's
-    ``s2``, and their own index as ``origin``. ``h_s`` is h(s') on rollout
-    rows and h(s) on offline rows. ``elite_next`` is not saved and loads as None.
+    ``s2``. ``h_s`` is h(s') on rollout rows and h(s) on offline rows.
     """
 
-    s: np.ndarray                          # (rows, d_s)
-    a: np.ndarray                          # (rows, d_a)
-    label: np.ndarray                      # (rows,) label of the successors (any-elite on
-                                           # rollout rows): the backup's successor floor
-    h_s: np.ndarray                        # (rows,) H_MAX or H_MIN (``h_values``)
-    origin: np.ndarray                     # (rows,) index into the start-state pool
-    elite_next: np.ndarray | None = None   # (n_elites, rows, d_s) successors
+    s: np.ndarray            # (rows, d_s)
+    a: np.ndarray            # (rows, d_a)
+    label: np.ndarray        # (rows,) label of the successors (any-elite on
+                             # rollout rows): the backup's successor floor
+    h_s: np.ndarray          # (rows,) H_MAX or H_MIN (``h_values``)
+    elite_next: np.ndarray   # (n_elites, rows, d_s) successors
 
     def __post_init__(self) -> None:
-        n = len(self.label)
-        rows = {name: len(getattr(self, name)) for name in ("s", "a", "h_s", "origin")}
-        if self.elite_next is not None:
-            shape = self.elite_next.shape
-            if len(shape) != 3 or shape[2:] != self.s.shape[1:]:
-                raise ConfigurationError(f"column elite_next has shape {shape}, not "
-                                         f"(n_elites, rows, d_s) for s of shape {self.s.shape}")
-            rows["elite_next"] = shape[1]
+        n, shape = len(self.label), self.elite_next.shape
+        if len(shape) != 3 or shape[2:] != self.s.shape[1:]:
+            raise ConfigurationError(f"column elite_next has shape {shape}, not "
+                                     f"(n_elites, rows, d_s) for s of shape {self.s.shape}")
+        rows = {"s": len(self.s), "a": len(self.a), "h_s": len(self.h_s), "elite_next": shape[1]}
         for name, m in rows.items():
             if m != n:
                 raise ConfigurationError(f"column {name} has {m} rows, label has {n}")
@@ -86,8 +80,8 @@ def branched_rollout(
 
     ``policy`` maps a batch of states to a batch of actions. Start states
     are drawn uniformly without replacement (per epoch) from the dataset's
-    states plus its episode terminals. A kept branch gives ``horizon`` rows
-    with one ``origin``, the first its start state. A row's label is the
+    states plus its episode terminals. A kept branch gives ``horizon``
+    adjacent rows, the first its start state. A row's label is the
     conservative any-elite label of its successor, and ``h_s`` is its
     ``h_values``: h(s'), where ``relabel_offline``'s rows hold h(s). Noise,
     elite choice and Gaussian sampling all derive from (seed, event,
@@ -130,51 +124,33 @@ def branched_rollout(
         return RolloutBuffer(
             s=steps_s[kept].reshape(-1, d_s), a=steps_a[kept].reshape(-1, d_a),
             label=label, h_s=h_values(label),
-            origin=np.repeat(starts[kept], cfg.horizon),
             elite_next=steps_m[:, kept].reshape(n_elites, -1, d_s))
 
     return stack_buffers(ordered_map(run_epoch, range(cfg.epochs)))
 
 
 def stack_buffers(buffers: Sequence[RolloutBuffer]) -> RolloutBuffer:
-    """Row-concatenation of buffers, in order. The elite means are stacked
-    only when every buffer carries them; otherwise the result has None.
+    """Row-concatenation of buffers, in order, elite means included.
 
-    Its users are a rollout event, which stacks its epochs, and the learn
-    stage's saved buffer; the critic update reads the rollout window's
-    buffers in place instead.
+    A rollout event stacks its epochs with it; the critic update reads the
+    rollout window's buffers in place instead.
     """
     columns = {name: np.concatenate([getattr(b, name) for b in buffers])
-               for name in _BUFFER_COLUMNS}
-    elite = [b.elite_next for b in buffers]
-    elite_next = None if any(e is None for e in elite) else np.concatenate(elite, axis=1)
-    return RolloutBuffer(**columns, elite_next=elite_next)
+               for name in ("s", "a", "label", "h_s")}
+    return RolloutBuffer(**columns,
+                         elite_next=np.concatenate([b.elite_next for b in buffers], axis=1))
 
 
 def relabel_offline(dataset: OfflineDataset, cost_fn: Predicate | None) -> RolloutBuffer:
     """The dataset's transitions as critic rows, each with one successor,
     ``s2``: ``label`` is ``cost_fn`` at ``s2`` and ``h_s`` the h label of
     ``s``, or without ``cost_fn`` (``no-relabel``) the dataset's cost and
-    H_MIN. Row i starts from state i of the start pool; no column is copied."""
+    H_MIN. No column is copied."""
     if cost_fn is None:
         label, h_s = dataset.cost, np.full(len(dataset), H_MIN)
     else:
         label = cost_labels(cost_fn, dataset.s2)
         h_s = h_values(cost_labels(cost_fn, dataset.s))
     return RolloutBuffer(s=dataset.s, a=dataset.a, label=label, h_s=h_s,
-                         origin=np.arange(len(dataset)), elite_next=dataset.s2[None])
+                         elite_next=dataset.s2[None])
 
-
-_BUFFER_COLUMNS = ("s", "a", "label", "h_s", "origin")
-
-
-def save_rollout_buffer(buffer: RolloutBuffer, path: str | Path,
-                        meta: dict | None = None) -> None:
-    """One ``.npz`` of the buffer columns plus a JSON meta string."""
-    save_npz(path, {name: getattr(buffer, name) for name in _BUFFER_COLUMNS},
-             {"kind": "rollout-buffer", "meta": meta or {}, "n": len(buffer)})
-
-
-def load_rollout_buffer(path: str | Path) -> RolloutBuffer:
-    arrays, _ = load_npz(path, "rollout-buffer")
-    return RolloutBuffer(**{name: arrays[name] for name in _BUFFER_COLUMNS})

@@ -280,6 +280,24 @@ def test_remote_loop_with_canned_replies_is_reproducible(grid_setup):
     assert final_a.report.passed == final_b.report.passed
 
 
+def test_a_predicate_that_crashes_on_a_corpus_state_fails_only_its_round(grid_setup):
+    # x = 2 is a hazard column, so the unsafe corpus holds states where the
+    # first reply divides by zero; the preflight's one initial state does not.
+    env, d_safe, d_unsafe = grid_setup
+    cfg = CostGenSection(max_queries=3)
+    crashing = "1 if 1 / (x - 2) > 0 else 0"
+    band = "1 if (abs(x - 2) + abs(y - 2) <= 2) or (abs(x - 4) + abs(y - 4) <= 2) else 0"
+    replies = [f"```python\n{crashing}\n```", f"```python\n{band}\n```"]
+    proposer = RemoteChatProposer(REPLAY, env, transport=_canned_transport(replies))
+    final, history = generation_loop(proposer, d_unsafe, d_safe, cfg)
+    assert final.source == band and final.report.recall_unsafe == 1.0
+    assert len(history) == 2
+    assert history[0].candidate is None
+    assert history[0].error.startswith("predicate crashed on a corpus state: ZeroDivisionError")
+    assert history[1].error is None
+    assert history[0].feedback_sent is None and history[1].feedback_sent is None
+
+
 def test_candidate_record_roundtrip(grid_setup, tmp_path):
     env, d_safe, d_unsafe = grid_setup
     cfg = CostGenSection()

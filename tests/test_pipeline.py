@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import json
 import shutil
@@ -170,14 +171,15 @@ def needed_stages(perfbench_module):
     return perfbench_module("workload").needed_stages
 
 
-def test_benchmark_probes_find_every_binding_but_the_two_stale_ones(perfbench_module):
-    # A renamed binding leaves its probe reading zero; only the two probes
+def test_benchmark_probes_find_every_binding_but_the_three_stale_ones(perfbench_module):
+    # A renamed binding leaves its probe reading zero; only the three probes
     # of deleted code may be missing.
     spans = perfbench_module("spans")
     learn = pipeline.stage_learn
     with spans.instrument(spans.StageProbe(), spans.Tracer()) as missing:
         assert pipeline.stage_learn is not learn
     assert sorted(missing) == ["reachsafe.pipeline.flatten_branches",
+                               "reachsafe.pipeline.save_rollout_buffer",
                                "reachsafe.policy.soft_update"]
     assert pipeline.stage_learn is learn
 
@@ -209,38 +211,33 @@ def test_benchmark_probes_count_from_the_config_the_run_uses(tmp_path, perfbench
 
 
 def test_critic_updates_read_the_rollout_window_in_place(tmp_path, monkeypatch):
-    # Each update gets the very buffers the last W rollouts returned, elite
-    # means intact; the saved buffer is stacked once every elite mean is let
-    # go. Only weak references are kept here, so none is held alive.
+    # Each update gets the very buffers the last W rollouts returned, and
+    # the rows of every older event are already freed: nothing keeps them.
+    # Only weak references are kept here, so none is held alive.
     cfg = tiny_config()
     cfg.learn.total_steps = 6  # three rollout events through a window of two
     width = cfg.learn.rollout_window
-    rollouts, windows, held = [], [], []
+    rollouts, windows, freed = [], [], []
     roll, update = pipeline.branched_rollout, pipeline.update_feasibility_critics
-    stack = pipeline.stack_buffers
 
     def rolled(*args, **kwargs):
         buffer = roll(*args, **kwargs)
-        rollouts.append((weakref.ref(buffer), weakref.ref(buffer.elite_next)))
+        rollouts.append((weakref.ref(buffer), weakref.ref(buffer.s)))
         return buffer
 
     def updated(critic, offline, window, *args, **kwargs):
         last = rollouts[-width:]
         windows.append(len(window) == len(last) and all(
-            b is buffer() and b.elite_next is means() and means() is not None
-            for b, (buffer, means) in zip(window, last)))
+            b is buffer() for b, (buffer, _) in zip(window, last)))
+        gc.collect()
+        freed.append([states() is None for _, states in rollouts[:-width]])
         return update(critic, offline, window, *args, **kwargs)
-
-    def stacked(buffers):
-        held.append(sum(means() is not None for _, means in rollouts))
-        return stack(buffers)
 
     monkeypatch.setattr(pipeline, "branched_rollout", rolled)
     monkeypatch.setattr(pipeline, "update_feasibility_critics", updated)
-    monkeypatch.setattr(pipeline, "stack_buffers", stacked)
     run_pipeline(cfg, tmp_path)
     assert len(rollouts) == 3 and windows == [True] * 3
-    assert held == [0]
+    assert freed == [[], [], [True]]
 
 
 def test_learn_builds_its_feasibility_critic_without_a_predicate(tmp_path, monkeypatch):
@@ -297,18 +294,28 @@ def test_remote_proposer_runs_through_the_costgen_stage(tmp_path, monkeypatch):
     ((), True), (("no-model",), False), (("ungated",), False),
     (("no-conservative",), True),
 ])
-def test_variant_records_the_benchmark_manifest_keys(tmp_path, needed_stages,
+def test_variant_records_the_benchmark_manifest_keys(tmp_path, monkeypatch, needed_stages,
                                                      ablations, rolls_out):
     cfg = tiny_config(ablations)
+    rolled, roll = [], pipeline.branched_rollout
+
+    def counted(*args, **kwargs):
+        rolled.append(kwargs["event"])
+        return roll(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "branched_rollout", counted)
     run_pipeline(cfg, tmp_path)
+    assert bool(rolled) == rolls_out
     stages = json.loads((tmp_path / "manifest.json").read_text())["stages"]
     needed = needed_stages(cfg)
     # The benchmark's list predates the shared reward stage.
     assert sorted(stages) == sorted([*(key for _, key in needed), "reward"])
     for stage, key in needed:
         assert stages[key]["hash"] == pipeline.stage_hash(cfg, stage)
-    buffer = pipeline.RunPaths(tmp_path).rollout_buffer(cfg)
-    assert buffer.exists() == rolls_out
+    # The variant's files, as the README lists them: no rollout buffer.
+    variant = pipeline.RunPaths(tmp_path).variant_dir(cfg)
+    gated = {"critic"} if "ungated" not in ablations else set()
+    assert sorted(p.name for p in variant.iterdir()) == sorted({"policy", "eval.csv", *gated})
 
 
 def test_variants_share_one_reward_stage(tmp_path, monkeypatch):

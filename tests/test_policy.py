@@ -18,7 +18,6 @@ from reachsafe.critics import (
 )
 from reachsafe.dynamics import conservative_cost_label_batch, train_ensemble
 from reachsafe.envs import behavior_mixture, make_double_integrator, make_hazard_gridworld
-from reachsafe.oracle import compute_feasible_set_oracle
 from reachsafe.policy import (
     REWARD_TARGET_RATE,
     EvalReport,
@@ -70,14 +69,9 @@ def test_reward_critic_rejects_rollout_data():
     ds = _toy_dataset()
     critic = make_reward_critic(ds, LEARN)
     buffer = RolloutBuffer(s=ds.s, a=ds.a, label=np.zeros(len(ds), dtype=int),
-                           h_s=np.full(len(ds), -1.0),
-                           origin=np.zeros(len(ds), dtype=int))
+                           h_s=np.full(len(ds), -1.0), elite_next=ds.s2[None])
     with pytest.raises(RolloutDataRejected):
         update_reward_critic(critic, buffer, steps=1, cfg=LEARN)
-    tagged = _toy_dataset()
-    tagged.meta["kind"] = "rollout-buffer"
-    with pytest.raises(RolloutDataRejected):
-        update_reward_critic(critic, tagged, steps=1, cfg=LEARN)
 
 
 def test_reward_critic_fits_terminal_reward():
@@ -159,7 +153,7 @@ def test_rollout_rows_back_up_against_the_worst_elite_successor(integrator):
         buffer = RolloutBuffer(
             s=data.s[rows], a=data.a[rows],
             label=conservative_cost_label_batch(elite_next, cost_fn),
-            h_s=np.full(len(rows), H_MIN), origin=rows, elite_next=elite_next)
+            h_s=np.full(len(rows), H_MIN), elite_next=elite_next)
         cfg = replace(LEARN, critic_lr=1e-2, rollout_batch_fraction=1.0)
         critic = make_feasibility_critic(env, data, cfg, seed=0)
         critic.cost_fn = cost_fn
@@ -235,7 +229,7 @@ def _event_window(env, data, sizes, n_elites=3, seed=0):
         label = rng.integers(2, size=n)
         window.append(RolloutBuffer(
             s=data.s[rows], a=data.a[rows], label=label,
-            h_s=np.where(label > 0, H_MAX, H_MIN), origin=rows,
+            h_s=np.where(label > 0, H_MAX, H_MIN),
             elite_next=data.s2[rows] + rng.normal(scale=0.3, size=(n_elites, n, env.d_s))))
     return window
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reachsafe.cmdp import H_MAX, H_MIN
-from reachsafe.envs import make_double_integrator, make_hazard_gridworld
+from reachsafe.envs import make_hazard_gridworld
 from reachsafe.oracle import compute_feasible_set_oracle
 from reachsafe.reachability import (
     apply_operator,

@@ -11,19 +11,12 @@ from reachsafe.config import CostGenSection, default_config
 from reachsafe.costgen import validate, CostCandidate
 from reachsafe.critics import make_feasibility_critic, update_feasibility_critics
 from reachsafe.dynamics import conservative_cost_label_batch, train_ensemble
-from reachsafe.envs import behavior_mixture, integrator_behavior, make_double_integrator
-from reachsafe.rollout import (
-    RolloutBuffer,
-    branched_rollout,
-    load_rollout_buffer,
-    relabel_offline,
-    save_rollout_buffer,
-    stack_buffers,
-)
+from reachsafe.envs import integrator_behavior, make_double_integrator
+from reachsafe.rollout import RolloutBuffer, branched_rollout, relabel_offline, stack_buffers
 
 from helpers import dynamics, rollout
 
-COLUMNS = ("s", "a", "label", "h_s", "origin")
+COLUMNS = ("s", "a", "label", "h_s")
 
 
 @pytest.fixture(scope="module")
@@ -83,10 +76,9 @@ def test_rows_form_one_group_per_kept_branch(setup):
     pred = env.margin_predicate(0.08)
     every, buf = (_rollout(setup, cost_fn, cfg, seed=9) for cost_fn in (_constant(1), pred))
     assert len(every) == cfg.batch * cfg.epochs * h
+    pool = {tuple(x) for x in data.rollout_start_states()}
     for b in (every, buf):
-        origin = b.origin.reshape(-1, h)
-        assert np.all(origin == origin[:, :1])
-        assert np.array_equal(b.s[::h], data.rollout_start_states()[origin[:, 0]])
+        assert all(tuple(x) in pool for x in b.s[::h])
         assert np.all(b.label.reshape(-1, h).any(axis=1))
         assert np.array_equal(b.h_s, np.where(b.label > 0, 1.0, -1.0))
     # Labels do not steer the branches, so ``buf`` holds exactly the groups
@@ -97,7 +89,7 @@ def test_rows_form_one_group_per_kept_branch(setup):
     assert (labels[violating] == 0).any(), "some kept branch has an unflagged step"
     rows = np.repeat(violating, h)
     assert np.array_equal(buf.label, labels[violating].ravel())
-    for name in ("s", "a", "origin"):
+    for name in ("s", "a"):
         assert np.array_equal(getattr(buf, name), getattr(every, name)[rows])
     assert np.array_equal(buf.elite_next, every.elite_next[:, rows])
 
@@ -132,8 +124,8 @@ def test_relabel_matches_validate_exactly(setup):
 
 @pytest.mark.parametrize("relabel", [True, False], ids=["relabel", "no-relabel"])
 def test_relabelled_rows_view_the_dataset_and_leave_it_as_it_is(setup, relabel):
-    # Rows with one successor each, the dataset's s2; row i starts from
-    # state i of the start pool. No column is copied, and none is written.
+    # Rows with one successor each, the dataset's s2. No column is copied,
+    # and none is written.
     env, data, _ = setup
     pred = env.margin_predicate(0.06) if relabel else None
     before = {name: getattr(data, name).copy() for name in ("s", "a", "s2", "cost")}
@@ -142,8 +134,6 @@ def test_relabelled_rows_view_the_dataset_and_leave_it_as_it_is(setup, relabel):
     assert rows.elite_next.shape == (1, len(data), env.d_s)
     assert np.shares_memory(rows.elite_next, data.s2)
     assert np.array_equal(rows.elite_next[0], data.s2)
-    assert np.array_equal(rows.origin, np.arange(len(data)))
-    assert np.array_equal(data.rollout_start_states()[rows.origin], data.s)
     if relabel:
         assert np.array_equal(rows.label, cost_labels(pred, data.s2))
     else:
@@ -166,24 +156,10 @@ def test_relabel_constant_one_sets_h_max(setup):
     assert np.all(relabeled.h_s == 1.0)
 
 
-def test_rollout_buffer_roundtrip(setup, tmp_path):
-    env, _, _ = setup
-    buf = _rollout(setup, env.margin_predicate(0.08), rollout(batch=64, epochs=2),
-                   seed=13)
-    path = tmp_path / "rollouts.npz"
-    save_rollout_buffer(buf, path)
-    back = load_rollout_buffer(path)
-    for name in COLUMNS:
-        assert np.array_equal(getattr(back, name), getattr(buf, name))
-    # Loaded buffers carry no elite means; stacking them gives none either.
-    both = stack_buffers([buf, back])
-    assert len(both) == 2 * len(buf) and both.elite_next is None
-
-
-@pytest.mark.parametrize("name", ["s", "a", "h_s", "origin", "elite_next"])
+@pytest.mark.parametrize("name", ["s", "a", "h_s", "elite_next"])
 def test_a_buffer_with_a_short_column_is_refused(name):
     columns = dict(s=np.zeros((4, 2)), a=np.zeros((4, 1)), label=np.ones(4, dtype=int),
-                   h_s=np.ones(4), origin=np.arange(4), elite_next=np.zeros((2, 4, 2)))
+                   h_s=np.ones(4), elite_next=np.zeros((2, 4, 2)))
     assert len(RolloutBuffer(**columns)) == 4
     columns[name] = columns[name][:, :2] if name == "elite_next" else columns[name][:2]
     with pytest.raises(ConfigurationError, match=f"column {name} has 2 rows, label has 4"):
@@ -194,7 +170,7 @@ def test_a_buffer_with_a_short_column_is_refused(name):
                          ids=["three-wide", "2-d", "4-d"])
 def test_elite_means_that_are_not_n_elites_by_rows_by_state_width_are_refused(shape):
     columns = dict(s=np.zeros((4, 2)), a=np.zeros((4, 1)), label=np.ones(4, dtype=int),
-                   h_s=np.ones(4), origin=np.arange(4))
+                   h_s=np.ones(4))
     with pytest.raises(ConfigurationError, match="column elite_next has shape"):
         RolloutBuffer(**columns, elite_next=np.zeros(shape))
 
@@ -223,24 +199,6 @@ def test_h_s_is_the_successor_label_in_rollouts_and_the_state_label_offline(setu
     assert np.array_equal(offline.h_s, np.where(cost_labels(pred, data.s) > 0, 1.0, -1.0))
 
 
-def test_critic_update_refuses_a_buffer_without_elite_means(setup, tmp_path):
-    env, data, _ = setup
-    buf = _rollout(setup, env.margin_predicate(0.08), rollout(batch=64, epochs=1),
-                   seed=13)
-    path = tmp_path / "rollouts.npz"
-    save_rollout_buffer(buf, path)
-    back = load_rollout_buffer(path)
-    assert len(back) and back.elite_next is None
-    learn = default_config("double_integrator").learn
-    critic = make_feasibility_critic(env, data, learn, seed=0)
-    critic.cost_fn = env.margin_predicate(0.08)
-    rows = relabel_offline(data, critic.cost_fn)
-    with pytest.raises(ValueError, match="elite_next"):
-        update_feasibility_critics(critic, rows, [back], steps=1, cfg=learn)
-    with pytest.raises(ValueError, match="elite_next"):
-        update_feasibility_critics(critic, rows, [buf, back], steps=1, cfg=learn)
-
-
 def test_critic_update_refuses_a_window_whose_elite_means_disagree(setup):
     env, data, model = setup
     cfg = rollout(batch=64, epochs=1)
@@ -257,7 +215,7 @@ def test_critic_update_refuses_a_window_whose_elite_means_disagree(setup):
     assert critic.q_trainer.step == 0
     # An empty buffer adds no rows, so its elite means are never read.
     nothing = replace(first, **{name: getattr(first, name)[:0] for name in COLUMNS},
-                      elite_next=None)
+                      elite_next=first.elite_next[:, :0])
     update_feasibility_critics(critic, rows, [first, nothing, second], steps=1, cfg=learn)
     assert critic.q_trainer.step == 1
 
@@ -297,18 +255,15 @@ def test_window_and_saved_buffers_stack_the_event_buffers(setup):
     assert len(nothing) == 0 and all(len(b) for b in events)
     parts = [nothing, events[0], nothing, *events[1:]]
     window = stack_buffers(parts)
-    saved = stack_buffers([replace(b, elite_next=None) for b in parts])
-    assert saved.elite_next is None
     start = 0
     for part in parts:
         rows = slice(start, start + len(part))
         for name in COLUMNS:
-            for stacked in (window, saved):
-                assert np.array_equal(getattr(stacked, name)[rows], getattr(part, name))
-                assert getattr(stacked, name).dtype == getattr(part, name).dtype
+            assert np.array_equal(getattr(window, name)[rows], getattr(part, name))
+            assert getattr(window, name).dtype == getattr(part, name).dtype
         assert np.array_equal(window.elite_next[:, rows], part.elite_next)
         start += len(part)
-    assert start == len(window) == len(saved)
+    assert start == len(window)
     empty = stack_buffers([nothing, nothing])
     assert len(empty) == 0 and empty.s.shape == (0, env.d_s)
     assert empty.elite_next.shape == (model.n_elites, 0, env.d_s)
